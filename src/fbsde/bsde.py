@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeneratorEvaluationError, ShapeMismatch
-from .martingale import canonicalize, tilde_contract
+from .martingale import backward_defect, canonicalize, tilde_contract
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Residual guarantee for solver output, checked by the residual evaluator.
@@ -138,15 +138,10 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
         z_levels.append(z)
 
     worst = 0.0
-    eye = np.eye(tree.N)
     for t in range(tree.T - 1, -1, -1):
         f_next = _generator_level(tree, problem, t + 1, y_levels[t + 1], z_levels, scalar, K)
-        rows = tree.transition[t]
-        for node in range(tree.num_nodes(t)):
-            incr = eye - rows[node][None, :]
-            zm = z_levels[t][node] @ incr.T  # (K, N)
-            for i in range(tree.N):
-                child = node * tree.N + i
-                r = y_levels[t + 1][child] - y_levels[t][node] + f_next[child] - zm[:, i]
-                worst = max(worst, float(np.max(np.abs(r))))
+        defect = backward_defect(
+            y_levels[t + 1], y_levels[t], f_next, z_levels[t], tree.transition[t]
+        )
+        worst = max(worst, float(np.abs(defect).max()))
     return worst

@@ -162,7 +162,6 @@ def _continuation_options(opts: pio.SolverOptions) -> ContinuationOptions:
         delta=opts.delta,
         tolerance=opts.tolerance,
         max_iterations=opts.max_iterations,
-        mode=opts.mode,
     )
 
 
@@ -190,9 +189,8 @@ def _solve_loaded(loaded: pio.LoadedProblem):
             if loaded.kind == "linear"
             else linear.special_coefficients(tree, **loaded.data)
         )
-        ric = linear.riccati_backward(tree, coeffs)
-        report["certificate"] = pio.certificate_payload(tree, ric)
         result = linear.solve_linear(tree, coeffs, loaded.x0)
+        report["certificate"] = pio.certificate_payload(tree, result.riccati)
         if isinstance(result, linear.Unsolvable):
             report["status"] = "unsolvable"
             report["solution"] = None

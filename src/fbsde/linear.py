@@ -11,6 +11,7 @@ closure P X + p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     ShapeMismatch,
     SingularCertificate,
 )
+from .martingale import backward_defect, forward_defect
 from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index
 
 #: Zero-sum validation tolerance for the structural coupling conditions.
@@ -146,10 +148,6 @@ class LinearCoefficients:
         self.G = _leaf_values(tree, G, "G")
         self.g = _leaf_values(tree, g, "g")
 
-    @classmethod
-    def zeros(cls, tree):
-        return cls(tree)
-
     def validate(self):
         """Check finiteness and the structural zero-sum conditions."""
         tree = self.tree
@@ -261,13 +259,15 @@ class ResidualReport:
 class FbsdeSolution:
     """Node-indexed solution triple with its residual report.
 
-    X and Y live on 0..T, Z on 0..T-1 with canonical rows.
+    X and Y live on 0..T, Z on 0..T-1 with canonical rows.  ``riccati`` is
+    the backward pass behind a linear solve, None for other solvers.
     """
 
     X: AdaptedProcess
     Y: AdaptedProcess
     Z: AdaptedProcess
     residuals: ResidualReport
+    riccati: Optional[RiccatiData] = None
 
 
 @dataclass(frozen=True)
@@ -322,6 +322,18 @@ def _gamma_level(tree, coupling, p_child):
     return eye - coupling * p_child[:, None, :]
 
 
+def _closure_solves(gamma, scr_a, scr_d, coupling, p_child):
+    """(v, w) with gamma v = a and gamma w = (b P^T + c) p + d at every node.
+
+    The child closures P X + p of a solved level are v X + w; the slope and
+    offset recursions contract them with the child slopes.
+    """
+    v = np.linalg.solve(gamma, scr_a[:, :, None])[:, :, 0]
+    rhs = np.einsum("nij,nj->ni", coupling, p_child) + scr_d
+    w = np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
+    return v, w
+
+
 def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
     """Run the backward decoupling recursion with per-node verdicts.
 
@@ -362,12 +374,10 @@ def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiD
         if t >= 1:
             Pt = tree.transition[t]
             theta = (1.0 - coeffs.B_hat[t])[:, None] * Pt - coeffs.C_hat[t]
-            v = np.linalg.solve(gamma, scr_a[:, :, None])[:, :, 0]
+            v, w = _closure_solves(gamma, scr_a, scr_d, coupling, p_child)
             P_levels[t] = -coeffs.A_hat[t] + np.einsum(
                 "nj,nj,nj->n", theta, P_child, v
             )
-            rhs = np.einsum("nij,nj->ni", coupling, p_child) + scr_d
-            w = np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
             p_levels[t] = (
                 np.einsum("nj,nj,nj->n", theta, P_child, w)
                 + np.einsum("nj,nj->n", theta, p_child)
@@ -384,13 +394,12 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Solve the coupled linear system; certify failure instead of guessing.
 
     Returns an FbsdeSolution when every per-node matrix is invertible,
-    otherwise an Unsolvable carrying the singular node list.  On success the
-    per-branch residuals of both equations are evaluated exhaustively and
-    reported.
+    otherwise an Unsolvable carrying the singular node list; either carries
+    the backward pass's RiccatiData.  On success the per-branch residuals of
+    both equations are evaluated exhaustively and reported.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    coeffs.validate()
     ric = riccati_backward(tree, coeffs)
     if not ric.certificate.all_invertible:
         return Unsolvable(ric.certificate.singular_nodes, ric)
@@ -425,6 +434,7 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
         AdaptedProcess(tree, 0, Y),
         AdaptedProcess(tree, 0, Z),
         report,
+        ric,
     )
 
 
@@ -437,29 +447,23 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     X = [np.asarray(X.level(t) if isinstance(X, AdaptedProcess) else X[t], dtype=float) for t in range(tree.T + 1)]
     Y = [np.asarray(Y.level(t) if isinstance(Y, AdaptedProcess) else Y[t], dtype=float) for t in range(tree.T + 1)]
     Z = [np.asarray(Z.level(t) if isinstance(Z, AdaptedProcess) else Z[t], dtype=float) for t in range(tree.T)]
-    N = tree.N
     fwd = 0.0
     bwd = 0.0
     for t in range(tree.T):
-        n = tree.num_nodes(t)
-        Pt = tree.transition[t]
-        if Z[t].shape != (n, N):
+        if Z[t].shape != (tree.num_nodes(t), tree.N):
             raise ShapeMismatch(f"Z level {t} has shape {Z[t].shape}")
-        base = (
-            X[t] * (1.0 + coeffs.A[t])
+        b = (
+            coeffs.A[t] * X[t]
             + coeffs.B[t] * Y[t]
             + np.einsum("nj,nj->n", Z[t], coeffs.C[t])
             + coeffs.D[t]
         )
-        row = (
+        sigma = (
             X[t][:, None] * coeffs.A_bar[t]
             + Y[t][:, None] * coeffs.B_bar[t]
             + np.einsum("nj,njk->nk", Z[t], coeffs.C_bar[t])
             + coeffs.D_bar[t]
         )
-        pred = base[:, None] + row - np.einsum("nk,nk->n", row, Pt)[:, None]
-        fwd = max(fwd, float(np.abs(X[t + 1].reshape(n, N) - pred).max()))
-
         hat = (
             coeffs.A_hat[t + 1] * X[t + 1]
             + coeffs.B_hat[t + 1] * Y[t + 1]
@@ -467,9 +471,9 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
         )
         if t + 1 < tree.T:
             hat = hat + np.einsum("nj,nj->n", Z[t + 1], coeffs.C_hat[t + 1])
-        zm = Z[t] - np.einsum("nj,nj->n", Z[t], Pt)[:, None]
-        pred_y = Y[t][:, None] + hat.reshape(n, N) + zm
-        bwd = max(bwd, float(np.abs(Y[t + 1].reshape(n, N) - pred_y).max()))
+        rows = tree.transition[t]
+        fwd = max(fwd, float(np.abs(forward_defect(X[t + 1], X[t], b, sigma, rows)).max()))
+        bwd = max(bwd, float(np.abs(backward_defect(Y[t + 1], Y[t], -hat, Z[t], rows)).max()))
     return ResidualReport(forward=fwd, backward=bwd)
 
 
@@ -547,10 +551,8 @@ def decoupling_coefficients(tree, coeffs, riccati):
         gamma = riccati.gamma_levels[t]
         P_child = riccati.P_levels[t + 1].reshape(n, N)
         p_child = riccati.p_levels[t + 1].reshape(n, N)
-        v = np.linalg.solve(gamma, scr_a[:, :, None])[:, :, 0]
+        v, w = _closure_solves(gamma, scr_a, scr_d, coupling, p_child)
         slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, v)
-        rhs = np.einsum("nij,nj->ni", coupling, p_child) + scr_d
-        w = np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
         offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, w) + np.einsum(
             "nj,nj->n", Pt, p_child
         )

@@ -4,7 +4,10 @@ The centered one-step increments e_i - P carry all the randomness of the
 driving process; a row Z acts on them by dot product.  Rows differing by a
 constant shift act identically on every increment, so the canonical form
 zeros the last entry and the N-1 entry differences Z_j - Z_N are the free
-coordinates.  All functions are pure and operate on immutable inputs.
+coordinates.  ``forward_defect`` and ``backward_defect`` state the two
+equations branch by branch for a whole level; every residual check in the
+package reduces their output.  All functions are pure and operate on
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -137,17 +140,6 @@ def norm_constants(tree):
     return NormConstants(lower=0.5 * low / (tree.N - 1), upper=(tree.N - 1) * up)
 
 
-def represent_level(tree, values_next, t):
-    """Vectorized represent for a whole level: rows of child values, (n, N)."""
-    vals = np.asarray(values_next, dtype=float)
-    n = tree.num_nodes(t)
-    if vals.shape[0] != n * tree.N:
-        raise ShapeMismatch(
-            f"expected {n * tree.N} child values at depth {t + 1}, got {vals.shape[0]}"
-        )
-    return vals.reshape(n, tree.N)
-
-
 def zm_products(tree, node, z):
     """Dot products of a row with each increment e_i - P, shape (..., N)."""
     row = _nonleaf_row(tree, node)
@@ -156,3 +148,37 @@ def zm_products(tree, node, z):
         raise ShapeMismatch(f"row length {z.shape[-1]} != {tree.N}")
     eye = np.eye(tree.N)
     return np.einsum("...j,ij->...i", z, eye - row[None, :])
+
+
+def _increment_products(z, rows):
+    """Products Z (e_i - P) of each node's row with each of its increments.
+
+    ``z`` holds one row per node, (n, N), or K rows per node, (n, K, N);
+    ``rows`` are the nodes' transition rows.  Returns (n, N) or (n, N, K),
+    branch i on axis 1.
+    """
+    if z.ndim == 2:
+        return z - np.einsum("nj,nj->n", z, rows)[:, None]
+    return np.swapaxes(z - np.einsum("nkj,nj->nk", z, rows)[:, :, None], 1, 2)
+
+
+def forward_defect(x_next, x, b, sigma, rows):
+    """Per-branch defect X_{t+1} - X_t - b_t - sigma_t (e_i - P_t) of one level.
+
+    ``x``, ``b`` are (n,) node values, ``sigma`` the (n, N) diffusion rows,
+    ``rows`` the (n, N) transition rows and ``x_next`` the (n*N,) child
+    values, node-major.  Returns (n, N), branch i in column i.
+    """
+    n, N = rows.shape
+    return x_next.reshape(n, N) - x[:, None] - b[:, None] - _increment_products(sigma, rows)
+
+
+def backward_defect(y_next, y, f_next, z, rows):
+    """Per-branch defect Y_{t+1} - Y_t + f_{t+1} - Z_t (e_i - P_t) of one level.
+
+    Scalar values: ``y`` (n,), ``y_next``/``f_next`` (n*N,) child values,
+    ``z`` (n, N); returns (n, N).  K-valued: ``y`` (n, K), ``y_next``/
+    ``f_next`` (n*N, K), ``z`` (n, K, N); returns (n, N, K).
+    """
+    zm = _increment_products(z, rows)
+    return y_next.reshape(zm.shape) - y[:, None] + f_next.reshape(zm.shape) - zm

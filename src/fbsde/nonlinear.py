@@ -28,7 +28,7 @@ from .errors import (
     StepUnderflow,
 )
 from .linear import FbsdeSolution, ResidualReport
-from .martingale import cond_second_moment, tilde_contract
+from .martingale import backward_defect, cond_second_moment, forward_defect, tilde_contract
 from .tree import AdaptedProcess
 
 #: Hard floor for the continuation step.
@@ -78,7 +78,6 @@ class ContinuationOptions:
     # hard cap on base solves per ladder attempt; levels whose contraction is
     # marginal would otherwise burn the per-level budget multiplicatively
     max_inner_solves: int = 20000
-    mode: str = "continuation"
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
@@ -103,9 +102,6 @@ class SolveStats:
     records: list = field(default_factory=list)
     halvings: int = 0
     inner_solves: int = 0
-
-    def level_records(self, alpha, tol=1e-12):
-        return [r for r in self.records if abs(r.alpha - alpha) <= tol]
 
     @property
     def iterations(self):
@@ -253,35 +249,42 @@ def increment_norm_sq(tree, prev: _Iterate, cur: _Iterate) -> float:
     return total
 
 
+def _node_levels(tree, fn, times, X, Y, zt):
+    """``fn(t, node, x, y, z_tilde)`` at every node of each time, stacked per level.
+
+    The one loop that calls a problem's per-node callbacks; ``zt`` holds the
+    contractions of Z, and at the horizon ``z_tilde`` is None.
+    """
+    out = []
+    for t in times:
+        n = tree.num_nodes(t)
+        x, y = X[t], Y[t]
+        z = zt[t] if t < tree.T else [None] * n
+        out.append(np.array(
+            [fn(t, node, float(x[node]), float(y[node]), z[node]) for node in range(n)],
+            dtype=float,
+        ))
+    return out
+
+
+def _coefficient_levels(tree, problem, X, Y, Z):
+    """Drift and diffusion on 0..T-1, and generator on 1..T, at an iterate.
+
+    Returns (b, sigma, f) with ``f`` indexed by absolute time, entry 0 None.
+    """
+    zt = [tilde_contract(z) for z in Z]
+    b = _node_levels(tree, problem.drift, range(tree.T), X, Y, zt)
+    sigma = _node_levels(tree, problem.diffusion, range(tree.T), X, Y, zt)
+    f = [None] + _node_levels(tree, problem.generator, range(1, tree.T + 1), X, Y, zt)
+    return b, sigma, f
+
+
 def _compose(tree, problem, inhom, prev: _Iterate, step):
     """Fold the step-sized nonlinearity, frozen at ``prev``, into new inhomogeneities."""
-    b0 = []
-    s0 = []
-    f0 = [None]
-    for t in range(tree.T):
-        zt = tilde_contract(prev.Z[t])
-        n = tree.num_nodes(t)
-        bt = np.empty(n)
-        st = np.empty((n, tree.N))
-        for node in range(n):
-            x, y, z = float(prev.X[t][node]), float(prev.Y[t][node]), zt[node]
-            bt[node] = y + problem.drift(t, node, x, y, z)
-            st[node] = prev.Z[t][node] + np.asarray(
-                problem.diffusion(t, node, x, y, z), dtype=float
-            )
-        b0.append(inhom.b0[t] + step * bt)
-        s0.append(inhom.sigma0[t] + step * st)
-    for t in range(1, tree.T + 1):
-        n = tree.num_nodes(t)
-        ft = np.empty(n)
-        for node in range(n):
-            x, y = float(prev.X[t][node]), float(prev.Y[t][node])
-            if t == tree.T:
-                val = problem.generator(t, node, x, y, None)
-            else:
-                val = problem.generator(t, node, x, y, tilde_contract(prev.Z[t])[node])
-            ft[node] = -x + val
-        f0.append(inhom.f0[t] + step * ft)
+    b, sigma, f = _coefficient_levels(tree, problem, prev.X, prev.Y, prev.Z)
+    b0 = [inhom.b0[t] + step * (prev.Y[t] + b[t]) for t in range(tree.T)]
+    s0 = [inhom.sigma0[t] + step * (prev.Z[t] + sigma[t]) for t in range(tree.T)]
+    f0 = [None] + [inhom.f0[t] + step * (-prev.X[t] + f[t]) for t in range(1, tree.T + 1)]
     hT = np.array(
         [-float(x) + problem.terminal(node, float(x)) for node, x in enumerate(prev.X[tree.T])]
     )
@@ -498,38 +501,17 @@ def nonlinear_residual(tree, problem, solution):
     for t in range(tree.T):
         if np.shape(Z[t]) != (tree.num_nodes(t), tree.N):
             raise ShapeMismatch(f"Z level {t} has shape {np.shape(Z[t])}")
+    X = [np.asarray(lev, dtype=float) for lev in X]
+    Y = [np.asarray(lev, dtype=float) for lev in Y]
+    Z = [np.asarray(lev, dtype=float) for lev in Z]
 
+    b, sigma, f = _coefficient_levels(tree, problem, X, Y, Z)
     fwd = 0.0
     bwd = 0.0
-    eye = np.eye(tree.N)
-    zt_levels = [tilde_contract(np.asarray(z, dtype=float)) for z in Z]
     for t in range(tree.T):
-        Pt = tree.transition[t]
-        zt = zt_levels[t]
-        for node in range(tree.num_nodes(t)):
-            x, y, z = float(X[t][node]), float(Y[t][node]), zt[node]
-            drift = problem.drift(t, node, x, y, z)
-            vol = np.asarray(problem.diffusion(t, node, x, y, z), dtype=float)
-            zrow = np.asarray(Z[t][node], dtype=float)
-            for i in range(tree.N):
-                child = node * tree.N + i
-                incr = eye[i] - Pt[node]
-                fwd = max(fwd, abs(float(X[t + 1][child]) - x - drift - float(vol @ incr)))
-                if t + 1 == tree.T:
-                    f_val = problem.generator(
-                        t + 1, child, float(X[t + 1][child]), float(Y[t + 1][child]), None
-                    )
-                else:
-                    f_val = problem.generator(
-                        t + 1, child, float(X[t + 1][child]), float(Y[t + 1][child]),
-                        zt_levels[t + 1][child],
-                    )
-                bwd = max(
-                    bwd,
-                    abs(
-                        float(Y[t + 1][child]) - y + f_val - float(zrow @ incr)
-                    ),
-                )
+        rows = tree.transition[t]
+        fwd = max(fwd, float(np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max()))
+        bwd = max(bwd, float(np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max()))
     return fwd, bwd
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from .bsde import BsdeProblem, solve_bsde
 from .errors import NoConvergence, NonFiniteInput
 from .linear import FbsdeSolution, LinearCoefficients, ResidualReport, linear_residuals
-from .martingale import tilde_contract
+from .martingale import forward_defect, tilde_contract
+from .nonlinear import _node_levels, nonlinear_residual
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Rank decisions use the same scale-free singular-value threshold as the
@@ -242,23 +243,14 @@ def backward_given_forward(tree, problem, X_levels):
 
 
 def _forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
-    out = []
-    for t in range(tree.T):
-        Pt = tree.transition[t]
-        zt = tilde_contract(Z_levels[t])
-        for node in range(tree.num_nodes(t)):
-            x = float(X_levels[t][node])
-            y = float(Y_levels[t][node])
-            z = zt[node]
-            drift = problem.drift(t, node, x, y, z)
-            vol = np.asarray(problem.diffusion(t, node, x, y, z), dtype=float)
-            P = Pt[node]
-            for i in range(tree.N):
-                incr = np.eye(tree.N)[i] - P
-                out.append(
-                    float(X_levels[t + 1][node * tree.N + i]) - x - drift - float(vol @ incr)
-                )
-    return np.array(out)
+    """Forward defects of every branch, flat: node-major, branch-minor per level."""
+    zt = [tilde_contract(z) for z in Z_levels]
+    b = _node_levels(tree, problem.drift, range(tree.T), X_levels, Y_levels, zt)
+    sigma = _node_levels(tree, problem.diffusion, range(tree.T), X_levels, Y_levels, zt)
+    return np.concatenate([
+        forward_defect(X_levels[t + 1], X_levels[t], b[t], sigma[t], tree.transition[t]).ravel()
+        for t in range(tree.T)
+    ])
 
 
 def solve_oracle(tree, problem, x0, opts: NewtonOptions | None = None, initial_guess=None):
@@ -297,8 +289,6 @@ def solve_oracle(tree, problem, x0, opts: NewtonOptions | None = None, initial_g
         if res <= opts.tolerance:
             X = _x_levels(tree, x, x0)
             Y, Z = backward_given_forward(tree, problem, X)
-            from .nonlinear import nonlinear_residual
-
             fwd, bwd = nonlinear_residual(tree, problem, (X, Y, Z))
             return FbsdeSolution(
                 AdaptedProcess(tree, 0, X),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsde import AssumptionViolation, SchemaError, bind_problem, verify_report
+from fbsde import AssumptionViolation, SchemaError, bind_problem, linear, verify_report
 from fbsde.cli import DEMOS, run_cli
 
 
@@ -254,6 +254,20 @@ class TestCli:
             "singular-gamma": 2,
             "monotone-family": 0,
         }
+
+    def test_linear_demo_runs_the_backward_pass_once(self, monkeypatch, capsys):
+        calls = []
+        original = linear.riccati_backward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linear, "riccati_backward", counted)
+        assert run_cli(["demo", "partially-coupled"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate"]["all_invertible"] is True
+        assert len(calls) == 1
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         path = tmp_path / "problem.json"

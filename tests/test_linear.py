@@ -35,7 +35,7 @@ def singular_construction(x0=1.0):
 class TestScriptCoeffs:
     def test_all_zero(self):
         tree = uniform_tree(3, 1)
-        a, b, c, d = script_coeffs(tree, LinearCoefficients.zeros(tree), (0, 0))
+        a, b, c, d = script_coeffs(tree, LinearCoefficients(tree), (0, 0))
         np.testing.assert_allclose(a, np.ones(3), atol=TOL)
         np.testing.assert_allclose(b, np.zeros(3), atol=TOL)
         np.testing.assert_allclose(c, np.zeros((3, 3)), atol=TOL)
@@ -241,7 +241,7 @@ class TestSolveLinear:
     def test_non_finite_input(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(NonFiniteInput):
-            solve_linear(tree, LinearCoefficients.zeros(tree), float("nan"))
+            solve_linear(tree, LinearCoefficients(tree), float("nan"))
 
 
 class TestSolveSpecial:
