@@ -6,7 +6,7 @@ solvers to check them against."""
 from .bsde import BsdeProblem, bsde_residual, solve_bsde
 from .errors import *  # noqa: F401,F403
 from .expressions import Expression, parse_expression
-from .io import LoadedProblem, SolverOptions, bind_problem, load_problem, verify_report
+from .io import LoadedProblem, bind_problem, load_problem, verify_report
 from .linear import (
     FbsdeSolution,
     GammaVerdict,

@@ -143,5 +143,5 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
         defect = backward_defect(
             y_levels[t + 1], y_levels[t], f_next, z_levels[t], tree.transition[t]
         )
-        worst = max(worst, float(np.abs(defect).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(defect).max())  # keeps a NaN defect
+    return float(worst)

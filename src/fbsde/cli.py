@@ -22,7 +22,6 @@ from .errors import (
     SchemaError,
     StepUnderflow,
 )
-from .nonlinear import ContinuationOptions
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVABLE = 2
@@ -101,7 +100,7 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-10)")
         p.add_argument("--delta", type=float, default=None, help="initial continuation step (default 0.25)")
         p.add_argument("--max-iter", type=int, default=None, help="Picard budget per level (default 50)")
-        p.add_argument("--mode", choices=("continuation", "picard"), default=None)
+        p.add_argument("--mode", choices=pio.MODES, default=None)
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
@@ -122,19 +121,18 @@ def _build_parser():
     return parser
 
 
-def _merge_options(options: pio.SolverOptions, args) -> pio.SolverOptions:
-    updates = {}
-    if args.tol is not None:
-        updates["tolerance"] = args.tol
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    if args.max_iter is not None:
-        updates["max_iterations"] = args.max_iter
-    if args.mode is not None:
-        updates["mode"] = args.mode
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(options, **updates)
+def _merge_options(loaded: pio.LoadedProblem, args) -> pio.LoadedProblem:
+    """Flags override the file; replacing the options re-runs their checks."""
+    flags = {"tolerance": args.tol, "delta": args.delta, "max_iterations": args.max_iter}
+    options = dataclasses.replace(
+        loaded.options, **{k: v for k, v in flags.items() if v is not None}
+    )
+    return dataclasses.replace(
+        loaded,
+        options=options,
+        mode=args.mode or loaded.mode,
+        seed=loaded.seed if args.seed is None else args.seed,
+    )
 
 
 def _emit(args, text):
@@ -157,18 +155,9 @@ def _report_out(args, loaded, report):
         _emit(args, pio.render_json(report))
 
 
-def _continuation_options(opts: pio.SolverOptions) -> ContinuationOptions:
-    return ContinuationOptions(
-        delta=opts.delta,
-        tolerance=opts.tolerance,
-        max_iterations=opts.max_iterations,
-    )
-
-
 def _solve_loaded(loaded: pio.LoadedProblem):
     """Dispatch on kind; returns (status, report, exit_code)."""
     tree = loaded.tree
-    opts = loaded.options
     report = {"kind": loaded.kind, "constants": pio.constants_payload(tree)}
 
     if loaded.kind == "bsde":
@@ -184,12 +173,7 @@ def _solve_loaded(loaded: pio.LoadedProblem):
         return report, EXIT_SOLVED
 
     if loaded.kind in ("linear", "special"):
-        coeffs = (
-            loaded.data
-            if loaded.kind == "linear"
-            else linear.special_coefficients(tree, **loaded.data)
-        )
-        result = linear.solve_linear(tree, coeffs, loaded.x0)
+        result = linear.solve_linear(tree, loaded.data, loaded.x0)
         report["certificate"] = pio.certificate_payload(tree, result.riccati)
         if isinstance(result, linear.Unsolvable):
             report["status"] = "unsolvable"
@@ -207,13 +191,12 @@ def _solve_loaded(loaded: pio.LoadedProblem):
         return report, EXIT_SOLVED
 
     # nonlinear
-    copts = _continuation_options(opts)
     solver = (
-        nonlinear.solve_flat_picard if opts.mode == "picard" else nonlinear.solve_continuation
+        nonlinear.solve_flat_picard if loaded.mode == "picard" else nonlinear.solve_continuation
     )
     report["certificate"] = None
     try:
-        sol, stats = solver(tree, loaded.data, loaded.x0, copts)
+        sol, stats = solver(tree, loaded.data, loaded.x0, loaded.options)
     except (NoContraction, NonFiniteIterate, StepUnderflow) as err:
         report["status"] = "no_convergence"
         report["solution"] = None
@@ -240,12 +223,7 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
     if loaded.kind == "bsde":
         raise SchemaError("kind", "no reference solver is defined for backward-only problems")
     if loaded.kind in ("linear", "special"):
-        coeffs = (
-            loaded.data
-            if loaded.kind == "linear"
-            else linear.special_coefficients(tree, **loaded.data)
-        )
-        verdict = oracle.linear_oracle(tree, coeffs, loaded.x0)
+        verdict = oracle.linear_oracle(tree, loaded.data, loaded.x0)
         report["certificate"] = None
         if isinstance(verdict, oracle.UniqueSolution):
             report["status"] = "solved"
@@ -276,7 +254,7 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
             }
         return report, EXIT_UNSOLVABLE
     # nonlinear
-    nopts = oracle.NewtonOptions(tolerance=loaded.options.tolerance, seed=loaded.options.seed)
+    nopts = oracle.NewtonOptions(tolerance=loaded.options.tolerance, seed=loaded.seed)
     report["certificate"] = None
     try:
         sol = oracle.solve_oracle(tree, loaded.data, loaded.x0, nopts)
@@ -308,12 +286,7 @@ def _check_loaded(loaded: pio.LoadedProblem):
     tree = loaded.tree
     report = {"kind": loaded.kind, "constants": pio.constants_payload(tree)}
     if loaded.kind in ("linear", "special"):
-        coeffs = (
-            loaded.data
-            if loaded.kind == "linear"
-            else linear.special_coefficients(tree, **loaded.data)
-        )
-        ric = linear.riccati_backward(tree, coeffs)
+        ric = linear.riccati_backward(tree, loaded.data)
         report["certificate"] = pio.certificate_payload(tree, ric)
         ok = ric.certificate.all_invertible
         report["status"] = "satisfied" if ok else "violated"
@@ -323,7 +296,7 @@ def _check_loaded(loaded: pio.LoadedProblem):
         report["certificate"] = None
         return report, EXIT_SOLVED
     diag = nonlinear.check_assumptions(
-        tree, loaded.data, sample_count=200, rng_seed=loaded.options.seed
+        tree, loaded.data, sample_count=200, rng_seed=loaded.seed
     )
     report["certificate"] = None
     report["diagnostics"] = {
@@ -350,7 +323,7 @@ def run_cli(argv=None) -> int:
             loaded = pio.bind_problem(doc)
         else:
             loaded = pio.load_problem(args.file)
-        loaded = dataclasses.replace(loaded, options=_merge_options(loaded.options, args))
+        loaded = _merge_options(loaded, args)
         if args.command in ("solve", "demo"):
             report, code = _solve_loaded(loaded)
         elif args.command == "oracle":

@@ -14,7 +14,14 @@ class RowSumMismatch(FbsdeError):
 
 
 class ShapeMismatch(FbsdeError):
-    """An array has the wrong shape for the requested operation."""
+    """An array has the wrong shape for the requested operation.
+
+    ``field`` names the coefficient being shaped, when there is one.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class LeafNodeError(FbsdeError):
@@ -83,6 +90,10 @@ class NoConvergence(FbsdeError):
         super().__init__(message)
         self.best_residual = best_residual
         self.best_iterate = best_iterate
+
+
+class InvalidOption(FbsdeError, ValueError):
+    """A solver option lies outside its allowed range."""
 
 
 class SchemaError(FbsdeError):

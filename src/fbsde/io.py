@@ -18,32 +18,32 @@ import numpy as np
 
 from . import linear as linear_mod
 from .bsde import BsdeProblem, bsde_residual
-from .errors import SchemaError
+from .errors import SchemaError, ShapeMismatch
 from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
-from .nonlinear import NonlinearProblem, nonlinear_residual
+from .nonlinear import ContinuationOptions, NonlinearProblem, nonlinear_residual
 from .tree import ScenarioTree, build_tree
 
 KINDS = ("bsde", "linear", "special", "nonlinear")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tolerance: float = 1e-10
-    delta: float = 0.25
-    max_iterations: int = 50
-    mode: str = "continuation"
-    seed: int = 0
+MODES = ("continuation", "picard")
 
 
 @dataclass(frozen=True)
 class LoadedProblem:
+    """A bound problem file.
+
+    ``data`` is a LinearCoefficients for the linear and special kinds, a
+    NonlinearProblem or a BsdeProblem otherwise.
+    """
+
     kind: str
     tree: ScenarioTree
     x0: Optional[float]
     data: object
-    options: SolverOptions
+    options: ContinuationOptions
+    mode: str
+    seed: int
 
 
 def _branch_of(tree, t, node):
@@ -68,123 +68,63 @@ def _bind_expression(source, allowed, path):
     return expr
 
 
-def _cell(tree, value, t, node, allowed, path):
-    if isinstance(value, str):
-        expr = _bind_expression(value, allowed, path)
-        return expr.evaluate({"t": float(t), "w": float(_branch_of(tree, t, node))})
-    if isinstance(value, (int, float)):
+def _number(value, path):
+    """A JSON number as a float; booleans, strings and null are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    raise SchemaError(path, f"expected number or expression, got {type(value).__name__}")
+    raise SchemaError(path, f"expected a number, got {value!r}")
 
 
-def _scalar_coefficient(tree, value, times, path):
-    """Scalar-per-node field: constant, expression, or flat per-node list."""
-    allowed = {"t", "w"}
-    if isinstance(value, (int, float)):
-        return [np.full(tree.num_nodes(t), float(value)) for t in times]
-    if isinstance(value, str):
-        expr = _bind_expression(value, allowed, path)
-        return [
-            np.array(
-                [
-                    expr.evaluate({"t": float(t), "w": float(_branch_of(tree, t, n))})
-                    for n in range(tree.num_nodes(t))
-                ]
-            )
-            for t in times
-        ]
-    if isinstance(value, list):
-        total = sum(tree.num_nodes(t) for t in times)
-        if len(value) != total:
-            raise SchemaError(path, f"expected {total} per-node values, got {len(value)}")
-        out = []
-        pos = 0
-        for t in times:
-            n = tree.num_nodes(t)
-            out.append(
-                np.array([_cell(tree, v, t, i, allowed, path) for i, v in enumerate(value[pos : pos + n])])
-            )
-            pos += n
-        return out
-    raise SchemaError(path, f"unsupported value of type {type(value).__name__}")
+def _integer(value, path):
+    if not _number(value, path).is_integer():
+        raise SchemaError(path, f"expected a whole number, got {value!r}")
+    return int(value)
 
 
-def _row_coefficient(tree, value, times, path):
-    """Row-per-node field: constant row of N entries or flat list of rows."""
-    allowed = {"t", "w"}
-    if isinstance(value, list) and len(value) == tree.N and not any(
-        isinstance(v, list) for v in value
-    ):
-        return [
-            np.array(
-                [
-                    [_cell(tree, v, t, n, allowed, path) for v in value]
-                    for n in range(tree.num_nodes(t))
-                ]
-            )
-            for t in times
-        ]
-    if isinstance(value, list):
-        total = sum(tree.num_nodes(t) for t in times)
-        if len(value) != total:
-            raise SchemaError(path, f"expected {total} per-node rows, got {len(value)}")
-        out = []
-        pos = 0
-        for t in times:
-            n = tree.num_nodes(t)
-            rows = []
-            for i, row in enumerate(value[pos : pos + n]):
-                if not isinstance(row, list) or len(row) != tree.N:
-                    raise SchemaError(path, f"row {pos + i} must have {tree.N} entries")
-                rows.append([_cell(tree, v, t, i, allowed, path) for v in row])
-            out.append(np.array(rows))
-            pos += n
-        return out
-    raise SchemaError(path, f"unsupported value of type {type(value).__name__}")
+def _coefficient(tree, value, times, ndim, path):
+    """One linear field's JSON cells as numbers, one entry per time in ``times``.
 
-
-def _matrix_coefficient(tree, value, times, path):
-    """Matrix-per-node field: constant N x N nest or flat list of matrices."""
-    allowed = {"t", "w"}
+    A cell is a number or an expression over t and w, nested ``ndim`` deep
+    (a scalar, a row of N, an N x N matrix).  A value nested ``ndim`` deep
+    is one cell shared by every node; one level deeper it is a flat
+    per-node list, level by level.  A shared cell depends on the node only
+    through w, so it is evaluated once per (t, w) and indexed by node % N;
+    without expressions it stays one cell per level.  Shapes are left to
+    LinearCoefficients.
+    """
     N = tree.N
+    parsed = {}
 
-    def as_matrix(mat, t, node, where):
-        if not isinstance(mat, list) or len(mat) != N or not all(
-            isinstance(r, list) and len(r) == N for r in mat
-        ):
-            raise SchemaError(where, f"expected an {N}x{N} matrix")
-        return [[_cell(tree, v, t, node, allowed, where) for v in row] for row in mat]
+    def numbers(cell, t, w):
+        if isinstance(cell, list):
+            return [numbers(v, t, w) for v in cell]
+        if not isinstance(cell, str):
+            return _number(cell, path)
+        if cell not in parsed:
+            parsed[cell] = _bind_expression(cell, {"t", "w"}, path)
+        return parsed[cell].evaluate({"t": float(t), "w": float(w)})
 
-    if (
-        isinstance(value, list)
-        and len(value) == N
-        and all(isinstance(r, list) and len(r) == N and not any(isinstance(v, list) for v in r) for r in value)
-    ):
-        return [
-            np.array([as_matrix(value, t, n, path) for n in range(tree.num_nodes(t))])
-            for t in times
-        ]
-    if isinstance(value, list):
-        total = sum(tree.num_nodes(t) for t in times)
-        if len(value) != total:
-            raise SchemaError(path, f"expected {total} per-node matrices, got {len(value)}")
-        out = []
-        pos = 0
+    if linear_mod._depth(value) == ndim:
+        levels = []
         for t in times:
-            n = tree.num_nodes(t)
-            out.append(
-                np.array(
-                    [as_matrix(value[pos + i], t, i, path) for i in range(n)]
-                )
-            )
-            pos += n
-        return out
-    raise SchemaError(path, f"unsupported value of type {type(value).__name__}")
-
-
-def _leaf_coefficient(tree, value, path):
-    got = _scalar_coefficient(tree, value, [tree.T], path)
-    return got[0]
+            vals = [numbers(value, t, w) for w in ([0] if t == 0 else range(1, N + 1))]
+            if parsed:
+                levels.append([vals[i % N] for i in range(tree.num_nodes(t))])
+            else:
+                levels.append(vals[0])
+        return levels
+    total = sum(tree.num_nodes(t) for t in times)
+    if not isinstance(value, list) or len(value) != total:
+        got = len(value) if isinstance(value, list) else type(value).__name__
+        raise SchemaError(path, f"expected one shared cell or {total} per-node cells, got {got}")
+    levels = []
+    pos = 0
+    for t in times:
+        n = tree.num_nodes(t)
+        cells = value[pos : pos + n]
+        levels.append([numbers(v, t, _branch_of(tree, t, i)) for i, v in enumerate(cells)])
+        pos += n
+    return levels
 
 
 def _bind_tree(doc):
@@ -199,6 +139,7 @@ def _bind_tree(doc):
 
 
 def _bind_options(doc):
+    """(ContinuationOptions, mode, seed) from the optional options block."""
     raw = doc.get("options", {})
     if not isinstance(raw, dict):
         raise SchemaError("options", "must be an object")
@@ -207,87 +148,64 @@ def _bind_options(doc):
     if extra:
         raise SchemaError("options", f"unknown keys {sorted(extra)}")
     kwargs = {}
-    if "tolerance" in raw:
-        kwargs["tolerance"] = float(raw["tolerance"])
-    if "delta" in raw:
-        kwargs["delta"] = float(raw["delta"])
-    if "max_iter" in raw:
-        kwargs["max_iterations"] = int(raw["max_iter"])
-    if "max_iterations" in raw:
-        kwargs["max_iterations"] = int(raw["max_iterations"])
-    if "mode" in raw:
-        if raw["mode"] not in ("continuation", "picard"):
-            raise SchemaError("options.mode", f"unknown mode {raw['mode']!r}")
-        kwargs["mode"] = raw["mode"]
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    return SolverOptions(**kwargs)
+    for key, name, parse in (
+        ("tolerance", "tolerance", _number),
+        ("delta", "delta", _number),
+        ("max_iter", "max_iterations", _integer),
+        ("max_iterations", "max_iterations", _integer),
+    ):
+        if key in raw:
+            kwargs[name] = parse(raw[key], f"options.{key}")
+    mode = raw.get("mode", "continuation")
+    if mode not in MODES:
+        raise SchemaError("options.mode", f"unknown mode {mode!r}")
+    seed = _integer(raw["seed"], "options.seed") if "seed" in raw else 0
+    return ContinuationOptions(**kwargs), mode, seed
 
 
+#: Linear fields: cell nesting depth (scalar, row of N, N x N matrix) and
+#: the times the field lives on.
 _LINEAR_FIELDS = {
-    "A": ("scalar", "fwd"),
-    "B": ("scalar", "fwd"),
-    "C": ("row", "fwd"),
-    "D": ("scalar", "fwd"),
-    "A_bar": ("row", "fwd"),
-    "B_bar": ("row", "fwd"),
-    "C_bar": ("matrix", "fwd"),
-    "D_bar": ("row", "fwd"),
-    "A_hat": ("scalar", "bwd"),
-    "B_hat": ("scalar", "bwd"),
-    "C_hat": ("row", "bwd"),
-    "D_hat": ("scalar", "bwd"),
-    "G": ("leaf", None),
-    "g": ("leaf", None),
+    "A": (0, "fwd"),
+    "B": (0, "fwd"),
+    "C": (1, "fwd"),
+    "D": (0, "fwd"),
+    "A_bar": (1, "fwd"),
+    "B_bar": (1, "fwd"),
+    "C_bar": (2, "fwd"),
+    "D_bar": (1, "fwd"),
+    "A_hat": (0, "bwd"),
+    "B_hat": (0, "bwd"),
+    "C_hat": (1, "bwd"),
+    "D_hat": (0, "bwd"),
+    "G": (0, "leaf"),
+    "g": (0, "leaf"),
 }
 
+#: The inhomogeneities a special file may set.
+_SPECIAL_FIELDS = ("D", "D_bar", "D_hat", "g")
 
-def _bind_linear(tree, doc):
+
+def _bind_linear(tree, doc, kind):
+    """LinearCoefficients of a linear or special file, validated at load."""
     raw = doc.get("coefficients", {})
-    extra = set(raw) - set(_LINEAR_FIELDS)
+    names = _LINEAR_FIELDS if kind == "linear" else _SPECIAL_FIELDS
+    extra = set(raw) - set(names)
     if extra:
         raise SchemaError("coefficients", f"unknown fields {sorted(extra)}")
+    times = {"fwd": range(tree.T), "bwd": range(1, tree.T + 1), "leaf": [tree.T]}
     kwargs = {}
-    for name, (shape, rng) in _LINEAR_FIELDS.items():
-        if name not in raw:
-            continue
-        path = f"coefficients.{name}"
-        times = range(tree.T) if rng == "fwd" else range(1, tree.T + 1)
-        if shape == "scalar":
-            kwargs[name] = _scalar_coefficient(tree, raw[name], times, path)
-        elif shape == "row":
-            kwargs[name] = _row_coefficient(tree, raw[name], times, path)
-        elif shape == "matrix":
-            kwargs[name] = _matrix_coefficient(tree, raw[name], times, path)
-        else:
-            kwargs[name] = _leaf_coefficient(tree, raw[name], path)
-    coeffs = LinearCoefficients(tree, **kwargs)
-    coeffs.validate()
-    return coeffs
-
-
-def _bind_special(tree, doc):
-    raw = doc.get("coefficients", {})
-    extra = set(raw) - {"D", "D_bar", "D_hat", "g"}
-    if extra:
-        raise SchemaError("coefficients", f"unknown fields {sorted(extra)}")
-    data = {
-        "D": _scalar_coefficient(tree, raw["D"], range(tree.T), "coefficients.D")
-        if "D" in raw
-        else None,
-        "D_bar": _row_coefficient(tree, raw["D_bar"], range(tree.T), "coefficients.D_bar")
-        if "D_bar" in raw
-        else None,
-        "D_hat": _scalar_coefficient(
-            tree, raw["D_hat"], range(1, tree.T + 1), "coefficients.D_hat"
-        )
-        if "D_hat" in raw
-        else None,
-        "g": _leaf_coefficient(tree, raw["g"], "coefficients.g") if "g" in raw else None,
-    }
-    # validate eagerly so schema errors surface at load time
-    special_coefficients(tree, **data).validate()
-    return data
+    for name in names:
+        if name in raw:
+            ndim, when = _LINEAR_FIELDS[name]
+            levels = _coefficient(tree, raw[name], times[when], ndim, f"coefficients.{name}")
+            kwargs[name] = levels[0] if when == "leaf" else levels
+    build = LinearCoefficients if kind == "linear" else special_coefficients
+    try:
+        coeffs = build(tree, **kwargs)
+    except ShapeMismatch as err:
+        raise SchemaError(f"coefficients.{err.field}", str(err)) from err
+    return coeffs.validate()
 
 
 _STATE_VARS = {"t", "x", "y", "w"}
@@ -355,7 +273,7 @@ def _bind_bsde(tree, doc):
     terminal = _require(doc, "terminal", "")
     if not isinstance(terminal, list) or len(terminal) != tree.num_nodes(tree.T):
         raise SchemaError("terminal", f"expected {tree.num_nodes(tree.T)} leaf values")
-    eta = np.array([float(v) for v in terminal])
+    eta = np.array([_number(v, "terminal") for v in terminal])
     raw = doc.get("coefficients", {})
     extra = set(raw) - {"f", "f_terminal"}
     if extra:
@@ -403,19 +321,19 @@ def bind_problem(doc) -> LoadedProblem:
     if kind not in KINDS:
         raise SchemaError("kind", f"expected one of {KINDS}, got {kind!r}")
     tree = _bind_tree(doc)
-    options = _bind_options(doc)
+    options, mode, seed = _bind_options(doc)
     x0 = None
     if kind != "bsde":
-        x0 = float(_require(doc, "x0", ""))
-    if kind == "linear":
-        data = _bind_linear(tree, doc)
-    elif kind == "special":
-        data = _bind_special(tree, doc)
+        x0 = _number(_require(doc, "x0", ""), "x0")
+    if kind in ("linear", "special"):
+        data = _bind_linear(tree, doc, kind)
     elif kind == "nonlinear":
         data = _bind_nonlinear(tree, doc)
     else:
         data = _bind_bsde(tree, doc)
-    return LoadedProblem(kind=kind, tree=tree, x0=x0, data=data, options=options)
+    return LoadedProblem(
+        kind=kind, tree=tree, x0=x0, data=data, options=options, mode=mode, seed=seed
+    )
 
 
 def load_problem(path) -> LoadedProblem:
@@ -532,10 +450,5 @@ def verify_report(loaded: LoadedProblem, report: dict) -> dict:
     if loaded.kind == "nonlinear":
         fwd, bwd = nonlinear_residual(tree, loaded.data, (X, Y, Z))
         return {"forward": fwd, "backward": bwd}
-    coeffs = (
-        loaded.data
-        if loaded.kind == "linear"
-        else special_coefficients(tree, **loaded.data)
-    )
-    rep = linear_mod.linear_residuals(tree, coeffs, X, Y, Z)
+    rep = linear_mod.linear_residuals(tree, loaded.data, X, Y, Z)
     return {"forward": rep.forward, "backward": rep.backward}

@@ -33,81 +33,53 @@ ZERO_SUM_TOL = 1e-12
 SINGULAR_RATIO = 1e-10
 
 
-def _scalar_levels(tree, value, times, name):
-    if value is None:
-        return [np.zeros(tree.num_nodes(t)) for t in times]
-    if np.isscalar(value):
-        return [np.full(tree.num_nodes(t), float(value)) for t in times]
-    if len(value) != len(times):
-        raise ShapeMismatch(f"{name}: expected {len(times)} levels, got {len(value)}")
-    out = []
-    for t, lev in zip(times, value):
-        arr = np.asarray(lev, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(tree.num_nodes(t), float(arr))
-        if arr.shape != (tree.num_nodes(t),):
-            raise ShapeMismatch(f"{name} level {t}: shape {arr.shape}")
-        out.append(arr.copy())
-    return out
+def _depth(value):
+    """Nesting depth of an array or nested list, read along first entries."""
+    if isinstance(value, np.ndarray):
+        return value.ndim
+    if isinstance(value, (list, tuple)):
+        return 1 + (_depth(value[0]) if len(value) else 0)
+    return 0
 
 
-def _row_levels(tree, value, times, name):
-    if value is None:
-        return [np.zeros((tree.num_nodes(t), tree.N)) for t in times]
+def _array(value, shape, name, where):
+    """A fresh C-contiguous float copy of ``value``, which must have ``shape``."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except ValueError:
-        arr = None
-    if arr is not None and arr.ndim == 1:
-        if arr.shape != (tree.N,):
-            raise ShapeMismatch(f"{name}: row length {arr.shape[0]} != {tree.N}")
-        return [np.tile(arr, (tree.num_nodes(t), 1)) for t in times]
-    if len(value) != len(times):
-        raise ShapeMismatch(f"{name}: expected {len(times)} levels, got {len(value)}")
+        arr = np.array(value, dtype=float, order="C")
+    except (TypeError, ValueError) as err:
+        raise ShapeMismatch(
+            f"{where}: ragged or not numeric, expected shape {shape}", field=name
+        ) from err
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{where}: shape {arr.shape}, expected {shape}", field=name)
+    return arr
+
+
+def _levels(tree, value, times, cell, name):
+    """Per-level arrays of shape ``(num_nodes(t),) + cell`` for t in ``times``.
+
+    ``value`` is None (zeros), one cell shared by every node, or one entry
+    per time, each a cell shared by that level's nodes or the whole level.
+    The forms are told apart by nesting depth, never by converting a ragged
+    list.  Every array is a fresh C-contiguous copy: einsum sums other
+    layouts in another order.
+    """
+    if value is None:
+        return [np.zeros((tree.num_nodes(t),) + cell) for t in times]
+    if _depth(value) == len(cell):
+        value = [value] * len(times)
+    elif _depth(value) < len(cell) or len(value) != len(times):
+        raise ShapeMismatch(
+            f"{name}: expected a cell of shape {cell} or {len(times)} levels", field=name
+        )
     out = []
     for t, lev in zip(times, value):
-        lev = np.asarray(lev, dtype=float)
-        if lev.ndim == 1:
-            lev = np.tile(lev, (tree.num_nodes(t), 1))
-        if lev.shape != (tree.num_nodes(t), tree.N):
-            raise ShapeMismatch(f"{name} level {t}: shape {lev.shape}")
-        out.append(lev.copy())
+        where = f"{name} level {t}"
+        if _depth(lev) == len(cell):
+            out.append(np.full((tree.num_nodes(t),) + cell, _array(lev, cell, name, where)))
+        else:
+            out.append(_array(lev, (tree.num_nodes(t),) + cell, name, where))
     return out
-
-
-def _matrix_levels(tree, value, times, name):
-    if value is None:
-        return [np.zeros((tree.num_nodes(t), tree.N, tree.N)) for t in times]
-    try:
-        arr = np.asarray(value, dtype=float)
-    except ValueError:
-        arr = None
-    if arr is not None and arr.ndim == 2:
-        if arr.shape != (tree.N, tree.N):
-            raise ShapeMismatch(f"{name}: matrix shape {arr.shape}")
-        return [np.tile(arr, (tree.num_nodes(t), 1, 1)) for t in times]
-    if len(value) != len(times):
-        raise ShapeMismatch(f"{name}: expected {len(times)} levels, got {len(value)}")
-    out = []
-    for t, lev in zip(times, value):
-        lev = np.asarray(lev, dtype=float)
-        if lev.ndim == 2:
-            lev = np.tile(lev, (tree.num_nodes(t), 1, 1))
-        if lev.shape != (tree.num_nodes(t), tree.N, tree.N):
-            raise ShapeMismatch(f"{name} level {t}: shape {lev.shape}")
-        out.append(lev.copy())
-    return out
-
-
-def _leaf_values(tree, value, name):
-    if value is None:
-        return np.zeros(tree.num_nodes(tree.T))
-    if np.isscalar(value):
-        return np.full(tree.num_nodes(tree.T), float(value))
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (tree.num_nodes(tree.T),):
-        raise ShapeMismatch(f"{name}: shape {arr.shape}")
-    return arr.copy()
 
 
 class LinearCoefficients:
@@ -132,21 +104,23 @@ class LinearCoefficients:
                  G=None, g=None):
         fwd = range(tree.T)
         bwd = range(1, tree.T + 1)
+        row, matrix = (tree.N,), (tree.N, tree.N)
         self.tree = tree
-        self.A = _scalar_levels(tree, A, fwd, "A")
-        self.B = _scalar_levels(tree, B, fwd, "B")
-        self.D = _scalar_levels(tree, D, fwd, "D")
-        self.C = _row_levels(tree, C, fwd, "C")
-        self.A_bar = _row_levels(tree, A_bar, fwd, "A_bar")
-        self.B_bar = _row_levels(tree, B_bar, fwd, "B_bar")
-        self.D_bar = _row_levels(tree, D_bar, fwd, "D_bar")
-        self.C_bar = _matrix_levels(tree, C_bar, fwd, "C_bar")
-        self.A_hat = [None] + _scalar_levels(tree, A_hat, bwd, "A_hat")
-        self.B_hat = [None] + _scalar_levels(tree, B_hat, bwd, "B_hat")
-        self.D_hat = [None] + _scalar_levels(tree, D_hat, bwd, "D_hat")
-        self.C_hat = [None] + _row_levels(tree, C_hat, bwd, "C_hat")
-        self.G = _leaf_values(tree, G, "G")
-        self.g = _leaf_values(tree, g, "g")
+        self.A = _levels(tree, A, fwd, (), "A")
+        self.B = _levels(tree, B, fwd, (), "B")
+        self.D = _levels(tree, D, fwd, (), "D")
+        self.C = _levels(tree, C, fwd, row, "C")
+        self.A_bar = _levels(tree, A_bar, fwd, row, "A_bar")
+        self.B_bar = _levels(tree, B_bar, fwd, row, "B_bar")
+        self.D_bar = _levels(tree, D_bar, fwd, row, "D_bar")
+        self.C_bar = _levels(tree, C_bar, fwd, matrix, "C_bar")
+        self.A_hat = [None] + _levels(tree, A_hat, bwd, (), "A_hat")
+        self.B_hat = [None] + _levels(tree, B_hat, bwd, (), "B_hat")
+        self.D_hat = [None] + _levels(tree, D_hat, bwd, (), "D_hat")
+        self.C_hat = [None] + _levels(tree, C_hat, bwd, row, "C_hat")
+        # a leaf field is the single level at time T
+        self.G = _levels(tree, None if G is None else [G], [tree.T], (), "G")[0]
+        self.g = _levels(tree, None if g is None else [g], [tree.T], (), "g")[0]
 
     def validate(self):
         """Check finiteness and the structural zero-sum conditions."""
@@ -472,9 +446,10 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
         if t + 1 < tree.T:
             hat = hat + np.einsum("nj,nj->n", Z[t + 1], coeffs.C_hat[t + 1])
         rows = tree.transition[t]
-        fwd = max(fwd, float(np.abs(forward_defect(X[t + 1], X[t], b, sigma, rows)).max()))
-        bwd = max(bwd, float(np.abs(backward_defect(Y[t + 1], Y[t], -hat, Z[t], rows)).max()))
-    return ResidualReport(forward=fwd, backward=bwd)
+        # np.maximum, unlike max, keeps a NaN defect
+        fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b, sigma, rows)).max())
+        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], -hat, Z[t], rows)).max())
+    return ResidualReport(forward=float(fwd), backward=float(bwd))
 
 
 def _extended_contraction_matrix(N):

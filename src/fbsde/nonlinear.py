@@ -21,6 +21,7 @@ from . import linear
 from .errors import (
     AlphaOutOfRange,
     DepthExceeded,
+    InvalidOption,
     NoContraction,
     NonFiniteInput,
     NonFiniteIterate,
@@ -67,7 +68,11 @@ class NonlinearProblem:
 
 @dataclass(frozen=True)
 class ContinuationOptions:
-    """Runtime knobs replacing the nonconstructive step-size constant."""
+    """Runtime knobs replacing the nonconstructive step-size constant.
+
+    The one home of the solver defaults and of their range checks, for
+    problem-file values and command-line flags alike.
+    """
 
     delta: float = 0.25
     tolerance: float = 1e-10
@@ -81,9 +86,11 @@ class ContinuationOptions:
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+            raise InvalidOption(f"delta must lie in (0, 1], got {self.delta}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise InvalidOption(f"tolerance must be finite and positive, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise InvalidOption(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -510,9 +517,10 @@ def nonlinear_residual(tree, problem, solution):
     bwd = 0.0
     for t in range(tree.T):
         rows = tree.transition[t]
-        fwd = max(fwd, float(np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max()))
-        bwd = max(bwd, float(np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max()))
-    return fwd, bwd
+        # np.maximum, unlike max, keeps a NaN defect
+        fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max())
+        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max())
+    return float(fwd), float(bwd)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,40 @@ import math
 import numpy as np
 import pytest
 
-from fbsde import AssumptionViolation, SchemaError, bind_problem, linear, verify_report
+from fbsde import (
+    AssumptionViolation,
+    Expression,
+    SchemaError,
+    bind_problem,
+    linear,
+    parse_expression,
+    special_coefficients,
+    verify_report,
+)
 from fbsde.cli import DEMOS, run_cli
+
+LINEAR_FIELDS = (
+    "A", "B", "C", "D", "A_bar", "B_bar", "C_bar", "D_bar",
+    "A_hat", "B_hat", "C_hat", "D_hat", "G", "g",
+)
+
+
+def level_arrays(coeffs):
+    """Every level array of a LinearCoefficients, by field name."""
+    for name in LINEAR_FIELDS:
+        value = getattr(coeffs, name)
+        for lev in [value] if isinstance(value, np.ndarray) else value:
+            if lev is not None:
+                yield name, lev
+
+
+def cell_reference(cell, t, w):
+    """One JSON cell evaluated at (t, w) the slow way: one cell at a time."""
+    if isinstance(cell, list):
+        return [cell_reference(v, t, w) for v in cell]
+    if isinstance(cell, str):
+        return parse_expression(cell).evaluate({"t": float(t), "w": float(w)})
+    return float(cell)
 
 
 def minimal_special_doc():
@@ -155,13 +187,97 @@ class TestBinding:
         np.testing.assert_allclose(coeffs.C[0][0], [0.0, 0.0])
         np.testing.assert_allclose(coeffs.C[1], [[0.2, -0.2], [0.2, -0.2]])
 
+    @pytest.mark.parametrize(
+        "name, value, shared, times",
+        [
+            ("C_bar", [["0.1*t", "0.2*w"], ["-0.1*t", "-0.2*w"]], True, [0, 1]),
+            ("C_bar", [[["w", 1.5], ["-w", -1.5]]] * 3, False, [0, 1]),
+            ("C", [["0.1*w", "-0.1*w"], [0.2, -0.2], ["t + w", "-(t + w)"]], False, [0, 1]),
+            ("D_bar", ["0.5*w - t", 2], True, [0, 1]),
+            ("C_hat", [["0.3*w", "-0.3*w"]] * 2 + [[0, 0]] * 4, False, [1, 2]),
+            ("D_hat", "0.1*w - 0.01*t", True, [1, 2]),
+            ("G", "1 + w", True, [2]),
+        ],
+    )
+    def test_expression_cells_match_a_per_node_loop(self, name, value, shared, times):
+        tree_doc = {"N": 2, "T": 2, "transition": "uniform"}
+        doc = {"kind": "linear", "tree": tree_doc, "x0": 0.0, "coefficients": {name: value}}
+        loaded = bind_problem(doc)
+        tree, got = loaded.tree, getattr(loaded.data, name)
+        pos = 0
+        for t in times:
+            want = []
+            for node in range(tree.num_nodes(t)):
+                cell = value if shared else value[pos + node]
+                want.append(cell_reference(cell, t, 0 if t == 0 else node % tree.N + 1))
+            pos += tree.num_nodes(t)
+            np.testing.assert_array_equal(got if name == "G" else got[t], want)
+
+    def test_special_doc_binds_to_the_api_coefficients(self):
+        doc = {
+            "kind": "special",
+            "tree": {"N": 2, "T": 2, "transition": [0.25, 0.75]},
+            "x0": 0.5,
+            "coefficients": {
+                "D": [0.1, 0.2, 0.3],
+                "D_bar": ["0.5*w", -1],
+                "D_hat": "0.1*w - t",
+                "g": [1, 2, 3, 4],
+            },
+        }
+        loaded = bind_problem(doc)
+        assert isinstance(loaded.data, linear.LinearCoefficients)
+        want = special_coefficients(
+            loaded.tree,
+            D=[[0.1], [0.2, 0.3]],
+            D_bar=[[0.0, -1.0], [[0.5, -1.0], [1.0, -1.0]]],
+            D_hat=[[0.1 - 1, 0.2 - 1], [0.1 - 2, 0.2 - 2, 0.1 - 2, 0.2 - 2]],
+            g=[1.0, 2.0, 3.0, 4.0],
+        )
+        for (name, got), (_, expected) in zip(level_arrays(loaded.data), level_arrays(want)):
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+    def test_shared_expression_evaluated_once_per_time_and_branch(self, monkeypatch):
+        calls = []
+        evaluate = Expression.evaluate
+
+        def counted(self, env):
+            calls.append(env)
+            return evaluate(self, env)
+
+        monkeypatch.setattr(Expression, "evaluate", counted)
+        N, T = 2, 10
+        doc = {
+            "kind": "linear",
+            "tree": {"N": N, "T": T, "transition": "uniform"},
+            "x0": 0.0,
+            "coefficients": {"D_hat": "0.1*w - 0.01*t"},
+        }
+        bind_problem(doc)
+        assert len(calls) <= N * T + 1
+
+    @pytest.mark.parametrize(
+        "demo, field, value",
+        [
+            ("partially-coupled", "C_bar", [[["0.1*w", 0], ["-0.1*w", 0]]] * 7),
+            ("corollary-special", "D", "0.1*t"),
+        ],
+    )
+    def test_level_arrays_are_c_contiguous(self, demo, field, value):
+        doc = json.loads(json.dumps(DEMOS[demo]))
+        doc["coefficients"][field] = value
+        for name, lev in level_arrays(bind_problem(doc).data):
+            assert lev.flags.c_contiguous, name
+
     def test_options_validated(self):
         doc = minimal_special_doc()
         doc["options"] = {"mode": "fancy"}
         with pytest.raises(SchemaError, match="mode"):
             bind_problem(doc)
         doc["options"] = {"tolerance": 1e-8, "seed": 3}
-        assert bind_problem(doc).options.tolerance == 1e-8
+        loaded = bind_problem(doc)
+        assert loaded.options.tolerance == 1e-8
+        assert (loaded.mode, loaded.seed) == ("continuation", 3)
 
 
 def test_certificate_payload_on_halted_recursion():
@@ -178,6 +294,36 @@ def test_certificate_payload_on_halted_recursion():
     assert payload["P_levels"][0] is None
     assert payload["P_levels"][1] == [1.0, 1.0, 1.0, 1.0]
     assert json.dumps(payload)  # serializable as-is
+
+
+LINEAR_DOC = DEMOS["partially-coupled"]
+BSDE_DOC = {"kind": "bsde", "tree": {"N": 2, "T": 1, "transition": "uniform"}, "terminal": [1.0, 2.0]}
+MALFORMED = {
+    "x0-string": (LINEAR_DOC | {"x0": "abc"}, []),
+    "x0-null": (LINEAR_DOC | {"x0": None}, []),
+    "x0-boolean": (LINEAR_DOC | {"x0": True}, []),
+    "terminal-string": (BSDE_DOC | {"terminal": [1.0, "a"]}, []),
+    "tolerance-string": (LINEAR_DOC | {"options": {"tolerance": "abc"}}, []),
+    "max-iter-string": (LINEAR_DOC | {"options": {"max_iter": "x"}}, []),
+    "delta-file": (LINEAR_DOC | {"options": {"delta": 2}}, []),
+    "ragged-c-bar": (LINEAR_DOC | {"coefficients": {"C_bar": [[1, 2], [3]]}}, []),
+    "delta-2": (LINEAR_DOC, ["--delta", "2"]),
+    "delta-0": (LINEAR_DOC, ["--delta", "0"]),
+    "tol-0": (LINEAR_DOC, ["--tol", "0"]),
+    "tol-negative": (LINEAR_DOC, ["--tol", "-1"]),
+    "tol-nan": (LINEAR_DOC, ["--tol", "nan"]),
+    "max-iter-0": (LINEAR_DOC, ["--max-iter", "0"]),
+}
+
+
+@pytest.mark.parametrize("doc, flags", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_an_input_error(tmp_path, capsys, doc, flags):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", str(path), *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 class TestCli:

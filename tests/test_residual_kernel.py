@@ -11,9 +11,11 @@ from fbsde import (
     FbsdeSolution,
     as_nonlinear_problem,
     bsde_residual,
+    build_tree,
     linear_residuals,
     nonlinear_residual,
     solve_linear,
+    special_coefficients,
 )
 from fbsde.martingale import backward_defect, forward_defect
 from fbsde.oracle import _forward_residual_vector
@@ -129,3 +131,25 @@ def test_kernel_shapes_scalar_and_vector_valued():
     np.testing.assert_allclose(defect, y_next.reshape(2, 2, 2) - y[:, None, :])
     scalar = backward_defect(y_next[:, 0], y[:, 0], np.zeros(4), z[:, 0, :], rows)
     np.testing.assert_array_equal(scalar, defect[:, :, 0])
+
+
+@pytest.mark.parametrize("entry", ["X", "Y"])
+def test_a_nan_entry_reaches_every_reduction(entry):
+    # a NaN defect must not lose to a finite running maximum
+    tree = build_tree(2, 2)
+    coeffs = special_coefficients(tree, D=0.1, g=1.0)
+    sol = solve_linear(tree, coeffs, 1.0)
+    X = [sol.X.level(t).copy() for t in range(tree.T + 1)]
+    Y = [sol.Y.level(t).copy() for t in range(tree.T + 1)]
+    Z = [sol.Z.level(t) for t in range(tree.T)]
+    problem = as_nonlinear_problem(tree, coeffs)
+    if entry == "X":
+        X[tree.T][0] = np.nan  # a leaf, as in a solved report
+        side = 0
+    else:
+        Y[0][0] = np.nan  # the root, which no generator reads
+        side = 1
+        assert np.isnan(bsde_residual(tree, frozen_backward_problem(tree, problem, X), Y, Z))
+    lin = linear_residuals(tree, coeffs, X, Y, Z)
+    assert np.isnan((lin.forward, lin.backward)[side])
+    assert np.isnan(nonlinear_residual(tree, problem, (X, Y, Z))[side])
