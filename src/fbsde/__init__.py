@@ -14,6 +14,7 @@ from .linear import (
     ResidualReport,
     RiccatiData,
     SolvabilityCertificate,
+    SpecialForm,
     Unsolvable,
     decoupling_coefficients,
     linear_residuals,

@@ -131,7 +131,7 @@ def _merge_options(loaded: pio.LoadedProblem, args) -> pio.LoadedProblem:
         loaded,
         options=options,
         mode=args.mode or loaded.mode,
-        seed=loaded.seed if args.seed is None else args.seed,
+        seed=loaded.seed if args.seed is None else pio.check_seed(args.seed),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linear as linear_mod
 from .bsde import BsdeProblem, bsde_residual
-from .errors import SchemaError, ShapeMismatch
+from .errors import InvalidOption, SchemaError, ShapeMismatch
 from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
@@ -79,6 +79,13 @@ def _integer(value, path):
     if not _number(value, path).is_integer():
         raise SchemaError(path, f"expected a whole number, got {value!r}")
     return int(value)
+
+
+def check_seed(seed):
+    """A sampling seed, which must be non-negative (numpy draws from no other)."""
+    if seed < 0:
+        raise InvalidOption(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _coefficient(tree, value, times, ndim, path):
@@ -159,7 +166,7 @@ def _bind_options(doc):
     mode = raw.get("mode", "continuation")
     if mode not in MODES:
         raise SchemaError("options.mode", f"unknown mode {mode!r}")
-    seed = _integer(raw["seed"], "options.seed") if "seed" in raw else 0
+    seed = check_seed(_integer(raw["seed"], "options.seed")) if "seed" in raw else 0
     return ContinuationOptions(**kwargs), mode, seed
 
 

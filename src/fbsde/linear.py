@@ -10,7 +10,8 @@ closure P X + p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     SingularCertificate,
+    SlopeMismatch,
 )
 from .martingale import backward_defect, forward_defect
 from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index
@@ -82,6 +84,18 @@ def _levels(tree, value, times, cell, name):
     return out
 
 
+#: Every coefficient field, in the order ``validate`` checks them.
+_FIELDS = ("A", "B", "C", "D", "A_bar", "B_bar", "C_bar", "D_bar",
+           "A_hat", "B_hat", "C_hat", "D_hat", "G", "g")
+
+#: The inhomogeneities; the backward pass reads them only for the offsets p.
+_INHOMOGENEOUS = ("D", "D_bar", "D_hat", "g")
+
+#: The level-list fields the slopes depend on (with G); reusing slopes
+#: requires the very level arrays they came from.
+_HOMOGENEOUS = ("A", "B", "C", "A_bar", "B_bar", "C_bar", "A_hat", "B_hat", "C_hat")
+
+
 class LinearCoefficients:
     """Coefficient set of the coupled linear system.
 
@@ -108,34 +122,51 @@ class LinearCoefficients:
         self.tree = tree
         self.A = _levels(tree, A, fwd, (), "A")
         self.B = _levels(tree, B, fwd, (), "B")
-        self.D = _levels(tree, D, fwd, (), "D")
         self.C = _levels(tree, C, fwd, row, "C")
         self.A_bar = _levels(tree, A_bar, fwd, row, "A_bar")
         self.B_bar = _levels(tree, B_bar, fwd, row, "B_bar")
-        self.D_bar = _levels(tree, D_bar, fwd, row, "D_bar")
         self.C_bar = _levels(tree, C_bar, fwd, matrix, "C_bar")
         self.A_hat = [None] + _levels(tree, A_hat, bwd, (), "A_hat")
         self.B_hat = [None] + _levels(tree, B_hat, bwd, (), "B_hat")
-        self.D_hat = [None] + _levels(tree, D_hat, bwd, (), "D_hat")
         self.C_hat = [None] + _levels(tree, C_hat, bwd, row, "C_hat")
         # a leaf field is the single level at time T
         self.G = _levels(tree, None if G is None else [G], [tree.T], (), "G")[0]
+        self._shape_inhomogeneities(D, D_bar, D_hat, g)
+
+    def _shape_inhomogeneities(self, D, D_bar, D_hat, g):
+        tree = self.tree
+        self.D = _levels(tree, D, range(tree.T), (), "D")
+        self.D_bar = _levels(tree, D_bar, range(tree.T), (tree.N,), "D_bar")
+        self.D_hat = [None] + _levels(tree, D_hat, range(1, tree.T + 1), (), "D_hat")
         self.g = _levels(tree, None if g is None else [g], [tree.T], (), "g")[0]
+
+    def with_inhomogeneities(self, D=None, D_bar=None, D_hat=None, g=None):
+        """A copy with new D, D_bar, D_hat and g sharing every other level array.
+
+        The slopes and the certificate of the backward pass depend only on
+        the shared arrays, so ``solve_linear(..., slopes=...)`` can reuse
+        them for the copy.
+        """
+        new = copy.copy(self)
+        new._shape_inhomogeneities(D, D_bar, D_hat, g)
+        return new
+
+    def _check_finite(self, names):
+        """Raise NonFiniteInput for the first of ``names`` with a NaN or inf entry."""
+        for name in names:
+            levels = getattr(self, name)
+            if name in ("G", "g"):
+                levels = [levels]
+            elif name.endswith("_hat"):
+                levels = levels[1:]  # entry 0 is unused
+            for lev in levels:
+                if not np.isfinite(lev).all():
+                    raise NonFiniteInput(f"coefficient {name} has non-finite entries")
 
     def validate(self):
         """Check finiteness and the structural zero-sum conditions."""
         tree = self.tree
-        for name in ("A", "B", "C", "D", "A_bar", "B_bar", "C_bar", "D_bar"):
-            for lev in getattr(self, name):
-                if not np.isfinite(lev).all():
-                    raise NonFiniteInput(f"coefficient {name} has non-finite entries")
-        for name in ("A_hat", "B_hat", "C_hat", "D_hat"):
-            for lev in getattr(self, name)[1:]:
-                if not np.isfinite(lev).all():
-                    raise NonFiniteInput(f"coefficient {name} has non-finite entries")
-        for name in ("G", "g"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise NonFiniteInput(f"coefficient {name} has non-finite entries")
+        self._check_finite(_FIELDS)
         for t in range(tree.T):
             sums = self.C[t].sum(axis=1)
             bad = np.abs(sums) > ZERO_SUM_TOL
@@ -193,6 +224,26 @@ class SolvabilityCertificate:
 
 
 @dataclass(frozen=True)
+class _SlopePass:
+    """What the backward pass derives from the tree and the homogeneous
+    coefficients alone, with the coefficient set ``coeffs`` it came from.
+
+    Beside P, the per-node matrices and the certificate it keeps, per level
+    t, the stacked column ``a``, the feedback matrix ``coupling`` and (for
+    t >= 1) the contraction ``theta`` of the child closures, which the
+    offset and forward passes reuse.
+    """
+
+    coeffs: LinearCoefficients
+    P_levels: tuple
+    gamma_levels: tuple
+    certificate: SolvabilityCertificate
+    a_levels: tuple
+    coupling_levels: tuple
+    theta_levels: tuple
+
+
+@dataclass(frozen=True)
 class RiccatiData:
     """Backward-recursion output: P, p levels, per-node matrices, verdicts.
 
@@ -200,12 +251,15 @@ class RiccatiData:
     first solvable level, and entry 0, are None); ``gamma_levels[t]`` stacks
     the depth-t matrices.  When a level contains a singular matrix the
     recursion stops there, with verdicts recorded for that whole level.
+    ``slope_pass`` is the pass behind P, the matrices and the verdicts, so
+    ``solve_linear(..., slopes=...)`` can reuse them.
     """
 
     P_levels: tuple
     p_levels: tuple
     gamma_levels: tuple
     certificate: SolvabilityCertificate
+    slope_pass: Optional[_SlopePass] = field(default=None, repr=False, compare=False)
 
     @property
     def complete(self):
@@ -253,26 +307,31 @@ class Unsolvable:
 
 
 def _script_level(tree, coeffs, t):
-    """Stacked per-branch coefficient objects for every depth-t node.
+    """Stacked per-branch slope coefficients for every depth-t node.
 
     Stacking the N branch equations of the forward step turns the scalar
     coefficient k into a column 1 k + (I - 1 P^T) kbar^T; the Z coupling
-    becomes an N x N matrix.  Returns (a, b, c, d) with shapes
-    (n, N), (n, N), (n, N, N), (n, N).
+    becomes an N x N matrix.  Returns (a, b, c) with shapes (n, N), (n, N),
+    (n, N, N); ``_script_offset`` stacks (D, D_bar) into d the same way.
     """
     Pt = tree.transition[t]
-    A, B, D = coeffs.A[t], coeffs.B[t], coeffs.D[t]
-    Abar, Bbar, Dbar = coeffs.A_bar[t], coeffs.B_bar[t], coeffs.D_bar[t]
+    A, B = coeffs.A[t], coeffs.B[t]
+    Abar, Bbar = coeffs.A_bar[t], coeffs.B_bar[t]
     C, Cbar = coeffs.C[t], coeffs.C_bar[t]
     scr_a = (1.0 + A)[:, None] + Abar - np.einsum("nj,nj->n", Abar, Pt)[:, None]
     scr_b = B[:, None] + Bbar - np.einsum("nj,nj->n", Bbar, Pt)[:, None]
-    scr_d = D[:, None] + Dbar - np.einsum("nj,nj->n", Dbar, Pt)[:, None]
     scr_c = (
         C[:, None, :]
         + np.swapaxes(Cbar, 1, 2)
         - np.einsum("nk,njk->nj", Pt, Cbar)[:, None, :]
     )
-    return scr_a, scr_b, scr_c, scr_d
+    return scr_a, scr_b, scr_c
+
+
+def _script_offset(tree, coeffs, t):
+    """The stacked inhomogeneity column d for every depth-t node, shape (n, N)."""
+    Dbar = coeffs.D_bar[t]
+    return coeffs.D[t][:, None] + Dbar - np.einsum("nj,nj->n", Dbar, tree.transition[t])[:, None]
 
 
 def script_coeffs(tree, coeffs, node):
@@ -280,8 +339,8 @@ def script_coeffs(tree, coeffs, node):
     t, idx = _as_depth_index(tree, node)
     if t >= tree.T:
         raise LeafNodeError(f"node at depth {t} is a leaf")
-    scr_a, scr_b, scr_c, scr_d = _script_level(tree, coeffs, t)
-    return scr_a[idx], scr_b[idx], scr_c[idx], scr_d[idx]
+    scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
+    return scr_a[idx], scr_b[idx], scr_c[idx], _script_offset(tree, coeffs, t)[idx]
 
 
 def _coupling_level(tree, coeffs, t, scr_b, scr_c):
@@ -296,44 +355,41 @@ def _gamma_level(tree, coupling, p_child):
     return eye - coupling * p_child[:, None, :]
 
 
-def _closure_solves(gamma, scr_a, scr_d, coupling, p_child):
-    """(v, w) with gamma v = a and gamma w = (b P^T + c) p + d at every node.
+def _solve_columns(gamma, rhs):
+    """The column x with gamma x = rhs at every node of a level.
 
-    The child closures P X + p of a solved level are v X + w; the slope and
-    offset recursions contract them with the child slopes.
+    The child closures P X + p of a solved level are v X + w, with
+    gamma v = a and gamma w = (b P^T + c) p + d.
     """
-    v = np.linalg.solve(gamma, scr_a[:, :, None])[:, :, 0]
-    rhs = np.einsum("nij,nj->ni", coupling, p_child) + scr_d
-    w = np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
-    return v, w
+    return np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
 
 
-def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
-    """Run the backward decoupling recursion with per-node verdicts.
+def _slope_pass(tree, coeffs):
+    """Validate, then the slopes P, the per-node matrices and their verdicts.
 
-    The recursion needs the depth-t matrices inverted to continue below t;
-    it therefore halts at the first level holding a singular matrix, after
-    recording verdicts for every node of that level.  Singularity is a
-    certificate outcome, not an error.
+    Reads only the tree, A..C_hat and G.  The recursion needs the depth-t
+    matrices inverted to continue below t; it therefore halts at the first
+    level holding a singular matrix, after recording verdicts for every node
+    of that level.
     """
     coeffs.validate()
     T, N = tree.T, tree.N
     P_levels = [None] * (T + 1)
-    p_levels = [None] * (T + 1)
     gamma_levels = [None] * T
+    a_levels = [None] * T
+    coupling_levels = [None] * T
+    theta_levels = [None] * T
     verdicts = []
 
     P_levels[T] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
-    p_levels[T] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
 
     for t in range(T - 1, -1, -1):
         n = tree.num_nodes(t)
-        scr_a, scr_b, scr_c, scr_d = _script_level(tree, coeffs, t)
+        scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
         coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
         P_child = P_levels[t + 1].reshape(n, N)
-        p_child = p_levels[t + 1].reshape(n, N)
         gamma = _gamma_level(tree, coupling, P_child)
-        gamma_levels[t] = gamma
+        gamma_levels[t], a_levels[t], coupling_levels[t] = gamma, scr_a, coupling
 
         svals = np.linalg.svd(gamma, compute_uv=False)
         smax, smin = svals[:, 0], svals[:, -1]
@@ -346,52 +402,120 @@ def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiD
         if not ok.all():
             break
         if t >= 1:
-            Pt = tree.transition[t]
-            theta = (1.0 - coeffs.B_hat[t])[:, None] * Pt - coeffs.C_hat[t]
-            v, w = _closure_solves(gamma, scr_a, scr_d, coupling, p_child)
-            P_levels[t] = -coeffs.A_hat[t] + np.einsum(
-                "nj,nj,nj->n", theta, P_child, v
-            )
-            p_levels[t] = (
-                np.einsum("nj,nj,nj->n", theta, P_child, w)
-                + np.einsum("nj,nj->n", theta, p_child)
-                - coeffs.D_hat[t]
-            )
+            theta = (1.0 - coeffs.B_hat[t])[:, None] * tree.transition[t] - coeffs.C_hat[t]
+            theta_levels[t] = theta
+            v = _solve_columns(gamma, scr_a)
+            P_levels[t] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
-    return RiccatiData(
-        tuple(P_levels), tuple(p_levels), tuple(gamma_levels),
+    return _SlopePass(
+        coeffs, tuple(P_levels), tuple(gamma_levels),
         SolvabilityCertificate(tuple(verdicts)),
+        tuple(a_levels), tuple(coupling_levels), tuple(theta_levels),
     )
 
 
-def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
+def _offset_pass(tree, coeffs, slopes):
+    """The offsets p over a finished slope pass; returns the full RiccatiData.
+
+    The only part of the backward pass that reads D, D_bar, D_hat and g.  It
+    stops where the slope pass halted.
+    """
+    T, N = tree.T, tree.N
+    p_levels = [None] * (T + 1)
+    p_levels[T] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
+    for t in range(T - 1, 0, -1):
+        if slopes.P_levels[t] is None:
+            break
+        n = tree.num_nodes(t)
+        P_child = slopes.P_levels[t + 1].reshape(n, N)
+        p_child = p_levels[t + 1].reshape(n, N)
+        theta = slopes.theta_levels[t]
+        rhs = (
+            np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
+            + _script_offset(tree, coeffs, t)
+        )
+        w = _solve_columns(slopes.gamma_levels[t], rhs)
+        p_levels[t] = (
+            np.einsum("nj,nj,nj->n", theta, P_child, w)
+            + np.einsum("nj,nj->n", theta, p_child)
+            - coeffs.D_hat[t]
+        )
+    return RiccatiData(
+        slopes.P_levels, tuple(p_levels), slopes.gamma_levels, slopes.certificate, slopes
+    )
+
+
+def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
+    """Run the backward decoupling recursion with per-node verdicts.
+
+    A slope pass (P, the per-node matrices and their verdicts, from the
+    homogeneous coefficients) and an offset pass (p, from the
+    inhomogeneities).  Singularity is a certificate outcome, not an error.
+    """
+    return _offset_pass(tree, coeffs, _slope_pass(tree, coeffs))
+
+
+def _reusable_slopes(tree, coeffs, riccati):
+    """The slope pass of ``riccati``, if it may serve ``coeffs``.
+
+    ``coeffs`` must hold the very homogeneous level arrays the slopes came
+    from (as ``LinearCoefficients.with_inhomogeneities`` copies do); the
+    inhomogeneities, not validated with the slopes, must be finite.
+    """
+    slopes = riccati.slope_pass
+    source = None if slopes is None else slopes.coeffs
+    if (
+        source is None
+        or source.tree is not tree
+        or coeffs.G is not source.G
+        or not all(
+            mine is theirs
+            for name in _HOMOGENEOUS
+            for mine, theirs in zip(getattr(coeffs, name), getattr(source, name))
+        )
+    ):
+        raise SlopeMismatch(
+            "the slopes were computed for other homogeneous coefficients or another tree"
+        )
+    coeffs._check_finite(_INHOMOGENEOUS)
+    return slopes
+
+
+def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float, *, slopes=None):
     """Solve the coupled linear system; certify failure instead of guessing.
 
     Returns an FbsdeSolution when every per-node matrix is invertible,
     otherwise an Unsolvable carrying the singular node list; either carries
     the backward pass's RiccatiData.  On success the per-branch residuals of
     both equations are evaluated exhaustively and reported.
+
+    ``slopes`` is an earlier RiccatiData whose coefficients differ from
+    ``coeffs`` at most in D, D_bar, D_hat and g (see
+    ``LinearCoefficients.with_inhomogeneities``): its slopes, matrices and
+    certificate are reused and only the offsets are recomputed.  Any other
+    coefficients raise SlopeMismatch.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    ric = riccati_backward(tree, coeffs)
+    if slopes is None:
+        ric = riccati_backward(tree, coeffs)
+    else:
+        ric = _offset_pass(tree, coeffs, _reusable_slopes(tree, coeffs, slopes))
     if not ric.certificate.all_invertible:
         return Unsolvable(ric.certificate.singular_nodes, ric)
 
     T, N = tree.T, tree.N
+    slope_pass = ric.slope_pass
     X = [np.array([float(x0)])]
     for t in range(T):
         n = tree.num_nodes(t)
-        scr_a, scr_b, scr_c, scr_d = _script_level(tree, coeffs, t)
-        coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
         p_child = ric.p_levels[t + 1].reshape(n, N)
         rhs = (
-            scr_a * X[t][:, None]
-            + np.einsum("nij,nj->ni", coupling, p_child)
-            + scr_d
+            slope_pass.a_levels[t] * X[t][:, None]
+            + np.einsum("nij,nj->ni", slope_pass.coupling_levels[t], p_child)
+            + _script_offset(tree, coeffs, t)
         )
-        u = np.linalg.solve(ric.gamma_levels[t], rhs[:, :, None])[:, :, 0]
-        X.append(u.reshape(-1))
+        X.append(_solve_columns(ric.gamma_levels[t], rhs).reshape(-1))
 
     Y = [None] * (T + 1)
     Z = [None] * T
@@ -464,6 +588,13 @@ def _extended_contraction_matrix(N):
     return mat
 
 
+def _from_time_one(tree, D_hat):
+    """``D_hat`` without its unused entry 0 when it is indexed by absolute time."""
+    if isinstance(D_hat, (list, tuple)) and len(D_hat) == tree.T + 1:
+        return list(D_hat)[1:]
+    return D_hat
+
+
 def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> LinearCoefficients:
     """Coefficients of the self-coupled inhomogeneous form.
 
@@ -472,8 +603,6 @@ def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> Linear
     supplied inhomogeneities.  ``D_hat`` is indexed by absolute time with
     entry 0 ignored when given as a list.
     """
-    if isinstance(D_hat, (list, tuple)) and len(D_hat) == tree.T + 1:
-        D_hat = list(D_hat)[1:]
     return LinearCoefficients(
         tree,
         B=-1.0,
@@ -482,20 +611,49 @@ def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> Linear
         G=1.0,
         D=D,
         D_bar=D_bar,
-        D_hat=D_hat,
+        D_hat=_from_time_one(tree, D_hat),
         g=g,
     )
 
 
-def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0) -> FbsdeSolution:
+class SpecialForm:
+    """The self-coupled form of one tree, factored once.
+
+    Holds the validated homogeneous ``special_coefficients(tree)`` and their
+    backward pass.  The decoupling recursion of this form is deterministic
+    with P > 1 at every level, so the per-node matrices are diagonal with
+    entries 1 + P and never singular; P, the matrices and the certificate
+    do not depend on the inhomogeneities, so every solve through
+    ``solve_special(..., form=...)`` recomputes only the offsets and the
+    forward pass.  The shared level arrays are read-only, so no write can
+    put them out of step with the slopes.
+    """
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.coeffs = special_coefficients(tree)
+        for name in _HOMOGENEOUS:
+            for lev in getattr(self.coeffs, name):
+                if lev is not None:
+                    lev.flags.writeable = False
+        self.coeffs.G.flags.writeable = False
+        self.riccati = riccati_backward(tree, self.coeffs)
+
+    def coefficients(self, D=None, D_bar=None, D_hat=None, g=None) -> LinearCoefficients:
+        """The form with these inhomogeneities, as ``special_coefficients`` takes them."""
+        return self.coeffs.with_inhomogeneities(D, D_bar, _from_time_one(self.tree, D_hat), g)
+
+
+def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
+                  form=None) -> FbsdeSolution:
     """Solve the self-coupled special form; always uniquely solvable.
 
-    The decoupling recursion for this form is deterministic with P > 1 at
-    every level, so the per-node matrices are diagonal with entries 1 + P
-    and never singular.
+    ``form`` is the ``SpecialForm`` of ``tree`` to reuse; without it the
+    form is factored for this one solve.
     """
-    coeffs = special_coefficients(tree, D=D, D_bar=D_bar, D_hat=D_hat, g=g)
-    result = solve_linear(tree, coeffs, x0)
+    if form is None:
+        form = SpecialForm(tree)
+    result = solve_linear(tree, form.coefficients(D, D_bar, D_hat, g), x0, slopes=form.riccati)
     if isinstance(result, Unsolvable):  # pragma: no cover - P > 1 rules this out
         raise SingularCertificate(
             f"special form reported singular nodes {result.singular_nodes}"
@@ -521,12 +679,16 @@ def decoupling_coefficients(tree, coeffs, riccati):
     for t in range(T):
         n = tree.num_nodes(t)
         Pt = tree.transition[t]
-        scr_a, scr_b, scr_c, scr_d = _script_level(tree, coeffs, t)
+        scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
         coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
         gamma = riccati.gamma_levels[t]
         P_child = riccati.P_levels[t + 1].reshape(n, N)
         p_child = riccati.p_levels[t + 1].reshape(n, N)
-        v, w = _closure_solves(gamma, scr_a, scr_d, coupling, p_child)
+        v = _solve_columns(gamma, scr_a)
+        w = _solve_columns(
+            gamma,
+            np.einsum("nij,nj->ni", coupling, p_child) + _script_offset(tree, coeffs, t),
+        )
         slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, v)
         offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, w) + np.einsum(
             "nj,nj->n", Pt, p_child

@@ -304,7 +304,8 @@ class _Ladder:
     Each level's solve closes over the one below it; within a level, solves
     warm-start from that level's previous result (the first call starts from
     zero), which keeps the nested iteration count near-linear instead of
-    multiplicative.
+    multiplicative.  The linear base is factored once per ladder: every base
+    solve reuses its slopes and certificate and redoes only the offsets.
     """
 
     def __init__(self, tree, problem, n_levels, opts, max_depth=None):
@@ -322,6 +323,7 @@ class _Ladder:
         self.stats = SolveStats()
         self.max_depth = n_levels if max_depth is None else max_depth
         self._warm = {}
+        self.base = linear.SpecialForm(tree)
 
     def solve(self, k, inhom, x0, initial=None):
         if k > self.max_depth:
@@ -340,6 +342,7 @@ class _Ladder:
                 D_hat=[None] + [-f for f in inhom.f0[1:]],
                 g=inhom.h0,
                 x0=x0,
+                form=self.base,
             )
             self.stats.inner_solves += 1
             return _Iterate.from_solution(self.tree, sol)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from fbsde import (
     special_coefficients,
     verify_report,
 )
+import fbsde
 from fbsde.cli import DEMOS, run_cli
 
 LINEAR_FIELDS = (
@@ -297,30 +302,34 @@ def test_certificate_payload_on_halted_recursion():
 
 
 LINEAR_DOC = DEMOS["partially-coupled"]
+NONLINEAR_DOC = DEMOS["monotone-family"]
 BSDE_DOC = {"kind": "bsde", "tree": {"N": 2, "T": 1, "transition": "uniform"}, "terminal": [1.0, 2.0]}
 MALFORMED = {
-    "x0-string": (LINEAR_DOC | {"x0": "abc"}, []),
-    "x0-null": (LINEAR_DOC | {"x0": None}, []),
-    "x0-boolean": (LINEAR_DOC | {"x0": True}, []),
-    "terminal-string": (BSDE_DOC | {"terminal": [1.0, "a"]}, []),
-    "tolerance-string": (LINEAR_DOC | {"options": {"tolerance": "abc"}}, []),
-    "max-iter-string": (LINEAR_DOC | {"options": {"max_iter": "x"}}, []),
-    "delta-file": (LINEAR_DOC | {"options": {"delta": 2}}, []),
-    "ragged-c-bar": (LINEAR_DOC | {"coefficients": {"C_bar": [[1, 2], [3]]}}, []),
-    "delta-2": (LINEAR_DOC, ["--delta", "2"]),
-    "delta-0": (LINEAR_DOC, ["--delta", "0"]),
-    "tol-0": (LINEAR_DOC, ["--tol", "0"]),
-    "tol-negative": (LINEAR_DOC, ["--tol", "-1"]),
-    "tol-nan": (LINEAR_DOC, ["--tol", "nan"]),
-    "max-iter-0": (LINEAR_DOC, ["--max-iter", "0"]),
+    "x0-string": ("solve", LINEAR_DOC | {"x0": "abc"}, []),
+    "x0-null": ("solve", LINEAR_DOC | {"x0": None}, []),
+    "x0-boolean": ("solve", LINEAR_DOC | {"x0": True}, []),
+    "terminal-string": ("solve", BSDE_DOC | {"terminal": [1.0, "a"]}, []),
+    "tolerance-string": ("solve", LINEAR_DOC | {"options": {"tolerance": "abc"}}, []),
+    "max-iter-string": ("solve", LINEAR_DOC | {"options": {"max_iter": "x"}}, []),
+    "delta-file": ("solve", LINEAR_DOC | {"options": {"delta": 2}}, []),
+    "ragged-c-bar": ("solve", LINEAR_DOC | {"coefficients": {"C_bar": [[1, 2], [3]]}}, []),
+    "delta-2": ("solve", LINEAR_DOC, ["--delta", "2"]),
+    "delta-0": ("solve", LINEAR_DOC, ["--delta", "0"]),
+    "tol-0": ("solve", LINEAR_DOC, ["--tol", "0"]),
+    "tol-negative": ("solve", LINEAR_DOC, ["--tol", "-1"]),
+    "tol-nan": ("solve", LINEAR_DOC, ["--tol", "nan"]),
+    "max-iter-0": ("solve", LINEAR_DOC, ["--max-iter", "0"]),
+    "seed-check": ("check", NONLINEAR_DOC, ["--seed", "-1"]),
+    "seed-oracle": ("oracle", NONLINEAR_DOC, ["--seed", "-1"]),
+    "seed-file": ("check", NONLINEAR_DOC | {"options": {"seed": -1}}, []),
 }
 
 
-@pytest.mark.parametrize("doc, flags", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_is_an_input_error(tmp_path, capsys, doc, flags):
+@pytest.mark.parametrize("command, doc, flags", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
-    assert run_cli(["solve", str(path), *flags]) == 4
+    assert run_cli([command, str(path), *flags]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -414,6 +423,17 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["certificate"]["all_invertible"] is True
         assert len(calls) == 1
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        # the package runs from its sources without being installed
+        src = str(Path(fbsde.__file__).resolve().parent.parent)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for name, code in (("monotone-family", 0), ("singular-gamma", 2)):
+            run = subprocess.run([sys.executable, "-m", "fbsde", "demo", name],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run_cli(["demo", name]) == code
+            assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         path = tmp_path / "problem.json"

@@ -133,7 +133,7 @@ class TestRiccati:
         from fbsde.linear import _coupling_level, _gamma_level, _script_level
 
         for t in range(3):
-            _, scr_b, scr_c, _ = _script_level(tree, coeffs, t)
+            _, scr_b, scr_c = _script_level(tree, coeffs, t)
             coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
             P_child = ric.P_levels[t + 1].reshape(tree.num_nodes(t), 2)
             np.testing.assert_allclose(
