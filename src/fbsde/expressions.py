@@ -10,7 +10,9 @@ Grammar (highest precedence first):
 
 Variables are t, x, y, w and z1, z2, ... (contraction components); functions
 are sin, cos, exp, tanh, abs (one argument) and min, max (two).  Errors
-carry the character offset into the source string.
+carry the character offset into the source string.  ``evaluate`` takes one
+node's floats; ``evaluate_level`` takes a whole level of nodes as arrays and
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -90,6 +94,45 @@ class Expression:
         """
         return _eval(self.root, env)
 
+    def evaluate_level(self, env):
+        """Evaluate at every node of a level at once.
+
+        ``env`` maps variable names to floats or to float arrays of one
+        common length n, one entry per node.  Returns the n node values
+        (one value when every entry is a float), bit for bit those of
+        ``evaluate`` on each node's floats.  Arithmetic runs as numpy array
+        operations; sin, cos, exp, tanh and ^ map ``math`` over the entries,
+        since numpy's versions differ from it in the last bit.  When an
+        input is not finite, an operation raises a floating-point error or
+        leaves the real domain, or the result is not finite, the level is
+        evaluated node by node with ``evaluate`` instead, so errors, their
+        offsets and the first failing node are those of a node-by-node loop.
+        """
+        n = next((len(v) for v in env.values() if isinstance(v, np.ndarray)), 1)
+        out = self._array_level(env, n)
+        if out is not None:
+            return out
+        return np.array([
+            self.evaluate({k: v[i] if isinstance(v, np.ndarray) else v for k, v in env.items()})
+            for i in range(n)
+        ], dtype=float)
+
+    def _array_level(self, env, n):
+        """The level by array operations, or None where ``evaluate`` must
+        decide node by node."""
+        values = {
+            name: np.asarray(env[name], dtype=float).reshape(-1)
+            for name in self.variables & env.keys()
+        }
+        if not all(np.isfinite(v).all() for v in values.values()):
+            return None
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = np.broadcast_to(_eval_level(self.root, values), (n,))
+        except (ArithmeticError, ValueError, KeyError):
+            return None
+        return np.array(out) if np.isfinite(out).all() else None
+
     def __repr__(self):
         return f"Expression({self.source!r})"
 
@@ -119,6 +162,49 @@ def _eval(node, env):
             ) from None
         return _finite(val, node.position)
     raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+
+def _eval_level(node, env):
+    """``_eval`` over 1-D arrays (length 1 or n), under a raising errstate.
+
+    Constants are length-1 arrays, so every operation signals through numpy.
+    Python's min and max keep the first argument on a tie, hence ``np.where``.
+    """
+    if isinstance(node, Num):
+        if not math.isfinite(node.value):  # 1e999 parses to inf: evaluate decides
+            raise FloatingPointError("non-finite constant")
+        return np.array([node.value])
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Unary):
+        return -_eval_level(node.operand, env)
+    if isinstance(node, Binary):
+        a = _eval_level(node.left, env)
+        b = _eval_level(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        return _map(math.pow, a, b)
+    a = [_eval_level(arg, env) for arg in node.args]
+    if node.name == "abs":
+        return np.abs(a[0])
+    if node.name == "min":
+        return np.where(a[1] < a[0], a[1], a[0])
+    if node.name == "max":
+        return np.where(a[1] > a[0], a[1], a[0])
+    return _map(FUNCTIONS[node.name][0], *a)
+
+
+def _map(fn, *args):
+    """``fn`` over the entries of 1-D arrays of length 1 or n, as floats."""
+    n = max(len(a) for a in args)
+    columns = [a.tolist() * n if len(a) == 1 else a.tolist() for a in args]
+    return np.array([fn(*xs) for xs in zip(*columns)], dtype=float)
 
 
 def _apply(op, a, b, pos):

@@ -129,9 +129,29 @@ def _coefficient(tree, value, times, ndim, path):
     for t in times:
         n = tree.num_nodes(t)
         cells = value[pos : pos + n]
-        levels.append([numbers(v, t, _branch_of(tree, t, i)) for i, v in enumerate(cells)])
+        level = _plain_level(cells, ndim)
+        if level is None:
+            level = [numbers(v, t, _branch_of(tree, t, i)) for i, v in enumerate(cells)]
+        levels.append(level)
         pos += n
     return levels
+
+
+def _plain_level(cells, ndim):
+    """Per-node cells as one float array when every cell is JSON numbers
+    nested ``ndim`` deep (no expression, boolean, string or null), else None."""
+    flat = cells
+    for _ in range(ndim):
+        if not all(isinstance(c, list) for c in flat):
+            return None
+        flat = [v for c in flat for v in c]
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        level = np.array(cells, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, huge integers
+        return None
+    return level if level.ndim == ndim + 1 else None
 
 
 def _bind_tree(doc):
@@ -280,7 +300,9 @@ def _bind_bsde(tree, doc):
     terminal = _require(doc, "terminal", "")
     if not isinstance(terminal, list) or len(terminal) != tree.num_nodes(tree.T):
         raise SchemaError("terminal", f"expected {tree.num_nodes(tree.T)} leaf values")
-    eta = np.array([_number(v, "terminal") for v in terminal])
+    eta = _plain_level(terminal, 0)
+    if eta is None:
+        eta = np.array([_number(v, "terminal") for v in terminal])
     raw = doc.get("coefficients", {})
     extra = set(raw) - {"f", "f_terminal"}
     if extra:
@@ -303,15 +325,18 @@ def _bind_bsde(tree, doc):
     else:
         fT_expr = f_expr
 
-    def generator(t, node, y, zt):
-        e = {"t": float(t), "w": float(_branch_of(tree, t, node)), "y": y}
-        for i in range(tree.N - 1):
-            e[f"z{i + 1}"] = float(zt[i])
-        return f_expr.evaluate(e)
+    # whole-level generators; times 1..T, where w is node % N + 1
+    def env(t, y):
+        return {"t": float(t), "w": np.arange(len(y)) % tree.N + 1.0, "y": y}
 
-    def terminal_generator(node, y):
-        e = {"t": float(tree.T), "w": float(_branch_of(tree, tree.T, node)), "y": y}
-        return fT_expr.evaluate(e)
+    def generator(t, y, zt):
+        e = env(t, y)
+        for i in range(tree.N - 1):
+            e[f"z{i + 1}"] = zt[:, i]
+        return f_expr.evaluate_level(e)
+
+    def terminal_generator(y):
+        return fT_expr.evaluate_level(env(tree.T, y))
 
     return BsdeProblem(
         terminal=eta,
@@ -417,7 +442,68 @@ def constants_payload(tree) -> dict:
 
 
 def render_json(report) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
+
+    Each list of floats or of float rows is written with one join.  All the
+    pieces go into one list joined once at the end: returning each nesting
+    level's text instead copies the report's text once per level, and those
+    copies grew the process's peak memory from one report to the next.
+    """
+    parts = []
+    _json(report, "", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json(value, indent, out):
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes it at this indent: dicts with string keys and
+    lists are written here, float lists and float row lists in one go,
+    everything else by ``json.dumps``."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        try:
+            out.append(_float_lists(value, indent))
+            return
+        except TypeError:
+            pass
+        out.append("[\n" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append(",\n" + inner)
+            _json(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(value)):
+            out.append((",\n" + inner if i else "") + json.dumps(key) + ": ")
+            _json(value[key], inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+
+
+def _float_lists(value, indent):
+    """A non-empty list of floats, or of non-empty float rows, as JSON.
+
+    Raises TypeError for any other list, and for NaN or infinite entries,
+    which JSON spells differently from ``float.__repr__``.
+    """
+    inner = indent + "  "
+    if isinstance(value[0], (list, tuple)):
+        row_inner = inner + "  "
+        opening, sep, closing = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
+        rows = []
+        for row in value:
+            if not isinstance(row, (list, tuple)) or not row:
+                raise TypeError("not a float row")
+            rows.append(opening + sep.join(map(float.__repr__, row)) + closing)
+        text = (",\n" + inner).join(rows)
+    else:
+        text = (",\n" + inner).join(map(float.__repr__, value))
+    if "n" in text:  # nan or inf
+        raise TypeError("not finite")
+    return "[\n" + inner + text + "\n" + indent + "]"
 
 
 def render_csv(tree, solution_block) -> str:
@@ -428,16 +514,17 @@ def render_csv(tree, solution_block) -> str:
     X = solution_block.get("X")
     Y = solution_block["Y"]
     Z = solution_block["Z_canonical"]
+    paths = [""]
     for t in range(T + 1):
-        for node in range(tree.num_nodes(t)):
-            path = str(tree.node_id(t, node)) if t else ""
-            x_val = "" if X is None else repr(X[t][node])
-            cells = [str(t), path, x_val, repr(Y[t][node])]
-            if t < T:
-                cells += [repr(v) for v in Z[t][node]]
-            else:
-                cells += [""] * N
-            lines.append(",".join(cells))
+        if t:
+            # a node's path extends its parent's by its branch, children in order
+            paths = [f"{p}-{b}" if p else str(b) for p in paths for b in range(1, N + 1)]
+        xs = [""] * len(paths) if X is None else map(repr, X[t])
+        if t < T:
+            zs = (",".join(map(repr, row)) for row in Z[t])
+        else:
+            zs = ["," * (N - 1)] * len(paths)  # N empty Z cells
+        lines.extend(f"{t},{p},{x},{y},{z}" for p, x, y, z in zip(paths, xs, map(repr, Y[t]), zs))
     return "\n".join(lines) + "\n"
 
 

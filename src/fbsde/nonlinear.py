@@ -104,7 +104,12 @@ class LevelRecord:
 
 @dataclass
 class SolveStats:
-    """Per-level iteration records plus global counters."""
+    """Per-level iteration records plus global counters.
+
+    ``records`` cover the ladder that finished; ``inner_solves`` counts the
+    base solves of every ladder attempt, failed ones before a halving
+    included (the ``max_inner_solves`` cap applies to each attempt alone).
+    """
 
     records: list = field(default_factory=list)
     halvings: int = 0
@@ -439,6 +444,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
         raise NonFiniteInput(f"x0 = {x0!r}")
     delta = opts.delta
     halvings = 0
+    earlier_solves = 0  # base solves of the failed attempts
     best_res = math.inf
     best = None
     while True:
@@ -454,6 +460,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
             iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), x0,
                                    initial=_as_iterate(tree, initial_iterate))
             ladder.stats.halvings = halvings
+            ladder.stats.inner_solves += earlier_solves
             sol = _finish(tree, problem, iterate, ladder, 1.0, Inhomogeneity.zeros(tree))
             return sol, ladder.stats
         except (NoContraction, NonFiniteIterate) as err:
@@ -464,6 +471,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
                     best_res = max(fwd, bwd)
                     best = _finish(tree, problem, it, ladder, 1.0, Inhomogeneity.zeros(tree))
             halvings += 1
+            earlier_solves += ladder.stats.inner_solves
             if halvings > opts.max_halvings:
                 raise StepUnderflow(
                     f"no contraction after {opts.max_halvings} halvings",

@@ -331,6 +331,37 @@ def test_criterion_11_expression_fuzz_and_offsets():
             continue
         assert math.isfinite(value)
 
+    # whole levels: the same bits as evaluate at every node, and where a
+    # node fails, the error and offset of the first failing node
+    def check_level(expr, level):
+        n = len(level["w"])
+        nodes = [{k: v if isinstance(v, float) else v[i] for k, v in level.items()} for i in range(n)]
+        try:
+            expected = np.array([expr.evaluate(env) for env in nodes])
+        except ExpressionDomainError as err:
+            with pytest.raises(ExpressionDomainError) as info:
+                expr.evaluate_level(level)
+            assert (type(info.value), str(info.value), info.value.position) == (
+                type(err), str(err), err.position)
+            return
+        assert expr.evaluate_level(level).tobytes() == expected.tobytes(), expr.source
+
+    for _ in range(600):
+        n = int(rng.integers(1, 12))
+        level = {"t": float(rng.integers(0, 4)), "w": rng.integers(1, 4, size=n) * 1.0}
+        for name in ("x", "y", "z1"):
+            values = rng.uniform(-3.0, 3.0, size=n) * 10.0 ** rng.integers(-2, 3)
+            special = rng.random(n) < 0.1  # zeros, huge values and a few non-finite
+            values[special] = rng.choice([0.0, -0.0, 1e300, -1e300, np.inf, np.nan], size=special.sum())
+            level[name] = values
+        check_level(parse_expression(random_source(rng)), level)
+    # constants that parse to inf, division by zero and overflow at some nodes
+    level = {"t": 1.0, "w": np.array([1.0, 2.0, 3.0]), "x": np.array([0.5, -1.5, 2.0]),
+             "y": np.array([0.1, 1.0, -0.2]), "z1": np.array([0.3, 0.0, -4.0])}
+    for source in ["min(1e999*abs(x), 1)", "1e999", "tanh(1e999)", "1/1e999 + x", "x/(w-2)",
+                   "exp(1e3*y)", "x/z1", "z1^0.5", "max(-0.0*x, 0.0)"]:
+        check_level(parse_expression(source), level)
+
     with pytest.raises(ExpressionSyntaxError) as syntax_info:
         parse_expression("min(x, ")
     assert syntax_info.value.position == 7

@@ -1,5 +1,7 @@
 """Backward solver: closure identities, residuals, uniqueness."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from conftest import random_tree, subtree_expectation, uniform_tree
 from fbsde import (
     BsdeProblem,
     GeneratorEvaluationError,
+    ShapeMismatch,
+    bind_problem,
     bsde_residual,
+    parse_expression,
     solve_bsde,
 )
 
@@ -164,3 +169,104 @@ def test_non_finite_generator_rejected():
     )
     with pytest.raises(GeneratorEvaluationError):
         solve_bsde(tree, problem)
+
+
+def _solve_bits(tree, problem):
+    Y, Z = solve_bsde(tree, problem)
+    levels = [Y.level(t) for t in range(tree.T + 1)] + [Z.level(t) for t in range(tree.T)]
+    return [lev.tobytes() for lev in levels], bsde_residual(tree, problem, Y, Z)
+
+
+@pytest.mark.parametrize("seed, N, K", [(0, 2, None), (1, 3, None), (2, 3, 2)])
+def test_level_and_per_node_generators_give_identical_bits(seed, N, K):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, 3)
+    eta = rng.normal(size=(N**3,) if K is None else (N**3, K))
+    a, b = rng.uniform(-0.5, 0.5, size=2)
+
+    def f(t, y, zt):  # whole level or one node: zt[..., 0] is the first contraction
+        return a * y + b * zt[..., 0] - 0.25 * t
+
+    level = BsdeProblem(terminal=eta, generator=f, terminal_generator=lambda y: 0.1 * y)
+    per_node = BsdeProblem(
+        terminal=eta,
+        generator=lambda t, node, y, zt: f(t, y, zt),
+        terminal_generator=lambda node, y: 0.1 * y,
+    )
+    assert _solve_bits(tree, level) == _solve_bits(tree, per_node)
+
+
+
+def _logged(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_decorated_generators_keep_their_form():
+    # a (*args, **kwargs) decorator is read through __wrapped__: a decorated
+    # per-node generator is still wrapped node by node, a level one is not
+    rng = np.random.default_rng(5)
+    tree = random_tree(rng, 3, 3)
+    eta = rng.normal(size=27)
+
+    def gen(t, node, y, zt):
+        return 0.3 * y - 0.2 * zt[1] + 0.01 * node
+
+    def gen_T(node, y):
+        return 0.1 * y + 0.02 * node
+
+    def level_gen(t, y, zt):
+        return 0.3 * y - 0.2 * zt[:, 1] + 0.01 * np.arange(len(y))
+
+    plain = _solve_bits(tree, BsdeProblem(terminal=eta, generator=gen, terminal_generator=gen_T))
+    decorated = BsdeProblem(terminal=eta, generator=_logged(gen), terminal_generator=_logged(gen_T))
+    level = BsdeProblem(terminal=eta, generator=_logged(level_gen), terminal_generator=gen_T)
+    assert _solve_bits(tree, decorated) == plain
+    assert _solve_bits(tree, level) == plain
+
+def test_expression_generators_match_a_per_node_evaluation():
+    # the file binding evaluates whole levels; the parent's binding called
+    # evaluate once per node with w = node % N + 1
+    rng = np.random.default_rng(4)
+    N, T = 3, 3
+    f_src, fT_src = "0.1*y + tanh(z1) - min(z2, w)/7 + t^2/9", "exp(0.1*y) - w*sin(y)"
+    doc = {
+        "kind": "bsde",
+        "tree": {"N": N, "T": T, "transition": "uniform"},
+        "terminal": rng.normal(size=N**T).tolist(),
+        "coefficients": {"f": f_src, "f_terminal": fT_src},
+    }
+    loaded = bind_problem(doc)
+    f, fT = parse_expression(f_src), parse_expression(fT_src)
+
+    def gen(t, node, y, zt):
+        return f.evaluate({"t": float(t), "w": float(node % N + 1), "y": y,
+                           "z1": float(zt[0]), "z2": float(zt[1])})
+
+    per_node = BsdeProblem(
+        terminal=loaded.data.terminal,
+        generator=gen,
+        terminal_generator=lambda node, y: fT.evaluate(
+            {"t": float(T), "w": float(node % N + 1), "y": y}),
+    )
+    assert _solve_bits(loaded.tree, loaded.data) == _solve_bits(loaded.tree, per_node)
+
+
+def test_level_generator_output_is_checked():
+    tree = uniform_tree(2, 2)
+
+    def nan_at_node_1(t, y, zt):
+        out = 0.1 * y
+        out[1] = np.nan
+        return out
+
+    with pytest.raises(GeneratorEvaluationError, match=r"\(t=1, node=1\)"):
+        solve_bsde(tree, BsdeProblem(terminal=np.ones(4), generator=nan_at_node_1))
+    with pytest.raises(ShapeMismatch, match="t=2"):
+        solve_bsde(tree, BsdeProblem(terminal=np.ones(4), terminal_generator=lambda y: y[:2]))
+    # one value serves the whole level
+    Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones(4), terminal_generator=lambda y: 0.5))
+    np.testing.assert_allclose(Y.level(0), [1.5], atol=TOL)

@@ -176,7 +176,7 @@ class TestBinding:
             "coefficients": {"f": "0.5"},
         }
         problem = bind_problem(doc).data
-        assert problem.terminal_generator(0, 1.0) == 0.5
+        assert problem.terminal_generator(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [0.5] * 4
         doc["coefficients"] = {"f": "z1"}
         with pytest.raises(SchemaError, match="f_terminal"):
             bind_problem(doc)
@@ -313,6 +313,11 @@ MALFORMED = {
     "max-iter-string": ("solve", LINEAR_DOC | {"options": {"max_iter": "x"}}, []),
     "delta-file": ("solve", LINEAR_DOC | {"options": {"delta": 2}}, []),
     "ragged-c-bar": ("solve", LINEAR_DOC | {"coefficients": {"C_bar": [[1, 2], [3]]}}, []),
+    "per-node-boolean": ("solve", LINEAR_DOC | {"coefficients": {"A": [0.1] * 6 + [True]}}, []),
+    "per-node-null": ("solve", LINEAR_DOC | {"coefficients": {"A": [None] + [0.1] * 6}}, []),
+    "per-node-row-boolean": (
+        "solve", LINEAR_DOC | {"coefficients": {"D_bar": [[0.1, False]] + [[0.1, 0.2]] * 6}}, []),
+    "terminal-boolean": ("solve", BSDE_DOC | {"terminal": [1.0, True]}, []),
     "delta-2": ("solve", LINEAR_DOC, ["--delta", "2"]),
     "delta-0": ("solve", LINEAR_DOC, ["--delta", "0"]),
     "tol-0": ("solve", LINEAR_DOC, ["--tol", "0"]),
@@ -333,6 +338,15 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cell", [True, None, "", [0.1]])
+def test_a_bad_per_node_cell_names_its_field(cell):
+    # a level of plain numbers binds as one array; any other cell still
+    # raises the error of the cell-by-cell reading
+    doc = LINEAR_DOC | {"coefficients": {"A": [0.1, cell] + [0.1] * 5}}
+    with pytest.raises(SchemaError, match="coefficients.A"):
+        bind_problem(doc)
 
 
 class TestCli:
