@@ -8,8 +8,6 @@ forward-backward solvers use K = 1.
 
 from __future__ import annotations
 
-import inspect
-import types
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,13 +34,6 @@ class BsdeProblem:
     ``terminal_generator(y)`` is the time-T term over the leaves and takes
     no row argument.  Each returns the level's values, shaped like ``y``,
     or one value for every node.  Either may be None, meaning zero.
-
-    A plain per-node callable, ``generator(t, node, y, z_tilde)`` or
-    ``terminal_generator(node, y)``, is told apart by its number of
-    positional parameters without a default (so ``c=c`` captures do not
-    count, and none of the four, or two, may have a default), read through
-    ``functools.wraps`` decorators, and wrapped here, once, in a loop over
-    the level's nodes.
     """
 
     terminal: np.ndarray
@@ -51,42 +42,6 @@ class BsdeProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "terminal", np.asarray(self.terminal, dtype=float))
-        K = 1 if self.terminal.ndim == 1 else self.terminal.shape[1]
-        gen, gen_T = self.generator, self.terminal_generator
-        if _required_positional(gen) == 4:
-            object.__setattr__(self, "generator", lambda t, y, zt: _node_values(
-                lambda node: gen(t, node, y[node], zt[node]), len(y), t, K))
-        if _required_positional(gen_T) == 2:
-            object.__setattr__(self, "terminal_generator", lambda y: _node_values(
-                lambda node: gen_T(node, y[node]), len(y), "T", K))
-
-
-def _required_positional(fn):
-    """How many positional parameters without a default ``fn`` has (None if
-    its signature cannot be read).  ``inspect.signature`` follows
-    ``__wrapped__``, so a decorated function counts as the one it wraps."""
-    if isinstance(fn, types.FunctionType) and not fn.__dict__:
-        # no __wrapped__ or __signature__: what inspect.signature would read,
-        # at 0.2 us instead of 18 (the Newton oracle builds ~250 problems per op)
-        return fn.__code__.co_argcount - len(fn.__defaults__ or ())
-    try:
-        params = inspect.signature(fn).parameters.values()
-    except (TypeError, ValueError):
-        return None
-    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    return sum(p.kind in positional and p.default is p.empty for p in params)
-
-
-def _node_values(value_at, n, t, K):
-    """The (n, K) values ``value_at(node)`` of a per-node generator, node by
-    node; finiteness is checked with the whole level."""
-    out = np.zeros((n, K))
-    for node in range(n):
-        value = np.asarray(value_at(node), dtype=float)
-        if value.shape not in ((), (K,)):
-            raise ShapeMismatch(f"generator at (t={t}, node={node}) returned shape {value.shape}")
-        out[node] = value
-    return out
 
 
 def _as_matrix(values):

@@ -93,8 +93,12 @@ def _build_parser():
         description="Scenario-tree solvers for coupled forward-backward difference systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "demo":
+            p.add_argument("name", choices=sorted(DEMOS))
+        else:
+            p.add_argument("file")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-10)")
@@ -102,22 +106,6 @@ def _build_parser():
         p.add_argument("--max-iter", type=int, default=None, help="Picard budget per level (default 50)")
         p.add_argument("--mode", choices=pio.MODES, default=None)
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
-
-    p_solve = sub.add_parser("solve", help="solve a problem file")
-    p_solve.add_argument("file")
-    add_common(p_solve)
-
-    p_oracle = sub.add_parser("oracle", help="solve with the brute-force reference solver")
-    p_oracle.add_argument("file")
-    add_common(p_oracle)
-
-    p_check = sub.add_parser("check", help="run assumption diagnostics")
-    p_check.add_argument("file")
-    add_common(p_check)
-
-    p_demo = sub.add_parser("demo", help="run a built-in instance")
-    p_demo.add_argument("name", choices=sorted(DEMOS))
-    add_common(p_demo)
     return parser
 
 
@@ -155,125 +143,82 @@ def _report_out(args, loaded, report):
         _emit(args, pio.render_json(report))
 
 
-def _solve_loaded(loaded: pio.LoadedProblem):
-    """Dispatch on kind; returns (status, report, exit_code)."""
-    tree = loaded.tree
-    report = {"kind": loaded.kind, "constants": pio.constants_payload(tree)}
+def _new_report(loaded: pio.LoadedProblem):
+    """The entries every report starts with; only linear runs certify."""
+    return {"kind": loaded.kind, "constants": pio.constants_payload(loaded.tree),
+            "certificate": None}
 
+
+def _solved(report, tree, solution, residuals, stats=None):
+    """(report, exit code) of a solved run: its solution, residuals and stats."""
+    report["status"] = "solved"
+    report["solution"] = pio.solution_payload(tree, solution)
+    report["residuals"] = {"forward": residuals.forward, "backward": residuals.backward}
+    report["stats"] = pio.stats_payload(stats)
+    return report, EXIT_SOLVED
+
+
+def _no_solution(report, status, code, **extra):
+    """(report, exit code) of a run without a solution; ``extra`` entries
+    (error, best_residual, rank) are reported unless None."""
+    report["status"] = status
+    report["solution"] = None
+    report["residuals"] = None
+    report["stats"] = pio.stats_payload(None)
+    report.update((key, value) for key, value in extra.items() if value is not None)
+    return report, code
+
+
+def _solve_loaded(loaded: pio.LoadedProblem):
+    """Dispatch on kind; returns (report, exit_code)."""
+    tree = loaded.tree
+    report = _new_report(loaded)
     if loaded.kind == "bsde":
         Y, Z = solve_bsde(tree, loaded.data)
-        report["status"] = "solved"
-        report["certificate"] = None
-        report["solution"] = pio.solution_payload(tree, (Y, Z))
-        report["residuals"] = {
-            "forward": None,
-            "backward": bsde_residual(tree, loaded.data, Y, Z),
-        }
-        report["stats"] = pio.stats_payload(None)
-        return report, EXIT_SOLVED
+        backward = bsde_residual(tree, loaded.data, Y, Z)
+        return _solved(report, tree, (Y, Z), linear.ResidualReport(forward=None, backward=backward))
 
     if loaded.kind in ("linear", "special"):
         result = linear.solve_linear(tree, loaded.data, loaded.x0)
         report["certificate"] = pio.certificate_payload(tree, result.riccati)
         if isinstance(result, linear.Unsolvable):
-            report["status"] = "unsolvable"
-            report["solution"] = None
-            report["residuals"] = None
-            report["stats"] = pio.stats_payload(None)
-            return report, EXIT_UNSOLVABLE
-        report["status"] = "solved"
-        report["solution"] = pio.solution_payload(tree, result)
-        report["residuals"] = {
-            "forward": result.residuals.forward,
-            "backward": result.residuals.backward,
-        }
-        report["stats"] = pio.stats_payload(None)
-        return report, EXIT_SOLVED
+            return _no_solution(report, "unsolvable", EXIT_UNSOLVABLE)
+        return _solved(report, tree, result, result.residuals)
 
-    # nonlinear
     solver = (
         nonlinear.solve_flat_picard if loaded.mode == "picard" else nonlinear.solve_continuation
     )
-    report["certificate"] = None
     try:
         sol, stats = solver(tree, loaded.data, loaded.x0, loaded.options)
     except (NoContraction, NonFiniteIterate, StepUnderflow) as err:
-        report["status"] = "no_convergence"
-        report["solution"] = None
-        report["residuals"] = None
-        report["stats"] = pio.stats_payload(None)
-        report["error"] = str(err)
-        best = getattr(err, "best_residual", None)
-        if best is not None:
-            report["best_residual"] = best
-        return report, EXIT_NO_CONVERGENCE
-    report["status"] = "solved"
-    report["solution"] = pio.solution_payload(tree, sol)
-    report["residuals"] = {
-        "forward": sol.residuals.forward,
-        "backward": sol.residuals.backward,
-    }
-    report["stats"] = pio.stats_payload(stats)
-    return report, EXIT_SOLVED
+        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE,
+                            error=str(err), best_residual=getattr(err, "best_residual", None))
+    return _solved(report, tree, sol, sol.residuals, stats)
 
 
 def _oracle_loaded(loaded: pio.LoadedProblem):
     tree = loaded.tree
-    report = {"kind": loaded.kind, "constants": pio.constants_payload(tree)}
+    report = _new_report(loaded)
     if loaded.kind == "bsde":
         raise SchemaError("kind", "no reference solver is defined for backward-only problems")
     if loaded.kind in ("linear", "special"):
         verdict = oracle.linear_oracle(tree, loaded.data, loaded.x0)
-        report["certificate"] = None
+        rank = {"rank": verdict.rank, "size": verdict.size}
         if isinstance(verdict, oracle.UniqueSolution):
-            report["status"] = "solved"
-            report["rank"] = {"rank": verdict.rank, "size": verdict.size}
-            report["solution"] = pio.solution_payload(tree, verdict.solution)
-            report["residuals"] = {
-                "forward": verdict.solution.residuals.forward,
-                "backward": verdict.solution.residuals.backward,
-            }
-            report["stats"] = pio.stats_payload(None)
-            return report, EXIT_SOLVED
-        report["solution"] = None
-        report["residuals"] = None
-        report["stats"] = pio.stats_payload(None)
+            report["rank"] = rank
+            return _solved(report, tree, verdict.solution, verdict.solution.residuals)
         if isinstance(verdict, oracle.NoSolution):
-            report["status"] = "no_solution"
-            report["rank"] = {
-                "rank": verdict.rank,
-                "size": verdict.size,
-                "inconsistency": verdict.inconsistency,
-            }
-        else:
-            report["status"] = "infinitely_many"
-            report["rank"] = {
-                "rank": verdict.rank,
-                "size": verdict.size,
-                "nullity": verdict.nullity,
-            }
-        return report, EXIT_UNSOLVABLE
-    # nonlinear
+            rank["inconsistency"] = verdict.inconsistency
+            return _no_solution(report, "no_solution", EXIT_UNSOLVABLE, rank=rank)
+        rank["nullity"] = verdict.nullity
+        return _no_solution(report, "infinitely_many", EXIT_UNSOLVABLE, rank=rank)
     nopts = oracle.NewtonOptions(tolerance=loaded.options.tolerance, seed=loaded.seed)
-    report["certificate"] = None
     try:
         sol = oracle.solve_oracle(tree, loaded.data, loaded.x0, nopts)
     except NoConvergence as err:
-        report["status"] = "no_convergence"
-        report["solution"] = None
-        report["residuals"] = None
-        report["stats"] = pio.stats_payload(None)
-        report["error"] = str(err)
-        report["best_residual"] = err.best_residual
-        return report, EXIT_NO_CONVERGENCE
-    report["status"] = "solved"
-    report["solution"] = pio.solution_payload(tree, sol)
-    report["residuals"] = {
-        "forward": sol.residuals.forward,
-        "backward": sol.residuals.backward,
-    }
-    report["stats"] = pio.stats_payload(None)
-    return report, EXIT_SOLVED
+        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE,
+                            error=str(err), best_residual=err.best_residual)
+    return _solved(report, tree, sol, sol.residuals)
 
 
 def _estimate(est):
@@ -284,7 +229,7 @@ def _estimate(est):
 
 def _check_loaded(loaded: pio.LoadedProblem):
     tree = loaded.tree
-    report = {"kind": loaded.kind, "constants": pio.constants_payload(tree)}
+    report = _new_report(loaded)
     if loaded.kind in ("linear", "special"):
         ric = linear.riccati_backward(tree, loaded.data)
         report["certificate"] = pio.certificate_payload(tree, ric)
@@ -293,12 +238,10 @@ def _check_loaded(loaded: pio.LoadedProblem):
         return report, EXIT_SOLVED if ok else EXIT_UNSOLVABLE
     if loaded.kind == "bsde":
         report["status"] = "satisfied"
-        report["certificate"] = None
         return report, EXIT_SOLVED
     diag = nonlinear.check_assumptions(
         tree, loaded.data, sample_count=200, rng_seed=loaded.seed
     )
-    report["certificate"] = None
     report["diagnostics"] = {
         "lipschitz": _estimate(diag.lipschitz),
         "lipschitz_terminal": _estimate(diag.lipschitz_terminal),
@@ -313,23 +256,26 @@ def _check_loaded(loaded: pio.LoadedProblem):
     return report, EXIT_SOLVED if diag.satisfied else EXIT_UNSOLVABLE
 
 
+#: Each command's help text and its handler, which maps a bound problem to
+#: (report, exit code); ``demo`` solves a built-in document.
+_COMMANDS = {
+    "solve": ("solve a problem file", _solve_loaded),
+    "oracle": ("solve with the brute-force reference solver", _oracle_loaded),
+    "check": ("run assumption diagnostics", _check_loaded),
+    "demo": ("run a built-in instance", _solve_loaded),
+}
+
+
 def run_cli(argv=None) -> int:
     """Entry point used by tests; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "demo":
-            doc = DEMOS[args.name]
-            loaded = pio.bind_problem(doc)
-        else:
-            loaded = pio.load_problem(args.file)
+        # a demo binds a built-in document, every other command a file
+        loaded = (pio.bind_problem(DEMOS[args.name]) if args.command == "demo"
+                  else pio.load_problem(args.file))
         loaded = _merge_options(loaded, args)
-        if args.command in ("solve", "demo"):
-            report, code = _solve_loaded(loaded)
-        elif args.command == "oracle":
-            report, code = _oracle_loaded(loaded)
-        else:
-            report, code = _check_loaded(loaded)
+        report, code = _COMMANDS[args.command][1](loaded)
         _report_out(args, loaded, report)
         return code
     except (OSError, json.JSONDecodeError) as err:

@@ -242,6 +242,17 @@ def _z_vars(tree):
     return {f"z{i}" for i in range(1, tree.N)}
 
 
+def _bind_f_terminal(raw, f_expr, allowed, zv):
+    """The horizon generator over ``allowed``: ``f_terminal`` if the file
+    gives one, else ``f``, which then may not read the contraction
+    variables ``zv`` (there is no next-step row at the horizon)."""
+    if "f_terminal" in raw:
+        return _bind_expression(raw["f_terminal"], allowed, "coefficients.f_terminal")
+    if f_expr is not None and f_expr.variables & zv:
+        raise SchemaError("coefficients.f_terminal", "required because f uses contraction variables")
+    return f_expr
+
+
 def _bind_nonlinear(tree, doc):
     raw = _require(doc, "coefficients", "")
     for field in ("b", "sigma", "f", "h"):
@@ -259,15 +270,7 @@ def _bind_nonlinear(tree, doc):
     ]
     f_expr = _bind_expression(raw["f"], _STATE_VARS | zv, "coefficients.f")
     h_expr = _bind_expression(raw["h"], {"t", "x", "w"}, "coefficients.h")
-    if "f_terminal" in raw:
-        fT_expr = _bind_expression(raw["f_terminal"], _STATE_VARS, "coefficients.f_terminal")
-    elif f_expr.variables & zv:
-        raise SchemaError(
-            "coefficients.f_terminal",
-            "required because f uses contraction variables",
-        )
-    else:
-        fT_expr = f_expr
+    fT_expr = _bind_f_terminal(raw, f_expr, _STATE_VARS, zv)
 
     def env(t, node, x, y, zt):
         e = {"t": float(t), "w": float(_branch_of(tree, t, node)), "x": x, "y": y}
@@ -313,17 +316,7 @@ def _bind_bsde(tree, doc):
         if "f" in raw
         else None
     )
-    if "f_terminal" in raw:
-        fT_expr = _bind_expression(
-            raw["f_terminal"], {"t", "y", "w"}, "coefficients.f_terminal"
-        )
-    elif f_expr is not None and f_expr.variables & zv:
-        raise SchemaError(
-            "coefficients.f_terminal",
-            "required because f uses contraction variables",
-        )
-    else:
-        fT_expr = f_expr
+    fT_expr = _bind_f_terminal(raw, f_expr, {"t", "y", "w"}, zv)
 
     # whole-level generators; times 1..T, where w is node % N + 1
     def env(t, y):

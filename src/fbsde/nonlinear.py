@@ -106,9 +106,9 @@ class LevelRecord:
 class SolveStats:
     """Per-level iteration records plus global counters.
 
-    ``records`` cover the ladder that finished; ``inner_solves`` counts the
-    base solves of every ladder attempt, failed ones before a halving
-    included (the ``max_inner_solves`` cap applies to each attempt alone).
+    Records and counters cover every ladder attempt of a solve, failed ones
+    before a halving included (the ``max_inner_solves`` cap applies to each
+    attempt alone).
     """
 
     records: list = field(default_factory=list)
@@ -313,7 +313,7 @@ class _Ladder:
     solve reuses its slopes and certificate and redoes only the offsets.
     """
 
-    def __init__(self, tree, problem, n_levels, opts, max_depth=None):
+    def __init__(self, tree, problem, n_levels, opts, max_depth=None, stats=None):
         if n_levels > MAX_LEVELS:
             raise StepUnderflow(
                 f"a ladder of {n_levels} levels exceeds the {MAX_LEVELS}-level cap"
@@ -325,7 +325,8 @@ class _Ladder:
         self.alphas[-1] = 1.0
         self.step = 1.0 / n_levels
         self.opts = opts
-        self.stats = SolveStats()
+        self.stats = SolveStats() if stats is None else stats
+        self._solves_before = self.stats.inner_solves  # by earlier attempts
         self.max_depth = n_levels if max_depth is None else max_depth
         self._warm = {}
         self.base = linear.SpecialForm(tree)
@@ -334,7 +335,7 @@ class _Ladder:
         if k > self.max_depth:
             raise DepthExceeded(f"level {k} exceeds depth budget {self.max_depth}")
         if k == 0:
-            if self.stats.inner_solves >= self.opts.max_inner_solves:
+            if self.stats.inner_solves - self._solves_before >= self.opts.max_inner_solves:
                 raise NoContraction(
                     f"ladder exhausted its {self.opts.max_inner_solves} inner-solve budget",
                     alpha=0.0,
@@ -443,8 +444,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
     delta = opts.delta
-    halvings = 0
-    earlier_solves = 0  # base solves of the failed attempts
+    stats = SolveStats()
     best_res = math.inf
     best = None
     while True:
@@ -455,14 +455,12 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
                 best_solution=best,
             )
         n_levels = max(1, math.ceil(round(1.0 / delta, 9)))
-        ladder = _Ladder(tree, problem, n_levels, opts)
+        ladder = _Ladder(tree, problem, n_levels, opts, stats=stats)
         try:
             iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), x0,
                                    initial=_as_iterate(tree, initial_iterate))
-            ladder.stats.halvings = halvings
-            ladder.stats.inner_solves += earlier_solves
             sol = _finish(tree, problem, iterate, ladder, 1.0, Inhomogeneity.zeros(tree))
-            return sol, ladder.stats
+            return sol, stats
         except (NoContraction, NonFiniteIterate) as err:
             it = getattr(err, "iterate", None)
             if it is not None and it.finite():
@@ -470,9 +468,8 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
                 if max(fwd, bwd) < best_res:
                     best_res = max(fwd, bwd)
                     best = _finish(tree, problem, it, ladder, 1.0, Inhomogeneity.zeros(tree))
-            halvings += 1
-            earlier_solves += ladder.stats.inner_solves
-            if halvings > opts.max_halvings:
+            stats.halvings += 1
+            if stats.halvings > opts.max_halvings:
                 raise StepUnderflow(
                     f"no contraction after {opts.max_halvings} halvings",
                     best_residual=None if best is None else best_res,

@@ -227,17 +227,21 @@ def _x_levels(tree, flat, x0):
 
 
 def backward_given_forward(tree, problem, X_levels):
-    """Exact backward pair for a frozen forward path, via the backward solver."""
+    """Exact backward pair for a frozen forward path, via the backward solver.
+
+    The level generators call the problem's per-node generator node by node;
+    at the horizon its ``z_tilde`` is None.
+    """
     T = tree.T
 
-    def gen(t, node, y, z_tilde):
-        return problem.generator(t, node, float(X_levels[t][node]), y, z_tilde)
-
-    def gen_T(node, y):
-        return problem.generator(T, node, float(X_levels[T][node]), y, None)
+    def gen(t, y, zt):
+        x = X_levels[t]
+        return [problem.generator(t, node, float(x[node]), y[node], zt[node])
+                for node in range(len(y))]
 
     eta = np.array([problem.terminal(node, float(x)) for node, x in enumerate(X_levels[T])])
-    bp = BsdeProblem(terminal=eta, generator=gen if T > 1 else None, terminal_generator=gen_T)
+    bp = BsdeProblem(terminal=eta, generator=gen if T > 1 else None,
+                     terminal_generator=lambda y: gen(T, y, [None] * len(y)))
     Y, Z = solve_bsde(tree, bp)
     return [Y.level(t) for t in range(T + 1)], [Z.level(t) for t in range(T)]
 

@@ -150,8 +150,8 @@ def test_criterion_04_backward_solver_closed_form():
         c = float(rng.uniform(-2.0, 2.0))
         problem = BsdeProblem(
             terminal=eta,
-            generator=lambda t, node, y, zt, c=c: c,
-            terminal_generator=lambda node, y, c=c: c,
+            generator=lambda t, y, zt, c=c: c,
+            terminal_generator=lambda y, c=c: c,
         )
         Y, Z = solve_bsde(tree, problem)
         closure, _ = solve_bsde(tree, BsdeProblem(terminal=eta))

@@ -1,7 +1,5 @@
 """Backward solver: closure identities, residuals, uniqueness."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -48,8 +46,8 @@ def test_constant_generator_shifts_by_remaining_time():
         c = float(rng.normal())
         problem = BsdeProblem(
             terminal=eta,
-            generator=lambda t, node, y, zt, c=c: c,
-            terminal_generator=lambda node, y, c=c: c,
+            generator=lambda t, y, zt, c=c: c,
+            terminal_generator=lambda y, c=c: c,
         )
         Y, Z = solve_bsde(tree, problem)
         for t in range(tree.T + 1):
@@ -65,9 +63,9 @@ def test_vector_values_with_row_dependent_generator():
     tree = random_tree(rng, 3, 2)
     eta = rng.normal(size=(9, 2))
 
-    def gen(t, node, y, zt):
-        assert zt.shape == (2, 2)
-        return np.array([0.2 * y[1] + zt[0, 0], -0.1 * y[0] + zt[1, 1]])
+    def gen(t, y, zt):
+        assert zt.shape[1:] == (2, 2)
+        return np.stack([0.2 * y[:, 1] + zt[:, 0, 0], -0.1 * y[:, 0] + zt[:, 1, 1]], axis=1)
 
     problem = BsdeProblem(terminal=eta, generator=gen)
     Y, Z = solve_bsde(tree, problem)
@@ -82,8 +80,8 @@ def test_vector_valued_constant_generator():
     c = np.array([0.5, -0.25])
     problem = BsdeProblem(
         terminal=eta,
-        generator=lambda t, node, y, zt: c,
-        terminal_generator=lambda node, y: c,
+        generator=lambda t, y, zt: np.broadcast_to(c, y.shape),
+        terminal_generator=lambda y: np.broadcast_to(c, y.shape),
     )
     Y, Z = solve_bsde(tree, problem)
     np.testing.assert_allclose(Y.level(0)[0], eta.mean(axis=0) + 2 * c, atol=TOL)
@@ -97,14 +95,14 @@ def test_generator_consumes_contraction():
     tree = uniform_tree(2, 3)
     seen = []
 
-    def gen(t, node, y, zt):
-        seen.append((t, zt.shape))
-        return 0.1 * y + zt[0]
+    def gen(t, y, zt):
+        seen.append((t, zt.shape[1:]))
+        return 0.1 * y + zt[:, 0]
 
     problem = BsdeProblem(
         terminal=np.arange(8.0),
         generator=gen,
-        terminal_generator=lambda node, y: 0.1 * y,
+        terminal_generator=lambda y: 0.1 * y,
     )
     Y, Z = solve_bsde(tree, problem)
     assert {t for t, _ in seen} == {1, 2}
@@ -117,7 +115,7 @@ def test_solution_is_deterministic():
     tree = random_tree(rng, 3, 3)
     eta = rng.normal(size=27)
     problem = BsdeProblem(
-        terminal=eta, generator=lambda t, node, y, zt: np.tanh(y) + zt.sum()
+        terminal=eta, generator=lambda t, y, zt: np.tanh(y) + zt.sum(axis=1)
     )
     Y1, Z1 = solve_bsde(tree, problem)
     Y2, Z2 = solve_bsde(tree, problem)
@@ -152,7 +150,7 @@ def test_residual_insensitive_to_row_representative():
     tree = random_tree(rng, 3, 2)
     problem = BsdeProblem(
         terminal=rng.normal(size=9),
-        generator=lambda t, node, y, zt: 0.3 * y + zt[0] - zt[1],
+        generator=lambda t, y, zt: 0.3 * y + zt[:, 0] - zt[:, 1],
     )
     Y, Z = solve_bsde(tree, problem)
     base = bsde_residual(tree, problem, Y, Z)
@@ -165,7 +163,7 @@ def test_residual_insensitive_to_row_representative():
 def test_non_finite_generator_rejected():
     tree = uniform_tree(2, 2)
     problem = BsdeProblem(
-        terminal=np.ones(4), generator=lambda t, node, y, zt: float("nan")
+        terminal=np.ones(4), generator=lambda t, y, zt: float("nan")
     )
     with pytest.raises(GeneratorEvaluationError):
         solve_bsde(tree, problem)
@@ -177,59 +175,9 @@ def _solve_bits(tree, problem):
     return [lev.tobytes() for lev in levels], bsde_residual(tree, problem, Y, Z)
 
 
-@pytest.mark.parametrize("seed, N, K", [(0, 2, None), (1, 3, None), (2, 3, 2)])
-def test_level_and_per_node_generators_give_identical_bits(seed, N, K):
-    rng = np.random.default_rng(seed)
-    tree = random_tree(rng, N, 3)
-    eta = rng.normal(size=(N**3,) if K is None else (N**3, K))
-    a, b = rng.uniform(-0.5, 0.5, size=2)
-
-    def f(t, y, zt):  # whole level or one node: zt[..., 0] is the first contraction
-        return a * y + b * zt[..., 0] - 0.25 * t
-
-    level = BsdeProblem(terminal=eta, generator=f, terminal_generator=lambda y: 0.1 * y)
-    per_node = BsdeProblem(
-        terminal=eta,
-        generator=lambda t, node, y, zt: f(t, y, zt),
-        terminal_generator=lambda node, y: 0.1 * y,
-    )
-    assert _solve_bits(tree, level) == _solve_bits(tree, per_node)
-
-
-
-def _logged(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    return wrapper
-
-
-def test_decorated_generators_keep_their_form():
-    # a (*args, **kwargs) decorator is read through __wrapped__: a decorated
-    # per-node generator is still wrapped node by node, a level one is not
-    rng = np.random.default_rng(5)
-    tree = random_tree(rng, 3, 3)
-    eta = rng.normal(size=27)
-
-    def gen(t, node, y, zt):
-        return 0.3 * y - 0.2 * zt[1] + 0.01 * node
-
-    def gen_T(node, y):
-        return 0.1 * y + 0.02 * node
-
-    def level_gen(t, y, zt):
-        return 0.3 * y - 0.2 * zt[:, 1] + 0.01 * np.arange(len(y))
-
-    plain = _solve_bits(tree, BsdeProblem(terminal=eta, generator=gen, terminal_generator=gen_T))
-    decorated = BsdeProblem(terminal=eta, generator=_logged(gen), terminal_generator=_logged(gen_T))
-    level = BsdeProblem(terminal=eta, generator=_logged(level_gen), terminal_generator=gen_T)
-    assert _solve_bits(tree, decorated) == plain
-    assert _solve_bits(tree, level) == plain
-
 def test_expression_generators_match_a_per_node_evaluation():
-    # the file binding evaluates whole levels; the parent's binding called
-    # evaluate once per node with w = node % N + 1
+    # the file binding evaluates whole levels; the reference calls evaluate
+    # once per node with w = node % N + 1
     rng = np.random.default_rng(4)
     N, T = 3, 3
     f_src, fT_src = "0.1*y + tanh(z1) - min(z2, w)/7 + t^2/9", "exp(0.1*y) - w*sin(y)"
@@ -242,16 +190,16 @@ def test_expression_generators_match_a_per_node_evaluation():
     loaded = bind_problem(doc)
     f, fT = parse_expression(f_src), parse_expression(fT_src)
 
-    def gen(t, node, y, zt):
-        return f.evaluate({"t": float(t), "w": float(node % N + 1), "y": y,
-                           "z1": float(zt[0]), "z2": float(zt[1])})
+    def gen(t, y, zt):
+        return [f.evaluate({"t": float(t), "w": float(node % N + 1), "y": y[node],
+                            "z1": float(zt[node, 0]), "z2": float(zt[node, 1])})
+                for node in range(len(y))]
 
-    per_node = BsdeProblem(
-        terminal=loaded.data.terminal,
-        generator=gen,
-        terminal_generator=lambda node, y: fT.evaluate(
-            {"t": float(T), "w": float(node % N + 1), "y": y}),
-    )
+    def gen_T(y):
+        return [fT.evaluate({"t": float(T), "w": float(node % N + 1), "y": y[node]})
+                for node in range(len(y))]
+
+    per_node = BsdeProblem(terminal=loaded.data.terminal, generator=gen, terminal_generator=gen_T)
     assert _solve_bits(loaded.tree, loaded.data) == _solve_bits(loaded.tree, per_node)
 
 

@@ -1,10 +1,12 @@
 """Golden reports of the built-in demos.
 
 ``tests/data/demos/<name>.json`` holds the JSON report of ``fbsde demo
-<name>``.  Status, exit code, stats and singular nodes must match exactly;
-every other float may move by 1e-12, so a different LAPACK build does not
-fail the test.  After a deliberate change to a report, rewrite the file with
-``run_cli(["demo", name, "--output", path])`` and show the diff.
+<name>``, and ``tests/data/demo_crosschecks/<name>-<command>.json`` the
+report of ``fbsde oracle`` and ``fbsde check`` on the demo's document.
+Status, exit code, stats and singular nodes must match exactly; every other
+float may move by 1e-12, so a different LAPACK build does not fail the
+test.  After a deliberate change to a report, rewrite the file with
+``run_cli([..., "--output", path])`` and show the diff.
 """
 
 import json
@@ -16,9 +18,11 @@ import pytest
 from fbsde.cli import DEMOS, run_cli
 
 GOLDEN = Path(__file__).parent / "data" / "demos"
+CROSSCHECKS = Path(__file__).parent / "data" / "demo_crosschecks"
 
 FLOAT_TOL = 1e-12
 
+# the oracle and the checks reach the same verdict as the demo's solve
 EXIT_CODES = {
     "partially-coupled": 0,
     "corollary-special": 0,
@@ -51,15 +55,29 @@ def test_every_demo_has_a_golden_report():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(DEMOS)
 
 
-@pytest.mark.parametrize("name", sorted(EXIT_CODES))
-def test_demo_report_matches_golden(name, tmp_path):
-    out = tmp_path / f"{name}.json"
-    assert run_cli(["demo", name, "--output", str(out)]) == EXIT_CODES[name]
+def assert_matches_golden(out, golden):
     actual = json.loads(out.read_text(encoding="utf-8"))
-    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    expected = json.loads(golden.read_text(encoding="utf-8"))
     assert actual["status"] == expected["status"]
-    assert actual["stats"] == expected["stats"]
+    assert actual.get("stats") == expected.get("stats")  # check reports have none
     certificate = expected["certificate"]
     if certificate is not None:
         assert actual["certificate"]["singular_nodes"] == certificate["singular_nodes"]
     assert_close(actual, expected)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_demo_report_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert run_cli(["demo", name, "--output", str(out)]) == EXIT_CODES[name]
+    assert_matches_golden(out, GOLDEN / f"{name}.json")
+
+
+@pytest.mark.parametrize("command", ["oracle", "check"])
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_demo_document_crosscheck_matches_golden(name, command, tmp_path):
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(json.dumps(DEMOS[name]), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert run_cli([command, str(doc), "--output", str(out)]) == EXIT_CODES[name]
+    assert_matches_golden(out, CROSSCHECKS / f"{name}-{command}.json")

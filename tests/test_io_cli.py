@@ -181,6 +181,25 @@ class TestBinding:
         with pytest.raises(SchemaError, match="f_terminal"):
             bind_problem(doc)
 
+    @pytest.mark.parametrize("kind, state", [("nonlinear", "x"), ("bsde", "y")])
+    def test_f_terminal_rule_is_the_same_for_both_kinds(self, kind, state):
+        doc = json.loads(json.dumps(DEMOS["monotone-family"]))
+        if kind == "bsde":
+            doc = {"kind": "bsde", "tree": doc["tree"], "terminal": [0.0] * 8}
+        doc["coefficients"] = doc.get("coefficients", {}) | {"f": f"{state} + z1"}
+        doc["coefficients"].pop("f_terminal", None)
+        with pytest.raises(SchemaError) as info:
+            bind_problem(doc)
+        assert str(info.value) == (
+            "coefficients.f_terminal: required because f uses contraction variables"
+        )
+        doc["coefficients"]["f_terminal"] = f"{state} + z1"
+        with pytest.raises(SchemaError) as info:
+            bind_problem(doc)
+        assert str(info.value) == "coefficients.f_terminal: variables ['z1'] not allowed here"
+        doc["coefficients"]["f_terminal"] = f"2*{state} + w + t"
+        assert bind_problem(doc).kind == kind
+
     def test_row_coefficients_accept_expressions(self):
         doc = {
             "kind": "linear",
@@ -540,3 +559,18 @@ class TestCli:
         assert run_cli(["solve", str(path)]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "no_convergence"
+        assert report["solution"] is None and report["residuals"] is None
+        assert "consider continuation mode" in report["error"]
+        assert "best_residual" not in report  # a flat Picard failure keeps none
+
+    def test_oracle_no_convergence_reports_best_residual(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(DEMOS["monotone-family"]))
+        doc["tree"]["T"] = 1
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["oracle", str(path), "--tol", "1e-30"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "no_convergence"
+        assert report["solution"] is None and report["residuals"] is None
+        assert "tolerance 1e-30" in report["error"]
+        assert report["best_residual"] > 0

@@ -181,21 +181,17 @@ class TestSolveLinear:
             for t in range(T + 1):
                 np.testing.assert_allclose(sol.X.level(t), X[t], atol=TOL)
 
-            def gen(t, node, y, zt):
-                val = (
-                    coeffs.A_hat[t][node] * X[t][node]
-                    + coeffs.B_hat[t][node] * y
-                    + coeffs.D_hat[t][node]
-                )
+            def gen(t, y, zt):
+                val = coeffs.A_hat[t] * X[t] + coeffs.B_hat[t] * y + coeffs.D_hat[t]
                 if t < T:
-                    z_row = np.concatenate([zt, [0.0]])
-                    val += float(z_row @ coeffs.C_hat[t][node])
+                    z_rows = np.concatenate([zt, np.zeros((len(y), 1))], axis=1)
+                    val = val + np.einsum("nj,nj->n", z_rows, coeffs.C_hat[t])
                 return -val
 
             problem = BsdeProblem(
                 terminal=coeffs.G * X[T] + coeffs.g,
                 generator=gen if T > 1 else None,
-                terminal_generator=lambda node, y: gen(T, node, y, None),
+                terminal_generator=lambda y: gen(T, y, None),
             )
             Y, Z = solve_bsde(tree, problem)
             for t in range(T + 1):

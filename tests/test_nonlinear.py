@@ -25,6 +25,8 @@ from fbsde import (
     solve_special,
     tilde_contract,
 )
+from fbsde import nonlinear
+from fbsde.io import stats_payload
 
 TOL = 1e-10
 
@@ -400,3 +402,22 @@ def test_stats_record_shapes():
     assert stats.inner_solves > 0
     assert all(len(r.norms) >= 1 for r in stats.records)
     assert all(r.converged for r in stats.records)
+
+
+def test_stats_cover_every_ladder_attempt(monkeypatch):
+    # delta 1 fails, delta 1/2 fails, delta 1/4 converges; every finished
+    # Picard iteration of every level measures its increment once.  The
+    # attempts make 10, 10 and 713 inner solves, each within its own cap.
+    increments = []
+    norm_sq = nonlinear.increment_norm_sq
+    monkeypatch.setattr(nonlinear, "increment_norm_sq",
+                        lambda *args: increments.append(1) or norm_sq(*args))
+    tree = uniform_tree(2, 2)
+    opts = ContinuationOptions(delta=1.0, max_iterations=10, max_inner_solves=713)
+    _, stats = solve_continuation(tree, demo_monotone_problem(tree, 0.6), 1.0, opts)
+    assert stats.halvings == 2
+    assert stats.inner_solves == 10 + 10 + 713
+    assert stats.iterations == len(increments) == 10 + 10 + 993
+    assert stats_payload(stats)["iterations"] == 1013
+    assert stats.levels == [0.25, 0.5, 0.75, 1.0]
+    assert [r.converged for r in stats.records[:2]] == [False, False]

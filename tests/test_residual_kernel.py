@@ -46,10 +46,15 @@ def random_triple(rng, tree):
 def frozen_backward_problem(tree, problem, X):
     """The backward equation of ``problem`` with the forward path fixed at X."""
     T = tree.T
+
+    def gen(t, y, zt):
+        return [problem.generator(t, node, float(X[t][node]), y[node], zt[node])
+                for node in range(len(y))]
+
     return BsdeProblem(
         terminal=np.zeros(tree.num_nodes(T)),
-        generator=lambda t, node, y, zt: problem.generator(t, node, float(X[t][node]), y, zt),
-        terminal_generator=lambda node, y: problem.generator(T, node, float(X[T][node]), y, None),
+        generator=gen,
+        terminal_generator=lambda y: gen(T, y, [None] * len(y)),
     )
 
 

@@ -7,13 +7,15 @@ Usage, from the root of a checkout of the repository:
     python3 tools/report_digests.py --seed 1
 
 Each output gets one line: its label, the sha1 of the report, the exit
-code and the sha1 of standard error.  The four demos run in JSON and CSV;
-then every op of each ``bench/workloads.py`` op list runs on files that
-module generates for ``--seed`` into a temporary directory.  Every call is
-a fresh ``python -m fbsde`` process on this checkout's ``src``.  Running
-the same command on two checkouts and comparing the printed lines shows
-whether their outputs differ.  Standard library only;
-``bench/workloads.py`` is imported, never written.
+code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
+read in a child process) runs in JSON and CSV, and its document, written
+into a temporary directory, goes through ``oracle`` and ``check``; then
+every op of each ``bench/workloads.py`` op list runs on files that module
+generates for ``--seed`` into the same directory.  Every call is a fresh
+``python -m fbsde`` process on this checkout's ``src``.  Running the same
+command on two checkouts and comparing the printed lines shows whether
+their outputs differ.  Standard library only; ``bench/workloads.py`` is
+imported, never written.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +31,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ("corollary-special", "monotone-family", "partially-coupled", "singular-gamma")
 
 
 def _load_workloads():
@@ -41,15 +43,28 @@ def _load_workloads():
     return module
 
 
+def _python(args):
+    """A ``python`` process on this checkout's ``src``, its output captured."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def _demo_documents():
+    """``fbsde.cli.DEMOS``, read as JSON from a child process."""
+    proc = _python(["-c", "import json, fbsde.cli; print(json.dumps(fbsde.cli.DEMOS))"])
+    if proc.returncode:
+        sys.exit(proc.stderr.decode(errors="replace"))
+    return json.loads(proc.stdout)
+
+
 def _run(argv, output=None):
     """(report digest, exit code, stderr digest) of one ``fbsde`` call.
 
     The report is ``output`` when the call writes one, else standard output.
     """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run([sys.executable, "-m", "fbsde", *argv], capture_output=True, env=env)
+    proc = _python(["-m", "fbsde", *argv])
     report = proc.stdout
     if output is not None and output.exists():
         report += output.read_bytes()
@@ -60,11 +75,17 @@ def _run(argv, output=None):
 
 def digests(seed):
     """Yield one (label, report sha1, exit code, stderr sha1) per output."""
-    for name in DEMOS:
+    demos = _demo_documents()
+    for name in sorted(demos):
         for fmt in ("json", "csv"):
             yield (f"demo {name} {fmt}", *_run(["demo", name, "--format", fmt]))
     workloads = _load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(demos):
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(demos[name]), encoding="utf-8")
+            for command in ("oracle", "check"):
+                yield (f"{command} demo {name}", *_run([command, str(path)]))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
