@@ -17,6 +17,7 @@ gives the same bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -85,14 +86,18 @@ class Expression:
         self.root = root
         self.source = source
         self.variables = frozenset(variables)
+        self._compiled = None
 
     def evaluate(self, env):
         """Evaluate with ``env`` mapping variable names to floats.
 
         Finite inputs give a finite float or an ExpressionDomainError; a
-        missing variable raises UnknownIdentifier.
+        missing variable raises UnknownIdentifier.  The first call compiles
+        the expression (see ``_compile``).
         """
-        return _eval(self.root, env)
+        if self._compiled is None:
+            self._compiled = _compile(self.root)
+        return self._compiled(env)
 
     def evaluate_level(self, env):
         """Evaluate at every node of a level at once.
@@ -137,35 +142,96 @@ class Expression:
         return f"Expression({self.source!r})"
 
 
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise UnknownIdentifier(node.name, node.position) from None
-    if isinstance(node, Unary):
-        return -_eval(node.operand, env)
-    if isinstance(node, Binary):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        return _apply(node.op, a, b, node.position)
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        fn, _ = FUNCTIONS[node.name]
-        try:
-            val = fn(*args)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            raise ExpressionDomainError(
-                f"{node.name} left the real domain", node.position
-            ) from None
-        return _finite(val, node.position)
-    raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+def _compile(root):
+    """The expression as a straight-line Python function of ``env``.
+
+    Operands are computed left to right before their operation, as the
+    tree reads, and each operation is followed by its own checks, so a
+    value or an error is the one of a walk over the tree: a variable reads
+    ``float(env[name])`` (UnknownIdentifier at its first use when missing);
+    ``/`` refuses a zero divisor; ``^`` is ``math.pow`` with OverflowError
+    and ValueError mapped to "overflow" and "invalid power"; a function
+    maps ValueError, OverflowError and ZeroDivisionError to "<name> left
+    the real domain"; every binary operation and call then refuses a
+    non-finite result.  Constants, variables and negations are unchecked.
+
+    The source names only validated variables, ``FUNCTIONS`` keys,
+    temporaries and integer offsets; float constants are bound in the
+    namespace, never written into the source.
+    """
+    namespace = {
+        "__builtins__": {},
+        "KeyError": KeyError,
+        "OverflowError": OverflowError,
+        "ValueError": ValueError,
+        "ZeroDivisionError": ZeroDivisionError,
+        "_float": float,
+        "_isfinite": math.isfinite,
+        "_pow": math.pow,
+        "_domain": ExpressionDomainError,
+        "_unknown": UnknownIdentifier,
+    }
+    body = []
+    read = {}  # variable name -> the temporary holding it
+    fresh = itertools.count()
+
+    def emit(node):
+        """Statements computing ``node``; returns the text of its value."""
+        if isinstance(node, Num):
+            name = f"_c{next(fresh)}"
+            namespace[name] = node.value
+            return name
+        if isinstance(node, Var):
+            if node.name not in read:
+                read[node.name] = temp = f"v{next(fresh)}"
+                body.extend([
+                    "try:",
+                    f"    {temp} = _float(env['{node.name}'])",
+                    "except KeyError:",
+                    f"    raise _unknown('{node.name}', {node.position}) from None",
+                ])
+            return read[node.name]
+        if isinstance(node, Unary):
+            return f"(-{emit(node.operand)})"
+        if isinstance(node, Binary):
+            a, b = emit(node.left), emit(node.right)
+            temp = f"v{next(fresh)}"
+            if node.op == "^":
+                body.extend([
+                    "try:",
+                    f"    {temp} = _pow({a}, {b})",
+                    "except OverflowError:",
+                    f"    raise _domain('overflow', {node.position}) from None",
+                    "except ValueError:",
+                    f"    raise _domain('invalid power', {node.position}) from None",
+                ])
+            else:
+                if node.op == "/":
+                    body.append(f"if not {b}: raise _domain('division by zero', {node.position})")
+                body.append(f"{temp} = {a} {node.op} {b}")
+        else:
+            args = ", ".join([emit(arg) for arg in node.args])
+            temp = f"v{next(fresh)}"
+            namespace[f"_{node.name}"] = FUNCTIONS[node.name][0]
+            body.extend([
+                "try:",
+                f"    {temp} = _{node.name}({args})",
+                "except (ValueError, OverflowError, ZeroDivisionError):",
+                f"    raise _domain('{node.name} left the real domain', {node.position}) from None",
+            ])
+        body.append(f"if not _isfinite({temp}): raise _domain('non-finite result', {node.position})")
+        return temp
+
+    result = emit(root)
+    source = "\n".join(["def _evaluate(env):"] + [f"    {line}" for line in body + [f"return {result}"]])
+    exec(source, namespace)
+    # popped, so the function's globals hold no reference back to it and it
+    # is freed with its Expression, without waiting for the cycle collector
+    return namespace.pop("_evaluate")
 
 
 def _eval_level(node, env):
-    """``_eval`` over 1-D arrays (length 1 or n), under a raising errstate.
+    """The tree walked over 1-D arrays (length 1 or n), under a raising errstate.
 
     Constants are length-1 arrays, so every operation signals through numpy.
     Python's min and max keep the first argument on a tie, hence ``np.where``.
@@ -205,34 +271,6 @@ def _map(fn, *args):
     n = max(len(a) for a in args)
     columns = [a.tolist() * n if len(a) == 1 else a.tolist() for a in args]
     return np.array([fn(*xs) for xs in zip(*columns)], dtype=float)
-
-
-def _apply(op, a, b, pos):
-    try:
-        if op == "+":
-            val = a + b
-        elif op == "-":
-            val = a - b
-        elif op == "*":
-            val = a * b
-        elif op == "/":
-            if b == 0.0:
-                raise ExpressionDomainError("division by zero", pos)
-            val = a / b
-        else:
-            val = math.pow(a, b)
-    except OverflowError:
-        raise ExpressionDomainError("overflow", pos) from None
-    except ValueError:
-        raise ExpressionDomainError("invalid power", pos) from None
-    return _finite(val, pos)
-
-
-def _finite(val, pos):
-    val = float(val)
-    if not math.isfinite(val):
-        raise ExpressionDomainError("non-finite result", pos)
-    return val
 
 
 @dataclass(frozen=True)

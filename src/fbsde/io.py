@@ -214,7 +214,10 @@ _SPECIAL_FIELDS = ("D", "D_bar", "D_hat", "g")
 
 
 def _bind_linear(tree, doc, kind):
-    """LinearCoefficients of a linear or special file, validated at load."""
+    """LinearCoefficients of a linear or special file, validated at load.
+
+    The level arrays are read-only, so the solvers need not validate again.
+    """
     raw = doc.get("coefficients", {})
     names = _LINEAR_FIELDS if kind == "linear" else _SPECIAL_FIELDS
     extra = set(raw) - set(names)
@@ -232,7 +235,7 @@ def _bind_linear(tree, doc, kind):
         coeffs = build(tree, **kwargs)
     except ShapeMismatch as err:
         raise SchemaError(f"coefficients.{err.field}", str(err)) from err
-    return coeffs.validate()
+    return coeffs.freeze().validate()
 
 
 _STATE_VARS = {"t", "x", "y", "w"}

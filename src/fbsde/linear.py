@@ -132,6 +132,7 @@ class LinearCoefficients:
         # a leaf field is the single level at time T
         self.G = _levels(tree, None if G is None else [G], [tree.T], (), "G")[0]
         self._shape_inhomogeneities(D, D_bar, D_hat, g)
+        self._passed = ()  # the level arrays that last passed validate()
 
     def _shape_inhomogeneities(self, D, D_bar, D_hat, g):
         tree = self.tree
@@ -151,20 +152,43 @@ class LinearCoefficients:
         new._shape_inhomogeneities(D, D_bar, D_hat, g)
         return new
 
+    def _field_levels(self, name):
+        """The level arrays of one field (entry 0 of a hatted field is unused)."""
+        levels = getattr(self, name)
+        if name in ("G", "g"):
+            return [levels]
+        return levels[1:] if name.endswith("_hat") else levels
+
     def _check_finite(self, names):
         """Raise NonFiniteInput for the first of ``names`` with a NaN or inf entry."""
         for name in names:
-            levels = getattr(self, name)
-            if name in ("G", "g"):
-                levels = [levels]
-            elif name.endswith("_hat"):
-                levels = levels[1:]  # entry 0 is unused
-            for lev in levels:
+            for lev in self._field_levels(name):
                 if not np.isfinite(lev).all():
                     raise NonFiniteInput(f"coefficient {name} has non-finite entries")
 
+    def _arrays(self):
+        return [lev for name in _FIELDS for lev in self._field_levels(name)]
+
+    def freeze(self):
+        """Make every level array read-only; returns self."""
+        for lev in self._arrays():
+            lev.flags.writeable = False
+        return self
+
+    def validated(self):
+        """``validate()``, unless these very level arrays passed it and are
+        read-only, so cannot have changed since; returns self."""
+        arrays = self._arrays()
+        if not (
+            len(arrays) == len(self._passed)
+            and all(mine is theirs and not mine.flags.writeable
+                    for mine, theirs in zip(arrays, self._passed))
+        ):
+            self.validate()
+        return self
+
     def validate(self):
-        """Check finiteness and the structural zero-sum conditions."""
+        """Check finiteness and the structural zero-sum conditions; returns self."""
         tree = self.tree
         self._check_finite(_FIELDS)
         for t in range(tree.T):
@@ -194,6 +218,7 @@ class LinearCoefficients:
                 "C_hat must vanish at the horizon",
                 tree.node_id(tree.T, int(np.argmax(bad))),
             )
+        self._passed = self._arrays()
         return self
 
 
@@ -365,14 +390,15 @@ def _solve_columns(gamma, rhs):
 
 
 def _slope_pass(tree, coeffs):
-    """Validate, then the slopes P, the per-node matrices and their verdicts.
+    """Validate (once per frozen coefficient set), then the slopes P, the
+    per-node matrices and their verdicts.
 
     Reads only the tree, A..C_hat and G.  The recursion needs the depth-t
     matrices inverted to continue below t; it therefore halts at the first
     level holding a singular matrix, after recording verdicts for every node
     of that level.
     """
-    coeffs.validate()
+    coeffs.validated()
     T, N = tree.T, tree.N
     P_levels = [None] * (T + 1)
     gamma_levels = [None] * T

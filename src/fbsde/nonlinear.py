@@ -206,11 +206,19 @@ def _blended(problem, alpha, inhom, tree):
 
 @dataclass
 class _Iterate:
-    """Solution triple as plain level arrays (Z rows canonical)."""
+    """Solution triple as plain level arrays (Z rows canonical).
+
+    ``levels`` is ``(problem, (b, sigma, f))`` and ``terminal`` is
+    ``(problem, h - x)`` on the leaves, for the last problem evaluated
+    here, so that compose and the level check evaluate the target once per
+    iterate.
+    """
 
     X: list
     Y: list
     Z: list
+    levels: Optional[tuple] = field(default=None, repr=False, compare=False)
+    terminal: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, tree):
@@ -227,6 +235,21 @@ class _Iterate:
             Y=[sol.Y.level(t) for t in range(tree.T + 1)],
             Z=[sol.Z.level(t) for t in range(tree.T)],
         )
+
+    def coefficient_levels(self, tree, problem):
+        """``_coefficient_levels`` of ``problem`` here, evaluated on first use."""
+        if self.levels is None or self.levels[0] is not problem:
+            self.levels = (problem, _coefficient_levels(tree, problem, self.X, self.Y, self.Z))
+        return self.levels[1]
+
+    def terminal_levels(self, tree, problem):
+        """``problem.terminal(node, x) - x`` on the leaves, evaluated on first use."""
+        if self.terminal is None or self.terminal[0] is not problem:
+            self.terminal = (problem, np.array([
+                -float(x) + problem.terminal(node, float(x))
+                for node, x in enumerate(self.X[tree.T])
+            ]))
+        return self.terminal[1]
 
     def finite(self):
         return (
@@ -293,13 +316,11 @@ def _coefficient_levels(tree, problem, X, Y, Z):
 
 def _compose(tree, problem, inhom, prev: _Iterate, step):
     """Fold the step-sized nonlinearity, frozen at ``prev``, into new inhomogeneities."""
-    b, sigma, f = _coefficient_levels(tree, problem, prev.X, prev.Y, prev.Z)
+    b, sigma, f = prev.coefficient_levels(tree, problem)
     b0 = [inhom.b0[t] + step * (prev.Y[t] + b[t]) for t in range(tree.T)]
     s0 = [inhom.sigma0[t] + step * (prev.Z[t] + sigma[t]) for t in range(tree.T)]
     f0 = [None] + [inhom.f0[t] + step * (-prev.X[t] + f[t]) for t in range(1, tree.T + 1)]
-    hT = np.array(
-        [-float(x) + problem.terminal(node, float(x)) for node, x in enumerate(prev.X[tree.T])]
-    )
+    hT = prev.terminal_levels(tree, problem)
     return Inhomogeneity(b0=b0, sigma0=s0, f0=f0, h0=inhom.h0 + step * hT)
 
 
@@ -308,8 +329,8 @@ class _Ladder:
 
     Each level's solve closes over the one below it; within a level, solves
     warm-start from that level's previous result (the first call starts from
-    zero), which keeps the nested iteration count near-linear instead of
-    multiplicative.  The linear base is factored once per ladder: every base
+    the ladder's one zero iterate), which keeps the nested iteration count
+    near-linear instead of multiplicative.  The linear base is factored once per ladder: every base
     solve reuses its slopes and certificate and redoes only the offsets.
     """
 
@@ -329,6 +350,7 @@ class _Ladder:
         self._solves_before = self.stats.inner_solves  # by earlier attempts
         self.max_depth = n_levels if max_depth is None else max_depth
         self._warm = {}
+        self._zero = _Iterate.zeros(tree)
         self.base = linear.SpecialForm(tree)
 
     def solve(self, k, inhom, x0, initial=None):
@@ -355,7 +377,7 @@ class _Ladder:
 
         alpha = self.alphas[k]
         tol = self.opts.tolerance
-        prev = initial if initial is not None else self._warm.get(k) or _Iterate.zeros(self.tree)
+        prev = initial if initial is not None else self._warm.get(k) or self._zero
         norms = []
         record = LevelRecord(alpha=alpha, norms=norms, converged=False)
         self.stats.records.append(record)
@@ -370,8 +392,7 @@ class _Ladder:
             if not math.isfinite(d):
                 raise NonFiniteIterate(f"non-finite increment at level {alpha:g}", iterate=cur)
             if d <= tol * tol:
-                eff = _blended(self.problem, alpha, inhom, self.tree)
-                fwd, bwd = nonlinear_residual(self.tree, eff, (cur.X, cur.Y, cur.Z))
+                fwd, bwd = _blended_residual(self.tree, self.problem, alpha, inhom, cur)
                 if max(fwd, bwd) <= tol:
                     record.converged = True
                     self._warm[k] = cur
@@ -520,7 +541,33 @@ def nonlinear_residual(tree, problem, solution):
     Y = [np.asarray(lev, dtype=float) for lev in Y]
     Z = [np.asarray(lev, dtype=float) for lev in Z]
 
-    b, sigma, f = _coefficient_levels(tree, problem, X, Y, Z)
+    return _defects(tree, X, Y, Z, *_coefficient_levels(tree, problem, X, Y, Z))
+
+
+def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
+    """``nonlinear_residual`` of ``_blended(problem, alpha, inhom, tree)`` at ``it``.
+
+    Blends the target's levels at the iterate by ``_blended``'s per-node
+    formula a*v + (1-a)*lin + inhom, as whole-level arrays: the same float
+    operations per node, so the same defects bit for bit.
+    """
+    a = float(alpha)
+    b, sigma, f = it.coefficient_levels(tree, problem)
+    X, Y, Z = it.X, it.Y, it.Z
+    T = tree.T
+    b = [a * b[t] + (1.0 - a) * (-Y[t]) + inhom.b0[t] for t in range(T)]
+    sigma = [
+        a * sigma[t]
+        + (1.0 - a) * -np.concatenate([tilde_contract(Z[t]), np.zeros((len(Z[t]), 1))], axis=1)
+        + inhom.sigma0[t]
+        for t in range(T)
+    ]
+    f = [None] + [a * f[t] + (1.0 - a) * X[t] + inhom.f0[t] for t in range(1, T + 1)]
+    return _defects(tree, X, Y, Z, b, sigma, f)
+
+
+def _defects(tree, X, Y, Z, b, sigma, f):
+    """Worst per-branch defects of both equations over every level."""
     fwd = 0.0
     bwd = 0.0
     for t in range(tree.T):

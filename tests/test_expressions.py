@@ -2,14 +2,17 @@
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from fbsde import parse_expression
+from fbsde.expressions import FUNCTIONS, Binary, Call, Num, Unary, Var
 from fbsde.errors import (
     ArityError,
     ExpressionDomainError,
+    ExpressionError,
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
@@ -130,27 +133,30 @@ class TestDomainErrors:
             parse_expression("x^-1").evaluate({"x": 0.0})
 
 
-def random_source(rng, depth=0):
-    """Random grammar-valid expression source."""
+NUMBERS = ["0", "1", "2.5", "0.3", "1e2", ".25", "7"]
+
+
+def random_source(rng, depth=0, numbers=NUMBERS):
+    """Random grammar-valid expression source with literals from ``numbers``."""
     variables = ["t", "x", "y", "w", "z1"]
     if depth >= 4 or rng.random() < 0.3:
         kind = rng.choice(["num", "var"])
         if kind == "num":
-            value = rng.choice(["0", "1", "2.5", "0.3", "1e2", ".25", "7"])
-            return str(value)
+            return str(rng.choice(numbers))
         return str(rng.choice(variables))
     kind = rng.choice(["binary", "unary", "call", "paren"])
     if kind == "binary":
         op = rng.choice(["+", "-", "*", "/", "^"])
-        return f"({random_source(rng, depth + 1)} {op} {random_source(rng, depth + 1)})"
+        return f"({random_source(rng, depth + 1, numbers)} {op} {random_source(rng, depth + 1, numbers)})"
     if kind == "unary":
-        return f"(-{random_source(rng, depth + 1)})"
+        return f"(-{random_source(rng, depth + 1, numbers)})"
     if kind == "call":
         name = rng.choice(["sin", "cos", "exp", "tanh", "abs", "min", "max"])
         if name in ("min", "max"):
-            return f"{name}({random_source(rng, depth + 1)}, {random_source(rng, depth + 1)})"
-        return f"{name}({random_source(rng, depth + 1)})"
-    return f"({random_source(rng, depth + 1)})"
+            return (f"{name}({random_source(rng, depth + 1, numbers)}, "
+                    f"{random_source(rng, depth + 1, numbers)})")
+        return f"{name}({random_source(rng, depth + 1, numbers)})"
+    return f"({random_source(rng, depth + 1, numbers)})"
 
 
 def test_fuzzed_sources_parse_and_evaluate_or_raise_domain_errors():
@@ -171,3 +177,130 @@ def test_fuzzed_sources_parse_and_evaluate_or_raise_domain_errors():
         assert math.isfinite(value)
         finite += 1
     assert finite > 0 and domain > 0
+
+
+def reference_evaluate(node, env):
+    """The tree-walking interpreter that ``Expression.evaluate`` compiles
+    away: the reference for its values, errors and offsets."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return float(env[node.name])
+        except KeyError:
+            raise UnknownIdentifier(node.name, node.position) from None
+    if isinstance(node, Unary):
+        return -reference_evaluate(node.operand, env)
+    if isinstance(node, Binary):
+        a = reference_evaluate(node.left, env)
+        b = reference_evaluate(node.right, env)
+        return _reference_apply(node.op, a, b, node.position)
+    assert isinstance(node, Call)
+    args = [reference_evaluate(a, env) for a in node.args]
+    fn, _ = FUNCTIONS[node.name]
+    try:
+        val = fn(*args)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ExpressionDomainError(f"{node.name} left the real domain", node.position) from None
+    return _reference_finite(val, node.position)
+
+
+def _reference_apply(op, a, b, pos):
+    try:
+        if op == "+":
+            val = a + b
+        elif op == "-":
+            val = a - b
+        elif op == "*":
+            val = a * b
+        elif op == "/":
+            if b == 0.0:
+                raise ExpressionDomainError("division by zero", pos)
+            val = a / b
+        else:
+            val = math.pow(a, b)
+    except OverflowError:
+        raise ExpressionDomainError("overflow", pos) from None
+    except ValueError:
+        raise ExpressionDomainError("invalid power", pos) from None
+    return _reference_finite(val, pos)
+
+
+def _reference_finite(val, pos):
+    val = float(val)
+    if not math.isfinite(val):
+        raise ExpressionDomainError("non-finite result", pos)
+    return val
+
+
+def outcome(evaluate, env):
+    """The value's bits, or the error's type, message and offset."""
+    try:
+        value = evaluate(env)
+    except ExpressionError as err:
+        return type(err), str(err), err.position
+    assert type(value) is float
+    return struct.pack("<d", value)
+
+
+#: Literals that probe the checks: zeros (-0 through a negation), huge
+#: values, one that parses to inf, and repeats that make min/max ties.
+EXTREME_NUMBERS = ["0", "0", "1", "1", "2.5", "1e300", "1e300", "1e999", "7"]
+
+
+def test_compiled_evaluate_matches_the_interpreter():
+    rng = np.random.default_rng(2024)
+    specials = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 2.5]
+    checked = {"value": 0, "error": 0, "missing": 0}
+    for _ in range(3000):
+        expr = parse_expression(random_source(rng, numbers=EXTREME_NUMBERS))
+        for _ in range(3):
+            env = {name: float(rng.choice(specials)) if rng.random() < 0.6
+                   else float(rng.uniform(-3.0, 3.0)) for name in ("t", "x", "y", "w", "z1")}
+            if rng.random() < 0.3:  # ties between variables
+                env["y"] = env["x"]
+            if rng.random() < 0.1:
+                del env["z1"]
+            want = outcome(lambda e: reference_evaluate(expr.root, e), env)
+            assert outcome(expr.evaluate, env) == want, (expr.source, env)
+            kind = "value" if isinstance(want, bytes) else (
+                "missing" if want[0] is UnknownIdentifier else "error")
+            checked[kind] += 1
+    assert min(checked.values()) > 50, checked
+
+
+@pytest.mark.parametrize("source", [
+    "1e999", "-1e999", "x", "-x", "1e999 - 1e999", "min(0, -0)", "min(-0, 0)", "max(0, -0)",
+    "max(-0, 0)", "x/-0", "1/(x - x)", "1e300*1e300", "exp(1e300)", "sin(1e999)", "0^-1",
+    "(-8)^(1/3)", "1e300^2", "abs(-0)", "min(x, y) + max(y, x)", "tanh(x)*x/y - x^y",
+])
+def test_compiled_evaluate_matches_the_interpreter_on_edge_cases(source):
+    expr = parse_expression(source)
+    for x, y in [(0.0, -0.0), (-0.0, 0.0), (1e300, -1e300), (2.0, 2.0), (-2.0, 0.5)]:
+        env = {"x": x, "y": y}
+        assert outcome(expr.evaluate, env) == outcome(lambda e: reference_evaluate(expr.root, e), env)
+
+
+def test_errors_come_in_evaluation_order():
+    # the division fails before the missing variable is read, and the other way round
+    with pytest.raises(ExpressionDomainError, match="division by zero") as info:
+        parse_expression("1/0 + z1").evaluate({})
+    assert info.value.position == 1
+    with pytest.raises(UnknownIdentifier) as ident:
+        parse_expression("z1 + 1/0").evaluate({})
+    assert (ident.value.name, ident.value.position) == ("z1", 0)
+    # a variable read twice fails at its first use
+    with pytest.raises(UnknownIdentifier) as twice:
+        parse_expression("x*(1 + x)").evaluate({})
+    assert twice.value.position == 0
+
+
+def test_constants_are_bound_not_written_into_the_source():
+    expr = parse_expression("1e999 + 0.1*x")
+    with pytest.raises(ExpressionDomainError, match="non-finite result"):
+        expr.evaluate({"x": 1.0})
+    assert not any(isinstance(c, float) for c in expr._compiled.__code__.co_consts)
+    assert parse_expression("1e999").evaluate({}) == math.inf
+    # a constant too long to print round-trips exactly
+    value = parse_expression("0.1000000000000000055511151231257827").evaluate({})
+    assert value == float("0.1000000000000000055511151231257827")

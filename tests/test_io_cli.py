@@ -457,6 +457,20 @@ class TestCli:
         assert report["certificate"]["all_invertible"] is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "check", "oracle"])
+    def test_a_linear_file_is_validated_once(self, monkeypatch, capsys, tmp_path, command):
+        # at load; the loaded levels are read-only, so no solver checks again
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(DEMOS["partially-coupled"]))
+        calls = []
+        original = linear.LinearCoefficients.validate
+        monkeypatch.setattr(linear.LinearCoefficients, "validate",
+                            lambda self: calls.append(1) or original(self))
+        assert run_cli([command, str(path)]) == 0
+        assert len(calls) == 1
+        loaded = bind_problem(DEMOS["partially-coupled"])
+        assert not any(lev.flags.writeable for _, lev in level_arrays(loaded.data))
+
     def test_python_dash_m_runs_the_cli(self, capsys):
         # the package runs from its sources without being installed
         src = str(Path(fbsde.__file__).resolve().parent.parent)

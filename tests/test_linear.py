@@ -461,3 +461,30 @@ class TestValidation:
         tree = uniform_tree(2, 1)
         with pytest.raises(NonFiniteInput):
             LinearCoefficients(tree, A=float("inf")).validate()
+
+    def test_validated_skips_only_read_only_levels_that_passed(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        tree = random_tree(rng, 2, 2)
+        calls = []
+        original = LinearCoefficients.validate
+        monkeypatch.setattr(LinearCoefficients, "validate",
+                            lambda self: calls.append(1) or original(self))
+        # writeable levels are validated on every pass, so a write is seen
+        coeffs = random_linear_coeffs(rng, tree)
+        riccati_backward(tree, coeffs)
+        coeffs.C[0][0, 0] += 1.0
+        with pytest.raises(AssumptionViolation, match="C column"):
+            riccati_backward(tree, coeffs)
+        assert len(calls) == 2
+        # read-only levels that passed are not validated again ...
+        frozen = random_linear_coeffs(rng, tree).freeze().validate()
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.C[0][0, 0] = 1.0
+        riccati_backward(tree, frozen)
+        solve_linear(tree, frozen, 0.5)
+        assert len(calls) == 3
+        # ... unless a level array was replaced since
+        frozen.C = [np.ones_like(lev) for lev in frozen.C]
+        with pytest.raises(AssumptionViolation, match="C column"):
+            riccati_backward(tree, frozen)
+        assert len(calls) == 4

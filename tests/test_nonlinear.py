@@ -1,9 +1,13 @@
 """Continuation solver: blends, level solves, diagnostics, residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_tree, uniform_tree
+from conftest import random_linear_coeffs, random_tree, uniform_tree
 from fbsde import (
     AlphaOutOfRange,
     ContinuationOptions,
@@ -12,6 +16,7 @@ from fbsde import (
     NoContraction,
     NonlinearProblem,
     StepUnderflow,
+    as_nonlinear_problem,
     blend,
     canonicalize,
     check_assumptions,
@@ -421,3 +426,91 @@ def test_stats_cover_every_ladder_attempt(monkeypatch):
     assert stats_payload(stats)["iterations"] == 1013
     assert stats.levels == [0.25, 0.5, 0.75, 1.0]
     assert [r.converged for r in stats.records[:2]] == [False, False]
+
+
+def random_inhomogeneity(rng, tree):
+    return Inhomogeneity(
+        b0=[rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(tree.T)],
+        sigma0=[rng.uniform(-1, 1, size=(tree.num_nodes(t), tree.N)) for t in range(tree.T)],
+        f0=[None] + [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(1, tree.T + 1)],
+        h0=rng.uniform(-1, 1, size=tree.num_nodes(tree.T)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target, zero_inhom):
+    # the level check blends whole levels; its defects are the per-node
+    # blend's residual bit for bit, at every alpha including 1
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, T)
+    problem = (as_nonlinear_problem(tree, random_linear_coeffs(rng, tree)) if linear_target
+               else demo_monotone_problem(tree, float(rng.uniform(0.0, 0.9))))
+    inhom = Inhomogeneity.zeros(tree) if zero_inhom else random_inhomogeneity(rng, tree)
+    X = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
+    Y = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
+    Z = [rng.uniform(-1, 1, size=(tree.num_nodes(t), N)) for t in range(T)]
+    got = nonlinear._blended_residual(tree, problem, alpha, inhom, nonlinear._Iterate(X, Y, Z))
+    want = nonlinear_residual(tree, nonlinear._blended(problem, alpha, inhom, tree), (X, Y, Z))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_each_iterate_is_evaluated_once(monkeypatch):
+    # compose and the level check share one evaluation of the target per
+    # iterate: one per inner solve plus the shared zero start, and the
+    # report's residual evaluates the result afresh
+    tree = uniform_tree(2, 2)
+    target = demo_monotone_problem(tree, 0.1)
+    drift_calls, leaf_values = [], []
+
+    def drift(t, node, x, y, zt):
+        drift_calls.append(1)
+        return target.drift(t, node, x, y, zt)
+
+    def terminal(node, x):
+        leaf_values.append(x)
+        return target.terminal(node, x)
+
+    problem = NonlinearProblem(drift, target.diffusion, target.generator, terminal)
+    evaluated = []  # the X level lists evaluated, kept alive so ids stay unique
+    levels = nonlinear._coefficient_levels
+    monkeypatch.setattr(nonlinear, "_coefficient_levels",
+                        lambda tree, problem, X, Y, Z: evaluated.append(X) or levels(
+                            tree, problem, X, Y, Z))
+    sol, stats = solve_continuation(tree, problem, 1.0)
+    assert stats.halvings == 0
+    assert len({id(X) for X in evaluated}) == len(evaluated) == stats.inner_solves + 2
+    assert len(drift_calls) == len(evaluated) * (1 + 2)
+    # the terminal map is evaluated once per composed iterate, four leaves each
+    per_iterate = [tuple(leaf_values[i:i + 4]) for i in range(0, len(leaf_values), 4)]
+    assert len(per_iterate) == len(set(per_iterate)) <= stats.inner_solves + 1
+    reference, _ = solve_continuation(tree, target, 1.0)
+    assert solution_gap(tree, sol, reference) == 0.0
+
+
+def test_levels_of_another_problem_are_not_reused():
+    tree = uniform_tree(2, 2)
+    other = dataclasses.replace(demo_monotone_problem(tree, 0.3),
+                                terminal=lambda node, x: 1.2 * x)
+    target = demo_monotone_problem(tree, 0.1)
+    sol, _ = solve_continuation(tree, other, 1.0)
+    carried = nonlinear._Iterate.from_solution(tree, sol)
+    carried.coefficient_levels(tree, other)
+    carried.terminal_levels(tree, other)
+    fresh = nonlinear._Iterate(list(carried.X), list(carried.Y), list(carried.Z))
+    for solve in (solve_continuation, solve_flat_picard):
+        got, _ = solve(tree, target, 1.0, initial_iterate=carried)
+        want, _ = solve(tree, target, 1.0, initial_iterate=fresh)
+        for t in range(tree.T + 1):
+            assert got.X.level(t).tobytes() == want.X.level(t).tobytes()
+            assert got.Y.level(t).tobytes() == want.Y.level(t).tobytes()
+        for t in range(tree.T):
+            assert got.Z.level(t).tobytes() == want.Z.level(t).tobytes()
+        assert got.residuals == want.residuals
