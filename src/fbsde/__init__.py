@@ -14,7 +14,6 @@ from .linear import (
     ResidualReport,
     RiccatiData,
     SolvabilityCertificate,
-    SpecialForm,
     Unsolvable,
     decoupling_coefficients,
     linear_residuals,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GeneratorEvaluationError, ShapeMismatch
 from .martingale import backward_defect, canonicalize, tilde_contract
-from .tree import AdaptedProcess, ScenarioTree
+from .tree import AdaptedProcess, ScenarioTree, _process_levels
 
 #: Residual guarantee for solver output, checked by the residual evaluator.
 RESIDUAL_TOL = 1e-11
@@ -124,8 +124,8 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
     For each non-leaf node and branch i this is
     |Y_{t+1} - Y_t + f(t+1, .) - Z_t (e_i - P_t)|, maximized over entries.
     """
-    y_levels = [_as_matrix(np.asarray(Y.level(t) if isinstance(Y, AdaptedProcess) else Y[t], dtype=float)) for t in range(tree.T + 1)]
-    z_raw = [np.asarray(Z.level(t) if isinstance(Z, AdaptedProcess) else Z[t], dtype=float) for t in range(tree.T)]
+    y_levels = [_as_matrix(lev) for lev in _process_levels(tree, Y, range(tree.T + 1), "Y")]
+    z_raw = _process_levels(tree, Z, range(tree.T), "Z")
     scalar = np.asarray(problem.terminal).ndim == 1
     K = y_levels[-1].shape[1]
     z_levels = []

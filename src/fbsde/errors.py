@@ -48,10 +48,6 @@ class SingularCertificate(FbsdeError):
     """The solvability certificate reports singular nodes."""
 
 
-class SlopeMismatch(FbsdeError, ValueError):
-    """Decoupling slopes reused with coefficients they were not computed from."""
-
-
 class AlphaOutOfRange(FbsdeError):
     """Blend parameter outside [0, 1]."""
 

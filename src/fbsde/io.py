@@ -23,7 +23,7 @@ from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
 from .nonlinear import ContinuationOptions, NonlinearProblem, nonlinear_residual
-from .tree import ScenarioTree, build_tree
+from .tree import ScenarioTree, _process_levels, build_tree
 
 KINDS = ("bsde", "linear", "special", "nonlinear")
 MODES = ("continuation", "picard")
@@ -174,6 +174,8 @@ def _bind_options(doc):
     extra = set(raw) - known
     if extra:
         raise SchemaError("options", f"unknown keys {sorted(extra)}")
+    if "max_iter" in raw and "max_iterations" in raw:
+        raise SchemaError("options", "give max_iter or max_iterations, not both")
     kwargs = {}
     for key, name, parse in (
         ("tolerance", "tolerance", _number),
@@ -214,10 +216,7 @@ _SPECIAL_FIELDS = ("D", "D_bar", "D_hat", "g")
 
 
 def _bind_linear(tree, doc, kind):
-    """LinearCoefficients of a linear or special file, validated at load.
-
-    The level arrays are read-only, so the solvers need not validate again.
-    """
+    """LinearCoefficients of a linear or special file, validated at load."""
     raw = doc.get("coefficients", {})
     names = _LINEAR_FIELDS if kind == "linear" else _SPECIAL_FIELDS
     extra = set(raw) - set(names)
@@ -232,10 +231,9 @@ def _bind_linear(tree, doc, kind):
             kwargs[name] = levels[0] if when == "leaf" else levels
     build = LinearCoefficients if kind == "linear" else special_coefficients
     try:
-        coeffs = build(tree, **kwargs)
+        return build(tree, **kwargs)
     except ShapeMismatch as err:
         raise SchemaError(f"coefficients.{err.field}", str(err)) from err
-    return coeffs.freeze().validate()
 
 
 _STATE_VARS = {"t", "x", "y", "w"}
@@ -386,14 +384,13 @@ def solution_payload(tree, solution) -> dict:
     """Solution block: X (null for backward-only runs), Y, canonical Z rows
     and their contractions, level by level."""
     if isinstance(solution, FbsdeSolution):
-        X = [solution.X.level(t) for t in range(tree.T + 1)]
-        Y = [solution.Y.level(t) for t in range(tree.T + 1)]
-        Z = [solution.Z.level(t) for t in range(tree.T)]
+        X = _process_levels(tree, solution.X, range(tree.T + 1), "X")
+        Y, Z = solution.Y, solution.Z
     else:
-        Y, Z = solution
         X = None
-        Y = [np.asarray(Y.level(t) if hasattr(Y, "level") else Y[t]) for t in range(tree.T + 1)]
-        Z = [np.asarray(Z.level(t) if hasattr(Z, "level") else Z[t]) for t in range(tree.T)]
+        Y, Z = solution
+    Y = _process_levels(tree, Y, range(tree.T + 1), "Y")
+    Z = _process_levels(tree, Z, range(tree.T), "Z")
     return {
         "X": None if X is None else _levels_list(X),
         "Y": _levels_list(Y),

@@ -11,7 +11,7 @@ closure P X + p.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,10 +22,9 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     SingularCertificate,
-    SlopeMismatch,
 )
 from .martingale import backward_defect, forward_defect
-from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index
+from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index, _process_levels
 
 #: Zero-sum validation tolerance for the structural coupling conditions.
 ZERO_SUM_TOL = 1e-12
@@ -58,7 +57,7 @@ def _array(value, shape, name, where):
 
 
 def _levels(tree, value, times, cell, name):
-    """Per-level arrays of shape ``(num_nodes(t),) + cell`` for t in ``times``.
+    """A tuple of level arrays of shape ``(num_nodes(t),) + cell``, t in ``times``.
 
     ``value`` is None (zeros), one cell shared by every node, or one entry
     per time, each a cell shared by that level's nodes or the whole level.
@@ -67,7 +66,7 @@ def _levels(tree, value, times, cell, name):
     layouts in another order.
     """
     if value is None:
-        return [np.zeros((tree.num_nodes(t),) + cell) for t in times]
+        return tuple(np.zeros((tree.num_nodes(t),) + cell) for t in times)
     if _depth(value) == len(cell):
         value = [value] * len(times)
     elif _depth(value) < len(cell) or len(value) != len(times):
@@ -81,7 +80,7 @@ def _levels(tree, value, times, cell, name):
             out.append(np.full((tree.num_nodes(t),) + cell, _array(lev, cell, name, where)))
         else:
             out.append(_array(lev, (tree.num_nodes(t),) + cell, name, where))
-    return out
+    return tuple(out)
 
 
 #: Every coefficient field, in the order ``validate`` checks them.
@@ -90,10 +89,6 @@ _FIELDS = ("A", "B", "C", "D", "A_bar", "B_bar", "C_bar", "D_bar",
 
 #: The inhomogeneities; the backward pass reads them only for the offsets p.
 _INHOMOGENEOUS = ("D", "D_bar", "D_hat", "g")
-
-#: The level-list fields the slopes depend on (with G); reusing slopes
-#: requires the very level arrays they came from.
-_HOMOGENEOUS = ("A", "B", "C", "A_bar", "B_bar", "C_bar", "A_hat", "B_hat", "C_hat")
 
 
 class LinearCoefficients:
@@ -104,12 +99,16 @@ class LinearCoefficients:
     terminal condition Y_T = G X_T + g.  Scalar fields are per-node scalars,
     C and C_hat per-node columns stored as (n, N) arrays, C_bar per-node
     N x N matrices.  Hatted fields live on times 1..T and are stored in
-    lists indexed by absolute time with entry 0 unused.
+    tuples indexed by absolute time with entry 0 unused.
 
     The structural conditions (columns of C, C_hat and every column of each
     C_bar matrix sum to zero; C_hat vanishes at the horizon) make each
-    equation insensitive to the row representative of Z; ``validate``
-    enforces them.
+    equation insensitive to the row representative of Z.  A coefficient set
+    is valid and read-only for its whole life: the constructor validates it
+    and freezes every level array, and no field can be assigned afterwards.
+    So the slope pass of ``riccati_backward``, which reads only the tree and
+    the homogeneous fields, is memoized per tree in a table that every
+    ``with_inhomogeneities`` copy shares.
     """
 
     def __init__(self, tree, *, A=None, B=None, C=None, D=None,
@@ -119,37 +118,47 @@ class LinearCoefficients:
         fwd = range(tree.T)
         bwd = range(1, tree.T + 1)
         row, matrix = (tree.N,), (tree.N, tree.N)
-        self.tree = tree
-        self.A = _levels(tree, A, fwd, (), "A")
-        self.B = _levels(tree, B, fwd, (), "B")
-        self.C = _levels(tree, C, fwd, row, "C")
-        self.A_bar = _levels(tree, A_bar, fwd, row, "A_bar")
-        self.B_bar = _levels(tree, B_bar, fwd, row, "B_bar")
-        self.C_bar = _levels(tree, C_bar, fwd, matrix, "C_bar")
-        self.A_hat = [None] + _levels(tree, A_hat, bwd, (), "A_hat")
-        self.B_hat = [None] + _levels(tree, B_hat, bwd, (), "B_hat")
-        self.C_hat = [None] + _levels(tree, C_hat, bwd, row, "C_hat")
-        # a leaf field is the single level at time T
-        self.G = _levels(tree, None if G is None else [G], [tree.T], (), "G")[0]
-        self._shape_inhomogeneities(D, D_bar, D_hat, g)
-        self._passed = ()  # the level arrays that last passed validate()
+        vars(self).update(
+            tree=tree,
+            A=_levels(tree, A, fwd, (), "A"),
+            B=_levels(tree, B, fwd, (), "B"),
+            C=_levels(tree, C, fwd, row, "C"),
+            A_bar=_levels(tree, A_bar, fwd, row, "A_bar"),
+            B_bar=_levels(tree, B_bar, fwd, row, "B_bar"),
+            C_bar=_levels(tree, C_bar, fwd, matrix, "C_bar"),
+            A_hat=(None, *_levels(tree, A_hat, bwd, (), "A_hat")),
+            B_hat=(None, *_levels(tree, B_hat, bwd, (), "B_hat")),
+            C_hat=(None, *_levels(tree, C_hat, bwd, row, "C_hat")),
+            # a leaf field is the single level at time T
+            G=_levels(tree, None if G is None else [G], [tree.T], (), "G")[0],
+            _memo={},  # tree -> _SlopePass, shared with every copy
+        )
+        self._set_inhomogeneities(D, D_bar, D_hat, g)
+        self.validate()
+        self._freeze(_FIELDS)
 
-    def _shape_inhomogeneities(self, D, D_bar, D_hat, g):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearCoefficients are read-only: cannot set {name}")
+
+    def _set_inhomogeneities(self, D, D_bar, D_hat, g):
         tree = self.tree
-        self.D = _levels(tree, D, range(tree.T), (), "D")
-        self.D_bar = _levels(tree, D_bar, range(tree.T), (tree.N,), "D_bar")
-        self.D_hat = [None] + _levels(tree, D_hat, range(1, tree.T + 1), (), "D_hat")
-        self.g = _levels(tree, None if g is None else [g], [tree.T], (), "g")[0]
+        vars(self).update(
+            D=_levels(tree, D, range(tree.T), (), "D"),
+            D_bar=_levels(tree, D_bar, range(tree.T), (tree.N,), "D_bar"),
+            D_hat=(None, *_levels(tree, D_hat, range(1, tree.T + 1), (), "D_hat")),
+            g=_levels(tree, None if g is None else [g], [tree.T], (), "g")[0],
+        )
 
     def with_inhomogeneities(self, D=None, D_bar=None, D_hat=None, g=None):
-        """A copy with new D, D_bar, D_hat and g sharing every other level array.
+        """A copy with new D, D_bar, D_hat and g, each checked for finiteness.
 
-        The slopes and the certificate of the backward pass depend only on
-        the shared arrays, so ``solve_linear(..., slopes=...)`` can reuse
-        them for the copy.
+        Every other level array and the slope memo are shared, so solving
+        the copy recomputes only the offsets of the backward pass.
         """
         new = copy.copy(self)
-        new._shape_inhomogeneities(D, D_bar, D_hat, g)
+        new._set_inhomogeneities(D, D_bar, D_hat, g)
+        new._check_finite(_INHOMOGENEOUS)
+        new._freeze(_INHOMOGENEOUS)
         return new
 
     def _field_levels(self, name):
@@ -166,29 +175,16 @@ class LinearCoefficients:
                 if not np.isfinite(lev).all():
                     raise NonFiniteInput(f"coefficient {name} has non-finite entries")
 
-    def _arrays(self):
-        return [lev for name in _FIELDS for lev in self._field_levels(name)]
-
-    def freeze(self):
-        """Make every level array read-only; returns self."""
-        for lev in self._arrays():
-            lev.flags.writeable = False
-        return self
-
-    def validated(self):
-        """``validate()``, unless these very level arrays passed it and are
-        read-only, so cannot have changed since; returns self."""
-        arrays = self._arrays()
-        if not (
-            len(arrays) == len(self._passed)
-            and all(mine is theirs and not mine.flags.writeable
-                    for mine, theirs in zip(arrays, self._passed))
-        ):
-            self.validate()
-        return self
+    def _freeze(self, names):
+        for name in names:
+            for lev in self._field_levels(name):
+                lev.flags.writeable = False
 
     def validate(self):
-        """Check finiteness and the structural zero-sum conditions; returns self."""
+        """Check finiteness and the structural zero-sum conditions.
+
+        The constructor runs it; a coefficient set cannot change afterwards.
+        """
         tree = self.tree
         self._check_finite(_FIELDS)
         for t in range(tree.T):
@@ -218,8 +214,6 @@ class LinearCoefficients:
                 "C_hat must vanish at the horizon",
                 tree.node_id(tree.T, int(np.argmax(bad))),
             )
-        self._passed = self._arrays()
-        return self
 
 
 @dataclass(frozen=True)
@@ -251,7 +245,7 @@ class SolvabilityCertificate:
 @dataclass(frozen=True)
 class _SlopePass:
     """What the backward pass derives from the tree and the homogeneous
-    coefficients alone, with the coefficient set ``coeffs`` it came from.
+    coefficients alone.
 
     Beside P, the per-node matrices and the certificate it keeps, per level
     t, the stacked column ``a``, the feedback matrix ``coupling`` and (for
@@ -259,7 +253,6 @@ class _SlopePass:
     offset and forward passes reuse.
     """
 
-    coeffs: LinearCoefficients
     P_levels: tuple
     gamma_levels: tuple
     certificate: SolvabilityCertificate
@@ -276,15 +269,23 @@ class RiccatiData:
     first solvable level, and entry 0, are None); ``gamma_levels[t]`` stacks
     the depth-t matrices.  When a level contains a singular matrix the
     recursion stops there, with verdicts recorded for that whole level.
-    ``slope_pass`` is the pass behind P, the matrices and the verdicts, so
-    ``solve_linear(..., slopes=...)`` can reuse them.
+    P, the matrices and the verdicts are read from ``slope_pass``.
     """
 
-    P_levels: tuple
+    slope_pass: _SlopePass
     p_levels: tuple
-    gamma_levels: tuple
-    certificate: SolvabilityCertificate
-    slope_pass: Optional[_SlopePass] = field(default=None, repr=False, compare=False)
+
+    @property
+    def P_levels(self):
+        return self.slope_pass.P_levels
+
+    @property
+    def gamma_levels(self):
+        return self.slope_pass.gamma_levels
+
+    @property
+    def certificate(self):
+        return self.slope_pass.certificate
 
     @property
     def complete(self):
@@ -390,15 +391,13 @@ def _solve_columns(gamma, rhs):
 
 
 def _slope_pass(tree, coeffs):
-    """Validate (once per frozen coefficient set), then the slopes P, the
-    per-node matrices and their verdicts.
+    """The slopes P, the per-node matrices and their verdicts.
 
     Reads only the tree, A..C_hat and G.  The recursion needs the depth-t
     matrices inverted to continue below t; it therefore halts at the first
     level holding a singular matrix, after recording verdicts for every node
     of that level.
     """
-    coeffs.validated()
     T, N = tree.T, tree.N
     P_levels = [None] * (T + 1)
     gamma_levels = [None] * T
@@ -433,8 +432,12 @@ def _slope_pass(tree, coeffs):
             v = _solve_columns(gamma, scr_a)
             P_levels[t] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
+    # the memo shares these arrays with every later solve
+    for lev in (*P_levels, *gamma_levels, *a_levels, *coupling_levels, *theta_levels):
+        if lev is not None:
+            lev.flags.writeable = False
     return _SlopePass(
-        coeffs, tuple(P_levels), tuple(gamma_levels),
+        tuple(P_levels), tuple(gamma_levels),
         SolvabilityCertificate(tuple(verdicts)),
         tuple(a_levels), tuple(coupling_levels), tuple(theta_levels),
     )
@@ -466,9 +469,7 @@ def _offset_pass(tree, coeffs, slopes):
             + np.einsum("nj,nj->n", theta, p_child)
             - coeffs.D_hat[t]
         )
-    return RiccatiData(
-        slopes.P_levels, tuple(p_levels), slopes.gamma_levels, slopes.certificate, slopes
-    )
+    return RiccatiData(slopes, tuple(p_levels))
 
 
 def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
@@ -476,57 +477,28 @@ def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiD
 
     A slope pass (P, the per-node matrices and their verdicts, from the
     homogeneous coefficients) and an offset pass (p, from the
-    inhomogeneities).  Singularity is a certificate outcome, not an error.
+    inhomogeneities).  The slope pass is memoized per tree in the table
+    ``coeffs`` shares with its ``with_inhomogeneities`` copies, so on a hit
+    only the offsets are computed.  Singularity is a certificate outcome,
+    not an error.
     """
-    return _offset_pass(tree, coeffs, _slope_pass(tree, coeffs))
+    slopes = coeffs._memo.get(tree)
+    if slopes is None:
+        slopes = coeffs._memo[tree] = _slope_pass(tree, coeffs)
+    return _offset_pass(tree, coeffs, slopes)
 
 
-def _reusable_slopes(tree, coeffs, riccati):
-    """The slope pass of ``riccati``, if it may serve ``coeffs``.
-
-    ``coeffs`` must hold the very homogeneous level arrays the slopes came
-    from (as ``LinearCoefficients.with_inhomogeneities`` copies do); the
-    inhomogeneities, not validated with the slopes, must be finite.
-    """
-    slopes = riccati.slope_pass
-    source = None if slopes is None else slopes.coeffs
-    if (
-        source is None
-        or source.tree is not tree
-        or coeffs.G is not source.G
-        or not all(
-            mine is theirs
-            for name in _HOMOGENEOUS
-            for mine, theirs in zip(getattr(coeffs, name), getattr(source, name))
-        )
-    ):
-        raise SlopeMismatch(
-            "the slopes were computed for other homogeneous coefficients or another tree"
-        )
-    coeffs._check_finite(_INHOMOGENEOUS)
-    return slopes
-
-
-def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float, *, slopes=None):
+def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Solve the coupled linear system; certify failure instead of guessing.
 
     Returns an FbsdeSolution when every per-node matrix is invertible,
     otherwise an Unsolvable carrying the singular node list; either carries
     the backward pass's RiccatiData.  On success the per-branch residuals of
     both equations are evaluated exhaustively and reported.
-
-    ``slopes`` is an earlier RiccatiData whose coefficients differ from
-    ``coeffs`` at most in D, D_bar, D_hat and g (see
-    ``LinearCoefficients.with_inhomogeneities``): its slopes, matrices and
-    certificate are reused and only the offsets are recomputed.  Any other
-    coefficients raise SlopeMismatch.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    if slopes is None:
-        ric = riccati_backward(tree, coeffs)
-    else:
-        ric = _offset_pass(tree, coeffs, _reusable_slopes(tree, coeffs, slopes))
+    ric = riccati_backward(tree, coeffs)
     if not ric.certificate.all_invertible:
         return Unsolvable(ric.certificate.singular_nodes, ric)
 
@@ -568,14 +540,12 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     Insensitive to the row representative of Z thanks to the validated
     zero-sum conditions.
     """
-    X = [np.asarray(X.level(t) if isinstance(X, AdaptedProcess) else X[t], dtype=float) for t in range(tree.T + 1)]
-    Y = [np.asarray(Y.level(t) if isinstance(Y, AdaptedProcess) else Y[t], dtype=float) for t in range(tree.T + 1)]
-    Z = [np.asarray(Z.level(t) if isinstance(Z, AdaptedProcess) else Z[t], dtype=float) for t in range(tree.T)]
+    X = _process_levels(tree, X, range(tree.T + 1), "X", ())
+    Y = _process_levels(tree, Y, range(tree.T + 1), "Y", ())
+    Z = _process_levels(tree, Z, range(tree.T), "Z", (tree.N,))
     fwd = 0.0
     bwd = 0.0
     for t in range(tree.T):
-        if Z[t].shape != (tree.num_nodes(t), tree.N):
-            raise ShapeMismatch(f"Z level {t} has shape {Z[t].shape}")
         b = (
             coeffs.A[t] * X[t]
             + coeffs.B[t] * Y[t]
@@ -642,44 +612,20 @@ def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> Linear
     )
 
 
-class SpecialForm:
-    """The self-coupled form of one tree, factored once.
-
-    Holds the validated homogeneous ``special_coefficients(tree)`` and their
-    backward pass.  The decoupling recursion of this form is deterministic
-    with P > 1 at every level, so the per-node matrices are diagonal with
-    entries 1 + P and never singular; P, the matrices and the certificate
-    do not depend on the inhomogeneities, so every solve through
-    ``solve_special(..., form=...)`` recomputes only the offsets and the
-    forward pass.  The shared level arrays are read-only, so no write can
-    put them out of step with the slopes.
-    """
-
-    def __init__(self, tree):
-        self.tree = tree
-        self.coeffs = special_coefficients(tree)
-        for name in _HOMOGENEOUS:
-            for lev in getattr(self.coeffs, name):
-                if lev is not None:
-                    lev.flags.writeable = False
-        self.coeffs.G.flags.writeable = False
-        self.riccati = riccati_backward(tree, self.coeffs)
-
-    def coefficients(self, D=None, D_bar=None, D_hat=None, g=None) -> LinearCoefficients:
-        """The form with these inhomogeneities, as ``special_coefficients`` takes them."""
-        return self.coeffs.with_inhomogeneities(D, D_bar, _from_time_one(self.tree, D_hat), g)
-
-
 def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
                   form=None) -> FbsdeSolution:
     """Solve the self-coupled special form; always uniquely solvable.
 
-    ``form`` is the ``SpecialForm`` of ``tree`` to reuse; without it the
-    form is factored for this one solve.
+    Its decoupling recursion is deterministic with P > 1 at every level, so
+    the per-node matrices are diagonal with entries 1 + P.  ``form`` is the
+    homogeneous ``special_coefficients(tree)`` to solve through: its slope
+    pass is memoized, so repeated solves redo only the offsets and the
+    forward pass.  Without it the form is built for this one solve.
     """
     if form is None:
-        form = SpecialForm(tree)
-    result = solve_linear(tree, form.coefficients(D, D_bar, D_hat, g), x0, slopes=form.riccati)
+        form = special_coefficients(tree)
+    coeffs = form.with_inhomogeneities(D, D_bar, _from_time_one(tree, D_hat), g)
+    result = solve_linear(tree, coeffs, x0)
     if isinstance(result, Unsolvable):  # pragma: no cover - P > 1 rules this out
         raise SingularCertificate(
             f"special form reported singular nodes {result.singular_nodes}"
@@ -693,7 +639,7 @@ def decoupling_coefficients(tree, coeffs, riccati):
     Requires an all-invertible certificate.  At the horizon the maps are the
     terminal (G, g); below, they come from the solved child closures.
     """
-    if not riccati.certificate.all_invertible or not riccati.complete:
+    if not riccati.complete:
         raise SingularCertificate(
             f"singular nodes: {riccati.certificate.singular_nodes}"
         )
@@ -702,18 +648,18 @@ def decoupling_coefficients(tree, coeffs, riccati):
     offset = [None] * (T + 1)
     slope[T] = coeffs.G.copy()
     offset[T] = coeffs.g.copy()
+    slopes = riccati.slope_pass
     for t in range(T):
         n = tree.num_nodes(t)
         Pt = tree.transition[t]
-        scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
-        coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
-        gamma = riccati.gamma_levels[t]
-        P_child = riccati.P_levels[t + 1].reshape(n, N)
+        gamma = slopes.gamma_levels[t]
+        P_child = slopes.P_levels[t + 1].reshape(n, N)
         p_child = riccati.p_levels[t + 1].reshape(n, N)
-        v = _solve_columns(gamma, scr_a)
+        v = _solve_columns(gamma, slopes.a_levels[t])
         w = _solve_columns(
             gamma,
-            np.einsum("nij,nj->ni", coupling, p_child) + _script_offset(tree, coeffs, t),
+            np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
+            + _script_offset(tree, coeffs, t),
         )
         slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, v)
         offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, w) + np.einsum(

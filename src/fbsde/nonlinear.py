@@ -25,12 +25,11 @@ from .errors import (
     NoContraction,
     NonFiniteInput,
     NonFiniteIterate,
-    ShapeMismatch,
     StepUnderflow,
 )
 from .linear import FbsdeSolution, ResidualReport
 from .martingale import backward_defect, cond_second_moment, forward_defect, tilde_contract
-from .tree import AdaptedProcess
+from .tree import AdaptedProcess, _process_levels
 
 #: Hard floor for the continuation step.
 STEP_FLOOR = 2.0**-20
@@ -228,14 +227,6 @@ class _Iterate:
             Z=[np.zeros((tree.num_nodes(t), tree.N)) for t in range(tree.T)],
         )
 
-    @classmethod
-    def from_solution(cls, tree, sol: FbsdeSolution):
-        return cls(
-            X=[sol.X.level(t) for t in range(tree.T + 1)],
-            Y=[sol.Y.level(t) for t in range(tree.T + 1)],
-            Z=[sol.Z.level(t) for t in range(tree.T)],
-        )
-
     def coefficient_levels(self, tree, problem):
         """``_coefficient_levels`` of ``problem`` here, evaluated on first use."""
         if self.levels is None or self.levels[0] is not problem:
@@ -260,16 +251,15 @@ class _Iterate:
 
 
 def _as_iterate(tree, value):
-    """Coerce an initial iterate: None, a solution, or (X, Y, Z) level lists."""
+    """An iterate from None, an iterate, a solution, or (X, Y, Z) processes
+    or level lists, checked level by level."""
     if value is None or isinstance(value, _Iterate):
         return value
-    if isinstance(value, FbsdeSolution):
-        return _Iterate.from_solution(tree, value)
-    X, Y, Z = value
+    X, Y, Z = (value.X, value.Y, value.Z) if isinstance(value, FbsdeSolution) else value
     return _Iterate(
-        X=[np.asarray(lev, dtype=float) for lev in X],
-        Y=[np.asarray(lev, dtype=float) for lev in Y],
-        Z=[np.asarray(lev, dtype=float) for lev in Z],
+        X=_process_levels(tree, X, range(tree.T + 1), "X", ()),
+        Y=_process_levels(tree, Y, range(tree.T + 1), "Y", ()),
+        Z=_process_levels(tree, Z, range(tree.T), "Z", (tree.N,)),
     )
 
 
@@ -330,11 +320,13 @@ class _Ladder:
     Each level's solve closes over the one below it; within a level, solves
     warm-start from that level's previous result (the first call starts from
     the ladder's one zero iterate), which keeps the nested iteration count
-    near-linear instead of multiplicative.  The linear base is factored once per ladder: every base
-    solve reuses its slopes and certificate and redoes only the offsets.
+    near-linear instead of multiplicative.  Every base solve goes through
+    ``base``, the homogeneous ``special_coefficients(tree)``, whose slope
+    pass is memoized; a solve that retries with smaller steps passes the
+    same ``base`` to each ladder, so the slopes are computed once per solve.
     """
 
-    def __init__(self, tree, problem, n_levels, opts, max_depth=None, stats=None):
+    def __init__(self, tree, problem, base, n_levels, opts, max_depth=None, stats=None):
         if n_levels > MAX_LEVELS:
             raise StepUnderflow(
                 f"a ladder of {n_levels} levels exceeds the {MAX_LEVELS}-level cap"
@@ -351,7 +343,7 @@ class _Ladder:
         self.max_depth = n_levels if max_depth is None else max_depth
         self._warm = {}
         self._zero = _Iterate.zeros(tree)
-        self.base = linear.SpecialForm(tree)
+        self.base = base
 
     def solve(self, k, inhom, x0, initial=None):
         if k > self.max_depth:
@@ -373,7 +365,7 @@ class _Ladder:
                 form=self.base,
             )
             self.stats.inner_solves += 1
-            return _Iterate.from_solution(self.tree, sol)
+            return _as_iterate(self.tree, sol)
 
         alpha = self.alphas[k]
         tol = self.opts.tolerance
@@ -425,7 +417,8 @@ def solve_at_level(tree, problem, alpha, inhom, x0, opts=None, depth=None, initi
         raise AlphaOutOfRange(
             f"alpha {alpha!r} is not a multiple of the ladder step {1.0 / n_levels!r}"
         )
-    ladder = _Ladder(tree, problem, n_levels, opts, max_depth=depth)
+    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), n_levels, opts,
+                     max_depth=depth)
     iterate = ladder.solve(k, inhom, x0, initial=_as_iterate(tree, initial_iterate))
     return _finish(tree, problem if k == n_levels else None, iterate, ladder, alpha, inhom), ladder.stats
 
@@ -466,6 +459,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
         raise NonFiniteInput(f"x0 = {x0!r}")
     delta = opts.delta
     stats = SolveStats()
+    base = linear.special_coefficients(tree)
     best_res = math.inf
     best = None
     while True:
@@ -476,7 +470,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
                 best_solution=best,
             )
         n_levels = max(1, math.ceil(round(1.0 / delta, 9)))
-        ladder = _Ladder(tree, problem, n_levels, opts, stats=stats)
+        ladder = _Ladder(tree, problem, base, n_levels, opts, stats=stats)
         try:
             iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), x0,
                                    initial=_as_iterate(tree, initial_iterate))
@@ -508,7 +502,7 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
     opts = opts or ContinuationOptions()
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    ladder = _Ladder(tree, problem, 1, opts)
+    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), 1, opts)
     try:
         iterate = ladder.solve(1, Inhomogeneity.zeros(tree), x0,
                                initial=_as_iterate(tree, initial_iterate))
@@ -526,22 +520,11 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
 def nonlinear_residual(tree, problem, solution):
     """Exhaustive per-branch defects of both equations: (forward, backward).
 
-    ``solution`` is an FbsdeSolution or an (X, Y, Z) triple of level lists.
+    ``solution`` is an FbsdeSolution or an (X, Y, Z) triple of processes or
+    level lists.
     """
-    if isinstance(solution, FbsdeSolution):
-        X = [solution.X.level(t) for t in range(tree.T + 1)]
-        Y = [solution.Y.level(t) for t in range(tree.T + 1)]
-        Z = [solution.Z.level(t) for t in range(tree.T)]
-    else:
-        X, Y, Z = solution
-    for t in range(tree.T):
-        if np.shape(Z[t]) != (tree.num_nodes(t), tree.N):
-            raise ShapeMismatch(f"Z level {t} has shape {np.shape(Z[t])}")
-    X = [np.asarray(lev, dtype=float) for lev in X]
-    Y = [np.asarray(lev, dtype=float) for lev in Y]
-    Z = [np.asarray(lev, dtype=float) for lev in Z]
-
-    return _defects(tree, X, Y, Z, *_coefficient_levels(tree, problem, X, Y, Z))
+    it = _as_iterate(tree, solution)
+    return _defects(tree, it.X, it.Y, it.Z, *_coefficient_levels(tree, problem, it.X, it.Y, it.Z))
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):

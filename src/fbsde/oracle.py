@@ -189,7 +189,6 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    coeffs.validated()
     mat, rhs, ix = _assemble(tree, coeffs, x0)
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = svals[0] if len(svals) else 0.0

@@ -267,6 +267,22 @@ def _level_values(tree, process, t):
     return arr
 
 
+def _process_levels(tree, values, times, name, cell=None):
+    """The depth-t arrays, for t in ``times``, of a process or of a list of
+    levels indexed by time.  Raises ShapeMismatch for a missing level or a
+    level without one value per node (of shape ``cell``, when given)."""
+    if not isinstance(values, AdaptedProcess) and len(values) < times.stop:
+        raise ShapeMismatch(f"{name} has {len(values)} levels, expected {times.stop}")
+    out = []
+    for t in times:
+        lev = values.level(t) if isinstance(values, AdaptedProcess) else np.asarray(values[t], dtype=float)
+        want = (tree.num_nodes(t),) + (lev.shape[1:] if cell is None else cell)
+        if lev.shape != want:
+            raise ShapeMismatch(f"{name} level {t} has shape {lev.shape}, expected {want}")
+        out.append(lev)
+    return out
+
+
 def cond_exp_level(tree, values_next, t):
     """Conditional expectation one step back, for the whole depth-t level.
 

@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 from fbsde import LinearCoefficients, ScenarioTree, build_tree
+from fbsde.linear import _FIELDS
 
 
 def random_tree(rng, N, T, low=0.1):
@@ -104,6 +105,16 @@ def random_linear_coeffs(rng, tree, scale=1.0, couple=True):
             C_hat=c_hat,
         )
     return LinearCoefficients(tree, **kwargs)
+
+
+def replace_fields(coeffs, **fields):
+    """A new coefficient set with ``coeffs``'s levels except ``fields``
+    (a coefficient set is read-only, so changing one means rebuilding it)."""
+    kwargs = {}
+    for name in _FIELDS:
+        levels = getattr(coeffs, name)
+        kwargs[name] = levels[1:] if name.endswith("_hat") else levels
+    return LinearCoefficients(coeffs.tree, **(kwargs | fields))
 
 
 def uniform_tree(N, T):

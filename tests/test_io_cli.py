@@ -311,8 +311,7 @@ def test_certificate_payload_on_halted_recursion():
     from fbsde.io import certificate_payload
 
     tree = fbsde.build_tree(2, 2)
-    coeffs = fbsde.LinearCoefficients(tree, G=1.0)
-    coeffs.B[1][:] = 1.0
+    coeffs = fbsde.LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
     payload = certificate_payload(tree, fbsde.riccati_backward(tree, coeffs))
     assert payload["all_invertible"] is False
     assert payload["P_levels"][0] is None
@@ -330,6 +329,8 @@ MALFORMED = {
     "terminal-string": ("solve", BSDE_DOC | {"terminal": [1.0, "a"]}, []),
     "tolerance-string": ("solve", LINEAR_DOC | {"options": {"tolerance": "abc"}}, []),
     "max-iter-string": ("solve", LINEAR_DOC | {"options": {"max_iter": "x"}}, []),
+    "max-iter-twice": (
+        "solve", LINEAR_DOC | {"options": {"max_iter": 5, "max_iterations": 7}}, []),
     "delta-file": ("solve", LINEAR_DOC | {"options": {"delta": 2}}, []),
     "ragged-c-bar": ("solve", LINEAR_DOC | {"coefficients": {"C_bar": [[1, 2], [3]]}}, []),
     "per-node-boolean": ("solve", LINEAR_DOC | {"coefficients": {"A": [0.1] * 6 + [True]}}, []),

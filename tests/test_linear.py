@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_linear_coeffs, random_tree, uniform_tree
+from conftest import random_linear_coeffs, random_tree, replace_fields, uniform_tree
 from fbsde import (
     AssumptionViolation,
     BsdeProblem,
@@ -101,9 +101,8 @@ class TestRiccati:
 
     def test_halts_at_singular_level_but_reports_whole_level(self):
         tree = uniform_tree(2, 2)
-        coeffs = LinearCoefficients(tree, G=1.0)
         # feedback only at time 1: both depth-1 nodes singular, root unprocessed
-        coeffs.B[1][:] = 1.0
+        coeffs = LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
         ric = riccati_backward(tree, coeffs)
         assert len(ric.certificate.singular_nodes) == 2
         assert {n.depth for n in ric.certificate.singular_nodes} == {1}
@@ -327,12 +326,10 @@ class TestDecoupling:
             N = int(rng.integers(2, 4))
             T = int(rng.integers(1, 4))
             tree = random_tree(rng, N, T)
-            coeffs = random_linear_coeffs(rng, tree, scale=0.5)
-            for t in range(T):
-                coeffs.C[t][:] = 0.0
-                coeffs.C_bar[t][:] = 0.0
-            for t in range(1, T + 1):
-                coeffs.C_hat[t][:] = 0.0
+            coeffs = replace_fields(
+                random_linear_coeffs(rng, tree, scale=0.5),
+                C=np.zeros(N), C_bar=np.zeros((N, N)), C_hat=np.zeros(N),
+            )
             ric = riccati_backward(tree, coeffs)
             if not ric.certificate.all_invertible:
                 continue
@@ -426,12 +423,10 @@ class TestDecoupling:
     def test_certificate_identity_when_couplings_vanish(self):
         rng = np.random.default_rng(9)
         tree = random_tree(rng, 3, 3)
-        coeffs = random_linear_coeffs(rng, tree)
-        for t in range(3):
-            coeffs.B[t][:] = 0.0
-            coeffs.B_bar[t][:] = 0.0
-            coeffs.C[t][:] = 0.0
-            coeffs.C_bar[t][:] = 0.0
+        coeffs = replace_fields(
+            random_linear_coeffs(rng, tree),
+            B=0.0, B_bar=np.zeros(3), C=np.zeros(3), C_bar=np.zeros((3, 3)),
+        )
         ric = riccati_backward(tree, coeffs)
         for t in range(3):
             np.testing.assert_allclose(
@@ -445,46 +440,33 @@ class TestValidation:
     def test_c_column_sum(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(AssumptionViolation, match="C column"):
-            LinearCoefficients(tree, C=[1.0, 1.0]).validate()
+            LinearCoefficients(tree, C=[1.0, 1.0])
 
     def test_c_hat_vanishes_at_horizon(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(AssumptionViolation, match="horizon"):
-            LinearCoefficients(tree, C_hat=[0.5, -0.5]).validate()
+            LinearCoefficients(tree, C_hat=[0.5, -0.5])
 
     def test_c_bar_column_sums(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(AssumptionViolation, match="C_bar"):
-            LinearCoefficients(tree, C_bar=[[1.0, 0.0], [0.0, 0.0]]).validate()
+            LinearCoefficients(tree, C_bar=[[1.0, 0.0], [0.0, 0.0]])
 
     def test_non_finite_coefficient(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(NonFiniteInput):
-            LinearCoefficients(tree, A=float("inf")).validate()
+            LinearCoefficients(tree, A=float("inf"))
 
-    def test_validated_skips_only_read_only_levels_that_passed(self, monkeypatch):
+    def test_validated_once_at_construction(self, monkeypatch):
         rng = np.random.default_rng(12)
         tree = random_tree(rng, 2, 2)
         calls = []
         original = LinearCoefficients.validate
         monkeypatch.setattr(LinearCoefficients, "validate",
                             lambda self: calls.append(1) or original(self))
-        # writeable levels are validated on every pass, so a write is seen
         coeffs = random_linear_coeffs(rng, tree)
+        assert len(calls) == 1
+        # the solvers and the copies with new inhomogeneities never validate again
         riccati_backward(tree, coeffs)
-        coeffs.C[0][0, 0] += 1.0
-        with pytest.raises(AssumptionViolation, match="C column"):
-            riccati_backward(tree, coeffs)
-        assert len(calls) == 2
-        # read-only levels that passed are not validated again ...
-        frozen = random_linear_coeffs(rng, tree).freeze().validate()
-        with pytest.raises(ValueError, match="read-only"):
-            frozen.C[0][0, 0] = 1.0
-        riccati_backward(tree, frozen)
-        solve_linear(tree, frozen, 0.5)
-        assert len(calls) == 3
-        # ... unless a level array was replaced since
-        frozen.C = [np.ones_like(lev) for lev in frozen.C]
-        with pytest.raises(AssumptionViolation, match="C column"):
-            riccati_backward(tree, frozen)
-        assert len(calls) == 4
+        solve_linear(tree, coeffs.with_inhomogeneities(D=0.1), 0.5)
+        assert len(calls) == 1

@@ -501,7 +501,7 @@ def test_levels_of_another_problem_are_not_reused():
                                 terminal=lambda node, x: 1.2 * x)
     target = demo_monotone_problem(tree, 0.1)
     sol, _ = solve_continuation(tree, other, 1.0)
-    carried = nonlinear._Iterate.from_solution(tree, sol)
+    carried = nonlinear._as_iterate(tree, sol)
     carried.coefficient_levels(tree, other)
     carried.terminal_levels(tree, other)
     fresh = nonlinear._Iterate(list(carried.X), list(carried.Y), list(carried.Z))

@@ -9,6 +9,7 @@ from conftest import random_linear_coeffs, random_tree
 from fbsde import (
     BsdeProblem,
     FbsdeSolution,
+    ShapeMismatch,
     as_nonlinear_problem,
     bsde_residual,
     build_tree,
@@ -17,6 +18,7 @@ from fbsde import (
     solve_linear,
     special_coefficients,
 )
+from fbsde.io import solution_payload
 from fbsde.martingale import backward_defect, forward_defect
 from fbsde.oracle import _forward_residual_vector
 
@@ -158,3 +160,34 @@ def test_a_nan_entry_reaches_every_reduction(entry):
     lin = linear_residuals(tree, coeffs, X, Y, Z)
     assert np.isnan((lin.forward, lin.backward)[side])
     assert np.isnan(nonlinear_residual(tree, problem, (X, Y, Z))[side])
+
+
+#: Every reader of a (X, Y, Z) triple given as processes or level lists.
+TRIPLE_READERS = {
+    "linear": lambda tree, coeffs, X, Y, Z: linear_residuals(tree, coeffs, X, Y, Z),
+    "nonlinear": lambda tree, coeffs, X, Y, Z: nonlinear_residual(
+        tree, as_nonlinear_problem(tree, coeffs), (X, Y, Z)),
+    "bsde": lambda tree, coeffs, X, Y, Z: bsde_residual(
+        tree, BsdeProblem(terminal=np.zeros(tree.num_nodes(tree.T))), Y, Z),
+    "payload": lambda tree, coeffs, X, Y, Z: solution_payload(tree, (Y, Z)),
+}
+
+
+@pytest.mark.parametrize("defect", ["short-level", "missing-level"])
+@pytest.mark.parametrize("reader, entry", [
+    (reader, entry) for reader in TRIPLE_READERS for entry in "XYZ"
+    if entry != "X" or reader in ("linear", "nonlinear")
+])
+def test_a_malformed_level_list_is_a_shape_mismatch(reader, entry, defect):
+    tree = build_tree(2, 2)
+    coeffs = special_coefficients(tree, D=0.1, g=1.0)
+    sol = solve_linear(tree, coeffs, 1.0)
+    triple = {name: list(getattr(sol, name).levels) for name in "XYZ"}
+    if defect == "short-level":
+        triple[entry][1] = triple[entry][1][:-1]
+        match = f"{entry} level 1 has shape"
+    else:
+        triple[entry].pop()
+        match = f"{entry} has {len(triple[entry])} levels"
+    with pytest.raises(ShapeMismatch, match=match):
+        TRIPLE_READERS[reader](tree, coeffs, **triple)

@@ -1,24 +1,24 @@
-"""The special form factored once: reused slopes give the one-shot solve bit for bit."""
+"""The slope pass memoized per coefficient set: a memo hit gives the fresh solve bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_linear_coeffs, random_tree, uniform_tree
+from conftest import random_linear_coeffs, random_tree, replace_fields, uniform_tree
 from fbsde import (
     ContinuationOptions,
-    LinearCoefficients,
     NonFiniteInput,
-    SlopeMismatch,
-    SpecialForm,
+    Unsolvable,
     demo_monotone_problem,
     linear,
+    riccati_backward,
     solve_continuation,
     solve_linear,
     solve_special,
     special_coefficients,
 )
+from fbsde.linear import _FIELDS
 
 instances = st.tuples(
     st.integers(0, 2**32 - 1),  # seed
@@ -42,28 +42,44 @@ def assert_levels_identical(mine, theirs):
             assert a.shape == b.shape and np.array_equal(a, b)
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances)
-def test_factored_solve_equals_the_one_shot_solve(instance):
+def assert_same_result(mine, ref):
+    assert type(mine) is type(ref)
+    if isinstance(ref, Unsolvable):
+        assert mine.singular_nodes == ref.singular_nodes
+    else:
+        for t in range(ref.X.tree.T + 1):
+            assert np.array_equal(mine.X.level(t), ref.X.level(t))
+            assert np.array_equal(mine.Y.level(t), ref.Y.level(t))
+        for t in range(ref.X.tree.T):
+            assert np.array_equal(mine.Z.level(t), ref.Z.level(t))
+        assert mine.residuals == ref.residuals
+    assert_levels_identical(mine.riccati.P_levels, ref.riccati.P_levels)
+    assert_levels_identical(mine.riccati.p_levels, ref.riccati.p_levels)
+    assert_levels_identical(mine.riccati.gamma_levels, ref.riccati.gamma_levels)
+    assert mine.riccati.certificate.verdicts == ref.riccati.certificate.verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances, st.booleans())
+def test_factored_solve_equals_the_one_shot_solve(instance, special):
     seed, N, T, x0 = instance
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
-    form = SpecialForm(tree)
-    # two draws through one form: nothing of a solve may leak into the next
+    base = special_coefficients(tree) if special else random_linear_coeffs(rng, tree)
+    memo = riccati_backward(tree, base).slope_pass
+    # two draws through one base: nothing of a solve may leak into the next
     for _ in range(2):
         D, D_bar, D_hat, g = inhomogeneities(rng, tree)
-        mine = solve_special(tree, D, D_bar, D_hat, g, x0, form=form)
-        ref = solve_linear(tree, special_coefficients(tree, D, D_bar, D_hat, g), x0)
-        for t in range(T + 1):
-            assert np.array_equal(mine.X.level(t), ref.X.level(t))
-            assert np.array_equal(mine.Y.level(t), ref.Y.level(t))
-        for t in range(T):
-            assert np.array_equal(mine.Z.level(t), ref.Z.level(t))
-        assert mine.residuals == ref.residuals
-        assert_levels_identical(mine.riccati.P_levels, ref.riccati.P_levels)
-        assert_levels_identical(mine.riccati.p_levels, ref.riccati.p_levels)
-        assert_levels_identical(mine.riccati.gamma_levels, ref.riccati.gamma_levels)
-        assert mine.riccati.certificate.verdicts == ref.riccati.certificate.verdicts
+        if special:
+            mine = solve_special(tree, D, D_bar, D_hat, g, x0, form=base)
+            fresh = special_coefficients(tree, D, D_bar, D_hat, g)
+        else:
+            mine = solve_linear(tree, base.with_inhomogeneities(D, D_bar, D_hat[1:], g), x0)
+            fresh = replace_fields(base, D=D, D_bar=D_bar, D_hat=D_hat[1:], g=g)
+        ref = solve_linear(tree, fresh, x0)
+        assert mine.riccati.slope_pass is memo
+        assert ref.riccati.slope_pass is not memo
+        assert_same_result(mine, ref)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +88,9 @@ def test_factored_solve_equals_the_one_shot_solve(instance):
      (2, 0.6, ContinuationOptions(delta=1.0, max_iterations=10), 2)],
 )
 def test_one_backward_pass_per_ladder_attempt(monkeypatch, T, scale, opts, halvings):
-    calls = {"riccati": 0, "validate": 0, "special": 0}
+    # the self-coupled base is built, validated and factored once per solve,
+    # however many ladders the halvings build
+    calls = {"slopes": 0, "riccati": 0, "validate": 0, "special": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -80,6 +98,7 @@ def test_one_backward_pass_per_ladder_attempt(monkeypatch, T, scale, opts, halvi
             return original(*args, **kwargs)
         return counted
 
+    monkeypatch.setattr(linear, "_slope_pass", counting("slopes", linear._slope_pass))
     monkeypatch.setattr(linear, "riccati_backward", counting("riccati", linear.riccati_backward))
     monkeypatch.setattr(linear.LinearCoefficients, "validate",
                         counting("validate", linear.LinearCoefficients.validate))
@@ -88,60 +107,62 @@ def test_one_backward_pass_per_ladder_attempt(monkeypatch, T, scale, opts, halvi
     sol, stats = solve_continuation(tree, demo_monotone_problem(tree, scale), 1.0, opts)
     assert max(sol.residuals.forward, sol.residuals.backward) <= opts.tolerance
     assert stats.halvings == halvings
-    assert calls["riccati"] == calls["validate"] == 1 + halvings
+    assert calls["slopes"] == calls["validate"] == 1
     # the stats count the inner solves of every attempt
-    assert calls["special"] == stats.inner_solves > 1
+    assert calls["riccati"] == calls["special"] == stats.inner_solves > 1
 
 
 @pytest.mark.parametrize("field", ["D", "D_bar", "D_hat", "g"])
 def test_a_nan_inhomogeneity_is_refused(field):
     rng = np.random.default_rng(5)
     tree = random_tree(rng, 2, 3)
-    form = SpecialForm(tree)
+    form = special_coefficients(tree)
     values = dict(zip(("D", "D_bar", "D_hat", "g"), inhomogeneities(rng, tree)))
-    bad = values[field][-1] if isinstance(values[field], list) else values[field]
+    if field == "g":
+        bad = values[field] = values[field].copy()
+    else:
+        values[field] = list(values[field])
+        bad = values[field][-1] = values[field][-1].copy()
     bad.flat[0] = np.nan
     with pytest.raises(NonFiniteInput, match=f"coefficient {field} "):
         solve_special(tree, **values, x0=0.5, form=form)
 
 
-def foreign_coefficients(tree, form):
-    """Coefficients the form's slopes must not serve, by name."""
-    rebuilt_list = form.coefficients(D=0.1)
-    rebuilt_list.C_bar = [lev.copy() for lev in rebuilt_list.C_bar]
-    return {
-        # equal values, but not the factored arrays
-        "rebuilt": special_coefficients(tree, D=0.1),
-        "other-homogeneous": LinearCoefficients(tree, B=-0.5, A_hat=-1.0, G=1.0, D=0.1),
-        "one-field-copied": rebuilt_list,
-    }
-
-
-@pytest.mark.parametrize("name", ["rebuilt", "other-homogeneous", "one-field-copied"])
-def test_foreign_coefficients_are_refused(name):
-    tree = uniform_tree(2, 3)
-    form = SpecialForm(tree)
-    coeffs = foreign_coefficients(tree, form)[name]
-    with pytest.raises(SlopeMismatch):
-        solve_linear(tree, coeffs, 1.0, slopes=form.riccati)
-
-
-def test_other_trees_and_bare_certificates_are_refused():
-    tree = uniform_tree(2, 3)
-    form = SpecialForm(tree)
-    with pytest.raises(SlopeMismatch):
-        solve_special(uniform_tree(2, 3), D=0.1, x0=1.0, form=form)
-    bare = linear.RiccatiData(*(getattr(form.riccati, f) for f in
-                                ("P_levels", "p_levels", "gamma_levels", "certificate")))
-    with pytest.raises(SlopeMismatch):
-        solve_linear(tree, form.coefficients(D=0.1), 1.0, slopes=bare)
-
-
 def test_factored_levels_are_read_only():
     tree = uniform_tree(2, 2)
-    form = SpecialForm(tree)
-    coeffs = form.coefficients(D=0.1)
-    with pytest.raises(ValueError, match="read-only"):
-        coeffs.B[0][:] = 0.5
-    coeffs.D[0][:] = 0.2  # the inhomogeneities are the caller's own
-    assert not np.shares_memory(coeffs.D[0], form.coeffs.D[0])
+    form = special_coefficients(tree)
+    coeffs = form.with_inhomogeneities(D=0.1)
+    for name in _FIELDS:
+        levels = getattr(coeffs, name)
+        for lev in [levels] if name in ("G", "g") else levels[name.endswith("_hat"):]:
+            with pytest.raises(ValueError, match="read-only"):
+                lev.flat[0] = 0.5
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(coeffs, name, getattr(form, name))
+    with pytest.raises(TypeError):
+        coeffs.D[0] = np.zeros(1)
+    # the copy's inhomogeneities are its own
+    assert not np.shares_memory(coeffs.D[0], form.D[0])
+    assert coeffs.B[0] is form.B[0]
+    # so are the memoized slopes every later solve reads
+    ric = riccati_backward(tree, coeffs)
+    for lev in (*ric.P_levels[1:], *ric.gamma_levels):
+        with pytest.raises(ValueError, match="read-only"):
+            lev.flat[0] = 0.5
+
+
+@pytest.mark.parametrize("case", ["other-homogeneous", "other-tree"])
+def test_the_memo_serves_only_its_own_coefficients(case):
+    rng = np.random.default_rng(3)
+    tree = random_tree(rng, 2, 3)
+    base = random_linear_coeffs(rng, tree, scale=0.5)
+    filled = riccati_backward(tree, base)  # fill the memo the copies share
+    if case == "other-homogeneous":
+        solve_tree = tree
+        coeffs = random_linear_coeffs(rng, tree, scale=0.5)
+    else:
+        solve_tree = random_tree(rng, 2, 3)
+        coeffs = base.with_inhomogeneities(D=0.1)
+    mine = solve_linear(solve_tree, coeffs, 1.0)
+    assert not np.array_equal(mine.riccati.P_levels[1], filled.P_levels[1])
+    assert_same_result(mine, solve_linear(solve_tree, replace_fields(coeffs), 1.0))
