@@ -52,10 +52,6 @@ class AlphaOutOfRange(FbsdeError):
     """Blend parameter outside [0, 1]."""
 
 
-class DepthExceeded(FbsdeError):
-    """Recursion budget for nested level solves exhausted."""
-
-
 class NonFiniteIterate(FbsdeError):
     """An iterate became NaN or infinite during Picard iteration."""
 

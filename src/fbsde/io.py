@@ -46,11 +46,6 @@ class LoadedProblem:
     seed: int
 
 
-def _branch_of(tree, t, node):
-    """Most recent branch index of a node, 0 at the root."""
-    return 0 if t == 0 else node % tree.N + 1
-
-
 def _require(doc, field, path):
     if field not in doc:
         raise SchemaError(f"{path}.{field}", "missing required field")
@@ -131,7 +126,8 @@ def _coefficient(tree, value, times, ndim, path):
         cells = value[pos : pos + n]
         level = _plain_level(cells, ndim)
         if level is None:
-            level = [numbers(v, t, _branch_of(tree, t, i)) for i, v in enumerate(cells)]
+            # w is the node's most recent branch, 0 at the root
+            level = [numbers(v, t, i % N + 1 if t else 0) for i, v in enumerate(cells)]
         levels.append(level)
         pos += n
     return levels
@@ -273,29 +269,31 @@ def _bind_nonlinear(tree, doc):
     h_expr = _bind_expression(raw["h"], {"t", "x", "w"}, "coefficients.h")
     fT_expr = _bind_f_terminal(raw, f_expr, _STATE_VARS, zv)
 
-    def env(t, node, x, y, zt):
-        e = {"t": float(t), "w": float(_branch_of(tree, t, node)), "x": x, "y": y}
-        if zt is not None:
-            for i in range(tree.N - 1):
-                e[f"z{i + 1}"] = float(zt[i])
-        return e
+    names = [f"z{i}" for i in range(1, tree.N)]
 
-    def drift(t, node, x, y, zt):
-        return b_expr.evaluate(env(t, node, x, y, zt))
+    def envs(t, nodes, x, y=None, zt=None):
+        """One environment per node: on the small levels of a solve the
+        compiled ``evaluate`` is cheaper node by node than ``evaluate_level``."""
+        t = float(t)
+        w = [i % tree.N + 1.0 for i in nodes.tolist()] if t else [0.0] * len(nodes)
+        if y is None:
+            return [{"t": t, "w": wi, "x": xi} for wi, xi in zip(w, x.tolist())]
+        rows = [()] * len(w) if zt is None else zt.tolist()
+        return [{"t": t, "w": wi, "x": xi, "y": yi, **dict(zip(names, z))}
+                for wi, xi, yi, z in zip(w, x.tolist(), y.tolist(), rows)]
 
-    def diffusion(t, node, x, y, zt):
-        e = env(t, node, x, y, zt)
-        return np.array([s.evaluate(e) for s in s_exprs])
+    def drift(t, nodes, x, y, zt):
+        return np.array([b_expr.evaluate(e) for e in envs(t, nodes, x, y, zt)])
 
-    def generator(t, node, x, y, zt):
-        if t == tree.T:
-            return fT_expr.evaluate(env(t, node, x, y, None))
-        return f_expr.evaluate(env(t, node, x, y, zt))
+    def diffusion(t, nodes, x, y, zt):
+        return np.array([[s.evaluate(e) for s in s_exprs] for e in envs(t, nodes, x, y, zt)])
 
-    def terminal(node, x):
-        return h_expr.evaluate(
-            {"t": float(tree.T), "w": float(_branch_of(tree, tree.T, node)), "x": x}
-        )
+    def generator(t, nodes, x, y, zt):
+        expr = fT_expr if t == tree.T else f_expr
+        return np.array([expr.evaluate(e) for e in envs(t, nodes, x, y, zt)])
+
+    def terminal(nodes, x):
+        return np.array([h_expr.evaluate(e) for e in envs(tree.T, nodes, x)])
 
     return NonlinearProblem(drift, diffusion, generator, terminal)
 

@@ -472,6 +472,13 @@ def _offset_pass(tree, coeffs, slopes):
     return RiccatiData(slopes, tuple(p_levels))
 
 
+def _check_tree(tree, coeffs):
+    """Raise ShapeMismatch unless ``tree`` has the N and T of ``coeffs.tree``."""
+    if (tree.N, tree.T) != (coeffs.tree.N, coeffs.tree.T):
+        raise ShapeMismatch(f"tree has N={tree.N}, T={tree.T}; the coefficients "
+                            f"N={coeffs.tree.N}, T={coeffs.tree.T}")
+
+
 def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
     """Run the backward decoupling recursion with per-node verdicts.
 
@@ -482,6 +489,7 @@ def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiD
     only the offsets are computed.  Singularity is a certificate outcome,
     not an error.
     """
+    _check_tree(tree, coeffs)
     slopes = coeffs._memo.get(tree)
     if slopes is None:
         slopes = coeffs._memo[tree] = _slope_pass(tree, coeffs)
@@ -540,6 +548,7 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     Insensitive to the row representative of Z thanks to the validated
     zero-sum conditions.
     """
+    _check_tree(tree, coeffs)
     X = _process_levels(tree, X, range(tree.T + 1), "X", ())
     Y = _process_levels(tree, Y, range(tree.T + 1), "Y", ())
     Z = _process_levels(tree, Z, range(tree.T), "Z", (tree.N,))
@@ -639,6 +648,7 @@ def decoupling_coefficients(tree, coeffs, riccati):
     Requires an all-invertible certificate.  At the horizon the maps are the
     terminal (G, g); below, they come from the solved child closures.
     """
+    _check_tree(tree, coeffs)
     if not riccati.complete:
         raise SingularCertificate(
             f"singular nodes: {riccati.certificate.singular_nodes}"

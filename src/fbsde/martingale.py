@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchOutOfRange, LeafNodeError, ShapeMismatch
-from .tree import _as_depth_index
+from .errors import BranchOutOfRange, ShapeMismatch
 
 #: Absolute tolerance for row-equivalence checks; values at problem scale are
 #: O(1..100), leaving ample double-precision headroom.
@@ -36,20 +35,13 @@ class NormConstants:
             raise ValueError(f"need 0 < lower <= upper, got {self.lower}, {self.upper}")
 
 
-def _nonleaf_row(tree, node):
-    t, idx = _as_depth_index(tree, node)
-    if t >= tree.T:
-        raise LeafNodeError(f"node at depth {t} is a leaf")
-    return tree.transition[t][idx]
-
-
 def increments(tree, node):
     """Conditional law of the next increment at a node.
 
     Returns N pairs (probability, e_i - P); the probability-weighted sum of
     the vectors is zero.
     """
-    row = _nonleaf_row(tree, node)
+    row = tree.row(node)
     eye = np.eye(tree.N)
     return [(float(row[i]), eye[i] - row) for i in range(tree.N)]
 
@@ -59,7 +51,7 @@ def cond_second_moment(tree, node):
 
     Symmetric positive-semidefinite with zero row and column sums.
     """
-    row = _nonleaf_row(tree, node)
+    row = tree.row(node)
     return np.diag(row) - np.outer(row, row)
 
 
@@ -70,7 +62,7 @@ def branch_value(tree, node, values, branch):
     the child value; computing it as a lookup avoids dividing by tiny
     probabilities.  ``branch`` is 1-based.
     """
-    _nonleaf_row(tree, node)
+    tree.row(node)
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != tree.N:
         raise ShapeMismatch(f"expected {tree.N} child values, got {vals.shape[0]}")
@@ -86,7 +78,7 @@ def represent(tree, node, values):
     scalars or (N, K) for vectors; the row comes back as (N,) or (K, N).
     The output is not canonicalized.
     """
-    _nonleaf_row(tree, node)
+    tree.row(node)
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != tree.N:
         raise ShapeMismatch(f"expected {tree.N} child values, got {vals.shape[0]}")
@@ -142,7 +134,7 @@ def norm_constants(tree):
 
 def zm_products(tree, node, z):
     """Dot products of a row with each increment e_i - P, shape (..., N)."""
-    row = _nonleaf_row(tree, node)
+    row = tree.row(node)
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != tree.N:
         raise ShapeMismatch(f"row length {z.shape[-1]} != {tree.N}")

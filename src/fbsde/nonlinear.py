@@ -11,6 +11,7 @@ rebuilt with half the step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -20,11 +21,11 @@ import numpy as np
 from . import linear
 from .errors import (
     AlphaOutOfRange,
-    DepthExceeded,
     InvalidOption,
     NoContraction,
     NonFiniteInput,
     NonFiniteIterate,
+    ShapeMismatch,
     StepUnderflow,
 )
 from .linear import FbsdeSolution, ResidualReport
@@ -46,15 +47,17 @@ MAX_LEVELS = 512
 
 @dataclass(frozen=True)
 class NonlinearProblem:
-    """Coefficient functions of the coupled nonlinear system.
+    """Coefficient functions of the coupled nonlinear system, one level a call.
 
-    ``drift(t, node, x, y, z_tilde)`` and ``generator(t, node, x, y,
-    z_tilde)`` return scalars, ``diffusion(t, node, x, y, z_tilde)`` a row of
-    length N, ``terminal(node, x)`` a scalar.  All consume the contraction
-    ``z_tilde`` (length N-1), never a raw row, so equivalent rows are
-    indistinguishable by construction.  At the horizon the generator is
-    called with ``z_tilde=None`` and must not use it.  ``lipschitz`` and
-    ``monotone`` are optional known constants, kept for diagnostics.
+    ``drift(t, nodes, x, y, z_tilde)`` and ``generator(t, nodes, x, y,
+    z_tilde)`` return one value per node, ``diffusion(t, nodes, x, y,
+    z_tilde)`` an (n, N) array of rows, ``terminal(nodes, x)`` one value per
+    leaf; a single value stands for every node.  ``nodes`` holds n depth-t
+    node indices (repeats allowed), ``x`` and ``y`` their values and
+    ``z_tilde`` their (n, N-1) row contractions, never raw rows, so
+    equivalent rows are indistinguishable by construction; at the horizon
+    the generator gets ``z_tilde=None``.  ``lipschitz`` and ``monotone`` are
+    optional known constants, kept for diagnostics.
     """
 
     drift: Callable
@@ -157,41 +160,35 @@ def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
         raise AlphaOutOfRange(f"alpha = {alpha!r}")
     if alpha == 1.0:
         return problem
-    return _blended(problem, alpha, None, None)
+    return _blended(problem, alpha, None)
 
 
-def _blended(problem, alpha, inhom, tree):
-    """Blend with optional per-node inhomogeneities folded in."""
+def _canonical_rows(zt):
+    """The rows (z_tilde, 0) with contractions ``zt``; negated, the linear form's diffusion."""
+    return np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
+
+
+def _blended(problem, alpha, inhom):
+    """Blend with optional per-node inhomogeneities folded in, by the
+    formula a*v + (1-a)*lin + inhom of ``_blended_residual``."""
     a = float(alpha)
+    zero = inhom is None
 
-    def b0_at(t, node):
-        return inhom.b0[t][node] if inhom is not None else 0.0
+    def drift(t, nodes, x, y, zt):
+        v = np.asarray(problem.drift(t, nodes, x, y, zt), dtype=float)
+        return a * v + (1.0 - a) * (-y) + (0.0 if zero else inhom.b0[t][nodes])
 
-    def s0_at(t, node):
-        return inhom.sigma0[t][node] if inhom is not None else 0.0
+    def diffusion(t, nodes, x, y, zt):
+        v = np.asarray(problem.diffusion(t, nodes, x, y, zt), dtype=float)
+        return a * v + (1.0 - a) * -_canonical_rows(zt) + (0.0 if zero else inhom.sigma0[t][nodes])
 
-    def f0_at(t, node):
-        return inhom.f0[t][node] if inhom is not None else 0.0
+    def generator(t, nodes, x, y, zt):
+        v = np.asarray(problem.generator(t, nodes, x, y, zt), dtype=float)
+        return a * v + (1.0 - a) * x + (0.0 if zero else inhom.f0[t][nodes])
 
-    def h0_at(node):
-        return inhom.h0[node] if inhom is not None else 0.0
-
-    def drift(t, node, x, y, zt):
-        return a * problem.drift(t, node, x, y, zt) + (1.0 - a) * (-y) + b0_at(t, node)
-
-    def diffusion(t, node, x, y, zt):
-        linear_part = -np.concatenate([np.asarray(zt, dtype=float), [0.0]])
-        return (
-            a * np.asarray(problem.diffusion(t, node, x, y, zt), dtype=float)
-            + (1.0 - a) * linear_part
-            + s0_at(t, node)
-        )
-
-    def generator(t, node, x, y, zt):
-        return a * problem.generator(t, node, x, y, zt) + (1.0 - a) * x + f0_at(t, node)
-
-    def terminal(node, x):
-        return a * problem.terminal(node, x) + (1.0 - a) * x + h0_at(node)
+    def terminal(nodes, x):
+        v = np.asarray(problem.terminal(nodes, x), dtype=float)
+        return a * v + (1.0 - a) * x + (0.0 if zero else inhom.h0[nodes])
 
     return NonlinearProblem(
         drift=drift,
@@ -234,12 +231,11 @@ class _Iterate:
         return self.levels[1]
 
     def terminal_levels(self, tree, problem):
-        """``problem.terminal(node, x) - x`` on the leaves, evaluated on first use."""
+        """``problem.terminal(nodes, x) - x`` on the leaves, evaluated on first use."""
         if self.terminal is None or self.terminal[0] is not problem:
-            self.terminal = (problem, np.array([
-                -float(x) + problem.terminal(node, float(x))
-                for node, x in enumerate(self.X[tree.T])
-            ]))
+            x = self.X[tree.T]
+            h = _level(problem.terminal(_nodes(len(x)), x), (len(x),), "terminal")
+            self.terminal = (problem, h - x)
         return self.terminal[1]
 
     def finite(self):
@@ -274,34 +270,40 @@ def increment_norm_sq(tree, prev: _Iterate, cur: _Iterate) -> float:
     return total
 
 
-def _node_levels(tree, fn, times, X, Y, zt):
-    """``fn(t, node, x, y, z_tilde)`` at every node of each time, stacked per level.
+#: The node indices 0..n-1 of a whole level, built once per size, read-only.
+_nodes = functools.cache(lambda n: np.broadcast_to(np.arange(n), (n,)))
 
-    The one loop that calls a problem's per-node callbacks; ``zt`` holds the
-    contractions of Z, and at the horizon ``z_tilde`` is None.
-    """
-    out = []
-    for t in times:
-        n = tree.num_nodes(t)
-        x, y = X[t], Y[t]
-        z = zt[t] if t < tree.T else [None] * n
-        out.append(np.array(
-            [fn(t, node, float(x[node]), float(y[node]), z[node]) for node in range(n)],
-            dtype=float,
-        ))
-    return out
+
+def _level(value, shape, name):
+    """A level as a float array of ``shape``; a single value stands for every node."""
+    arr = np.asarray(value, dtype=float)
+    try:
+        return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+    except ValueError:
+        raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}") from None
+
+
+def _forward_levels(tree, problem, X, Y, zt):
+    """Drift and diffusion on 0..T-1, one call per level; ``zt`` holds the
+    contractions of Z."""
+    nodes = [_nodes(tree.num_nodes(t)) for t in range(tree.T)]
+    b = [_level(problem.drift(t, n, X[t], Y[t], zt[t]), n.shape, "drift") for t, n in enumerate(nodes)]
+    return b, [_level(problem.diffusion(t, n, X[t], Y[t], zt[t]), (len(n), tree.N), "diffusion")
+               for t, n in enumerate(nodes)]
 
 
 def _coefficient_levels(tree, problem, X, Y, Z):
-    """Drift and diffusion on 0..T-1, and generator on 1..T, at an iterate.
+    """Drift and diffusion on 0..T-1, then generator on 1..T, at an iterate,
+    one call per level in that order (which decides the first error raised).
 
-    Returns (b, sigma, f) with ``f`` indexed by absolute time, entry 0 None.
+    Returns (b, sigma, f) with ``f`` indexed by absolute time, entry 0 None;
+    at the horizon the generator's ``z_tilde`` is None.
     """
-    zt = [tilde_contract(z) for z in Z]
-    b = _node_levels(tree, problem.drift, range(tree.T), X, Y, zt)
-    sigma = _node_levels(tree, problem.diffusion, range(tree.T), X, Y, zt)
-    f = [None] + _node_levels(tree, problem.generator, range(1, tree.T + 1), X, Y, zt)
-    return b, sigma, f
+    zt = [tilde_contract(z) for z in Z] + [None]
+    b, sigma = _forward_levels(tree, problem, X, Y, zt)
+    f = [_level(problem.generator(t, _nodes(len(X[t])), X[t], Y[t], zt[t]), (len(X[t]),),
+                "generator") for t in range(1, tree.T + 1)]
+    return b, sigma, [None] + f
 
 
 def _compose(tree, problem, inhom, prev: _Iterate, step):
@@ -326,7 +328,7 @@ class _Ladder:
     same ``base`` to each ladder, so the slopes are computed once per solve.
     """
 
-    def __init__(self, tree, problem, base, n_levels, opts, max_depth=None, stats=None):
+    def __init__(self, tree, problem, base, n_levels, opts, stats=None):
         if n_levels > MAX_LEVELS:
             raise StepUnderflow(
                 f"a ladder of {n_levels} levels exceeds the {MAX_LEVELS}-level cap"
@@ -340,14 +342,11 @@ class _Ladder:
         self.opts = opts
         self.stats = SolveStats() if stats is None else stats
         self._solves_before = self.stats.inner_solves  # by earlier attempts
-        self.max_depth = n_levels if max_depth is None else max_depth
         self._warm = {}
         self._zero = _Iterate.zeros(tree)
         self.base = base
 
     def solve(self, k, inhom, x0, initial=None):
-        if k > self.max_depth:
-            raise DepthExceeded(f"level {k} exceeds depth budget {self.max_depth}")
         if k == 0:
             if self.stats.inner_solves - self._solves_before >= self.opts.max_inner_solves:
                 raise NoContraction(
@@ -400,7 +399,7 @@ class _Ladder:
         )
 
 
-def solve_at_level(tree, problem, alpha, inhom, x0, opts=None, depth=None, initial_iterate=None):
+def solve_at_level(tree, problem, alpha, inhom, x0, opts=None, initial_iterate=None):
     """Solve one blended level with given inhomogeneities.
 
     ``alpha`` must be a multiple (within rounding) of the ladder step implied
@@ -417,8 +416,7 @@ def solve_at_level(tree, problem, alpha, inhom, x0, opts=None, depth=None, initi
         raise AlphaOutOfRange(
             f"alpha {alpha!r} is not a multiple of the ladder step {1.0 / n_levels!r}"
         )
-    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), n_levels, opts,
-                     max_depth=depth)
+    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), n_levels, opts)
     iterate = ladder.solve(k, inhom, x0, initial=_as_iterate(tree, initial_iterate))
     return _finish(tree, problem if k == n_levels else None, iterate, ladder, alpha, inhom), ladder.stats
 
@@ -427,7 +425,7 @@ def _finish(tree, original, iterate, ladder, alpha, inhom):
     if original is not None and alpha == 1.0 and _is_zero_inhom(inhom):
         eff = original
     else:
-        eff = _blended(ladder.problem, alpha, inhom, tree)
+        eff = _blended(ladder.problem, alpha, inhom)
     fwd, bwd = nonlinear_residual(tree, eff, (iterate.X, iterate.Y, iterate.Z))
     return FbsdeSolution(
         AdaptedProcess(tree, 0, iterate.X),
@@ -528,11 +526,11 @@ def nonlinear_residual(tree, problem, solution):
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
-    """``nonlinear_residual`` of ``_blended(problem, alpha, inhom, tree)`` at ``it``.
+    """``nonlinear_residual`` of ``_blended(problem, alpha, inhom)`` at ``it``.
 
-    Blends the target's levels at the iterate by ``_blended``'s per-node
-    formula a*v + (1-a)*lin + inhom, as whole-level arrays: the same float
-    operations per node, so the same defects bit for bit.
+    Blends the target's cached levels at the iterate by ``_blended``'s
+    formula a*v + (1-a)*lin + inhom: the same float operations per node, so
+    the same defects bit for bit.
     """
     a = float(alpha)
     b, sigma, f = it.coefficient_levels(tree, problem)
@@ -540,9 +538,7 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     T = tree.T
     b = [a * b[t] + (1.0 - a) * (-Y[t]) + inhom.b0[t] for t in range(T)]
     sigma = [
-        a * sigma[t]
-        + (1.0 - a) * -np.concatenate([tilde_contract(Z[t]), np.zeros((len(Z[t]), 1))], axis=1)
-        + inhom.sigma0[t]
+        a * sigma[t] + (1.0 - a) * -_canonical_rows(tilde_contract(Z[t])) + inhom.sigma0[t]
         for t in range(T)
     ]
     f = [None] + [a * f[t] + (1.0 - a) * X[t] + inhom.f0[t] for t in range(1, T + 1)]
@@ -590,14 +586,6 @@ class AssumptionReport:
     violations: tuple
 
 
-def _stacked_map(problem, tree, t, node, lam, second_moment):
-    x, y, zt = lam
-    f = problem.generator(t, node, x, y, zt)
-    b = problem.drift(t, node, x, y, zt)
-    srow = np.asarray(problem.diffusion(t, node, x, y, zt), dtype=float)
-    return -f, b, srow @ second_moment
-
-
 def _lam_norm(dx, dy, dz):
     return abs(dx) + abs(dy) + float(np.linalg.norm(dz))
 
@@ -607,7 +595,9 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
 
     Pairs mix independent draws with single-coordinate probes so sharp
     directional constants are actually seen.  The time-0 clause pairs share
-    the x component, matching the pinned initial state.  Returns an
+    the x component, matching the pinned initial state.  All samples are
+    drawn first, each coefficient is called once per depth on all of that
+    depth's points, and the clauses reduce sample by sample.  Returns an
     AssumptionReport; ``satisfied`` means no sampled violation.
     """
     if sample_count < 2:
@@ -638,33 +628,58 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
             other[2][coord - 2] += bump
         return lam, (other[0], other[1], other[2])
 
+    have_interior = T >= 2
+    samples = []  # (lam, lam2, t, node, leaf)
+    for k in range(sample_count):
+        lam, lam2 = pair(k)
+        t = node = None
+        if have_interior:
+            t = int(rng.integers(1, T))
+            node = int(rng.integers(0, tree.num_nodes(t)))
+        samples.append((lam, lam2, t, node, int(rng.integers(0, tree.num_nodes(T)))))
+
+    # point k is lam of sample k, point K + k its lam2
+    K = sample_count
+    points = [s[0] for s in samples] + [s[1] for s in samples]
+    x, y = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+    zt = np.array([p[2] for p in points])
+    ts, nodes, leaves = (np.array([s[i] for s in samples] * 2) for i in (2, 3, 4))
+    f, b, srows = np.zeros(2 * K), np.zeros(2 * K), np.zeros((2 * K, N))
+    for t in range(1, T):
+        at = np.flatnonzero(ts == t)
+        if len(at):
+            for out, fn in ((f, problem.generator), (b, problem.drift), (srows, problem.diffusion)):
+                out[at] = _level(fn(t, nodes[at], x[at], y[at], zt[at]), out[at].shape, "coefficient")
+    # time 0 pairs lam with (x of lam, y and z_tilde of lam2)
+    x0, root = np.concatenate([x[:K], x[:K]]), np.zeros(2 * K, dtype=int)
+    b0 = _level(problem.drift(0, root, x0, y, zt), (2 * K,), "drift")
+    s0 = _level(problem.diffusion(0, root, x0, y, zt), (2 * K, N), "diffusion")
+    fT = _level(problem.generator(T, leaves, x, y, None), (2 * K,), "generator")
+    moving = np.flatnonzero(x[:K] - x[K:] != 0.0)
+    h = np.zeros(2 * K)
+    if len(moving):
+        at = np.concatenate([moving, moving + K])
+        h[at] = _level(problem.terminal(leaves[at], x[at]), (len(at),), "terminal")
+    f, b, srows, b0, s0, fT, h = (v.tolist() for v in (f, b, srows, b0, s0, fT, h))
+
     lip = ClauseEstimate(-np.inf, ())
     mono_int = ClauseEstimate(-np.inf, ())
-    have_interior = T >= 2
     lip_h = ClauseEstimate(-np.inf, ())
     lip_fT = ClauseEstimate(-np.inf, ())
     mono_0 = ClauseEstimate(-np.inf, ())
     mono_fT = ClauseEstimate(-np.inf, ())
     mono_h = ClauseEstimate(np.inf, ())
 
-    second_moments = {}
+    moment = functools.cache(lambda t, node: cond_second_moment(tree, (t, node)))
 
-    def moment(t, node):
-        if (t, node) not in second_moments:
-            second_moments[(t, node)] = cond_second_moment(tree, (t, node))
-        return second_moments[(t, node)]
-
-    for k in range(sample_count):
-        lam, lam2 = pair(k)
+    for k, (lam, lam2, t, node, leaf) in enumerate(samples):
         dx, dy = lam[0] - lam2[0], lam[1] - lam2[1]
         dz = lam[2] - lam2[2]
         norm = _lam_norm(dx, dy, dz)
 
         if have_interior:
-            t = int(rng.integers(1, T))
-            node = int(rng.integers(0, tree.num_nodes(t)))
-            a1 = _stacked_map(problem, tree, t, node, lam, moment(t, node))
-            a2 = _stacked_map(problem, tree, t, node, lam2, moment(t, node))
+            a1 = (-f[k], b[k], np.asarray(srows[k], dtype=float) @ moment(t, node))
+            a2 = (-f[K + k], b[K + k], np.asarray(srows[K + k], dtype=float) @ moment(t, node))
             df, db, ds = a1[0] - a2[0], a1[1] - a2[1], a1[2] - a2[2]
             if norm > 0:
                 val = (_lam_norm(df, db, ds)) / norm
@@ -683,10 +698,9 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
         lam0 = (lam[0], lam[1], lam[2])
         lam0b = (lam[0], lam2[1], lam2[2])
         m0 = moment(0, 0)
-        b1 = problem.drift(0, 0, *lam0)
-        b2 = problem.drift(0, 0, *lam0b)
-        s1 = np.asarray(problem.diffusion(0, 0, *lam0), dtype=float) @ m0
-        s2 = np.asarray(problem.diffusion(0, 0, *lam0b), dtype=float) @ m0
+        b1, b2 = b0[k], b0[K + k]
+        s1 = np.asarray(s0[k], dtype=float) @ m0
+        s2 = np.asarray(s0[K + k], dtype=float) @ m0
         dz_row = np.concatenate([lam0[2] - lam0b[2], [0.0]])
         denom = (lam0[1] - lam0b[1]) ** 2 + float(np.dot(lam0[2] - lam0b[2], lam0[2] - lam0b[2]))
         if denom > 0:
@@ -695,9 +709,7 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
                 mono_0 = ClauseEstimate(val, (0, 0, lam0, lam0b))
 
         # horizon clauses: generator without a row argument, terminal map
-        leaf = int(rng.integers(0, tree.num_nodes(T)))
-        f1 = problem.generator(T, leaf, lam[0], lam[1], None)
-        f2 = problem.generator(T, leaf, lam2[0], lam2[1], None)
+        f1, f2 = fT[k], fT[K + k]
         if abs(dx) + abs(dy) > 0:
             val = abs(f1 - f2) / (abs(dx) + abs(dy))
             if val > lip_fT.value:
@@ -706,8 +718,7 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
             val = (-(f1 - f2) * dx) / dx**2
             if val > mono_fT.value:
                 mono_fT = ClauseEstimate(val, (T, leaf, lam, lam2))
-            h1 = problem.terminal(leaf, lam[0])
-            h2 = problem.terminal(leaf, lam2[0])
+            h1, h2 = h[k], h[K + k]
             val = abs(h1 - h2) / abs(dx)
             if val > lip_h.value:
                 lip_h = ClauseEstimate(val, (T, leaf, lam[0], lam2[0]))
@@ -739,20 +750,14 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
 
 def linear_special_problem(tree) -> NonlinearProblem:
     """The self-coupled linear form as a nonlinear problem (the blend's fixed point)."""
-
-    def drift(t, node, x, y, zt):
-        return -y
-
-    def diffusion(t, node, x, y, zt):
-        return -np.concatenate([np.asarray(zt, dtype=float), [0.0]])
-
-    def generator(t, node, x, y, zt):
-        return x
-
-    def terminal(node, x):
-        return x
-
-    return NonlinearProblem(drift, diffusion, generator, terminal, lipschitz=1.0, monotone=1.0)
+    return NonlinearProblem(
+        drift=lambda t, nodes, x, y, zt: -y,
+        diffusion=lambda t, nodes, x, y, zt: -_canonical_rows(zt),
+        generator=lambda t, nodes, x, y, zt: x,
+        terminal=lambda nodes, x: x,
+        lipschitz=1.0,
+        monotone=1.0,
+    )
 
 
 def demo_monotone_problem(tree, scale=0.1) -> NonlinearProblem:
@@ -763,57 +768,45 @@ def demo_monotone_problem(tree, scale=0.1) -> NonlinearProblem:
     Satisfies the sampled assumption clauses for scale < 1.
     """
 
-    def drift(t, node, x, y, zt):
-        return -y + scale * math.tanh(x)
+    def drift(t, nodes, x, y, zt):
+        return -y + scale * np.tanh(x)
 
-    def diffusion(t, node, x, y, zt):
-        return -np.concatenate([np.asarray(zt, dtype=float), [0.0]])
-
-    def generator(t, node, x, y, zt):
+    def generator(t, nodes, x, y, zt):
         if t == tree.T:
             return x
-        return x + scale * math.tanh(y)
+        return x + scale * np.tanh(y)
 
-    def terminal(node, x):
-        return x
-
-    return NonlinearProblem(drift, diffusion, generator, terminal,
+    base = linear_special_problem(tree)
+    return NonlinearProblem(drift, base.diffusion, generator, base.terminal,
                             lipschitz=1.0 + scale, monotone=1.0 - scale)
 
 
 def as_nonlinear_problem(tree, coeffs) -> NonlinearProblem:
     """Wrap linear coefficients as a nonlinear problem (for cross-validation)."""
 
-    def drift(t, node, x, y, zt):
-        z_row = np.concatenate([np.asarray(zt, dtype=float), [0.0]])
+    def drift(t, nodes, x, y, zt):
         return (
-            coeffs.A[t][node] * x
-            + coeffs.B[t][node] * y
-            + float(z_row @ coeffs.C[t][node])
-            + coeffs.D[t][node]
+            coeffs.A[t][nodes] * x
+            + coeffs.B[t][nodes] * y
+            + np.einsum("nj,nj->n", _canonical_rows(zt), coeffs.C[t][nodes])
+            + coeffs.D[t][nodes]
         )
 
-    def diffusion(t, node, x, y, zt):
-        z_row = np.concatenate([np.asarray(zt, dtype=float), [0.0]])
+    def diffusion(t, nodes, x, y, zt):
         return (
-            x * coeffs.A_bar[t][node]
-            + y * coeffs.B_bar[t][node]
-            + z_row @ coeffs.C_bar[t][node]
-            + coeffs.D_bar[t][node]
+            x[:, None] * coeffs.A_bar[t][nodes]
+            + y[:, None] * coeffs.B_bar[t][nodes]
+            + np.einsum("nj,njk->nk", _canonical_rows(zt), coeffs.C_bar[t][nodes])
+            + coeffs.D_bar[t][nodes]
         )
 
-    def generator(t, node, x, y, zt):
-        val = (
-            coeffs.A_hat[t][node] * x
-            + coeffs.B_hat[t][node] * y
-            + coeffs.D_hat[t][node]
-        )
+    def generator(t, nodes, x, y, zt):
+        val = coeffs.A_hat[t][nodes] * x + coeffs.B_hat[t][nodes] * y + coeffs.D_hat[t][nodes]
         if t < tree.T:
-            z_row = np.concatenate([np.asarray(zt, dtype=float), [0.0]])
-            val += float(z_row @ coeffs.C_hat[t][node])
+            val = val + np.einsum("nj,nj->n", _canonical_rows(zt), coeffs.C_hat[t][nodes])
         return -val
 
-    def terminal(node, x):
-        return coeffs.G[node] * x + coeffs.g[node]
+    def terminal(nodes, x):
+        return coeffs.G[nodes] * x + coeffs.g[nodes]
 
     return NonlinearProblem(drift, diffusion, generator, terminal)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeProblem, solve_bsde
-from .errors import NoConvergence, NonFiniteInput
-from .linear import FbsdeSolution, LinearCoefficients, ResidualReport, linear_residuals
+from .errors import NoConvergence, NonFiniteInput, ShapeMismatch
+from .linear import (FbsdeSolution, LinearCoefficients, ResidualReport, _check_tree,
+                     linear_residuals)
 from .martingale import forward_defect, tilde_contract
-from .nonlinear import _node_levels, nonlinear_residual
+from .nonlinear import _forward_levels, _level, _nodes, nonlinear_residual
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Rank decisions use the same scale-free singular-value threshold as the
@@ -187,6 +188,7 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     Returns UniqueSolution (with the solved triple), NoSolution, or
     InfinitelyMany.
     """
+    _check_tree(tree, coeffs)
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
     mat, rhs, ix = _assemble(tree, coeffs, x0)
@@ -228,19 +230,18 @@ def _x_levels(tree, flat, x0):
 def backward_given_forward(tree, problem, X_levels):
     """Exact backward pair for a frozen forward path, via the backward solver.
 
-    The level generators call the problem's per-node generator node by node;
-    at the horizon its ``z_tilde`` is None.
+    The problem's generator, at ``X_levels``, is the backward generator of
+    each level; at the horizon its ``z_tilde`` is None.
     """
     T = tree.T
 
     def gen(t, y, zt):
-        x = X_levels[t]
-        return [problem.generator(t, node, float(x[node]), y[node], zt[node])
-                for node in range(len(y))]
+        return problem.generator(t, _nodes(len(y)), X_levels[t], y, zt)
 
-    eta = np.array([problem.terminal(node, float(x)) for node, x in enumerate(X_levels[T])])
+    x = X_levels[T]
+    eta = _level(problem.terminal(_nodes(len(x)), x), x.shape, "terminal")
     bp = BsdeProblem(terminal=eta, generator=gen if T > 1 else None,
-                     terminal_generator=lambda y: gen(T, y, [None] * len(y)))
+                     terminal_generator=lambda y: gen(T, y, None))
     Y, Z = solve_bsde(tree, bp)
     return [Y.level(t) for t in range(T + 1)], [Z.level(t) for t in range(T)]
 
@@ -248,8 +249,7 @@ def backward_given_forward(tree, problem, X_levels):
 def _forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
     """Forward defects of every branch, flat: node-major, branch-minor per level."""
     zt = [tilde_contract(z) for z in Z_levels]
-    b = _node_levels(tree, problem.drift, range(tree.T), X_levels, Y_levels, zt)
-    sigma = _node_levels(tree, problem.diffusion, range(tree.T), X_levels, Y_levels, zt)
+    b, sigma = _forward_levels(tree, problem, X_levels, Y_levels, zt)
     return np.concatenate([
         forward_defect(X_levels[t + 1], X_levels[t], b[t], sigma[t], tree.transition[t]).ravel()
         for t in range(tree.T)
@@ -279,7 +279,7 @@ def solve_oracle(tree, problem, x0, opts: NewtonOptions | None = None, initial_g
     if initial_guess is not None:
         guess = np.asarray(initial_guess, dtype=float)
         if guess.shape != (m,):
-            raise NonFiniteInput(f"initial guess must have shape ({m},)")
+            raise ShapeMismatch(f"initial guess has shape {guess.shape}, expected ({m},)")
         starts.append(guess)
     starts.append(np.full(m, float(x0)))
     for _ in range(opts.extra_starts):

@@ -23,6 +23,18 @@ from fbsde import (
 import fbsde
 from fbsde.cli import DEMOS, run_cli
 
+#: A nonlinear file on N=3 whose every coefficient reads t and w, and whose
+#: interior ones read z1 and z2.
+NONLINEAR_SOURCES = {
+    "b": "-y + 0.1*tanh(x) + 0.03*w - z2/5",
+    "sigma": ["-z1 + 0.01*t", "-z2*x/9", "min(y, w)/11"],
+    "f": "x + 0.2*tanh(y) - 0.1*z1*z2 + t^2/9",
+    "f_terminal": "x - w*sin(y)/7 + t",
+    "h": "1.1*x + exp(-x*x)*w + t",
+}
+ROW_COUPLED_DOC = {"kind": "nonlinear", "tree": {"N": 3, "T": 3}, "x0": 1.0,
+                   "coefficients": NONLINEAR_SOURCES}
+
 LINEAR_FIELDS = (
     "A", "B", "C", "D", "A_bar", "B_bar", "C_bar", "D_bar",
     "A_hat", "B_hat", "C_hat", "D_hat", "G", "g",
@@ -199,6 +211,48 @@ class TestBinding:
         assert str(info.value) == "coefficients.f_terminal: variables ['z1'] not allowed here"
         doc["coefficients"]["f_terminal"] = f"2*{state} + w + t"
         assert bind_problem(doc).kind == kind
+
+    def test_nonlinear_callbacks_match_a_per_node_evaluation(self):
+        # the file binding answers one level a call; the reference calls
+        # evaluate once per node, with w = node % N + 1 (0 at the root), on
+        # random node subsets with repeats
+        rng = np.random.default_rng(11)
+        problem = bind_problem(ROW_COUPLED_DOC).data
+        N, T = 3, 3
+        expr = {k: parse_expression(v) for k, v in NONLINEAR_SOURCES.items() if k != "sigma"}
+        sigma = [parse_expression(v) for v in NONLINEAR_SOURCES["sigma"]]
+
+        def env(t, node, x, y=None, zt=None):
+            e = {"t": float(t), "w": float(node % N + 1 if t else 0), "x": x}
+            if y is not None:
+                e["y"] = y
+            if zt is not None:
+                e.update(z1=zt[0], z2=zt[1])
+            return e
+
+        def bits(values):
+            return np.asarray(values, dtype=float).tobytes()
+
+        for t in range(T + 1):
+            n = int(rng.integers(1, 2 * N**t + 1))
+            nodes = rng.integers(0, N**t, size=n)
+            x, y = rng.uniform(-2, 2, size=(2, n))
+            zt = rng.uniform(-2, 2, size=(n, N - 1))
+            points = list(zip(nodes, x, y, zt))
+            if t < T:
+                want = [expr["b"].evaluate(env(t, *p)) for p in points]
+                assert bits(problem.drift(t, nodes, x, y, zt)) == bits(want)
+                want = [[s.evaluate(env(t, *p)) for s in sigma] for p in points]
+                assert bits(problem.diffusion(t, nodes, x, y, zt)) == bits(want)
+            if 0 < t < T:
+                want = [expr["f"].evaluate(env(t, *p)) for p in points]
+                assert bits(problem.generator(t, nodes, x, y, zt)) == bits(want)
+            if t == T:
+                want = [expr["f_terminal"].evaluate(env(t, node, xi, yi))
+                        for node, xi, yi in zip(nodes, x, y)]
+                assert bits(problem.generator(t, nodes, x, y, None)) == bits(want)
+                want = [expr["h"].evaluate(env(t, node, xi)) for node, xi in zip(nodes, x)]
+                assert bits(problem.terminal(nodes, x)) == bits(want)
 
     def test_row_coefficients_accept_expressions(self):
         doc = {

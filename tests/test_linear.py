@@ -9,10 +9,14 @@ from fbsde import (
     BsdeProblem,
     LinearCoefficients,
     NonFiniteInput,
+    ShapeMismatch,
     SingularCertificate,
+    UniqueSolution,
     Unsolvable,
+    build_tree,
     cond_exp_level,
     decoupling_coefficients,
+    linear_oracle,
     linear_residuals,
     riccati_backward,
     script_coeffs,
@@ -237,6 +241,27 @@ class TestSolveLinear:
         tree = uniform_tree(2, 1)
         with pytest.raises(NonFiniteInput):
             solve_linear(tree, LinearCoefficients(tree), float("nan"))
+
+    @pytest.mark.parametrize("N, T", [(2, 3), (3, 2), (3, 3)])
+    def test_a_tree_of_another_shape_is_a_shape_mismatch(self, N, T):
+        tree = build_tree(2, 2)
+        coeffs = LinearCoefficients(tree, G=1.0)
+        sol = solve_linear(tree, coeffs, 1.0)
+        other = build_tree(N, T)
+        calls = {
+            "solve_linear": lambda: solve_linear(other, coeffs, 1.0),
+            "riccati_backward": lambda: riccati_backward(other, coeffs),
+            "linear_residuals": lambda: linear_residuals(other, coeffs, sol.X, sol.Y, sol.Z),
+            "decoupling": lambda: decoupling_coefficients(other, coeffs, sol.riccati),
+            "linear_oracle": lambda: linear_oracle(other, coeffs, 1.0),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ShapeMismatch, match=f"N={N}, T={T}; the coefficients N=2, T=2"):
+                call()
+        # a tree of the same shape with other probabilities is legal
+        skewed = build_tree(2, 2, [0.3, 0.7])
+        assert not isinstance(solve_linear(skewed, coeffs, 1.0), Unsolvable)
+        assert isinstance(linear_oracle(skewed, coeffs, 1.0), UniqueSolution)
 
 
 class TestSolveSpecial:

@@ -11,12 +11,12 @@ from conftest import random_linear_coeffs, random_tree, uniform_tree
 from fbsde import (
     AlphaOutOfRange,
     ContinuationOptions,
-    DepthExceeded,
     Inhomogeneity,
     NoContraction,
     NonlinearProblem,
     StepUnderflow,
     as_nonlinear_problem,
+    bind_problem,
     blend,
     canonicalize,
     check_assumptions,
@@ -31,6 +31,7 @@ from fbsde import (
     tilde_contract,
 )
 from fbsde import nonlinear
+from fbsde.cli import DEMOS
 from fbsde.io import stats_payload
 
 TOL = 1e-10
@@ -39,16 +40,16 @@ TOL = 1e-10
 def adversarial_problem():
     """Large forward Lipschitz constant; the one-shot iteration diverges."""
 
-    def drift(t, node, x, y, zt):
+    def drift(t, nodes, x, y, zt):
         return -y + 10.0 * x
 
-    def diffusion(t, node, x, y, zt):
-        return -np.concatenate([zt, [0.0]])
+    def diffusion(t, nodes, x, y, zt):
+        return -np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
 
-    def generator(t, node, x, y, zt):
+    def generator(t, nodes, x, y, zt):
         return x
 
-    def terminal(node, x):
+    def terminal(nodes, x):
         return x
 
     return NonlinearProblem(drift, diffusion, generator, terminal)
@@ -78,30 +79,32 @@ class TestBlend:
         blended = blend(demo_monotone_problem(tree), 0.0)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            x, y = rng.normal(size=2)
-            zt = rng.normal(size=2)
-            assert blended.drift(0, 0, x, y, zt) == -y
+            nodes = rng.integers(0, 3, size=4)  # depth-1 nodes, repeats allowed
+            x, y = rng.normal(size=(2, 4))
+            zt = rng.normal(size=(4, 2))
+            np.testing.assert_array_equal(blended.drift(1, nodes, x, y, zt), -y)
             np.testing.assert_array_equal(
-                blended.diffusion(0, 0, x, y, zt), [-zt[0], -zt[1], 0.0]
+                blended.diffusion(1, nodes, x, y, zt), np.column_stack([-zt, np.zeros(4)])
             )
-            assert blended.generator(1, 0, x, y, zt) == x
-            assert blended.terminal(0, x) == x
+            np.testing.assert_array_equal(blended.generator(1, nodes, x, y, zt), x)
+            np.testing.assert_array_equal(blended.terminal(nodes, x), x)
 
     def test_midpoint_combination(self):
         tree = uniform_tree(2, 1)
 
-        def drift(t, node, x, y, zt):
+        def drift(t, nodes, x, y, zt):
             return -2.0 * y
 
         problem = NonlinearProblem(
             drift,
-            lambda t, node, x, y, zt: np.zeros(2),
-            lambda t, node, x, y, zt: 0.0,
-            lambda node, x: 0.0,
+            lambda t, nodes, x, y, zt: np.zeros(2),
+            lambda t, nodes, x, y, zt: 0.0,
+            lambda nodes, x: 0.0,
         )
         blended = blend(problem, 0.5)
-        for y in (-1.0, 0.3, 2.0):
-            assert blended.drift(0, 0, 0.0, y, np.zeros(1)) == pytest.approx(-1.5 * y)
+        y = np.array([-1.0, 0.3, 2.0])
+        got = blended.drift(0, np.zeros(3, dtype=int), np.zeros(3), y, np.zeros((3, 1)))
+        np.testing.assert_allclose(got, -1.5 * y)
 
     def test_alpha_range(self):
         tree = uniform_tree(2, 1)
@@ -162,14 +165,6 @@ class TestSolveAtLevel:
                 opts=ContinuationOptions(delta=0.25),
             )
 
-    def test_depth_budget(self):
-        tree = uniform_tree(2, 1)
-        with pytest.raises(DepthExceeded):
-            solve_at_level(
-                tree, linear_special_problem(tree), 0.5, None, x0=0.0,
-                opts=ContinuationOptions(delta=0.25), depth=1,
-            )
-
 
 class TestSolveContinuation:
     def test_linear_special_reduction_is_bitwise(self):
@@ -214,24 +209,22 @@ class TestSolveContinuation:
     def test_row_coupled_family_matches_oracle(self):
         # drift, diffusion and generator all read the contraction, so the
         # row pathways are exercised beyond the plain -z diffusion
-        import math
-
         def z_coupled(tree, a=0.08):
-            def drift(t, node, x, y, zt):
-                return -y + a * math.tanh(x) + 0.5 * a * math.tanh(zt[0])
+            def drift(t, nodes, x, y, zt):
+                return -y + a * np.tanh(x) + 0.5 * a * np.tanh(zt[:, 0])
 
-            def diffusion(t, node, x, y, zt):
-                row = -np.concatenate([np.asarray(zt, dtype=float), [0.0]])
-                row[0] += a * math.sin(x + y)
-                row[-1] -= a * math.sin(x + y)
-                return row
+            def diffusion(t, nodes, x, y, zt):
+                rows = -np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
+                rows[:, 0] += a * np.sin(x + y)
+                rows[:, -1] -= a * np.sin(x + y)
+                return rows
 
-            def generator(t, node, x, y, zt):
+            def generator(t, nodes, x, y, zt):
                 if t == tree.T:
                     return x
-                return x + a * math.tanh(y) - 0.3 * a * zt[-1]
+                return x + a * np.tanh(y) - 0.3 * a * zt[:, -1]
 
-            return NonlinearProblem(drift, diffusion, generator, lambda node, x: x)
+            return NonlinearProblem(drift, diffusion, generator, lambda nodes, x: x)
 
         rng = np.random.default_rng(21)
         for N, T in ((2, 3), (3, 2)):
@@ -333,7 +326,7 @@ class TestCheckAssumptions:
         tree = uniform_tree(2, 2)
         base = linear_special_problem(tree)
         problem = NonlinearProblem(
-            base.drift, base.diffusion, base.generator, lambda node, x: -x
+            base.drift, base.diffusion, base.generator, lambda nodes, x: -x
         )
         report = check_assumptions(tree, problem, 200, 0)
         assert not report.satisfied
@@ -348,7 +341,7 @@ class TestCheckAssumptions:
         problem = NonlinearProblem(
             base.drift,
             base.diffusion,
-            lambda t, node, x, y, zt: 10.0 * x,
+            lambda t, nodes, x, y, zt: 10.0 * x,
             base.terminal,
         )
         report = check_assumptions(tree, problem, 400, 1)
@@ -360,6 +353,114 @@ class TestCheckAssumptions:
             tree = random_tree(rng, N, T)
             report = check_assumptions(tree, demo_monotone_problem(tree, 0.2), 200, 0)
             assert report.satisfied
+
+
+def counted(problem, calls, split=False):
+    """``problem`` with every coefficient call recorded in ``calls``; with
+    ``split``, each call is answered by one-node calls of ``problem``."""
+
+    def level(fn):
+        def call(t, nodes, x, y, zt):
+            calls.append(t)
+            if not split:
+                return fn(t, nodes, x, y, zt)
+            return np.concatenate([
+                fn(t, nodes[i:i + 1], x[i:i + 1], y[i:i + 1], None if zt is None else zt[i:i + 1])
+                for i in range(len(nodes))
+            ])
+        return call
+
+    def terminal(nodes, x):
+        calls.append("terminal")
+        if not split:
+            return problem.terminal(nodes, x)
+        return np.concatenate([problem.terminal(nodes[i:i + 1], x[i:i + 1])
+                               for i in range(len(nodes))])
+
+    return NonlinearProblem(level(problem.drift), level(problem.diffusion),
+                            level(problem.generator), terminal)
+
+
+def report_bits(value):
+    """Every number and string of an AssumptionReport, as bytes."""
+    if value is None:
+        return None
+    if dataclasses.is_dataclass(value):
+        return tuple(report_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(report_bits(v) for v in value)
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def row_coupled_file():
+    """A bound N=3 T=3 file whose generator and diffusion read z2."""
+    doc = dict(DEMOS["monotone-family"], tree={"N": 3, "T": 3})
+    doc["coefficients"] = dict(doc["coefficients"], f="x + 0.1*tanh(y) - 0.05*z2*w",
+                               sigma=["-z1", "-z2 + 0.02*sin(x*t)", "0"])
+    loaded = bind_problem(doc)
+    return loaded.data, loaded.tree
+
+
+def check_instances():
+    rng = np.random.default_rng(8)
+    yield "file N=3", *row_coupled_file()
+    tree = random_tree(rng, 2, 4)
+    yield "demo N=2", demo_monotone_problem(tree, 0.3), tree
+    tree = random_tree(rng, 3, 1)
+    base = linear_special_problem(tree)
+    yield "violated T=1", dataclasses.replace(base, terminal=lambda nodes, x: -x), tree
+
+
+CHECK_INSTANCES = list(check_instances())
+
+
+@pytest.mark.parametrize("name, problem, tree", CHECK_INSTANCES,
+                         ids=[name for name, *_ in CHECK_INSTANCES])
+def test_check_assumptions_is_blind_to_call_batching(name, problem, tree):
+    # one level call per depth gives the report bits of one-node calls
+    for seed in (0, 1):
+        whole = check_assumptions(tree, counted(problem, []), 200, seed)
+        per_node = check_assumptions(tree, counted(problem, [], split=True), 200, seed)
+        assert report_bits(whole) == report_bits(per_node)
+        assert report_bits(whole) == report_bits(check_assumptions(tree, problem, 200, seed))
+
+
+#: (value, (t, node) of the witness) of some clauses of ``row_coupled_file``,
+#: per seed, from the per-sample loop that called one node at a time.
+ROW_COUPLED_ESTIMATES = {
+    0: {"lipschitz": (1.1099019610217364, (2, 6)),
+        "monotone_interior": (-0.10432514771935908, (1, 1)),
+        "monotone_initial": (-0.12404426163393757, (0, 0)),
+        "monotone_terminal": (1.0, (3, 15))},
+    1: {"lipschitz": (1.1061238410262522, (2, 0)),
+        "monotone_interior": (-0.09962384972984539, (2, 5)),
+        "monotone_initial": (-0.141489233336045, (0, 0)),
+        "monotone_terminal": (1.0, (3, 2))},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ROW_COUPLED_ESTIMATES))
+def test_check_assumptions_keeps_its_estimates(seed):
+    problem, tree = row_coupled_file()
+    report = check_assumptions(tree, problem, 200, seed)
+    assert report.satisfied
+    for clause, (value, where) in ROW_COUPLED_ESTIMATES[seed].items():
+        estimate = getattr(report, clause)
+        assert estimate.value == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert estimate.witness[:2] == where
+
+
+@pytest.mark.parametrize("N, T", [(2, 1), (2, 4), (3, 3)])
+def test_check_assumptions_calls_each_coefficient_once_per_depth(N, T):
+    tree = uniform_tree(N, T)
+    calls = []
+    check_assumptions(tree, counted(demo_monotone_problem(tree, 0.2), calls), 200, 0)
+    assert len(calls) <= 6 * (T - 1) + 8
+    # interior depths: generator, drift, diffusion; time 0: drift, diffusion;
+    # the horizon generator; the terminal map
+    assert sorted(calls, key=str) == sorted(
+        [t for t in range(1, T) for _ in range(3)] + [0, 0, T, "terminal"], key=str)
 
 
 class TestResiduals:
@@ -457,9 +558,14 @@ def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target
     X = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
     Y = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
     Z = [rng.uniform(-1, 1, size=(tree.num_nodes(t), N)) for t in range(T)]
+    blended = nonlinear._blended(problem, alpha, inhom)
     got = nonlinear._blended_residual(tree, problem, alpha, inhom, nonlinear._Iterate(X, Y, Z))
-    want = nonlinear_residual(tree, nonlinear._blended(problem, alpha, inhom, tree), (X, Y, Z))
+    want = nonlinear_residual(tree, blended, (X, Y, Z))
     assert [v.hex() for v in got] == [v.hex() for v in want]
+    leaves = rng.permutation(tree.num_nodes(T))
+    h = problem.terminal(leaves, X[T][leaves])
+    assert (blended.terminal(leaves, X[T][leaves]) == alpha * h + (1.0 - alpha) * X[T][leaves]
+            + inhom.h0[leaves]).all()
 
 
 def test_each_iterate_is_evaluated_once(monkeypatch):
@@ -470,13 +576,13 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     target = demo_monotone_problem(tree, 0.1)
     drift_calls, leaf_values = [], []
 
-    def drift(t, node, x, y, zt):
+    def drift(t, nodes, x, y, zt):
         drift_calls.append(1)
-        return target.drift(t, node, x, y, zt)
+        return target.drift(t, nodes, x, y, zt)
 
-    def terminal(node, x):
-        leaf_values.append(x)
-        return target.terminal(node, x)
+    def terminal(nodes, x):
+        leaf_values.append(tuple(x))
+        return target.terminal(nodes, x)
 
     problem = NonlinearProblem(drift, target.diffusion, target.generator, terminal)
     evaluated = []  # the X level lists evaluated, kept alive so ids stay unique
@@ -487,18 +593,34 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     sol, stats = solve_continuation(tree, problem, 1.0)
     assert stats.halvings == 0
     assert len({id(X) for X in evaluated}) == len(evaluated) == stats.inner_solves + 2
-    assert len(drift_calls) == len(evaluated) * (1 + 2)
-    # the terminal map is evaluated once per composed iterate, four leaves each
-    per_iterate = [tuple(leaf_values[i:i + 4]) for i in range(0, len(leaf_values), 4)]
-    assert len(per_iterate) == len(set(per_iterate)) <= stats.inner_solves + 1
+    # one drift call per level, at times 0 and 1
+    assert len(drift_calls) == len(evaluated) * 2
+    # the terminal map is evaluated once per composed iterate, on all four leaves
+    assert len(leaf_values) == len(set(leaf_values)) <= stats.inner_solves + 1
     reference, _ = solve_continuation(tree, target, 1.0)
     assert solution_gap(tree, sol, reference) == 0.0
+
+
+def test_each_level_is_one_call_drift_then_diffusion_then_generator():
+    tree = uniform_tree(2, 2)
+    base = linear_special_problem(tree)
+    calls = []
+
+    def record(name, fn):
+        return lambda t, *args: calls.append((name, t, len(args[0]))) or fn(t, *args)
+
+    problem = NonlinearProblem(record("b", base.drift), record("sigma", base.diffusion),
+                               record("f", base.generator), base.terminal)
+    sol = solve_special(tree, D=0.1, x0=1.0)
+    nonlinear_residual(tree, problem, sol)
+    assert calls == [("b", 0, 1), ("b", 1, 2), ("sigma", 0, 1), ("sigma", 1, 2),
+                     ("f", 1, 2), ("f", 2, 4)]
 
 
 def test_levels_of_another_problem_are_not_reused():
     tree = uniform_tree(2, 2)
     other = dataclasses.replace(demo_monotone_problem(tree, 0.3),
-                                terminal=lambda node, x: 1.2 * x)
+                                terminal=lambda nodes, x: 1.2 * x)
     target = demo_monotone_problem(tree, 0.1)
     sol, _ = solve_continuation(tree, other, 1.0)
     carried = nonlinear._as_iterate(tree, sol)

@@ -10,6 +10,7 @@ from fbsde import (
     NewtonOptions,
     NoConvergence,
     NoSolution,
+    ShapeMismatch,
     UniqueSolution,
     Unsolvable,
     as_nonlinear_problem,
@@ -111,6 +112,11 @@ class TestSolveOracle:
         guess = np.full(m, 1.0) + rng.normal(scale=1.0, size=m)
         b = solve_oracle(tree, problem, 1.0, initial_guess=guess)
         assert max_solution_gap(tree, a, b) <= 1e-9
+
+    def test_an_initial_guess_of_the_wrong_length_is_a_shape_mismatch(self):
+        tree = uniform_tree(2, 2)
+        with pytest.raises(ShapeMismatch, match=r"shape \(5,\), expected \(6,\)"):
+            solve_oracle(tree, linear_special_problem(tree), 0.0, initial_guess=np.zeros(5))
 
     def test_no_convergence_carries_best_iterate(self):
         tree = uniform_tree(2, 1)

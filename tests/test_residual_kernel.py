@@ -50,13 +50,12 @@ def frozen_backward_problem(tree, problem, X):
     T = tree.T
 
     def gen(t, y, zt):
-        return [problem.generator(t, node, float(X[t][node]), y[node], zt[node])
-                for node in range(len(y))]
+        return problem.generator(t, np.arange(len(y)), X[t], y, zt)
 
     return BsdeProblem(
         terminal=np.zeros(tree.num_nodes(T)),
         generator=gen,
-        terminal_generator=lambda y: gen(T, y, [None] * len(y)),
+        terminal_generator=lambda y: gen(T, y, None),
     )
 
 

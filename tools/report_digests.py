@@ -11,7 +11,8 @@ code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
 read in a child process) runs in JSON and CSV, and its document, written
 into a temporary directory, goes through ``oracle`` and ``check``; then
 every op of each ``bench/workloads.py`` op list runs on files that module
-generates for ``--seed`` into the same directory.  Every call is a fresh
+generates for ``--seed`` into the same directory, and every nonlinear file
+of an op list also goes through ``check``.  Every call is a fresh
 ``python -m fbsde`` process on this checkout's ``src``.  Running the same
 command on two checkouts and comparing the printed lines shows whether
 their outputs differ.  Standard library only; ``bench/workloads.py`` is
@@ -90,8 +91,13 @@ def digests(seed):
             workdir = Path(tmp) / workload
             workdir.mkdir()
             output = Path(tmp) / "report"
-            for op in workloads.generate(workload, seed, workdir):
+            ops = workloads.generate(workload, seed, workdir)
+            for op in ops:
                 yield (f"{workload}: {op.label}", *_run(op.argv(workdir, output), output))
+            for problem in sorted({op.problem for op in ops}):
+                path = workdir / problem
+                if json.loads(path.read_text(encoding="utf-8"))["kind"] == "nonlinear":
+                    yield (f"{workload}: check {problem}", *_run(["check", str(path)]))
 
 
 def main(argv=None):
