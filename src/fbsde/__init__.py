@@ -46,13 +46,11 @@ from .nonlinear import (
     demo_monotone_problem,
     linear_special_problem,
     nonlinear_residual,
-    solve_at_level,
     solve_continuation,
     solve_flat_picard,
 )
 from .oracle import (
     InfinitelyMany,
-    NewtonOptions,
     NoSolution,
     UniqueSolution,
     finite_difference_jacobian,

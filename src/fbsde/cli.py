@@ -1,7 +1,8 @@
 """Command-line interface: solve, oracle, check, and built-in demos.
 
 Exit codes: 0 solved (or diagnostics satisfied), 2 certified unsolvable or
-violated, 3 no convergence, 4 input error.
+violated, 3 no convergence, 4 input error (a problem over an oracle's size
+limit included).
 """
 
 from __future__ import annotations
@@ -212,9 +213,9 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
             return _no_solution(report, "no_solution", EXIT_UNSOLVABLE, rank=rank)
         rank["nullity"] = verdict.nullity
         return _no_solution(report, "infinitely_many", EXIT_UNSOLVABLE, rank=rank)
-    nopts = oracle.NewtonOptions(tolerance=loaded.options.tolerance, seed=loaded.seed)
     try:
-        sol = oracle.solve_oracle(tree, loaded.data, loaded.x0, nopts)
+        sol = oracle.solve_oracle(tree, loaded.data, loaded.x0,
+                                  tolerance=loaded.options.tolerance, seed=loaded.seed)
     except NoConvergence as err:
         return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE,
                             error=str(err), best_residual=err.best_residual)

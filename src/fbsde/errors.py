@@ -71,7 +71,7 @@ class NoContraction(FbsdeError):
 
 
 class StepUnderflow(FbsdeError):
-    """Continuation step was halved past its floor without convergence."""
+    """Continuation ran out of halvings or ladder depth without convergence."""
 
     def __init__(self, message, best_residual=None, best_solution=None):
         super().__init__(message)
@@ -86,6 +86,10 @@ class NoConvergence(FbsdeError):
         super().__init__(message)
         self.best_residual = best_residual
         self.best_iterate = best_iterate
+
+
+class ProblemTooLarge(FbsdeError):
+    """A brute-force solver was asked for more unknowns than it handles."""
 
 
 class InvalidOption(FbsdeError, ValueError):

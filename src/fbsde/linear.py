@@ -1,8 +1,9 @@
 """Fully coupled linear forward-backward solver on a scenario tree.
 
 The backward pass runs a scalar decoupling recursion (P, p) together with a
-per-node N x N matrix whose invertibility at every non-leaf node is exactly
-solvability of the coupled system; the per-node verdicts form a certificate.
+per-node N x N matrix whose invertibility at every non-leaf node makes the
+coupled system uniquely solvable from every node; the per-node verdicts form
+a certificate.
 The forward pass then solves one dense N x N system per node for the child
 values of X, and Y, Z follow from conditional expectations of the affine
 closure P X + p.
@@ -593,20 +594,13 @@ def _extended_contraction_matrix(N):
     return mat
 
 
-def _from_time_one(tree, D_hat):
-    """``D_hat`` without its unused entry 0 when it is indexed by absolute time."""
-    if isinstance(D_hat, (list, tuple)) and len(D_hat) == tree.T + 1:
-        return list(D_hat)[1:]
-    return D_hat
-
-
 def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> LinearCoefficients:
     """Coefficients of the self-coupled inhomogeneous form.
 
     Forward drift -Y, forward increment loading -Z (through the canonical
     contraction), backward drift -X_{t+1}, terminal Y_T = X_T + g, plus the
-    supplied inhomogeneities.  ``D_hat`` is indexed by absolute time with
-    entry 0 ignored when given as a list.
+    supplied inhomogeneities, shaped as ``LinearCoefficients`` takes them
+    (``D_hat`` as levels over times 1..T).
     """
     return LinearCoefficients(
         tree,
@@ -616,7 +610,7 @@ def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> Linear
         G=1.0,
         D=D,
         D_bar=D_bar,
-        D_hat=_from_time_one(tree, D_hat),
+        D_hat=D_hat,
         g=g,
     )
 
@@ -633,7 +627,7 @@ def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
     """
     if form is None:
         form = special_coefficients(tree)
-    coeffs = form.with_inhomogeneities(D, D_bar, _from_time_one(tree, D_hat), g)
+    coeffs = form.with_inhomogeneities(D, D_bar, D_hat, g)
     result = solve_linear(tree, coeffs, x0)
     if isinstance(result, Unsolvable):  # pragma: no cover - P > 1 rules this out
         raise SingularCertificate(

@@ -32,17 +32,23 @@ from .linear import FbsdeSolution, ResidualReport
 from .martingale import backward_defect, cond_second_moment, forward_defect, tilde_contract
 from .tree import AdaptedProcess, _process_levels
 
-#: Hard floor for the continuation step.
-STEP_FLOOR = 2.0**-20
-
 #: A level aborts early once increments blow past this multiple of their
 #: starting size; the remaining budget cannot recover from there.
 DIVERGENCE_CAP = 1e6
 
 #: Ladders deeper than this are refused: each level nests a full solve of
 #: the one below, so hundreds of levels are computationally out of reach
-#: anyway, and the recursion must stay within the interpreter's limits.
+#: anyway, and the recursion must stay within the interpreter's limits.  A
+#: power of two, so ``delta * MAX_LEVELS < 1`` tests the step exactly.
 MAX_LEVELS = 512
+
+#: Step halvings before a solve gives up: each halving doubles the ladder and
+#: the nested solve count grows with its depth, so the budget is small.
+MAX_HALVINGS = 4
+
+#: Base solves per ladder attempt; levels whose contraction is marginal would
+#: otherwise burn the per-level budget multiplicatively.
+MAX_INNER_SOLVES = 20000
 
 
 @dataclass(frozen=True)
@@ -70,21 +76,17 @@ class NonlinearProblem:
 
 @dataclass(frozen=True)
 class ContinuationOptions:
-    """Runtime knobs replacing the nonconstructive step-size constant.
+    """The solver values a problem file or a command-line flag can set.
 
-    The one home of the solver defaults and of their range checks, for
-    problem-file values and command-line flags alike.
+    The initial step replaces the nonconstructive step-size constant; the
+    tolerance and the Picard budget per level complete it.  The one home of
+    their defaults and range checks; every other budget is a module
+    constant.
     """
 
     delta: float = 0.25
     tolerance: float = 1e-10
     max_iterations: int = 50
-    # each halving doubles the ladder and the nested solve count grows with
-    # its depth, so the budget is deliberately small
-    max_halvings: int = 4
-    # hard cap on base solves per ladder attempt; levels whose contraction is
-    # marginal would otherwise burn the per-level budget multiplicatively
-    max_inner_solves: int = 20000
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
@@ -109,7 +111,7 @@ class SolveStats:
     """Per-level iteration records plus global counters.
 
     Records and counters cover every ladder attempt of a solve, failed ones
-    before a halving included (the ``max_inner_solves`` cap applies to each
+    before a halving included (the ``MAX_INNER_SOLVES`` cap applies to each
     attempt alone).
     """
 
@@ -329,13 +331,8 @@ class _Ladder:
     """
 
     def __init__(self, tree, problem, base, n_levels, opts, stats=None):
-        if n_levels > MAX_LEVELS:
-            raise StepUnderflow(
-                f"a ladder of {n_levels} levels exceeds the {MAX_LEVELS}-level cap"
-            )
         self.tree = tree
         self.problem = problem
-        self.n_levels = n_levels
         self.alphas = [k / n_levels for k in range(n_levels + 1)]
         self.alphas[-1] = 1.0
         self.step = 1.0 / n_levels
@@ -348,9 +345,9 @@ class _Ladder:
 
     def solve(self, k, inhom, x0, initial=None):
         if k == 0:
-            if self.stats.inner_solves - self._solves_before >= self.opts.max_inner_solves:
+            if self.stats.inner_solves - self._solves_before >= MAX_INNER_SOLVES:
                 raise NoContraction(
-                    f"ladder exhausted its {self.opts.max_inner_solves} inner-solve budget",
+                    f"ladder exhausted its {MAX_INNER_SOLVES} inner-solve budget",
                     alpha=0.0,
                     norms=[],
                 )
@@ -358,7 +355,7 @@ class _Ladder:
                 self.tree,
                 D=inhom.b0,
                 D_bar=inhom.sigma0,
-                D_hat=[None] + [-f for f in inhom.f0[1:]],
+                D_hat=[-f for f in inhom.f0[1:]],
                 g=inhom.h0,
                 x0=x0,
                 form=self.base,
@@ -399,34 +396,9 @@ class _Ladder:
         )
 
 
-def solve_at_level(tree, problem, alpha, inhom, x0, opts=None, initial_iterate=None):
-    """Solve one blended level with given inhomogeneities.
-
-    ``alpha`` must be a multiple (within rounding) of the ladder step implied
-    by ``opts.delta``.  Returns (solution, stats).
-    """
-    opts = opts or ContinuationOptions()
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha = {alpha!r}")
-    if inhom is None:
-        inhom = Inhomogeneity.zeros(tree)
-    n_levels = max(1, math.ceil(round(1.0 / opts.delta, 9)))
-    k = round(alpha * n_levels)
-    if abs(alpha - k / n_levels) > 1e-9:
-        raise AlphaOutOfRange(
-            f"alpha {alpha!r} is not a multiple of the ladder step {1.0 / n_levels!r}"
-        )
-    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), n_levels, opts)
-    iterate = ladder.solve(k, inhom, x0, initial=_as_iterate(tree, initial_iterate))
-    return _finish(tree, problem if k == n_levels else None, iterate, ladder, alpha, inhom), ladder.stats
-
-
-def _finish(tree, original, iterate, ladder, alpha, inhom):
-    if original is not None and alpha == 1.0 and _is_zero_inhom(inhom):
-        eff = original
-    else:
-        eff = _blended(ladder.problem, alpha, inhom)
-    fwd, bwd = nonlinear_residual(tree, eff, (iterate.X, iterate.Y, iterate.Z))
+def _finish(tree, problem, iterate):
+    """The iterate as a solution, reporting the residuals of ``problem``."""
+    fwd, bwd = nonlinear_residual(tree, problem, (iterate.X, iterate.Y, iterate.Z))
     return FbsdeSolution(
         AdaptedProcess(tree, 0, iterate.X),
         AdaptedProcess(tree, 0, iterate.Y),
@@ -435,22 +407,15 @@ def _finish(tree, original, iterate, ladder, alpha, inhom):
     )
 
 
-def _is_zero_inhom(inhom):
-    return (
-        all(not lev.any() for lev in inhom.b0)
-        and all(not lev.any() for lev in inhom.sigma0)
-        and all(not lev.any() for lev in inhom.f0[1:])
-        and not inhom.h0.any()
-    )
-
-
 def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     """Solve the target system by climbing the blend ladder.
 
     Starts with step ``opts.delta``; when a level fails to contract the
-    ladder is rebuilt with half the step, up to ``max_halvings`` times and
-    never below the hard floor.  Returns (solution, stats); the solution's
-    residuals are those of the original system.
+    ladder is rebuilt with half the step, up to ``MAX_HALVINGS`` times and
+    never deeper than ``MAX_LEVELS`` levels.  Returns (solution, stats); the
+    solution's residuals are those of the original system.  A stop raises
+    StepUnderflow naming the limit and the failure of the last attempt,
+    with the best iterate seen.
     """
     opts = opts or ContinuationOptions()
     if not np.isfinite(x0):
@@ -458,36 +423,33 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     delta = opts.delta
     stats = SolveStats()
     base = linear.special_coefficients(tree)
-    best_res = math.inf
-    best = None
+    best_res, best = math.inf, None
+    cause = None
     while True:
-        if delta < STEP_FLOOR:
-            raise StepUnderflow(
-                f"step fell below {STEP_FLOOR:g} without convergence",
-                best_residual=None if best is None else best_res,
-                best_solution=best,
-            )
+        limit = None
+        if stats.halvings > MAX_HALVINGS:
+            limit = f"no contraction after {MAX_HALVINGS} halvings"
+        elif delta * MAX_LEVELS < 1.0:  # before 1/delta, which can overflow
+            limit = f"a step of {delta:g} needs a ladder over the {MAX_LEVELS}-level cap"
+        if limit:
+            raise StepUnderflow(limit if cause is None else f"{limit}: {cause}",
+                                best_residual=None if best is None else best_res,
+                                best_solution=best) from cause
         n_levels = max(1, math.ceil(round(1.0 / delta, 9)))
         ladder = _Ladder(tree, problem, base, n_levels, opts, stats=stats)
         try:
             iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), x0,
                                    initial=_as_iterate(tree, initial_iterate))
-            sol = _finish(tree, problem, iterate, ladder, 1.0, Inhomogeneity.zeros(tree))
-            return sol, stats
+            return _finish(tree, problem, iterate), stats
         except (NoContraction, NonFiniteIterate) as err:
+            cause = err
             it = getattr(err, "iterate", None)
             if it is not None and it.finite():
-                fwd, bwd = nonlinear_residual(tree, problem, (it.X, it.Y, it.Z))
-                if max(fwd, bwd) < best_res:
-                    best_res = max(fwd, bwd)
-                    best = _finish(tree, problem, it, ladder, 1.0, Inhomogeneity.zeros(tree))
+                sol = _finish(tree, problem, it)
+                res = max(sol.residuals.forward, sol.residuals.backward)
+                if res < best_res:
+                    best_res, best = res, sol
             stats.halvings += 1
-            if stats.halvings > opts.max_halvings:
-                raise StepUnderflow(
-                    f"no contraction after {opts.max_halvings} halvings",
-                    best_residual=None if best is None else best_res,
-                    best_solution=best,
-                ) from err
             delta /= 2.0
 
 
@@ -511,8 +473,7 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
             norms=err.norms,
             iterate=err.iterate,
         ) from err
-    sol = _finish(tree, problem, iterate, ladder, 1.0, Inhomogeneity.zeros(tree))
-    return sol, ladder.stats
+    return _finish(tree, problem, iterate), ladder.stats
 
 
 def nonlinear_residual(tree, problem, solution):

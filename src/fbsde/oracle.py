@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeProblem, solve_bsde
-from .errors import NoConvergence, NonFiniteInput, ShapeMismatch
-from .linear import (FbsdeSolution, LinearCoefficients, ResidualReport, _check_tree,
-                     linear_residuals)
+from .errors import NoConvergence, NonFiniteInput, ProblemTooLarge, ShapeMismatch
+from .linear import FbsdeSolution, LinearCoefficients, _check_tree, linear_residuals
 from .martingale import forward_defect, tilde_contract
-from .nonlinear import _forward_levels, _level, _nodes, nonlinear_residual
+from .nonlinear import _finish, _forward_levels, _Iterate, _level, _nodes
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Rank decisions use the same scale-free singular-value threshold as the
@@ -28,6 +27,20 @@ RANK_RATIO = 1e-10
 
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
+
+#: Most unknowns of the dense linear oracle, whose matrix, copy and SVD grow
+#: with their square: 2913 (N=3, T=6) took 8.5 s and 235 MB on one BLAS
+#: thread of a 2-core x86_64 host; N=2, T=13 (40956) needs 13 GB a copy.
+MAX_DENSE_UNKNOWNS = 3000
+
+#: Most forward unknowns of the Newton oracle, whose Jacobian costs two
+#: residual sweeps per unknown: 510 (N=2, T=8) took 17 s on that host.
+MAX_NEWTON_UNKNOWNS = 512
+
+#: Newton steps per start, halvings per line search, random starts after the flat one.
+MAX_NEWTON_STEPS = 60
+MAX_BACKTRACKS = 30
+EXTRA_STARTS = 2
 
 
 @dataclass(frozen=True)
@@ -191,11 +204,14 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     _check_tree(tree, coeffs)
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
+    size = _Index(tree).size
+    if size > MAX_DENSE_UNKNOWNS:
+        raise ProblemTooLarge(f"{size} unknowns exceed the dense oracle's limit of "
+                              f"{MAX_DENSE_UNKNOWNS}")
     mat, rhs, ix = _assemble(tree, coeffs, x0)
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = svals[0] if len(svals) else 0.0
     rank = int(np.sum(svals > RANK_RATIO * smax)) if smax > 0.0 else 0
-    size = ix.size
     if rank == size:
         vec = np.linalg.solve(mat, rhs)
         return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec, ix), rank, size)
@@ -205,16 +221,6 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     if gap > CONSISTENCY_TOL * scale:
         return NoSolution(rank, size, gap)
     return InfinitelyMany(rank, size, size - rank)
-
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    tolerance: float = 1e-10
-    max_iterations: int = 60
-    fd_step: float = 1e-6
-    max_backtracks: int = 30
-    extra_starts: int = 2
-    seed: int = 0
 
 
 def _x_levels(tree, flat, x0):
@@ -256,25 +262,28 @@ def _forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
     ])
 
 
-def solve_oracle(tree, problem, x0, opts: NewtonOptions | None = None, initial_guess=None):
+def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None):
     """Ground-truth nonlinear solve: damped Newton on the forward unknowns.
 
     ``problem`` is a NonlinearProblem; Y and Z are recomputed exactly from
     each X trial, so the only unknowns are the X values at depths 1..T.
-    Tries the flat start X = x0 and randomized perturbations; raises
-    NoConvergence with the best iterate if none reaches tolerance.
+    Tries the flat start X = x0 and randomized perturbations drawn from
+    ``seed``; raises NoConvergence with the best iterate if none reaches
+    ``tolerance``.
     """
-    opts = opts or NewtonOptions()
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
     m = sum(tree.num_nodes(t) for t in range(1, tree.T + 1))
+    if m > MAX_NEWTON_UNKNOWNS:
+        raise ProblemTooLarge(f"{m} unknowns exceed the Newton oracle's limit of "
+                              f"{MAX_NEWTON_UNKNOWNS}")
 
     def residual(flat):
         X = _x_levels(tree, flat, x0)
         Y, Z = backward_given_forward(tree, problem, X)
         return _forward_residual_vector(tree, problem, X, Y, Z)
 
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     starts = []
     if initial_guess is not None:
         guess = np.asarray(initial_guess, dtype=float)
@@ -282,49 +291,43 @@ def solve_oracle(tree, problem, x0, opts: NewtonOptions | None = None, initial_g
             raise ShapeMismatch(f"initial guess has shape {guess.shape}, expected ({m},)")
         starts.append(guess)
     starts.append(np.full(m, float(x0)))
-    for _ in range(opts.extra_starts):
+    for _ in range(EXTRA_STARTS):
         starts.append(np.full(m, float(x0)) + rng.normal(scale=0.5, size=m))
 
     best_res = np.inf
     best_x = None
     for start in starts:
-        x, res = _newton(residual, start, opts)
-        if res <= opts.tolerance:
+        x, res = _newton(residual, start, tolerance)
+        if res <= tolerance:
             X = _x_levels(tree, x, x0)
             Y, Z = backward_given_forward(tree, problem, X)
-            fwd, bwd = nonlinear_residual(tree, problem, (X, Y, Z))
-            return FbsdeSolution(
-                AdaptedProcess(tree, 0, X),
-                AdaptedProcess(tree, 0, Y),
-                AdaptedProcess(tree, 0, Z),
-                ResidualReport(forward=fwd, backward=bwd),
-            )
+            return _finish(tree, problem, _Iterate(X, Y, Z))
         if res < best_res:
             best_res, best_x = res, x
     raise NoConvergence(
-        f"no start reached tolerance {opts.tolerance:g}; best residual {best_res:.3e}",
+        f"no start reached tolerance {tolerance:g}; best residual {best_res:.3e}",
         best_residual=float(best_res),
         best_iterate=best_x,
     )
 
 
-def _newton(residual, x0_vec, opts):
+def _newton(residual, x0_vec, tolerance):
     x = x0_vec.astype(float).copy()
     f = residual(x)
     fnorm = float(np.abs(f).max())
-    for _ in range(opts.max_iterations):
+    for _ in range(MAX_NEWTON_STEPS):
         if not np.isfinite(fnorm):
             break
-        if fnorm <= opts.tolerance:
+        if fnorm <= tolerance:
             return x, fnorm
-        jac = finite_difference_jacobian(residual, x, opts.fd_step)
+        jac = finite_difference_jacobian(residual, x)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         lam = 1.0
         improved = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
             ft = residual(trial)
             ftnorm = float(np.abs(ft).max())

@@ -16,6 +16,7 @@ from fbsde import (
     SchemaError,
     bind_problem,
     linear,
+    oracle,
     parse_expression,
     special_coefficients,
     verify_report,
@@ -631,6 +632,34 @@ class TestCli:
         assert report["solution"] is None and report["residuals"] is None
         assert "consider continuation mode" in report["error"]
         assert "best_residual" not in report  # a flat Picard failure keeps none
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--delta", "1", "--max-iter", "3"],
+         "no contraction after 4 halvings: level 0.0625 did not contract within 3 iterations"),
+        (["--delta", "5e-324"], "a step of 4.94066e-324 needs a ladder over the 512-level cap"),
+    ], ids=["halvings", "depth-cap"])
+    def test_a_continuation_stop_names_its_limit_and_cause(self, capsys, flags, error):
+        assert run_cli(["demo", "monotone-family", *flags]) == 3
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["status"], report["error"], err) == ("no_convergence", error, "")
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "linear", "tree": {"N": 2, "T": 13}, "x0": 1.0, "coefficients": {"G": 1.0}},
+        dict(DEMOS["monotone-family"], tree={"N": 2, "T": 9}),
+    ], ids=["dense-linear", "newton"])
+    def test_the_oracle_refuses_a_problem_too_large(self, monkeypatch, tmp_path, capsys, doc):
+        # refused before the dense matrix (40956 unknowns squared) or the
+        # first Jacobian (1022 unknowns) is built
+        def unbounded(*args):
+            pytest.fail("the oracle started on a problem over its size limit")
+
+        monkeypatch.setattr(oracle, "_assemble", unbounded)
+        monkeypatch.setattr(oracle, "finite_difference_jacobian", unbounded)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["oracle", str(path)]) == 4
+        assert "unknowns exceed the" in capsys.readouterr().err
 
     def test_oracle_no_convergence_reports_best_residual(self, tmp_path, capsys):
         doc = json.loads(json.dumps(DEMOS["monotone-family"]))

@@ -23,7 +23,6 @@ from fbsde import (
     demo_monotone_problem,
     linear_special_problem,
     nonlinear_residual,
-    solve_at_level,
     solve_continuation,
     solve_flat_picard,
     solve_oracle,
@@ -112,60 +111,6 @@ class TestBlend:
             blend(demo_monotone_problem(tree), 1.5)
 
 
-class TestSolveAtLevel:
-    def test_base_level_is_the_linear_solver(self):
-        rng = np.random.default_rng(1)
-        tree = random_tree(rng, 2, 2)
-        inhom = Inhomogeneity.zeros(tree)
-        for t in range(2):
-            inhom.b0[t] = rng.normal(size=tree.num_nodes(t))
-            inhom.sigma0[t] = rng.normal(size=(tree.num_nodes(t), 2))
-        for t in range(1, 3):
-            inhom.f0[t] = rng.normal(size=tree.num_nodes(t))
-        inhom.h0 = rng.normal(size=4)
-        sol, stats = solve_at_level(
-            tree, demo_monotone_problem(tree), 0.0, inhom, x0=0.4
-        )
-        direct = solve_special(
-            tree,
-            D=inhom.b0,
-            D_bar=inhom.sigma0,
-            D_hat=[None] + [-f for f in inhom.f0[1:]],
-            g=inhom.h0,
-            x0=0.4,
-        )
-        for t in range(3):
-            np.testing.assert_array_equal(sol.X.level(t), direct.X.level(t))
-            np.testing.assert_array_equal(sol.Y.level(t), direct.Y.level(t))
-        assert stats.inner_solves == 1
-
-    def test_fixed_point_converges_in_two_iterations(self):
-        tree = uniform_tree(2, 2)
-        sol, stats = solve_at_level(
-            tree, linear_special_problem(tree), 0.25, None, x0=1.0,
-            opts=ContinuationOptions(delta=0.25),
-        )
-        assert len(stats.records) == 1
-        assert len(stats.records[0].norms) <= 2
-        assert stats.records[0].converged
-
-    def test_demo_family_at_quarter_level(self):
-        tree = uniform_tree(2, 2)
-        sol, stats = solve_at_level(
-            tree, demo_monotone_problem(tree, 0.1), 0.25, None, x0=1.0
-        )
-        assert max(sol.residuals.forward, sol.residuals.backward) <= TOL
-        assert stats.records[-1].converged
-
-    def test_alpha_must_sit_on_the_ladder(self):
-        tree = uniform_tree(2, 1)
-        with pytest.raises(AlphaOutOfRange):
-            solve_at_level(
-                tree, linear_special_problem(tree), 0.3, None, x0=0.0,
-                opts=ContinuationOptions(delta=0.25),
-            )
-
-
 class TestSolveContinuation:
     def test_linear_special_reduction_is_bitwise(self):
         tree = uniform_tree(2, 3)
@@ -247,39 +192,44 @@ class TestSolveContinuation:
         oracle_sol = solve_oracle(tree, problem, 1.0)
         assert solution_gap(tree, sol, oracle_sol) <= 1e-8
 
-    def test_step_floor_reported_with_best_effort(self):
+    @pytest.mark.parametrize("delta", [0.001, 2.0**-21, 5e-324],
+                             ids=["0.001", "2**-21", "5e-324"])
+    def test_ladder_depth_cap(self, delta):
+        # the smallest step passes the option check, though 1/delta overflows
         tree = uniform_tree(2, 1)
-        with pytest.raises(StepUnderflow):
+        with pytest.raises(StepUnderflow, match="512-level cap$") as info:
             solve_continuation(
                 tree,
                 linear_special_problem(tree),
                 1.0,
-                ContinuationOptions(delta=2.0**-21),
+                ContinuationOptions(delta=delta),
             )
+        assert info.value.best_residual is None and info.value.__cause__ is None
 
-    def test_ladder_depth_cap(self):
-        tree = uniform_tree(2, 1)
-        with pytest.raises(StepUnderflow, match="cap"):
-            solve_continuation(
-                tree,
-                linear_special_problem(tree),
-                1.0,
-                ContinuationOptions(delta=0.001),
-            )
-
-    def test_adversarial_underflows_within_budget(self):
+    def test_adversarial_underflows_within_budget(self, monkeypatch):
+        monkeypatch.setattr(nonlinear, "MAX_HALVINGS", 1)
+        monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 2000)
         tree = uniform_tree(2, 2)
         with pytest.raises(StepUnderflow) as info:
-            solve_continuation(
-                tree,
-                adversarial_problem(),
-                1.0,
-                ContinuationOptions(delta=0.25, max_halvings=1, max_inner_solves=2000),
-            )
-        assert "halvings" in str(info.value)
+            solve_continuation(tree, adversarial_problem(), 1.0, ContinuationOptions(delta=0.25))
+        assert str(info.value).startswith("no contraction after 1 halvings: ")
+        assert isinstance(info.value.__cause__, NoContraction)
         # the failure still reports the best iterate seen
         assert info.value.best_residual is not None
         assert info.value.best_solution is not None
+
+    def test_depth_cap_keeps_the_cause_and_the_best_iterate(self, monkeypatch):
+        # the first ladder fails; its halved step needs more levels than the cap
+        monkeypatch.setattr(nonlinear, "MAX_LEVELS", 4)
+        tree = uniform_tree(2, 2)
+        with pytest.raises(StepUnderflow) as info:
+            solve_continuation(tree, adversarial_problem(), 1.0, ContinuationOptions(delta=0.25))
+        err = info.value
+        assert isinstance(err.__cause__, NoContraction)
+        assert str(err) == f"a step of 0.125 needs a ladder over the 4-level cap: {err.__cause__}"
+        assert err.best_residual == pytest.approx(7.5)
+        res = err.best_solution.residuals
+        assert max(res.forward, res.backward) == err.best_residual
 
 
 class TestFlatPicard:
@@ -518,8 +468,9 @@ def test_stats_cover_every_ladder_attempt(monkeypatch):
     norm_sq = nonlinear.increment_norm_sq
     monkeypatch.setattr(nonlinear, "increment_norm_sq",
                         lambda *args: increments.append(1) or norm_sq(*args))
+    monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 713)
     tree = uniform_tree(2, 2)
-    opts = ContinuationOptions(delta=1.0, max_iterations=10, max_inner_solves=713)
+    opts = ContinuationOptions(delta=1.0, max_iterations=10)
     _, stats = solve_continuation(tree, demo_monotone_problem(tree, 0.6), 1.0, opts)
     assert stats.halvings == 2
     assert stats.inner_solves == 10 + 10 + 713

@@ -29,9 +29,9 @@ instances = st.tuples(
 
 
 def inhomogeneities(rng, tree):
-    """(D, D_bar, D_hat, g) of a conftest coefficient set; D_hat by absolute time."""
+    """(D, D_bar, D_hat, g) of a conftest coefficient set; D_hat over times 1..T."""
     c = random_linear_coeffs(rng, tree)
-    return c.D, c.D_bar, c.D_hat, c.g
+    return c.D, c.D_bar, c.D_hat[1:], c.g
 
 
 def assert_levels_identical(mine, theirs):
@@ -74,8 +74,8 @@ def test_factored_solve_equals_the_one_shot_solve(instance, special):
             mine = solve_special(tree, D, D_bar, D_hat, g, x0, form=base)
             fresh = special_coefficients(tree, D, D_bar, D_hat, g)
         else:
-            mine = solve_linear(tree, base.with_inhomogeneities(D, D_bar, D_hat[1:], g), x0)
-            fresh = replace_fields(base, D=D, D_bar=D_bar, D_hat=D_hat[1:], g=g)
+            mine = solve_linear(tree, base.with_inhomogeneities(D, D_bar, D_hat, g), x0)
+            fresh = replace_fields(base, D=D, D_bar=D_bar, D_hat=D_hat, g=g)
         ref = solve_linear(tree, fresh, x0)
         assert mine.riccati.slope_pass is memo
         assert ref.riccati.slope_pass is not memo

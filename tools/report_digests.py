@@ -8,11 +8,12 @@ Usage, from the root of a checkout of the repository:
 
 Each output gets one line: its label, the sha1 of the report, the exit
 code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
-read in a child process) runs in JSON and CSV, and its document, written
-into a temporary directory, goes through ``oracle`` and ``check``; then
-every op of each ``bench/workloads.py`` op list runs on files that module
-generates for ``--seed`` into the same directory, and every nonlinear file
-of an op list also goes through ``check``.  Every call is a fresh
+read in a child process) runs in JSON and CSV, a nonlinear one also with
+``--mode picard``, and its document, written into a temporary directory,
+goes through ``oracle`` and ``check``; then every op of each
+``bench/workloads.py`` op list runs on files that module generates for
+``--seed`` into the same directory, and every nonlinear file of an op list
+also goes through ``check`` and a ``--mode picard`` solve.  Every call is a fresh
 ``python -m fbsde`` process on this checkout's ``src``.  Running the same
 command on two checkouts and comparing the printed lines shows whether
 their outputs differ.  Standard library only; ``bench/workloads.py`` is
@@ -80,6 +81,8 @@ def digests(seed):
     for name in sorted(demos):
         for fmt in ("json", "csv"):
             yield (f"demo {name} {fmt}", *_run(["demo", name, "--format", fmt]))
+        if demos[name]["kind"] == "nonlinear":
+            yield (f"demo {name} picard", *_run(["demo", name, "--mode", "picard"]))
     workloads = _load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(demos):
@@ -98,6 +101,8 @@ def digests(seed):
                 path = workdir / problem
                 if json.loads(path.read_text(encoding="utf-8"))["kind"] == "nonlinear":
                     yield (f"{workload}: check {problem}", *_run(["check", str(path)]))
+                    yield (f"{workload}: picard {problem}",
+                           *_run(["solve", str(path), "--mode", "picard"]))
 
 
 def main(argv=None):
