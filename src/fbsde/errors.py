@@ -44,6 +44,18 @@ class NonFiniteInput(FbsdeError):
     """An input value is NaN or infinite."""
 
 
+class NonFiniteSolve(FbsdeError):
+    """A linear solve of finite input overflowed to NaN or infinity.
+
+    ``depth`` is the depth of the first non-finite level of the backward
+    pass, or None when only the solution is non-finite.
+    """
+
+    def __init__(self, message, depth=None):
+        super().__init__(message)
+        self.depth = depth
+
+
 class SingularCertificate(FbsdeError):
     """The solvability certificate reports singular nodes."""
 

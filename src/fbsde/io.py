@@ -404,7 +404,7 @@ def certificate_payload(tree, riccati) -> dict:
         "singular_nodes": [
             {"t": n.depth, "path": list(n.path)} for n in cert.singular_nodes
         ],
-        "min_ratio": None if not cert.verdicts else float(cert.min_ratio),
+        "min_ratio": float(cert.min_ratio),
         "P_levels": [
             None if lev is None else np.asarray(lev).tolist()
             for lev in riccati.P_levels[1:]

@@ -2,8 +2,10 @@
 
 The backward pass runs a scalar decoupling recursion (P, p) together with a
 per-node N x N matrix whose invertibility at every non-leaf node makes the
-coupled system uniquely solvable from every node; the per-node verdicts form
-a certificate.
+coupled system uniquely solvable from every node.  The certificate keeps
+those verdicts as one pair of arrays per level (condition ratios and
+invertible flags); node ids are built only for the singular nodes and each
+level's weakest node, and the per-node verdict list only on request.
 The forward pass then solves one dense N x N system per node for the child
 values of X, and Y, Z follow from conditional expectations of the affine
 closure P X + p.
@@ -21,6 +23,7 @@ from .errors import (
     AssumptionViolation,
     LeafNodeError,
     NonFiniteInput,
+    NonFiniteSolve,
     ShapeMismatch,
     SingularCertificate,
 )
@@ -226,21 +229,49 @@ class GammaVerdict:
     invertible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolvabilityCertificate:
-    verdicts: tuple
+    """The per-node verdicts of a slope pass, kept as level arrays.
+
+    ``ratios[k]`` and ``ok[k]`` are the read-only condition ratios and
+    invertible flags of the depth T-1-k matrices, for every level from T-1
+    down to the one where the pass halted.  ``weakest[k]`` is that level's
+    verdict with the smallest ratio (the first node on a tie).  Node ids
+    are built on request: ``singular_nodes`` for the singular entries only,
+    ``verdicts`` for every node.  Array fields rule out a generated
+    ``__eq__``; compare certificates through ``verdicts``.
+    """
+
+    tree: ScenarioTree
+    ratios: tuple
+    ok: tuple
+    weakest: tuple
+    all_invertible: bool
+
+    def _levels(self):
+        """(depth, ratios, ok) of each level, from T-1 down."""
+        return zip(range(self.tree.T - 1, -1, -1), self.ratios, self.ok)
 
     @property
-    def all_invertible(self):
-        return all(v.invertible for v in self.verdicts)
+    def verdicts(self):
+        """One GammaVerdict per node reached, level by level from T-1 down."""
+        return tuple(
+            GammaVerdict(self.tree.node_id(t, idx), ratio, invertible)
+            for t, ratios, ok in self._levels()
+            for idx, (ratio, invertible) in enumerate(zip(ratios.tolist(), ok.tolist()))
+        )
 
     @property
     def singular_nodes(self):
-        return tuple(v.node for v in self.verdicts if not v.invertible)
+        return tuple(
+            self.tree.node_id(t, int(idx))
+            for t, _, ok in self._levels()
+            for idx in np.flatnonzero(~ok)
+        )
 
     @property
     def min_ratio(self):
-        return min((v.ratio for v in self.verdicts), default=float("nan"))
+        return min((v.ratio for v in self.weakest), default=float("nan"))
 
 
 @dataclass(frozen=True)
@@ -248,10 +279,10 @@ class _SlopePass:
     """What the backward pass derives from the tree and the homogeneous
     coefficients alone.
 
-    Beside P, the per-node matrices and the certificate it keeps, per level
-    t, the stacked column ``a``, the feedback matrix ``coupling`` and (for
-    t >= 1) the contraction ``theta`` of the child closures, which the
-    offset and forward passes reuse.
+    Beside P, the per-node matrices and their level-array certificate it
+    keeps, per level t, the stacked column ``a``, the feedback matrix
+    ``coupling`` and (for t >= 1) the contraction ``theta`` of the child
+    closures, which the offset and forward passes reuse.
     """
 
     P_levels: tuple
@@ -264,13 +295,14 @@ class _SlopePass:
 
 @dataclass(frozen=True)
 class RiccatiData:
-    """Backward-recursion output: P, p levels, per-node matrices, verdicts.
+    """Backward-recursion output: P, p levels, per-node matrices, certificate.
 
     ``P_levels``/``p_levels`` are indexed by absolute time (entries below the
     first solvable level, and entry 0, are None); ``gamma_levels[t]`` stacks
     the depth-t matrices.  When a level contains a singular matrix the
-    recursion stops there, with verdicts recorded for that whole level.
-    P, the matrices and the verdicts are read from ``slope_pass``.
+    recursion stops there, with the ratios and flags of that whole level in
+    the certificate.  P, the matrices and the certificate are read from
+    ``slope_pass``.
     """
 
     slope_pass: _SlopePass
@@ -391,13 +423,21 @@ def _solve_columns(gamma, rhs):
     return np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
 
 
+def _finite_level(level, what, t):
+    """Raise NonFiniteSolve unless every entry of the depth-t ``level`` is finite."""
+    if not np.isfinite(level).all():
+        raise NonFiniteSolve(f"{what} at depth {t} overflowed to a non-finite value", depth=t)
+
+
 def _slope_pass(tree, coeffs):
-    """The slopes P, the per-node matrices and their verdicts.
+    """The slopes P, the per-node matrices and their certificate.
 
     Reads only the tree, A..C_hat and G.  The recursion needs the depth-t
     matrices inverted to continue below t; it therefore halts at the first
-    level holding a singular matrix, after recording verdicts for every node
-    of that level.
+    level holding a singular matrix.  Each level it reaches adds its ratio
+    and flag arrays to the certificate, and one node id: that of its
+    weakest matrix.  A level of P or of the matrices that overflows raises
+    NonFiniteSolve before its singular values are taken.
     """
     T, N = tree.T, tree.N
     P_levels = [None] * (T + 1)
@@ -405,26 +445,28 @@ def _slope_pass(tree, coeffs):
     a_levels = [None] * T
     coupling_levels = [None] * T
     theta_levels = [None] * T
-    verdicts = []
+    ratio_levels, ok_levels, weakest = [], [], []
 
     P_levels[T] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
 
     for t in range(T - 1, -1, -1):
+        _finite_level(P_levels[t + 1], "the slope P", t + 1)
         n = tree.num_nodes(t)
         scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
         coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
         P_child = P_levels[t + 1].reshape(n, N)
         gamma = _gamma_level(tree, coupling, P_child)
+        _finite_level(gamma, "the per-node matrix", t)
         gamma_levels[t], a_levels[t], coupling_levels[t] = gamma, scr_a, coupling
 
         svals = np.linalg.svd(gamma, compute_uv=False)
         smax, smin = svals[:, 0], svals[:, -1]
         ratios = np.where(smax > 0.0, smin / np.where(smax > 0.0, smax, 1.0), 0.0)
         ok = (smax > 0.0) & (ratios > SINGULAR_RATIO)
-        for idx in range(n):
-            verdicts.append(
-                GammaVerdict(tree.node_id(t, idx), float(ratios[idx]), bool(ok[idx]))
-            )
+        ratio_levels.append(ratios)
+        ok_levels.append(ok)
+        idx = int(np.argmin(ratios))
+        weakest.append(GammaVerdict(tree.node_id(t, idx), float(ratios[idx]), bool(ok[idx])))
         if not ok.all():
             break
         if t >= 1:
@@ -434,12 +476,15 @@ def _slope_pass(tree, coeffs):
             P_levels[t] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
     # the memo shares these arrays with every later solve
-    for lev in (*P_levels, *gamma_levels, *a_levels, *coupling_levels, *theta_levels):
+    for lev in (*P_levels, *gamma_levels, *a_levels, *coupling_levels, *theta_levels,
+                *ratio_levels, *ok_levels):
         if lev is not None:
             lev.flags.writeable = False
+    certificate = SolvabilityCertificate(
+        tree, tuple(ratio_levels), tuple(ok_levels), tuple(weakest), bool(ok_levels[-1].all())
+    )
     return _SlopePass(
-        tuple(P_levels), tuple(gamma_levels),
-        SolvabilityCertificate(tuple(verdicts)),
+        tuple(P_levels), tuple(gamma_levels), certificate,
         tuple(a_levels), tuple(coupling_levels), tuple(theta_levels),
     )
 
@@ -448,7 +493,8 @@ def _offset_pass(tree, coeffs, slopes):
     """The offsets p over a finished slope pass; returns the full RiccatiData.
 
     The only part of the backward pass that reads D, D_bar, D_hat and g.  It
-    stops where the slope pass halted.
+    stops where the slope pass halted.  A level that overflows raises
+    NonFiniteSolve naming the deepest such level.
     """
     T, N = tree.T, tree.N
     p_levels = [None] * (T + 1)
@@ -470,6 +516,9 @@ def _offset_pass(tree, coeffs, slopes):
             + np.einsum("nj,nj->n", theta, p_child)
             - coeffs.D_hat[t]
         )
+    for t in range(T, 0, -1):
+        if p_levels[t] is not None:
+            _finite_level(p_levels[t], "the offset p", t)
     return RiccatiData(slopes, tuple(p_levels))
 
 
@@ -480,15 +529,16 @@ def _check_tree(tree, coeffs):
                             f"N={coeffs.tree.N}, T={coeffs.tree.T}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteSolve
 def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
-    """Run the backward decoupling recursion with per-node verdicts.
+    """Run the backward decoupling recursion and certify each node's matrix.
 
-    A slope pass (P, the per-node matrices and their verdicts, from the
+    A slope pass (P, the per-node matrices and their certificate, from the
     homogeneous coefficients) and an offset pass (p, from the
     inhomogeneities).  The slope pass is memoized per tree in the table
     ``coeffs`` shares with its ``with_inhomogeneities`` copies, so on a hit
     only the offsets are computed.  Singularity is a certificate outcome,
-    not an error.
+    not an error; a level that overflows raises NonFiniteSolve.
     """
     _check_tree(tree, coeffs)
     slopes = coeffs._memo.get(tree)
@@ -497,13 +547,16 @@ def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiD
     return _offset_pass(tree, coeffs, slopes)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteSolve
 def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Solve the coupled linear system; certify failure instead of guessing.
 
     Returns an FbsdeSolution when every per-node matrix is invertible,
     otherwise an Unsolvable carrying the singular node list; either carries
     the backward pass's RiccatiData.  On success the per-branch residuals of
-    both equations are evaluated exhaustively and reported.
+    both equations are evaluated exhaustively and reported.  A backward
+    pass or a solution that overflows raises NonFiniteSolve: the residuals
+    keep NaN, so a non-finite solution shows in them.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
@@ -534,6 +587,9 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
         Z[t] = lam - lam[:, -1:]
 
     report = linear_residuals(tree, coeffs, X, Y, Z)
+    if not (np.isfinite(report.forward) and np.isfinite(report.backward)):
+        raise NonFiniteSolve(f"the solution overflowed: residuals forward {report.forward}, "
+                             f"backward {report.backward}")
     return FbsdeSolution(
         AdaptedProcess(tree, 0, X),
         AdaptedProcess(tree, 0, Y),

@@ -25,6 +25,7 @@ from .errors import (
     NoContraction,
     NonFiniteInput,
     NonFiniteIterate,
+    NonFiniteSolve,
     ShapeMismatch,
     StepUnderflow,
 )
@@ -351,16 +352,19 @@ class _Ladder:
                     alpha=0.0,
                     norms=[],
                 )
-            sol = linear.solve_special(
-                self.tree,
-                D=inhom.b0,
-                D_bar=inhom.sigma0,
-                D_hat=[-f for f in inhom.f0[1:]],
-                g=inhom.h0,
-                x0=x0,
-                form=self.base,
-            )
             self.stats.inner_solves += 1
+            try:
+                sol = linear.solve_special(
+                    self.tree,
+                    D=inhom.b0,
+                    D_bar=inhom.sigma0,
+                    D_hat=[-f for f in inhom.f0[1:]],
+                    g=inhom.h0,
+                    x0=x0,
+                    form=self.base,
+                )
+            except NonFiniteSolve as err:  # halves the step like any non-finite iterate
+                raise NonFiniteIterate(f"non-finite base solve: {err}") from err
             return _as_iterate(self.tree, sol)
 
         alpha = self.alphas[k]

@@ -1,5 +1,8 @@
 """Linear solver: scripts, backward recursion, certificate, decoupling."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from fbsde import (
     BsdeProblem,
     LinearCoefficients,
     NonFiniteInput,
+    NonFiniteSolve,
     ShapeMismatch,
     SingularCertificate,
     UniqueSolution,
@@ -495,3 +499,49 @@ class TestValidation:
         riccati_backward(tree, coeffs)
         solve_linear(tree, coeffs.with_inhomogeneities(D=0.1), 0.5)
         assert len(calls) == 1
+
+
+#: Finite linear files whose solve overflows: P_T = 1e308 + 1e308 in the
+#: first, the forward pass X_{t+1} = 2 X_t from 1e308 in the second.
+OVERFLOWS = {
+    "slope": ({"A_hat": -1e308, "G": 1e308}, 1.0, 3),
+    "solution": ({"A": 1.0}, 1e308, None),
+}
+
+
+@pytest.mark.parametrize("coefficients, x0, depth", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+class TestOverflow:
+    """Finite input whose solve overflows ends in NonFiniteSolve (exit 4),
+    never in a traceback, a numpy warning or a NaN solution."""
+
+    def test_solve_linear_raises(self, coefficients, x0, depth):
+        tree = uniform_tree(2, 3)
+        coeffs = LinearCoefficients(tree, **coefficients)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(NonFiniteSolve) as err:
+                solve_linear(tree, coeffs, x0)
+            assert err.value.depth == depth
+            if depth is None:  # the backward pass itself is finite
+                assert riccati_backward(tree, coeffs).certificate.all_invertible
+            else:
+                with pytest.raises(NonFiniteSolve, match=f"depth {depth}"):
+                    riccati_backward(tree, coeffs)
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_cli_exits_4(self, tmp_path, capsys, coefficients, x0, depth, command):
+        from fbsde.cli import run_cli
+
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "linear", "x0": x0, "coefficients": coefficients,
+                                    "tree": {"N": 2, "T": 3, "transition": "uniform"}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([command, str(path)])
+        captured = capsys.readouterr()
+        if command == "check" and depth is None:  # the certificate alone is finite
+            assert code == 0 and json.loads(captured.out)["status"] == "satisfied"
+            return
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflowed" in captured.err

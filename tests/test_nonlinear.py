@@ -13,6 +13,8 @@ from fbsde import (
     ContinuationOptions,
     Inhomogeneity,
     NoContraction,
+    NonFiniteIterate,
+    NonFiniteSolve,
     NonlinearProblem,
     StepUnderflow,
     as_nonlinear_problem,
@@ -230,6 +232,21 @@ class TestSolveContinuation:
         assert err.best_residual == pytest.approx(7.5)
         res = err.best_solution.residuals
         assert max(res.forward, res.backward) == err.best_residual
+
+    def test_non_finite_base_solve_halves_the_step(self):
+        # h - x = 1.7e308 overflows every base solve's offsets, at every step:
+        # each attempt fails as a non-finite iterate and halves, to the budget
+        tree = uniform_tree(2, 2)
+        problem = NonlinearProblem(drift=lambda t, n, x, y, z: 0.0,
+                                   diffusion=lambda t, n, x, y, z: 0.0,
+                                   generator=lambda t, n, x, y, z: 0.0,
+                                   terminal=lambda n, x: 1.7e308)
+        with pytest.raises(StepUnderflow) as info:
+            solve_continuation(tree, problem, 1.0, ContinuationOptions(delta=1.0))
+        err = info.value
+        assert str(err).startswith(f"no contraction after {nonlinear.MAX_HALVINGS} halvings: ")
+        assert isinstance(err.__cause__, NonFiniteIterate)
+        assert isinstance(err.__cause__.__cause__, NonFiniteSolve)
 
 
 class TestFlatPicard:
