@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeneratorEvaluationError, ShapeMismatch
-from .martingale import backward_defect, canonicalize, tilde_contract
+from .martingale import canonicalize, tilde_contract, worst_defects
 from .tree import AdaptedProcess, ScenarioTree, _process_levels
 
 #: Residual guarantee for solver output, checked by the residual evaluator.
@@ -49,6 +49,7 @@ def _as_matrix(values):
     return values[:, None] if values.ndim == 1 else values
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows in the residual
 def solve_bsde(tree: ScenarioTree, problem: BsdeProblem):
     """Solve the backward pair by one sweep from the leaves.
 
@@ -118,11 +119,14 @@ def _generator_level(tree, problem, t, y_level, z_levels, scalar, K):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite defect is the result
 def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
     """Max per-branch defect of the backward equation over all nodes.
 
     For each non-leaf node and branch i this is
-    |Y_{t+1} - Y_t + f(t+1, .) - Z_t (e_i - P_t)|, maximized over entries.
+    |Y_{t+1} - Y_t + f(t+1, .) - Z_t (e_i - P_t)|, maximized over entries
+    by ``worst_defects``.  The generator levels are evaluated from T down
+    to 1, which decides the first error raised.
     """
     y_levels = [_as_matrix(lev) for lev in _process_levels(tree, Y, range(tree.T + 1), "Y")]
     z_raw = _process_levels(tree, Z, range(tree.T), "Z")
@@ -135,11 +139,7 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
             raise ShapeMismatch(f"Z level {t} has shape {z_raw[t].shape}")
         z_levels.append(z)
 
-    worst = 0.0
-    for t in range(tree.T - 1, -1, -1):
-        f_next = _generator_level(tree, problem, t + 1, y_levels[t + 1], z_levels, scalar, K)
-        defect = backward_defect(
-            y_levels[t + 1], y_levels[t], f_next, z_levels[t], tree.transition[t]
-        )
-        worst = np.maximum(worst, np.abs(defect).max())  # keeps a NaN defect
-    return float(worst)
+    f = [None] * (tree.T + 1)
+    for t in range(tree.T, 0, -1):
+        f[t] = _generator_level(tree, problem, t, y_levels[t], z_levels, scalar, K)
+    return worst_defects(tree, None, y_levels, z_levels, None, None, f)[1]

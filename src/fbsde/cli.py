@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import io as pio
@@ -20,6 +21,7 @@ from .errors import (
     NoContraction,
     NoConvergence,
     NonFiniteIterate,
+    NonFiniteSolve,
     SchemaError,
     StepUnderflow,
 )
@@ -151,10 +153,17 @@ def _new_report(loaded: pio.LoadedProblem):
 
 
 def _solved(report, tree, solution, residuals, stats=None):
-    """(report, exit code) of a solved run: its solution, residuals and stats."""
+    """(report, exit code) of a solved run: its solution, residuals and stats.
+
+    A non-finite residual (a solution that overflowed) raises NonFiniteSolve.
+    """
+    values = {"forward": residuals.forward, "backward": residuals.backward}
+    if not all(math.isfinite(v) for v in values.values() if v is not None):
+        shown = ", ".join(f"{key} {v}" for key, v in values.items() if v is not None)
+        raise NonFiniteSolve(f"the solution overflowed: residuals {shown}")
     report["status"] = "solved"
     report["solution"] = pio.solution_payload(tree, solution)
-    report["residuals"] = {"forward": residuals.forward, "backward": residuals.backward}
+    report["residuals"] = values
     report["stats"] = pio.stats_payload(stats)
     return report, EXIT_SOLVED
 

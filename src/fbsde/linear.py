@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     SingularCertificate,
 )
-from .martingale import backward_defect, forward_defect
+from .martingale import worst_defects
 from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index, _process_levels
 
 #: Zero-sum validation tolerance for the structural coupling conditions.
@@ -579,7 +579,7 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
 
     Y = [None] * (T + 1)
     Z = [None] * T
-    Y[T] = coeffs.G * X[T] + coeffs.g
+    Y[T] = _terminal(coeffs, slice(None), X[T])
     for t in range(T):
         n = tree.num_nodes(t)
         lam = (ric.P_levels[t + 1] * X[t + 1] + ric.p_levels[t + 1]).reshape(n, N)
@@ -599,6 +599,33 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     )
 
 
+def _drift(coeffs, t, at, x, y, z):
+    """Forward drift A x + B y + C z + D of the depth-t nodes ``at``, an index
+    array or ``slice(None)`` (the whole level, as views); ``z`` holds their rows."""
+    return (coeffs.A[t][at] * x + coeffs.B[t][at] * y
+            + np.einsum("nj,nj->n", z, coeffs.C[t][at]) + coeffs.D[t][at])
+
+
+def _diffusion(coeffs, t, at, x, y, z):
+    """Forward increment loading x A_bar + y B_bar + z C_bar + D_bar, one row a node."""
+    return (x[:, None] * coeffs.A_bar[t][at] + y[:, None] * coeffs.B_bar[t][at]
+            + np.einsum("nj,njk->nk", z, coeffs.C_bar[t][at]) + coeffs.D_bar[t][at])
+
+
+def _generator(coeffs, t, at, x, y, z):
+    """Backward generator -(A_hat x + B_hat y + D_hat + C_hat z); ``z`` is
+    not read at the horizon, where C_hat vanishes."""
+    val = coeffs.A_hat[t][at] * x + coeffs.B_hat[t][at] * y + coeffs.D_hat[t][at]
+    if t < coeffs.tree.T:
+        val = val + np.einsum("nj,nj->n", z, coeffs.C_hat[t][at])
+    return -val
+
+
+def _terminal(coeffs, at, x):
+    """Terminal values G x + g of the leaves ``at``."""
+    return coeffs.G[at] * x + coeffs.g[at]
+
+
 def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     """Exhaustive per-branch residuals of both equations.
 
@@ -608,34 +635,14 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     _check_tree(tree, coeffs)
     X = _process_levels(tree, X, range(tree.T + 1), "X", ())
     Y = _process_levels(tree, Y, range(tree.T + 1), "Y", ())
-    Z = _process_levels(tree, Z, range(tree.T), "Z", (tree.N,))
-    fwd = 0.0
-    bwd = 0.0
-    for t in range(tree.T):
-        b = (
-            coeffs.A[t] * X[t]
-            + coeffs.B[t] * Y[t]
-            + np.einsum("nj,nj->n", Z[t], coeffs.C[t])
-            + coeffs.D[t]
-        )
-        sigma = (
-            X[t][:, None] * coeffs.A_bar[t]
-            + Y[t][:, None] * coeffs.B_bar[t]
-            + np.einsum("nj,njk->nk", Z[t], coeffs.C_bar[t])
-            + coeffs.D_bar[t]
-        )
-        hat = (
-            coeffs.A_hat[t + 1] * X[t + 1]
-            + coeffs.B_hat[t + 1] * Y[t + 1]
-            + coeffs.D_hat[t + 1]
-        )
-        if t + 1 < tree.T:
-            hat = hat + np.einsum("nj,nj->n", Z[t + 1], coeffs.C_hat[t + 1])
-        rows = tree.transition[t]
-        # np.maximum, unlike max, keeps a NaN defect
-        fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b, sigma, rows)).max())
-        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], -hat, Z[t], rows)).max())
-    return ResidualReport(forward=float(fwd), backward=float(bwd))
+    # no row at the horizon, where the generator reads none
+    Z = _process_levels(tree, Z, range(tree.T), "Z", (tree.N,)) + [None]
+    every = slice(None)
+    levels = range(tree.T)
+    b = [_drift(coeffs, t, every, X[t], Y[t], Z[t]) for t in levels]
+    sigma = [_diffusion(coeffs, t, every, X[t], Y[t], Z[t]) for t in levels]
+    f = [None] + [_generator(coeffs, t + 1, every, X[t + 1], Y[t + 1], Z[t + 1]) for t in levels]
+    return ResidualReport(*worst_defects(tree, X, Y, Z, b, sigma, f))
 
 
 def _extended_contraction_matrix(N):

@@ -5,9 +5,9 @@ driving process; a row Z acts on them by dot product.  Rows differing by a
 constant shift act identically on every increment, so the canonical form
 zeros the last entry and the N-1 entry differences Z_j - Z_N are the free
 coordinates.  ``forward_defect`` and ``backward_defect`` state the two
-equations branch by branch for a whole level; every residual check in the
-package reduces their output.  All functions are pure and operate on
-immutable inputs.
+equations branch by branch for a whole level, and ``worst_defects`` reduces
+them over a whole solution: every reported residual comes from it.
+All functions are pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
@@ -174,3 +174,20 @@ def backward_defect(y_next, y, f_next, z, rows):
     """
     zm = _increment_products(z, rows)
     return y_next.reshape(zm.shape) - y[:, None] + f_next.reshape(zm.shape) - zm
+
+
+def worst_defects(tree, X, Y, Z, b, sigma, f):
+    """Largest absolute per-branch defect of each equation: (forward, backward).
+
+    ``X``, ``Y`` hold levels 0..T, ``Z``, ``b``, ``sigma`` levels 0..T-1 and
+    ``f`` the generator by absolute time (entry 0 unused).  A backward-only
+    system passes ``X=None`` and gets a forward value of 0.0.  ``np.maximum``,
+    unlike ``max``, keeps a NaN defect.
+    """
+    fwd = bwd = 0.0
+    for t in range(tree.T):
+        rows = tree.transition[t]
+        if X is not None:
+            fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max())
+        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max())
+    return float(fwd), float(bwd)

@@ -30,7 +30,7 @@ from .errors import (
     StepUnderflow,
 )
 from .linear import FbsdeSolution, ResidualReport
-from .martingale import backward_defect, cond_second_moment, forward_defect, tilde_contract
+from .martingale import cond_second_moment, tilde_contract, worst_defects
 from .tree import AdaptedProcess, _process_levels
 
 #: A level aborts early once increments blow past this multiple of their
@@ -63,16 +63,13 @@ class NonlinearProblem:
     node indices (repeats allowed), ``x`` and ``y`` their values and
     ``z_tilde`` their (n, N-1) row contractions, never raw rows, so
     equivalent rows are indistinguishable by construction; at the horizon
-    the generator gets ``z_tilde=None``.  ``lipschitz`` and ``monotone`` are
-    optional known constants, kept for diagnostics.
+    the generator gets ``z_tilde=None``.
     """
 
     drift: Callable
     diffusion: Callable
     generator: Callable
     terminal: Callable
-    lipschitz: Optional[float] = None
-    monotone: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -193,14 +190,7 @@ def _blended(problem, alpha, inhom):
         v = np.asarray(problem.terminal(nodes, x), dtype=float)
         return a * v + (1.0 - a) * x + (0.0 if zero else inhom.h0[nodes])
 
-    return NonlinearProblem(
-        drift=drift,
-        diffusion=diffusion,
-        generator=generator,
-        terminal=terminal,
-        lipschitz=problem.lipschitz,
-        monotone=problem.monotone,
-    )
+    return NonlinearProblem(drift, diffusion, generator, terminal)
 
 
 @dataclass
@@ -411,6 +401,7 @@ def _finish(tree, problem, iterate):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteIterate
 def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     """Solve the target system by climbing the blend ladder.
 
@@ -457,6 +448,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
             delta /= 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteIterate
 def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
     """One-level iteration with the whole nonlinearity frozen each sweep.
 
@@ -487,7 +479,7 @@ def nonlinear_residual(tree, problem, solution):
     level lists.
     """
     it = _as_iterate(tree, solution)
-    return _defects(tree, it.X, it.Y, it.Z, *_coefficient_levels(tree, problem, it.X, it.Y, it.Z))
+    return worst_defects(tree, it.X, it.Y, it.Z, *_coefficient_levels(tree, problem, it.X, it.Y, it.Z))
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
@@ -507,19 +499,7 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
         for t in range(T)
     ]
     f = [None] + [a * f[t] + (1.0 - a) * X[t] + inhom.f0[t] for t in range(1, T + 1)]
-    return _defects(tree, X, Y, Z, b, sigma, f)
-
-
-def _defects(tree, X, Y, Z, b, sigma, f):
-    """Worst per-branch defects of both equations over every level."""
-    fwd = 0.0
-    bwd = 0.0
-    for t in range(tree.T):
-        rows = tree.transition[t]
-        # np.maximum, unlike max, keeps a NaN defect
-        fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max())
-        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max())
-    return float(fwd), float(bwd)
+    return worst_defects(tree, X, Y, Z, b, sigma, f)
 
 
 @dataclass(frozen=True)
@@ -720,8 +700,6 @@ def linear_special_problem(tree) -> NonlinearProblem:
         diffusion=lambda t, nodes, x, y, zt: -_canonical_rows(zt),
         generator=lambda t, nodes, x, y, zt: x,
         terminal=lambda nodes, x: x,
-        lipschitz=1.0,
-        monotone=1.0,
     )
 
 
@@ -742,36 +720,20 @@ def demo_monotone_problem(tree, scale=0.1) -> NonlinearProblem:
         return x + scale * np.tanh(y)
 
     base = linear_special_problem(tree)
-    return NonlinearProblem(drift, base.diffusion, generator, base.terminal,
-                            lipschitz=1.0 + scale, monotone=1.0 - scale)
+    return NonlinearProblem(drift, base.diffusion, generator, base.terminal)
 
 
 def as_nonlinear_problem(tree, coeffs) -> NonlinearProblem:
-    """Wrap linear coefficients as a nonlinear problem (for cross-validation)."""
+    """Wrap linear coefficients as a nonlinear problem (for cross-validation).
 
-    def drift(t, nodes, x, y, zt):
-        return (
-            coeffs.A[t][nodes] * x
-            + coeffs.B[t][nodes] * y
-            + np.einsum("nj,nj->n", _canonical_rows(zt), coeffs.C[t][nodes])
-            + coeffs.D[t][nodes]
-        )
+    Each coefficient is ``linear``'s level function on the canonical rows
+    of ``z_tilde``, so both paths evaluate the same float operations.
+    """
 
-    def diffusion(t, nodes, x, y, zt):
-        return (
-            x[:, None] * coeffs.A_bar[t][nodes]
-            + y[:, None] * coeffs.B_bar[t][nodes]
-            + np.einsum("nj,njk->nk", _canonical_rows(zt), coeffs.C_bar[t][nodes])
-            + coeffs.D_bar[t][nodes]
-        )
+    def level(fn):
+        return lambda t, nodes, x, y, zt: fn(
+            coeffs, t, nodes, x, y, None if zt is None else _canonical_rows(zt))
 
-    def generator(t, nodes, x, y, zt):
-        val = coeffs.A_hat[t][nodes] * x + coeffs.B_hat[t][nodes] * y + coeffs.D_hat[t][nodes]
-        if t < tree.T:
-            val = val + np.einsum("nj,nj->n", _canonical_rows(zt), coeffs.C_hat[t][nodes])
-        return -val
-
-    def terminal(nodes, x):
-        return coeffs.G[nodes] * x + coeffs.g[nodes]
-
-    return NonlinearProblem(drift, diffusion, generator, terminal)
+    return NonlinearProblem(level(linear._drift), level(linear._diffusion),
+                            level(linear._generator),
+                            lambda nodes, x: linear._terminal(coeffs, nodes, x))

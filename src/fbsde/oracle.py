@@ -195,6 +195,7 @@ def _solution_from_vector(tree, coeffs, x0, vec, ix):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite solution shows in its residuals
 def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Classify the coupled linear system by the rank of its global matrix.
 

@@ -415,6 +415,41 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags
     assert captured.err.startswith("error: ")
 
 
+TREE_2_3 = {"N": 2, "T": 3, "transition": "uniform"}
+
+#: Files whose solution overflows: Z of alternating huge leaves, a root
+#: value whose drift overflows, a generator pushing huge leaves past the range.
+OVERFLOWING = {
+    "bsde-rows": ("solve", {"kind": "bsde", "tree": TREE_2_3,
+                            "terminal": [1.7e308, -1.7e308] * 4}),
+    "oracle-linear": ("oracle", {"kind": "linear", "tree": TREE_2_3, "x0": 1e308,
+                                 "coefficients": {"A": 1.0}}),
+    "bsde-generator": ("solve", {"kind": "bsde", "tree": TREE_2_3, "terminal": [1.7e308] * 8,
+                                 "coefficients": {"f": "0.5*y"}}),
+}
+
+
+@pytest.mark.parametrize("command, doc", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_an_overflowing_solution_is_an_error(tmp_path, capsys, command, doc):
+    # never a "solved" report with a NaN residual, and no numpy warning
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli([command, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["continuation", "picard"])
+def test_an_overflowing_iterate_stops_without_a_warning(tmp_path, capsys, mode):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(DEMOS["monotone-family"] | {"x0": 1e300}))
+    assert run_cli(["solve", str(path), "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "no_convergence"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("cell", [True, None, "", [0.1]])
 def test_a_bad_per_node_cell_names_its_field(cell):
     # a level of plain numbers binds as one array; any other cell still

@@ -15,11 +15,12 @@ from fbsde import (
     build_tree,
     linear_residuals,
     nonlinear_residual,
+    solve_bsde,
     solve_linear,
     special_coefficients,
 )
 from fbsde.io import solution_payload
-from fbsde.martingale import backward_defect, forward_defect
+from fbsde.martingale import backward_defect, forward_defect, worst_defects
 from fbsde.oracle import _forward_residual_vector
 
 instances = st.tuples(
@@ -93,6 +94,9 @@ def test_every_path_sees_a_single_branch_perturbation(instance, data):
     Y = [sol.Y.level(t).copy() for t in range(tree.T + 1)]
     Z = [sol.Z.level(t) for t in range(tree.T)]
     lin0, nl0, bsde0, vector0 = all_paths(tree, coeffs, X, Y, Z)
+    # solved rows are canonical, so every path hands the kernel the same floats
+    assert lin0.forward.hex() == nl0[0].hex()
+    assert lin0.backward.hex() == nl0[1].hex() == bsde0.hex()
     delta = data.draw(st.floats(1e-6, 10.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
 
     # X_{t+1} enters only its own branch's forward defect with coefficient 1
@@ -159,6 +163,22 @@ def test_a_nan_entry_reaches_every_reduction(entry):
     lin = linear_residuals(tree, coeffs, X, Y, Z)
     assert np.isnan((lin.forward, lin.backward)[side])
     assert np.isnan(nonlinear_residual(tree, problem, (X, Y, Z))[side])
+
+
+def test_a_nan_reaches_the_backward_only_reduction():
+    # K = 2 values: no forward equation, so the forward value is 0.0
+    tree = build_tree(2, 2)
+    problem = BsdeProblem(terminal=np.arange(8.0).reshape(4, 2),
+                          generator=lambda t, y, zt: 0.5 * y)
+    Y, Z = solve_bsde(tree, problem)
+    Y = [Y.level(t).copy() for t in range(tree.T + 1)]
+    Z = [Z.level(t) for t in range(tree.T)]
+    f = [None, 0.5 * Y[1], np.zeros((4, 2))]
+    assert worst_defects(tree, None, Y, Z, None, None, f) == (0.0, 0.0)
+    Y[0][0, 1] = np.nan  # the root, which no generator reads
+    fwd, bwd = worst_defects(tree, None, Y, Z, None, None, f)
+    assert fwd == 0.0 and np.isnan(bwd)
+    assert np.isnan(bsde_residual(tree, problem, Y, Z))
 
 
 #: Every reader of a (X, Y, Z) triple given as processes or level lists.
