@@ -2,8 +2,9 @@
 
 Each step takes a conditional expectation for the value process and reads
 the martingale row off the centered child values, so the solve is exact up
-to floating-point rounding.  Values may be K-dimensional; the downstream
-forward-backward solvers use K = 1.
+to floating-point rounding.  Values may be K-dimensional, and each of the
+K components comes out bit for bit as its own scalar solve; the Newton
+oracle solves K frozen forward paths in one sweep this way.
 """
 
 from __future__ import annotations
@@ -75,11 +76,14 @@ def solve_bsde(tree: ScenarioTree, problem: BsdeProblem):
         n = tree.num_nodes(t)
         y_next = y_levels[t + 1]
         xi = y_next + _generator_level(tree, problem, t + 1, y_next, z_levels, scalar, K)
-        grouped = xi.reshape(n, tree.N, K)
-        y_levels[t] = np.einsum("ni,nik->nk", tree.transition[t], grouped)
-        # Z columns are the child values of xi; canonical form subtracts the
-        # last column.
-        z_levels[t] = canonicalize(np.swapaxes(grouped, 1, 2))
+        # each node's child values of each of the K components, branch last
+        # and contiguous: einsum then sums the branches of every component
+        # in the order of a scalar solve
+        rows = np.ascontiguousarray(np.swapaxes(xi.reshape(n, tree.N, K), 1, 2))
+        y_levels[t] = np.einsum("ni,nki->nk", tree.transition[t], rows)
+        # Z rows are the child values of xi; canonical form subtracts the
+        # last entry.
+        z_levels[t] = canonicalize(rows)
 
     if scalar:
         y_out = [lev[:, 0] for lev in y_levels]

@@ -157,12 +157,14 @@ def _increment_products(z, rows):
 def forward_defect(x_next, x, b, sigma, rows):
     """Per-branch defect X_{t+1} - X_t - b_t - sigma_t (e_i - P_t) of one level.
 
-    ``x``, ``b`` are (n,) node values, ``sigma`` the (n, N) diffusion rows,
-    ``rows`` the (n, N) transition rows and ``x_next`` the (n*N,) child
-    values, node-major.  Returns (n, N), branch i in column i.
+    ``rows`` are the (n, N) transition rows.  Scalar values: ``x``, ``b``
+    (n,), ``sigma`` the (n, N) diffusion rows and ``x_next`` the (n*N,)
+    child values, node-major; returns (n, N), branch i in column i.
+    K-valued: ``x``, ``b`` (n, K), ``sigma`` (n, K, N), ``x_next``
+    (n*N, K); returns (n, N, K).
     """
-    n, N = rows.shape
-    return x_next.reshape(n, N) - x[:, None] - b[:, None] - _increment_products(sigma, rows)
+    zm = _increment_products(sigma, rows)
+    return x_next.reshape(zm.shape) - x[:, None] - b[:, None] - zm
 
 
 def backward_defect(y_next, y, f_next, z, rows):

@@ -276,15 +276,6 @@ def _level(value, shape, name):
         raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}") from None
 
 
-def _forward_levels(tree, problem, X, Y, zt):
-    """Drift and diffusion on 0..T-1, one call per level; ``zt`` holds the
-    contractions of Z."""
-    nodes = [_nodes(tree.num_nodes(t)) for t in range(tree.T)]
-    b = [_level(problem.drift(t, n, X[t], Y[t], zt[t]), n.shape, "drift") for t, n in enumerate(nodes)]
-    return b, [_level(problem.diffusion(t, n, X[t], Y[t], zt[t]), (len(n), tree.N), "diffusion")
-               for t, n in enumerate(nodes)]
-
-
 def _coefficient_levels(tree, problem, X, Y, Z):
     """Drift and diffusion on 0..T-1, then generator on 1..T, at an iterate,
     one call per level in that order (which decides the first error raised).
@@ -293,7 +284,10 @@ def _coefficient_levels(tree, problem, X, Y, Z):
     at the horizon the generator's ``z_tilde`` is None.
     """
     zt = [tilde_contract(z) for z in Z] + [None]
-    b, sigma = _forward_levels(tree, problem, X, Y, zt)
+    nodes = [_nodes(tree.num_nodes(t)) for t in range(tree.T)]
+    b = [_level(problem.drift(t, n, X[t], Y[t], zt[t]), n.shape, "drift") for t, n in enumerate(nodes)]
+    sigma = [_level(problem.diffusion(t, n, X[t], Y[t], zt[t]), (len(n), tree.N), "diffusion")
+             for t, n in enumerate(nodes)]
     f = [_level(problem.generator(t, _nodes(len(X[t])), X[t], Y[t], zt[t]), (len(X[t]),),
                 "generator") for t in range(1, tree.T + 1)]
     return b, sigma, [None] + f

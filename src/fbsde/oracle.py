@@ -5,7 +5,8 @@ into one dense matrix over all node unknowns and classifies it by rank, so
 its verdict is independent of the recursive solver.  The nonlinear oracle
 eliminates the backward pair (given X everywhere, Y and Z follow from one
 exact backward sweep) and drives the remaining square system with a damped
-Newton method and finite-difference Jacobian.
+Newton method and finite-difference Jacobian, whose 2m shifted points go
+through one sweep as 2m columns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .bsde import BsdeProblem, solve_bsde
 from .errors import NoConvergence, NonFiniteInput, ProblemTooLarge, ShapeMismatch
 from .linear import FbsdeSolution, LinearCoefficients, _check_tree, linear_residuals
 from .martingale import forward_defect, tilde_contract
-from .nonlinear import _finish, _forward_levels, _Iterate, _level, _nodes
+from .nonlinear import _finish, _Iterate, _level
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Rank decisions use the same scale-free singular-value threshold as the
@@ -33,8 +34,9 @@ CONSISTENCY_TOL = 1e-8
 #: thread of a 2-core x86_64 host; N=2, T=13 (40956) needs 13 GB a copy.
 MAX_DENSE_UNKNOWNS = 3000
 
-#: Most forward unknowns of the Newton oracle, whose Jacobian costs two
-#: residual sweeps per unknown: 510 (N=2, T=8) took 17 s on that host.
+#: Most forward unknowns of the Newton oracle, whose Jacobian is one
+#: residual sweep over two paths per unknown: 510 (N=2, T=8) took 0.75 s
+#: and 78 MB peak RSS (the process's, imports included) on that host.
 MAX_NEWTON_UNKNOWNS = 512
 
 #: Newton steps per start, halvings per line search, random starts after the flat one.
@@ -225,7 +227,9 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
 
 
 def _x_levels(tree, flat, x0):
-    X = [np.array([float(x0)])]
+    """Forward levels 0..T of the K paths in the columns of ``flat``, (m, K):
+    level t is (N**t, K), and every path starts at ``x0``."""
+    X = [np.full((1, flat.shape[1]), float(x0))]
     off = 0
     for t in range(1, tree.T + 1):
         n = tree.num_nodes(t)
@@ -234,19 +238,36 @@ def _x_levels(tree, flat, x0):
     return X
 
 
-def backward_given_forward(tree, problem, X_levels):
-    """Exact backward pair for a frozen forward path, via the backward solver.
+def _on_paths(fn, name, t, cell, x, y=None, zt=None):
+    """One call of a ``NonlinearProblem`` coefficient on a level of K paths.
 
-    The problem's generator, at ``X_levels``, is the backward generator of
-    each level; at the horizon its ``z_tilde`` is None.
+    ``x`` and ``y`` are (n, K), ``zt`` is (n, K, N-1) or None; each node
+    index is repeated K times, in the order of the raveled level.  Returns
+    the values shaped (n, K) + ``cell``.
+    """
+    n, K = x.shape
+    args = [np.repeat(np.arange(n), K), x.ravel()]
+    if y is not None:
+        args += [y.ravel(), None if zt is None else zt.reshape(n * K, -1)]
+    value = fn(*args) if t is None else fn(t, *args)
+    return _level(value, (n * K,) + cell, name).reshape((n, K) + cell)
+
+
+def backward_given_forward(tree, problem, X_levels):
+    """Exact backward pairs for K frozen forward paths, by one K-valued
+    backward solve.
+
+    ``X_levels`` holds levels 0..T shaped (N**t, K); the problem's
+    generator, at ``X_levels``, is the backward generator of each level; at
+    the horizon its ``z_tilde`` is None.  Returns Y levels (N**t, K) and Z
+    levels (N**t, K, N), column k of each the solve of path k alone.
     """
     T = tree.T
 
     def gen(t, y, zt):
-        return problem.generator(t, _nodes(len(y)), X_levels[t], y, zt)
+        return _on_paths(problem.generator, "generator", t, (), X_levels[t], y, zt)
 
-    x = X_levels[T]
-    eta = _level(problem.terminal(_nodes(len(x)), x), x.shape, "terminal")
+    eta = _on_paths(problem.terminal, "terminal", None, (), X_levels[T])
     bp = BsdeProblem(terminal=eta, generator=gen if T > 1 else None,
                      terminal_generator=lambda y: gen(T, y, None))
     Y, Z = solve_bsde(tree, bp)
@@ -254,13 +275,36 @@ def backward_given_forward(tree, problem, X_levels):
 
 
 def _forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
-    """Forward defects of every branch, flat: node-major, branch-minor per level."""
+    """Forward defects of every branch of K paths, (rows, K): node-major,
+    branch-minor per level.
+
+    Levels are shaped as ``backward_given_forward`` takes and returns them;
+    drift is called on every level before diffusion.
+    """
     zt = [tilde_contract(z) for z in Z_levels]
-    b, sigma = _forward_levels(tree, problem, X_levels, Y_levels, zt)
+    T, N = tree.T, tree.N
+    b = [_on_paths(problem.drift, "drift", t, (), X_levels[t], Y_levels[t], zt[t])
+         for t in range(T)]
+    sigma = [_on_paths(problem.diffusion, "diffusion", t, (N,), X_levels[t], Y_levels[t], zt[t])
+             for t in range(T)]
+    K = X_levels[0].shape[1]
     return np.concatenate([
-        forward_defect(X_levels[t + 1], X_levels[t], b[t], sigma[t], tree.transition[t]).ravel()
-        for t in range(tree.T)
+        forward_defect(X_levels[t + 1], X_levels[t], b[t], sigma[t], tree.transition[t]).reshape(-1, K)
+        for t in range(T)
     ])
+
+
+def _newton_residual(tree, problem, x0):
+    """The Newton oracle's function: the forward defects, (rows, K), of the
+    K points in the columns of an (m, K) array of forward values at depths
+    1..T, with Y and Z solved exactly for each."""
+
+    def residual(flat):
+        X = _x_levels(tree, flat, x0)
+        Y, Z = backward_given_forward(tree, problem, X)
+        return _forward_residual_vector(tree, problem, X, Y, Z)
+
+    return residual
 
 
 def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None):
@@ -279,11 +323,7 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         raise ProblemTooLarge(f"{m} unknowns exceed the Newton oracle's limit of "
                               f"{MAX_NEWTON_UNKNOWNS}")
 
-    def residual(flat):
-        X = _x_levels(tree, flat, x0)
-        Y, Z = backward_given_forward(tree, problem, X)
-        return _forward_residual_vector(tree, problem, X, Y, Z)
-
+    residual = _newton_residual(tree, problem, x0)
     rng = np.random.default_rng(seed)
     starts = []
     if initial_guess is not None:
@@ -300,9 +340,11 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     for start in starts:
         x, res = _newton(residual, start, tolerance)
         if res <= tolerance:
-            X = _x_levels(tree, x, x0)
+            X = _x_levels(tree, x[:, None], x0)
             Y, Z = backward_given_forward(tree, problem, X)
-            return _finish(tree, problem, _Iterate(X, Y, Z))
+            return _finish(tree, problem, _Iterate([lev[:, 0] for lev in X],
+                                                   [lev[:, 0] for lev in Y],
+                                                   [lev[:, 0] for lev in Z]))
         if res < best_res:
             best_res, best_x = res, x
     raise NoConvergence(
@@ -313,8 +355,10 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
 
 
 def _newton(residual, x0_vec, tolerance):
+    """Damped Newton from ``x0_vec`` on ``residual``, which maps columns to
+    columns: a single point is one column."""
     x = x0_vec.astype(float).copy()
-    f = residual(x)
+    f = residual(x[:, None])[:, 0]
     fnorm = float(np.abs(f).max())
     for _ in range(MAX_NEWTON_STEPS):
         if not np.isfinite(fnorm):
@@ -330,7 +374,7 @@ def _newton(residual, x0_vec, tolerance):
         improved = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
-            ft = residual(trial)
+            ft = residual(trial[:, None])[:, 0]
             ftnorm = float(np.abs(ft).max())
             if np.isfinite(ftnorm) and ftnorm < fnorm:
                 x, f, fnorm = trial, ft, ftnorm
@@ -343,14 +387,19 @@ def _newton(residual, x0_vec, tolerance):
 
 
 def finite_difference_jacobian(func, x, base_step=1e-6):
-    """Central-difference Jacobian with per-coordinate steps scaled by |x|."""
-    f0 = np.asarray(func(x), dtype=float)
-    jac = np.empty((f0.shape[0], x.shape[0]))
-    for j in range(x.shape[0]):
-        h = base_step * (1.0 + abs(float(x[j])))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
-    return jac
+    """Central-difference Jacobian with per-coordinate steps scaled by |x|.
+
+    ``func`` maps the columns of an (m, K) array to the columns of an
+    (r, K) array and is called once, on K = 2m points: column j is x with
+    coordinate j raised by h_j = ``base_step`` (1 + |x_j|), column m + j
+    the same coordinate lowered.  Only those coordinates are changed, so
+    every other entry, a -0.0 included, is x's own.
+    """
+    m = x.shape[0]
+    h = base_step * (1.0 + np.abs(x))
+    block = np.repeat(x[:, None], 2 * m, axis=1)
+    j = np.arange(m)
+    block[j, j] = x + h
+    block[j, m + j] = x - h
+    f = np.asarray(func(block), dtype=float)
+    return (f[:, :m] - f[:, m:]) / (2.0 * h)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tree, subtree_expectation, uniform_tree
 from fbsde import (
@@ -218,3 +220,29 @@ def test_level_generator_output_is_checked():
     # one value serves the whole level
     Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones(4), terminal_generator=lambda y: 0.5))
     np.testing.assert_allclose(Y.level(0), [1.5], atol=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4), st.integers(1, 40))
+def test_each_component_of_a_vector_solve_is_its_scalar_solve(seed, N, T, K):
+    # bit for bit: the Newton oracle's Jacobian solves its K paths this way
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, T)
+    eta = rng.normal(scale=2.0, size=(tree.num_nodes(T), K))
+    a, c = rng.uniform(-1, 1, size=2)
+
+    def gen(t, y, zt):
+        w = np.arange(len(y)) % N + 1.0
+        w = w if y.ndim == 1 else w[:, None]
+        return a * y + np.tanh(zt[..., 0]) - c * zt[..., -1] * w / t
+
+    def gen_T(y):
+        return 0.3 * np.sin(y) - c * y
+
+    Y, Z = solve_bsde(tree, BsdeProblem(eta, gen, gen_T))
+    for k in range(K):
+        Yk, Zk = solve_bsde(tree, BsdeProblem(eta[:, k], gen, gen_T))
+        for t in range(T + 1):
+            assert np.array_equal(Y.level(t)[:, k], Yk.level(t))
+        for t in range(T):
+            assert np.array_equal(Z.level(t)[:, k], Zk.level(t))

@@ -1,5 +1,6 @@
 """Problem files, report round-trips, and the command-line surface."""
 
+import importlib.util
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from fbsde import (
     AssumptionViolation,
     Expression,
+    FbsdeError,
     SchemaError,
     bind_problem,
     linear,
@@ -23,6 +25,7 @@ from fbsde import (
 )
 import fbsde
 from fbsde.cli import DEMOS, run_cli
+from fbsde.io import LEVEL_EVAL_MIN
 
 #: A nonlinear file on N=3 whose every coefficient reads t and w, and whose
 #: interior ones read z1 and z2.
@@ -416,6 +419,106 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags
 
 
 TREE_2_3 = {"N": 2, "T": 3, "transition": "uniform"}
+
+#: Documents with a key their kind does not read, and that key.
+UNREAD_KEYS = {
+    # the generator belongs under coefficients; read there, it overflows
+    "bsde-top-level-f": ({"kind": "bsde", "tree": TREE_2_3, "terminal": [1.7e308] * 8,
+                          "f": "0.5*y"}, "f"),
+    "bsde-x0": (BSDE_DOC | {"x0": 1.0}, "x0"),
+    "linear-terminal": (LINEAR_DOC | {"terminal": [1.0] * 8}, "terminal"),
+    "misspelled-transition": (
+        NONLINEAR_DOC | {"tree": {"N": 2, "T": 3, "transitions": [0.3, 0.7]}}, "transitions"),
+}
+
+
+@pytest.mark.parametrize("doc, key", UNREAD_KEYS.values(), ids=UNREAD_KEYS.keys())
+def test_a_key_the_kind_does_not_read_is_an_input_error(tmp_path, capsys, doc, key):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"unknown keys ['{key}']" in captured.err
+
+
+def test_every_demo_and_benchmark_document_binds(tmp_path):
+    for doc in DEMOS.values():
+        bind_problem(doc)
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up here
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = saved
+    for name in workloads.BUILDERS:
+        for seed in (1, 2, 7):
+            workdir = tmp_path / f"{name}-{seed}"
+            workdir.mkdir()
+            for op in workloads.generate(name, seed, workdir):
+                fbsde.load_problem(workdir / op.problem)
+
+
+#: Entries of a level set to NaN or infinity, as (variable, node, value);
+#: each forces ``evaluate_level`` back to ``evaluate`` node by node.  Where
+#: two nodes fail, the later one fails in an earlier expression of the
+#: diffusion or at another offset, so the error names the node.
+NON_FINITE_ENTRIES = {
+    "finite": [],
+    "inf-x": [("x", 70, math.inf)],
+    "nan-x-inf-y": [("x", 70, math.nan), ("y", 50, math.inf)],
+    "inf-z1-minus-inf-y": [("z1", 80, math.inf), ("y", 40, -math.inf)],
+}
+
+
+@pytest.mark.parametrize("entries", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES.keys())
+def test_a_large_level_evaluates_as_its_small_chunks(monkeypatch, entries):
+    # a callback on LEVEL_EVAL_MIN nodes or more evaluates whole levels; on
+    # fewer, node by node: the values, or the error of the first failing
+    # node, must be the same
+    rng = np.random.default_rng(12)
+    problem = bind_problem(ROW_COUPLED_DOC).data
+    N, T, n = 3, 3, 3 * LEVEL_EVAL_MIN
+    x, y = rng.uniform(-2, 2, size=(2, n))
+    zt = rng.uniform(-2, 2, size=(n, N - 1))
+    for name, node, value in entries:
+        {"x": x, "y": y, "z1": zt[:, 0]}[name][node] = value
+    level_calls = []
+    evaluate_level = Expression.evaluate_level
+    monkeypatch.setattr(Expression, "evaluate_level",
+                        lambda self, env: level_calls.append(self) or evaluate_level(self, env))
+
+    def outcome(fn, size):
+        try:
+            return "values", np.concatenate([fn(slice(i, i + size)) for i in range(0, n, size)]).tobytes()
+        except FbsdeError as err:
+            return type(err), str(err)
+
+    outcomes = []
+    for t in range(T + 1):
+        nodes = rng.integers(0, N**t, size=n)
+        calls = []
+        if t < T:
+            calls.append(lambda s: problem.drift(t, nodes[s], x[s], y[s], zt[s]))
+            calls.append(lambda s: problem.diffusion(t, nodes[s], x[s], y[s], zt[s]))
+        if 0 < t < T:
+            calls.append(lambda s: problem.generator(t, nodes[s], x[s], y[s], zt[s]))
+        if t == T:
+            calls.append(lambda s: problem.generator(t, nodes[s], x[s], y[s], None))
+            calls.append(lambda s: problem.terminal(nodes[s], x[s]))
+        for fn in calls:
+            level_calls.clear()
+            whole = outcome(fn, n)
+            assert level_calls
+            level_calls.clear()
+            assert outcome(fn, LEVEL_EVAL_MIN - 1) == whole
+            assert not level_calls
+            outcomes.append(whole[0])
+    assert (set(outcomes) != {"values"}) == bool(entries)
 
 #: Files whose solution overflows: Z of alternating huge leaves, a root
 #: value whose drift overflows, a generator pushing huge leaves past the range.

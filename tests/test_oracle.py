@@ -13,6 +13,7 @@ from fbsde import (
     UniqueSolution,
     Unsolvable,
     as_nonlinear_problem,
+    bind_problem,
     demo_monotone_problem,
     finite_difference_jacobian,
     linear_oracle,
@@ -145,3 +146,56 @@ def test_jacobian_matches_directional_differences():
             h = 1e-6
             numeric = (func(x + h * direction) - func(x - h * direction)) / (2 * h)
             np.testing.assert_allclose(jac @ direction, numeric, rtol=1e-5, atol=1e-7)
+
+
+def looped_jacobian(func, x, base_step=1e-6):
+    """The central differences column by column, one point a call, as
+    ``finite_difference_jacobian`` computed them before it took a block."""
+    f0 = np.asarray(func(x), dtype=float)
+    jac = np.empty((f0.shape[0], x.shape[0]))
+    for j in range(x.shape[0]):
+        h = base_step * (1.0 + abs(float(x[j])))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("N, T", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_the_batched_jacobian_is_the_looped_one_bit_for_bit(N, T):
+    # the block's 2m paths put small levels of the bound callbacks below
+    # io.LEVEL_EVAL_MIN and large ones above it, while the loop's single
+    # paths stay below it on most levels
+    rng = np.random.default_rng(10 * N + T)
+    row = rng.uniform(0.2, 1.0, size=N)
+    s, c = rng.uniform(0.05, 0.5, size=2)
+    doc = {
+        "kind": "nonlinear",
+        "tree": {"N": N, "T": T, "transition": (row / row.sum()).tolist()},
+        "x0": float(rng.uniform(0.5, 1.5)),
+        "coefficients": {
+            "b": f"-y + {s}*tanh(x) + {c}*w",
+            "sigma": [f"-z{i} + {c}*sin(y)" for i in range(1, N)] + ["0"],
+            "f": f"x + {s}*tanh(y) - {c}*z1*x",
+            "f_terminal": f"x + {c}*y",
+            "h": f"x + {s}*cos(x)",
+        },
+    }
+    loaded = bind_problem(doc)
+    residual = oracle._newton_residual(loaded.tree, loaded.data, loaded.x0)
+    m = sum(N**t for t in range(1, T + 1))
+    x = loaded.x0 + rng.normal(scale=0.5, size=m)
+    x[int(rng.integers(m))] = -0.0
+    batched = finite_difference_jacobian(residual, x)
+    looped = looped_jacobian(lambda v: residual(v[:, None])[:, 0], x)
+    assert batched.shape == looped.shape == (m, m)
+    assert batched.tobytes() == looped.tobytes()
+
+
+def test_the_jacobian_keeps_a_negative_zero_coordinate():
+    # copysign reads the sign of a zero, which adding a zero step would flip
+    x = np.array([-0.0, 1.0, 0.0])
+    jac = finite_difference_jacobian(lambda v: np.copysign(1.0, v), x)
+    assert jac.tobytes() == looped_jacobian(lambda v: np.copysign(1.0, v), x).tobytes()

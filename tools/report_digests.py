@@ -10,14 +10,15 @@ Each output gets one line: its label, the sha1 of the report, the exit
 code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
 read in a child process) runs in JSON and CSV, a nonlinear one also with
 ``--mode picard``, and its document, written into a temporary directory,
-goes through ``oracle`` and ``check``; then every op of each
-``bench/workloads.py`` op list runs on files that module generates for
-``--seed`` into the same directory, and every nonlinear file of an op list
-also goes through ``check`` and a ``--mode picard`` solve.  Every call is a fresh
-``python -m fbsde`` process on this checkout's ``src``.  Running the same
-command on two checkouts and comparing the printed lines shows whether
-their outputs differ.  Standard library only; ``bench/workloads.py`` is
-imported, never written.
+goes through ``oracle`` and ``check``; the ``monotone-family`` document
+also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``.  Then
+every op of each ``bench/workloads.py`` op list runs on files that module
+generates for ``--seed`` into the same directory, and every nonlinear file
+of an op list also goes through ``check`` and a ``--mode picard`` solve.
+Every call is a fresh ``python -m fbsde`` process on this checkout's
+``src``.  Running the same command on two checkouts and comparing the
+printed lines shows whether their outputs differ.  Standard library only;
+``bench/workloads.py`` is imported, never written.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: (N, T) trees, larger than the benchmark's, on which the Newton oracle
+#: solves the ``monotone-family`` demo.
+ORACLE_SIZES = ((2, 6), (3, 4))
 
 
 def _load_workloads():
@@ -90,6 +95,14 @@ def digests(seed):
             path.write_text(json.dumps(demos[name]), encoding="utf-8")
             for command in ("oracle", "check"):
                 yield (f"{command} demo {name}", *_run([command, str(path)]))
+        for N, T in ORACLE_SIZES:
+            doc = dict(demos["monotone-family"], tree={"N": N, "T": T, "transition": "uniform"})
+            # the demo's diffusion rows, -(z_tilde, 0), at N branches
+            doc["coefficients"] = dict(doc["coefficients"],
+                                       sigma=[f"-z{i}" for i in range(1, N)] + ["0"])
+            path = Path(tmp) / f"monotone-family-{N}-{T}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            yield (f"oracle demo monotone-family N={N} T={T}", *_run(["oracle", str(path)]))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
