@@ -167,8 +167,6 @@ def _unknown_keys(block, known, path):
 
 def _bind_tree(doc):
     block = _require(doc, "tree", "")
-    if not isinstance(block, dict):
-        raise SchemaError("tree", "must be an object")
     _unknown_keys(block, ("N", "T", "transition"), "tree")
     N = _require(block, "N", "tree")
     T = _require(block, "T", "tree")
@@ -182,8 +180,6 @@ def _bind_tree(doc):
 def _bind_options(doc):
     """(ContinuationOptions, mode, seed) from the optional options block."""
     raw = doc.get("options", {})
-    if not isinstance(raw, dict):
-        raise SchemaError("options", "must be an object")
     _unknown_keys(raw, ("tolerance", "delta", "max_iter", "max_iterations", "mode", "seed"),
                   "options")
     if "max_iter" in raw and "max_iterations" in raw:
@@ -297,38 +293,40 @@ def _bind_nonlinear(tree, doc):
         return [{"t": t, "w": wi, "x": xi, "y": yi, **dict(zip(names, z))}
                 for wi, xi, yi, z in zip(w, x.tolist(), y.tolist(), rows)]
 
-    def values(exprs, t, nodes, x, y=None, zt=None):
-        """Each expression at every node, one column each.
+    def level_env(t, nodes, x, y=None, zt=None):
+        """The variables of every node as arrays, for ``evaluate_level``."""
+        env = {"t": float(t), "w": nodes % tree.N + 1.0 if t else np.zeros(len(nodes)), "x": x}
+        if y is not None:
+            env["y"] = y
+        if zt is not None:
+            env.update(zip(names, zt.T))
+        return env
 
-        A level of ``LEVEL_EVAL_MIN`` nodes or more is evaluated with
-        ``evaluate_level``, which gives the bits of ``evaluate``; when an
-        expression fails there, the node-by-node loop names the first
-        failing node and expression.
-        """
+    def values(expr, t, nodes, x, y=None, zt=None):
+        """``expr`` at every node; from ``LEVEL_EVAL_MIN`` nodes on by
+        ``evaluate_level``, which gives the bits of ``evaluate`` and the
+        error of the first failing node."""
         if len(nodes) >= LEVEL_EVAL_MIN:
-            env = {"t": float(t), "w": nodes % tree.N + 1.0 if t else np.zeros(len(nodes)), "x": x}
-            if y is not None:
-                env["y"] = y
-            if zt is not None:
-                env.update(zip(names, zt.T))
-            try:
-                return np.stack([e.evaluate_level(env) for e in exprs], axis=1)
-            except FbsdeError:
-                pass
-        cells = [[e.evaluate(env) for e in exprs] for env in envs(t, nodes, x, y, zt)]
-        return np.array(cells, dtype=float).reshape(len(nodes), len(exprs))
+            return expr.evaluate_level(level_env(t, nodes, x, y, zt))
+        return np.array([expr.evaluate(e) for e in envs(t, nodes, x, y, zt)])
 
     def drift(t, nodes, x, y, zt):
-        return values([b_expr], t, nodes, x, y, zt)[:, 0]
+        return values(b_expr, t, nodes, x, y, zt)
 
     def diffusion(t, nodes, x, y, zt):
-        return values(s_exprs, t, nodes, x, y, zt)
+        if len(nodes) >= LEVEL_EVAL_MIN:
+            env = level_env(t, nodes, x, y, zt)
+            try:
+                return np.stack([s.evaluate_level(env) for s in s_exprs], axis=1)
+            except FbsdeError:
+                pass  # one expression failed: the loop names the first failing node
+        return np.array([[s.evaluate(e) for s in s_exprs] for e in envs(t, nodes, x, y, zt)])
 
     def generator(t, nodes, x, y, zt):
-        return values([fT_expr if t == tree.T else f_expr], t, nodes, x, y, zt)[:, 0]
+        return values(fT_expr if t == tree.T else f_expr, t, nodes, x, y, zt)
 
     def terminal(nodes, x):
-        return values([h_expr], tree.T, nodes, x)[:, 0]
+        return values(h_expr, tree.T, nodes, x)
 
     return NonlinearProblem(drift, diffusion, generator, terminal)
 
@@ -382,6 +380,9 @@ def bind_problem(doc) -> LoadedProblem:
     # a key the kind does not read would be dropped without a word
     _unknown_keys(doc, ("kind", "tree", "options", "coefficients",
                         "terminal" if kind == "bsde" else "x0"), "")
+    for block in ("tree", "options", "coefficients"):
+        if not isinstance(doc.get(block, {}), dict):
+            raise SchemaError(block, "must be an object")
     tree = _bind_tree(doc)
     options, mode, seed = _bind_options(doc)
     x0 = None

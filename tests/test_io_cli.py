@@ -396,6 +396,8 @@ MALFORMED = {
     "per-node-row-boolean": (
         "solve", LINEAR_DOC | {"coefficients": {"D_bar": [[0.1, False]] + [[0.1, 0.2]] * 6}}, []),
     "terminal-boolean": ("solve", BSDE_DOC | {"terminal": [1.0, True]}, []),
+    "tree-number": ("solve", BSDE_DOC | {"tree": 5}, []),
+    "coefficients-string": ("solve", BSDE_DOC | {"coefficients": "f"}, []),
     "delta-2": ("solve", LINEAR_DOC, ["--delta", "2"]),
     "delta-0": ("solve", LINEAR_DOC, ["--delta", "0"]),
     "tol-0": ("solve", LINEAR_DOC, ["--tol", "0"]),
