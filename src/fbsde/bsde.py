@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GeneratorEvaluationError, ShapeMismatch
 from .martingale import canonicalize, tilde_contract, worst_defects
-from .tree import AdaptedProcess, ScenarioTree, _process_levels
+from .tree import AdaptedProcess, ScenarioTree, _process_array
 
 #: Residual guarantee for solver output, checked by the residual evaluator.
 RESIDUAL_TOL = 1e-11
@@ -132,18 +132,17 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
     by ``worst_defects``.  The generator levels are evaluated from T down
     to 1, which decides the first error raised.
     """
-    y_levels = [_as_matrix(lev) for lev in _process_levels(tree, Y, range(tree.T + 1), "Y")]
-    z_raw = _process_levels(tree, Z, range(tree.T), "Z")
+    T = tree.T
+    y = _as_matrix(_process_array(tree, Y, range(T + 1), "Y"))
+    z_raw = _process_array(tree, Z, range(T), "Z")
     scalar = np.asarray(problem.terminal).ndim == 1
-    K = y_levels[-1].shape[1]
-    z_levels = []
-    for t, z in enumerate(z_raw):
-        z = z[:, None, :] if z.ndim == 2 else z
-        if z.shape != (tree.num_nodes(t), K, tree.N):
-            raise ShapeMismatch(f"Z level {t} has shape {z_raw[t].shape}")
-        z_levels.append(z)
-
-    f = [None] * (tree.T + 1)
-    for t in range(tree.T, 0, -1):
-        f[t] = _generator_level(tree, problem, t, y_levels[t], z_levels, scalar, K)
-    return worst_defects(tree, None, y_levels, z_levels, None, None, f)[1]
+    K = y.shape[1]
+    z = z_raw[:, None, :] if z_raw.ndim == 2 else z_raw
+    if z.shape[1:] != (K, tree.N):
+        raise ShapeMismatch(f"Z level 0 has shape {(1,) + z_raw.shape[1:]}")
+    y_levels, z_levels = tree.views(y, range(T + 1)), tree.views(z, range(T))
+    f = np.empty((len(y) - 1, K))
+    f_levels = (None, *tree.views(f, range(1, T + 1)))
+    for t in range(T, 0, -1):
+        f_levels[t][...] = _generator_level(tree, problem, t, y_levels[t], z_levels, scalar, K)
+    return worst_defects(tree, None, y, z, None, None, f)[1]

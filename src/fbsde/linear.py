@@ -28,7 +28,7 @@ from .errors import (
     SingularCertificate,
 )
 from .martingale import worst_defects
-from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index, _process_levels
+from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index, _process_array
 
 #: Zero-sum validation tolerance for the structural coupling conditions.
 ZERO_SUM_TOL = 1e-12
@@ -61,35 +61,39 @@ def _array(value, shape, name, where):
 
 
 def _levels(tree, value, times, cell, name):
-    """A tuple of level arrays of shape ``(num_nodes(t),) + cell``, t in ``times``.
+    """One level-order array over the depth-t nodes, t in ``times``, each
+    node's entry of shape ``cell``.
 
-    ``value`` is None (zeros), one cell shared by every node, or one entry
-    per time, each a cell shared by that level's nodes or the whole level.
-    The forms are told apart by nesting depth, never by converting a ragged
-    list.  Every array is a fresh C-contiguous copy: einsum sums other
-    layouts in another order.
+    ``value`` is None (zeros), one cell shared by every node, one entry per
+    time (each a cell shared by that level's nodes or the whole level), or
+    the whole field as one level-order ndarray.  The forms are told apart
+    by nesting depth, never by converting a ragged list.  The array is a
+    fresh C-contiguous one, each level written into its view: einsum sums
+    other layouts in another order.
     """
+    shape = (tree.offsets[times.stop] - tree.offsets[times.start],) + cell
+    if isinstance(value, np.ndarray) and value.shape == shape:
+        return np.array(value, dtype=float, order="C")
+    out = np.zeros(shape)
     if value is None:
-        return tuple(np.zeros((tree.num_nodes(t),) + cell) for t in times)
+        return out
     if _depth(value) == len(cell):
         value = [value] * len(times)
     elif _depth(value) < len(cell) or len(value) != len(times):
         raise ShapeMismatch(
             f"{name}: expected a cell of shape {cell} or {len(times)} levels", field=name
         )
-    out = []
-    for t, lev in zip(times, value):
+    for t, lev, view in zip(times, value, tree.views(out, times)):
         where = f"{name} level {t}"
-        if _depth(lev) == len(cell):
-            out.append(np.full((tree.num_nodes(t),) + cell, _array(lev, cell, name, where)))
-        else:
-            out.append(_array(lev, (tree.num_nodes(t),) + cell, name, where))
-    return tuple(out)
+        view[...] = _array(lev, cell if _depth(lev) == len(cell) else view.shape, name, where)
+    return out
 
 
-#: Every coefficient field, in the order ``validate`` checks them.
-_FIELDS = ("A", "B", "C", "D", "A_bar", "B_bar", "C_bar", "D_bar",
-           "A_hat", "B_hat", "C_hat", "D_hat", "G", "g")
+#: Every coefficient field, in the order ``validate`` checks them, with the
+#: rank of its cell (scalar, column or matrix).  Plain and barred fields
+#: live on times 0..T-1, hatted ones on 1..T, the leaf fields G, g on T.
+_FIELDS = {"A": 0, "B": 0, "C": 1, "D": 0, "A_bar": 1, "B_bar": 1, "C_bar": 2, "D_bar": 1,
+           "A_hat": 0, "B_hat": 0, "C_hat": 1, "D_hat": 0, "G": 0, "g": 0}
 
 #: The inhomogeneities; the backward pass reads them only for the offsets p.
 _INHOMOGENEOUS = ("D", "D_bar", "D_hat", "g")
@@ -103,7 +107,9 @@ class LinearCoefficients:
     terminal condition Y_T = G X_T + g.  Scalar fields are per-node scalars,
     C and C_hat per-node columns stored as (n, N) arrays, C_bar per-node
     N x N matrices.  Hatted fields live on times 1..T and are stored in
-    tuples indexed by absolute time with entry 0 unused.
+    tuples indexed by absolute time with entry 0 unused.  Each field is one
+    read-only level-order array, ``arrays[name]``, and its levels are views
+    of it.
 
     The structural conditions (columns of C, C_hat and every column of each
     C_bar matrix sum to zero; C_hat vanishes at the horizon) make each
@@ -119,39 +125,29 @@ class LinearCoefficients:
                  A_bar=None, B_bar=None, C_bar=None, D_bar=None,
                  A_hat=None, B_hat=None, C_hat=None, D_hat=None,
                  G=None, g=None):
-        fwd = range(tree.T)
-        bwd = range(1, tree.T + 1)
-        row, matrix = (tree.N,), (tree.N, tree.N)
-        vars(self).update(
-            tree=tree,
-            A=_levels(tree, A, fwd, (), "A"),
-            B=_levels(tree, B, fwd, (), "B"),
-            C=_levels(tree, C, fwd, row, "C"),
-            A_bar=_levels(tree, A_bar, fwd, row, "A_bar"),
-            B_bar=_levels(tree, B_bar, fwd, row, "B_bar"),
-            C_bar=_levels(tree, C_bar, fwd, matrix, "C_bar"),
-            A_hat=(None, *_levels(tree, A_hat, bwd, (), "A_hat")),
-            B_hat=(None, *_levels(tree, B_hat, bwd, (), "B_hat")),
-            C_hat=(None, *_levels(tree, C_hat, bwd, row, "C_hat")),
-            # a leaf field is the single level at time T
-            G=_levels(tree, None if G is None else [G], [tree.T], (), "G")[0],
-            _memo={},  # tree -> _SlopePass, shared with every copy
-        )
-        self._set_inhomogeneities(D, D_bar, D_hat, g)
+        vars(self).update(tree=tree, arrays={}, _memo={})  # _memo: tree -> _SlopePass
+        self._set(A=A, B=B, C=C, A_bar=A_bar, B_bar=B_bar, C_bar=C_bar,
+                  A_hat=A_hat, B_hat=B_hat, C_hat=C_hat, G=G)
+        self._set(D=D, D_bar=D_bar, D_hat=D_hat, g=g)
         self.validate()
-        self._freeze(_FIELDS)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LinearCoefficients are read-only: cannot set {name}")
 
-    def _set_inhomogeneities(self, D, D_bar, D_hat, g):
-        tree = self.tree
-        vars(self).update(
-            D=_levels(tree, D, range(tree.T), (), "D"),
-            D_bar=_levels(tree, D_bar, range(tree.T), (tree.N,), "D_bar"),
-            D_hat=(None, *_levels(tree, D_hat, range(1, tree.T + 1), (), "D_hat")),
-            g=_levels(tree, None if g is None else [g], [tree.T], (), "g")[0],
-        )
+    def _set(self, **values):
+        """Shape each field into its read-only array and set its level views:
+        a tuple by time (entry 0 None for a hatted field), or for a leaf
+        field its one level."""
+        tree, T = self.tree, self.tree.T
+        for name, value in values.items():
+            leaf, hat = name in ("G", "g"), name.endswith("_hat")
+            times = range(T, T + 1) if leaf else range(1, T + 1) if hat else range(T)
+            arr = _levels(tree, [value] if leaf and value is not None else value,
+                          times, (tree.N,) * _FIELDS[name], name)
+            arr.flags.writeable = False
+            self.arrays[name] = arr
+            views = tree.views(arr, times)
+            vars(self)[name] = arr if leaf else (None, *views) if hat else views
 
     def with_inhomogeneities(self, D=None, D_bar=None, D_hat=None, g=None):
         """A copy with new D, D_bar, D_hat and g, each checked for finiteness.
@@ -160,29 +156,16 @@ class LinearCoefficients:
         the copy recomputes only the offsets of the backward pass.
         """
         new = copy.copy(self)
-        new._set_inhomogeneities(D, D_bar, D_hat, g)
+        vars(new)["arrays"] = dict(self.arrays)
+        new._set(D=D, D_bar=D_bar, D_hat=D_hat, g=g)
         new._check_finite(_INHOMOGENEOUS)
-        new._freeze(_INHOMOGENEOUS)
         return new
-
-    def _field_levels(self, name):
-        """The level arrays of one field (entry 0 of a hatted field is unused)."""
-        levels = getattr(self, name)
-        if name in ("G", "g"):
-            return [levels]
-        return levels[1:] if name.endswith("_hat") else levels
 
     def _check_finite(self, names):
         """Raise NonFiniteInput for the first of ``names`` with a NaN or inf entry."""
         for name in names:
-            for lev in self._field_levels(name):
-                if not np.isfinite(lev).all():
-                    raise NonFiniteInput(f"coefficient {name} has non-finite entries")
-
-    def _freeze(self, names):
-        for name in names:
-            for lev in self._field_levels(name):
-                lev.flags.writeable = False
+            if not np.isfinite(self.arrays[name]).all():
+                raise NonFiniteInput(f"coefficient {name} has non-finite entries")
 
     def validate(self):
         """Check finiteness and the structural zero-sum conditions.
@@ -279,12 +262,14 @@ class _SlopePass:
     """What the backward pass derives from the tree and the homogeneous
     coefficients alone.
 
-    Beside P, the per-node matrices and their level-array certificate it
+    Beside P (``P_array`` in level order over times 1..T, ``P_levels`` its
+    views), the per-node matrices and their level-array certificate it
     keeps, per level t, the stacked column ``a``, the feedback matrix
     ``coupling`` and (for t >= 1) the contraction ``theta`` of the child
     closures, which the offset and forward passes reuse.
     """
 
+    P_array: np.ndarray
     P_levels: tuple
     gamma_levels: tuple
     certificate: SolvabilityCertificate
@@ -302,10 +287,12 @@ class RiccatiData:
     the depth-t matrices.  When a level contains a singular matrix the
     recursion stops there, with the ratios and flags of that whole level in
     the certificate.  P, the matrices and the certificate are read from
-    ``slope_pass``.
+    ``slope_pass``; ``p_levels`` are views of ``p_array``, the offsets in
+    level order over times 1..T.
     """
 
     slope_pass: _SlopePass
+    p_array: np.ndarray
     p_levels: tuple
 
     @property
@@ -387,10 +374,10 @@ def _script_level(tree, coeffs, t):
     return scr_a, scr_b, scr_c
 
 
-def _script_offset(tree, coeffs, t):
-    """The stacked inhomogeneity column d for every depth-t node, shape (n, N)."""
-    Dbar = coeffs.D_bar[t]
-    return coeffs.D[t][:, None] + Dbar - np.einsum("nj,nj->n", Dbar, tree.transition[t])[:, None]
+def _script_offset(tree, coeffs):
+    """The stacked inhomogeneity column d of every non-leaf node, (m, N)."""
+    Dbar = coeffs.arrays["D_bar"]
+    return coeffs.arrays["D"][:, None] + Dbar - np.einsum("nj,nj->n", Dbar, tree.rows)[:, None]
 
 
 def script_coeffs(tree, coeffs, node):
@@ -399,7 +386,7 @@ def script_coeffs(tree, coeffs, node):
     if t >= tree.T:
         raise LeafNodeError(f"node at depth {t} is a leaf")
     scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
-    return scr_a[idx], scr_b[idx], scr_c[idx], _script_offset(tree, coeffs, t)[idx]
+    return scr_a[idx], scr_b[idx], scr_c[idx], _script_offset(tree, coeffs)[tree.offsets[t] + idx]
 
 
 def _coupling_level(tree, coeffs, t, scr_b, scr_c):
@@ -440,21 +427,22 @@ def _slope_pass(tree, coeffs):
     NonFiniteSolve before its singular values are taken.
     """
     T, N = tree.T, tree.N
-    P_levels = [None] * (T + 1)
+    P_array = np.zeros(tree.offsets[T + 1] - 1)
+    P_views = (None, *tree.views(P_array, range(1, T + 1)))
     gamma_levels = [None] * T
     a_levels = [None] * T
     coupling_levels = [None] * T
     theta_levels = [None] * T
     ratio_levels, ok_levels, weakest = [], [], []
 
-    P_levels[T] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
+    P_views[T][...] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
 
     for t in range(T - 1, -1, -1):
-        _finite_level(P_levels[t + 1], "the slope P", t + 1)
+        _finite_level(P_views[t + 1], "the slope P", t + 1)
         n = tree.num_nodes(t)
         scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
         coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
-        P_child = P_levels[t + 1].reshape(n, N)
+        P_child = P_views[t + 1].reshape(n, N)
         gamma = _gamma_level(tree, coupling, P_child)
         _finite_level(gamma, "the per-node matrix", t)
         gamma_levels[t], a_levels[t], coupling_levels[t] = gamma, scr_a, coupling
@@ -473,10 +461,12 @@ def _slope_pass(tree, coeffs):
             theta = (1.0 - coeffs.B_hat[t])[:, None] * tree.transition[t] - coeffs.C_hat[t]
             theta_levels[t] = theta
             v = _solve_columns(gamma, scr_a)
-            P_levels[t] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
+            P_views[t][...] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
+    # P reaches down to depth t + 1, t the level where the pass ended
+    P_levels = (None,) * (t + 1) + P_views[t + 1 :]
     # the memo shares these arrays with every later solve
-    for lev in (*P_levels, *gamma_levels, *a_levels, *coupling_levels, *theta_levels,
+    for lev in (P_array, *P_levels, *gamma_levels, *a_levels, *coupling_levels, *theta_levels,
                 *ratio_levels, *ok_levels):
         if lev is not None:
             lev.flags.writeable = False
@@ -484,7 +474,7 @@ def _slope_pass(tree, coeffs):
         tree, tuple(ratio_levels), tuple(ok_levels), tuple(weakest), bool(ok_levels[-1].all())
     )
     return _SlopePass(
-        tuple(P_levels), tuple(gamma_levels), certificate,
+        P_array, P_levels, tuple(gamma_levels), certificate,
         tuple(a_levels), tuple(coupling_levels), tuple(theta_levels),
     )
 
@@ -497,21 +487,21 @@ def _offset_pass(tree, coeffs, slopes):
     NonFiniteSolve naming the deepest such level.
     """
     T, N = tree.T, tree.N
-    p_levels = [None] * (T + 1)
-    p_levels[T] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
+    p_array = np.zeros(tree.offsets[T + 1] - 1)
+    p_levels = [None, *tree.views(p_array, range(1, T + 1))]
+    p_levels[T][...] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
+    offsets = tree.views(_script_offset(tree, coeffs), range(T))
     for t in range(T - 1, 0, -1):
         if slopes.P_levels[t] is None:
+            p_levels[1 : t + 1] = [None] * t
             break
         n = tree.num_nodes(t)
         P_child = slopes.P_levels[t + 1].reshape(n, N)
         p_child = p_levels[t + 1].reshape(n, N)
         theta = slopes.theta_levels[t]
-        rhs = (
-            np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
-            + _script_offset(tree, coeffs, t)
-        )
+        rhs = np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child) + offsets[t]
         w = _solve_columns(slopes.gamma_levels[t], rhs)
-        p_levels[t] = (
+        p_levels[t][...] = (
             np.einsum("nj,nj,nj->n", theta, P_child, w)
             + np.einsum("nj,nj->n", theta, p_child)
             - coeffs.D_hat[t]
@@ -519,7 +509,7 @@ def _offset_pass(tree, coeffs, slopes):
     for t in range(T, 0, -1):
         if p_levels[t] is not None:
             _finite_level(p_levels[t], "the offset p", t)
-    return RiccatiData(slopes, tuple(p_levels))
+    return RiccatiData(slopes, p_array, tuple(p_levels))
 
 
 def _check_tree(tree, coeffs):
@@ -564,66 +554,60 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     if not ric.certificate.all_invertible:
         return Unsolvable(ric.certificate.singular_nodes, ric)
 
-    T, N = tree.T, tree.N
+    T, N, m = tree.T, tree.N, tree.offsets[tree.T]
     slope_pass = ric.slope_pass
-    X = [np.array([float(x0)])]
+    offsets = tree.views(_script_offset(tree, coeffs), range(T))
+    X = np.empty(tree.offsets[T + 1])
+    X[0] = x0
+    X_levels = tree.views(X, range(T + 1))
     for t in range(T):
         n = tree.num_nodes(t)
         p_child = ric.p_levels[t + 1].reshape(n, N)
         rhs = (
-            slope_pass.a_levels[t] * X[t][:, None]
+            slope_pass.a_levels[t] * X_levels[t][:, None]
             + np.einsum("nij,nj->ni", slope_pass.coupling_levels[t], p_child)
-            + _script_offset(tree, coeffs, t)
+            + offsets[t]
         )
-        X.append(_solve_columns(ric.gamma_levels[t], rhs).reshape(-1))
+        X_levels[t + 1][...] = _solve_columns(ric.gamma_levels[t], rhs).reshape(-1)
 
-    Y = [None] * (T + 1)
-    Z = [None] * T
-    Y[T] = _terminal(coeffs, slice(None), X[T])
-    for t in range(T):
-        n = tree.num_nodes(t)
-        lam = (ric.P_levels[t + 1] * X[t + 1] + ric.p_levels[t + 1]).reshape(n, N)
-        Y[t] = np.einsum("nj,nj->n", tree.transition[t], lam)
-        Z[t] = lam - lam[:, -1:]
-
+    # every non-leaf node's child closures P X + p at once
+    lam = (slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)
+    Y = np.concatenate([np.einsum("nj,nj->n", tree.rows, lam),
+                        _terminal(coeffs.arrays, slice(None), X[m:])])
+    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, Y, lam - lam[:, -1:]))
     report = linear_residuals(tree, coeffs, X, Y, Z)
     if not (np.isfinite(report.forward) and np.isfinite(report.backward)):
         raise NonFiniteSolve(f"the solution overflowed: residuals forward {report.forward}, "
                              f"backward {report.backward}")
-    return FbsdeSolution(
-        AdaptedProcess(tree, 0, X),
-        AdaptedProcess(tree, 0, Y),
-        AdaptedProcess(tree, 0, Z),
-        report,
-        ric,
-    )
+    return FbsdeSolution(X, Y, Z, report, ric)
 
 
-def _drift(coeffs, t, at, x, y, z):
-    """Forward drift A x + B y + C z + D of the depth-t nodes ``at``, an index
-    array or ``slice(None)`` (the whole level, as views); ``z`` holds their rows."""
-    return (coeffs.A[t][at] * x + coeffs.B[t][at] * y
-            + np.einsum("nj,nj->n", z, coeffs.C[t][at]) + coeffs.D[t][at])
+def _drift(c, at, x, y, z):
+    """Forward drift A x + B y + C z + D of the non-leaf nodes ``at``, an
+    index array into the fields' level-order arrays ``c`` or ``slice(None)``
+    (every node, as views); ``z`` holds their rows."""
+    return c["A"][at] * x + c["B"][at] * y + np.einsum("nj,nj->n", z, c["C"][at]) + c["D"][at]
 
 
-def _diffusion(coeffs, t, at, x, y, z):
+def _diffusion(c, at, x, y, z):
     """Forward increment loading x A_bar + y B_bar + z C_bar + D_bar, one row a node."""
-    return (x[:, None] * coeffs.A_bar[t][at] + y[:, None] * coeffs.B_bar[t][at]
-            + np.einsum("nj,njk->nk", z, coeffs.C_bar[t][at]) + coeffs.D_bar[t][at])
+    return (x[:, None] * c["A_bar"][at] + y[:, None] * c["B_bar"][at]
+            + np.einsum("nj,njk->nk", z, c["C_bar"][at]) + c["D_bar"][at])
 
 
-def _generator(coeffs, t, at, x, y, z):
-    """Backward generator -(A_hat x + B_hat y + D_hat + C_hat z); ``z`` is
-    not read at the horizon, where C_hat vanishes."""
-    val = coeffs.A_hat[t][at] * x + coeffs.B_hat[t][at] * y + coeffs.D_hat[t][at]
-    if t < coeffs.tree.T:
-        val = val + np.einsum("nj,nj->n", z, coeffs.C_hat[t][at])
+def _generator(c, at, x, y, z):
+    """Backward generator -(A_hat x + B_hat y + D_hat + C_hat z) of the
+    nodes ``at`` of times 1..T.  ``z`` holds the rows of the first len(z)
+    of them, or is None: leaves, where C_hat vanishes, read no row."""
+    val = c["A_hat"][at] * x + c["B_hat"][at] * y + c["D_hat"][at]
+    if z is not None:
+        val[: len(z)] = val[: len(z)] + np.einsum("nj,nj->n", z, c["C_hat"][at][: len(z)])
     return -val
 
 
-def _terminal(coeffs, at, x):
+def _terminal(c, at, x):
     """Terminal values G x + g of the leaves ``at``."""
-    return coeffs.G[at] * x + coeffs.g[at]
+    return c["G"][at] * x + c["g"][at]
 
 
 def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
@@ -633,15 +617,14 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     zero-sum conditions.
     """
     _check_tree(tree, coeffs)
-    X = _process_levels(tree, X, range(tree.T + 1), "X", ())
-    Y = _process_levels(tree, Y, range(tree.T + 1), "Y", ())
-    # no row at the horizon, where the generator reads none
-    Z = _process_levels(tree, Z, range(tree.T), "Z", (tree.N,)) + [None]
-    every = slice(None)
-    levels = range(tree.T)
-    b = [_drift(coeffs, t, every, X[t], Y[t], Z[t]) for t in levels]
-    sigma = [_diffusion(coeffs, t, every, X[t], Y[t], Z[t]) for t in levels]
-    f = [None] + [_generator(coeffs, t + 1, every, X[t + 1], Y[t + 1], Z[t + 1]) for t in levels]
+    X = _process_array(tree, X, range(tree.T + 1), "X", ())
+    Y = _process_array(tree, Y, range(tree.T + 1), "Y", ())
+    Z = _process_array(tree, Z, range(tree.T), "Z", (tree.N,))
+    c, every, m = coeffs.arrays, slice(None), tree.offsets[tree.T]
+    b = _drift(c, every, X[:m], Y[:m], Z)
+    sigma = _diffusion(c, every, X[:m], Y[:m], Z)
+    # the generator on times 1..T: rows for the non-leaf nodes 1..m-1 only
+    f = _generator(c, every, X[1:], Y[1:], Z[1:])
     return ResidualReport(*worst_defects(tree, X, Y, Z, b, sigma, f))
 
 
@@ -716,6 +699,7 @@ def decoupling_coefficients(tree, coeffs, riccati):
     slope[T] = coeffs.G.copy()
     offset[T] = coeffs.g.copy()
     slopes = riccati.slope_pass
+    offsets = tree.views(_script_offset(tree, coeffs), range(T))
     for t in range(T):
         n = tree.num_nodes(t)
         Pt = tree.transition[t]
@@ -725,8 +709,7 @@ def decoupling_coefficients(tree, coeffs, riccati):
         v = _solve_columns(gamma, slopes.a_levels[t])
         w = _solve_columns(
             gamma,
-            np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
-            + _script_offset(tree, coeffs, t),
+            np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child) + offsets[t],
         )
         slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, v)
         offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, w) + np.einsum(

@@ -5,8 +5,9 @@ driving process; a row Z acts on them by dot product.  Rows differing by a
 constant shift act identically on every increment, so the canonical form
 zeros the last entry and the N-1 entry differences Z_j - Z_N are the free
 coordinates.  ``forward_defect`` and ``backward_defect`` state the two
-equations branch by branch for a whole level, and ``worst_defects`` reduces
-them over a whole solution: every reported residual comes from it.
+equations branch by branch for any set of nodes, and ``worst_defects``
+reduces them over a whole solution at once, in the tree's level order:
+every reported residual comes from it.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -123,12 +124,9 @@ def norm_constants(tree):
     For every row process, lower * E[|Z Itilde|^2] <= E[(Z M)^2]
     <= upper * E[|Z Itilde|^2].
     """
-    up = -np.inf
-    low = np.inf
-    for rows in tree.transition:
-        head = rows[:, : tree.N - 1]
-        up = max(up, float(((1.0 - head) * head).max()))
-        low = min(low, float(rows.min()))
+    head = tree.rows[:, : tree.N - 1]
+    up = float(((1.0 - head) * head).max())
+    low = float(tree.rows.min())
     return NormConstants(lower=0.5 * low / (tree.N - 1), upper=(tree.N - 1) * up)
 
 
@@ -155,7 +153,7 @@ def _increment_products(z, rows):
 
 
 def forward_defect(x_next, x, b, sigma, rows):
-    """Per-branch defect X_{t+1} - X_t - b_t - sigma_t (e_i - P_t) of one level.
+    """Per-branch defect X_{t+1} - X_t - b_t - sigma_t (e_i - P_t) of n nodes.
 
     ``rows`` are the (n, N) transition rows.  Scalar values: ``x``, ``b``
     (n,), ``sigma`` the (n, N) diffusion rows and ``x_next`` the (n*N,)
@@ -168,7 +166,7 @@ def forward_defect(x_next, x, b, sigma, rows):
 
 
 def backward_defect(y_next, y, f_next, z, rows):
-    """Per-branch defect Y_{t+1} - Y_t + f_{t+1} - Z_t (e_i - P_t) of one level.
+    """Per-branch defect Y_{t+1} - Y_t + f_{t+1} - Z_t (e_i - P_t) of n nodes.
 
     Scalar values: ``y`` (n,), ``y_next``/``f_next`` (n*N,) child values,
     ``z`` (n, N); returns (n, N).  K-valued: ``y`` (n, K), ``y_next``/
@@ -181,15 +179,15 @@ def backward_defect(y_next, y, f_next, z, rows):
 def worst_defects(tree, X, Y, Z, b, sigma, f):
     """Largest absolute per-branch defect of each equation: (forward, backward).
 
-    ``X``, ``Y`` hold levels 0..T, ``Z``, ``b``, ``sigma`` levels 0..T-1 and
-    ``f`` the generator by absolute time (entry 0 unused).  A backward-only
-    system passes ``X=None`` and gets a forward value of 0.0.  ``np.maximum``,
-    unlike ``max``, keeps a NaN defect.
+    Every argument is one level-order array over the whole tree: ``X``,
+    ``Y`` on all nodes, ``Z``, ``b``, ``sigma`` on the m non-leaf nodes and
+    ``f`` the generator on the nodes of times 1..T.  Node k's children are
+    rows 1 + k*N.., so each equation is one ``forward_defect`` or
+    ``backward_defect`` call over all m nodes.  A backward-only system
+    passes ``X=None`` and gets a forward value of 0.0; ``max`` keeps a NaN
+    defect.
     """
-    fwd = bwd = 0.0
-    for t in range(tree.T):
-        rows = tree.transition[t]
-        if X is not None:
-            fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max())
-        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max())
+    m = tree.offsets[tree.T]
+    fwd = 0.0 if X is None else np.abs(forward_defect(X[1:], X[:m], b, sigma, tree.rows)).max()
+    bwd = np.abs(backward_defect(Y[1:], Y[:m], f, Z, tree.rows)).max()
     return float(fwd), float(bwd)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linear import FbsdeSolution, ResidualReport
 from .martingale import cond_second_moment, tilde_contract, worst_defects
-from .tree import AdaptedProcess, _process_levels
+from .tree import AdaptedProcess, _process_array
 
 #: A level aborts early once increments blow past this multiple of their
 #: starting size; the remaining budget cannot recover from there.
@@ -128,25 +128,21 @@ class SolveStats:
 
 @dataclass
 class Inhomogeneity:
-    """Per-node additive terms entering each equation of a level solve.
-
-    ``b0``/``sigma0`` are indexed by time 0..T-1, ``f0`` by absolute time
-    with entry 0 unused (it enters at times 1..T), ``h0`` by leaf.
+    """Per-node additive terms entering each equation of a level solve, as
+    level-order arrays: ``b0`` (m,) and ``sigma0`` (m, N) on the m non-leaf
+    nodes, ``f0`` on the nodes of times 1..T, where it enters, ``h0`` on
+    the leaves.
     """
 
-    b0: list
-    sigma0: list
-    f0: list
+    b0: np.ndarray
+    sigma0: np.ndarray
+    f0: np.ndarray
     h0: np.ndarray
 
     @classmethod
     def zeros(cls, tree):
-        return cls(
-            b0=[np.zeros(tree.num_nodes(t)) for t in range(tree.T)],
-            sigma0=[np.zeros((tree.num_nodes(t), tree.N)) for t in range(tree.T)],
-            f0=[None] + [np.zeros(tree.num_nodes(t)) for t in range(1, tree.T + 1)],
-            h0=np.zeros(tree.num_nodes(tree.T)),
-        )
+        m, leaves = tree.offsets[tree.T], tree.num_nodes(tree.T)
+        return cls(np.zeros(m), np.zeros((m, tree.N)), np.zeros(m + leaves - 1), np.zeros(leaves))
 
 
 def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
@@ -160,7 +156,7 @@ def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
         raise AlphaOutOfRange(f"alpha = {alpha!r}")
     if alpha == 1.0:
         return problem
-    return _blended(problem, alpha, None)
+    return _blended(problem, alpha)
 
 
 def _canonical_rows(zt):
@@ -168,23 +164,24 @@ def _canonical_rows(zt):
     return np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
 
 
-def _blended(problem, alpha, inhom):
-    """Blend with optional per-node inhomogeneities folded in, by the
-    formula a*v + (1-a)*lin + inhom of ``_blended_residual``."""
+def _blended(problem, alpha, inhom=None, tree=None):
+    """Blend with optional per-node inhomogeneities of ``tree`` folded in,
+    by the formula a*v + (1-a)*lin + inhom of ``_blended_residual``."""
     a = float(alpha)
     zero = inhom is None
+    o = None if zero else tree.offsets
 
     def drift(t, nodes, x, y, zt):
         v = np.asarray(problem.drift(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * (-y) + (0.0 if zero else inhom.b0[t][nodes])
+        return a * v + (1.0 - a) * (-y) + (0.0 if zero else inhom.b0[o[t] + nodes])
 
     def diffusion(t, nodes, x, y, zt):
         v = np.asarray(problem.diffusion(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * -_canonical_rows(zt) + (0.0 if zero else inhom.sigma0[t][nodes])
+        return a * v + (1.0 - a) * -_canonical_rows(zt) + (0.0 if zero else inhom.sigma0[o[t] + nodes])
 
     def generator(t, nodes, x, y, zt):
         v = np.asarray(problem.generator(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * x + (0.0 if zero else inhom.f0[t][nodes])
+        return a * v + (1.0 - a) * x + (0.0 if zero else inhom.f0[o[t] - 1 + nodes])
 
     def terminal(nodes, x):
         v = np.asarray(problem.terminal(nodes, x), dtype=float)
@@ -195,7 +192,8 @@ def _blended(problem, alpha, inhom):
 
 @dataclass
 class _Iterate:
-    """Solution triple as plain level arrays (Z rows canonical).
+    """Solution triple as level-order arrays over the whole tree: X and Y
+    on every node, Z (canonical rows) on the non-leaf nodes.
 
     ``levels`` is ``(problem, (b, sigma, f))`` and ``terminal`` is
     ``(problem, h - x)`` on the leaves, for the last problem evaluated
@@ -203,19 +201,16 @@ class _Iterate:
     iterate.
     """
 
-    X: list
-    Y: list
-    Z: list
+    X: np.ndarray
+    Y: np.ndarray
+    Z: np.ndarray
     levels: Optional[tuple] = field(default=None, repr=False, compare=False)
     terminal: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, tree):
-        return cls(
-            X=[np.zeros(tree.num_nodes(t)) for t in range(tree.T + 1)],
-            Y=[np.zeros(tree.num_nodes(t)) for t in range(tree.T + 1)],
-            Z=[np.zeros((tree.num_nodes(t), tree.N)) for t in range(tree.T)],
-        )
+        size, m = tree.offsets[tree.T + 1], tree.offsets[tree.T]
+        return cls(X=np.zeros(size), Y=np.zeros(size), Z=np.zeros((m, tree.N)))
 
     def coefficient_levels(self, tree, problem):
         """``_coefficient_levels`` of ``problem`` here, evaluated on first use."""
@@ -226,41 +221,41 @@ class _Iterate:
     def terminal_levels(self, tree, problem):
         """``problem.terminal(nodes, x) - x`` on the leaves, evaluated on first use."""
         if self.terminal is None or self.terminal[0] is not problem:
-            x = self.X[tree.T]
+            x = self.X[tree.offsets[tree.T]:]
             h = _level(problem.terminal(_nodes(len(x)), x), (len(x),), "terminal")
             self.terminal = (problem, h - x)
         return self.terminal[1]
 
     def finite(self):
-        return (
-            all(np.isfinite(lev).all() for lev in self.X)
-            and all(np.isfinite(lev).all() for lev in self.Y)
-            and all(np.isfinite(lev).all() for lev in self.Z)
-        )
+        return bool(np.isfinite(self.X).all() and np.isfinite(self.Y).all()
+                    and np.isfinite(self.Z).all())
 
 
 def _as_iterate(tree, value):
-    """An iterate from None, an iterate, a solution, or (X, Y, Z) processes
-    or level lists, checked level by level."""
+    """An iterate from None, an iterate, a solution (its arrays, not
+    copied), or (X, Y, Z) processes or level lists, checked level by level."""
     if value is None or isinstance(value, _Iterate):
         return value
     X, Y, Z = (value.X, value.Y, value.Z) if isinstance(value, FbsdeSolution) else value
     return _Iterate(
-        X=_process_levels(tree, X, range(tree.T + 1), "X", ()),
-        Y=_process_levels(tree, Y, range(tree.T + 1), "Y", ()),
-        Z=_process_levels(tree, Z, range(tree.T), "Z", (tree.N,)),
+        X=_process_array(tree, X, range(tree.T + 1), "X", ()),
+        Y=_process_array(tree, Y, range(tree.T + 1), "Y", ()),
+        Z=_process_array(tree, Z, range(tree.T), "Z", (tree.N,)),
     )
 
 
 def increment_norm_sq(tree, prev: _Iterate, cur: _Iterate) -> float:
-    """E sum_t (|x| + |y| + |z_tilde|)^2 of the difference over times 0..T-1."""
-    total = 0.0
-    for t in range(tree.T):
-        dx = np.abs(cur.X[t] - prev.X[t])
-        dy = np.abs(cur.Y[t] - prev.Y[t])
-        dz = np.linalg.norm(tilde_contract(cur.Z[t]) - tilde_contract(prev.Z[t]), axis=-1)
-        total += float(np.dot(tree.level_probs(t), (dx + dy + dz) ** 2))
-    return total
+    """E sum_t (|x| + |y| + |z_tilde|)^2 of the difference over times 0..T-1.
+
+    The squares are taken over the whole tree at once; each level's
+    expectation is its own dot product, summed from t = 0 up.
+    """
+    m = tree.offsets[tree.T]
+    dx = np.abs(cur.X[:m] - prev.X[:m])
+    dy = np.abs(cur.Y[:m] - prev.Y[:m])
+    dz = np.linalg.norm(tilde_contract(cur.Z) - tilde_contract(prev.Z), axis=-1)
+    levels = tree.views((dx + dy + dz) ** 2, range(tree.T))
+    return sum(float(np.dot(tree.level_probs(t), lev)) for t, lev in enumerate(levels))
 
 
 #: The node indices 0..n-1 of a whole level, built once per size, read-only.
@@ -277,30 +272,32 @@ def _level(value, shape, name):
 
 
 def _coefficient_levels(tree, problem, X, Y, Z):
-    """Drift and diffusion on 0..T-1, then generator on 1..T, at an iterate,
-    one call per level in that order (which decides the first error raised).
-
-    Returns (b, sigma, f) with ``f`` indexed by absolute time, entry 0 None;
-    at the horizon the generator's ``z_tilde`` is None.
+    """Drift and diffusion on 0..T-1, then generator on 1..T, at an iterate
+    of level-order arrays, one call per level in that order (which decides
+    the first error raised); at the horizon the generator's ``z_tilde`` is
+    None.  Returns level-order (b, sigma, f): b and sigma on the non-leaf
+    nodes, f on the nodes of times 1..T.
     """
-    zt = [tilde_contract(z) for z in Z] + [None]
-    nodes = [_nodes(tree.num_nodes(t)) for t in range(tree.T)]
-    b = [_level(problem.drift(t, n, X[t], Y[t], zt[t]), n.shape, "drift") for t, n in enumerate(nodes)]
-    sigma = [_level(problem.diffusion(t, n, X[t], Y[t], zt[t]), (len(n), tree.N), "diffusion")
-             for t, n in enumerate(nodes)]
-    f = [_level(problem.generator(t, _nodes(len(X[t])), X[t], Y[t], zt[t]), (len(X[t]),),
-                "generator") for t in range(1, tree.T + 1)]
-    return b, sigma, [None] + f
+    T, m = tree.T, tree.offsets[tree.T]
+    X, Y = tree.views(X, range(T + 1)), tree.views(Y, range(T + 1))
+    zt = tree.views(tilde_contract(Z), range(T)) + (None,)
+    b, sigma, f = np.empty(m), np.empty((m, tree.N)), np.empty(len(X[T]) + m - 1)
+    for out, fn, name, times in ((b, problem.drift, "drift", range(T)),
+                                 (sigma, problem.diffusion, "diffusion", range(T)),
+                                 (f, problem.generator, "generator", range(1, T + 1))):
+        for t, lev in zip(times, tree.views(out, times)):
+            lev[...] = _level(fn(t, _nodes(len(lev)), X[t], Y[t], zt[t]), lev.shape, name)
+    return b, sigma, f
 
 
 def _compose(tree, problem, inhom, prev: _Iterate, step):
     """Fold the step-sized nonlinearity, frozen at ``prev``, into new inhomogeneities."""
     b, sigma, f = prev.coefficient_levels(tree, problem)
-    b0 = [inhom.b0[t] + step * (prev.Y[t] + b[t]) for t in range(tree.T)]
-    s0 = [inhom.sigma0[t] + step * (prev.Z[t] + sigma[t]) for t in range(tree.T)]
-    f0 = [None] + [inhom.f0[t] + step * (-prev.X[t] + f[t]) for t in range(1, tree.T + 1)]
-    hT = prev.terminal_levels(tree, problem)
-    return Inhomogeneity(b0=b0, sigma0=s0, f0=f0, h0=inhom.h0 + step * hT)
+    m = tree.offsets[tree.T]
+    return Inhomogeneity(b0=inhom.b0 + step * (prev.Y[:m] + b),
+                         sigma0=inhom.sigma0 + step * (prev.Z + sigma),
+                         f0=inhom.f0 + step * (-prev.X[1:] + f),
+                         h0=inhom.h0 + step * prev.terminal_levels(tree, problem))
 
 
 class _Ladder:
@@ -342,7 +339,7 @@ class _Ladder:
                     self.tree,
                     D=inhom.b0,
                     D_bar=inhom.sigma0,
-                    D_hat=[-f for f in inhom.f0[1:]],
+                    D_hat=-inhom.f0,
                     g=inhom.h0,
                     x0=x0,
                     form=self.base,
@@ -386,13 +383,9 @@ class _Ladder:
 
 def _finish(tree, problem, iterate):
     """The iterate as a solution, reporting the residuals of ``problem``."""
-    fwd, bwd = nonlinear_residual(tree, problem, (iterate.X, iterate.Y, iterate.Z))
-    return FbsdeSolution(
-        AdaptedProcess(tree, 0, iterate.X),
-        AdaptedProcess(tree, 0, iterate.Y),
-        AdaptedProcess(tree, 0, iterate.Z),
-        ResidualReport(forward=fwd, backward=bwd),
-    )
+    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (iterate.X, iterate.Y, iterate.Z))
+    fwd, bwd = nonlinear_residual(tree, problem, (X, Y, Z))
+    return FbsdeSolution(X, Y, Z, ResidualReport(forward=fwd, backward=bwd))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteIterate
@@ -485,14 +478,10 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     """
     a = float(alpha)
     b, sigma, f = it.coefficient_levels(tree, problem)
-    X, Y, Z = it.X, it.Y, it.Z
-    T = tree.T
-    b = [a * b[t] + (1.0 - a) * (-Y[t]) + inhom.b0[t] for t in range(T)]
-    sigma = [
-        a * sigma[t] + (1.0 - a) * -_canonical_rows(tilde_contract(Z[t])) + inhom.sigma0[t]
-        for t in range(T)
-    ]
-    f = [None] + [a * f[t] + (1.0 - a) * X[t] + inhom.f0[t] for t in range(1, T + 1)]
+    X, Y, Z, m = it.X, it.Y, it.Z, tree.offsets[tree.T]
+    b = a * b + (1.0 - a) * (-Y[:m]) + inhom.b0
+    sigma = a * sigma + (1.0 - a) * -_canonical_rows(tilde_contract(Z)) + inhom.sigma0
+    f = a * f + (1.0 - a) * X[1:] + inhom.f0
     return worst_defects(tree, X, Y, Z, b, sigma, f)
 
 
@@ -724,10 +713,12 @@ def as_nonlinear_problem(tree, coeffs) -> NonlinearProblem:
     of ``z_tilde``, so both paths evaluate the same float operations.
     """
 
-    def level(fn):
-        return lambda t, nodes, x, y, zt: fn(
-            coeffs, t, nodes, x, y, None if zt is None else _canonical_rows(zt))
+    c, o = coeffs.arrays, tree.offsets
 
-    return NonlinearProblem(level(linear._drift), level(linear._diffusion),
-                            level(linear._generator),
-                            lambda nodes, x: linear._terminal(coeffs, nodes, x))
+    def level(fn, first):  # ``first``: the first node of fn's arrays
+        return lambda t, nodes, x, y, zt: fn(
+            c, o[t] - first + nodes, x, y, None if zt is None else _canonical_rows(zt))
+
+    return NonlinearProblem(level(linear._drift, 0), level(linear._diffusion, 0),
+                            level(linear._generator, 1),
+                            lambda nodes, x: linear._terminal(c, nodes, x))

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeProblem, solve_bsde
-from .errors import NoConvergence, NonFiniteInput, ProblemTooLarge, ShapeMismatch
+from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, ProblemTooLarge,
+                     ShapeMismatch)
 from .linear import FbsdeSolution, LinearCoefficients, _check_tree, linear_residuals
 from .martingale import forward_defect, tilde_contract
-from .nonlinear import _finish, _Iterate, _level
+from .nonlinear import _as_iterate, _finish, _level
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Rank decisions use the same scale-free singular-value threshold as the
@@ -342,30 +343,43 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         if res <= tolerance:
             X = _x_levels(tree, x[:, None], x0)
             Y, Z = backward_given_forward(tree, problem, X)
-            return _finish(tree, problem, _Iterate([lev[:, 0] for lev in X],
-                                                   [lev[:, 0] for lev in Y],
-                                                   [lev[:, 0] for lev in Z]))
+            return _finish(tree, problem, _as_iterate(tree, [[lev[:, 0] for lev in v]
+                                                             for v in (X, Y, Z)]))
         if res < best_res:
             best_res, best_x = res, x
     raise NoConvergence(
         f"no start reached tolerance {tolerance:g}; best residual {best_res:.3e}",
-        best_residual=float(best_res),
+        best_residual=None if best_x is None else float(best_res),
         best_iterate=best_x,
     )
 
 
+def _evaluate(residual, x):
+    """(residual, max norm) at the point ``x``; a coefficient that leaves
+    its domain there gives (None, inf), a failed point."""
+    try:
+        f = residual(x[:, None])[:, 0]
+    except ExpressionDomainError:
+        return None, np.inf
+    return f, float(np.abs(f).max())
+
+
 def _newton(residual, x0_vec, tolerance):
     """Damped Newton from ``x0_vec`` on ``residual``, which maps columns to
-    columns: a single point is one column."""
+    columns: a single point is one column.  A trial point outside a
+    coefficient's domain halves the step; a start or a Jacobian outside it
+    ends the run at the last point."""
     x = x0_vec.astype(float).copy()
-    f = residual(x[:, None])[:, 0]
-    fnorm = float(np.abs(f).max())
+    f, fnorm = _evaluate(residual, x)
     for _ in range(MAX_NEWTON_STEPS):
         if not np.isfinite(fnorm):
             break
         if fnorm <= tolerance:
             return x, fnorm
-        jac = finite_difference_jacobian(residual, x)
+        try:
+            jac = finite_difference_jacobian(residual, x)
+        except ExpressionDomainError:
+            break
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -374,8 +388,7 @@ def _newton(residual, x0_vec, tolerance):
         improved = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
-            ft = residual(trial[:, None])[:, 0]
-            ftnorm = float(np.abs(ft).max())
+            ft, ftnorm = _evaluate(residual, trial)
             if np.isfinite(ftnorm) and ftnorm < fnorm:
                 x, f, fnorm = trial, ft, ftnorm
                 improved = True

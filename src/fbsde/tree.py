@@ -4,7 +4,10 @@ The driving process takes one of N states per step; observing it up to a
 horizon T generates an N-ary tree whose depth-t nodes are the possible
 histories.  Nodes are stored level by level in lexicographic path order, so
 relationship lookups are index arithmetic: the children of node i at depth t
-are nodes i*N+k at depth t+1, its parent is node i // N.  The root state is
+are nodes i*N+k at depth t+1, its parent is node i // N.  Over the whole
+tree in that level order, the children of node k are nodes 1 + k*N + i, so
+a level-order array ``v`` lines its non-leaf nodes ``v[:m]`` up with their
+children ``v[1:].reshape(m, N)``.  The root state is
 fixed by convention (state 1); nothing downstream depends on it.
 
 Trees and adapted processes are immutable after construction and safe to
@@ -70,6 +73,8 @@ class ScenarioTree:
     ``transition[t]`` has shape ``(N**t, N)``; row ``(t, i)`` is the
     conditional law of the next state at node i of depth t.  Every entry is
     strictly positive and every row sums to one within ``ROW_SUM_TOL``.
+    The levels are read-only views of ``rows``, the (m, N) level-order
+    table of all m non-leaf rows; depth t starts at node ``offsets[t]``.
     """
 
     def __init__(self, N, T, transition):
@@ -81,8 +86,9 @@ class ScenarioTree:
             raise ValueError("horizon must be at least 1")
         if len(transition) != T:
             raise ShapeMismatch(f"expected {T} transition levels, got {len(transition)}")
-        levels = []
-        for t, rows in enumerate(transition):
+        self.offsets = tuple((N**t - 1) // (N - 1) for t in range(T + 2))
+        table = np.empty((self.offsets[T], N))
+        for t, (rows, view) in enumerate(zip(transition, self.views(table, range(T)))):
             rows = np.asarray(rows, dtype=float)
             if rows.shape != (N**t, N):
                 raise ShapeMismatch(
@@ -102,12 +108,12 @@ class ScenarioTree:
                 raise RowSumMismatch(
                     f"transition row (t={t}, node={bad}) sums to {sums[bad]!r}"
                 )
-            rows = rows.copy()
-            rows.flags.writeable = False
-            levels.append(rows)
+            view[...] = rows
+        table.flags.writeable = False
         self.N = N
         self.T = T
-        self.transition = tuple(levels)
+        self.rows = table
+        self.transition = self.views(table, range(T))
         probs = [np.ones(1)]
         for t in range(T):
             nxt = (probs[t][:, None] * self.transition[t]).reshape(-1)
@@ -118,6 +124,12 @@ class ScenarioTree:
 
     def num_nodes(self, t):
         return self.N**t
+
+    def views(self, flat, times):
+        """The depth-t views, t in ``times``, of a level-order array whose
+        first entry is the first node at depth ``times.start``."""
+        o, base = self.offsets, self.offsets[times.start]
+        return tuple([flat[o[t] - base : o[t + 1] - base] for t in times])
 
     def level_probs(self, t):
         """Unconditional probabilities of the depth-t nodes (sums to one)."""
@@ -202,7 +214,8 @@ class AdaptedProcess:
 
     ``levels[k]`` holds the depth-``(start + k)`` values with shape
     ``(N**(start+k), *value_shape)``; the trailing shape is homogeneous
-    across times (scalar, row, or matrix values).
+    across times (scalar, row, or matrix values).  The levels are read-only
+    views of ``array``, all the values in level order.
     """
 
     def __init__(self, tree, start, levels):
@@ -229,13 +242,28 @@ class AdaptedProcess:
                 raise ShapeMismatch(
                     f"level {start + k} value shape {arr.shape[1:]} != {shape}"
                 )
-            arr = arr.copy()
-            arr.flags.writeable = False
             arrays.append(arr)
+        flat = np.empty((sum(map(len, arrays)),) + shape)
+        for view, arr in zip(tree.views(flat, range(start, start + len(arrays))), arrays):
+            view[...] = arr
+        self._adopt(tree, start, flat)
+
+    @classmethod
+    def from_array(cls, tree, start, flat):
+        """The process over depths ``start``.. whose level-order values are
+        ``flat``, kept (read-only) without a copy."""
+        new = cls.__new__(cls)
+        new._adopt(tree, start, flat)
+        return new
+
+    def _adopt(self, tree, start, flat):
+        flat.flags.writeable = False
+        stop = tree.offsets.index(tree.offsets[start] + len(flat))
         self.tree = tree
         self.start = int(start)
-        self.levels = tuple(arrays)
-        self.value_shape = shape
+        self.array = flat
+        self.levels = tree.views(flat, range(self.start, stop))
+        self.value_shape = flat.shape[1:]
 
     @property
     def end(self):
@@ -270,7 +298,8 @@ def _level_values(tree, process, t):
 def _process_levels(tree, values, times, name, cell=None):
     """The depth-t arrays, for t in ``times``, of a process or of a list of
     levels indexed by time.  Raises ShapeMismatch for a missing level or a
-    level without one value per node (of shape ``cell``, when given)."""
+    level without one value per node (of shape ``cell``, when given, else
+    of the first level's value shape)."""
     if not isinstance(values, AdaptedProcess) and len(values) < times.stop:
         raise ShapeMismatch(f"{name} has {len(values)} levels, expected {times.stop}")
     out = []
@@ -279,8 +308,19 @@ def _process_levels(tree, values, times, name, cell=None):
         want = (tree.num_nodes(t),) + (lev.shape[1:] if cell is None else cell)
         if lev.shape != want:
             raise ShapeMismatch(f"{name} level {t} has shape {lev.shape}, expected {want}")
+        cell = want[1:]
         out.append(lev)
     return out
+
+
+def _process_array(tree, values, times, name, cell=None):
+    """The depth-t levels, t in ``times``, as one level-order array: a view
+    of a process's own array when it starts at ``times.start`` with values
+    of shape ``cell``, else the levels ``_process_levels`` checks, joined."""
+    if (isinstance(values, AdaptedProcess) and values.start == times.start
+            and values.end >= times.stop - 1 and cell in (None, values.value_shape)):
+        return values.array[: tree.offsets[times.stop] - tree.offsets[times.start]]
+    return np.concatenate(_process_levels(tree, values, times, name, cell))
 
 
 def cond_exp_level(tree, values_next, t):

@@ -812,3 +812,21 @@ class TestCli:
         assert report["solution"] is None and report["residuals"] is None
         assert "tolerance 1e-30" in report["error"]
         assert report["best_residual"] > 0
+
+    @pytest.mark.parametrize("x0", [10.0, 1000.0])
+    def test_the_oracle_treats_a_domain_error_as_a_failed_point(self, tmp_path, capsys, x0):
+        # exp overflows at trial points from x0 = 10 and at every start from
+        # x0 = 1000: failed steps and starts, not a malformed input (exit 4)
+        doc = {"kind": "nonlinear", "tree": {"N": 2, "T": 2, "transition": "uniform"}, "x0": x0,
+               "coefficients": {"b": "-y + 0.1*tanh(x)", "sigma": ["-z1", "0"],
+                                "f": "x + 0.1*tanh(y)", "f_terminal": "x", "h": "x - 0.5*exp(x)"}}
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["oracle", str(path)]) == 3
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["status"] == "no_convergence" and captured.err == ""
+        if x0 == 10.0:
+            assert math.isfinite(report["best_residual"]) and report["best_residual"] > 0
+        else:  # no start could be evaluated, so there is no best residual
+            assert "best_residual" not in report

@@ -498,10 +498,13 @@ def test_stats_cover_every_ladder_attempt(monkeypatch):
 
 
 def random_inhomogeneity(rng, tree):
+    # drawn level by level, stored as level-order arrays
     return Inhomogeneity(
-        b0=[rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(tree.T)],
-        sigma0=[rng.uniform(-1, 1, size=(tree.num_nodes(t), tree.N)) for t in range(tree.T)],
-        f0=[None] + [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(1, tree.T + 1)],
+        b0=np.concatenate([rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(tree.T)]),
+        sigma0=np.concatenate([rng.uniform(-1, 1, size=(tree.num_nodes(t), tree.N))
+                               for t in range(tree.T)]),
+        f0=np.concatenate([rng.uniform(-1, 1, size=tree.num_nodes(t))
+                           for t in range(1, tree.T + 1)]),
         h0=rng.uniform(-1, 1, size=tree.num_nodes(tree.T)),
     )
 
@@ -526,8 +529,9 @@ def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target
     X = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
     Y = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
     Z = [rng.uniform(-1, 1, size=(tree.num_nodes(t), N)) for t in range(T)]
-    blended = nonlinear._blended(problem, alpha, inhom)
-    got = nonlinear._blended_residual(tree, problem, alpha, inhom, nonlinear._Iterate(X, Y, Z))
+    blended = nonlinear._blended(problem, alpha, inhom, tree)
+    iterate = nonlinear._Iterate(*(np.concatenate(v) for v in (X, Y, Z)))
+    got = nonlinear._blended_residual(tree, problem, alpha, inhom, iterate)
     want = nonlinear_residual(tree, blended, (X, Y, Z))
     assert [v.hex() for v in got] == [v.hex() for v in want]
     leaves = rng.permutation(tree.num_nodes(T))
@@ -594,7 +598,7 @@ def test_levels_of_another_problem_are_not_reused():
     carried = nonlinear._as_iterate(tree, sol)
     carried.coefficient_levels(tree, other)
     carried.terminal_levels(tree, other)
-    fresh = nonlinear._Iterate(list(carried.X), list(carried.Y), list(carried.Z))
+    fresh = nonlinear._Iterate(carried.X.copy(), carried.Y.copy(), carried.Z.copy())
     for solve in (solve_continuation, solve_flat_picard):
         got, _ = solve(tree, target, 1.0, initial_iterate=carried)
         want, _ = solve(tree, target, 1.0, initial_iterate=fresh)

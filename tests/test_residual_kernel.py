@@ -145,6 +145,48 @@ def test_kernel_shapes_scalar_and_vector_valued():
     np.testing.assert_array_equal(scalar, defect[:, :, 0])
 
 
+def per_level_worst_defects(tree, X, Y, Z, b, sigma, f):
+    """The level-by-level reduction the whole-tree kernel replaced, kept as
+    its reference: level lists, ``f`` by absolute time with entry 0 unused."""
+    fwd = bwd = 0.0
+    for t in range(tree.T):
+        rows = tree.transition[t]
+        if X is not None:
+            fwd = np.maximum(fwd, np.abs(forward_defect(X[t + 1], X[t], b[t], sigma[t], rows)).max())
+        bwd = np.maximum(bwd, np.abs(backward_defect(Y[t + 1], Y[t], f[t + 1], Z[t], rows)).max())
+    return float(fwd), float(bwd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 5),
+       st.sampled_from([None, 1, 2, 3]), st.booleans())
+def test_the_whole_tree_kernel_is_the_per_level_loop(seed, N, T, K, plant_nan):
+    # K None: the coupled scalar system; K values: a backward-only (bsde) one
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, T)
+    cell = () if K is None else (K,)
+
+    def levels(times, shape):
+        return [rng.uniform(-1, 1, size=(tree.num_nodes(t),) + shape) for t in times]
+
+    coupled = K is None
+    args = {"X": levels(range(T + 1), ()) if coupled else None,
+            "Y": levels(range(T + 1), cell), "Z": levels(range(T), cell + (N,)),
+            "b": levels(range(T), ()) if coupled else None,
+            "sigma": levels(range(T), (N,)) if coupled else None,
+            "f": [None] + levels(range(1, T + 1), cell)}
+    if plant_nan:
+        name = rng.choice([k for k, v in args.items() if v is not None])
+        level = args[name][int(rng.integers(name == "f", len(args[name])))]
+        level.flat[int(rng.integers(level.size))] = np.nan
+    whole = {k: None if v is None else np.concatenate([lev for lev in v if lev is not None])
+             for k, v in args.items()}
+    got = worst_defects(tree, **whole)
+    want = per_level_worst_defects(tree, **args)
+    assert [v.hex() for v in got] == [v.hex() for v in want]  # NaN included
+    assert (got == want) == (not np.isnan(got).any())
+
+
 @pytest.mark.parametrize("entry", ["X", "Y"])
 def test_a_nan_entry_reaches_every_reduction(entry):
     # a NaN defect must not lose to a finite running maximum
@@ -175,10 +217,11 @@ def test_a_nan_reaches_the_backward_only_reduction():
     Y, Z = solve_bsde(tree, problem)
     Y = [Y.level(t).copy() for t in range(tree.T + 1)]
     Z = [Z.level(t) for t in range(tree.T)]
-    f = [None, 0.5 * Y[1], np.zeros((4, 2))]
-    assert worst_defects(tree, None, Y, Z, None, None, f) == (0.0, 0.0)
+    # the kernel takes whole-tree arrays: the levels joined in level order
+    f = np.concatenate([0.5 * Y[1], np.zeros((4, 2))])
+    assert worst_defects(tree, None, np.concatenate(Y), np.concatenate(Z), None, None, f) == (0.0, 0.0)
     Y[0][0, 1] = np.nan  # the root, which no generator reads
-    fwd, bwd = worst_defects(tree, None, Y, Z, None, None, f)
+    fwd, bwd = worst_defects(tree, None, np.concatenate(Y), np.concatenate(Z), None, None, f)
     assert fwd == 0.0 and np.isnan(bwd)
     assert np.isnan(bsde_residual(tree, problem, Y, Z))
 

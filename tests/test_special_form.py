@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_linear_coeffs, random_tree, replace_fields, uniform_tree
 from fbsde import (
+    AdaptedProcess,
     ContinuationOptions,
     NonFiniteInput,
     Unsolvable,
@@ -149,6 +150,42 @@ def test_factored_levels_are_read_only():
     for lev in (*ric.P_levels[1:], *ric.gamma_levels):
         with pytest.raises(ValueError, match="read-only"):
             lev.flat[0] = 0.5
+
+
+def test_every_level_is_a_read_only_view_of_one_array():
+    rng = np.random.default_rng(5)
+    tree = random_tree(rng, 3, 3)
+
+    def views_of(levels, array):
+        for lev in levels:
+            assert lev.base is array and not lev.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                lev.flat[0] = 0.5
+
+    assert not tree.rows.flags.writeable
+    views_of(tree.transition, tree.rows)
+    proc = AdaptedProcess(tree, 1, [rng.uniform(size=(tree.num_nodes(t), 2)) for t in (1, 2, 3)])
+    assert proc.array.shape == (3 + 9 + 27, 2) and not proc.array.flags.writeable
+    views_of(proc.levels, proc.array)
+    views_of([proc.level(t) for t in proc.times], proc.array)
+
+    form = random_linear_coeffs(rng, tree)
+    D, D_bar, D_hat, g = inhomogeneities(rng, tree)
+    copy = form.with_inhomogeneities(D, D_bar, D_hat, g)
+    for coeffs in (form, copy):
+        assert sorted(coeffs.arrays) == sorted(_FIELDS)
+        for name, array in coeffs.arrays.items():
+            assert not array.flags.writeable
+            levels = getattr(coeffs, name)
+            if name in ("G", "g"):
+                assert levels is array  # a leaf field is its one level
+            else:
+                views_of(levels[name.endswith("_hat"):], array)
+    for name in _FIELDS:
+        shared = copy.arrays[name] is form.arrays[name]
+        assert shared == (name not in ("D", "D_bar", "D_hat", "g"))
+        if not shared:
+            assert not np.shares_memory(copy.arrays[name], form.arrays[name])
 
 
 @pytest.mark.parametrize("case", ["other-homogeneous", "other-tree"])

@@ -5,6 +5,7 @@ benchmark op lists, to prove two checkouts give byte-identical output.
 Usage, from the root of a checkout of the repository:
 
     python3 tools/report_digests.py --seed 1
+    python3 tools/report_digests.py --seed 1 --against saved.txt
 
 Each output gets one line: its label, the sha1 of the report, the exit
 code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
@@ -17,8 +18,11 @@ generates for ``--seed`` into the same directory, and every nonlinear file
 of an op list also goes through ``check`` and a ``--mode picard`` solve.
 Every call is a fresh ``python -m fbsde`` process on this checkout's
 ``src``.  Running the same command on two checkouts and comparing the
-printed lines shows whether their outputs differ.  Standard library only;
-``bench/workloads.py`` is imported, never written.
+printed lines shows whether their outputs differ.  With ``--against``,
+a listing saved from an earlier run of the same seed, the tool also does
+that comparison: after printing every line it exits 1, naming each label
+whose line differs or is missing from either listing.  Standard library
+only; ``bench/workloads.py`` is imported, never written.
 """
 
 from __future__ import annotations
@@ -121,9 +125,25 @@ def digests(seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True, help="workload file seed")
+    parser.add_argument("--against", type=Path,
+                        help="a saved listing to compare with; exit 1 if any line differs")
     args = parser.parse_args(argv)
+    saved = None
+    if args.against is not None:
+        saved = {}
+        for line in args.against.read_text(encoding="utf-8").splitlines():
+            digest, _, label = line.partition("  ")
+            if label:
+                saved[label] = digest
+    differ = []
     for label, report, code, stderr in digests(args.seed):
-        print(f"{report} exit={code} stderr={stderr}  {label}", flush=True)
+        line = f"{report} exit={code} stderr={stderr}"
+        print(f"{line}  {label}", flush=True)
+        if saved is not None and saved.pop(label, None) != line:
+            differ.append(label)
+    differ += saved or []  # saved labels this run did not produce
+    if differ:
+        sys.exit(f"{len(differ)} outputs differ from {args.against}:\n" + "\n".join(differ))
 
 
 if __name__ == "__main__":
