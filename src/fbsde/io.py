@@ -282,16 +282,25 @@ def _bind_nonlinear(tree, doc):
     fT_expr = _bind_f_terminal(raw, f_expr, _STATE_VARS, zv)
 
     names = [f"z{i}" for i in range(1, tree.N)]
+    memo = {}  # t -> (key, environments) of the last call at t
 
     def envs(t, nodes, x, y=None, zt=None):
-        """One environment per node, for ``evaluate`` node by node."""
+        """One environment per node, for ``evaluate`` node by node; drift,
+        diffusion and generator at equal inputs share the last list of t."""
+        key = (nodes.tobytes(), x.tobytes(), y if y is None else y.tobytes(),
+               zt if zt is None else zt.tobytes())
         t = float(t)
+        if t in memo and memo[t][0] == key:
+            return memo[t][1]
         w = [i % tree.N + 1.0 for i in nodes.tolist()] if t else [0.0] * len(nodes)
         if y is None:
-            return [{"t": t, "w": wi, "x": xi} for wi, xi in zip(w, x.tolist())]
-        rows = [()] * len(w) if zt is None else zt.tolist()
-        return [{"t": t, "w": wi, "x": xi, "y": yi, **dict(zip(names, z))}
-                for wi, xi, yi, z in zip(w, x.tolist(), y.tolist(), rows)]
+            out = [{"t": t, "w": wi, "x": xi} for wi, xi in zip(w, x.tolist())]
+        else:
+            rows = [()] * len(w) if zt is None else zt.tolist()
+            out = [{"t": t, "w": wi, "x": xi, "y": yi, **dict(zip(names, z))}
+                   for wi, xi, yi, z in zip(w, x.tolist(), y.tolist(), rows)]
+        memo[t] = (key, out)
+        return out
 
     def level_env(t, nodes, x, y=None, zt=None):
         """The variables of every node as arrays, for ``evaluate_level``."""

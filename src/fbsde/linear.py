@@ -13,7 +13,6 @@ closure P X + p.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,8 +141,9 @@ class LinearCoefficients:
         for name, value in values.items():
             leaf, hat = name in ("G", "g"), name.endswith("_hat")
             times = range(T, T + 1) if leaf else range(1, T + 1) if hat else range(T)
-            arr = _levels(tree, [value] if leaf and value is not None else value,
-                          times, (tree.N,) * _FIELDS[name], name)
+            if leaf and value is not None and getattr(value, "shape", None) != (tree.N**T,):
+                value = [value]  # the one level, unless given as the whole field
+            arr = _levels(tree, value, times, (tree.N,) * _FIELDS[name], name)
             arr.flags.writeable = False
             self.arrays[name] = arr
             views = tree.views(arr, times)
@@ -155,8 +155,8 @@ class LinearCoefficients:
         Every other level array and the slope memo are shared, so solving
         the copy recomputes only the offsets of the backward pass.
         """
-        new = copy.copy(self)
-        vars(new)["arrays"] = dict(self.arrays)
+        new = object.__new__(type(self))  # a shallow copy, past __setattr__
+        vars(new).update(vars(self), arrays=dict(self.arrays))
         new._set(D=D, D_bar=D_bar, D_hat=D_hat, g=g)
         new._check_finite(_INHOMOGENEOUS)
         return new
@@ -265,8 +265,8 @@ class _SlopePass:
     Beside P (``P_array`` in level order over times 1..T, ``P_levels`` its
     views), the per-node matrices and their level-array certificate it
     keeps, per level t, the stacked column ``a``, the feedback matrix
-    ``coupling`` and (for t >= 1) the contraction ``theta`` of the child
-    closures, which the offset and forward passes reuse.
+    ``coupling``, the matrices' ``_structure`` and (for t >= 1) the
+    contraction ``theta`` of the child closures, for the later passes.
     """
 
     P_array: np.ndarray
@@ -276,6 +276,7 @@ class _SlopePass:
     a_levels: tuple
     coupling_levels: tuple
     theta_levels: tuple
+    structure_levels: tuple
 
 
 @dataclass(frozen=True)
@@ -288,12 +289,16 @@ class RiccatiData:
     recursion stops there, with the ratios and flags of that whole level in
     the certificate.  P, the matrices and the certificate are read from
     ``slope_pass``; ``p_levels`` are views of ``p_array``, the offsets in
-    level order over times 1..T.
+    level order over times 1..T.  For the forward pass it keeps, per level
+    t, the stacked inhomogeneity column ``d_levels[t]`` and the coupling
+    times the child offsets, ``feedback_levels[t]`` (None if not reached).
     """
 
     slope_pass: _SlopePass
     p_array: np.ndarray
     p_levels: tuple
+    d_levels: tuple
+    feedback_levels: tuple
 
     @property
     def P_levels(self):
@@ -401,12 +406,36 @@ def _gamma_level(tree, coupling, p_child):
     return eye - coupling * p_child[:, None, :]
 
 
-def _solve_columns(gamma, rhs):
+def _structure(gamma):
+    """(d, l) when every matrix of a level is its diagonal d plus a last
+    column l above it (l's last entry set to 0) with |l_i| <= 2**-50 |d_i|,
+    as the special form's are (see ``solve_special``); else None."""
+    other = ~np.eye(gamma.shape[-1], dtype=bool)  # the entries that must be 0
+    other[:-1, -1] = False
+    if gamma[:, other].any():  # before any copy: a general level fails here
+        return None
+    d, l = np.diagonal(gamma, axis1=1, axis2=2).copy(), gamma[:, :, -1].copy()
+    l[:, -1] = 0.0
+    d.flags.writeable = l.flags.writeable = False  # shared through the slope memo
+    return None if (np.abs(l) > 2.0**-50 * np.abs(d)).any() else (d, l)
+
+
+def _solve_columns(gamma, structure, rhs):
     """The column x with gamma x = rhs at every node of a level.
 
     The child closures P X + p of a solved level are v X + w, with
-    gamma v = a and gamma w = (b P^T + c) p + d.
+    gamma v = a and gamma w = (b P^T + c) p + d.  On a level with a
+    ``_structure`` (d, l), x_N = r_N / d_N and x_i = (r_i - l_i x_N) / d_i
+    give the bits of the LU solve (pivots d, all multipliers zero) when no
+    entry of r is zero (LAPACK subtracts zero products, which can flip a
+    zero's sign) and x is finite (zero times inf is NaN in other places on
+    the two paths); otherwise the level goes through LAPACK.
     """
+    if structure is not None and np.count_nonzero(rhs) == rhs.size:
+        d, l = structure
+        x = (rhs - l * (rhs[:, -1] / d[:, -1])[:, None]) / d
+        if np.isfinite(x).all():
+            return x
     return np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
 
 
@@ -429,10 +458,8 @@ def _slope_pass(tree, coeffs):
     T, N = tree.T, tree.N
     P_array = np.zeros(tree.offsets[T + 1] - 1)
     P_views = (None, *tree.views(P_array, range(1, T + 1)))
-    gamma_levels = [None] * T
-    a_levels = [None] * T
-    coupling_levels = [None] * T
-    theta_levels = [None] * T
+    gamma_levels, a_levels, coupling_levels, theta_levels, structure_levels = (
+        [None] * T for _ in range(5))
     ratio_levels, ok_levels, weakest = [], [], []
 
     P_views[T][...] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
@@ -457,10 +484,11 @@ def _slope_pass(tree, coeffs):
         weakest.append(GammaVerdict(tree.node_id(t, idx), float(ratios[idx]), bool(ok[idx])))
         if not ok.all():
             break
+        structure_levels[t] = _structure(gamma)
         if t >= 1:
             theta = (1.0 - coeffs.B_hat[t])[:, None] * tree.transition[t] - coeffs.C_hat[t]
             theta_levels[t] = theta
-            v = _solve_columns(gamma, scr_a)
+            v = _solve_columns(gamma, structure_levels[t], scr_a)
             P_views[t][...] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
     # P reaches down to depth t + 1, t the level where the pass ended
@@ -475,7 +503,7 @@ def _slope_pass(tree, coeffs):
     )
     return _SlopePass(
         P_array, P_levels, tuple(gamma_levels), certificate,
-        tuple(a_levels), tuple(coupling_levels), tuple(theta_levels),
+        tuple(a_levels), tuple(coupling_levels), tuple(theta_levels), tuple(structure_levels),
     )
 
 
@@ -490,26 +518,25 @@ def _offset_pass(tree, coeffs, slopes):
     p_array = np.zeros(tree.offsets[T + 1] - 1)
     p_levels = [None, *tree.views(p_array, range(1, T + 1))]
     p_levels[T][...] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
-    offsets = tree.views(_script_offset(tree, coeffs), range(T))
-    for t in range(T - 1, 0, -1):
-        if slopes.P_levels[t] is None:
+    d_levels = tree.views(_script_offset(tree, coeffs), range(T))
+    feedback = [None] * T
+    for t in range(T - 1, -1, -1):
+        if t and slopes.P_levels[t] is None:
             p_levels[1 : t + 1] = [None] * t
             break
         n = tree.num_nodes(t)
-        P_child = slopes.P_levels[t + 1].reshape(n, N)
         p_child = p_levels[t + 1].reshape(n, N)
-        theta = slopes.theta_levels[t]
-        rhs = np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child) + offsets[t]
-        w = _solve_columns(slopes.gamma_levels[t], rhs)
-        p_levels[t][...] = (
-            np.einsum("nj,nj,nj->n", theta, P_child, w)
-            + np.einsum("nj,nj->n", theta, p_child)
-            - coeffs.D_hat[t]
-        )
-    for t in range(T, 0, -1):
-        if p_levels[t] is not None:
+        feedback[t] = np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
+        if t:
+            theta, P_child = slopes.theta_levels[t], slopes.P_levels[t + 1].reshape(n, N)
+            w = _solve_columns(slopes.gamma_levels[t], slopes.structure_levels[t],
+                               feedback[t] + d_levels[t])
+            p_levels[t][...] = (np.einsum("nj,nj,nj->n", theta, P_child, w)
+                                + np.einsum("nj,nj->n", theta, p_child) - coeffs.D_hat[t])
+    if not np.isfinite(p_array).all():  # raises before the levels not reached (zeros, None)
+        for t in range(T, 0, -1):
             _finite_level(p_levels[t], "the offset p", t)
-    return RiccatiData(slopes, p_array, tuple(p_levels))
+    return RiccatiData(slopes, p_array, tuple(p_levels), d_levels, tuple(feedback))
 
 
 def _check_tree(tree, coeffs):
@@ -556,19 +583,13 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
 
     T, N, m = tree.T, tree.N, tree.offsets[tree.T]
     slope_pass = ric.slope_pass
-    offsets = tree.views(_script_offset(tree, coeffs), range(T))
     X = np.empty(tree.offsets[T + 1])
     X[0] = x0
     X_levels = tree.views(X, range(T + 1))
     for t in range(T):
-        n = tree.num_nodes(t)
-        p_child = ric.p_levels[t + 1].reshape(n, N)
-        rhs = (
-            slope_pass.a_levels[t] * X_levels[t][:, None]
-            + np.einsum("nij,nj->ni", slope_pass.coupling_levels[t], p_child)
-            + offsets[t]
-        )
-        X_levels[t + 1][...] = _solve_columns(ric.gamma_levels[t], rhs).reshape(-1)
+        rhs = slope_pass.a_levels[t] * X_levels[t][:, None] + ric.feedback_levels[t] + ric.d_levels[t]
+        X_levels[t + 1][...] = _solve_columns(
+            ric.gamma_levels[t], slope_pass.structure_levels[t], rhs).reshape(-1)
 
     # every non-leaf node's child closures P X + p at once
     lam = (slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)
@@ -666,10 +687,14 @@ def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
     """Solve the self-coupled special form; always uniquely solvable.
 
     Its decoupling recursion is deterministic with P > 1 at every level, so
-    the per-node matrices are diagonal with entries 1 + P.  ``form`` is the
-    homogeneous ``special_coefficients(tree)`` to solve through: its slope
-    pass is memoized, so repeated solves redo only the offsets and the
-    forward pass.  Without it the form is built for this one solve.
+    each per-node matrix has diagonal entries 1 + P.  It is diagonal at
+    N = 2 and 4; otherwise its last column holds, above the diagonal, the
+    rounding residue of 1 - (q_1 + ... + q_{N-1}) - q_N over the transition
+    row q (5.6e-17 for uniform rows at N = 3), and ``_solve_columns``'
+    structured kernel solves it.  ``form`` is the homogeneous
+    ``special_coefficients(tree)`` to solve through: its slope pass is
+    memoized, so repeated solves redo only the offsets and the forward
+    pass.  Without it the form is built for this one solve.
     """
     if form is None:
         form = special_coefficients(tree)
@@ -682,6 +707,7 @@ def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in the backward pass that made ``riccati``
 def decoupling_coefficients(tree, coeffs, riccati):
     """Affine maps (slope, offset) with Y_t = slope_t X_t + offset_t nodewise.
 
@@ -699,18 +725,14 @@ def decoupling_coefficients(tree, coeffs, riccati):
     slope[T] = coeffs.G.copy()
     offset[T] = coeffs.g.copy()
     slopes = riccati.slope_pass
-    offsets = tree.views(_script_offset(tree, coeffs), range(T))
     for t in range(T):
         n = tree.num_nodes(t)
         Pt = tree.transition[t]
-        gamma = slopes.gamma_levels[t]
+        gamma, structure = slopes.gamma_levels[t], slopes.structure_levels[t]
         P_child = slopes.P_levels[t + 1].reshape(n, N)
         p_child = riccati.p_levels[t + 1].reshape(n, N)
-        v = _solve_columns(gamma, slopes.a_levels[t])
-        w = _solve_columns(
-            gamma,
-            np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child) + offsets[t],
-        )
+        v = _solve_columns(gamma, structure, slopes.a_levels[t])
+        w = _solve_columns(gamma, structure, riccati.feedback_levels[t] + riccati.d_levels[t])
         slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, v)
         offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, w) + np.einsum(
             "nj,nj->n", Pt, p_child

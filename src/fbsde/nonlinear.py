@@ -198,7 +198,7 @@ class _Iterate:
     ``levels`` is ``(problem, (b, sigma, f))`` and ``terminal`` is
     ``(problem, h - x)`` on the leaves, for the last problem evaluated
     here, so that compose and the level check evaluate the target once per
-    iterate.
+    iterate; ``zt``, the row contractions of Z, is computed on first use.
     """
 
     X: np.ndarray
@@ -212,10 +212,14 @@ class _Iterate:
         size, m = tree.offsets[tree.T + 1], tree.offsets[tree.T]
         return cls(X=np.zeros(size), Y=np.zeros(size), Z=np.zeros((m, tree.N)))
 
+    @functools.cached_property
+    def zt(self):
+        return tilde_contract(self.Z)
+
     def coefficient_levels(self, tree, problem):
         """``_coefficient_levels`` of ``problem`` here, evaluated on first use."""
         if self.levels is None or self.levels[0] is not problem:
-            self.levels = (problem, _coefficient_levels(tree, problem, self.X, self.Y, self.Z))
+            self.levels = (problem, _coefficient_levels(tree, problem, self.X, self.Y, self.zt))
         return self.levels[1]
 
     def terminal_levels(self, tree, problem):
@@ -253,7 +257,7 @@ def increment_norm_sq(tree, prev: _Iterate, cur: _Iterate) -> float:
     m = tree.offsets[tree.T]
     dx = np.abs(cur.X[:m] - prev.X[:m])
     dy = np.abs(cur.Y[:m] - prev.Y[:m])
-    dz = np.linalg.norm(tilde_contract(cur.Z) - tilde_contract(prev.Z), axis=-1)
+    dz = np.linalg.norm(cur.zt - prev.zt, axis=-1)
     levels = tree.views((dx + dy + dz) ** 2, range(tree.T))
     return sum(float(np.dot(tree.level_probs(t), lev)) for t, lev in enumerate(levels))
 
@@ -271,16 +275,16 @@ def _level(value, shape, name):
         raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}") from None
 
 
-def _coefficient_levels(tree, problem, X, Y, Z):
+def _coefficient_levels(tree, problem, X, Y, zt):
     """Drift and diffusion on 0..T-1, then generator on 1..T, at an iterate
-    of level-order arrays, one call per level in that order (which decides
-    the first error raised); at the horizon the generator's ``z_tilde`` is
-    None.  Returns level-order (b, sigma, f): b and sigma on the non-leaf
-    nodes, f on the nodes of times 1..T.
+    of level-order arrays (Z by its row contractions), one call per level in
+    that order (which decides the first error raised); at the horizon the
+    generator's ``z_tilde`` is None.  Returns level-order (b, sigma, f): b
+    and sigma on the non-leaf nodes, f on the nodes of times 1..T.
     """
     T, m = tree.T, tree.offsets[tree.T]
     X, Y = tree.views(X, range(T + 1)), tree.views(Y, range(T + 1))
-    zt = tree.views(tilde_contract(Z), range(T)) + (None,)
+    zt = tree.views(zt, range(T)) + (None,)
     b, sigma, f = np.empty(m), np.empty((m, tree.N)), np.empty(len(X[T]) + m - 1)
     for out, fn, name, times in ((b, problem.drift, "drift", range(T)),
                                  (sigma, problem.diffusion, "diffusion", range(T)),
@@ -466,7 +470,7 @@ def nonlinear_residual(tree, problem, solution):
     level lists.
     """
     it = _as_iterate(tree, solution)
-    return worst_defects(tree, it.X, it.Y, it.Z, *_coefficient_levels(tree, problem, it.X, it.Y, it.Z))
+    return worst_defects(tree, it.X, it.Y, it.Z, *_coefficient_levels(tree, problem, it.X, it.Y, it.zt))
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
@@ -480,7 +484,7 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     b, sigma, f = it.coefficient_levels(tree, problem)
     X, Y, Z, m = it.X, it.Y, it.Z, tree.offsets[tree.T]
     b = a * b + (1.0 - a) * (-Y[:m]) + inhom.b0
-    sigma = a * sigma + (1.0 - a) * -_canonical_rows(tilde_contract(Z)) + inhom.sigma0
+    sigma = a * sigma + (1.0 - a) * -_canonical_rows(it.zt) + inhom.sigma0
     f = a * f + (1.0 - a) * X[1:] + inhom.f0
     return worst_defects(tree, X, Y, Z, b, sigma, f)
 

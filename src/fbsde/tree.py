@@ -87,6 +87,7 @@ class ScenarioTree:
         if len(transition) != T:
             raise ShapeMismatch(f"expected {T} transition levels, got {len(transition)}")
         self.offsets = tuple((N**t - 1) // (N - 1) for t in range(T + 2))
+        self._slices = {}  # times -> the slices of ``views``
         table = np.empty((self.offsets[T], N))
         for t, (rows, view) in enumerate(zip(transition, self.views(table, range(T)))):
             rows = np.asarray(rows, dtype=float)
@@ -128,8 +129,11 @@ class ScenarioTree:
     def views(self, flat, times):
         """The depth-t views, t in ``times``, of a level-order array whose
         first entry is the first node at depth ``times.start``."""
-        o, base = self.offsets, self.offsets[times.start]
-        return tuple([flat[o[t] - base : o[t + 1] - base] for t in times])
+        slices = self._slices.get(times)
+        if slices is None:
+            o, base = self.offsets, self.offsets[times.start]
+            slices = self._slices[times] = tuple(slice(o[t] - base, o[t + 1] - base) for t in times)
+        return tuple([flat[s] for s in slices])
 
     def level_probs(self, t):
         """Unconditional probabilities of the depth-t nodes (sums to one)."""

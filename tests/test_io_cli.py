@@ -14,6 +14,7 @@ import pytest
 from fbsde import (
     AssumptionViolation,
     Expression,
+    ExpressionDomainError,
     FbsdeError,
     SchemaError,
     bind_problem,
@@ -830,3 +831,64 @@ class TestCli:
             assert math.isfinite(report["best_residual"]) and report["best_residual"] > 0
         else:  # no start could be evaluated, so there is no best residual
             assert "best_residual" not in report
+
+
+#: A nonlinear file on N=2 whose drift, diffusion and generator pass y and
+#: z1 through unrounded, so a one-ulp change of either shows in the values.
+PASS_THROUGH_DOC = {"kind": "nonlinear", "tree": {"N": 2, "T": 3}, "x0": 1.0,
+                    "coefficients": {"b": "-y", "sigma": ["z1", "w*x"], "f": "y*z1 + x",
+                                     "f_terminal": "x", "h": "x*w"}}
+
+
+def test_the_node_path_environments_are_shared_by_value():
+    # drift, diffusion and generator at one level share their node-by-node
+    # environments; every call must still give the bits of a problem bound
+    # afresh, also when one node's y or z1 moves by one ulp
+    rng = np.random.default_rng(4)
+    problem = bind_problem(PASS_THROUGH_DOC).data
+    for t in range(3):
+        nodes = np.arange(2**t)
+        x, y = rng.uniform(1.0, 2.0, size=(2, len(nodes)))
+        zt = rng.uniform(1.0, 2.0, size=(len(nodes), 1))
+        for moved in (None, "y", "zt"):
+            if moved == "y":
+                y = y.copy()
+                y[-1] = np.nextafter(y[-1], 3.0)
+            elif moved == "zt":
+                zt = zt.copy()
+                zt[-1, 0] = np.nextafter(zt[-1, 0], 3.0)
+            fresh = bind_problem(PASS_THROUGH_DOC).data
+            for name in ("drift", "diffusion", "generator"):
+                got = getattr(problem, name)(t, nodes, x, y, zt)
+                want = getattr(fresh, name)(t, nodes, x, y, zt)
+                assert got.tobytes() == want.tobytes(), (t, moved, name)
+
+
+def test_the_environments_of_two_problems_are_their_own():
+    # the same nodes and leaf values on trees of another N give other w
+    leaves, x = np.arange(3), np.array([1.0, 2.0, 3.0])
+    binary = bind_problem(PASS_THROUGH_DOC).data
+    ternary = bind_problem({**PASS_THROUGH_DOC, "tree": {"N": 3, "T": 3},
+                            "coefficients": {**PASS_THROUGH_DOC["coefficients"],
+                                             "sigma": ["z1", "z2", "w*x"]}}).data
+    assert binary.terminal(leaves, x).tolist() == [1.0, 4.0, 3.0]
+    assert ternary.terminal(leaves, x).tolist() == [1.0, 4.0, 9.0]
+
+
+def test_a_shared_environment_keeps_the_first_failing_node():
+    # the generator fails at node 1 (division by zero) before node 3
+    # (exp overflows): after drift and diffusion built the level's
+    # environments, its error is that of a problem bound afresh
+    doc = {**PASS_THROUGH_DOC, "coefficients": {**PASS_THROUGH_DOC["coefficients"],
+                                                "f": "x/y + exp(x)"}}
+    nodes, x = np.arange(4), np.array([1.0, 1.0, 1.0, 1000.0])
+    y, zt = np.array([1.0, 0.0, 1.0, 1.0]), np.ones((4, 1))
+    problem = bind_problem(doc).data
+    problem.drift(2, nodes, x, y, zt)
+    problem.diffusion(2, nodes, x, y, zt)
+    errors = []
+    for p in (problem, bind_problem(doc).data):
+        with pytest.raises(ExpressionDomainError) as err:
+            p.generator(2, nodes, x, y, zt)
+        errors.append((str(err.value), err.value.position))
+    assert errors[0] == errors[1] and errors[0][1] == 1

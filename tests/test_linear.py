@@ -502,10 +502,13 @@ class TestValidation:
 
 
 #: Finite linear files whose solve overflows: P_T = 1e308 + 1e308 in the
-#: first, the forward pass X_{t+1} = 2 X_t from 1e308 in the second.
+#: first, the forward pass X_{t+1} = 2 X_t from 1e308 in the second.  In
+#: the third the offsets p_3 = -1e308, p_2 = p_3 - 1e308 and p_1 overflow
+#: at two depths, and the error names the deeper one.
 OVERFLOWS = {
     "slope": ({"A_hat": -1e308, "G": 1e308}, 1.0, 3),
     "solution": ({"A": 1.0}, 1e308, None),
+    "offset": ({"D_hat": 1e308}, 1.0, 2),
 }
 
 
