@@ -200,43 +200,23 @@ def _bind_options(doc):
     return ContinuationOptions(**kwargs), mode, seed
 
 
-#: Linear fields: cell nesting depth (scalar, row of N, N x N matrix) and
-#: the times the field lives on.
-_LINEAR_FIELDS = {
-    "A": (0, "fwd"),
-    "B": (0, "fwd"),
-    "C": (1, "fwd"),
-    "D": (0, "fwd"),
-    "A_bar": (1, "fwd"),
-    "B_bar": (1, "fwd"),
-    "C_bar": (2, "fwd"),
-    "D_bar": (1, "fwd"),
-    "A_hat": (0, "bwd"),
-    "B_hat": (0, "bwd"),
-    "C_hat": (1, "bwd"),
-    "D_hat": (0, "bwd"),
-    "G": (0, "leaf"),
-    "g": (0, "leaf"),
-}
-
-#: The inhomogeneities a special file may set.
-_SPECIAL_FIELDS = ("D", "D_bar", "D_hat", "g")
-
-
 def _bind_linear(tree, doc, kind):
-    """LinearCoefficients of a linear or special file, validated at load."""
+    """LinearCoefficients of a linear or special file, validated at load.
+
+    A linear file may set every field of ``linear._FIELDS``, a special file
+    its inhomogeneities; each field lives on ``linear._field_times``.
+    """
     raw = doc.get("coefficients", {})
-    names = _LINEAR_FIELDS if kind == "linear" else _SPECIAL_FIELDS
+    names = linear_mod._FIELDS if kind == "linear" else linear_mod._INHOMOGENEOUS
     extra = set(raw) - set(names)
     if extra:
         raise SchemaError("coefficients", f"unknown fields {sorted(extra)}")
-    times = {"fwd": range(tree.T), "bwd": range(1, tree.T + 1), "leaf": [tree.T]}
     kwargs = {}
     for name in names:
         if name in raw:
-            ndim, when = _LINEAR_FIELDS[name]
-            levels = _coefficient(tree, raw[name], times[when], ndim, f"coefficients.{name}")
-            kwargs[name] = levels[0] if when == "leaf" else levels
+            levels = _coefficient(tree, raw[name], linear_mod._field_times(name, tree.T),
+                                  linear_mod._FIELDS[name], f"coefficients.{name}")
+            kwargs[name] = levels[0] if name in linear_mod._LEAF else levels
     build = LinearCoefficients if kind == "linear" else special_coefficients
     try:
         return build(tree, **kwargs)

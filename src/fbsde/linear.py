@@ -6,9 +6,11 @@ coupled system uniquely solvable from every node.  The certificate keeps
 those verdicts as one pair of arrays per level (condition ratios and
 invertible flags); node ids are built only for the singular nodes and each
 level's weakest node, and the per-node verdict list only on request.
-The forward pass then solves one dense N x N system per node for the child
-values of X, and Y, Z follow from conditional expectations of the affine
-closure P X + p.
+Inverting a level's matrices turns the child values into the affine
+closure X_child = v X + w of the parent's X (v from the slope pass, w from
+the offset pass), so the forward pass evaluates those closures and solves
+nothing; Y, Z follow from conditional expectations of the affine closure
+P X + p.
 """
 
 from __future__ import annotations
@@ -89,13 +91,23 @@ def _levels(tree, value, times, cell, name):
 
 
 #: Every coefficient field, in the order ``validate`` checks them, with the
-#: rank of its cell (scalar, column or matrix).  Plain and barred fields
-#: live on times 0..T-1, hatted ones on 1..T, the leaf fields G, g on T.
+#: rank of its cell (scalar, column or matrix).
 _FIELDS = {"A": 0, "B": 0, "C": 1, "D": 0, "A_bar": 1, "B_bar": 1, "C_bar": 2, "D_bar": 1,
            "A_hat": 0, "B_hat": 0, "C_hat": 1, "D_hat": 0, "G": 0, "g": 0}
 
 #: The inhomogeneities; the backward pass reads them only for the offsets p.
 _INHOMOGENEOUS = ("D", "D_bar", "D_hat", "g")
+
+#: The fields of the terminal condition, which live on the leaves only.
+_LEAF = ("G", "g")
+
+
+def _field_times(name, T):
+    """The times field ``name`` lives on: 0..T-1 for plain and barred
+    fields, 1..T for hatted ones, T for the leaf fields G and g."""
+    if name in _LEAF:
+        return range(T, T + 1)
+    return range(1, T + 1) if name.endswith("_hat") else range(T)
 
 
 class LinearCoefficients:
@@ -139,15 +151,14 @@ class LinearCoefficients:
         field its one level."""
         tree, T = self.tree, self.tree.T
         for name, value in values.items():
-            leaf, hat = name in ("G", "g"), name.endswith("_hat")
-            times = range(T, T + 1) if leaf else range(1, T + 1) if hat else range(T)
+            leaf, times = name in _LEAF, _field_times(name, T)
             if leaf and value is not None and getattr(value, "shape", None) != (tree.N**T,):
                 value = [value]  # the one level, unless given as the whole field
             arr = _levels(tree, value, times, (tree.N,) * _FIELDS[name], name)
             arr.flags.writeable = False
             self.arrays[name] = arr
             views = tree.views(arr, times)
-            vars(self)[name] = arr if leaf else (None, *views) if hat else views
+            vars(self)[name] = arr if leaf else (None,) * times.start + views
 
     def with_inhomogeneities(self, D=None, D_bar=None, D_hat=None, g=None):
         """A copy with new D, D_bar, D_hat and g, each checked for finiteness.
@@ -264,16 +275,18 @@ class _SlopePass:
 
     Beside P (``P_array`` in level order over times 1..T, ``P_levels`` its
     views), the per-node matrices and their level-array certificate it
-    keeps, per level t, the stacked column ``a``, the feedback matrix
-    ``coupling``, the matrices' ``_structure`` and (for t >= 1) the
-    contraction ``theta`` of the child closures, for the later passes.
+    keeps, per level t it passed, the slope ``v`` of the child closures
+    X_child = v X + w (the matrix's inverse times the stacked column a),
+    the feedback matrix ``coupling``, the matrices' ``_structure`` and (for
+    t >= 1) the contraction ``theta`` of the child closures, for the later
+    passes.
     """
 
     P_array: np.ndarray
     P_levels: tuple
     gamma_levels: tuple
     certificate: SolvabilityCertificate
-    a_levels: tuple
+    v_levels: tuple
     coupling_levels: tuple
     theta_levels: tuple
     structure_levels: tuple
@@ -290,15 +303,14 @@ class RiccatiData:
     the certificate.  P, the matrices and the certificate are read from
     ``slope_pass``; ``p_levels`` are views of ``p_array``, the offsets in
     level order over times 1..T.  For the forward pass it keeps, per level
-    t, the stacked inhomogeneity column ``d_levels[t]`` and the coupling
-    times the child offsets, ``feedback_levels[t]`` (None if not reached).
+    t, the offset ``w_levels[t]`` of the child closures X_child = v X + w
+    (None if not reached), whose slope is the slope pass's ``v_levels[t]``.
     """
 
     slope_pass: _SlopePass
     p_array: np.ndarray
     p_levels: tuple
-    d_levels: tuple
-    feedback_levels: tuple
+    w_levels: tuple
 
     @property
     def P_levels(self):
@@ -394,7 +406,7 @@ def script_coeffs(tree, coeffs, node):
     return scr_a[idx], scr_b[idx], scr_c[idx], _script_offset(tree, coeffs)[tree.offsets[t] + idx]
 
 
-def _coupling_level(tree, coeffs, t, scr_b, scr_c):
+def _coupling_level(tree, t, scr_b, scr_c):
     """(b P^T + c): the matrix through which next-step closures feed back."""
     Pt = tree.transition[t]
     return scr_b[:, :, None] * Pt[:, None, :] + scr_c
@@ -458,7 +470,7 @@ def _slope_pass(tree, coeffs):
     T, N = tree.T, tree.N
     P_array = np.zeros(tree.offsets[T + 1] - 1)
     P_views = (None, *tree.views(P_array, range(1, T + 1)))
-    gamma_levels, a_levels, coupling_levels, theta_levels, structure_levels = (
+    gamma_levels, v_levels, coupling_levels, theta_levels, structure_levels = (
         [None] * T for _ in range(5))
     ratio_levels, ok_levels, weakest = [], [], []
 
@@ -468,11 +480,11 @@ def _slope_pass(tree, coeffs):
         _finite_level(P_views[t + 1], "the slope P", t + 1)
         n = tree.num_nodes(t)
         scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
-        coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
+        coupling = _coupling_level(tree, t, scr_b, scr_c)
         P_child = P_views[t + 1].reshape(n, N)
         gamma = _gamma_level(tree, coupling, P_child)
         _finite_level(gamma, "the per-node matrix", t)
-        gamma_levels[t], a_levels[t], coupling_levels[t] = gamma, scr_a, coupling
+        gamma_levels[t], coupling_levels[t] = gamma, coupling
 
         svals = np.linalg.svd(gamma, compute_uv=False)
         smax, smin = svals[:, 0], svals[:, -1]
@@ -485,16 +497,16 @@ def _slope_pass(tree, coeffs):
         if not ok.all():
             break
         structure_levels[t] = _structure(gamma)
+        v = v_levels[t] = _solve_columns(gamma, structure_levels[t], scr_a)
         if t >= 1:
             theta = (1.0 - coeffs.B_hat[t])[:, None] * tree.transition[t] - coeffs.C_hat[t]
             theta_levels[t] = theta
-            v = _solve_columns(gamma, structure_levels[t], scr_a)
             P_views[t][...] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
     # P reaches down to depth t + 1, t the level where the pass ended
     P_levels = (None,) * (t + 1) + P_views[t + 1 :]
     # the memo shares these arrays with every later solve
-    for lev in (P_array, *P_levels, *gamma_levels, *a_levels, *coupling_levels, *theta_levels,
+    for lev in (P_array, *P_levels, *gamma_levels, *v_levels, *coupling_levels, *theta_levels,
                 *ratio_levels, *ok_levels):
         if lev is not None:
             lev.flags.writeable = False
@@ -503,15 +515,16 @@ def _slope_pass(tree, coeffs):
     )
     return _SlopePass(
         P_array, P_levels, tuple(gamma_levels), certificate,
-        tuple(a_levels), tuple(coupling_levels), tuple(theta_levels), tuple(structure_levels),
+        tuple(v_levels), tuple(coupling_levels), tuple(theta_levels), tuple(structure_levels),
     )
 
 
 def _offset_pass(tree, coeffs, slopes):
-    """The offsets p over a finished slope pass; returns the full RiccatiData.
+    """The offsets p and the closure offsets w over a finished slope pass;
+    returns the full RiccatiData.
 
     The only part of the backward pass that reads D, D_bar, D_hat and g.  It
-    stops where the slope pass halted.  A level that overflows raises
+    stops where the slope pass halted.  A level of p that overflows raises
     NonFiniteSolve naming the deepest such level.
     """
     T, N = tree.T, tree.N
@@ -519,24 +532,24 @@ def _offset_pass(tree, coeffs, slopes):
     p_levels = [None, *tree.views(p_array, range(1, T + 1))]
     p_levels[T][...] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
     d_levels = tree.views(_script_offset(tree, coeffs), range(T))
-    feedback = [None] * T
+    w_levels = [None] * T
     for t in range(T - 1, -1, -1):
-        if t and slopes.P_levels[t] is None:
+        if slopes.v_levels[t] is None:  # the level where the slope pass halted
             p_levels[1 : t + 1] = [None] * t
             break
         n = tree.num_nodes(t)
         p_child = p_levels[t + 1].reshape(n, N)
-        feedback[t] = np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
+        feedback = np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
+        w = w_levels[t] = _solve_columns(slopes.gamma_levels[t], slopes.structure_levels[t],
+                                         feedback + d_levels[t])
         if t:
             theta, P_child = slopes.theta_levels[t], slopes.P_levels[t + 1].reshape(n, N)
-            w = _solve_columns(slopes.gamma_levels[t], slopes.structure_levels[t],
-                               feedback[t] + d_levels[t])
             p_levels[t][...] = (np.einsum("nj,nj,nj->n", theta, P_child, w)
                                 + np.einsum("nj,nj->n", theta, p_child) - coeffs.D_hat[t])
     if not np.isfinite(p_array).all():  # raises before the levels not reached (zeros, None)
         for t in range(T, 0, -1):
             _finite_level(p_levels[t], "the offset p", t)
-    return RiccatiData(slopes, p_array, tuple(p_levels), d_levels, tuple(feedback))
+    return RiccatiData(slopes, p_array, tuple(p_levels), tuple(w_levels))
 
 
 def _check_tree(tree, coeffs):
@@ -586,10 +599,9 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     X = np.empty(tree.offsets[T + 1])
     X[0] = x0
     X_levels = tree.views(X, range(T + 1))
-    for t in range(T):
-        rhs = slope_pass.a_levels[t] * X_levels[t][:, None] + ric.feedback_levels[t] + ric.d_levels[t]
-        X_levels[t + 1][...] = _solve_columns(
-            ric.gamma_levels[t], slope_pass.structure_levels[t], rhs).reshape(-1)
+    for t in range(T):  # the child closures X_child = v X + w
+        X_levels[t + 1][...] = (slope_pass.v_levels[t] * X_levels[t][:, None]
+                                + ric.w_levels[t]).ravel()
 
     # every non-leaf node's child closures P X + p at once
     lam = (slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)
@@ -693,8 +705,9 @@ def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
     row q (5.6e-17 for uniform rows at N = 3), and ``_solve_columns``'
     structured kernel solves it.  ``form`` is the homogeneous
     ``special_coefficients(tree)`` to solve through: its slope pass is
-    memoized, so repeated solves redo only the offsets and the forward
-    pass.  Without it the form is built for this one solve.
+    memoized, so repeated solves redo only the offset pass (one structured
+    solve per level) and the forward closures.  Without it the form is
+    built for this one solve.
     """
     if form is None:
         form = special_coefficients(tree)
@@ -712,7 +725,8 @@ def decoupling_coefficients(tree, coeffs, riccati):
     """Affine maps (slope, offset) with Y_t = slope_t X_t + offset_t nodewise.
 
     Requires an all-invertible certificate.  At the horizon the maps are the
-    terminal (G, g); below, they come from the solved child closures.
+    terminal (G, g); below, they are the conditional expectations of
+    P X_child + p over the child closures X_child = v X + w.
     """
     _check_tree(tree, coeffs)
     if not riccati.complete:
@@ -728,13 +742,10 @@ def decoupling_coefficients(tree, coeffs, riccati):
     for t in range(T):
         n = tree.num_nodes(t)
         Pt = tree.transition[t]
-        gamma, structure = slopes.gamma_levels[t], slopes.structure_levels[t]
         P_child = slopes.P_levels[t + 1].reshape(n, N)
         p_child = riccati.p_levels[t + 1].reshape(n, N)
-        v = _solve_columns(gamma, structure, slopes.a_levels[t])
-        w = _solve_columns(gamma, structure, riccati.feedback_levels[t] + riccati.d_levels[t])
-        slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, v)
-        offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, w) + np.einsum(
+        slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, slopes.v_levels[t])
+        offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.w_levels[t]) + np.einsum(
             "nj,nj->n", Pt, p_child
         )
     return AdaptedProcess(tree, 0, slope), AdaptedProcess(tree, 0, offset)

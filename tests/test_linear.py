@@ -141,7 +141,7 @@ class TestRiccati:
 
         for t in range(3):
             _, scr_b, scr_c = _script_level(tree, coeffs, t)
-            coupling = _coupling_level(tree, coeffs, t, scr_b, scr_c)
+            coupling = _coupling_level(tree, t, scr_b, scr_c)
             P_child = ric.P_levels[t + 1].reshape(tree.num_nodes(t), 2)
             np.testing.assert_allclose(
                 _gamma_level(tree, coupling, P_child), ric.gamma_levels[t], atol=TOL

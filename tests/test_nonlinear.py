@@ -234,12 +234,13 @@ class TestSolveContinuation:
         assert max(res.forward, res.backward) == err.best_residual
 
     def test_non_finite_base_solve_halves_the_step(self):
-        # h - x = 1.7e308 overflows every base solve's offsets, at every step:
-        # each attempt fails as a non-finite iterate and halves, to the budget
+        # a generator and h - x of 1.7e308 overflow every base solve's
+        # offsets, at every step: each attempt fails as a non-finite iterate
+        # and halves, to the budget
         tree = uniform_tree(2, 2)
         problem = NonlinearProblem(drift=lambda t, n, x, y, z: 0.0,
                                    diffusion=lambda t, n, x, y, z: 0.0,
-                                   generator=lambda t, n, x, y, z: 0.0,
+                                   generator=lambda t, n, x, y, z: 1.7e308,
                                    terminal=lambda n, x: 1.7e308)
         with pytest.raises(StepUnderflow) as info:
             solve_continuation(tree, problem, 1.0, ContinuationOptions(delta=1.0))

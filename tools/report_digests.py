@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Digests of every report the command line writes for the demos and the
-benchmark op lists, to prove two checkouts give byte-identical output.
+benchmark op lists, to prove two checkouts give byte-identical output, or
+to measure how far apart their floats are.
 
 Usage, from the root of a checkout of the repository:
 
     python3 tools/report_digests.py --seed 1
     python3 tools/report_digests.py --seed 1 --against saved.txt
+    python3 tools/report_digests.py --seed 1 --save reports/
+    python3 tools/report_digests.py --seed 1 --compare reports/
 
 Each output gets one line: its label, the sha1 of the report, the exit
 code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
@@ -21,8 +24,18 @@ Every call is a fresh ``python -m fbsde`` process on this checkout's
 printed lines shows whether their outputs differ.  With ``--against``,
 a listing saved from an earlier run of the same seed, the tool also does
 that comparison: after printing every line it exits 1, naming each label
-whose line differs or is missing from either listing.  Standard library
-only; ``bench/workloads.py`` is imported, never written.
+whose line differs or is missing from either listing.
+
+``--save DIR`` keeps each report in DIR, with an ``index.json`` of each
+label's report file, exit code and standard error.  ``--compare DIR``
+reads such a directory, saved from another checkout with the same seed,
+and prints one line per label whose output differs: any difference in
+exit code, standard error or a report key other than ``solution`` and
+``residuals`` (status, ``stats``, certificate, ...) by name, and the
+largest absolute gap between the floats of the solution and of the
+residuals.  A CSV report is all solution.  The tool then exits 1 if a
+label is missing from either side or differs in more than those floats.
+Standard library only; ``bench/workloads.py`` is imported, never written.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,7 +85,7 @@ def _demo_documents():
 
 
 def _run(argv, output=None):
-    """(report digest, exit code, stderr digest) of one ``fbsde`` call.
+    """(report, exit code, stderr) of one ``fbsde`` call, as bytes, int, bytes.
 
     The report is ``output`` when the call writes one, else standard output.
     """
@@ -80,12 +94,11 @@ def _run(argv, output=None):
     if output is not None and output.exists():
         report += output.read_bytes()
         output.unlink()
-    digest = hashlib.sha1(report).hexdigest()
-    return digest, proc.returncode, hashlib.sha1(proc.stderr).hexdigest()
+    return report, proc.returncode, proc.stderr
 
 
-def digests(seed):
-    """Yield one (label, report sha1, exit code, stderr sha1) per output."""
+def outputs(seed):
+    """Yield one (label, report, exit code, stderr) per output."""
     demos = _demo_documents()
     for name in sorted(demos):
         for fmt in ("json", "csv"):
@@ -122,11 +135,85 @@ def digests(seed):
                            *_run(["solve", str(path), "--mode", "picard"]))
 
 
+def _sha1(data):
+    return hashlib.sha1(data).hexdigest()
+
+
+def _gap(a, b, where, notes):
+    """The largest absolute gap between the floats of ``a`` and ``b``, two
+    JSON values; any other difference is named in ``notes``."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_gap(x, y, f"{where}[{i}]", notes) for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_gap(a[k], b[k], f"{where}.{k}", notes) for k in a), default=0.0)
+    if a == b:
+        return 0.0
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        gap = abs(a - b)
+        return gap if math.isfinite(gap) else math.inf
+    notes.append(f"{where} differs")
+    return 0.0
+
+
+def _csv_cells(text):
+    """The cells of a CSV report; from the third column on (X, Y, Z), as
+    floats where they parse as one."""
+    def cell(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+    rows = (line.split(",") for line in text.splitlines())
+    return [row[:2] + [cell(v) for v in row[2:]] for row in rows]
+
+
+def _differences(mine, theirs):
+    """(notes, solution gap, residual gap) between two outputs of a label,
+    each a dict of ``exit``, ``stderr`` and report ``text``."""
+    notes = [f"{key} {theirs[key]!r} -> {mine[key]!r}"
+             for key in ("exit", "stderr") if mine[key] != theirs[key]]
+    gaps = {"solution": 0.0, "residuals": 0.0}
+    try:
+        a, b = json.loads(mine["text"]), json.loads(theirs["text"])
+    except ValueError:
+        a, b = {"solution": _csv_cells(mine["text"])}, {"solution": _csv_cells(theirs["text"])}
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        a, b = {"report": a}, {"report": b}
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            notes.append(f"{key} only in {'this' if key in a else 'the saved'} report")
+        elif key in gaps:
+            gaps[key] = _gap(a[key], b[key], key, notes)
+        elif a[key] != b[key]:
+            notes.append(f"{key} differs")
+    return notes, gaps["solution"], gaps["residuals"]
+
+
+def _compared(label, entry, report, kept, directory):
+    """(the line naming how this output of ``label`` differs from the one
+    ``kept`` in ``directory``, or None; whether it differs in more than the
+    floats of solution and residuals).  Pops ``label`` from ``kept``."""
+    if label not in kept:
+        return f"missing from {directory}: {label}", True
+    theirs = kept.pop(label)
+    theirs["text"] = (directory / theirs["report"]).read_text(encoding="utf-8", errors="replace")
+    notes, solution, residuals = _differences(dict(entry, text=report.decode(errors="replace")),
+                                              theirs)
+    if not (notes or solution or residuals):
+        return None, False
+    return (f"differs: {label}: solution gap {solution:.3g}, residual gap {residuals:.3g}"
+            + "".join(f"; {note}" for note in notes)), bool(notes)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True, help="workload file seed")
     parser.add_argument("--against", type=Path,
                         help="a saved listing to compare with; exit 1 if any line differs")
+    parser.add_argument("--save", type=Path, help="a directory to keep every report in")
+    parser.add_argument("--compare", type=Path,
+                        help="a --save directory of the same seed to compare with, float by float")
     args = parser.parse_args(argv)
     saved = None
     if args.against is not None:
@@ -135,15 +222,37 @@ def main(argv=None):
             digest, _, label = line.partition("  ")
             if label:
                 saved[label] = digest
-    differ = []
-    for label, report, code, stderr in digests(args.seed):
-        line = f"{report} exit={code} stderr={stderr}"
+    kept = None
+    if args.compare is not None:
+        kept = json.loads((args.compare / "index.json").read_text(encoding="utf-8"))
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
+    index, differ, found, beyond = {}, [], [], []
+    for label, report, code, stderr in outputs(args.seed):
+        line = f"{_sha1(report)} exit={code} stderr={_sha1(stderr)}"
         print(f"{line}  {label}", flush=True)
         if saved is not None and saved.pop(label, None) != line:
             differ.append(label)
+        entry = index[label] = {"report": f"{len(index):03d}.out", "exit": code,
+                                "stderr": stderr.decode(errors="replace")}
+        if args.save is not None:
+            (args.save / entry["report"]).write_bytes(report)
+        if kept is not None:
+            found_line, more = _compared(label, entry, report, kept, args.compare)
+            found += [found_line] if found_line else []
+            beyond += [label] if more else []
+    if args.save is not None:
+        (args.save / "index.json").write_text(json.dumps(index, indent=1), encoding="utf-8")
+    if kept is not None:
+        beyond += kept  # saved labels this run did not produce
+        found += [f"missing from this run: {label}" for label in kept]
+        print("\n".join(found + [f"{len(found)} of {len(index)} outputs differ from {args.compare}"]))
     differ += saved or []  # saved labels this run did not produce
     if differ:
         sys.exit(f"{len(differ)} outputs differ from {args.against}:\n" + "\n".join(differ))
+    if beyond:
+        sys.exit(f"{len(beyond)} outputs differ from {args.compare} in more than the floats "
+                 "of solution and residuals")
 
 
 if __name__ == "__main__":
