@@ -1,12 +1,15 @@
 """Brute-force reference solvers used to cross-validate everything else.
 
 The linear oracle assembles every branch equation of the coupled system
-into one dense matrix over all node unknowns and classifies it by rank, so
-its verdict is independent of the recursive solver.  The nonlinear oracle
-eliminates the backward pair (given X everywhere, Y and Z follow from one
-exact backward sweep) and drives the remaining square system with a damped
-Newton method and finite-difference Jacobian, whose 2m shifted points go
-through one sweep as 2m columns.
+into one dense matrix over all node unknowns, in the tree's level order
+(X at depths 1..T, Y at 0..T, then the N-1 contraction entries of Z on
+each non-leaf node), and classifies it by rank, so its verdict is
+independent of the recursive solver.  The nonlinear oracle eliminates the
+backward pair (given X everywhere, Y and Z follow from one exact backward
+sweep) and drives the remaining square system with a damped Newton method
+and finite-difference Jacobian, whose 2m shifted points go through one
+sweep as 2m columns of level-order arrays and one whole-tree
+``forward_defect`` call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, Probl
                      ShapeMismatch)
 from .linear import FbsdeSolution, LinearCoefficients, _check_tree, linear_residuals
 from .martingale import forward_defect, tilde_contract
-from .nonlinear import _as_iterate, _finish, _level
+from .nonlinear import _finish, _Iterate, _level
 from .tree import AdaptedProcess, ScenarioTree
 
 #: Rank decisions use the same scale-free singular-value threshold as the
@@ -30,9 +33,9 @@ RANK_RATIO = 1e-10
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
 
-#: Most unknowns of the dense linear oracle, whose matrix, copy and SVD grow
-#: with their square: 2913 (N=3, T=6) took 8.5 s and 235 MB on one BLAS
-#: thread of a 2-core x86_64 host; N=2, T=13 (40956) needs 13 GB a copy.
+#: Most unknowns of the dense linear oracle, whose matrix and SVD grow with
+#: their square: 2913 (N=3, T=6) took 8.1 s and 171 MB peak RSS (the
+#: process's) on one BLAS thread of an x86_64 host; N=2, T=13 needs 13 GB.
 MAX_DENSE_UNKNOWNS = 3000
 
 #: Most forward unknowns of the Newton oracle, whose Jacobian is one
@@ -67,135 +70,69 @@ class InfinitelyMany:
     nullity: int
 
 
-class _Index:
-    """Flat unknown layout: X at depths 1..T, Y at 0..T, Z contractions at 0..T-1."""
-
-    def __init__(self, tree):
-        N, T = tree.N, tree.T
-        self.tree = tree
-        self.x_off = {}
-        off = 0
-        for t in range(1, T + 1):
-            self.x_off[t] = off
-            off += N**t
-        self.y_off = {}
-        for t in range(T + 1):
-            self.y_off[t] = off
-            off += N**t
-        self.z_off = {}
-        for t in range(T):
-            self.z_off[t] = off
-            off += (N**t) * (N - 1)
-        self.size = off
-
-    def x(self, t, node):
-        return self.x_off[t] + node
-
-    def y(self, t, node):
-        return self.y_off[t] + node
-
-    def z(self, t, node, j):
-        return self.z_off[t] + node * (self.tree.N - 1) + j
+def _size(tree):
+    """Unknowns of the dense system: 2n - 1 for X and Y, N - 1 a non-leaf node for Z."""
+    return 2 * tree.offsets[-1] - 1 + tree.offsets[-2] * (tree.N - 1)
 
 
 def _assemble(tree, coeffs, x0):
     """Dense (matrix, rhs) for all forward, backward and terminal equations.
 
-    Z enters through its canonical representative (contraction extended by a
-    zero), which the validated zero-sum conditions make exact.
+    Node k (level order) has the columns X: k - 1, Y: n - 1 + k and Z:
+    2n - 1 + k (N - 1) + j; its N forward rows, then its N backward rows,
+    start at row 2Nk, and the terminal rows come last.  Z enters through
+    its canonical representative (contraction extended by a zero), which
+    the validated zero-sum conditions make exact.
     """
-    N, T = tree.N, tree.T
-    ix = _Index(tree)
-    rows = []
-    rhs = []
+    N, n, m, size = tree.N, tree.offsets[-1], tree.offsets[-2], _size(tree)
+    c = coeffs.arrays
+    mat = np.zeros((size, size))
+    rhs = np.zeros(size)
+    k = np.arange(m)[:, None]
+    fwd = 2 * N * k + np.arange(N)  # (m, N): node k's row of branch i
+    bwd = fwd + N
+    child = 1 + N * k + np.arange(N)
+    y, z = n - 1 + k, 2 * n - 1 + k * (N - 1) + np.arange(N - 1)  # node k's Y and Z columns
+    incr = np.eye(N) - tree.rows[:, None, :]  # (m, N, N): branch i's e_i - P
 
-    def z_row_coeff(t, node, weights):
-        # weights: length-N coefficients of the canonical row entries; only
-        # the first N-1 touch unknowns.
-        out = {}
-        for j in range(N - 1):
-            if weights[j] != 0.0:
-                out[ix.z(t, node, j)] = weights[j]
-        return out
+    def dot(rows):  # each node's row times each of its increments, (m, N)
+        return np.einsum("nl,nil->ni", rows, incr)
 
-    for t in range(T):
-        Pt = tree.transition[t]
-        for node in range(tree.num_nodes(t)):
-            P = Pt[node]
-            A = coeffs.A[t][node]
-            B = coeffs.B[t][node]
-            D = coeffs.D[t][node]
-            C = coeffs.C[t][node]
-            Abar = coeffs.A_bar[t][node]
-            Bbar = coeffs.B_bar[t][node]
-            Cbar = coeffs.C_bar[t][node]
-            Dbar = coeffs.D_bar[t][node]
-            for i in range(N):
-                child = node * N + i
-                incr = np.eye(N)[i] - P
-                row = np.zeros(ix.size)
-                b = 0.0
-                # X_{t+1}(child) - X_t - forward drift/increment terms = 0
-                row[ix.x(t + 1, child)] += 1.0
-                x_coef = -(1.0 + A) - Abar @ incr
-                if t == 0:
-                    b -= x_coef * x0
-                else:
-                    row[ix.x(t, node)] += x_coef
-                row[ix.y(t, node)] += -B - Bbar @ incr
-                zw = -(C + Cbar @ incr)
-                for col, w in z_row_coeff(t, node, zw).items():
-                    row[col] += w
-                b += D + Dbar @ incr
-                rows.append(row)
-                rhs.append(b)
+    # X_{t+1}(child) - X_t - forward drift/increment terms = 0
+    mat[fwd, child - 1] += 1.0
+    x_coef = -(1.0 + c["A"][:, None]) - dot(c["A_bar"])
+    rhs[fwd[0]] -= x_coef[0] * x0
+    mat[fwd[1:], k[1:] - 1] += x_coef[1:]
+    mat[fwd, y] += -c["B"][:, None] - dot(c["B_bar"])
+    zw = -(c["C"][:, None, :] + np.einsum("njl,nil->nij", c["C_bar"], incr))
+    mat[fwd[..., None], z[:, None]] += zw[..., : N - 1]
+    rhs[fwd] += c["D"][:, None] + dot(c["D_bar"])
 
-            for i in range(N):
-                child = node * N + i
-                incr = np.eye(N)[i] - P
-                row = np.zeros(ix.size)
-                b = 0.0
-                # Y_{t+1}(child) - Y_t - backward drift terms - Z_t M = 0
-                row[ix.y(t + 1, child)] += 1.0 - coeffs.B_hat[t + 1][child]
-                row[ix.y(t, node)] += -1.0
-                row[ix.x(t + 1, child)] += -coeffs.A_hat[t + 1][child]
-                if t + 1 < T:
-                    ch = -coeffs.C_hat[t + 1][child]
-                    for col, w in z_row_coeff(t + 1, child, ch).items():
-                        row[col] += w
-                for col, w in z_row_coeff(t, node, -incr).items():
-                    row[col] += w
-                b += coeffs.D_hat[t + 1][child]
-                rows.append(row)
-                rhs.append(b)
+    # Y_{t+1}(child) - Y_t - backward drift terms - Z_t M = 0
+    mat[bwd, n - 1 + child] += 1.0 - c["B_hat"][child - 1]
+    mat[bwd, y] += -1.0
+    mat[bwd, child - 1] += -c["A_hat"][child - 1]
+    q = tree.offsets[-3]  # nodes above depth T - 1, whose children carry Z
+    mat[bwd[:q, :, None], z[child[:q]]] += -c["C_hat"][child[:q] - 1, : N - 1]
+    mat[bwd[..., None], z[:, None]] += -incr[..., : N - 1]
+    rhs[bwd] += c["D_hat"][child - 1]
 
-    for leaf in range(tree.num_nodes(T)):
-        row = np.zeros(ix.size)
-        row[ix.y(T, leaf)] = 1.0
-        row[ix.x(T, leaf)] = -coeffs.G[leaf]
-        rows.append(row)
-        rhs.append(coeffs.g[leaf])
-
-    return np.array(rows), np.array(rhs), ix
+    # Y_T - G X_T = g on leaf node m + l, row 2Nm + l
+    leaf = np.arange(n - m)
+    mat[2 * N * m + leaf, n - 1 + m + leaf] = 1.0
+    mat[2 * N * m + leaf, m - 1 + leaf] = -c["G"]
+    rhs[2 * N * m + leaf] = c["g"]
+    return mat, rhs
 
 
-def _solution_from_vector(tree, coeffs, x0, vec, ix):
-    N, T = tree.N, tree.T
-    X = [np.array([float(x0)])]
-    for t in range(1, T + 1):
-        X.append(vec[ix.x_off[t] : ix.x_off[t] + N**t].copy())
-    Y = [vec[ix.y_off[t] : ix.y_off[t] + N**t].copy() for t in range(T + 1)]
-    Z = []
-    for t in range(T):
-        zt = vec[ix.z_off[t] : ix.z_off[t] + (N**t) * (N - 1)].reshape(N**t, N - 1)
-        Z.append(np.concatenate([zt, np.zeros((N**t, 1))], axis=1))
-    report = linear_residuals(tree, coeffs, X, Y, Z)
-    return FbsdeSolution(
-        AdaptedProcess(tree, 0, X),
-        AdaptedProcess(tree, 0, Y),
-        AdaptedProcess(tree, 0, Z),
-        report,
-    )
+def _solution_from_vector(tree, coeffs, x0, vec):
+    """The triple in ``vec``: X with x0 in front, Y, and Z's canonical rows."""
+    N, n, m = tree.N, tree.offsets[-1], tree.offsets[-2]
+    X = np.concatenate([[float(x0)], vec[: n - 1]])
+    Z = np.zeros((m, N))
+    Z[:, : N - 1] = vec[2 * n - 1 :].reshape(m, N - 1)
+    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, vec[n - 1 : 2 * n - 1], Z))
+    return FbsdeSolution(X, Y, Z, linear_residuals(tree, coeffs, X, Y, Z))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution shows in its residuals
@@ -208,35 +145,23 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     _check_tree(tree, coeffs)
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    size = _Index(tree).size
+    size = _size(tree)
     if size > MAX_DENSE_UNKNOWNS:
         raise ProblemTooLarge(f"{size} unknowns exceed the dense oracle's limit of "
                               f"{MAX_DENSE_UNKNOWNS}")
-    mat, rhs, ix = _assemble(tree, coeffs, x0)
+    mat, rhs = _assemble(tree, coeffs, x0)
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = svals[0] if len(svals) else 0.0
     rank = int(np.sum(svals > RANK_RATIO * smax)) if smax > 0.0 else 0
     if rank == size:
         vec = np.linalg.solve(mat, rhs)
-        return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec, ix), rank, size)
+        return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec), rank, size)
     vec, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     gap = float(np.abs(mat @ vec - rhs).max())
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if gap > CONSISTENCY_TOL * scale:
         return NoSolution(rank, size, gap)
     return InfinitelyMany(rank, size, size - rank)
-
-
-def _x_levels(tree, flat, x0):
-    """Forward levels 0..T of the K paths in the columns of ``flat``, (m, K):
-    level t is (N**t, K), and every path starts at ``x0``."""
-    X = [np.full((1, flat.shape[1]), float(x0))]
-    off = 0
-    for t in range(1, tree.T + 1):
-        n = tree.num_nodes(t)
-        X.append(flat[off : off + n].copy())
-        off += n
-    return X
 
 
 def _on_paths(fn, name, t, cell, x, y=None, zt=None):
@@ -254,16 +179,17 @@ def _on_paths(fn, name, t, cell, x, y=None, zt=None):
     return _level(value, (n * K,) + cell, name).reshape((n, K) + cell)
 
 
-def backward_given_forward(tree, problem, X_levels):
+def backward_given_forward(tree, problem, X):
     """Exact backward pairs for K frozen forward paths, by one K-valued
     backward solve.
 
-    ``X_levels`` holds levels 0..T shaped (N**t, K); the problem's
-    generator, at ``X_levels``, is the backward generator of each level; at
-    the horizon its ``z_tilde`` is None.  Returns Y levels (N**t, K) and Z
-    levels (N**t, K, N), column k of each the solve of path k alone.
+    ``X`` is the (n, K) level-order array of the paths; the problem's
+    generator, at X, is the backward generator of each level; at the
+    horizon its ``z_tilde`` is None.  Returns Y, (n, K), and Z on the m
+    non-leaf nodes, (m, K, N), column k of each the solve of path k alone.
     """
     T = tree.T
+    X_levels = tree.views(X, range(T + 1))
 
     def gen(t, y, zt):
         return _on_paths(problem.generator, "generator", t, (), X_levels[t], y, zt)
@@ -272,38 +198,33 @@ def backward_given_forward(tree, problem, X_levels):
     bp = BsdeProblem(terminal=eta, generator=gen if T > 1 else None,
                      terminal_generator=lambda y: gen(T, y, None))
     Y, Z = solve_bsde(tree, bp)
-    return [Y.level(t) for t in range(T + 1)], [Z.level(t) for t in range(T)]
+    return Y.array, Z.array
 
 
-def _forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
+def _forward_residual_vector(tree, problem, X, Y, Z):
     """Forward defects of every branch of K paths, (rows, K): node-major,
-    branch-minor per level.
+    branch-minor in level order.
 
-    Levels are shaped as ``backward_given_forward`` takes and returns them;
-    drift is called on every level before diffusion.
+    The arrays are shaped as ``backward_given_forward`` takes and returns
+    them; drift is called on every level before diffusion.
     """
-    zt = [tilde_contract(z) for z in Z_levels]
-    T, N = tree.T, tree.N
-    b = [_on_paths(problem.drift, "drift", t, (), X_levels[t], Y_levels[t], zt[t])
-         for t in range(T)]
-    sigma = [_on_paths(problem.diffusion, "diffusion", t, (N,), X_levels[t], Y_levels[t], zt[t])
-             for t in range(T)]
-    K = X_levels[0].shape[1]
-    return np.concatenate([
-        forward_defect(X_levels[t + 1], X_levels[t], b[t], sigma[t], tree.transition[t]).reshape(-1, K)
-        for t in range(T)
-    ])
+    T, N, m = tree.T, tree.N, tree.offsets[tree.T]
+    levels = [tree.views(v, range(T)) for v in (X, Y, tilde_contract(Z))]
+    b = [_on_paths(problem.drift, "drift", t, (), *lev) for t, lev in enumerate(zip(*levels))]
+    sigma = [_on_paths(problem.diffusion, "diffusion", t, (N,), *lev)
+             for t, lev in enumerate(zip(*levels))]
+    fwd = forward_defect(X[1:], X[:m], np.concatenate(b), np.concatenate(sigma), tree.rows)
+    return fwd.reshape(-1, X.shape[1])
 
 
 def _newton_residual(tree, problem, x0):
     """The Newton oracle's function: the forward defects, (rows, K), of the
-    K points in the columns of an (m, K) array of forward values at depths
-    1..T, with Y and Z solved exactly for each."""
+    K points in the columns of an (n - 1, K) array of forward values at
+    depths 1..T, with Y and Z solved exactly for each."""
 
     def residual(flat):
-        X = _x_levels(tree, flat, x0)
-        Y, Z = backward_given_forward(tree, problem, X)
-        return _forward_residual_vector(tree, problem, X, Y, Z)
+        X = np.concatenate([np.full((1, flat.shape[1]), float(x0)), flat])
+        return _forward_residual_vector(tree, problem, X, *backward_given_forward(tree, problem, X))
 
     return residual
 
@@ -341,10 +262,9 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     for start in starts:
         x, res = _newton(residual, start, tolerance)
         if res <= tolerance:
-            X = _x_levels(tree, x[:, None], x0)
+            X = np.concatenate([[float(x0)], x])[:, None]
             Y, Z = backward_given_forward(tree, problem, X)
-            return _finish(tree, problem, _as_iterate(tree, [[lev[:, 0] for lev in v]
-                                                             for v in (X, Y, Z)]))
+            return _finish(tree, problem, _Iterate(X[:, 0], Y[:, 0], Z[:, 0]))
         if res < best_res:
             best_res, best_x = res, x
     raise NoConvergence(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_linear_coeffs, random_tree, uniform_tree
 from fbsde import (
@@ -23,7 +25,8 @@ from fbsde import (
     solve_special,
     tilde_contract,
 )
-from fbsde import oracle
+from fbsde import linear, oracle
+from fbsde.martingale import forward_defect
 
 
 def max_solution_gap(tree, a, b):
@@ -76,6 +79,191 @@ class TestLinearOracle:
                 assert max_solution_gap(tree, verdict.solution, direct) <= 1e-8
                 agreements += 1
         assert agreements >= 25
+
+
+class _Index:
+    """Flat unknown layout: X at depths 1..T, Y at 0..T, Z contractions at 0..T-1."""
+
+    def __init__(self, tree):
+        N, T = tree.N, tree.T
+        self.tree = tree
+        self.x_off = {}
+        off = 0
+        for t in range(1, T + 1):
+            self.x_off[t] = off
+            off += N**t
+        self.y_off = {}
+        for t in range(T + 1):
+            self.y_off[t] = off
+            off += N**t
+        self.z_off = {}
+        for t in range(T):
+            self.z_off[t] = off
+            off += (N**t) * (N - 1)
+        self.size = off
+
+    def x(self, t, node):
+        return self.x_off[t] + node
+
+    def y(self, t, node):
+        return self.y_off[t] + node
+
+    def z(self, t, node, j):
+        return self.z_off[t] + node * (self.tree.N - 1) + j
+
+
+def per_node_assemble(tree, coeffs, x0):
+    """The dense (matrix, rhs) built row by row over a dict-based layout, as
+    ``oracle._assemble`` built it before it filled one matrix in level order."""
+    N, T = tree.N, tree.T
+    ix = _Index(tree)
+    rows = []
+    rhs = []
+
+    def z_row_coeff(t, node, weights):
+        # weights: length-N coefficients of the canonical row entries; only
+        # the first N-1 touch unknowns.
+        out = {}
+        for j in range(N - 1):
+            if weights[j] != 0.0:
+                out[ix.z(t, node, j)] = weights[j]
+        return out
+
+    for t in range(T):
+        Pt = tree.transition[t]
+        for node in range(tree.num_nodes(t)):
+            P = Pt[node]
+            A = coeffs.A[t][node]
+            B = coeffs.B[t][node]
+            D = coeffs.D[t][node]
+            C = coeffs.C[t][node]
+            Abar = coeffs.A_bar[t][node]
+            Bbar = coeffs.B_bar[t][node]
+            Cbar = coeffs.C_bar[t][node]
+            Dbar = coeffs.D_bar[t][node]
+            for i in range(N):
+                child = node * N + i
+                incr = np.eye(N)[i] - P
+                row = np.zeros(ix.size)
+                b = 0.0
+                # X_{t+1}(child) - X_t - forward drift/increment terms = 0
+                row[ix.x(t + 1, child)] += 1.0
+                x_coef = -(1.0 + A) - Abar @ incr
+                if t == 0:
+                    b -= x_coef * x0
+                else:
+                    row[ix.x(t, node)] += x_coef
+                row[ix.y(t, node)] += -B - Bbar @ incr
+                zw = -(C + Cbar @ incr)
+                for col, w in z_row_coeff(t, node, zw).items():
+                    row[col] += w
+                b += D + Dbar @ incr
+                rows.append(row)
+                rhs.append(b)
+
+            for i in range(N):
+                child = node * N + i
+                incr = np.eye(N)[i] - P
+                row = np.zeros(ix.size)
+                b = 0.0
+                # Y_{t+1}(child) - Y_t - backward drift terms - Z_t M = 0
+                row[ix.y(t + 1, child)] += 1.0 - coeffs.B_hat[t + 1][child]
+                row[ix.y(t, node)] += -1.0
+                row[ix.x(t + 1, child)] += -coeffs.A_hat[t + 1][child]
+                if t + 1 < T:
+                    ch = -coeffs.C_hat[t + 1][child]
+                    for col, w in z_row_coeff(t + 1, child, ch).items():
+                        row[col] += w
+                for col, w in z_row_coeff(t, node, -incr).items():
+                    row[col] += w
+                b += coeffs.D_hat[t + 1][child]
+                rows.append(row)
+                rhs.append(b)
+
+    for leaf in range(tree.num_nodes(T)):
+        row = np.zeros(ix.size)
+        row[ix.y(T, leaf)] = 1.0
+        row[ix.x(T, leaf)] = -coeffs.G[leaf]
+        rows.append(row)
+        rhs.append(coeffs.g[leaf])
+
+    return np.array(rows), np.array(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4), st.booleans())
+def test_the_level_order_assembly_is_the_per_node_one(seed, N, T, couple):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, T)
+    coeffs = random_linear_coeffs(rng, tree, couple=couple)
+    x0 = float(rng.normal())
+    mat, rhs = oracle._assemble(tree, coeffs, x0)
+    ref_mat, ref_rhs = per_node_assemble(tree, coeffs, x0)
+    size = _Index(tree).size
+    assert mat.shape == ref_mat.shape == (size, size)
+    assert rhs.shape == ref_rhs.shape == (size,)
+    assert ((mat != 0.0) == (ref_mat != 0.0)).all()
+    eps = np.finfo(float).eps
+    assert (np.abs(mat - ref_mat) <= 4 * eps * np.maximum(1.0, np.abs(ref_mat))).all()
+    assert (np.abs(rhs - ref_rhs) <= 4 * eps * np.maximum(1.0, np.abs(ref_rhs))).all()
+
+
+def per_level_forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
+    """The forward defects of K paths level by level, (rows, K), as
+    ``oracle._forward_residual_vector`` computed them before it made one
+    ``forward_defect`` call over the tree; levels are (N**t, K) and Z's
+    (N**t, K, N)."""
+    zt = [tilde_contract(z) for z in Z_levels]
+    T, N = tree.T, tree.N
+    b = [oracle._on_paths(problem.drift, "drift", t, (), X_levels[t], Y_levels[t], zt[t])
+         for t in range(T)]
+    sigma = [oracle._on_paths(problem.diffusion, "diffusion", t, (N,), X_levels[t], Y_levels[t],
+                              zt[t])
+             for t in range(T)]
+    K = X_levels[0].shape[1]
+    return np.concatenate([
+        forward_defect(X_levels[t + 1], X_levels[t], b[t], sigma[t], tree.transition[t]).reshape(-1, K)
+        for t in range(T)
+    ])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 3), st.booleans())
+def test_the_whole_tree_newton_residual_is_the_per_level_one_bit_for_bit(seed, N, T, monotone):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, N, T)
+    x0 = float(rng.normal())
+    problem = (demo_monotone_problem(tree, 0.15) if monotone
+               else as_nonlinear_problem(tree, random_linear_coeffs(rng, tree)))
+    residual = oracle._newton_residual(tree, problem, x0)
+    for K in range(1, 6):
+        flat = x0 + rng.normal(size=(tree.offsets[-1] - 1, K))
+        X = np.concatenate([np.full((1, K), x0), flat])
+        Y, Z = oracle.backward_given_forward(tree, problem, X)
+        levels = [tree.views(v, range(T + 1)) for v in (X, Y)]
+        ref = per_level_forward_residual_vector(tree, problem, *levels,
+                                                tree.views(Z, range(T)))
+        assert residual(flat).tobytes() == ref.tobytes()
+
+
+def test_the_linear_verdict_does_not_use_the_recursive_solver(monkeypatch):
+    # the oracle states the equations itself: no certificate, recursive
+    # solve or scripted level of fbsde.linear takes part in its verdict
+    def unused(*args, **kwargs):
+        pytest.fail("the dense oracle called the recursive solver")
+
+    rng = np.random.default_rng(5)
+    tree = random_tree(rng, 3, 2)
+    coeffs = random_linear_coeffs(rng, tree, scale=0.4)
+    expected = solve_linear(tree, coeffs, 0.3)
+    singular = LinearCoefficients(uniform_tree(2, 1), B=1.0, G=1.0)
+    for name in ("riccati_backward", "solve_linear", "_script_level"):
+        monkeypatch.setattr(linear, name, unused)
+    verdict = linear_oracle(tree, coeffs, 0.3)
+    assert isinstance(verdict, UniqueSolution)
+    assert max_solution_gap(tree, verdict.solution, expected) <= 1e-10
+    assert isinstance(linear_oracle(singular.tree, singular, 1.0), NoSolution)
+    assert isinstance(linear_oracle(singular.tree, singular, 0.0), InfinitelyMany)
 
 
 class TestSolveOracle:

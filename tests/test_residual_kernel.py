@@ -67,8 +67,8 @@ def all_paths(tree, coeffs, X, Y, Z):
     nl = nonlinear_residual(tree, problem, (X, Y, Z))
     bsde = bsde_residual(tree, frozen_backward_problem(tree, problem, X), Y, Z)
     # the oracle's kernel takes K paths; the triple is the one path, K = 1
-    vector = _forward_residual_vector(tree, problem, [x[:, None] for x in X],
-                                      [y[:, None] for y in Y], [z[:, None] for z in Z])[:, 0]
+    vector = _forward_residual_vector(tree, problem, np.concatenate(X)[:, None],
+                                      np.concatenate(Y)[:, None], np.concatenate(Z)[:, None])[:, 0]
     return lin, nl, bsde, vector
 
 

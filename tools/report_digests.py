@@ -15,8 +15,9 @@ code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
 read in a child process) runs in JSON and CSV, a nonlinear one also with
 ``--mode picard``, and its document, written into a temporary directory,
 goes through ``oracle`` and ``check``; the ``monotone-family`` document
-also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``.  Then
-every op of each ``bench/workloads.py`` op list runs on files that module
+also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``.  The
+linear file of ``SINGULAR_DOC``, on which the certificate and the dense
+oracle disagree, goes through ``solve`` and ``oracle``.  Then every op of each ``bench/workloads.py`` op list runs on files that module
 generates for ``--seed`` into the same directory, and every nonlinear file
 of an op list also goes through ``check`` and a ``--mode picard`` solve.
 Every call is a fresh ``python -m fbsde`` process on this checkout's
@@ -46,6 +47,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -56,6 +58,11 @@ ROOT = Path(__file__).resolve().parent.parent
 #: (N, T) trees, larger than the benchmark's, on which the Newton oracle
 #: solves the ``monotone-family`` demo.
 ORACLE_SIZES = ((2, 6), (3, 4))
+
+#: (N, T, singular index) of the ``bench/workloads.linear_doc`` file, drawn
+#: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
+#: singular depth-(T-1) node and the dense oracle (1276 unknowns) solves.
+SINGULAR_DOC = (2, 8, 1)
 
 
 def _load_workloads():
@@ -120,6 +127,12 @@ def outputs(seed):
             path = Path(tmp) / f"monotone-family-{N}-{T}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             yield (f"oracle demo monotone-family N={N} T={T}", *_run(["oracle", str(path)]))
+        N, T, index = SINGULAR_DOC
+        doc = workloads.linear_doc(random.Random(seed), N, T, index)
+        path = Path(tmp) / f"singular-linear-{N}-{T}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("solve", "oracle"):
+            yield (f"{command} singular linear N={N} T={T}", *_run([command, str(path)]))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
