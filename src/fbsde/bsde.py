@@ -68,32 +68,24 @@ def solve_bsde(tree: ScenarioTree, problem: BsdeProblem):
         raise GeneratorEvaluationError("terminal values are not finite")
     K = 1 if scalar else eta.shape[1]
 
-    y_levels = [None] * (tree.T + 1)
-    z_levels = [None] * tree.T
-    y_levels[tree.T] = _as_matrix(eta).copy()
-
-    for t in range(tree.T - 1, -1, -1):
-        n = tree.num_nodes(t)
+    T, N = tree.T, tree.N
+    Y, Z = np.empty((tree.offsets[T + 1], K)), np.empty((tree.offsets[T], K, N))
+    y_levels, z_levels = tree.views(Y, range(T + 1)), tree.views(Z, range(T))
+    y_levels[T][...] = _as_matrix(eta)
+    for t in range(T - 1, -1, -1):
         y_next = y_levels[t + 1]
         xi = y_next + _generator_level(tree, problem, t + 1, y_next, z_levels, scalar, K)
         # each node's child values of each of the K components, branch last
         # and contiguous: einsum then sums the branches of every component
         # in the order of a scalar solve
-        rows = np.ascontiguousarray(np.swapaxes(xi.reshape(n, tree.N, K), 1, 2))
-        y_levels[t] = np.einsum("ni,nki->nk", tree.transition[t], rows)
+        rows = np.ascontiguousarray(np.swapaxes(xi.reshape(-1, N, K), 1, 2))
+        y_levels[t][...] = np.einsum("ni,nki->nk", tree.transition[t], rows)
         # Z rows are the child values of xi; canonical form subtracts the
         # last entry.
-        z_levels[t] = canonicalize(rows)
-
+        z_levels[t][...] = canonicalize(rows)
     if scalar:
-        y_out = [lev[:, 0] for lev in y_levels]
-        z_out = [lev[:, 0, :] for lev in z_levels]
-    else:
-        y_out, z_out = y_levels, z_levels
-    return (
-        AdaptedProcess(tree, 0, y_out),
-        AdaptedProcess(tree, 0, z_out),
-    )
+        Y, Z = Y[:, 0], Z[:, 0, :]
+    return AdaptedProcess.from_array(tree, 0, Y), AdaptedProcess.from_array(tree, 0, Z)
 
 
 def _generator_level(tree, problem, t, y_level, z_levels, scalar, K):

@@ -47,13 +47,19 @@ def increments(tree, node):
     return [(float(row[i]), eye[i] - row) for i in range(tree.N)]
 
 
-def cond_second_moment(tree, node):
-    """Conditional second moment of the next increment: diag(P) - P P^T.
+def second_moments(rows):
+    """Conditional second moments diag(P) - P P^T of the next increment at
+    nodes with the (n, N) transition rows ``rows``, shape (n, N, N).
 
-    Symmetric positive-semidefinite with zero row and column sums.
+    Each is symmetric positive-semidefinite with zero row and column sums.
     """
-    row = tree.row(node)
-    return np.diag(row) - np.outer(row, row)
+    p = rows[:, :, None]
+    return p * np.eye(rows.shape[1]) - p * rows[:, None, :]
+
+
+def cond_second_moment(tree, node):
+    """``second_moments`` at one node."""
+    return second_moments(tree.row(node)[None])[0]
 
 
 def branch_value(tree, node, values, branch):

@@ -30,7 +30,7 @@ from .errors import (
     StepUnderflow,
 )
 from .linear import FbsdeSolution, ResidualReport
-from .martingale import cond_second_moment, tilde_contract, worst_defects
+from .martingale import second_moments, tilde_contract, worst_defects
 from .tree import AdaptedProcess, _process_array
 
 #: A level aborts early once increments blow past this multiple of their
@@ -518,8 +518,18 @@ class AssumptionReport:
     violations: tuple
 
 
-def _lam_norm(dx, dy, dz):
-    return abs(dx) + abs(dy) + float(np.linalg.norm(dz))
+def _extreme(values, valid, witnesses, lowest=False):
+    """The clause estimate of one value per sample: the first largest (with
+    ``lowest``, smallest) of the ``valid`` values, with its sample's entry
+    of ``witnesses``.  NaN never wins; with no winner the value is -inf
+    (+inf) and the witness empty.
+    """
+    bound = np.inf if lowest else -np.inf
+    values = np.where(valid & ~np.isnan(values), values, bound)
+    k = int(np.argmin(values) if lowest else np.argmax(values))
+    if values[k] == bound:
+        return ClauseEstimate(bound, ())
+    return ClauseEstimate(float(values[k]), witnesses[k])
 
 
 def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
@@ -528,9 +538,11 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     Pairs mix independent draws with single-coordinate probes so sharp
     directional constants are actually seen.  The time-0 clause pairs share
     the x component, matching the pinned initial state.  All samples are
-    drawn first, each coefficient is called once per depth on all of that
-    depth's points, and the clauses reduce sample by sample.  Returns an
-    AssumptionReport; ``satisfied`` means no sampled violation.
+    drawn first, and each coefficient is called once per depth on all of
+    that depth's points.  Each clause is then one array over the samples,
+    and ``_extreme`` picks its estimate as a visit of the samples in order
+    would.  Returns an AssumptionReport; ``satisfied`` means no sampled
+    violation.
     """
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
@@ -587,79 +599,59 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     b0 = _level(problem.drift(0, root, x0, y, zt), (2 * K,), "drift")
     s0 = _level(problem.diffusion(0, root, x0, y, zt), (2 * K, N), "diffusion")
     fT = _level(problem.generator(T, leaves, x, y, None), (2 * K,), "generator")
-    moving = np.flatnonzero(x[:K] - x[K:] != 0.0)
+    dx, dy, dz = x[:K] - x[K:], y[:K] - y[K:], zt[:K] - zt[K:]
+    moving = np.flatnonzero(dx)
     h = np.zeros(2 * K)
     if len(moving):
         at = np.concatenate([moving, moving + K])
         h[at] = _level(problem.terminal(leaves[at], x[at]), (len(at),), "terminal")
-    f, b, srows, b0, s0, fT, h = (v.tolist() for v in (f, b, srows, b0, s0, fT, h))
 
-    lip = ClauseEstimate(-np.inf, ())
-    mono_int = ClauseEstimate(-np.inf, ())
-    lip_h = ClauseEstimate(-np.inf, ())
-    lip_fT = ClauseEstimate(-np.inf, ())
-    mono_0 = ClauseEstimate(-np.inf, ())
-    mono_fT = ClauseEstimate(-np.inf, ())
-    mono_h = ClauseEstimate(np.inf, ())
+    # Each clause value below has, sample by sample, the bits of the same
+    # formula on that sample's Python floats: a row product is a stacked
+    # matmul and a square a float_power.
+    def dots(u, v):
+        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    moment = functools.cache(lambda t, node: cond_second_moment(tree, (t, node)))
+    def weighted(rows, moments):  # each row times its node's second moment
+        return (rows[:, None, :] @ moments)[:, 0]
 
-    for k, (lam, lam2, t, node, leaf) in enumerate(samples):
-        dx, dy = lam[0] - lam2[0], lam[1] - lam2[1]
-        dz = lam[2] - lam2[2]
-        norm = _lam_norm(dx, dy, dz)
+    def stacked_norm(u, v, w):  # |u| + |v| + |w| on the stacked map's coordinates
+        return np.abs(u) + np.abs(v) + np.sqrt(dots(w, w))
 
+    at_node = [(t, node, lam, lam2) for lam, lam2, t, node, _ in samples]
+    at_leaf = [(T, leaf, lam, lam2) for lam, lam2, _, _, leaf in samples]
+    at_leaf_x = [(T, leaf, lam[0], lam2[0]) for lam, lam2, _, _, leaf in samples]
+
+    with np.errstate(all="ignore"):  # a non-finite value is a sample's estimate
+        norm = stacked_norm(dx, dy, dz)
+        dz_row = np.concatenate([dz, np.zeros((K, 1))], axis=1)  # (dz, 0): rows are canonical
+        lip = mono_int = None
         if have_interior:
-            a1 = (-f[k], b[k], np.asarray(srows[k], dtype=float) @ moment(t, node))
-            a2 = (-f[K + k], b[K + k], np.asarray(srows[K + k], dtype=float) @ moment(t, node))
-            df, db, ds = a1[0] - a2[0], a1[1] - a2[1], a1[2] - a2[2]
-            if norm > 0:
-                val = (_lam_norm(df, db, ds)) / norm
-                if val > lip.value:
-                    lip = ClauseEstimate(val, (t, node, lam, lam2))
-                # inner product pairs -generator with x, drift with y and the
-                # weighted diffusion row with the raw row difference; rows are
-                # canonical so the row difference is (dz, 0).
-                dz_row = np.concatenate([dz, [0.0]])
-                inner = df * dx + db * dy + float(ds @ dz_row)
-                val = inner / norm**2
-                if val > mono_int.value:
-                    mono_int = ClauseEstimate(val, (t, node, lam, lam2))
+            moments = second_moments(tree.rows[np.asarray(tree.offsets)[ts[:K]] + nodes[:K]])
+            df, db = -f[:K] - -f[K:], b[:K] - b[K:]
+            ds = weighted(srows[:K], moments) - weighted(srows[K:], moments)
+            lip = _extreme(stacked_norm(df, db, ds) / norm, norm > 0, at_node)
+            # the inner product pairs -generator with x, drift with y and the
+            # weighted diffusion row with the raw row difference
+            inner = df * dx + db * dy + dots(ds, dz_row)
+            mono_int = _extreme(inner / np.float_power(norm, 2.0), norm > 0, at_node)
 
         # time-0 clause: x is pinned by the initial condition
-        lam0 = (lam[0], lam[1], lam[2])
-        lam0b = (lam[0], lam2[1], lam2[2])
-        m0 = moment(0, 0)
-        b1, b2 = b0[k], b0[K + k]
-        s1 = np.asarray(s0[k], dtype=float) @ m0
-        s2 = np.asarray(s0[K + k], dtype=float) @ m0
-        dz_row = np.concatenate([lam0[2] - lam0b[2], [0.0]])
-        denom = (lam0[1] - lam0b[1]) ** 2 + float(np.dot(lam0[2] - lam0b[2], lam0[2] - lam0b[2]))
-        if denom > 0:
-            val = ((b1 - b2) * (lam0[1] - lam0b[1]) + float((s1 - s2) @ dz_row)) / denom
-            if val > mono_0.value:
-                mono_0 = ClauseEstimate(val, (0, 0, lam0, lam0b))
+        m0 = second_moments(tree.rows[:1])
+        denom = np.float_power(dy, 2.0) + dots(dz, dz)
+        inner = (b0[:K] - b0[K:]) * dy + dots(weighted(s0[:K], m0) - weighted(s0[K:], m0), dz_row)
+        mono_0 = _extreme(inner / denom, denom > 0,
+                          [(0, 0, lam, (lam[0], *lam2[1:])) for lam, lam2, *_ in samples])
 
         # horizon clauses: generator without a row argument, terminal map
-        f1, f2 = fT[k], fT[K + k]
-        if abs(dx) + abs(dy) > 0:
-            val = abs(f1 - f2) / (abs(dx) + abs(dy))
-            if val > lip_fT.value:
-                lip_fT = ClauseEstimate(val, (T, leaf, lam, lam2))
-        if dx != 0.0:
-            val = (-(f1 - f2) * dx) / dx**2
-            if val > mono_fT.value:
-                mono_fT = ClauseEstimate(val, (T, leaf, lam, lam2))
-            h1, h2 = h[k], h[K + k]
-            val = abs(h1 - h2) / abs(dx)
-            if val > lip_h.value:
-                lip_h = ClauseEstimate(val, (T, leaf, lam[0], lam2[0]))
-            val = ((h1 - h2) * dx) / dx**2
-            if val < mono_h.value:
-                mono_h = ClauseEstimate(val, (T, leaf, lam[0], lam2[0]))
+        dfT, dh, xy = fT[:K] - fT[K:], h[:K] - h[K:], np.abs(dx) + np.abs(dy)
+        lip_fT = _extreme(np.abs(dfT) / xy, xy > 0, at_leaf)
+        mono_fT = _extreme((-dfT * dx) / np.float_power(dx, 2.0), dx != 0.0, at_leaf)
+        lip_h = _extreme(np.abs(dh) / np.abs(dx), dx != 0.0, at_leaf_x)
+        mono_h = _extreme((dh * dx) / np.float_power(dx, 2.0), dx != 0.0, at_leaf_x, lowest=True)
 
     violations = []
-    if have_interior and mono_int.value >= 0.0:
+    if mono_int is not None and mono_int.value >= 0.0:
         violations.append(("interior monotonicity", mono_int))
     if mono_0.value >= 0.0:
         violations.append(("time-0 monotonicity", mono_0))
@@ -668,10 +660,10 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     if mono_h.value <= 0.0:
         violations.append(("terminal map monotonicity", mono_h))
     return AssumptionReport(
-        lipschitz=lip if have_interior else None,
+        lipschitz=lip,
         lipschitz_terminal=lip_h,
         lipschitz_generator_T=lip_fT,
-        monotone_interior=mono_int if have_interior else None,
+        monotone_interior=mono_int,
         monotone_initial=mono_0,
         monotone_generator_T=mono_fT,
         monotone_terminal=mono_h,

@@ -431,6 +431,188 @@ def test_check_assumptions_calls_each_coefficient_once_per_depth(N, T):
         [t for t in range(1, T) for _ in range(3)] + [0, 0, T, "terminal"], key=str)
 
 
+@np.errstate(all="ignore")  # numpy rows of a non-finite sample warn; Python floats do not
+def per_sample_check_assumptions(tree, problem, sample_count=200, rng_seed=0):
+    """The AssumptionReport reduced sample by sample in Python floats, as
+    ``check_assumptions`` did before each clause became one array over the
+    samples: the same draws and coefficient calls, then a loop that keeps
+    the first strictly larger (terminal map: smaller) value of each clause."""
+    rng = np.random.default_rng(rng_seed)
+    N, T = tree.N, tree.T
+
+    def draw():
+        return (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), rng.uniform(-2, 2, size=N - 1))
+
+    def pair(k):
+        lam = draw()
+        if k % 2 == 0:
+            return lam, draw()
+        other = [lam[0], lam[1], lam[2].copy()]
+        coord = int(rng.integers(0, N + 1))
+        bump = float(rng.uniform(0.1, 1.0))
+        if coord == 0:
+            other[0] += bump
+        elif coord == 1:
+            other[1] += bump
+        else:
+            other[2][coord - 2] += bump
+        return lam, (other[0], other[1], other[2])
+
+    have_interior = T >= 2
+    samples = []
+    for k in range(sample_count):
+        lam, lam2 = pair(k)
+        t = node = None
+        if have_interior:
+            t = int(rng.integers(1, T))
+            node = int(rng.integers(0, tree.num_nodes(t)))
+        samples.append((lam, lam2, t, node, int(rng.integers(0, tree.num_nodes(T)))))
+
+    K, level = sample_count, nonlinear._level
+    points = [s[0] for s in samples] + [s[1] for s in samples]
+    x, y = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+    zt = np.array([p[2] for p in points])
+    ts, nodes, leaves = (np.array([s[i] for s in samples] * 2) for i in (2, 3, 4))
+    f, b, srows = np.zeros(2 * K), np.zeros(2 * K), np.zeros((2 * K, N))
+    for t in range(1, T):
+        at = np.flatnonzero(ts == t)
+        if len(at):
+            for out, fn in ((f, problem.generator), (b, problem.drift), (srows, problem.diffusion)):
+                out[at] = level(fn(t, nodes[at], x[at], y[at], zt[at]), out[at].shape, "coefficient")
+    x0, root = np.concatenate([x[:K], x[:K]]), np.zeros(2 * K, dtype=int)
+    b0 = level(problem.drift(0, root, x0, y, zt), (2 * K,), "drift")
+    s0 = level(problem.diffusion(0, root, x0, y, zt), (2 * K, N), "diffusion")
+    fT = level(problem.generator(T, leaves, x, y, None), (2 * K,), "generator")
+    moving = np.flatnonzero(x[:K] - x[K:] != 0.0)
+    h = np.zeros(2 * K)
+    if len(moving):
+        at = np.concatenate([moving, moving + K])
+        h[at] = level(problem.terminal(leaves[at], x[at]), (len(at),), "terminal")
+    f, b, srows, b0, s0, fT, h = (v.tolist() for v in (f, b, srows, b0, s0, fT, h))
+
+    def lam_norm(dx, dy, dz):
+        return abs(dx) + abs(dy) + float(np.linalg.norm(dz))
+
+    def moment(t, node):
+        row = tree.row((t, node))
+        return np.diag(row) - np.outer(row, row)
+
+    Estimate = nonlinear.ClauseEstimate
+    lip = mono_int = lip_h = lip_fT = mono_0 = mono_fT = Estimate(-np.inf, ())
+    mono_h = Estimate(np.inf, ())
+    for k, (lam, lam2, t, node, leaf) in enumerate(samples):
+        dx, dy = lam[0] - lam2[0], lam[1] - lam2[1]
+        dz = lam[2] - lam2[2]
+        norm = lam_norm(dx, dy, dz)
+        dz_row = np.concatenate([dz, [0.0]])
+        if have_interior:
+            df, db = -f[k] - -f[K + k], b[k] - b[K + k]
+            ds = np.asarray(srows[k]) @ moment(t, node) - np.asarray(srows[K + k]) @ moment(t, node)
+            if norm > 0:
+                val = lam_norm(df, db, ds) / norm
+                if val > lip.value:
+                    lip = Estimate(val, (t, node, lam, lam2))
+                val = (df * dx + db * dy + float(ds @ dz_row)) / norm**2
+                if val > mono_int.value:
+                    mono_int = Estimate(val, (t, node, lam, lam2))
+        m0 = moment(0, 0)
+        ds0 = np.asarray(s0[k]) @ m0 - np.asarray(s0[K + k]) @ m0
+        denom = dy**2 + float(np.dot(dz, dz))
+        if denom > 0:
+            val = ((b0[k] - b0[K + k]) * dy + float(ds0 @ dz_row)) / denom
+            if val > mono_0.value:
+                mono_0 = Estimate(val, (0, 0, lam, (lam[0], lam2[1], lam2[2])))
+        f1, f2 = fT[k], fT[K + k]
+        if abs(dx) + abs(dy) > 0:
+            val = abs(f1 - f2) / (abs(dx) + abs(dy))
+            if val > lip_fT.value:
+                lip_fT = Estimate(val, (T, leaf, lam, lam2))
+        if dx != 0.0:
+            val = (-(f1 - f2) * dx) / dx**2
+            if val > mono_fT.value:
+                mono_fT = Estimate(val, (T, leaf, lam, lam2))
+            h1, h2 = h[k], h[K + k]
+            val = abs(h1 - h2) / abs(dx)
+            if val > lip_h.value:
+                lip_h = Estimate(val, (T, leaf, lam[0], lam2[0]))
+            val = ((h1 - h2) * dx) / dx**2
+            if val < mono_h.value:
+                mono_h = Estimate(val, (T, leaf, lam[0], lam2[0]))
+
+    violations = []
+    if have_interior and mono_int.value >= 0.0:
+        violations.append(("interior monotonicity", mono_int))
+    if mono_0.value >= 0.0:
+        violations.append(("time-0 monotonicity", mono_0))
+    if mono_fT.value >= 0.0:
+        violations.append(("horizon generator monotonicity", mono_fT))
+    if mono_h.value <= 0.0:
+        violations.append(("terminal map monotonicity", mono_h))
+    return nonlinear.AssumptionReport(
+        lipschitz=lip if have_interior else None, lipschitz_terminal=lip_h,
+        lipschitz_generator_T=lip_fT, monotone_interior=mono_int if have_interior else None,
+        monotone_initial=mono_0, monotone_generator_T=mono_fT, monotone_terminal=mono_h,
+        satisfied=not violations, violations=tuple(violations))
+
+
+def spoiled(problem):
+    """``problem`` with every coefficient NaN at points with x > 1.2, drift
+    and generator inf at points with y < -1.2 and the terminal map inf at
+    x < -1.2.  (An inf diffusion row would only give NaN clause values.)"""
+
+    def level(fn, inf=True):
+        def call(t, nodes, x, y, zt):
+            v = np.array(fn(t, nodes, x, y, zt), dtype=float)
+            v[x > 1.2] = np.nan
+            if inf:
+                v[y < -1.2] = np.inf
+            return v
+        return call
+
+    def terminal(nodes, x):
+        v = np.array(problem.terminal(nodes, x), dtype=float)
+        v[x > 1.2], v[x < -1.2] = np.nan, np.inf
+        return v
+
+    return NonlinearProblem(level(problem.drift), level(problem.diffusion, inf=False),
+                            level(problem.generator), terminal)
+
+
+def reference_instances():
+    rng = np.random.default_rng(19)
+    for N in range(2, 6):
+        for T in range(1, 5):
+            tree = random_tree(rng, N, T)
+            demo = demo_monotone_problem(tree, 0.3)
+            yield f"demo N={N} T={T}", demo, tree
+            yield f"NaN and inf N={N} T={T}", spoiled(demo), tree
+    yield "file N=3 T=3", *row_coupled_file()
+    for N, T in ((2, 3), (4, 1)):
+        tree = random_tree(rng, N, T)
+        demo = demo_monotone_problem(tree, 0.3)
+        yield f"violated N={N} T={T}", dataclasses.replace(demo, terminal=lambda nodes, x: -x), tree
+
+
+REFERENCE_INSTANCES = list(reference_instances())
+
+
+@pytest.mark.parametrize("name, problem, tree", REFERENCE_INSTANCES,
+                         ids=[name for name, *_ in REFERENCE_INSTANCES])
+def test_check_assumptions_matches_the_per_sample_loop(name, problem, tree):
+    for count in (2, 3, 501, 200):
+        for seed in (0, 1):
+            report = check_assumptions(tree, problem, count, seed)
+            assert report_bits(report) == report_bits(
+                per_sample_check_assumptions(tree, problem, count, seed))
+            values = [getattr(report, f.name).value for f in dataclasses.fields(report)
+                      if isinstance(getattr(report, f.name), nonlinear.ClauseEstimate)]
+            assert not np.isnan(values).any()  # NaN never wins
+    if name.startswith("violated"):
+        assert not report.satisfied
+    if name.startswith("NaN"):  # the first inf wins
+        assert np.isinf(values).any()
+
+
 class TestResiduals:
     def test_zero_problem_zero_solution(self):
         tree = uniform_tree(2, 2)

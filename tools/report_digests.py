@@ -15,7 +15,8 @@ code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
 read in a child process) runs in JSON and CSV, a nonlinear one also with
 ``--mode picard``, and its document, written into a temporary directory,
 goes through ``oracle`` and ``check``; the ``monotone-family`` document
-also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``.  The
+also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``, and
+with ``h`` = -x through ``check`` on each tree of ``CHECK_SIZES``.  The
 linear file of ``SINGULAR_DOC``, on which the certificate and the dense
 oracle disagree, goes through ``solve`` and ``oracle``.  Then every op of each ``bench/workloads.py`` op list runs on files that module
 generates for ``--seed`` into the same directory, and every nonlinear file
@@ -58,6 +59,11 @@ ROOT = Path(__file__).resolve().parent.parent
 #: (N, T) trees, larger than the benchmark's, on which the Newton oracle
 #: solves the ``monotone-family`` demo.
 ORACLE_SIZES = ((2, 6), (3, 4))
+
+#: (N, T) trees on which ``check`` reads the ``monotone-family`` demo with a
+#: violated terminal map, h = -x: the demo's own tree, and one of depth 1,
+#: which has no interior clauses.
+CHECK_SIZES = ((2, 3), (3, 1))
 
 #: (N, T, singular index) of the ``bench/workloads.linear_doc`` file, drawn
 #: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
@@ -119,14 +125,22 @@ def outputs(seed):
             path.write_text(json.dumps(demos[name]), encoding="utf-8")
             for command in ("oracle", "check"):
                 yield (f"{command} demo {name}", *_run([command, str(path)]))
-        for N, T in ORACLE_SIZES:
+        def monotone_doc(name, N, T, **coefficients):
+            """The ``monotone-family`` document on an N-ary tree of depth T,
+            with the demo's diffusion rows -(z_tilde, 0), written as ``name``."""
             doc = dict(demos["monotone-family"], tree={"N": N, "T": T, "transition": "uniform"})
-            # the demo's diffusion rows, -(z_tilde, 0), at N branches
-            doc["coefficients"] = dict(doc["coefficients"],
+            doc["coefficients"] = dict(doc["coefficients"], **coefficients,
                                        sigma=[f"-z{i}" for i in range(1, N)] + ["0"])
-            path = Path(tmp) / f"monotone-family-{N}-{T}.json"
+            path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
+            return path
+
+        for N, T in ORACLE_SIZES:
+            path = monotone_doc(f"monotone-family-{N}-{T}", N, T)
             yield (f"oracle demo monotone-family N={N} T={T}", *_run(["oracle", str(path)]))
+        for N, T in CHECK_SIZES:
+            path = monotone_doc(f"violated-{N}-{T}", N, T, h="-x")
+            yield (f"check demo monotone-family h=-x N={N} T={T}", *_run(["check", str(path)]))
         N, T, index = SINGULAR_DOC
         doc = workloads.linear_doc(random.Random(seed), N, T, index)
         path = Path(tmp) / f"singular-linear-{N}-{T}.json"
