@@ -18,7 +18,6 @@ from .linear import (
     decoupling_coefficients,
     linear_residuals,
     riccati_backward,
-    script_coeffs,
     solve_linear,
     solve_special,
     special_coefficients,

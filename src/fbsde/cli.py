@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -90,7 +91,9 @@ DEMOS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="fbsde",
         description="Scenario-tree solvers for coupled forward-backward difference systems",
@@ -278,8 +281,7 @@ _COMMANDS = {
 
 def run_cli(argv=None) -> int:
     """Entry point used by tests; returns the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # a demo binds a built-in document, every other command a file
         loaded = (pio.bind_problem(DEMOS[args.name]) if args.command == "demo"

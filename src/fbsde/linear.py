@@ -22,14 +22,13 @@ import numpy as np
 
 from .errors import (
     AssumptionViolation,
-    LeafNodeError,
     NonFiniteInput,
     NonFiniteSolve,
     ShapeMismatch,
     SingularCertificate,
 )
 from .martingale import worst_defects
-from .tree import AdaptedProcess, NodeId, ScenarioTree, _as_depth_index, _process_array
+from .tree import AdaptedProcess, NodeId, ScenarioTree, _process_array
 
 #: Zero-sum validation tolerance for the structural coupling conditions.
 ZERO_SUM_TOL = 1e-12
@@ -181,37 +180,28 @@ class LinearCoefficients:
     def validate(self):
         """Check finiteness and the structural zero-sum conditions.
 
+        Each condition is reduced once over its whole level-order field, in
+        the order C columns, C_bar columns, C_hat columns, C_hat at the
+        horizon, and names the first failing node in level order: a set
+        with faults under two conditions reports the first condition's.
         The constructor runs it; a coefficient set cannot change afterwards.
         """
-        tree = self.tree
+        tree, arrays = self.tree, self.arrays
         self._check_finite(_FIELDS)
-        for t in range(tree.T):
-            sums = self.C[t].sum(axis=1)
-            bad = np.abs(sums) > ZERO_SUM_TOL
+        C_hat = arrays["C_hat"]
+        for condition, start, defect in (
+            ("C column must sum to zero", 0, np.abs(arrays["C"].sum(axis=1))),
+            # sum over rows j of C_bar[j, i], the worst column of each node
+            ("every C_bar column must sum to zero", 0,
+             np.abs(arrays["C_bar"].sum(axis=1)).max(axis=1)),
+            ("C_hat column must sum to zero", 1, np.abs(C_hat.sum(axis=1))),
+            ("C_hat must vanish at the horizon", tree.T,
+             np.abs(C_hat[tree.offsets[tree.T] - tree.offsets[1]:]).max(axis=1)),
+        ):
+            bad = defect > ZERO_SUM_TOL
             if bad.any():
-                raise AssumptionViolation(
-                    "C column must sum to zero", tree.node_id(t, int(np.argmax(bad)))
-                )
-            col_sums = self.C_bar[t].sum(axis=1)  # sum over rows j of C_bar[j, i]
-            bad = np.abs(col_sums).max(axis=1) > ZERO_SUM_TOL
-            if bad.any():
-                raise AssumptionViolation(
-                    "every C_bar column must sum to zero",
-                    tree.node_id(t, int(np.argmax(bad))),
-                )
-        for t in range(1, tree.T + 1):
-            sums = self.C_hat[t].sum(axis=1)
-            bad = np.abs(sums) > ZERO_SUM_TOL
-            if bad.any():
-                raise AssumptionViolation(
-                    "C_hat column must sum to zero", tree.node_id(t, int(np.argmax(bad)))
-                )
-        bad = np.abs(self.C_hat[tree.T]).max(axis=1) > ZERO_SUM_TOL
-        if bad.any():
-            raise AssumptionViolation(
-                "C_hat must vanish at the horizon",
-                tree.node_id(tree.T, int(np.argmax(bad))),
-            )
+                k = tree.offsets[start] + int(np.argmax(bad))
+                raise AssumptionViolation(condition, tree.node_id(*tree.locate(k)))
 
 
 @dataclass(frozen=True)
@@ -395,15 +385,6 @@ def _script_offset(tree, coeffs):
     """The stacked inhomogeneity column d of every non-leaf node, (m, N)."""
     Dbar = coeffs.arrays["D_bar"]
     return coeffs.arrays["D"][:, None] + Dbar - np.einsum("nj,nj->n", Dbar, tree.rows)[:, None]
-
-
-def script_coeffs(tree, coeffs, node):
-    """Stacked coefficients at a single non-leaf node: (a, b, c, d) columns/matrix."""
-    t, idx = _as_depth_index(tree, node)
-    if t >= tree.T:
-        raise LeafNodeError(f"node at depth {t} is a leaf")
-    scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
-    return scr_a[idx], scr_b[idx], scr_c[idx], _script_offset(tree, coeffs)[tree.offsets[t] + idx]
 
 
 def _coupling_level(tree, t, scr_b, scr_c):

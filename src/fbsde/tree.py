@@ -16,6 +16,7 @@ share across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,46 +71,46 @@ def _as_depth_index(tree, node):
 class ScenarioTree:
     """N-ary scenario tree with per-node transition probabilities.
 
-    ``transition[t]`` has shape ``(N**t, N)``; row ``(t, i)`` is the
-    conditional law of the next state at node i of depth t.  Every entry is
-    strictly positive and every row sums to one within ``ROW_SUM_TOL``.
-    The levels are read-only views of ``rows``, the (m, N) level-order
-    table of all m non-leaf rows; depth t starts at node ``offsets[t]``.
+    ``rows`` is the (m, N) level-order table of the transition rows of all
+    m non-leaf nodes; depth t starts at node ``offsets[t]``.  Its levels
+    ``transition[t]``, of shape ``(N**t, N)``, are read-only views of it:
+    row ``(t, i)`` is the conditional law of the next state at node i of
+    depth t.  Every entry is finite and strictly positive and every row
+    sums to one within ``ROW_SUM_TOL``.  The constructor checks a copy of
+    the table once per condition, in that order, and names the first
+    failing row in level order (``locate``): a table with faults under two
+    conditions reports the first condition's.
     """
 
-    def __init__(self, N, T, transition):
-        N = int(N)
-        T = int(T)
-        if N < 2:
-            raise ValueError("branching factor must be at least 2")
-        if T < 1:
-            raise ValueError("horizon must be at least 1")
-        if len(transition) != T:
-            raise ShapeMismatch(f"expected {T} transition levels, got {len(transition)}")
+    def __init__(self, N, T, rows):
+        N, T = _sizes(N, T)
         self.offsets = tuple((N**t - 1) // (N - 1) for t in range(T + 2))
         self._slices = {}  # times -> the slices of ``views``
-        table = np.empty((self.offsets[T], N))
-        for t, (rows, view) in enumerate(zip(transition, self.views(table, range(T)))):
-            rows = np.asarray(rows, dtype=float)
-            if rows.shape != (N**t, N):
-                raise ShapeMismatch(
-                    f"transition level {t} has shape {rows.shape}, expected {(N**t, N)}"
-                )
-            if not np.isfinite(rows).all():
-                raise NonPositiveProbability(f"non-finite probability at level {t}")
-            if (rows <= 0.0).any():
-                bad = int(np.argwhere(rows <= 0.0)[0][0])
-                raise NonPositiveProbability(
-                    f"transition row (t={t}, node={bad}) has a non-positive entry"
-                )
-            sums = rows.sum(axis=1)
-            off = np.abs(sums - 1.0)
-            if (off > ROW_SUM_TOL).any():
-                bad = int(np.argmax(off))
-                raise RowSumMismatch(
-                    f"transition row (t={t}, node={bad}) sums to {sums[bad]!r}"
-                )
-            view[...] = rows
+        table = np.array(rows, dtype=float, order="C")
+        if table.ndim != 2 or table.shape[1] != N:
+            raise ShapeMismatch(f"transition table has shape {table.shape}, expected (*, {N})")
+        if table.shape[0] != self.offsets[T]:
+            raise ShapeMismatch(
+                f"transition table has {table.shape[0]} rows, expected {self.offsets[T]} for T={T}"
+            )
+        # each condition only on a table that passed the ones before it; the
+        # first bad entry in C order lies in the first bad row
+        bad = ~np.isfinite(table)
+        if bad.any():
+            t, _ = self.locate(int(np.argmax(bad)) // N)
+            raise NonPositiveProbability(f"non-finite probability at level {t}")
+        bad = table <= 0.0
+        if bad.any():
+            t, idx = self.locate(int(np.argmax(bad)) // N)
+            raise NonPositiveProbability(
+                f"transition row (t={t}, node={idx}) has a non-positive entry"
+            )
+        sums = table.sum(axis=1)
+        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+        if bad.any():
+            k = int(np.argmax(bad))
+            t, idx = self.locate(k)
+            raise RowSumMismatch(f"transition row (t={t}, node={idx}) sums to {sums[k]!r}")
         table.flags.writeable = False
         self.N = N
         self.T = T
@@ -148,12 +149,12 @@ class ScenarioTree:
             raise LeafNodeError(f"node at depth {t} is a leaf")
         return self.transition[t][idx]
 
-    def children(self, node):
-        """Depth and index range of a non-leaf node's children."""
-        t, idx = _as_depth_index(self, node)
-        if t >= self.T:
-            raise LeafNodeError(f"node at depth {t} is a leaf")
-        return t + 1, idx * self.N, (idx + 1) * self.N
+    def locate(self, k):
+        """(depth, index) of the node at position k of the tree's level order."""
+        if not 0 <= k < self.offsets[-1]:
+            raise MissingValue(f"level-order position {k} outside 0..{self.offsets[-1] - 1}")
+        t = bisect_right(self.offsets, k) - 1
+        return t, k - self.offsets[t]
 
     def node_id(self, t, index):
         """NodeId of the index-th node at depth t (lexicographic order)."""
@@ -172,45 +173,36 @@ class ScenarioTree:
         return f"ScenarioTree(N={self.N}, T={self.T})"
 
 
-def build_tree(N, T, transition="uniform"):
-    """Build a validated tree from a transition specification.
-
-    ``transition`` is ``"uniform"``, a single probability row applied at
-    every node, or a flat table with one row per non-leaf node ordered level
-    by level (lexicographic by path within a level).
-    """
+def _sizes(N, T):
+    """(N, T) as ints, after checking N >= 2 and T >= 1."""
     N = int(N)
     T = int(T)
     if N < 2:
         raise ValueError("branching factor must be at least 2")
     if T < 1:
         raise ValueError("horizon must be at least 1")
+    return N, T
+
+
+def build_tree(N, T, transition="uniform"):
+    """Build a validated tree from a transition specification.
+
+    ``transition`` is ``"uniform"``, a single probability row applied at
+    every node, or a flat table with one row per non-leaf node ordered level
+    by level (lexicographic by path within a level), which the tree takes
+    as its table of rows.
+    """
+    N, T = _sizes(N, T)
     if isinstance(transition, str):
         if transition != "uniform":
             raise ValueError(f"unknown transition spec {transition!r}")
-        row = np.full(N, 1.0 / N)
-        levels = [np.tile(row, (N**t, 1)) for t in range(T)]
-        return ScenarioTree(N, T, levels)
+        transition = np.full(N, 1.0 / N)
     table = np.asarray(transition, dtype=float)
     if table.ndim == 1:
         if table.shape != (N,):
             raise ShapeMismatch(f"transition row has length {table.shape[0]}, expected {N}")
-        levels = [np.tile(table, (N**t, 1)) for t in range(T)]
-        return ScenarioTree(N, T, levels)
-    if table.ndim != 2 or table.shape[1] != N:
-        raise ShapeMismatch(f"transition table has shape {table.shape}, expected (*, {N})")
-    total = sum(N**t for t in range(T))
-    if table.shape[0] != total:
-        raise ShapeMismatch(
-            f"transition table has {table.shape[0]} rows, expected {total} for T={T}"
-        )
-    levels = []
-    start = 0
-    for t in range(T):
-        n = N**t
-        levels.append(table[start : start + n])
-        start += n
-    return ScenarioTree(N, T, levels)
+        table = np.tile(table, ((N**T - 1) // (N - 1), 1))
+    return ScenarioTree(N, T, table)
 
 
 class AdaptedProcess:

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import numpy as np
+
 from fbsde import LinearCoefficients, ScenarioTree, build_tree
 from fbsde.linear import _FIELDS
 
@@ -10,7 +12,7 @@ def random_tree(rng, N, T, low=0.1):
     for t in range(T):
         raw = rng.uniform(low, 1.0, size=(N**t, N))
         levels.append(raw / raw.sum(axis=1, keepdims=True))
-    return ScenarioTree(N, T, levels)
+    return ScenarioTree(N, T, np.concatenate(levels))
 
 
 def path_probability(tree, t, index):

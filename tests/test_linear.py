@@ -23,12 +23,12 @@ from fbsde import (
     linear_oracle,
     linear_residuals,
     riccati_backward,
-    script_coeffs,
     solve_bsde,
     solve_linear,
     solve_special,
     special_coefficients,
 )
+from fbsde.linear import _script_level, _script_offset
 
 TOL = 1e-12
 SOLVER_TOL = 1e-10
@@ -43,29 +43,30 @@ def singular_construction(x0=1.0):
 class TestScriptCoeffs:
     def test_all_zero(self):
         tree = uniform_tree(3, 1)
-        a, b, c, d = script_coeffs(tree, LinearCoefficients(tree), (0, 0))
-        np.testing.assert_allclose(a, np.ones(3), atol=TOL)
-        np.testing.assert_allclose(b, np.zeros(3), atol=TOL)
-        np.testing.assert_allclose(c, np.zeros((3, 3)), atol=TOL)
-        np.testing.assert_allclose(d, np.zeros(3), atol=TOL)
+        coeffs = LinearCoefficients(tree)
+        a, b, c = _script_level(tree, coeffs, 0)
+        np.testing.assert_allclose(a[0], np.ones(3), atol=TOL)
+        np.testing.assert_allclose(b[0], np.zeros(3), atol=TOL)
+        np.testing.assert_allclose(c[0], np.zeros((3, 3)), atol=TOL)
+        np.testing.assert_allclose(_script_offset(tree, coeffs)[0], np.zeros(3), atol=TOL)
 
     def test_plain_drift(self):
         tree = uniform_tree(2, 1)
-        a, _, _, _ = script_coeffs(tree, LinearCoefficients(tree, A=1.0), (0, 0))
-        np.testing.assert_allclose(a, 2.0 * np.ones(2), atol=TOL)
+        a, _, _ = _script_level(tree, LinearCoefficients(tree, A=1.0), 0)
+        np.testing.assert_allclose(a[0], 2.0 * np.ones(2), atol=TOL)
 
     def test_plain_feedback(self):
         tree = uniform_tree(2, 1)
-        _, b, _, _ = script_coeffs(tree, LinearCoefficients(tree, B=-1.0), (0, 0))
-        np.testing.assert_allclose(b, -np.ones(2), atol=TOL)
+        _, b, _ = _script_level(tree, LinearCoefficients(tree, B=-1.0), 0)
+        np.testing.assert_allclose(b[0], -np.ones(2), atol=TOL)
 
     def test_barred_row_is_centered(self):
         rng = np.random.default_rng(0)
         tree = random_tree(rng, 4, 1)
         row = rng.normal(size=4)
-        a, _, _, _ = script_coeffs(tree, LinearCoefficients(tree, A_bar=row), (0, 0))
+        a, _, _ = _script_level(tree, LinearCoefficients(tree, A_bar=row), 0)
         expect = 1.0 + row - row @ tree.transition[0][0]
-        np.testing.assert_allclose(a, expect, atol=TOL)
+        np.testing.assert_allclose(a[0], expect, atol=TOL)
 
 
 class TestRiccati:
@@ -419,11 +420,13 @@ class TestDecoupling:
                 continue
             sol = solve_linear(tree, coeffs, float(rng.normal()))
             N = tree.N
+            offsets = _script_offset(tree, coeffs)
             for t in range(tree.T):
                 Pt = tree.transition[t]
+                scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
                 for node in range(tree.num_nodes(t)):
-                    a, b, c, _ = script_coeffs(tree, coeffs, (t, node))
-                    d = script_coeffs(tree, coeffs, (t, node))[3]
+                    a, b, c = scr_a[node], scr_b[node], scr_c[node]
+                    d = offsets[tree.offsets[t] + node]
                     coupling = np.outer(b, Pt[node]) + c
                     gamma = ric.gamma_levels[t][node]
                     P_child = ric.P_levels[t + 1][node * N : (node + 1) * N]
@@ -480,6 +483,43 @@ class TestValidation:
         tree = uniform_tree(2, 1)
         with pytest.raises(AssumptionViolation, match="C_bar"):
             LinearCoefficients(tree, C_bar=[[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("N, T", [(N, T) for N in (2, 3, 4) for T in (1, 2, 3, 4)])
+    def test_one_fault_is_named_at_its_node(self, N, T):
+        rng = np.random.default_rng(10 * N + T)
+        tree = random_tree(rng, N, T)
+        o = tree.offsets
+        for condition, name, first, times in (
+            ("C column must sum to zero", "C", 0, range(T)),
+            ("every C_bar column must sum to zero", "C_bar", 0, range(T)),
+            ("C_hat column must sum to zero", "C_hat", 1, range(1, T + 1)),
+            ("C_hat must vanish at the horizon", "C_hat", 1, range(T, T + 1)),
+        ):
+            # the faulty node drawn as a node, its position in the field counted apart
+            t = int(rng.integers(times.start, times.stop))
+            idx = int(rng.integers(N**t))
+            k = sum(N**s for s in range(first, t)) + idx
+            cell = (N, N) if name == "C_bar" else (N,)
+            field = np.zeros((o[T + first] - o[first],) + cell)
+            j = int(rng.integers(N))
+            if "horizon" in condition:
+                field[k] = -1.0 / N
+                field[k, j] += 1.0  # sums to zero, yet is not zero
+            else:
+                field[(k,) + (int(rng.integers(N)),) * (len(cell) - 1) + (j,)] = 0.1
+            with pytest.raises(AssumptionViolation) as info:
+                LinearCoefficients(tree, **{name: field})
+            assert str(info.value) == f"{condition} at node {tree.node_id(t, idx)}"
+            assert info.value.node == tree.node_id(*tree.locate(o[t] + idx))
+
+    def test_first_condition_wins_over_lower_level(self):
+        tree = uniform_tree(2, 2)
+        C, C_bar = np.zeros((3, 2)), np.zeros((3, 2, 2))
+        C[2] = [0.1, 0.0]  # depth 1, node 1
+        C_bar[0, 0, 0] = 0.1  # the root
+        with pytest.raises(AssumptionViolation) as info:
+            LinearCoefficients(tree, C=C, C_bar=C_bar)
+        assert str(info.value) == "C column must sum to zero at node 2"
 
     def test_non_finite_coefficient(self):
         tree = uniform_tree(2, 1)

@@ -11,6 +11,7 @@ from fbsde import (
     NodeId,
     NonPositiveProbability,
     RowSumMismatch,
+    ScenarioTree,
     ShapeMismatch,
     build_tree,
     cond_exp,
@@ -71,11 +72,75 @@ class TestBuildTree:
     def test_row_and_children_lookups(self):
         tree = build_tree(3, 2, [[0.5, 0.3, 0.2]] + [[1 / 3.0] * 3] * 3)
         np.testing.assert_array_equal(tree.row((0, 0)), [0.5, 0.3, 0.2])
-        assert tree.children((1, 2)) == (2, 6, 9)
         with pytest.raises(LeafNodeError):
             tree.row((2, 0))
-        with pytest.raises(LeafNodeError):
-            tree.children(NodeId(2, (1, 3)))
+
+
+class TestTransitionTable:
+    """The tree takes its (m, N) level-order table whole, checks it once per
+    condition and names a failing row through ``locate``."""
+
+    SIZES = [(N, T) for N in (2, 3, 4) for T in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("N, T", SIZES)
+    def test_one_fault_is_named_at_its_row(self, N, T):
+        rng = np.random.default_rng(10 * N + T)
+        base = random_tree(rng, N, T).rows
+        for error, fault, message in (
+            (NonPositiveProbability, np.nan, "non-finite probability at level {t}"),
+            (NonPositiveProbability, 0.0,
+             "transition row (t={t}, node={idx}) has a non-positive entry"),
+            (RowSumMismatch, None, "transition row (t={t}, node={idx}) sums to {sum!r}"),
+        ):
+            # the row drawn as a node, its level-order position counted apart
+            t = int(rng.integers(T))
+            idx = int(rng.integers(N**t))
+            k = sum(N**s for s in range(t)) + idx
+            table = base.copy()
+            if fault is None:
+                table[k] *= 1.5
+            else:
+                table[k, rng.integers(N)] = fault
+            with pytest.raises(error) as info:
+                ScenarioTree(N, T, table)
+            assert str(info.value) == message.format(t=t, idx=idx, sum=table.sum(axis=1)[k])
+            assert build_tree(N, T).locate(k) == (t, idx)
+
+    def test_first_condition_wins_over_lower_level(self):
+        table = build_tree(3, 3).rows.copy()
+        table[2, 0] = -0.1  # depth 1
+        table[9, 1] = np.inf  # depth 2
+        with pytest.raises(NonPositiveProbability, match="non-finite probability at level 2"):
+            build_tree(3, 3, table)
+
+    @pytest.mark.parametrize("N, T", SIZES)
+    def test_table_kept_bytewise(self, N, T):
+        rng = np.random.default_rng(N * T)
+        table = random_tree(rng, N, T).rows.copy()
+        tree = build_tree(N, T, table)
+        assert tree.rows.tobytes() == table.tobytes()
+        assert table.flags.writeable  # the tree froze its own copy
+        m = (N**T - 1) // (N - 1)
+        row = table[0]
+        assert build_tree(N, T, row).rows.tobytes() == np.tile(row, (m, 1)).tobytes()
+        uniform = np.tile(np.full(N, 1.0 / N), (m, 1))
+        assert build_tree(N, T, "uniform").rows.tobytes() == uniform.tobytes()
+
+    @pytest.mark.parametrize("N, T", SIZES)
+    def test_locate_inverts_offsets(self, N, T):
+        tree = build_tree(N, T)
+        for t in range(T + 1):
+            assert tree.locate(tree.offsets[t]) == (t, 0)
+            assert tree.locate(tree.offsets[t + 1] - 1) == (t, N**t - 1)
+        for k in (-1, tree.offsets[T + 1]):
+            with pytest.raises(MissingValue):
+                tree.locate(k)
+
+    def test_table_shape(self):
+        with pytest.raises(ShapeMismatch, match=r"has shape \(3, 3\), expected \(\*, 2\)"):
+            ScenarioTree(2, 2, np.full((3, 3), 1 / 3))
+        with pytest.raises(ShapeMismatch, match="has 7 rows, expected 3 for T=2"):
+            ScenarioTree(2, 2, np.full((7, 2), 0.5))
 
 
 class TestNodeId:

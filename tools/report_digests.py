@@ -18,8 +18,12 @@ goes through ``oracle`` and ``check``; the ``monotone-family`` document
 also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``, and
 with ``h`` = -x through ``check`` on each tree of ``CHECK_SIZES``.  The
 linear file of ``SINGULAR_DOC``, on which the certificate and the dense
-oracle disagree, goes through ``solve`` and ``oracle``.  Then every op of each ``bench/workloads.py`` op list runs on files that module
-generates for ``--seed`` into the same directory, and every nonlinear file
+oracle disagree, goes through ``solve`` and ``oracle``, and each invalid
+document of ``_fault_documents`` through ``solve``, which pins the error
+text of every check on the transition table and on the structural
+coefficient conditions.  Then every op of each ``bench/workloads.py`` op
+list runs on files that module generates for ``--seed`` into the same
+directory, and every nonlinear file
 of an op list also goes through ``check`` and a ``--mode picard`` solve.
 Every call is a fresh ``python -m fbsde`` process on this checkout's
 ``src``.  Running the same command on two checkouts and comparing the
@@ -69,6 +73,42 @@ CHECK_SIZES = ((2, 3), (3, 1))
 #: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
 #: singular depth-(T-1) node and the dense oracle (1276 unknowns) solves.
 SINGULAR_DOC = (2, 8, 1)
+
+
+def _fault_documents():
+    """(label, document) of each invalid input: one fault in the transition
+    table of a 3-ary tree of depth 3, or in a structural coefficient of a
+    linear file on the uniform binary tree of depth 3.  ``solve`` must exit 4
+    on each, and its standard error names the fault and where it sits."""
+    def table(k=None, row=None, rows=13):
+        cells = [[0.2, 0.3, 0.5] for _ in range(rows)]
+        if k is not None:
+            cells[k] = row
+        return cells
+
+    def linear(tree=None, **coefficients):
+        return {"kind": "linear", "tree": tree or {"N": 2, "T": 3, "transition": "uniform"},
+                "x0": 1.0, "coefficients": dict({"G": 1.0}, **coefficients)}
+
+    def per_node(cell, fault, count, k):
+        cells = [cell] * count
+        cells[k] = fault
+        return cells
+
+    nan = float("nan")  # json.dumps writes it as NaN, which the loader reads
+    faults = {
+        "non-positive entry t=2 node=4": table(8, [0.6, 0.4, 0.0]),
+        "row sum t=1 node=1": table(2, [0.5, 0.3, 0.3]),
+        "NaN entry t=1 node=2": table(3, [0.2, nan, 0.5]),
+        "12 rows for 13": table(rows=12),
+    }
+    for label, cells in faults.items():
+        yield f"tree {label}", linear({"N": 3, "T": 3, "transition": cells})
+    zero, zeros = [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]
+    yield "C column sum t=1 node=1", linear(C=per_node(zero, [0.1, 0.1], 7, 2))
+    yield "C_bar column sum t=1 node=1", linear(C_bar=per_node(zeros, [[0.1, 0.0], zero], 7, 2))
+    yield "C_hat column sum t=1 node=1", linear(C_hat=per_node(zero, [0.1, 0.1], 14, 1))
+    yield "C_hat horizon t=3 node=2", linear(C_hat=per_node(zero, [0.1, -0.1], 14, 8))
 
 
 def _load_workloads():
@@ -147,6 +187,10 @@ def outputs(seed):
         path.write_text(json.dumps(doc), encoding="utf-8")
         for command in ("solve", "oracle"):
             yield (f"{command} singular linear N={N} T={T}", *_run([command, str(path)]))
+        for k, (label, doc) in enumerate(_fault_documents()):
+            path = Path(tmp) / f"fault-{k}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            yield (f"solve fault: {label}", *_run(["solve", str(path)]))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
