@@ -18,9 +18,6 @@ from .errors import GeneratorEvaluationError, ShapeMismatch
 from .martingale import canonicalize, tilde_contract, worst_defects
 from .tree import AdaptedProcess, ScenarioTree, _process_array
 
-#: Residual guarantee for solver output, checked by the residual evaluator.
-RESIDUAL_TOL = 1e-11
-
 
 @dataclass(frozen=True)
 class BsdeProblem:

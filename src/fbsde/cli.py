@@ -171,13 +171,14 @@ def _solved(report, tree, solution, residuals, stats=None):
     return report, EXIT_SOLVED
 
 
-def _no_solution(report, status, code, **extra):
-    """(report, exit code) of a run without a solution; ``extra`` entries
-    (error, best_residual, rank) are reported unless None."""
+def _no_solution(report, status, code, stats=None, **extra):
+    """(report, exit code) of a run without a solution, with the stats of
+    the solve it stopped, if any; ``extra`` entries (error, best_residual,
+    rank) are reported unless None."""
     report["status"] = status
     report["solution"] = None
     report["residuals"] = None
-    report["stats"] = pio.stats_payload(None)
+    report["stats"] = pio.stats_payload(stats)
     report.update((key, value) for key, value in extra.items() if value is not None)
     return report, code
 
@@ -204,7 +205,7 @@ def _solve_loaded(loaded: pio.LoadedProblem):
     try:
         sol, stats = solver(tree, loaded.data, loaded.x0, loaded.options)
     except (NoContraction, NonFiniteIterate, StepUnderflow) as err:
-        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE,
+        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE, err.stats,
                             error=str(err), best_residual=getattr(err, "best_residual", None))
     return _solved(report, tree, sol, sol.residuals, stats)
 

@@ -65,30 +65,33 @@ class AlphaOutOfRange(FbsdeError):
 
 
 class NonFiniteIterate(FbsdeError):
-    """An iterate became NaN or infinite during Picard iteration."""
+    """An iterate became NaN or infinite; carries the ``stats`` of a solve it ends."""
 
-    def __init__(self, message, iterate=None):
+    def __init__(self, message, iterate=None, stats=None):
         super().__init__(message)
         self.iterate = iterate
+        self.stats = stats
 
 
 class NoContraction(FbsdeError):
-    """Picard increments failed to fall below tolerance within the budget."""
+    """Picard increments stayed above tolerance; carries the ``stats`` of a solve it ends."""
 
-    def __init__(self, message, alpha=None, norms=None, iterate=None):
+    def __init__(self, message, alpha=None, norms=None, iterate=None, stats=None):
         super().__init__(message)
         self.alpha = alpha
         self.norms = list(norms) if norms is not None else []
         self.iterate = iterate
+        self.stats = stats
 
 
 class StepUnderflow(FbsdeError):
-    """Continuation ran out of halvings or ladder depth without convergence."""
+    """Continuation ran out of halvings or ladder depth; carries the solve's ``stats``."""
 
-    def __init__(self, message, best_residual=None, best_solution=None):
+    def __init__(self, message, best_residual=None, best_solution=None, stats=None):
         super().__init__(message)
         self.best_residual = best_residual
         self.best_solution = best_solution
+        self.stats = stats
 
 
 class NoConvergence(FbsdeError):

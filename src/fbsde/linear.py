@@ -177,6 +177,7 @@ class LinearCoefficients:
             if not np.isfinite(self.arrays[name]).all():
                 raise NonFiniteInput(f"coefficient {name} has non-finite entries")
 
+    @np.errstate(over="ignore")  # a finite field whose sum overflows fails, as inf
     def validate(self):
         """Check finiteness and the structural zero-sum conditions.
 

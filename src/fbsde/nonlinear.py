@@ -401,7 +401,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     never deeper than ``MAX_LEVELS`` levels.  Returns (solution, stats); the
     solution's residuals are those of the original system.  A stop raises
     StepUnderflow naming the limit and the failure of the last attempt,
-    with the best iterate seen.
+    with the best iterate seen and the stats of every attempt.
     """
     opts = opts or ContinuationOptions()
     if not np.isfinite(x0):
@@ -412,15 +412,9 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     best_res, best = math.inf, None
     cause = None
     while True:
-        limit = None
-        if stats.halvings > MAX_HALVINGS:
-            limit = f"no contraction after {MAX_HALVINGS} halvings"
-        elif delta * MAX_LEVELS < 1.0:  # before 1/delta, which can overflow
+        if delta * MAX_LEVELS < 1.0:  # before 1/delta, which can overflow
             limit = f"a step of {delta:g} needs a ladder over the {MAX_LEVELS}-level cap"
-        if limit:
-            raise StepUnderflow(limit if cause is None else f"{limit}: {cause}",
-                                best_residual=None if best is None else best_res,
-                                best_solution=best) from cause
+            break
         n_levels = max(1, math.ceil(round(1.0 / delta, 9)))
         ladder = _Ladder(tree, problem, base, n_levels, opts, stats=stats)
         try:
@@ -435,8 +429,14 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
                 res = max(sol.residuals.forward, sol.residuals.backward)
                 if res < best_res:
                     best_res, best = res, sol
-            stats.halvings += 1
-            delta /= 2.0
+        if stats.halvings == MAX_HALVINGS:
+            limit = f"no contraction after {MAX_HALVINGS} halvings"
+            break
+        stats.halvings += 1
+        delta /= 2.0
+    raise StepUnderflow(limit if cause is None else f"{limit}: {cause}",
+                        best_residual=None if best is None else best_res,
+                        best_solution=best, stats=stats) from cause
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteIterate
@@ -459,7 +459,11 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
             alpha=err.alpha,
             norms=err.norms,
             iterate=err.iterate,
+            stats=ladder.stats,
         ) from err
+    except NonFiniteIterate as err:
+        err.stats = ladder.stats
+        raise
     return _finish(tree, problem, iterate), ladder.stats
 
 
@@ -518,28 +522,33 @@ class AssumptionReport:
     violations: tuple
 
 
-def _extreme(values, valid, witnesses, lowest=False):
+def _extreme(values, valid, witness, lowest=False):
     """The clause estimate of one value per sample: the first largest (with
-    ``lowest``, smallest) of the ``valid`` values, with its sample's entry
-    of ``witnesses``.  NaN never wins; with no winner the value is -inf
-    (+inf) and the witness empty.
+    ``lowest``, smallest) of the ``valid`` values, with ``witness(k)`` of
+    its sample k.  NaN never wins; with no winner the value is -inf (+inf)
+    and the witness empty.
     """
     bound = np.inf if lowest else -np.inf
     values = np.where(valid & ~np.isnan(values), values, bound)
     k = int(np.argmin(values) if lowest else np.argmax(values))
     if values[k] == bound:
         return ClauseEstimate(bound, ())
-    return ClauseEstimate(float(values[k]), witnesses[k])
+    return ClauseEstimate(float(values[k]), witness(k))
 
 
 def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     """Estimate the Lipschitz and monotonicity clauses on random samples.
 
     Pairs mix independent draws with single-coordinate probes so sharp
-    directional constants are actually seen.  The time-0 clause pairs share
-    the x component, matching the pinned initial state.  All samples are
-    drawn first, and each coefficient is called once per depth on all of
-    that depth's points.  Each clause is then one array over the samples,
+    directional constants are actually seen; the time-0 clause pairs share
+    the x component, matching the pinned initial state.  The K samples are
+    drawn in blocks from ``np.random.default_rng(rng_seed)``, in an order
+    that defines the stream: ``lam`` and ``lam2``, (K, N+1) uniform(-2, 2)
+    rows (x, y, z_tilde); for odd k, a coordinate (``integers(0, N+1)``)
+    and a bump (uniform(0.1, 1.0)), and ``lam2[k]`` is ``lam[k]`` raised
+    there by the bump; with T >= 2, times ``integers(1, T)`` and nodes
+    ``integers(0, N**t)``; leaves ``integers(0, N**T)``.  Each coefficient
+    is called once per depth, each clause is one array over the samples,
     and ``_extreme`` picks its estimate as a visit of the samples in order
     would.  Returns an AssumptionReport; ``satisfied`` means no sampled
     violation.
@@ -547,47 +556,20 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
     rng = np.random.default_rng(rng_seed)
-    N, T = tree.N, tree.T
-
-    def draw():
-        return (
-            float(rng.uniform(-2, 2)),
-            float(rng.uniform(-2, 2)),
-            rng.uniform(-2, 2, size=N - 1),
-        )
-
-    def pair(k):
-        lam = draw()
-        if k % 2 == 0:
-            return lam, draw()
-        # single-coordinate probe, so sharp directional constants are seen
-        other = [lam[0], lam[1], lam[2].copy()]
-        coord = int(rng.integers(0, N + 1))
-        bump = float(rng.uniform(0.1, 1.0))
-        if coord == 0:
-            other[0] += bump
-        elif coord == 1:
-            other[1] += bump
-        else:
-            other[2][coord - 2] += bump
-        return lam, (other[0], other[1], other[2])
-
+    N, T, K = tree.N, tree.T, sample_count
+    lam, lam2 = rng.uniform(-2, 2, (K, N + 1)), rng.uniform(-2, 2, (K, N + 1))
+    odd = np.arange(1, K, 2)
+    coord = rng.integers(0, N + 1, len(odd))
+    lam2[odd] = lam[odd]
+    lam2[odd, coord] += rng.uniform(0.1, 1.0, len(odd))
+    # point k is lam of sample k, point K + k its lam2, each at sample k's node and leaf
     have_interior = T >= 2
-    samples = []  # (lam, lam2, t, node, leaf)
-    for k in range(sample_count):
-        lam, lam2 = pair(k)
-        t = node = None
-        if have_interior:
-            t = int(rng.integers(1, T))
-            node = int(rng.integers(0, tree.num_nodes(t)))
-        samples.append((lam, lam2, t, node, int(rng.integers(0, tree.num_nodes(T)))))
-
-    # point k is lam of sample k, point K + k its lam2
-    K = sample_count
-    points = [s[0] for s in samples] + [s[1] for s in samples]
-    x, y = np.array([p[0] for p in points]), np.array([p[1] for p in points])
-    zt = np.array([p[2] for p in points])
-    ts, nodes, leaves = (np.array([s[i] for s in samples] * 2) for i in (2, 3, 4))
+    if have_interior:
+        ts = rng.integers(1, T, K)
+        ts, nodes = np.tile(ts, 2), np.tile(rng.integers(0, N**ts), 2)
+    leaves = np.tile(rng.integers(0, N**T, K), 2)
+    points = np.concatenate([lam, lam2])
+    x, y, zt = points[:, 0], points[:, 1], points[:, 2:]
     f, b, srows = np.zeros(2 * K), np.zeros(2 * K), np.zeros((2 * K, N))
     for t in range(1, T):
         at = np.flatnonzero(ts == t)
@@ -595,7 +577,7 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
             for out, fn in ((f, problem.generator), (b, problem.drift), (srows, problem.diffusion)):
                 out[at] = _level(fn(t, nodes[at], x[at], y[at], zt[at]), out[at].shape, "coefficient")
     # time 0 pairs lam with (x of lam, y and z_tilde of lam2)
-    x0, root = np.concatenate([x[:K], x[:K]]), np.zeros(2 * K, dtype=int)
+    x0, root = np.tile(lam[:, 0], 2), np.zeros(2 * K, dtype=int)
     b0 = _level(problem.drift(0, root, x0, y, zt), (2 * K,), "drift")
     s0 = _level(problem.diffusion(0, root, x0, y, zt), (2 * K, N), "diffusion")
     fT = _level(problem.generator(T, leaves, x, y, None), (2 * K,), "generator")
@@ -618,9 +600,17 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     def stacked_norm(u, v, w):  # |u| + |v| + |w| on the stacked map's coordinates
         return np.abs(u) + np.abs(v) + np.sqrt(dots(w, w))
 
-    at_node = [(t, node, lam, lam2) for lam, lam2, t, node, _ in samples]
-    at_leaf = [(T, leaf, lam, lam2) for lam, lam2, _, _, leaf in samples]
-    at_leaf_x = [(T, leaf, lam[0], lam2[0]) for lam, lam2, _, _, leaf in samples]
+    def point(k):  # witnesses, built for the winners only
+        return float(x[k]), float(y[k]), zt[k]
+
+    def at_node(k):
+        return int(ts[k]), int(nodes[k]), point(k), point(K + k)
+
+    def at_leaf(k):
+        return T, int(leaves[k]), point(k), point(K + k)
+
+    def at_leaf_x(k):
+        return T, int(leaves[k]), float(x[k]), float(x[K + k])
 
     with np.errstate(all="ignore"):  # a non-finite value is a sample's estimate
         norm = stacked_norm(dx, dy, dz)
@@ -641,7 +631,7 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
         denom = np.float_power(dy, 2.0) + dots(dz, dz)
         inner = (b0[:K] - b0[K:]) * dy + dots(weighted(s0[:K], m0) - weighted(s0[K:], m0), dz_row)
         mono_0 = _extreme(inner / denom, denom > 0,
-                          [(0, 0, lam, (lam[0], *lam2[1:])) for lam, lam2, *_ in samples])
+                          lambda k: (0, 0, point(k), (float(x[k]), *point(K + k)[1:])))
 
         # horizon clauses: generator without a row argument, terminal map
         dfT, dh, xy = fT[:K] - fT[K:], h[:K] - h[K:], np.abs(dx) + np.abs(dy)

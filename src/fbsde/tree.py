@@ -105,12 +105,13 @@ class ScenarioTree:
             raise NonPositiveProbability(
                 f"transition row (t={t}, node={idx}) has a non-positive entry"
             )
-        sums = table.sum(axis=1)
+        with np.errstate(over="ignore"):  # a sum that overflows is inf, and fails
+            sums = table.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if bad.any():
             k = int(np.argmax(bad))
             t, idx = self.locate(k)
-            raise RowSumMismatch(f"transition row (t={t}, node={idx}) sums to {sums[k]!r}")
+            raise RowSumMismatch(f"transition row (t={t}, node={idx}) sums to {float(sums[k])!r}")
         table.flags.writeable = False
         self.N = N
         self.T = T

@@ -556,6 +556,26 @@ def test_an_overflowing_iterate_stops_without_a_warning(tmp_path, capsys, mode):
     assert captured.err == ""
 
 
+#: (file, error) of a structural coefficient and of a transition row whose
+#: entries are finite but whose sum overflows.
+OVERFLOWING_SUMS = {
+    "C": ({"kind": "linear", "tree": {"N": 2, "T": 2, "transition": "uniform"}, "x0": 1.0,
+           "coefficients": {"G": 1.0, "C": [1e308, 1e308]}},
+          "error: C column must sum to zero at node root\n"),
+    "transition": ({"kind": "linear", "x0": 1.0, "coefficients": {"G": 1.0},
+                    "tree": {"N": 2, "T": 2, "transition": [[1e308, 1e308], [0.5, 0.5], [0.5, 0.5]]}},
+                   "error: tree: transition row (t=0, node=0) sums to inf\n"),
+}
+
+
+@pytest.mark.parametrize("doc, error", OVERFLOWING_SUMS.values(), ids=OVERFLOWING_SUMS.keys())
+def test_a_sum_that_overflows_is_an_error_without_a_warning(tmp_path, capsys, doc, error):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["solve", str(path)]) == 4
+    assert capsys.readouterr() == ("", error)
+
+
 @pytest.mark.parametrize("cell", [True, None, "", [0.1]])
 def test_a_bad_per_node_cell_names_its_field(cell):
     # a level of plain numbers binds as one array; any other cell still
@@ -773,6 +793,7 @@ class TestCli:
         assert report["solution"] is None and report["residuals"] is None
         assert "consider continuation mode" in report["error"]
         assert "best_residual" not in report  # a flat Picard failure keeps none
+        assert report["stats"]["inner_solves"] >= 1  # the work done, not a placeholder
 
     @pytest.mark.parametrize("flags, error", [
         (["--delta", "1", "--max-iter", "3"],
@@ -784,6 +805,11 @@ class TestCli:
         out, err = capsys.readouterr()
         report = json.loads(out)
         assert (report["status"], report["error"], err) == ("no_convergence", error, "")
+        stats = report["stats"]  # the work the stopped run did
+        if "--max-iter" in flags:
+            assert stats["halvings"] == 4 and stats["inner_solves"] > 1
+        else:  # stopped before its first ladder
+            assert (stats["inner_solves"], stats["levels"]) == (0, 0)
 
     @pytest.mark.parametrize("doc", [
         {"kind": "linear", "tree": {"N": 2, "T": 13}, "x0": 1.0, "coefficients": {"G": 1.0}},

@@ -395,16 +395,16 @@ def test_check_assumptions_is_blind_to_call_batching(name, problem, tree):
 
 
 #: (value, (t, node) of the witness) of some clauses of ``row_coupled_file``,
-#: per seed, from the per-sample loop that called one node at a time.
+#: per seed, from ``per_sample_check_assumptions``'s sample-by-sample loop.
 ROW_COUPLED_ESTIMATES = {
-    0: {"lipschitz": (1.1099019610217364, (2, 6)),
-        "monotone_interior": (-0.10432514771935908, (1, 1)),
-        "monotone_initial": (-0.12404426163393757, (0, 0)),
-        "monotone_terminal": (1.0, (3, 15))},
-    1: {"lipschitz": (1.1061238410262522, (2, 0)),
-        "monotone_interior": (-0.09962384972984539, (2, 5)),
-        "monotone_initial": (-0.141489233336045, (0, 0)),
-        "monotone_terminal": (1.0, (3, 2))},
+    0: {"lipschitz": (1.1078893452745013, (2, 3)),
+        "monotone_interior": (-0.09075122242232797, (2, 1)),
+        "monotone_initial": (-0.11490691679745349, (0, 0)),
+        "monotone_terminal": (0.9999999999999998, (3, 3))},
+    1: {"lipschitz": (1.0994135196559318, (1, 0)),
+        "monotone_interior": (-0.10161449100954806, (2, 6)),
+        "monotone_initial": (-0.11813212812687582, (0, 0)),
+        "monotone_terminal": (1.0, (3, 11))},
 }
 
 
@@ -438,37 +438,26 @@ def per_sample_check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     samples: the same draws and coefficient calls, then a loop that keeps
     the first strictly larger (terminal map: smaller) value of each clause."""
     rng = np.random.default_rng(rng_seed)
-    N, T = tree.N, tree.T
-
-    def draw():
-        return (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), rng.uniform(-2, 2, size=N - 1))
-
-    def pair(k):
-        lam = draw()
-        if k % 2 == 0:
-            return lam, draw()
-        other = [lam[0], lam[1], lam[2].copy()]
-        coord = int(rng.integers(0, N + 1))
-        bump = float(rng.uniform(0.1, 1.0))
-        if coord == 0:
-            other[0] += bump
-        elif coord == 1:
-            other[1] += bump
-        else:
-            other[2][coord - 2] += bump
-        return lam, (other[0], other[1], other[2])
-
+    N, T, K = tree.N, tree.T, sample_count
+    lam, lam2 = rng.uniform(-2, 2, (K, N + 1)), rng.uniform(-2, 2, (K, N + 1))
+    odd = np.arange(1, K, 2)
+    coord = rng.integers(0, N + 1, len(odd))
+    lam2[odd] = lam[odd]
+    lam2[odd, coord] += rng.uniform(0.1, 1.0, len(odd))
     have_interior = T >= 2
-    samples = []
-    for k in range(sample_count):
-        lam, lam2 = pair(k)
-        t = node = None
-        if have_interior:
-            t = int(rng.integers(1, T))
-            node = int(rng.integers(0, tree.num_nodes(t)))
-        samples.append((lam, lam2, t, node, int(rng.integers(0, tree.num_nodes(T)))))
+    interior = [(None, None)] * K
+    if have_interior:
+        ts = rng.integers(1, T, K)
+        interior = zip(ts.tolist(), rng.integers(0, N**ts).tolist())
+    leaves = rng.integers(0, N**T, K).tolist()
 
-    K, level = sample_count, nonlinear._level
+    def point(row):  # (x, y, z_tilde)
+        return float(row[0]), float(row[1]), row[2:].copy()
+
+    samples = [(point(lam[k]), point(lam2[k]), t, node, leaves[k])
+               for k, (t, node) in enumerate(interior)]
+
+    level = nonlinear._level
     points = [s[0] for s in samples] + [s[1] for s in samples]
     x, y = np.array([p[0] for p in points]), np.array([p[1] for p in points])
     zt = np.array([p[2] for p in points])

@@ -103,7 +103,7 @@ class TestTransitionTable:
                 table[k, rng.integers(N)] = fault
             with pytest.raises(error) as info:
                 ScenarioTree(N, T, table)
-            assert str(info.value) == message.format(t=t, idx=idx, sum=table.sum(axis=1)[k])
+            assert str(info.value) == message.format(t=t, idx=idx, sum=float(table.sum(axis=1)[k]))
             assert build_tree(N, T).locate(k) == (t, idx)
 
     def test_first_condition_wins_over_lower_level(self):

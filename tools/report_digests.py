@@ -11,26 +11,28 @@ Usage, from the root of a checkout of the repository:
     python3 tools/report_digests.py --seed 1 --compare reports/
 
 Each output gets one line: its label, the sha1 of the report, the exit
-code and the sha1 of standard error.  Each built-in demo (``fbsde.cli.DEMOS``,
-read in a child process) runs in JSON and CSV, a nonlinear one also with
-``--mode picard``, and its document, written into a temporary directory,
-goes through ``oracle`` and ``check``; the ``monotone-family`` document
-also goes through ``oracle`` on each larger tree of ``ORACLE_SIZES``, and
-with ``h`` = -x through ``check`` on each tree of ``CHECK_SIZES``.  The
-linear file of ``SINGULAR_DOC``, on which the certificate and the dense
-oracle disagree, goes through ``solve`` and ``oracle``, and each invalid
-document of ``_fault_documents`` through ``solve``, which pins the error
-text of every check on the transition table and on the structural
-coefficient conditions.  Then every op of each ``bench/workloads.py`` op
-list runs on files that module generates for ``--seed`` into the same
-directory, and every nonlinear file
-of an op list also goes through ``check`` and a ``--mode picard`` solve.
-Every call is a fresh ``python -m fbsde`` process on this checkout's
-``src``.  Running the same command on two checkouts and comparing the
-printed lines shows whether their outputs differ.  With ``--against``,
-a listing saved from an earlier run of the same seed, the tool also does
-that comparison: after printing every line it exits 1, naming each label
-whose line differs or is missing from either listing.
+code and the sha1 of standard error.  Each built-in demo
+(``fbsde.cli.DEMOS``, read in a child process) runs in JSON and CSV, a
+nonlinear one also with ``--mode picard``; ``monotone-family`` also runs
+with each flag set of ``STOPPED_FLAGS``, which stop it with exit 3.  Each
+demo's document, written into a temporary directory, goes through
+``oracle`` and ``check``; the ``monotone-family`` document also goes
+through ``oracle`` on each larger tree of ``ORACLE_SIZES``, and with ``h``
+= -x through ``check`` on each tree of ``CHECK_SIZES``.  The linear file
+of ``SINGULAR_DOC``, on which the certificate and the dense oracle
+disagree, goes through ``solve`` and ``oracle``, and each invalid document
+of ``_fault_documents`` through ``solve``, which pins the error text of
+every check on the transition table and on the structural coefficient
+conditions, an overflowing sum included.  Then every op of each
+``bench/workloads.py`` op list runs on files that module generates for
+``--seed`` into the same directory, and every nonlinear file of an op list
+also goes through ``check`` and a ``--mode picard`` solve.  Every call is
+a fresh ``python -m fbsde`` process on this checkout's ``src``.  Running
+the same command on two checkouts and comparing the printed lines shows
+whether their outputs differ.  With ``--against``, a listing saved from an
+earlier run of the same seed, the tool also does that comparison: after
+printing every line it exits 1, naming each label whose line differs or is
+missing from either listing.
 
 ``--save DIR`` keeps each report in DIR, with an ``index.json`` of each
 label's report file, exit code and standard error.  ``--compare DIR``
@@ -68,6 +70,10 @@ ORACLE_SIZES = ((2, 6), (3, 4))
 #: violated terminal map, h = -x: the demo's own tree, and one of depth 1,
 #: which has no interior clauses.
 CHECK_SIZES = ((2, 3), (3, 1))
+
+#: Flags on which ``demo monotone-family`` stops with exit 3: continuation
+#: after its last halving, and flat Picard after its one level.
+STOPPED_FLAGS = (("--max-iter", "1"), ("--mode", "picard", "--max-iter", "1"))
 
 #: (N, T, singular index) of the ``bench/workloads.linear_doc`` file, drawn
 #: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
@@ -109,6 +115,10 @@ def _fault_documents():
     yield "C_bar column sum t=1 node=1", linear(C_bar=per_node(zeros, [[0.1, 0.0], zero], 7, 2))
     yield "C_hat column sum t=1 node=1", linear(C_hat=per_node(zero, [0.1, 0.1], 14, 1))
     yield "C_hat horizon t=3 node=2", linear(C_hat=per_node(zero, [0.1, -0.1], 14, 8))
+    # finite entries whose sum overflows, on the uniform binary tree of depth 2
+    huge, half = [1e308, 1e308], [0.5, 0.5]
+    yield "tree row sum overflow t=0 node=0", linear({"N": 2, "T": 2, "transition": [huge, half, half]})
+    yield "C column sum overflow t=0 node=0", linear({"N": 2, "T": 2, "transition": "uniform"}, C=huge)
 
 
 def _load_workloads():
@@ -158,6 +168,8 @@ def outputs(seed):
             yield (f"demo {name} {fmt}", *_run(["demo", name, "--format", fmt]))
         if demos[name]["kind"] == "nonlinear":
             yield (f"demo {name} picard", *_run(["demo", name, "--mode", "picard"]))
+    for flags in STOPPED_FLAGS:
+        yield (f"demo monotone-family {' '.join(flags)}", *_run(["demo", "monotone-family", *flags]))
     workloads = _load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(demos):
