@@ -79,10 +79,25 @@ def _number(value, path):
     raise SchemaError(path, f"expected a number, got {value!r}")
 
 
+def _check_numbers(value, path):
+    """Raise SchemaError unless ``value`` is a JSON number or nested lists of them."""
+    if isinstance(value, list):
+        for v in value:
+            _check_numbers(v, path)
+    else:
+        _number(value, path)
+
+
 def _integer(value, path):
     if not _number(value, path).is_integer():
         raise SchemaError(path, f"expected a whole number, got {value!r}")
     return int(value)
+
+
+def _branch_w(N, t, nodes):
+    """The variable w of the depth-t ``nodes``, an index array, as floats:
+    0 at the root, else the node's most recent branch, node % N + 1."""
+    return nodes % N + 1.0 if t else np.zeros(len(nodes))
 
 
 def check_seed(seed):
@@ -99,9 +114,9 @@ def _coefficient(tree, value, times, ndim, path):
     (a scalar, a row of N, an N x N matrix).  A value nested ``ndim`` deep
     is one cell shared by every node; one level deeper it is a flat
     per-node list, level by level.  A shared cell depends on the node only
-    through w, so it is evaluated once per (t, w) and indexed by node % N;
-    without expressions it stays one cell per level.  Shapes are left to
-    LinearCoefficients.
+    through w, so it is evaluated once per (t, w), on the level's first N
+    nodes (w repeats with period N); without expressions it stays one cell
+    per level.  Shapes are left to LinearCoefficients.
     """
     N = tree.N
     parsed = {}
@@ -118,11 +133,9 @@ def _coefficient(tree, value, times, ndim, path):
     if linear_mod._depth(value) == ndim:
         levels = []
         for t in times:
-            vals = [numbers(value, t, w) for w in ([0] if t == 0 else range(1, N + 1))]
-            if parsed:
-                levels.append([vals[i % N] for i in range(tree.num_nodes(t))])
-            else:
-                levels.append(vals[0])
+            w = _branch_w(N, t, np.arange(tree.num_nodes(t)))
+            vals = {wi: numbers(value, t, wi) for wi in w[:N].tolist()}
+            levels.append(list(map(vals.get, w.tolist())) if parsed else vals[w[0]])
         return levels
     total = sum(tree.num_nodes(t) for t in times)
     if not isinstance(value, list) or len(value) != total:
@@ -135,8 +148,8 @@ def _coefficient(tree, value, times, ndim, path):
         cells = value[pos : pos + n]
         level = _plain_level(cells, ndim)
         if level is None:
-            # w is the node's most recent branch, 0 at the root
-            level = [numbers(v, t, i % N + 1 if t else 0) for i, v in enumerate(cells)]
+            w = _branch_w(N, t, np.arange(n)).tolist()
+            level = [numbers(v, t, wi) for v, wi in zip(cells, w)]
         levels.append(level)
         pos += n
     return levels
@@ -168,9 +181,11 @@ def _unknown_keys(block, known, path):
 def _bind_tree(doc):
     block = _require(doc, "tree", "")
     _unknown_keys(block, ("N", "T", "transition"), "tree")
-    N = _require(block, "N", "tree")
-    T = _require(block, "T", "tree")
+    N = _integer(_require(block, "N", "tree"), "tree.N")
+    T = _integer(_require(block, "T", "tree"), "tree.T")
     transition = block.get("transition", "uniform")
+    if isinstance(transition, list):
+        _check_numbers(transition, "tree.transition")
     try:
         return build_tree(N, T, transition)
     except Exception as err:
@@ -272,7 +287,7 @@ def _bind_nonlinear(tree, doc):
         t = float(t)
         if t in memo and memo[t][0] == key:
             return memo[t][1]
-        w = [i % tree.N + 1.0 for i in nodes.tolist()] if t else [0.0] * len(nodes)
+        w = _branch_w(tree.N, t, nodes).tolist()
         if y is None:
             out = [{"t": t, "w": wi, "x": xi} for wi, xi in zip(w, x.tolist())]
         else:
@@ -284,7 +299,7 @@ def _bind_nonlinear(tree, doc):
 
     def level_env(t, nodes, x, y=None, zt=None):
         """The variables of every node as arrays, for ``evaluate_level``."""
-        env = {"t": float(t), "w": nodes % tree.N + 1.0 if t else np.zeros(len(nodes)), "x": x}
+        env = {"t": float(t), "w": _branch_w(tree.N, t, nodes), "x": x}
         if y is not None:
             env["y"] = y
         if zt is not None:
@@ -339,9 +354,9 @@ def _bind_bsde(tree, doc):
     )
     fT_expr = _bind_f_terminal(raw, f_expr, {"t", "y", "w"}, zv)
 
-    # whole-level generators; times 1..T, where w is node % N + 1
+    # whole-level generators, on times 1..T
     def env(t, y):
-        return {"t": float(t), "w": np.arange(len(y)) % tree.N + 1.0, "y": y}
+        return {"t": float(t), "w": _branch_w(tree.N, t, np.arange(len(y))), "y": y}
 
     def generator(t, y, zt):
         e = env(t, y)

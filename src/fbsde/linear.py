@@ -267,10 +267,10 @@ class _SlopePass:
     Beside P (``P_array`` in level order over times 1..T, ``P_levels`` its
     views), the per-node matrices and their level-array certificate it
     keeps, per level t it passed, the slope ``v`` of the child closures
-    X_child = v X + w (the matrix's inverse times the stacked column a),
-    the feedback matrix ``coupling``, the matrices' ``_structure`` and (for
-    t >= 1) the contraction ``theta`` of the child closures, for the later
-    passes.
+    X_child = v X + w (the matrix's inverse times the stacked column a) and
+    the matrices' ``_structure``; and per level t, passed or not, the
+    feedback matrix ``coupling`` and (for t >= 1) the contraction ``theta``
+    of the child closures, views of whole-tree tables, for the later passes.
     """
 
     P_array: np.ndarray
@@ -317,7 +317,7 @@ class RiccatiData:
 
     @property
     def complete(self):
-        return self.certificate.all_invertible and self.gamma_levels[0] is not None
+        return self.certificate.all_invertible
 
     def P(self, tree):
         """P as an adapted process over 1..T (requires a complete recursion)."""
@@ -360,44 +360,27 @@ class Unsolvable:
     riccati: RiccatiData
 
 
-def _script_level(tree, coeffs, t):
-    """Stacked per-branch slope coefficients for every depth-t node.
+def _stack(k, kbar, rows):
+    """k 1 + kbar - (kbar . P) 1 at each non-leaf node: the column that
+    stacking its N branch equations makes of a coefficient k and its
+    increment loading kbar, P the node's transition row.  A matrix kbar
+    (m, N, N), with k (m, N), stacks each of its rows."""
+    return k[..., None] + kbar - np.einsum("n...j,nj->n...", kbar, rows)[..., None]
 
-    Stacking the N branch equations of the forward step turns the scalar
-    coefficient k into a column 1 k + (I - 1 P^T) kbar^T; the Z coupling
-    becomes an N x N matrix.  Returns (a, b, c) with shapes (n, N), (n, N),
-    (n, N, N); ``_script_offset`` stacks (D, D_bar) into d the same way.
-    """
-    Pt = tree.transition[t]
-    A, B = coeffs.A[t], coeffs.B[t]
-    Abar, Bbar = coeffs.A_bar[t], coeffs.B_bar[t]
-    C, Cbar = coeffs.C[t], coeffs.C_bar[t]
-    scr_a = (1.0 + A)[:, None] + Abar - np.einsum("nj,nj->n", Abar, Pt)[:, None]
-    scr_b = B[:, None] + Bbar - np.einsum("nj,nj->n", Bbar, Pt)[:, None]
-    scr_c = (
-        C[:, None, :]
-        + np.swapaxes(Cbar, 1, 2)
-        - np.einsum("nk,njk->nj", Pt, Cbar)[:, None, :]
-    )
-    return scr_a, scr_b, scr_c
+
+def _script(tree, coeffs):
+    """The stacked branch equations of all m non-leaf nodes: the column a
+    of X, (m, N), and the feedback matrix b P^T + c, (m, N, N), through
+    which the child closures feed back; ``_script_offset`` stacks d."""
+    c, rows = coeffs.arrays, tree.rows
+    scr_c = np.swapaxes(_stack(c["C"], c["C_bar"], rows), 1, 2)
+    scr_b = _stack(c["B"], c["B_bar"], rows)
+    return _stack(1.0 + c["A"], c["A_bar"], rows), scr_b[:, :, None] * rows[:, None, :] + scr_c
 
 
 def _script_offset(tree, coeffs):
     """The stacked inhomogeneity column d of every non-leaf node, (m, N)."""
-    Dbar = coeffs.arrays["D_bar"]
-    return coeffs.arrays["D"][:, None] + Dbar - np.einsum("nj,nj->n", Dbar, tree.rows)[:, None]
-
-
-def _coupling_level(tree, t, scr_b, scr_c):
-    """(b P^T + c): the matrix through which next-step closures feed back."""
-    Pt = tree.transition[t]
-    return scr_b[:, :, None] * Pt[:, None, :] + scr_c
-
-
-def _gamma_level(tree, coupling, p_child):
-    """I minus the coupling matrix weighted by the child closure slopes."""
-    eye = np.eye(tree.N)[None, :, :]
-    return eye - coupling * p_child[:, None, :]
+    return _stack(coeffs.arrays["D"], coeffs.arrays["D_bar"], tree.rows)
 
 
 def _structure(gamma):
@@ -442,31 +425,34 @@ def _finite_level(level, what, t):
 def _slope_pass(tree, coeffs):
     """The slopes P, the per-node matrices and their certificate.
 
-    Reads only the tree, A..C_hat and G.  The recursion needs the depth-t
-    matrices inverted to continue below t; it therefore halts at the first
-    level holding a singular matrix.  Each level it reaches adds its ratio
-    and flag arrays to the certificate, and one node id: that of its
+    Reads only the tree, A..C_hat and G.  ``_script``'s tables and theta are
+    built once for the whole tree and cut into levels; the recursion needs
+    the depth-t matrices inverted to continue below t, so it halts at the
+    first level holding a singular matrix.  Each level it reaches adds its
+    ratio and flag arrays to the certificate, and one node id: that of its
     weakest matrix.  A level of P or of the matrices that overflows raises
     NonFiniteSolve before its singular values are taken.
     """
-    T, N = tree.T, tree.N
+    T, N, c = tree.T, tree.N, coeffs.arrays
     P_array = np.zeros(tree.offsets[T + 1] - 1)
     P_views = (None, *tree.views(P_array, range(1, T + 1)))
-    gamma_levels, v_levels, coupling_levels, theta_levels, structure_levels = (
-        [None] * T for _ in range(5))
+    a, coupling = _script(tree, coeffs)
+    # the contraction of the child closures at the nodes of times 1..T-1
+    k = tree.offsets[T] - 1
+    theta = (1.0 - c["B_hat"][:k])[:, None] * tree.rows[1:] - c["C_hat"][:k]
+    coupling.flags.writeable = theta.flags.writeable = False  # shared through the slope memo
+    a_levels, coupling_levels = tree.views(a, range(T)), tree.views(coupling, range(T))
+    theta_levels = (None, *tree.views(theta, range(1, T)))
+    gamma_levels, v_levels, structure_levels = ([None] * T for _ in range(3))
     ratio_levels, ok_levels, weakest = [], [], []
 
     P_views[T][...] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
 
     for t in range(T - 1, -1, -1):
         _finite_level(P_views[t + 1], "the slope P", t + 1)
-        n = tree.num_nodes(t)
-        scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
-        coupling = _coupling_level(tree, t, scr_b, scr_c)
-        P_child = P_views[t + 1].reshape(n, N)
-        gamma = _gamma_level(tree, coupling, P_child)
+        P_child = P_views[t + 1].reshape(-1, N)
+        gamma = gamma_levels[t] = np.eye(N)[None, :, :] - coupling_levels[t] * P_child[:, None, :]
         _finite_level(gamma, "the per-node matrix", t)
-        gamma_levels[t], coupling_levels[t] = gamma, coupling
 
         svals = np.linalg.svd(gamma, compute_uv=False)
         smax, smin = svals[:, 0], svals[:, -1]
@@ -479,17 +465,14 @@ def _slope_pass(tree, coeffs):
         if not ok.all():
             break
         structure_levels[t] = _structure(gamma)
-        v = v_levels[t] = _solve_columns(gamma, structure_levels[t], scr_a)
-        if t >= 1:
-            theta = (1.0 - coeffs.B_hat[t])[:, None] * tree.transition[t] - coeffs.C_hat[t]
-            theta_levels[t] = theta
+        v = v_levels[t] = _solve_columns(gamma, structure_levels[t], a_levels[t])
+        if t:
+            theta = theta_levels[t]
             P_views[t][...] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
 
     # P reaches down to depth t + 1, t the level where the pass ended
     P_levels = (None,) * (t + 1) + P_views[t + 1 :]
-    # the memo shares these arrays with every later solve
-    for lev in (P_array, *P_levels, *gamma_levels, *v_levels, *coupling_levels, *theta_levels,
-                *ratio_levels, *ok_levels):
+    for lev in (P_array, *P_levels, *gamma_levels, *v_levels, *ratio_levels, *ok_levels):
         if lev is not None:
             lev.flags.writeable = False
     certificate = SolvabilityCertificate(
@@ -497,7 +480,7 @@ def _slope_pass(tree, coeffs):
     )
     return _SlopePass(
         P_array, P_levels, tuple(gamma_levels), certificate,
-        tuple(v_levels), tuple(coupling_levels), tuple(theta_levels), tuple(structure_levels),
+        tuple(v_levels), coupling_levels, theta_levels, tuple(structure_levels),
     )
 
 
@@ -715,19 +698,10 @@ def decoupling_coefficients(tree, coeffs, riccati):
         raise SingularCertificate(
             f"singular nodes: {riccati.certificate.singular_nodes}"
         )
-    T, N = tree.T, tree.N
-    slope = [None] * (T + 1)
-    offset = [None] * (T + 1)
-    slope[T] = coeffs.G.copy()
-    offset[T] = coeffs.g.copy()
-    slopes = riccati.slope_pass
-    for t in range(T):
-        n = tree.num_nodes(t)
-        Pt = tree.transition[t]
-        P_child = slopes.P_levels[t + 1].reshape(n, N)
-        p_child = riccati.p_levels[t + 1].reshape(n, N)
-        slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, slopes.v_levels[t])
-        offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.w_levels[t]) + np.einsum(
-            "nj,nj->n", Pt, p_child
-        )
-    return AdaptedProcess(tree, 0, slope), AdaptedProcess(tree, 0, offset)
+    c, m, N = coeffs.arrays, tree.offsets[tree.T], tree.N
+    P, p = (arr.reshape(m, N) for arr in (riccati.slope_pass.P_array, riccati.p_array))
+    v, w = (np.concatenate(levels) for levels in (riccati.slope_pass.v_levels, riccati.w_levels))
+    slope = np.einsum("nj,nj,nj->n", tree.rows, P, v)
+    offset = np.einsum("nj,nj,nj->n", tree.rows, P, w) + np.einsum("nj,nj->n", tree.rows, p)
+    return (AdaptedProcess.from_array(tree, 0, np.concatenate([slope, c["G"]])),
+            AdaptedProcess.from_array(tree, 0, np.concatenate([offset, c["g"]])))

@@ -193,6 +193,31 @@ def test_criterion_05_linear_iff_theorem():
     _announce(5, f"linear iff-theorem ({singular_seen} singular draws)")
 
 
+#: ``bench/workloads.linear_doc(random.Random(0), 2, 2, 1)``: the depth-1
+#: node 2 gets unit Y feedback above leaves with G = 1, so its matrix is
+#: singular, yet the root problem has a unique solution.
+SINGULAR_BELOW_ROOT = {
+    "kind": "linear", "tree": {"N": 2, "T": 2, "transition": [0.4595, 0.5405]}, "x0": 1.324845,
+    "coefficients": {
+        "A": [0.068884, 0.051591, -0.015886], "B": [-0.048217, 0.002255, 1.0],
+        "D": [0.283799, -0.196687, -0.023403],
+        "D_bar": [[0.033353, 0.163245], [0.001875, -0.087265], [0.0, 0.0]],
+        "A_hat": [-0.049899, 0.081949, 0.096557, 0.062043, 0.0, 0.0],
+        "B_hat": [0.045966, 0.079768, 0.036797, -0.005571, 0.0, 0.0],
+        "D_hat": "0.141633*w - 0.04652*t",
+        "G": [1.466606, 0.97701, 1.0, 1.0], "g": [0.305028, 0.048699, -0.485958, 0.219705],
+    },
+}
+
+
+@pytest.mark.xfail(strict=True, reason="solve exits 2 on a singular node below the root "
+                   "that the root problem does not need (ROADMAP item 1)")
+def test_solve_and_oracle_agree_on_a_singular_node_below_the_root(tmp_path, capsys):
+    path = tmp_path / "singular-below-root.json"
+    path.write_text(json.dumps(SINGULAR_BELOW_ROOT))
+    assert run_cli(["solve", str(path)]) == run_cli(["oracle", str(path)])
+
+
 def test_criterion_06_singular_detection(tmp_path, capsys):
     assert run_cli(["demo", "singular-gamma"]) == 2
     report = json.loads(capsys.readouterr().out)

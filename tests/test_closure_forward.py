@@ -33,13 +33,13 @@ def resolving_forward(tree, coeffs, x0):
     ric = riccati_backward(tree, coeffs)
     T, N, m = tree.T, tree.N, tree.offsets[tree.T]
     d = tree.views(linear._script_offset(tree, coeffs), range(T))
+    a = tree.views(linear._script(tree, coeffs)[0], range(T))
     X = np.empty(tree.offsets[T + 1])
     X[0] = x0
     X_levels = tree.views(X, range(T + 1))
     for t in range(T):
-        scr_a, _, _ = linear._script_level(tree, coeffs, t)
         p_child = ric.p_levels[t + 1].reshape(-1, N)
-        rhs = (scr_a * X_levels[t][:, None] + d[t]
+        rhs = (a[t] * X_levels[t][:, None] + d[t]
                + np.einsum("nij,nj->ni", ric.slope_pass.coupling_levels[t], p_child))
         X_levels[t + 1][...] = np.linalg.solve(ric.gamma_levels[t], rhs[:, :, None]).ravel()
     lam = (ric.slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)

@@ -381,6 +381,17 @@ def test_certificate_payload_on_halted_recursion():
 LINEAR_DOC = DEMOS["partially-coupled"]
 NONLINEAR_DOC = DEMOS["monotone-family"]
 BSDE_DOC = {"kind": "bsde", "tree": {"N": 2, "T": 1, "transition": "uniform"}, "terminal": [1.0, 2.0]}
+#: Tree blocks with an N, T or transition cell that is not a JSON number
+#: of the right kind, and the field the error names.  ``int`` or numpy
+#: would read each as a number, and a file of shared cells would solve.
+BAD_TREES = {
+    "tree-N-fraction": ({"N": 2.5, "T": 3}, "tree.N"),
+    "tree-N-string": ({"N": "2", "T": 3}, "tree.N"),
+    "tree-T-boolean": ({"N": 2, "T": True}, "tree.T"),
+    "tree-T-fraction": ({"N": 2, "T": 2.9}, "tree.T"),
+    "tree-transition-strings": (
+        {"N": 2, "T": 3, "transition": ["0.5", "0.5"]}, "tree.transition"),
+}
 MALFORMED = {
     "x0-string": ("solve", LINEAR_DOC | {"x0": "abc"}, []),
     "x0-null": ("solve", LINEAR_DOC | {"x0": None}, []),
@@ -408,6 +419,8 @@ MALFORMED = {
     "seed-check": ("check", NONLINEAR_DOC, ["--seed", "-1"]),
     "seed-oracle": ("oracle", NONLINEAR_DOC, ["--seed", "-1"]),
     "seed-file": ("check", NONLINEAR_DOC | {"options": {"seed": -1}}, []),
+    **{label: ("solve", minimal_special_doc() | {"tree": tree}, [])
+       for label, (tree, _) in BAD_TREES.items()},
 }
 
 
@@ -419,6 +432,13 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tree, field", BAD_TREES.values(), ids=BAD_TREES.keys())
+def test_a_bad_tree_cell_names_its_field(tree, field):
+    with pytest.raises(SchemaError) as err:
+        bind_problem(minimal_special_doc() | {"tree": tree})
+    assert err.value.field == field
 
 
 TREE_2_3 = {"N": 2, "T": 3, "transition": "uniform"}

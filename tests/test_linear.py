@@ -28,7 +28,7 @@ from fbsde import (
     solve_special,
     special_coefficients,
 )
-from fbsde.linear import _script_level, _script_offset
+from fbsde.linear import SINGULAR_RATIO, _script, _script_offset, _solve_columns, _structure
 
 TOL = 1e-12
 SOLVER_TOL = 1e-10
@@ -44,29 +44,168 @@ class TestScriptCoeffs:
     def test_all_zero(self):
         tree = uniform_tree(3, 1)
         coeffs = LinearCoefficients(tree)
-        a, b, c = _script_level(tree, coeffs, 0)
+        a, coupling = _script(tree, coeffs)
         np.testing.assert_allclose(a[0], np.ones(3), atol=TOL)
-        np.testing.assert_allclose(b[0], np.zeros(3), atol=TOL)
-        np.testing.assert_allclose(c[0], np.zeros((3, 3)), atol=TOL)
+        np.testing.assert_allclose(coupling[0], np.zeros((3, 3)), atol=TOL)
         np.testing.assert_allclose(_script_offset(tree, coeffs)[0], np.zeros(3), atol=TOL)
 
     def test_plain_drift(self):
         tree = uniform_tree(2, 1)
-        a, _, _ = _script_level(tree, LinearCoefficients(tree, A=1.0), 0)
+        a, _ = _script(tree, LinearCoefficients(tree, A=1.0))
         np.testing.assert_allclose(a[0], 2.0 * np.ones(2), atol=TOL)
 
     def test_plain_feedback(self):
         tree = uniform_tree(2, 1)
-        _, b, _ = _script_level(tree, LinearCoefficients(tree, B=-1.0), 0)
-        np.testing.assert_allclose(b[0], -np.ones(2), atol=TOL)
+        _, coupling = _script(tree, LinearCoefficients(tree, B=-1.0))
+        # b = -1 on every branch, fed back through the transition row
+        np.testing.assert_allclose(coupling[0], -np.outer(np.ones(2), tree.rows[0]), atol=TOL)
 
     def test_barred_row_is_centered(self):
         rng = np.random.default_rng(0)
         tree = random_tree(rng, 4, 1)
         row = rng.normal(size=4)
-        a, _, _ = _script_level(tree, LinearCoefficients(tree, A_bar=row), 0)
+        a, _ = _script(tree, LinearCoefficients(tree, A_bar=row))
         expect = 1.0 + row - row @ tree.transition[0][0]
         np.testing.assert_allclose(a[0], expect, atol=TOL)
+
+
+# The per-level backward pass that ``_script`` and the whole-tree
+# ``decoupling_coefficients`` replace, kept as their bit-level reference.
+
+
+def reference_script_level(tree, coeffs, t):
+    """Stacked per-branch slope coefficients (a, b, c) of every depth-t node."""
+    Pt = tree.transition[t]
+    A, B = coeffs.A[t], coeffs.B[t]
+    Abar, Bbar = coeffs.A_bar[t], coeffs.B_bar[t]
+    C, Cbar = coeffs.C[t], coeffs.C_bar[t]
+    scr_a = (1.0 + A)[:, None] + Abar - np.einsum("nj,nj->n", Abar, Pt)[:, None]
+    scr_b = B[:, None] + Bbar - np.einsum("nj,nj->n", Bbar, Pt)[:, None]
+    scr_c = (
+        C[:, None, :]
+        + np.swapaxes(Cbar, 1, 2)
+        - np.einsum("nk,njk->nj", Pt, Cbar)[:, None, :]
+    )
+    return scr_a, scr_b, scr_c
+
+
+def reference_coupling_level(tree, t, scr_b, scr_c):
+    return scr_b[:, :, None] * tree.transition[t][:, None, :] + scr_c
+
+
+def reference_gamma_level(tree, coupling, p_child):
+    return np.eye(tree.N)[None, :, :] - coupling * p_child[:, None, :]
+
+
+def reference_theta_level(tree, coeffs, t):
+    return (1.0 - coeffs.B_hat[t])[:, None] * tree.transition[t] - coeffs.C_hat[t]
+
+
+def reference_slope_pass(tree, coeffs):
+    """(P levels, gamma levels, v levels, ratio levels) of the per-level
+    recursion, from T-1 down to the first level with a singular matrix."""
+    T, N = tree.T, tree.N
+    P = [None] * (T + 1)
+    P[T] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
+    gammas, vs, ratio_levels = [None] * T, [None] * T, []
+    for t in range(T - 1, -1, -1):
+        n = tree.num_nodes(t)
+        scr_a, scr_b, scr_c = reference_script_level(tree, coeffs, t)
+        coupling = reference_coupling_level(tree, t, scr_b, scr_c)
+        P_child = P[t + 1].reshape(n, N)
+        gamma = gammas[t] = reference_gamma_level(tree, coupling, P_child)
+        svals = np.linalg.svd(gamma, compute_uv=False)
+        smax, smin = svals[:, 0], svals[:, -1]
+        ratios = np.where(smax > 0.0, smin / np.where(smax > 0.0, smax, 1.0), 0.0)
+        ratio_levels.append(ratios)
+        if not ((smax > 0.0) & (ratios > SINGULAR_RATIO)).all():
+            break
+        v = vs[t] = _solve_columns(gamma, _structure(gamma), scr_a)
+        if t >= 1:
+            theta = reference_theta_level(tree, coeffs, t)
+            P[t] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
+    return P, gammas, vs, ratio_levels
+
+
+def reference_decoupling(tree, coeffs, riccati):
+    """(slope, offset) levels of the per-level decoupling maps."""
+    T, N = tree.T, tree.N
+    slope, offset = [None] * T + [coeffs.G.copy()], [None] * T + [coeffs.g.copy()]
+    for t in range(T):
+        n = tree.num_nodes(t)
+        Pt = tree.transition[t]
+        P_child = riccati.P_levels[t + 1].reshape(n, N)
+        p_child = riccati.p_levels[t + 1].reshape(n, N)
+        slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.slope_pass.v_levels[t])
+        offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.w_levels[t]) + np.einsum(
+            "nj,nj->n", Pt, p_child
+        )
+    return slope, offset
+
+
+def halted_at(tree, coeffs, s):
+    """``coeffs`` with a singular matrix at node 0 of depth s: no Z or
+    increment feedback at depth s, and B there set so that the matrix
+    I - b 1 (q * P_child)^T kills the all-ones direction."""
+    P_child = riccati_backward(tree, coeffs).P_levels[s + 1][: tree.N]
+    B = [lev.copy() for lev in coeffs.B]
+    B[s][0] = 1.0 / (tree.transition[s][0] @ P_child)
+    zero = {name: [np.zeros_like(lev) if t == s else lev
+                   for t, lev in enumerate(getattr(coeffs, name))]
+            for name in ("B_bar", "C", "C_bar")}
+    return replace_fields(coeffs, B=B, **zero)
+
+
+def assert_same_bytes(mine, ref):
+    assert len(mine) == len(ref)
+    for a, b in zip(mine, ref):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWholeTreeTables:
+    """``_script``, theta, the slope recursion and ``decoupling_coefficients``
+    give the bits of the per-level code above, on random trees and random
+    coefficients, complete and halted at a singular level."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("halted", [False, True], ids=["complete", "halted"])
+    def test_equal_to_the_per_level_code(self, N, T, halted):
+        for seed in range(3):
+            rng = np.random.default_rng([N, T, seed])
+            tree = random_tree(rng, N, T)
+            coeffs = random_linear_coeffs(rng, tree, scale=0.5)
+            if halted:
+                s = int(rng.integers(0, T))
+                if riccati_backward(tree, coeffs).P_levels[s + 1] is None:
+                    s = T - 1
+                coeffs = halted_at(tree, coeffs, s)
+            a, coupling = _script(tree, coeffs)
+            for t, (a_t, coupling_t) in enumerate(zip(tree.views(a, range(T)),
+                                                      tree.views(coupling, range(T)))):
+                scr_a, scr_b, scr_c = reference_script_level(tree, coeffs, t)
+                assert_same_bytes([a_t, coupling_t],
+                                  [scr_a, reference_coupling_level(tree, t, scr_b, scr_c)])
+            ric = riccati_backward(tree, coeffs)
+            slopes = ric.slope_pass
+            assert_same_bytes(slopes.theta_levels[1:],
+                              [reference_theta_level(tree, coeffs, t) for t in range(1, T)])
+            P, gammas, vs, ratios = reference_slope_pass(tree, coeffs)
+            assert_same_bytes(slopes.P_levels, P)
+            assert_same_bytes(slopes.gamma_levels, gammas)
+            assert_same_bytes(slopes.v_levels, vs)
+            assert_same_bytes(slopes.certificate.ratios, ratios)
+            if halted:
+                assert not ric.complete
+                assert slopes.certificate.singular_nodes[0] == tree.node_id(s, 0)
+                assert slopes.gamma_levels[s] is not None and vs[s] is None
+            else:
+                assert ric.complete
+                slope, offset = decoupling_coefficients(tree, coeffs, ric)
+                slope_ref, offset_ref = reference_decoupling(tree, coeffs, ric)
+                assert_same_bytes([*slope.levels, *offset.levels], slope_ref + offset_ref)
 
 
 class TestRiccati:
@@ -138,14 +277,11 @@ class TestRiccati:
         ric = riccati_backward(tree, coeffs)
         if not ric.certificate.all_invertible:
             pytest.skip("random instance was singular")
-        from fbsde.linear import _coupling_level, _gamma_level, _script_level
-
+        coupling = tree.views(_script(tree, coeffs)[1], range(3))
         for t in range(3):
-            _, scr_b, scr_c = _script_level(tree, coeffs, t)
-            coupling = _coupling_level(tree, t, scr_b, scr_c)
             P_child = ric.P_levels[t + 1].reshape(tree.num_nodes(t), 2)
             np.testing.assert_allclose(
-                _gamma_level(tree, coupling, P_child), ric.gamma_levels[t], atol=TOL
+                np.eye(2) - coupling[t] * P_child[:, None, :], ric.gamma_levels[t], atol=TOL
             )
 
 
@@ -421,13 +557,11 @@ class TestDecoupling:
             sol = solve_linear(tree, coeffs, float(rng.normal()))
             N = tree.N
             offsets = _script_offset(tree, coeffs)
+            scr_a, scr_coupling = _script(tree, coeffs)
             for t in range(tree.T):
-                Pt = tree.transition[t]
-                scr_a, scr_b, scr_c = _script_level(tree, coeffs, t)
                 for node in range(tree.num_nodes(t)):
-                    a, b, c = scr_a[node], scr_b[node], scr_c[node]
-                    d = offsets[tree.offsets[t] + node]
-                    coupling = np.outer(b, Pt[node]) + c
+                    k = tree.offsets[t] + node
+                    a, coupling, d = scr_a[k], scr_coupling[k], offsets[k]
                     gamma = ric.gamma_levels[t][node]
                     P_child = ric.P_levels[t + 1][node * N : (node + 1) * N]
                     p_child = ric.p_levels[t + 1][node * N : (node + 1) * N]

@@ -248,7 +248,7 @@ def test_the_whole_tree_newton_residual_is_the_per_level_one_bit_for_bit(seed, N
 
 def test_the_linear_verdict_does_not_use_the_recursive_solver(monkeypatch):
     # the oracle states the equations itself: no certificate, recursive
-    # solve or scripted level of fbsde.linear takes part in its verdict
+    # solve or stacked branch equation of fbsde.linear takes part in its verdict
     def unused(*args, **kwargs):
         pytest.fail("the dense oracle called the recursive solver")
 
@@ -257,7 +257,7 @@ def test_the_linear_verdict_does_not_use_the_recursive_solver(monkeypatch):
     coeffs = random_linear_coeffs(rng, tree, scale=0.4)
     expected = solve_linear(tree, coeffs, 0.3)
     singular = LinearCoefficients(uniform_tree(2, 1), B=1.0, G=1.0)
-    for name in ("riccati_backward", "solve_linear", "_script_level"):
+    for name in ("riccati_backward", "solve_linear", "_script"):
         monkeypatch.setattr(linear, name, unused)
     verdict = linear_oracle(tree, coeffs, 0.3)
     assert isinstance(verdict, UniqueSolution)

@@ -20,7 +20,8 @@ demo's document, written into a temporary directory, goes through
 through ``oracle`` on each larger tree of ``ORACLE_SIZES``, and with ``h``
 = -x through ``check`` on each tree of ``CHECK_SIZES``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
-disagree, goes through ``solve`` and ``oracle``, and each invalid document
+disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
+of a pass halted below the root), and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
 conditions, an overflowing sum included.  Then every op of each
@@ -197,7 +198,7 @@ def outputs(seed):
         doc = workloads.linear_doc(random.Random(seed), N, T, index)
         path = Path(tmp) / f"singular-linear-{N}-{T}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for command in ("solve", "oracle"):
+        for command in ("solve", "oracle", "check"):
             yield (f"{command} singular linear N={N} T={T}", *_run([command, str(path)]))
         for k, (label, doc) in enumerate(_fault_documents()):
             path = Path(tmp) / f"fault-{k}.json"
