@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GeneratorEvaluationError, ShapeMismatch
 from .martingale import canonicalize, tilde_contract, worst_defects
-from .tree import AdaptedProcess, ScenarioTree, _process_array
+from .tree import AdaptedProcess, ScenarioTree, _level, _process_array
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,10 @@ class BsdeProblem:
     (N-1)-column contraction of each node's next-step row, shape (n, N-1)
     or (n, K, N-1), so the generator cannot tell equivalent rows apart.
     ``terminal_generator(y)`` is the time-T term over the leaves and takes
-    no row argument.  Each returns the level's values, shaped like ``y``,
-    or one value for every node.  Either may be None, meaning zero.
+    no row argument.  Each returns the level's values, shaped like ``y``;
+    an output that broadcasts to that shape (one value, or with K-valued
+    ``y`` one row of K values) stands for every node.  Either may be None,
+    meaning zero.
     """
 
     terminal: np.ndarray
@@ -97,15 +99,7 @@ def _generator_level(tree, problem, t, y_level, z_levels, scalar, K):
     else:
         zt = tilde_contract(z_levels[t])
         value = fn(t, y, zt[:, 0, :] if scalar else zt)
-    out = np.asarray(value, dtype=float)
-    if out.ndim == 0:
-        out = np.full((n, K), out)
-    elif scalar and out.shape == (n,):
-        out = out[:, None]
-    if out.shape != (n, K):
-        raise ShapeMismatch(
-            f"generator at t={t} returned shape {out.shape}, expected {y.shape}"
-        )
+    out = _level(value, y.shape, f"generator at t={t}").reshape(n, K)
     if not np.isfinite(out).all():
         node = int(np.argmin(np.isfinite(out).all(axis=1)))
         raise GeneratorEvaluationError(f"generator at (t={t}, node={node}) is not finite")

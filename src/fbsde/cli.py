@@ -1,8 +1,9 @@
 """Command-line interface: solve, oracle, check, and built-in demos.
 
-Exit codes: 0 solved (or diagnostics satisfied), 2 certified unsolvable or
-violated, 3 no convergence, 4 input error (a problem over an oracle's size
-limit included).
+Exit codes: 0 solved (or diagnostics satisfied, or ``--help``), 2 certified
+unsolvable or violated, 3 no convergence, 4 input error (a usage error, such
+as an unknown flag, a malformed flag value or an unknown demo, and a problem
+over an oracle's size limit included).
 """
 
 from __future__ import annotations
@@ -235,12 +236,6 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
     return _solved(report, tree, sol, sol.residuals)
 
 
-def _estimate(est):
-    if est is None:
-        return None
-    return est.value
-
-
 def _check_loaded(loaded: pio.LoadedProblem):
     tree = loaded.tree
     report = _new_report(loaded)
@@ -256,14 +251,10 @@ def _check_loaded(loaded: pio.LoadedProblem):
     diag = nonlinear.check_assumptions(
         tree, loaded.data, sample_count=200, rng_seed=loaded.seed
     )
+    # each clause's estimate under its field name, in field order
     report["diagnostics"] = {
-        "lipschitz": _estimate(diag.lipschitz),
-        "lipschitz_terminal": _estimate(diag.lipschitz_terminal),
-        "lipschitz_generator_T": _estimate(diag.lipschitz_generator_T),
-        "monotone_interior": _estimate(diag.monotone_interior),
-        "monotone_initial": _estimate(diag.monotone_initial),
-        "monotone_generator_T": _estimate(diag.monotone_generator_T),
-        "monotone_terminal": _estimate(diag.monotone_terminal),
+        **{clause: None if est is None else est.value for clause, est in vars(diag).items()
+           if clause not in ("satisfied", "violations")},
         "violations": [name for name, _ in diag.violations],
     }
     report["status"] = "satisfied" if diag.satisfied else "violated"
@@ -281,8 +272,12 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    """Entry point used by tests; returns the exit code."""
-    args = _build_parser().parse_args(argv)
+    """Entry point used by tests; returns the exit code, a usage error's
+    included, and never raises SystemExit."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exit_.code == 0 else EXIT_INPUT
     try:
         # a demo binds a built-in document, every other command a file
         loaded = (pio.bind_problem(DEMOS[args.name]) if args.command == "demo"

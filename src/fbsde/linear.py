@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     SingularCertificate,
 )
-from .martingale import worst_defects
+from .martingale import canonicalize, worst_defects
 from .tree import AdaptedProcess, NodeId, ScenarioTree, _process_array
 
 #: Zero-sum validation tolerance for the structural coupling conditions.
@@ -572,7 +572,7 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     lam = (slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)
     Y = np.concatenate([np.einsum("nj,nj->n", tree.rows, lam),
                         _terminal(coeffs.arrays, slice(None), X[m:])])
-    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, Y, lam - lam[:, -1:]))
+    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, Y, canonicalize(lam)))
     report = linear_residuals(tree, coeffs, X, Y, Z)
     if not (np.isfinite(report.forward) and np.isfinite(report.backward)):
         raise NonFiniteSolve(f"the solution overflowed: residuals forward {report.forward}, "
@@ -626,18 +626,6 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     return ResidualReport(*worst_defects(tree, X, Y, Z, b, sigma, f))
 
 
-def _extended_contraction_matrix(N):
-    """The N x N matrix sending a row to its canonical form (zero last column).
-
-    Columns 1..N-1 are e_j - e_N, the last column is zero, so every column
-    sums to zero and row products with increments are unchanged.
-    """
-    mat = np.zeros((N, N))
-    mat[:N - 1, :N - 1] = np.eye(N - 1)
-    mat[N - 1, :N - 1] = -1.0
-    return mat
-
-
 def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> LinearCoefficients:
     """Coefficients of the self-coupled inhomogeneous form.
 
@@ -650,7 +638,9 @@ def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> Linear
         tree,
         B=-1.0,
         A_hat=-1.0,
-        C_bar=-_extended_contraction_matrix(tree.N),
+        # the rows of the identity's canonical form: a row times it is the
+        # row's canonical form, and every column sums to zero
+        C_bar=-canonicalize(np.eye(tree.N)),
         G=1.0,
         D=D,
         D_bar=D_bar,

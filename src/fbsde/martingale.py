@@ -4,10 +4,11 @@ The centered one-step increments e_i - P carry all the randomness of the
 driving process; a row Z acts on them by dot product.  Rows differing by a
 constant shift act identically on every increment, so the canonical form
 zeros the last entry and the N-1 entry differences Z_j - Z_N are the free
-coordinates.  ``forward_defect`` and ``backward_defect`` state the two
-equations branch by branch for any set of nodes, and ``worst_defects``
-reduces them over a whole solution at once, in the tree's level order:
-every reported residual comes from it.
+coordinates; this module is the one place that maps between a row, its
+canonical form and its free coordinates.  ``forward_defect`` and
+``backward_defect`` state the two equations branch by branch for any set
+of nodes, and ``worst_defects`` reduces them over a whole solution at
+once, in the tree's level order: every reported residual comes from it.
 All functions are pure and operate on immutable inputs.
 """
 
@@ -108,6 +109,12 @@ def tilde_contract(z):
     """Free coordinates of a row: entry j is Z_j - Z_N (last axis)."""
     z = np.asarray(z, dtype=float)
     return z[..., :-1] - z[..., -1:]
+
+
+def _canonical_rows(z_tilde):
+    """The canonical rows (z_tilde, 0) whose free coordinates are ``z_tilde``
+    (last axis): the inverse of ``tilde_contract`` on canonical rows."""
+    return np.concatenate([z_tilde, np.zeros(z_tilde.shape[:-1] + (1,))], axis=-1)
 
 
 def equivalent(z1, z2, tol=EQUIV_TOL):

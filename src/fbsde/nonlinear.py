@@ -26,12 +26,11 @@ from .errors import (
     NonFiniteInput,
     NonFiniteIterate,
     NonFiniteSolve,
-    ShapeMismatch,
     StepUnderflow,
 )
 from .linear import FbsdeSolution, ResidualReport
-from .martingale import second_moments, tilde_contract, worst_defects
-from .tree import AdaptedProcess, _process_array
+from .martingale import _canonical_rows, second_moments, tilde_contract, worst_defects
+from .tree import AdaptedProcess, _level, _process_array
 
 #: A level aborts early once increments blow past this multiple of their
 #: starting size; the remaining budget cannot recover from there.
@@ -159,11 +158,6 @@ def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
     return _blended(problem, alpha)
 
 
-def _canonical_rows(zt):
-    """The rows (z_tilde, 0) with contractions ``zt``; negated, the linear form's diffusion."""
-    return np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
-
-
 def _blended(problem, alpha, inhom=None, tree=None):
     """Blend with optional per-node inhomogeneities of ``tree`` folded in,
     by the formula a*v + (1-a)*lin + inhom of ``_blended_residual``."""
@@ -264,15 +258,6 @@ def increment_norm_sq(tree, prev: _Iterate, cur: _Iterate) -> float:
 
 #: The node indices 0..n-1 of a whole level, built once per size, read-only.
 _nodes = functools.cache(lambda n: np.broadcast_to(np.arange(n), (n,)))
-
-
-def _level(value, shape, name):
-    """A level as a float array of ``shape``; a single value stands for every node."""
-    arr = np.asarray(value, dtype=float)
-    try:
-        return arr if arr.shape == shape else np.broadcast_to(arr, shape)
-    except ValueError:
-        raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}") from None
 
 
 def _coefficient_levels(tree, problem, X, Y, zt):
@@ -614,7 +599,7 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
 
     with np.errstate(all="ignore"):  # a non-finite value is a sample's estimate
         norm = stacked_norm(dx, dy, dz)
-        dz_row = np.concatenate([dz, np.zeros((K, 1))], axis=1)  # (dz, 0): rows are canonical
+        dz_row = _canonical_rows(dz)  # the raw row difference: rows are canonical
         lip = mono_int = None
         if have_interior:
             moments = second_moments(tree.rows[np.asarray(tree.offsets)[ts[:K]] + nodes[:K]])

@@ -21,14 +21,11 @@ import numpy as np
 from .bsde import BsdeProblem, solve_bsde
 from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, ProblemTooLarge,
                      ShapeMismatch)
-from .linear import FbsdeSolution, LinearCoefficients, _check_tree, linear_residuals
-from .martingale import forward_defect, tilde_contract
-from .nonlinear import _finish, _Iterate, _level
-from .tree import AdaptedProcess, ScenarioTree
-
-#: Rank decisions use the same scale-free singular-value threshold as the
-#: per-node certificate, keeping iff-comparisons apples-to-apples.
-RANK_RATIO = 1e-10
+from .linear import (SINGULAR_RATIO, FbsdeSolution, LinearCoefficients, _check_tree,
+                     linear_residuals)
+from .martingale import _canonical_rows, forward_defect, tilde_contract
+from .nonlinear import _finish, _Iterate
+from .tree import AdaptedProcess, ScenarioTree, _level
 
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
@@ -129,8 +126,7 @@ def _solution_from_vector(tree, coeffs, x0, vec):
     """The triple in ``vec``: X with x0 in front, Y, and Z's canonical rows."""
     N, n, m = tree.N, tree.offsets[-1], tree.offsets[-2]
     X = np.concatenate([[float(x0)], vec[: n - 1]])
-    Z = np.zeros((m, N))
-    Z[:, : N - 1] = vec[2 * n - 1 :].reshape(m, N - 1)
+    Z = _canonical_rows(vec[2 * n - 1 :].reshape(m, N - 1))
     X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, vec[n - 1 : 2 * n - 1], Z))
     return FbsdeSolution(X, Y, Z, linear_residuals(tree, coeffs, X, Y, Z))
 
@@ -152,7 +148,8 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     mat, rhs = _assemble(tree, coeffs, x0)
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > RANK_RATIO * smax)) if smax > 0.0 else 0
+    # the certificate's scale-free threshold, so both verdicts rank alike
+    rank = int(np.sum(svals > SINGULAR_RATIO * smax)) if smax > 0.0 else 0
     if rank == size:
         vec = np.linalg.solve(mat, rhs)
         return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec), rank, size)

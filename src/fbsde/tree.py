@@ -222,28 +222,10 @@ class AdaptedProcess:
             raise MissingValue("a process needs at least one level")
         if start + len(levels) - 1 > tree.T:
             raise MissingValue("process extends past the horizon")
-        arrays = []
-        shape = None
-        for k, lev in enumerate(levels):
-            arr = np.asarray(lev, dtype=float)
-            n = tree.num_nodes(start + k)
-            if arr.ndim == 0:
-                arr = np.full(n, float(arr))
-            if arr.shape[0] != n:
-                raise ShapeMismatch(
-                    f"level {start + k} has {arr.shape[0]} values, expected {n}"
-                )
-            if shape is None:
-                shape = arr.shape[1:]
-            elif arr.shape[1:] != shape:
-                raise ShapeMismatch(
-                    f"level {start + k} value shape {arr.shape[1:]} != {shape}"
-                )
-            arrays.append(arr)
-        flat = np.empty((sum(map(len, arrays)),) + shape)
-        for view, arr in zip(tree.views(flat, range(start, start + len(arrays))), arrays):
-            view[...] = arr
-        self._adopt(tree, start, flat)
+        times = range(start, start + len(levels))
+        levels = [np.full(tree.num_nodes(t), float(lev)) if np.ndim(lev) == 0 else lev
+                  for t, lev in zip(times, levels)]
+        self._adopt(tree, start, np.concatenate(_process_levels(tree, levels, times, "process")))
 
     @classmethod
     def from_array(cls, tree, start, flat):
@@ -292,16 +274,27 @@ def _level_values(tree, process, t):
     return arr
 
 
+def _level(value, shape, name):
+    """A level as a float array of ``shape``; a single value, or any value
+    that broadcasts to ``shape``, stands for every node."""
+    arr = np.asarray(value, dtype=float)
+    try:
+        return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+    except ValueError:
+        raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}") from None
+
+
 def _process_levels(tree, values, times, name, cell=None):
-    """The depth-t arrays, for t in ``times``, of a process or of a list of
-    levels indexed by time.  Raises ShapeMismatch for a missing level or a
-    level without one value per node (of shape ``cell``, when given, else
-    of the first level's value shape)."""
-    if not isinstance(values, AdaptedProcess) and len(values) < times.stop:
-        raise ShapeMismatch(f"{name} has {len(values)} levels, expected {times.stop}")
+    """The depth-t arrays, for t in ``times``, of a process or of a sequence
+    of levels, the first at depth ``times.start``.  Raises ShapeMismatch
+    for a missing level or a level without one value per node (of shape
+    ``cell``, when given, else of the first level's value shape)."""
+    if not isinstance(values, AdaptedProcess) and len(values) < len(times):
+        raise ShapeMismatch(f"{name} has {len(values)} levels, expected {len(times)}")
     out = []
     for t in times:
-        lev = values.level(t) if isinstance(values, AdaptedProcess) else np.asarray(values[t], dtype=float)
+        lev = (values.level(t) if isinstance(values, AdaptedProcess)
+               else np.asarray(values[t - times.start], dtype=float))
         want = (tree.num_nodes(t),) + (lev.shape[1:] if cell is None else cell)
         if lev.shape != want:
             raise ShapeMismatch(f"{name} level {t} has shape {lev.shape}, expected {want}")

@@ -220,6 +220,18 @@ def test_level_generator_output_is_checked():
     # one value serves the whole level
     Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones(4), terminal_generator=lambda y: 0.5))
     np.testing.assert_allclose(Y.level(0), [1.5], atol=TOL)
+    # so does an output that broadcasts to it: a length-1 array, bit for bit
+    Y1, Z1 = solve_bsde(tree, BsdeProblem(terminal=np.ones(4),
+                                          generator=lambda t, y, zt: np.array([0.25]),
+                                          terminal_generator=lambda y: np.array([0.5])))
+    Y0, Z0 = solve_bsde(tree, BsdeProblem(terminal=np.ones(4), generator=lambda t, y, zt: 0.25,
+                                          terminal_generator=lambda y: 0.5))
+    assert Y1.array.tobytes() == Y0.array.tobytes() and Z1.array.tobytes() == Z0.array.tobytes()
+    np.testing.assert_allclose(Y1.level(0), [1.75], atol=TOL)
+    # and one row of K values serves every node of a K-valued level
+    Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 2)),
+                                        terminal_generator=lambda y: np.array([0.5, 1.0])))
+    np.testing.assert_allclose(Y.level(0), [[1.5, 2.0]], atol=TOL)
 
 
 @settings(max_examples=60, deadline=None)

@@ -644,6 +644,19 @@ class TestCli:
         again = verify_report(loaded, report)
         assert again["backward"] == report["residuals"]["backward"]
 
+    @pytest.mark.parametrize("flags, code", [(["solve", "FILE", "--bogus"], 4),
+                                             (["solve", "FILE", "--max-iter", "abc"], 4),
+                                             (["demo", "nosuch"], 4), ([], 4), (["--help"], 0)])
+    def test_a_usage_error_is_an_input_error(self, tmp_path, capsys, flags, code):
+        # argparse's usage text goes to standard error on an error, and
+        # with the help to standard output on --help; nothing is solved
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(DEMOS["corollary-special"]))
+        assert run_cli([str(path) if flag == "FILE" else flag for flag in flags]) == code
+        out, err = capsys.readouterr()
+        assert (err if code else out).startswith("usage: fbsde")
+        assert (out if code else err) == ""
+
     def test_missing_file_is_input_error(self):
         assert run_cli(["solve", "/nonexistent/problem.json"]) == 4
 

@@ -19,7 +19,7 @@ from fbsde import (
     represent,
     tilde_contract,
 )
-from fbsde.martingale import zm_products
+from fbsde.martingale import _canonical_rows, zm_products
 
 TOL = 1e-12
 
@@ -183,6 +183,17 @@ class TestCanonicalForms:
         np.testing.assert_array_equal(canonicalize(z), [[2.0, 0.0], [1.0, 0.0]])
         np.testing.assert_array_equal(tilde_contract(z), [[2.0], [1.0]])
         assert equivalent(z, z + np.array([[7.0], [-2.0]]))
+
+    @pytest.mark.parametrize("cell", [(), (3,)])
+    def test_canonical_rows_invert_the_contraction(self, cell):
+        # bit for bit: the canonical row of a row's free coordinates is its
+        # canonical form, for (n, N) rows and (n, K, N) K-valued rows
+        rng = np.random.default_rng(11)
+        for N in range(2, 7):
+            z = rng.normal(scale=3.0, size=(5,) + cell + (N,))
+            rows = _canonical_rows(tilde_contract(z))
+            assert rows.shape == z.shape
+            assert rows.tobytes() == canonicalize(z).tobytes()
 
     def test_equivalent(self):
         assert equivalent(np.array([3.0, 1.0]), np.array([2.0, 0.0]))

@@ -11,6 +11,8 @@ from fbsde import (
     ContinuationOptions,
     NonFiniteInput,
     Unsolvable,
+    build_tree,
+    canonicalize,
     demo_monotone_problem,
     linear,
     riccati_backward,
@@ -33,6 +35,24 @@ def inhomogeneities(rng, tree):
     """(D, D_bar, D_hat, g) of a conftest coefficient set; D_hat over times 1..T."""
     c = random_linear_coeffs(rng, tree)
     return c.D, c.D_bar, c.D_hat[1:], c.g
+
+
+def reference_extended_contraction_matrix(N):
+    """The special form's C_bar, negated, as it was once built by hand: the
+    N x N matrix sending a row to its canonical form (zero last column)."""
+    mat = np.zeros((N, N))
+    mat[:N - 1, :N - 1] = np.eye(N - 1)
+    mat[N - 1, :N - 1] = -1.0
+    return mat
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_special_diffusion_matrix_is_the_canonical_form_of_the_identity(N):
+    # bit for bit, signed zeros included, at every non-leaf node
+    want = (-reference_extended_contraction_matrix(N)).tobytes()
+    assert (-canonicalize(np.eye(N))).tobytes() == want
+    c_bar = special_coefficients(build_tree(N, 2)).arrays["C_bar"]
+    assert all(mat.tobytes() == want for mat in c_bar)
 
 
 def assert_levels_identical(mine, theirs):

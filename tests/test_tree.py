@@ -276,3 +276,26 @@ class TestAdaptedProcess:
         proc = AdaptedProcess(tree, 0, [np.zeros((1, 3)), np.ones((2, 3))])
         assert proc.value_shape == (3,)
         np.testing.assert_array_equal(proc.at((1, 1)), [1.0, 1.0, 1.0])
+
+    def test_levels_as_a_tuple(self):
+        tree = build_tree(2, 2)
+        proc = AdaptedProcess(tree, 1, (np.arange(2.0), np.arange(4.0)))
+        np.testing.assert_array_equal(proc.array, [0.0, 1.0, 0.0, 1.0, 2.0, 3.0])
+        assert proc.times == range(1, 3)
+
+    def test_zero_dimensional_levels_fill_every_node(self):
+        tree = build_tree(3, 2)
+        proc = AdaptedProcess(tree, 0, [2.5, np.float64(-1.0), np.ones(9)])
+        np.testing.assert_array_equal(proc.level(0), [2.5])
+        np.testing.assert_array_equal(proc.level(1), [-1.0] * 3)
+        assert proc.value_shape == ()
+
+    def test_wrong_node_count(self):
+        tree = build_tree(2, 2)
+        with pytest.raises(ShapeMismatch, match="process level 2 has shape"):
+            AdaptedProcess(tree, 1, [np.zeros(2), np.zeros(3)])
+
+    def test_mismatched_value_shape(self):
+        tree = build_tree(2, 2)
+        with pytest.raises(ShapeMismatch, match=r"process level 1 has shape \(2, 2\)"):
+            AdaptedProcess(tree, 0, [np.zeros((1, 3)), np.zeros((2, 2)), np.zeros((4, 3))])

@@ -16,9 +16,11 @@ code and the sha1 of standard error.  Each built-in demo
 nonlinear one also with ``--mode picard``; ``monotone-family`` also runs
 with each flag set of ``STOPPED_FLAGS``, which stop it with exit 3.  Each
 demo's document, written into a temporary directory, goes through
-``oracle`` and ``check``; the ``monotone-family`` document also goes
-through ``oracle`` on each larger tree of ``ORACLE_SIZES``, and with ``h``
-= -x through ``check`` on each tree of ``CHECK_SIZES``.  The linear file
+``oracle`` and ``check``; each command line of ``USAGE_ERRORS`` runs, on
+the ``corollary-special`` document where it names a file; the
+``monotone-family`` document also goes through ``oracle`` on each larger
+tree of ``ORACLE_SIZES``, and with ``h`` = -x through ``check`` on each
+tree of ``CHECK_SIZES``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
 disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
 of a pass halted below the root), and each invalid document
@@ -80,6 +82,11 @@ STOPPED_FLAGS = (("--max-iter", "1"), ("--mode", "picard", "--max-iter", "1"))
 #: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
 #: singular depth-(T-1) node and the dense oracle (1276 unknowns) solves.
 SINGULAR_DOC = (2, 8, 1)
+
+#: Command lines with a usage error, ``FILE`` standing for a valid problem
+#: file: each exits 4 with argparse's usage text on standard error.
+USAGE_ERRORS = (("solve", "FILE", "--bogus"), ("solve", "FILE", "--max-iter", "abc"),
+                ("demo", "nosuch"), ())
 
 
 def _fault_documents():
@@ -178,6 +185,9 @@ def outputs(seed):
             path.write_text(json.dumps(demos[name]), encoding="utf-8")
             for command in ("oracle", "check"):
                 yield (f"{command} demo {name}", *_run([command, str(path)]))
+        for usage in USAGE_ERRORS:
+            argv = [str(Path(tmp) / "corollary-special.json") if a == "FILE" else a for a in usage]
+            yield (f"usage error: {' '.join(usage) or 'no arguments'}", *_run(argv))
         def monotone_doc(name, N, T, **coefficients):
             """The ``monotone-family`` document on an N-ary tree of depth T,
             with the demo's diffusion rows -(z_tilde, 0), written as ``name``."""
