@@ -31,9 +31,9 @@ class BsdeProblem:
     or (n, K, N-1), so the generator cannot tell equivalent rows apart.
     ``terminal_generator(y)`` is the time-T term over the leaves and takes
     no row argument.  Each returns the level's values, shaped like ``y``;
-    an output that broadcasts to that shape (one value, or with K-valued
-    ``y`` one row of K values) stands for every node.  Either may be None,
-    meaning zero.
+    one value, or an array of ``y.ndim`` dimensions whose size-1 axes
+    stretch to that shape (a (1, K) row), stands for every node, and any
+    other shape is a ShapeMismatch.  Either may be None, meaning zero.
     """
 
     terminal: np.ndarray

@@ -11,8 +11,9 @@ Grammar (highest precedence first):
 Variables are t, x, y, w and z1, z2, ... (contraction components); functions
 are sin, cos, exp, tanh, abs (one argument) and min, max (two).  Errors
 carry the character offset into the source string.  ``evaluate`` takes one
-node's floats; ``evaluate_level`` takes a whole level of nodes as arrays and
-gives the same bits.
+node's floats or a whole level of nodes as arrays, and chooses how to
+evaluate a level: node by node on small levels, by array operations on
+large ones, with the same bits and errors either way.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     ArityError,
     ExpressionDomainError,
+    ExpressionError,
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
@@ -40,6 +42,12 @@ FUNCTIONS = {
     "min": (min, 2),
     "max": (max, 2),
 }
+
+#: Fewest nodes on which ``Expression.evaluate`` takes the array form: its
+#: 10-35 us a call and the node loop's 0.1-0.6 us a node break even at 96-160
+#: nodes (the benchmark's coefficients, one core of a shared 2-core x86_64),
+#: and the loop's first call also compiles it (0.2-0.4 ms).
+ARRAY_FORM_MIN = 96
 
 _VARIABLE = re.compile(r"^(t|x|y|w|z[1-9][0-9]*)$")
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
@@ -86,45 +94,44 @@ class Expression:
         self.root = root
         self.source = source
         self.variables = frozenset(variables)
-        self._compiled = None
+        self._compiled = self._names = None  # see ``_compile``
 
     def evaluate(self, env):
-        """Evaluate with ``env`` mapping variable names to floats.
-
-        Finite inputs give a finite float or an ExpressionDomainError; a
-        missing variable raises UnknownIdentifier.  The first call compiles
-        the expression (see ``_compile``).
-        """
-        if self._compiled is None:
-            self._compiled = _compile(self.root)
-        return self._compiled(env)
-
-    def evaluate_level(self, env):
-        """Evaluate at every node of a level at once.
+        """Evaluate at one node, or at every node of a level.
 
         ``env`` maps variable names to floats or to float arrays of one
-        common length n, one entry per node.  Returns the n node values
-        (one value when every entry is a float), bit for bit those of
-        ``evaluate`` on each node's floats.  Arithmetic runs as numpy array
-        operations; sin, cos, exp, tanh and ^ map ``math`` over the entries,
-        since numpy's versions differ from it in the last bit.  When an
-        input is not finite, an operation raises a floating-point error or
-        leaves the real domain, or the result is not finite, the level is
-        evaluated node by node with ``evaluate`` instead, so errors, their
-        offsets and the first failing node are those of a node-by-node loop.
+        common length n, one entry per node.  Returns a float when every
+        value is a float, else the array of the n node values.  Finite
+        inputs give finite values or an ExpressionDomainError; a missing
+        variable raises UnknownIdentifier at its first use.  A fault raises
+        the error of the first failing node, whose index it carries as
+        ``node``.  Below ``ARRAY_FORM_MIN`` nodes the loop of ``_compile``
+        runs; from there on numpy array operations give the same bits and
+        hand the level to the loop when they cannot vouch for that: an
+        input or the result is not finite, or an operation raises a
+        floating-point error or leaves the real domain.
         """
-        n = next((len(v) for v in env.values() if isinstance(v, np.ndarray)), 1)
-        out = self._array_level(env, n)
-        if out is not None:
-            return out
-        return np.array([
-            self.evaluate({k: v[i] if isinstance(v, np.ndarray) else v for k, v in env.items()})
-            for i in range(n)
-        ], dtype=float)
+        n = None
+        for value in env.values():
+            if isinstance(value, np.ndarray):
+                n = len(value)
+                break
+        if n is not None and n >= ARRAY_FORM_MIN:
+            out = self._array_form(env, n)
+            if out is not None:
+                return out
+        if self._compiled is None:
+            self._compiled, self._names = _compile(self.root)
+        size = 1 if n is None else n
+        columns = [_column(env[name], size) if name in env else _Absent(name, position)
+                   for name, position in self._names]
+        out = self._compiled(size, *columns)
+        return out[0] if n is None else np.array(out, dtype=float)
 
-    def _array_level(self, env, n):
-        """The level by array operations, or None where ``evaluate`` must
-        decide node by node."""
+    def _array_form(self, env, n):
+        """The level by array operations, or None where the loop must
+        decide node by node.  sin, cos, exp, tanh and ^ map ``math`` over
+        the entries, since numpy's versions differ from it in the last bit."""
         values = {
             name: np.asarray(env[name], dtype=float).reshape(-1)
             for name in self.variables & env.keys()
@@ -142,18 +149,39 @@ class Expression:
         return f"Expression({self.source!r})"
 
 
-def _compile(root):
-    """The expression as a straight-line Python function of ``env``.
+class _Absent:
+    """A missing variable's column: reading it raises UnknownIdentifier."""
 
-    Operands are computed left to right before their operation, as the
-    tree reads, and each operation is followed by its own checks, so a
-    value or an error is the one of a walk over the tree: a variable reads
-    ``float(env[name])`` (UnknownIdentifier at its first use when missing);
-    ``/`` refuses a zero divisor; ``^`` is ``math.pow`` with OverflowError
-    and ValueError mapped to "overflow" and "invalid power"; a function
-    maps ValueError, OverflowError and ZeroDivisionError to "<name> left
-    the real domain"; every binary operation and call then refuses a
-    non-finite result.  Constants, variables and negations are unchecked.
+    def __init__(self, name, position):
+        self.name, self.position = name, position
+
+    def __getitem__(self, i):
+        raise UnknownIdentifier(self.name, self.position)
+
+
+def _column(value, n):
+    """A variable's n node values as a list of floats."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).tolist()
+    return [float(value)] * n
+
+
+def _compile(root):
+    """The expression as a straight-line Python loop over the nodes.
+
+    Returns ``(fn, names)``: ``fn(n, *columns)`` lists the values of nodes
+    0..n-1, one column of n floats per (variable, offset of its first use)
+    of ``names``.  Operands are computed left to right before their
+    operation, as the tree reads, and each operation is followed by its own
+    checks, so a value or an error is the one of a walk over the tree: a
+    variable reads entry i of its column (UnknownIdentifier at its first use
+    when the column is ``_Absent``); ``/`` refuses a zero divisor; ``^`` is
+    ``math.pow`` with OverflowError and ValueError mapped to "overflow" and
+    "invalid power"; a function maps ValueError, OverflowError and
+    ZeroDivisionError to "<name> left the real domain"; every binary
+    operation and call then refuses a non-finite result.  Constants,
+    variables and negations are unchecked.  The error of node i gets
+    ``node = i``.
 
     The source names only validated variables, ``FUNCTIONS`` keys,
     temporaries and integer offsets; float constants are bound in the
@@ -161,18 +189,18 @@ def _compile(root):
     """
     namespace = {
         "__builtins__": {},
-        "KeyError": KeyError,
         "OverflowError": OverflowError,
         "ValueError": ValueError,
         "ZeroDivisionError": ZeroDivisionError,
-        "_float": float,
+        "_range": range,
         "_isfinite": math.isfinite,
         "_pow": math.pow,
+        "_error": ExpressionError,
         "_domain": ExpressionDomainError,
-        "_unknown": UnknownIdentifier,
     }
     body = []
     read = {}  # variable name -> the temporary holding it
+    names = []  # (variable name, offset of its first use), one per column
     fresh = itertools.count()
 
     def emit(node):
@@ -184,12 +212,8 @@ def _compile(root):
         if isinstance(node, Var):
             if node.name not in read:
                 read[node.name] = temp = f"v{next(fresh)}"
-                body.extend([
-                    "try:",
-                    f"    {temp} = _float(env['{node.name}'])",
-                    "except KeyError:",
-                    f"    raise _unknown('{node.name}', {node.position}) from None",
-                ])
+                body.append(f"{temp} = c{len(names)}[i]")
+                names.append((node.name, node.position))
             return read[node.name]
         if isinstance(node, Unary):
             return f"(-{emit(node.operand)})"
@@ -223,11 +247,17 @@ def _compile(root):
         return temp
 
     result = emit(root)
-    source = "\n".join(["def _evaluate(env):"] + [f"    {line}" for line in body + [f"return {result}"]])
+    columns = "".join(f", c{k}" for k in range(len(names)))
+    source = "\n".join(
+        [f"def _evaluate(n{columns}):", "    out = []", "    try:",
+         "        for i in _range(n):"]
+        + [f"            {line}" for line in body + [f"out.append({result})"]]
+        + ["    except _error as err:", "        err.node = i", "        raise", "    return out"]
+    )
     exec(source, namespace)
     # popped, so the function's globals hold no reference back to it and it
     # is freed with its Expression, without waiting for the cycle collector
-    return namespace.pop("_evaluate")
+    return namespace.pop("_evaluate"), tuple(names)
 
 
 def _eval_level(node, env):

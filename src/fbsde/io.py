@@ -4,12 +4,15 @@ Problem files are UTF-8 JSON.  Coefficients may be constants, per-node
 arrays (flat, level by level, lexicographic by path within a level), or
 expression strings over t and w (plus the state variables for nonlinear
 coefficients), where w is the node's most recent branch index (0 at the
-root).  Reports are emitted with sorted keys so identical inputs give
+root).  A nonlinear or bsde coefficient is evaluated a whole level at a
+time, by one ``Expression.evaluate`` call per expression, which chooses how.
+Reports are emitted with sorted keys so identical inputs give
 byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import linear as linear_mod
 from .bsde import BsdeProblem, bsde_residual
-from .errors import FbsdeError, InvalidOption, SchemaError, ShapeMismatch
+from .errors import ExpressionError, InvalidOption, SchemaError, ShapeMismatch
 from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
@@ -27,15 +30,6 @@ from .tree import ScenarioTree, _process_levels, build_tree
 
 KINDS = ("bsde", "linear", "special", "nonlinear")
 MODES = ("continuation", "picard")
-
-#: Fewest nodes on which a bound nonlinear coefficient is evaluated as one
-#: level by ``Expression.evaluate_level``; on fewer, ``evaluate`` node by
-#: node, with one environment built per node, is cheaper.  Measured on the
-#: ``monotone-family`` callbacks (N = 2 and 3, one core of a shared 2-core
-#: x86_64 host): the two paths break even at about 16-24 nodes, and from 32
-#: nodes the level path wins for drift, diffusion, generator and terminal
-#: alike (about 1.3-2x, 3-7x at 64).
-LEVEL_EVAL_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -257,6 +251,25 @@ def _bind_f_terminal(raw, f_expr, allowed, zv):
     return f_expr
 
 
+def _environments(tree):
+    """``env(t, nodes, x=None, y=None, zt=None)``: the variables of the depth-t
+    ``nodes`` for ``Expression.evaluate``: t, w (each level's computed once),
+    and those given of x, y and the columns z1..z{N-1} of ``zt``."""
+    w_level = functools.cache(lambda t: _branch_w(tree.N, t, np.arange(tree.num_nodes(t))))
+
+    def env(t, nodes, x=None, y=None, zt=None):
+        out = {"t": float(t), "w": w_level(int(t))[nodes]}
+        if x is not None:
+            out["x"] = x
+        if y is not None:
+            out["y"] = y
+        if zt is not None:
+            out.update((f"z{i + 1}", zt[:, i]) for i in range(tree.N - 1))
+        return out
+
+    return env
+
+
 def _bind_nonlinear(tree, doc):
     raw = _require(doc, "coefficients", "")
     for field in ("b", "sigma", "f", "h"):
@@ -275,62 +288,30 @@ def _bind_nonlinear(tree, doc):
     f_expr = _bind_expression(raw["f"], _STATE_VARS | zv, "coefficients.f")
     h_expr = _bind_expression(raw["h"], {"t", "x", "w"}, "coefficients.h")
     fT_expr = _bind_f_terminal(raw, f_expr, _STATE_VARS, zv)
-
-    names = [f"z{i}" for i in range(1, tree.N)]
-    memo = {}  # t -> (key, environments) of the last call at t
-
-    def envs(t, nodes, x, y=None, zt=None):
-        """One environment per node, for ``evaluate`` node by node; drift,
-        diffusion and generator at equal inputs share the last list of t."""
-        key = (nodes.tobytes(), x.tobytes(), y if y is None else y.tobytes(),
-               zt if zt is None else zt.tobytes())
-        t = float(t)
-        if t in memo and memo[t][0] == key:
-            return memo[t][1]
-        w = _branch_w(tree.N, t, nodes).tolist()
-        if y is None:
-            out = [{"t": t, "w": wi, "x": xi} for wi, xi in zip(w, x.tolist())]
-        else:
-            rows = [()] * len(w) if zt is None else zt.tolist()
-            out = [{"t": t, "w": wi, "x": xi, "y": yi, **dict(zip(names, z))}
-                   for wi, xi, yi, z in zip(w, x.tolist(), y.tolist(), rows)]
-        memo[t] = (key, out)
-        return out
-
-    def level_env(t, nodes, x, y=None, zt=None):
-        """The variables of every node as arrays, for ``evaluate_level``."""
-        env = {"t": float(t), "w": _branch_w(tree.N, t, nodes), "x": x}
-        if y is not None:
-            env["y"] = y
-        if zt is not None:
-            env.update(zip(names, zt.T))
-        return env
-
-    def values(expr, t, nodes, x, y=None, zt=None):
-        """``expr`` at every node; from ``LEVEL_EVAL_MIN`` nodes on by
-        ``evaluate_level``, which gives the bits of ``evaluate`` and the
-        error of the first failing node."""
-        if len(nodes) >= LEVEL_EVAL_MIN:
-            return expr.evaluate_level(level_env(t, nodes, x, y, zt))
-        return np.array([expr.evaluate(e) for e in envs(t, nodes, x, y, zt)])
+    environment = _environments(tree)
 
     def drift(t, nodes, x, y, zt):
-        return values(b_expr, t, nodes, x, y, zt)
+        return b_expr.evaluate(environment(t, nodes, x, y, zt))
 
     def diffusion(t, nodes, x, y, zt):
-        if len(nodes) >= LEVEL_EVAL_MIN:
-            env = level_env(t, nodes, x, y, zt)
+        # a fault raises the error of the first failing node, then expression
+        env = environment(t, nodes, x, y, zt)
+        columns, faults = [], []
+        for j, s in enumerate(s_exprs):
             try:
-                return np.stack([s.evaluate_level(env) for s in s_exprs], axis=1)
-            except FbsdeError:
-                pass  # one expression failed: the loop names the first failing node
-        return np.array([[s.evaluate(e) for s in s_exprs] for e in envs(t, nodes, x, y, zt)])
+                columns.append(s.evaluate(env))
+            except ExpressionError as err:
+                faults.append((err.node, j, err))
+        if faults:
+            raise min(faults)[2]
+        return np.array(columns).T
 
     def generator(t, nodes, x, y, zt):
-        return values(fT_expr if t == tree.T else f_expr, t, nodes, x, y, zt)
+        expr = fT_expr if t == tree.T else f_expr
+        return expr.evaluate(environment(t, nodes, x, y, zt))
 
     def terminal(nodes, x):
-        return values(h_expr, tree.T, nodes, x)
+        return h_expr.evaluate(environment(tree.T, nodes, x))
 
     return NonlinearProblem(drift, diffusion, generator, terminal)
 
@@ -354,18 +335,13 @@ def _bind_bsde(tree, doc):
     )
     fT_expr = _bind_f_terminal(raw, f_expr, {"t", "y", "w"}, zv)
 
-    # whole-level generators, on times 1..T
-    def env(t, y):
-        return {"t": float(t), "w": _branch_w(tree.N, t, np.arange(len(y))), "y": y}
+    environment = _environments(tree)
 
-    def generator(t, y, zt):
-        e = env(t, y)
-        for i in range(tree.N - 1):
-            e[f"z{i + 1}"] = zt[:, i]
-        return f_expr.evaluate_level(e)
+    def generator(t, y, zt):  # whole levels, on times 1..T-1
+        return f_expr.evaluate(environment(t, np.arange(len(y)), y=y, zt=zt))
 
     def terminal_generator(y):
-        return fT_expr.evaluate_level(env(tree.T, y))
+        return fT_expr.evaluate(environment(tree.T, np.arange(len(y)), y=y))
 
     return BsdeProblem(
         terminal=eta,

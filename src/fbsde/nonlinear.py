@@ -58,7 +58,8 @@ class NonlinearProblem:
     ``drift(t, nodes, x, y, z_tilde)`` and ``generator(t, nodes, x, y,
     z_tilde)`` return one value per node, ``diffusion(t, nodes, x, y,
     z_tilde)`` an (n, N) array of rows, ``terminal(nodes, x)`` one value per
-    leaf; a single value stands for every node.  ``nodes`` holds n depth-t
+    leaf.  A single value or a (1, N) row stands for every node; one value
+    per node where rows are due is a ShapeMismatch.  ``nodes`` holds n depth-t
     node indices (repeats allowed), ``x`` and ``y`` their values and
     ``z_tilde`` their (n, N-1) row contractions, never raw rows, so
     equivalent rows are indistinguishable by construction; at the horizon
@@ -155,31 +156,20 @@ def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
         raise AlphaOutOfRange(f"alpha = {alpha!r}")
     if alpha == 1.0:
         return problem
-    return _blended(problem, alpha)
-
-
-def _blended(problem, alpha, inhom=None, tree=None):
-    """Blend with optional per-node inhomogeneities of ``tree`` folded in,
-    by the formula a*v + (1-a)*lin + inhom of ``_blended_residual``."""
     a = float(alpha)
-    zero = inhom is None
-    o = None if zero else tree.offsets
 
     def drift(t, nodes, x, y, zt):
-        v = np.asarray(problem.drift(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * (-y) + (0.0 if zero else inhom.b0[o[t] + nodes])
+        return a * np.asarray(problem.drift(t, nodes, x, y, zt), dtype=float) + (1.0 - a) * (-y)
 
     def diffusion(t, nodes, x, y, zt):
         v = np.asarray(problem.diffusion(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * -_canonical_rows(zt) + (0.0 if zero else inhom.sigma0[o[t] + nodes])
+        return a * v + (1.0 - a) * -_canonical_rows(zt)
 
     def generator(t, nodes, x, y, zt):
-        v = np.asarray(problem.generator(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * x + (0.0 if zero else inhom.f0[o[t] - 1 + nodes])
+        return a * np.asarray(problem.generator(t, nodes, x, y, zt), dtype=float) + (1.0 - a) * x
 
     def terminal(nodes, x):
-        v = np.asarray(problem.terminal(nodes, x), dtype=float)
-        return a * v + (1.0 - a) * x + (0.0 if zero else inhom.h0[nodes])
+        return a * np.asarray(problem.terminal(nodes, x), dtype=float) + (1.0 - a) * x
 
     return NonlinearProblem(drift, diffusion, generator, terminal)
 
@@ -463,11 +453,10 @@ def nonlinear_residual(tree, problem, solution):
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
-    """``nonlinear_residual`` of ``_blended(problem, alpha, inhom)`` at ``it``.
+    """``nonlinear_residual`` at ``it`` of ``blend(problem, alpha)`` plus ``inhom``.
 
-    Blends the target's cached levels at the iterate by ``_blended``'s
-    formula a*v + (1-a)*lin + inhom: the same float operations per node, so
-    the same defects bit for bit.
+    Blends the target's cached levels at the iterate by the formula
+    a*v + (1-a)*lin + inhom, per node the float operations of a callback blend.
     """
     a = float(alpha)
     b, sigma, f = it.coefficient_levels(tree, problem)

@@ -275,13 +275,15 @@ def _level_values(tree, process, t):
 
 
 def _level(value, shape, name):
-    """A level as a float array of ``shape``; a single value, or any value
-    that broadcasts to ``shape``, stands for every node."""
+    """A level as a float array of ``shape``.  One value stands for every
+    node, and so does an array of ``len(shape)`` dimensions whose size-1 axes
+    stretch to ``shape``; any other shape is a ShapeMismatch."""
     arr = np.asarray(value, dtype=float)
-    try:
-        return arr if arr.shape == shape else np.broadcast_to(arr, shape)
-    except ValueError:
-        raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}") from None
+    if arr.shape == shape:
+        return arr
+    if arr.ndim == 0 or arr.ndim == len(shape) and all(a in (1, b) for a, b in zip(arr.shape, shape)):
+        return np.broadcast_to(arr, shape)
+    raise ShapeMismatch(f"{name} returned shape {arr.shape}, expected {shape}")
 
 
 def _process_levels(tree, values, times, name, cell=None):

@@ -47,6 +47,7 @@ from fbsde.errors import (
     ExpressionSyntaxError,
     UnknownIdentifier,
 )
+from fbsde.expressions import ARRAY_FORM_MIN
 from fbsde.martingale import zm_products
 from test_expressions import random_source
 from test_oracle import max_solution_gap
@@ -356,30 +357,40 @@ def test_criterion_11_expression_fuzz_and_offsets():
             continue
         assert math.isfinite(value)
 
-    # whole levels: the same bits as evaluate at every node, and where a
-    # node fails, the error and offset of the first failing node
+    # whole levels, on both sides of ARRAY_FORM_MIN: the same bits as
+    # evaluate at every node, and where a node fails, the error and offset
+    # of the first failing node, which the error names
     def check_level(expr, level):
         n = len(level["w"])
-        nodes = [{k: v if isinstance(v, float) else v[i] for k, v in level.items()} for i in range(n)]
-        try:
-            expected = np.array([expr.evaluate(env) for env in nodes])
-        except ExpressionDomainError as err:
-            with pytest.raises(ExpressionDomainError) as info:
-                expr.evaluate_level(level)
-            assert (type(info.value), str(info.value), info.value.position) == (
-                type(err), str(err), err.position)
-            return
-        assert expr.evaluate_level(level).tobytes() == expected.tobytes(), expr.source
+        expected = []
+        for i in range(n):
+            try:
+                expected.append(expr.evaluate(
+                    {k: v if isinstance(v, float) else v[i] for k, v in level.items()}))
+            except ExpressionDomainError as err:
+                with pytest.raises(ExpressionDomainError) as info:
+                    expr.evaluate(level)
+                assert (type(info.value), str(info.value), info.value.position, info.value.node) == (
+                    type(err), str(err), err.position, i)
+                return
+        assert expr.evaluate(level).tobytes() == np.array(expected).tobytes(), expr.source
 
+    sizes, array_form = [], 0
     for _ in range(600):
-        n = int(rng.integers(1, 12))
+        small = rng.random() < 0.5
+        n = int(rng.integers(1, ARRAY_FORM_MIN) if small else rng.integers(ARRAY_FORM_MIN, 3 * ARRAY_FORM_MIN))
         level = {"t": float(rng.integers(0, 4)), "w": rng.integers(1, 4, size=n) * 1.0}
+        share = rng.choice([0.0, 0.02, 0.1])  # zeros, huge values and a few non-finite
         for name in ("x", "y", "z1"):
             values = rng.uniform(-3.0, 3.0, size=n) * 10.0 ** rng.integers(-2, 3)
-            special = rng.random(n) < 0.1  # zeros, huge values and a few non-finite
+            special = rng.random(n) < share
             values[special] = rng.choice([0.0, -0.0, 1e300, -1e300, np.inf, np.nan], size=special.sum())
             level[name] = values
-        check_level(parse_expression(random_source(rng)), level)
+        expr = parse_expression(random_source(rng))
+        check_level(expr, level)
+        sizes.append(n)
+        array_form += n >= ARRAY_FORM_MIN and expr._array_form(level, n) is not None
+    assert min(sizes) < ARRAY_FORM_MIN <= max(sizes) and array_form > 100
     # constants that parse to inf, division by zero and overflow at some nodes
     level = {"t": 1.0, "w": np.array([1.0, 2.0, 3.0]), "x": np.array([0.5, -1.5, 2.0]),
              "y": np.array([0.1, 1.0, -0.2]), "z1": np.array([0.3, 0.0, -4.0])}

@@ -228,10 +228,20 @@ def test_level_generator_output_is_checked():
                                           terminal_generator=lambda y: 0.5))
     assert Y1.array.tobytes() == Y0.array.tobytes() and Z1.array.tobytes() == Z0.array.tobytes()
     np.testing.assert_allclose(Y1.level(0), [1.75], atol=TOL)
-    # and one row of K values serves every node of a K-valued level
+    # and one (1, K) row of K values serves every node of a K-valued level
     Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 2)),
-                                        terminal_generator=lambda y: np.array([0.5, 1.0])))
+                                        terminal_generator=lambda y: np.array([[0.5, 1.0]])))
     np.testing.assert_allclose(Y.level(0), [[1.5, 2.0]], atol=TOL)
+
+
+def test_one_value_per_node_is_not_a_row_of_k_values():
+    # where a K-valued level has n == K nodes, an (n,) output would
+    # broadcast to (n, K) as one row shared by all nodes; it is refused
+    tree = uniform_tree(2, 2)
+    with pytest.raises(ShapeMismatch, match=r"t=1 returned shape \(2,\), expected \(2, 2\)"):
+        solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 2)), generator=lambda t, y, zt: y[:, 0]))
+    with pytest.raises(ShapeMismatch, match=r"t=2 returned shape \(4,\), expected \(4, 4\)"):
+        solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 4)), terminal_generator=lambda y: y[:, 0]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,7 +26,7 @@ from fbsde import (
 )
 import fbsde
 from fbsde.cli import DEMOS, run_cli
-from fbsde.io import LEVEL_EVAL_MIN
+from fbsde.expressions import ARRAY_FORM_MIN
 
 #: A nonlinear file on N=3 whose every coefficient reads t and w, and whose
 #: interior ones read z1 and z2.
@@ -487,9 +487,9 @@ def test_every_demo_and_benchmark_document_binds(tmp_path):
 
 
 #: Entries of a level set to NaN or infinity, as (variable, node, value);
-#: each forces ``evaluate_level`` back to ``evaluate`` node by node.  Where
-#: two nodes fail, the later one fails in an earlier expression of the
-#: diffusion or at another offset, so the error names the node.
+#: each hands the array form of ``Expression.evaluate`` back to its node
+#: loop.  Where two nodes fail, the later one fails in an earlier expression
+#: of the diffusion or at another offset, so the error names the node.
 NON_FINITE_ENTRIES = {
     "finite": [],
     "inf-x": [("x", 70, math.inf)],
@@ -500,20 +500,20 @@ NON_FINITE_ENTRIES = {
 
 @pytest.mark.parametrize("entries", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES.keys())
 def test_a_large_level_evaluates_as_its_small_chunks(monkeypatch, entries):
-    # a callback on LEVEL_EVAL_MIN nodes or more evaluates whole levels; on
-    # fewer, node by node: the values, or the error of the first failing
-    # node, must be the same
+    # a callback on ARRAY_FORM_MIN nodes or more evaluates by array
+    # operations; on fewer, node by node: the values, or the error of the
+    # first failing node, must be the same
     rng = np.random.default_rng(12)
     problem = bind_problem(ROW_COUPLED_DOC).data
-    N, T, n = 3, 3, 3 * LEVEL_EVAL_MIN
+    N, T, n = 3, 3, 3 * ARRAY_FORM_MIN
     x, y = rng.uniform(-2, 2, size=(2, n))
     zt = rng.uniform(-2, 2, size=(n, N - 1))
     for name, node, value in entries:
         {"x": x, "y": y, "z1": zt[:, 0]}[name][node] = value
     level_calls = []
-    evaluate_level = Expression.evaluate_level
-    monkeypatch.setattr(Expression, "evaluate_level",
-                        lambda self, env: level_calls.append(self) or evaluate_level(self, env))
+    array_form = Expression._array_form
+    monkeypatch.setattr(Expression, "_array_form",
+                        lambda self, env, n: level_calls.append(self) or array_form(self, env, n))
 
     def outcome(fn, size):
         try:
@@ -538,10 +538,31 @@ def test_a_large_level_evaluates_as_its_small_chunks(monkeypatch, entries):
             whole = outcome(fn, n)
             assert level_calls
             level_calls.clear()
-            assert outcome(fn, LEVEL_EVAL_MIN - 1) == whole
+            assert outcome(fn, ARRAY_FORM_MIN - 1) == whole
             assert not level_calls
             outcomes.append(whole[0])
     assert (set(outcomes) != {"values"}) == bool(entries)
+
+
+@pytest.mark.parametrize("n", [5, 3 * ARRAY_FORM_MIN])
+def test_the_diffusion_names_its_first_failing_node(n):
+    # nodes in order, and at a node the expressions in order: sigma[2]
+    # fails at node 1 and sigma[0] at node 3, so sigma[2]'s error is raised
+    doc = json.loads(json.dumps(ROW_COUPLED_DOC))
+    doc["coefficients"]["sigma"] = ["x/(y - 2)", "y", "1 + y/x"]
+    problem = bind_problem(doc).data
+    x, y, zt = np.ones(n), np.ones(n), np.zeros((n, 2))
+    x[1], y[3] = 0.0, 2.0
+    nodes = np.arange(n) % 9
+    sigma = [parse_expression(s) for s in doc["coefficients"]["sigma"]]
+    with pytest.raises(ExpressionDomainError) as info:
+        problem.diffusion(2, nodes, x, y, zt)
+    with pytest.raises(ExpressionDomainError) as want:
+        for i in range(n):
+            env = {"t": 2.0, "w": float(nodes[i] % 3 + 1), "x": x[i], "y": y[i], "z1": 0.0, "z2": 0.0}
+            [s.evaluate(env) for s in sigma]
+    assert (str(info.value), info.value.node) == (str(want.value), 1) == ("division by zero (offset 5)", 1)
+
 
 #: Files whose solution overflows: Z of alternating huge leaves, a root
 #: value whose drift overflows, a generator pushing huge leaves past the range.

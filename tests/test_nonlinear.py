@@ -16,6 +16,7 @@ from fbsde import (
     NonFiniteIterate,
     NonFiniteSolve,
     NonlinearProblem,
+    ShapeMismatch,
     StepUnderflow,
     as_nonlinear_problem,
     bind_problem,
@@ -681,6 +682,31 @@ def random_inhomogeneity(rng, tree):
     )
 
 
+def per_node_blend(problem, alpha, inhom, tree):
+    """The blend of ``problem`` at ``alpha`` with per-node inhomogeneities of
+    ``tree`` folded in, callback by callback: a*v + (1-a)*lin + inhom."""
+    a, o = float(alpha), tree.offsets
+
+    def drift(t, nodes, x, y, zt):
+        v = np.asarray(problem.drift(t, nodes, x, y, zt), dtype=float)
+        return a * v + (1.0 - a) * (-y) + inhom.b0[o[t] + nodes]
+
+    def diffusion(t, nodes, x, y, zt):
+        v = np.asarray(problem.diffusion(t, nodes, x, y, zt), dtype=float)
+        rows = np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
+        return a * v + (1.0 - a) * -rows + inhom.sigma0[o[t] + nodes]
+
+    def generator(t, nodes, x, y, zt):
+        v = np.asarray(problem.generator(t, nodes, x, y, zt), dtype=float)
+        return a * v + (1.0 - a) * x + inhom.f0[o[t] - 1 + nodes]
+
+    def terminal(nodes, x):
+        v = np.asarray(problem.terminal(nodes, x), dtype=float)
+        return a * v + (1.0 - a) * x + inhom.h0[nodes]
+
+    return NonlinearProblem(drift, diffusion, generator, terminal)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -701,7 +727,7 @@ def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target
     X = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
     Y = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
     Z = [rng.uniform(-1, 1, size=(tree.num_nodes(t), N)) for t in range(T)]
-    blended = nonlinear._blended(problem, alpha, inhom, tree)
+    blended = per_node_blend(problem, alpha, inhom, tree)
     iterate = nonlinear._Iterate(*(np.concatenate(v) for v in (X, Y, Z)))
     got = nonlinear._blended_residual(tree, problem, alpha, inhom, iterate)
     want = nonlinear_residual(tree, blended, (X, Y, Z))
@@ -710,6 +736,28 @@ def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target
     h = problem.terminal(leaves, X[T][leaves])
     assert (blended.terminal(leaves, X[T][leaves]) == alpha * h + (1.0 - alpha) * X[T][leaves]
             + inhom.h0[leaves]).all()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_one_value_per_node_is_not_one_diffusion_row(N):
+    # on a tree of depth 2 every level has at most N nodes, so a diffusion
+    # of shape (n,) would broadcast to (n, N) as one row shared by all
+    # nodes; the level rule refuses it, and still lets one value or a
+    # (1, N) row stand for every node
+    tree = uniform_tree(N, 2)
+    X = [np.linspace(0.5, 1.5, N**t) for t in range(3)]
+    Y = [np.linspace(-1.0, 1.0, N**t) for t in range(3)]
+    Z = [np.zeros((N**t, N)) for t in range(2)]
+    base = adversarial_problem()
+    per_node = dataclasses.replace(base, diffusion=lambda t, nodes, x, y, zt: 0.1 * x)
+    with pytest.raises(ShapeMismatch, match=rf"diffusion returned shape \(1,\), expected \(1, {N}\)"):
+        nonlinear_residual(tree, per_node, (X, Y, Z))
+    row = np.full(N, 0.1)
+    rows = dataclasses.replace(base, diffusion=lambda t, nodes, x, y, zt: np.tile(row, (len(x), 1)))
+    want = nonlinear_residual(tree, rows, (X, Y, Z))
+    for value in (0.1, row[None, :]):
+        shared = dataclasses.replace(base, diffusion=lambda t, nodes, x, y, zt: value)
+        assert nonlinear_residual(tree, shared, (X, Y, Z)) == want
 
 
 def test_each_iterate_is_evaluated_once(monkeypatch):

@@ -353,9 +353,9 @@ def looped_jacobian(func, x, base_step=1e-6):
 
 @pytest.mark.parametrize("N, T", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
 def test_the_batched_jacobian_is_the_looped_one_bit_for_bit(N, T):
-    # the block's 2m paths put small levels of the bound callbacks below
-    # io.LEVEL_EVAL_MIN and large ones above it, while the loop's single
-    # paths stay below it on most levels
+    # the block's 2m paths put the levels of the bound callbacks on both
+    # sides of expressions.ARRAY_FORM_MIN (all below it on N=2 T=2, all
+    # above on N=3 T=4), while the loop's single paths stay below it
     rng = np.random.default_rng(10 * N + T)
     row = rng.uniform(0.2, 1.0, size=N)
     s, c = rng.uniform(0.05, 0.5, size=2)

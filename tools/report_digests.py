@@ -26,7 +26,12 @@ disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
 of a pass halted below the root), and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
-conditions, an overflowing sum included.  Then every op of each
+conditions, an overflowing sum included.  The nonlinear document of
+``DRIFT_FAULT`` goes through ``solve``, ``solve --mode picard``,
+``oracle`` and ``check``, and the bsde document of ``GENERATOR_FAULT``
+through ``solve``: each coefficient faults at two nodes of one level, at
+different offsets, which pins the error of the first failing node on a
+small level and on a large one.  Then every op of each
 ``bench/workloads.py`` op list runs on files that module generates for
 ``--seed`` into the same directory, and every nonlinear file of an op list
 also goes through ``check`` and a ``--mode picard`` solve.  Every call is
@@ -87,6 +92,28 @@ SINGULAR_DOC = (2, 8, 1)
 #: file: each exits 4 with argparse's usage text on standard error.
 USAGE_ERRORS = (("solve", "FILE", "--bogus"), ("solve", "FILE", "--max-iter", "abc"),
                 ("demo", "nosuch"), ())
+
+
+#: A nonlinear document on the uniform 3-ary tree of depth 3 whose drift
+#: divides by zero at t = 1 only: at node 1 (w = 2) in its second division,
+#: at node 2 (w = 3) in its first.
+DRIFT_FAULT = {
+    "kind": "nonlinear", "tree": {"N": 3, "T": 3, "transition": "uniform"}, "x0": 1.0,
+    "coefficients": {
+        "b": "-y + 0.1*tanh(x) + 0.01/(w - 3 + 9*(t - 1)^2) + 0.01/(w - 2 + 7*(t - 1)^2)",
+        "sigma": ["-z1", "-z2", "0"], "f": "x + 0.1*tanh(y)", "f_terminal": "x", "h": "x",
+    },
+}
+
+#: A bsde document on the uniform 3-ary tree of depth 6 whose generator
+#: divides by zero on the 243 nodes of t = 5 only, at node 1 (w = 2) in its
+#: second division and at node 2 (w = 3) in its first.
+GENERATOR_FAULT = {
+    "kind": "bsde", "tree": {"N": 3, "T": 6, "transition": "uniform"},
+    "terminal": [(k % 7) / 7.0 for k in range(3**6)],
+    "coefficients": {"f": "0.5*y + z1/(w - 3 + 9*(t - 5)^2) + 1/(w - 2 + 7*(t - 5)^2)",
+                     "f_terminal": "0.5*y"},
+}
 
 
 def _fault_documents():
@@ -214,6 +241,14 @@ def outputs(seed):
             path = Path(tmp) / f"fault-{k}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             yield (f"solve fault: {label}", *_run(["solve", str(path)]))
+        path = Path(tmp) / "drift-fault.json"
+        path.write_text(json.dumps(DRIFT_FAULT), encoding="utf-8")
+        for command in (["solve"], ["solve", "--mode", "picard"], ["oracle"], ["check"]):
+            yield (f"{' '.join(command)} expression fault: drift at t=1",
+                   *_run([command[0], str(path), *command[1:]]))
+        path = Path(tmp) / "generator-fault.json"
+        path.write_text(json.dumps(GENERATOR_FAULT), encoding="utf-8")
+        yield ("solve expression fault: bsde generator at t=5", *_run(["solve", str(path)]))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
