@@ -24,21 +24,19 @@ class BsdeProblem:
     """Terminal data and generator of a backward equation.
 
     ``terminal`` holds the leaf values, shape (N**T,) for scalar problems or
-    (N**T, K).  The generators take one whole level of nodes at a time.
-    ``generator(t, y, z_tilde)`` is evaluated at interior times 1..T-1 on
-    the depth-t values ``y``, shape (n,) or (n, K), and ``z_tilde``, the
-    (N-1)-column contraction of each node's next-step row, shape (n, N-1)
-    or (n, K, N-1), so the generator cannot tell equivalent rows apart.
-    ``terminal_generator(y)`` is the time-T term over the leaves and takes
-    no row argument.  Each returns the level's values, shaped like ``y``;
-    one value, or an array of ``y.ndim`` dimensions whose size-1 axes
-    stretch to that shape (a (1, K) row), stands for every node, and any
-    other shape is a ShapeMismatch.  Either may be None, meaning zero.
+    (N**T, K).  ``generator(t, y, z_tilde)`` takes one whole level of nodes
+    at a time, at times 1..T: ``y`` holds the depth-t values, shape (n,) or
+    (n, K), and ``z_tilde`` the (N-1)-column contraction of each node's
+    next-step row, shape (n, N-1) or (n, K, N-1), so the generator cannot
+    tell equivalent rows apart; at the horizon it gets ``z_tilde=None``.
+    It returns the level's values, shaped like ``y``; one value, or an
+    array of ``y.ndim`` dimensions whose size-1 axes stretch to that shape
+    (a (1, K) row), stands for every node, and any other shape is a
+    ShapeMismatch.  ``generator=None`` means zero at every time.
     """
 
     terminal: np.ndarray
     generator: Optional[Callable] = None
-    terminal_generator: Optional[Callable] = None
 
     def __post_init__(self):
         object.__setattr__(self, "terminal", np.asarray(self.terminal, dtype=float))
@@ -73,7 +71,7 @@ def solve_bsde(tree: ScenarioTree, problem: BsdeProblem):
     y_levels[T][...] = _as_matrix(eta)
     for t in range(T - 1, -1, -1):
         y_next = y_levels[t + 1]
-        xi = y_next + _generator_level(tree, problem, t + 1, y_next, z_levels, scalar, K)
+        xi = y_next + _generator_level(tree, problem, t + 1, y_next, z_levels, scalar)
         # each node's child values of each of the K components, branch last
         # and contiguous: einsum then sums the branches of every component
         # in the order of a scalar solve
@@ -87,19 +85,14 @@ def solve_bsde(tree: ScenarioTree, problem: BsdeProblem):
     return AdaptedProcess.from_array(tree, 0, Y), AdaptedProcess.from_array(tree, 0, Z)
 
 
-def _generator_level(tree, problem, t, y_level, z_levels, scalar, K):
-    """Generator values at every depth-t node, as an (N**t, K) array."""
-    n = tree.num_nodes(t)
-    y = y_level[:, 0] if scalar else y_level
-    fn = problem.terminal_generator if t == tree.T else problem.generator
-    if fn is None:
-        return np.zeros((n, K))
-    if t == tree.T:
-        value = fn(y)
-    else:
-        zt = tilde_contract(z_levels[t])
-        value = fn(t, y, zt[:, 0, :] if scalar else zt)
-    out = _level(value, y.shape, f"generator at t={t}").reshape(n, K)
+def _generator_level(tree, problem, t, y_level, z_levels, scalar):
+    """Generator values at every depth-t node, as an (N**t, K) array; the
+    horizon has no next-step row to contract."""
+    if problem.generator is None:
+        return np.zeros(y_level.shape)
+    part = (slice(None), 0) if scalar else ...  # a scalar problem's calls drop the K axis
+    y, zt = y_level[part], None if t == tree.T else tilde_contract(z_levels[t])[part]
+    out = _level(problem.generator(t, y, zt), y.shape, f"generator at t={t}").reshape(y_level.shape)
     if not np.isfinite(out).all():
         node = int(np.argmin(np.isfinite(out).all(axis=1)))
         raise GeneratorEvaluationError(f"generator at (t={t}, node={node}) is not finite")
@@ -127,5 +120,5 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
     f = np.empty((len(y) - 1, K))
     f_levels = (None, *tree.views(f, range(1, T + 1)))
     for t in range(T, 0, -1):
-        f_levels[t][...] = _generator_level(tree, problem, t, y_levels[t], z_levels, scalar, K)
+        f_levels[t][...] = _generator_level(tree, problem, t, y_levels[t], z_levels, scalar)
     return worst_defects(tree, None, y, z, None, None, f)[1]

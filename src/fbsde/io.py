@@ -337,17 +337,11 @@ def _bind_bsde(tree, doc):
 
     environment = _environments(tree)
 
-    def generator(t, y, zt):  # whole levels, on times 1..T-1
-        return f_expr.evaluate(environment(t, np.arange(len(y)), y=y, zt=zt))
+    def generator(t, y, zt):  # whole levels, on times 1..T
+        expr = fT_expr if t == tree.T else f_expr
+        return 0.0 if expr is None else expr.evaluate(environment(t, np.arange(len(y)), y=y, zt=zt))
 
-    def terminal_generator(y):
-        return fT_expr.evaluate(environment(tree.T, np.arange(len(y)), y=y))
-
-    return BsdeProblem(
-        terminal=eta,
-        generator=generator if f_expr is not None else None,
-        terminal_generator=terminal_generator if fT_expr is not None else None,
-    )
+    return BsdeProblem(terminal=eta, generator=None if fT_expr is None else generator)
 
 
 def bind_problem(doc) -> LoadedProblem:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,7 +148,8 @@ class Inhomogeneity:
 def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
     """Interpolate between the self-coupled linear form (0) and the problem (1).
 
-    At alpha = 0 the coefficients become drift -y, diffusion the row whose
+    At alpha = 0 the coefficients become those of
+    ``linear_special_problem``: drift -y, diffusion the row whose
     contraction is -z_tilde with last column zero, generator x, terminal x.
     alpha = 1 returns the problem unchanged.
     """
@@ -156,22 +157,13 @@ def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
         raise AlphaOutOfRange(f"alpha = {alpha!r}")
     if alpha == 1.0:
         return problem
-    a = float(alpha)
+    a, base = float(alpha), linear_special_problem(None)  # its callbacks read no tree
 
-    def drift(t, nodes, x, y, zt):
-        return a * np.asarray(problem.drift(t, nodes, x, y, zt), dtype=float) + (1.0 - a) * (-y)
+    def mixed(target, lin):
+        return lambda *args: a * np.asarray(target(*args), dtype=float) + (1.0 - a) * lin(*args)
 
-    def diffusion(t, nodes, x, y, zt):
-        v = np.asarray(problem.diffusion(t, nodes, x, y, zt), dtype=float)
-        return a * v + (1.0 - a) * -_canonical_rows(zt)
-
-    def generator(t, nodes, x, y, zt):
-        return a * np.asarray(problem.generator(t, nodes, x, y, zt), dtype=float) + (1.0 - a) * x
-
-    def terminal(nodes, x):
-        return a * np.asarray(problem.terminal(nodes, x), dtype=float) + (1.0 - a) * x
-
-    return NonlinearProblem(drift, diffusion, generator, terminal)
+    return NonlinearProblem(*(mixed(getattr(problem, c.name), getattr(base, c.name))
+                              for c in fields(NonlinearProblem)))
 
 
 @dataclass

@@ -181,9 +181,10 @@ def backward_given_forward(tree, problem, X):
     backward solve.
 
     ``X`` is the (n, K) level-order array of the paths; the problem's
-    generator, at X, is the backward generator of each level; at the
-    horizon its ``z_tilde`` is None.  Returns Y, (n, K), and Z on the m
-    non-leaf nodes, (m, K, N), column k of each the solve of path k alone.
+    generator, at X, is the backward problem's generator on times 1..T,
+    which share its contract: ``z_tilde`` is None at the horizon.  Returns
+    Y, (n, K), and Z on the m non-leaf nodes, (m, K, N), column k of each
+    the solve of path k alone.
     """
     T = tree.T
     X_levels = tree.views(X, range(T + 1))
@@ -192,9 +193,7 @@ def backward_given_forward(tree, problem, X):
         return _on_paths(problem.generator, "generator", t, (), X_levels[t], y, zt)
 
     eta = _on_paths(problem.terminal, "terminal", None, (), X_levels[T])
-    bp = BsdeProblem(terminal=eta, generator=gen if T > 1 else None,
-                     terminal_generator=lambda y: gen(T, y, None))
-    Y, Z = solve_bsde(tree, bp)
+    Y, Z = solve_bsde(tree, BsdeProblem(terminal=eta, generator=gen))
     return Y.array, Z.array
 
 
@@ -233,7 +232,8 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     each X trial, so the only unknowns are the X values at depths 1..T.
     Tries the flat start X = x0 and randomized perturbations drawn from
     ``seed``; raises NoConvergence with the best iterate if none reaches
-    ``tolerance``.
+    ``tolerance``, or the first start's ExpressionDomainError if no start
+    can be evaluated.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
@@ -255,15 +255,21 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         starts.append(np.full(m, float(x0)) + rng.normal(scale=0.5, size=m))
 
     best_res = np.inf
-    best_x = None
+    best_x = fault = None
     for start in starts:
-        x, res = _newton(residual, start, tolerance)
+        try:
+            x, res = _newton(residual, start, tolerance)
+        except ExpressionDomainError as err:
+            fault = fault or err
+            continue
         if res <= tolerance:
             X = np.concatenate([[float(x0)], x])[:, None]
             Y, Z = backward_given_forward(tree, problem, X)
             return _finish(tree, problem, _Iterate(X[:, 0], Y[:, 0], Z[:, 0]))
         if res < best_res:
             best_res, best_x = res, x
+    if best_x is None and fault is not None:  # the coefficient fails, not the search
+        raise fault
     raise NoConvergence(
         f"no start reached tolerance {tolerance:g}; best residual {best_res:.3e}",
         best_residual=None if best_x is None else float(best_res),
@@ -272,20 +278,16 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
 
 
 def _evaluate(residual, x):
-    """(residual, max norm) at the point ``x``; a coefficient that leaves
-    its domain there gives (None, inf), a failed point."""
-    try:
-        f = residual(x[:, None])[:, 0]
-    except ExpressionDomainError:
-        return None, np.inf
+    """(residual, max norm) at the point ``x``."""
+    f = residual(x[:, None])[:, 0]
     return f, float(np.abs(f).max())
 
 
 def _newton(residual, x0_vec, tolerance):
     """Damped Newton from ``x0_vec`` on ``residual``, which maps columns to
-    columns: a single point is one column.  A trial point outside a
-    coefficient's domain halves the step; a start or a Jacobian outside it
-    ends the run at the last point."""
+    columns: a single point is one column.  A start outside a coefficient's
+    domain raises its ExpressionDomainError; a trial point outside it halves
+    the step, and a Jacobian outside it ends the run at the last point."""
     x = x0_vec.astype(float).copy()
     f, fnorm = _evaluate(residual, x)
     for _ in range(MAX_NEWTON_STEPS):
@@ -305,7 +307,10 @@ def _newton(residual, x0_vec, tolerance):
         improved = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
-            ft, ftnorm = _evaluate(residual, trial)
+            try:
+                ft, ftnorm = _evaluate(residual, trial)
+            except ExpressionDomainError:  # a failed trial
+                ftnorm = np.inf
             if np.isfinite(ftnorm) and ftnorm < fnorm:
                 x, f, fnorm = trial, ft, ftnorm
                 improved = True

@@ -152,7 +152,6 @@ def test_criterion_04_backward_solver_closed_form():
         problem = BsdeProblem(
             terminal=eta,
             generator=lambda t, y, zt, c=c: c,
-            terminal_generator=lambda y, c=c: c,
         )
         Y, Z = solve_bsde(tree, problem)
         closure, _ = solve_bsde(tree, BsdeProblem(terminal=eta))

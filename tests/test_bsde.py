@@ -49,7 +49,6 @@ def test_constant_generator_shifts_by_remaining_time():
         problem = BsdeProblem(
             terminal=eta,
             generator=lambda t, y, zt, c=c: c,
-            terminal_generator=lambda y, c=c: c,
         )
         Y, Z = solve_bsde(tree, problem)
         for t in range(tree.T + 1):
@@ -66,6 +65,8 @@ def test_vector_values_with_row_dependent_generator():
     eta = rng.normal(size=(9, 2))
 
     def gen(t, y, zt):
+        if zt is None:  # no horizon term
+            return 0.0
         assert zt.shape[1:] == (2, 2)
         return np.stack([0.2 * y[:, 1] + zt[:, 0, 0], -0.1 * y[:, 0] + zt[:, 1, 1]], axis=1)
 
@@ -83,7 +84,6 @@ def test_vector_valued_constant_generator():
     problem = BsdeProblem(
         terminal=eta,
         generator=lambda t, y, zt: np.broadcast_to(c, y.shape),
-        terminal_generator=lambda y: np.broadcast_to(c, y.shape),
     )
     Y, Z = solve_bsde(tree, problem)
     np.testing.assert_allclose(Y.level(0)[0], eta.mean(axis=0) + 2 * c, atol=TOL)
@@ -92,20 +92,18 @@ def test_vector_valued_constant_generator():
 
 
 def test_generator_consumes_contraction():
-    # the generator sees only the contraction of the next-step row, and the
-    # terminal generator takes no row argument at all
+    # the generator sees only the contraction of the next-step row, and at
+    # the horizon no row at all
     tree = uniform_tree(2, 3)
     seen = []
 
     def gen(t, y, zt):
+        if zt is None:
+            return 0.1 * y
         seen.append((t, zt.shape[1:]))
         return 0.1 * y + zt[:, 0]
 
-    problem = BsdeProblem(
-        terminal=np.arange(8.0),
-        generator=gen,
-        terminal_generator=lambda y: 0.1 * y,
-    )
+    problem = BsdeProblem(terminal=np.arange(8.0), generator=gen)
     Y, Z = solve_bsde(tree, problem)
     assert {t for t, _ in seen} == {1, 2}
     assert {s for _, s in seen} == {(1,)}
@@ -117,7 +115,7 @@ def test_solution_is_deterministic():
     tree = random_tree(rng, 3, 3)
     eta = rng.normal(size=27)
     problem = BsdeProblem(
-        terminal=eta, generator=lambda t, y, zt: np.tanh(y) + zt.sum(axis=1)
+        terminal=eta, generator=lambda t, y, zt: 0.0 if zt is None else np.tanh(y) + zt.sum(axis=1)
     )
     Y1, Z1 = solve_bsde(tree, problem)
     Y2, Z2 = solve_bsde(tree, problem)
@@ -152,7 +150,7 @@ def test_residual_insensitive_to_row_representative():
     tree = random_tree(rng, 3, 2)
     problem = BsdeProblem(
         terminal=rng.normal(size=9),
-        generator=lambda t, y, zt: 0.3 * y + zt[:, 0] - zt[:, 1],
+        generator=lambda t, y, zt: 0.0 if zt is None else 0.3 * y + zt[:, 0] - zt[:, 1],
     )
     Y, Z = solve_bsde(tree, problem)
     base = bsde_residual(tree, problem, Y, Z)
@@ -193,15 +191,14 @@ def test_expression_generators_match_a_per_node_evaluation():
     f, fT = parse_expression(f_src), parse_expression(fT_src)
 
     def gen(t, y, zt):
+        if zt is None:
+            return [fT.evaluate({"t": float(T), "w": float(node % N + 1), "y": y[node]})
+                    for node in range(len(y))]
         return [f.evaluate({"t": float(t), "w": float(node % N + 1), "y": y[node],
                             "z1": float(zt[node, 0]), "z2": float(zt[node, 1])})
                 for node in range(len(y))]
 
-    def gen_T(y):
-        return [fT.evaluate({"t": float(T), "w": float(node % N + 1), "y": y[node]})
-                for node in range(len(y))]
-
-    per_node = BsdeProblem(terminal=loaded.data.terminal, generator=gen, terminal_generator=gen_T)
+    per_node = BsdeProblem(terminal=loaded.data.terminal, generator=gen)
     assert _solve_bits(loaded.tree, loaded.data) == _solve_bits(loaded.tree, per_node)
 
 
@@ -209,6 +206,8 @@ def test_level_generator_output_is_checked():
     tree = uniform_tree(2, 2)
 
     def nan_at_node_1(t, y, zt):
+        if zt is None:
+            return 0.0
         out = 0.1 * y
         out[1] = np.nan
         return out
@@ -216,21 +215,22 @@ def test_level_generator_output_is_checked():
     with pytest.raises(GeneratorEvaluationError, match=r"\(t=1, node=1\)"):
         solve_bsde(tree, BsdeProblem(terminal=np.ones(4), generator=nan_at_node_1))
     with pytest.raises(ShapeMismatch, match="t=2"):
-        solve_bsde(tree, BsdeProblem(terminal=np.ones(4), terminal_generator=lambda y: y[:2]))
+        solve_bsde(tree, BsdeProblem(terminal=np.ones(4),
+                                     generator=lambda t, y, zt: y[:2] if zt is None else 0.0))
     # one value serves the whole level
-    Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones(4), terminal_generator=lambda y: 0.5))
+    Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones(4),
+                                        generator=lambda t, y, zt: 0.5 if zt is None else 0.0))
     np.testing.assert_allclose(Y.level(0), [1.5], atol=TOL)
     # so does an output that broadcasts to it: a length-1 array, bit for bit
-    Y1, Z1 = solve_bsde(tree, BsdeProblem(terminal=np.ones(4),
-                                          generator=lambda t, y, zt: np.array([0.25]),
-                                          terminal_generator=lambda y: np.array([0.5])))
-    Y0, Z0 = solve_bsde(tree, BsdeProblem(terminal=np.ones(4), generator=lambda t, y, zt: 0.25,
-                                          terminal_generator=lambda y: 0.5))
+    Y1, Z1 = solve_bsde(tree, BsdeProblem(
+        terminal=np.ones(4), generator=lambda t, y, zt: np.array([0.5 if zt is None else 0.25])))
+    Y0, Z0 = solve_bsde(tree, BsdeProblem(terminal=np.ones(4),
+                                          generator=lambda t, y, zt: 0.5 if zt is None else 0.25))
     assert Y1.array.tobytes() == Y0.array.tobytes() and Z1.array.tobytes() == Z0.array.tobytes()
     np.testing.assert_allclose(Y1.level(0), [1.75], atol=TOL)
     # and one (1, K) row of K values serves every node of a K-valued level
-    Y, _ = solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 2)),
-                                        terminal_generator=lambda y: np.array([[0.5, 1.0]])))
+    Y, _ = solve_bsde(tree, BsdeProblem(
+        terminal=np.ones((4, 2)), generator=lambda t, y, zt: np.array([[0.5, 1.0]]) if zt is None else 0.0))
     np.testing.assert_allclose(Y.level(0), [[1.5, 2.0]], atol=TOL)
 
 
@@ -239,9 +239,11 @@ def test_one_value_per_node_is_not_a_row_of_k_values():
     # broadcast to (n, K) as one row shared by all nodes; it is refused
     tree = uniform_tree(2, 2)
     with pytest.raises(ShapeMismatch, match=r"t=1 returned shape \(2,\), expected \(2, 2\)"):
-        solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 2)), generator=lambda t, y, zt: y[:, 0]))
+        solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 2)),
+                                     generator=lambda t, y, zt: 0.0 if zt is None else y[:, 0]))
     with pytest.raises(ShapeMismatch, match=r"t=2 returned shape \(4,\), expected \(4, 4\)"):
-        solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 4)), terminal_generator=lambda y: y[:, 0]))
+        solve_bsde(tree, BsdeProblem(terminal=np.ones((4, 4)),
+                                     generator=lambda t, y, zt: y[:, 0] if zt is None else 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,17 +256,44 @@ def test_each_component_of_a_vector_solve_is_its_scalar_solve(seed, N, T, K):
     a, c = rng.uniform(-1, 1, size=2)
 
     def gen(t, y, zt):
+        if zt is None:
+            return 0.3 * np.sin(y) - c * y
         w = np.arange(len(y)) % N + 1.0
         w = w if y.ndim == 1 else w[:, None]
         return a * y + np.tanh(zt[..., 0]) - c * zt[..., -1] * w / t
 
-    def gen_T(y):
-        return 0.3 * np.sin(y) - c * y
-
-    Y, Z = solve_bsde(tree, BsdeProblem(eta, gen, gen_T))
+    Y, Z = solve_bsde(tree, BsdeProblem(eta, gen))
     for k in range(K):
-        Yk, Zk = solve_bsde(tree, BsdeProblem(eta[:, k], gen, gen_T))
+        Yk, Zk = solve_bsde(tree, BsdeProblem(eta[:, k], gen))
         for t in range(T + 1):
             assert np.array_equal(Y.level(t)[:, k], Yk.level(t))
         for t in range(T):
             assert np.array_equal(Z.level(t)[:, k], Zk.level(t))
+
+
+@pytest.mark.parametrize("K", [None, 2])
+def test_the_generator_runs_on_times_1_to_T_with_no_row_at_the_horizon(K):
+    # one generator, as NonlinearProblem's: z_tilde is None at t = T and a
+    # contraction array at T-1..1, in both the solve and the residual
+    tree = uniform_tree(3, 3)
+    cell = () if K is None else (K,)
+    eta = np.random.default_rng(6).normal(size=(27,) + cell)
+    calls = []
+
+    def gen(t, y, zt):
+        calls.append((t, y.shape, None if zt is None else (type(zt), zt.shape)))
+        return 0.0
+
+    problem = BsdeProblem(terminal=eta, generator=gen)
+    Y, Z = solve_bsde(tree, problem)
+    want = [(3, (27,) + cell, None)] + [(t, (3**t,) + cell, (np.ndarray, (3**t,) + cell + (2,)))
+                                        for t in (2, 1)]
+    assert calls == want
+    calls.clear()
+    assert bsde_residual(tree, problem, Y, Z) <= RESIDUAL_TOL
+    assert calls == want
+    # generator=None is the zero generator at every time, bit for bit
+    Y0, Z0 = solve_bsde(tree, BsdeProblem(terminal=eta))
+    assert Y0.array.tobytes() == Y.array.tobytes() and Z0.array.tobytes() == Z.array.tobytes()
+    assert bsde_residual(tree, BsdeProblem(terminal=eta), Y0, Z0) == (
+        bsde_residual(tree, problem, Y, Z))

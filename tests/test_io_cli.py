@@ -167,7 +167,7 @@ class TestBinding:
         with pytest.raises(SchemaError, match="z2"):
             bind_problem(doc)
 
-    def test_terminal_generator_required_when_f_uses_contraction(self):
+    def test_f_terminal_required_when_f_uses_contraction(self):
         doc = json.loads(json.dumps(DEMOS["monotone-family"]))
         doc["coefficients"]["f"] = "x + z1"
         del doc["coefficients"]["f_terminal"]
@@ -185,7 +185,7 @@ class TestBinding:
         assert loaded.x0 is None
         assert loaded.data.terminal.shape == (4,)
 
-    def test_bsde_terminal_generator_defaults_to_f_when_row_free(self):
+    def test_bsde_f_terminal_defaults_to_f_when_row_free(self):
         doc = {
             "kind": "bsde",
             "tree": {"N": 2, "T": 2, "transition": "uniform"},
@@ -193,7 +193,7 @@ class TestBinding:
             "coefficients": {"f": "0.5"},
         }
         problem = bind_problem(doc).data
-        assert problem.terminal_generator(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [0.5] * 4
+        assert problem.generator(2, np.array([1.0, 2.0, 3.0, 4.0]), None).tolist() == [0.5] * 4
         doc["coefficients"] = {"f": "z1"}
         with pytest.raises(SchemaError, match="f_terminal"):
             bind_problem(doc)
@@ -896,21 +896,35 @@ class TestCli:
 
     @pytest.mark.parametrize("x0", [10.0, 1000.0])
     def test_the_oracle_treats_a_domain_error_as_a_failed_point(self, tmp_path, capsys, x0):
-        # exp overflows at trial points from x0 = 10 and at every start from
-        # x0 = 1000: failed steps and starts, not a malformed input (exit 4)
+        # exp overflows at trial points from x0 = 10: failed steps, not a
+        # malformed input; from x0 = 1000 it overflows at every start, so no
+        # start can be evaluated and the fault is the input's (exit 4)
         doc = {"kind": "nonlinear", "tree": {"N": 2, "T": 2, "transition": "uniform"}, "x0": x0,
                "coefficients": {"b": "-y + 0.1*tanh(x)", "sigma": ["-z1", "0"],
                                 "f": "x + 0.1*tanh(y)", "f_terminal": "x", "h": "x - 0.5*exp(x)"}}
         path = tmp_path / "domain.json"
         path.write_text(json.dumps(doc))
+        if x0 == 1000.0:
+            assert run_cli(["oracle", str(path)]) == 4
+            assert capsys.readouterr() == ("", "error: exp left the real domain (offset 8)\n")
+            return
         assert run_cli(["oracle", str(path)]) == 3
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["status"] == "no_convergence" and captured.err == ""
-        if x0 == 10.0:
-            assert math.isfinite(report["best_residual"]) and report["best_residual"] > 0
-        else:  # no start could be evaluated, so there is no best residual
-            assert "best_residual" not in report
+        assert math.isfinite(report["best_residual"]) and report["best_residual"] > 0
+
+    def test_a_coefficient_no_start_can_evaluate_is_an_input_error(self, tmp_path, capsys):
+        # the drift divides by zero at every point of t = 1, wherever Newton
+        # starts: the oracle exits 4 with the error solve reports
+        doc = {"kind": "nonlinear", "tree": {"N": 2, "T": 2, "transition": "uniform"}, "x0": 1.0,
+               "coefficients": {"b": "-y + 0.1*tanh(x) + 0.01/(t - 1)", "sigma": ["-z1", "0"],
+                                "f": "x + 0.1*tanh(y)", "f_terminal": "x", "h": "x"}}
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps(doc))
+        for command in ("solve", "oracle"):
+            assert run_cli([command, str(path)]) == 4
+            assert capsys.readouterr() == ("", "error: division by zero (offset 23)\n")
 
 
 #: A nonlinear file on N=2 whose drift, diffusion and generator pass y and

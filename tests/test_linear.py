@@ -332,11 +332,7 @@ class TestSolveLinear:
                     val = val + np.einsum("nj,nj->n", z_rows, coeffs.C_hat[t])
                 return -val
 
-            problem = BsdeProblem(
-                terminal=coeffs.G * X[T] + coeffs.g,
-                generator=gen if T > 1 else None,
-                terminal_generator=lambda y: gen(T, y, None),
-            )
+            problem = BsdeProblem(terminal=coeffs.G * X[T] + coeffs.g, generator=gen)
             Y, Z = solve_bsde(tree, problem)
             for t in range(T + 1):
                 np.testing.assert_allclose(sol.Y.level(t), Y.level(t), atol=TOL)

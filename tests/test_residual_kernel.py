@@ -48,16 +48,11 @@ def random_triple(rng, tree):
 
 def frozen_backward_problem(tree, problem, X):
     """The backward equation of ``problem`` with the forward path fixed at X."""
-    T = tree.T
 
     def gen(t, y, zt):
         return problem.generator(t, np.arange(len(y)), X[t], y, zt)
 
-    return BsdeProblem(
-        terminal=np.zeros(tree.num_nodes(T)),
-        generator=gen,
-        terminal_generator=lambda y: gen(T, y, None),
-    )
+    return BsdeProblem(terminal=np.zeros(tree.num_nodes(tree.T)), generator=gen)
 
 
 def all_paths(tree, coeffs, X, Y, Z):
@@ -213,7 +208,7 @@ def test_a_nan_reaches_the_backward_only_reduction():
     # K = 2 values: no forward equation, so the forward value is 0.0
     tree = build_tree(2, 2)
     problem = BsdeProblem(terminal=np.arange(8.0).reshape(4, 2),
-                          generator=lambda t, y, zt: 0.5 * y)
+                          generator=lambda t, y, zt: 0.0 if zt is None else 0.5 * y)
     Y, Z = solve_bsde(tree, problem)
     Y = [Y.level(t).copy() for t in range(tree.T + 1)]
     Z = [Z.level(t) for t in range(tree.T)]

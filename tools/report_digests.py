@@ -31,16 +31,18 @@ conditions, an overflowing sum included.  The nonlinear document of
 ``oracle`` and ``check``, and the bsde document of ``GENERATOR_FAULT``
 through ``solve``: each coefficient faults at two nodes of one level, at
 different offsets, which pins the error of the first failing node on a
-small level and on a large one.  Then every op of each
-``bench/workloads.py`` op list runs on files that module generates for
-``--seed`` into the same directory, and every nonlinear file of an op list
-also goes through ``check`` and a ``--mode picard`` solve.  Every call is
-a fresh ``python -m fbsde`` process on this checkout's ``src``.  Running
-the same command on two checkouts and comparing the printed lines shows
-whether their outputs differ.  With ``--against``, a listing saved from an
-earlier run of the same seed, the tool also does that comparison: after
-printing every line it exits 1, naming each label whose line differs or is
-missing from either listing.
+small level and on a large one.  Each bsde document of ``HORIZON_DOCS``
+goes through ``solve``: one with a row-free ``f`` only, which the horizon
+reuses, and one with ``f_terminal`` only, under a zero interior generator.
+Then every op of each ``bench/workloads.py`` op list runs on files that
+module generates for ``--seed`` into the same directory, and every
+nonlinear file of an op list also goes through ``check`` and a ``--mode
+picard`` solve.  Every call is a fresh ``python -m fbsde`` process on
+this checkout's ``src``.  Running the same command on two checkouts and
+comparing the printed lines shows whether their outputs differ.  With
+``--against``, a listing saved from an earlier run of the same seed, the
+tool also does that comparison: after printing every line it exits 1,
+naming each label whose line differs or is missing from either listing.
 
 ``--save DIR`` keeps each report in DIR, with an ``index.json`` of each
 label's report file, exit code and standard error.  ``--compare DIR``
@@ -113,6 +115,17 @@ GENERATOR_FAULT = {
     "terminal": [(k % 7) / 7.0 for k in range(3**6)],
     "coefficients": {"f": "0.5*y + z1/(w - 3 + 9*(t - 5)^2) + 1/(w - 2 + 7*(t - 5)^2)",
                      "f_terminal": "0.5*y"},
+}
+
+#: Bsde documents on the uniform binary tree of depth 4 that give one of
+#: the two generator expressions: ``f`` alone, row-free, so ``f_terminal``
+#: defaults to it, or ``f_terminal`` alone, so the interior generator is
+#: zero.
+HORIZON_DOCS = {
+    f"only {field}": {"kind": "bsde", "tree": {"N": 2, "T": 4, "transition": [0.3, 0.7]},
+                      "terminal": [(k % 5) / 5.0 - 0.3 for k in range(2**4)],
+                      "coefficients": {field: expression}}
+    for field, expression in (("f", "0.2*y - 0.1*w + t/7"), ("f_terminal", "0.3*y + w/5"))
 }
 
 
@@ -249,6 +262,10 @@ def outputs(seed):
         path = Path(tmp) / "generator-fault.json"
         path.write_text(json.dumps(GENERATOR_FAULT), encoding="utf-8")
         yield ("solve expression fault: bsde generator at t=5", *_run(["solve", str(path)]))
+        for name, doc in HORIZON_DOCS.items():
+            path = Path(tmp) / f"horizon-{name.replace(' ', '-')}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            yield (f"solve bsde horizon: {name}", *_run(["solve", str(path)]))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
