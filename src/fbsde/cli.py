@@ -231,7 +231,7 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
         sol = oracle.solve_oracle(tree, loaded.data, loaded.x0,
                                   tolerance=loaded.options.tolerance, seed=loaded.seed)
     except NoConvergence as err:
-        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE,
+        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE, err.stats,
                             error=str(err), best_residual=err.best_residual)
     return _solved(report, tree, sol, sol.residuals)
 

@@ -95,12 +95,13 @@ class StepUnderflow(FbsdeError):
 
 
 class NoConvergence(FbsdeError):
-    """Newton iteration stalled; carries the best iterate found."""
+    """Newton iteration stalled; carries the best iterate found and the ``stats`` of its starts."""
 
-    def __init__(self, message, best_residual=None, best_iterate=None):
+    def __init__(self, message, best_residual=None, best_iterate=None, stats=None):
         super().__init__(message)
         self.best_residual = best_residual
         self.best_iterate = best_iterate
+        self.stats = stats
 
 
 class ProblemTooLarge(FbsdeError):

@@ -267,10 +267,10 @@ class _SlopePass:
     Beside P (``P_array`` in level order over times 1..T, ``P_levels`` its
     views), the per-node matrices and their level-array certificate it
     keeps, per level t it passed, the slope ``v`` of the child closures
-    X_child = v X + w (the matrix's inverse times the stacked column a) and
-    the matrices' ``_structure``; and per level t, passed or not, the
-    feedback matrix ``coupling`` and (for t >= 1) the contraction ``theta``
-    of the child closures, views of whole-tree tables, for the later passes.
+    X_child = v X + w (the matrix's inverse times the stacked column a);
+    and per level t, passed or not, the feedback matrix ``coupling`` and
+    (for t >= 1) the contraction ``theta`` of the child closures, views of
+    whole-tree tables, for the later passes.
     """
 
     P_array: np.ndarray
@@ -280,7 +280,6 @@ class _SlopePass:
     v_levels: tuple
     coupling_levels: tuple
     theta_levels: tuple
-    structure_levels: tuple
 
 
 @dataclass(frozen=True)
@@ -383,36 +382,10 @@ def _script_offset(tree, coeffs):
     return _stack(coeffs.arrays["D"], coeffs.arrays["D_bar"], tree.rows)
 
 
-def _structure(gamma):
-    """(d, l) when every matrix of a level is its diagonal d plus a last
-    column l above it (l's last entry set to 0) with |l_i| <= 2**-50 |d_i|,
-    as the special form's are (see ``solve_special``); else None."""
-    other = ~np.eye(gamma.shape[-1], dtype=bool)  # the entries that must be 0
-    other[:-1, -1] = False
-    if gamma[:, other].any():  # before any copy: a general level fails here
-        return None
-    d, l = np.diagonal(gamma, axis1=1, axis2=2).copy(), gamma[:, :, -1].copy()
-    l[:, -1] = 0.0
-    d.flags.writeable = l.flags.writeable = False  # shared through the slope memo
-    return None if (np.abs(l) > 2.0**-50 * np.abs(d)).any() else (d, l)
-
-
-def _solve_columns(gamma, structure, rhs):
-    """The column x with gamma x = rhs at every node of a level.
-
-    The child closures P X + p of a solved level are v X + w, with
-    gamma v = a and gamma w = (b P^T + c) p + d.  On a level with a
-    ``_structure`` (d, l), x_N = r_N / d_N and x_i = (r_i - l_i x_N) / d_i
-    give the bits of the LU solve (pivots d, all multipliers zero) when no
-    entry of r is zero (LAPACK subtracts zero products, which can flip a
-    zero's sign) and x is finite (zero times inf is NaN in other places on
-    the two paths); otherwise the level goes through LAPACK.
-    """
-    if structure is not None and np.count_nonzero(rhs) == rhs.size:
-        d, l = structure
-        x = (rhs - l * (rhs[:, -1] / d[:, -1])[:, None]) / d
-        if np.isfinite(x).all():
-            return x
+def _solve_columns(gamma, rhs):
+    """The column x with gamma x = rhs at every node of a level, in one
+    batched LAPACK solve: the closure slopes v solve gamma v = a, the
+    offsets w solve gamma w = (b P^T + c) p + d."""
     return np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
 
 
@@ -443,7 +416,7 @@ def _slope_pass(tree, coeffs):
     coupling.flags.writeable = theta.flags.writeable = False  # shared through the slope memo
     a_levels, coupling_levels = tree.views(a, range(T)), tree.views(coupling, range(T))
     theta_levels = (None, *tree.views(theta, range(1, T)))
-    gamma_levels, v_levels, structure_levels = ([None] * T for _ in range(3))
+    gamma_levels, v_levels = [None] * T, [None] * T
     ratio_levels, ok_levels, weakest = [], [], []
 
     P_views[T][...] = -coeffs.A_hat[T] + (1.0 - coeffs.B_hat[T]) * coeffs.G
@@ -464,8 +437,7 @@ def _slope_pass(tree, coeffs):
         weakest.append(GammaVerdict(tree.node_id(t, idx), float(ratios[idx]), bool(ok[idx])))
         if not ok.all():
             break
-        structure_levels[t] = _structure(gamma)
-        v = v_levels[t] = _solve_columns(gamma, structure_levels[t], a_levels[t])
+        v = v_levels[t] = _solve_columns(gamma, a_levels[t])
         if t:
             theta = theta_levels[t]
             P_views[t][...] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)
@@ -478,10 +450,8 @@ def _slope_pass(tree, coeffs):
     certificate = SolvabilityCertificate(
         tree, tuple(ratio_levels), tuple(ok_levels), tuple(weakest), bool(ok_levels[-1].all())
     )
-    return _SlopePass(
-        P_array, P_levels, tuple(gamma_levels), certificate,
-        tuple(v_levels), coupling_levels, theta_levels, tuple(structure_levels),
-    )
+    return _SlopePass(P_array, P_levels, tuple(gamma_levels), certificate,
+                      tuple(v_levels), coupling_levels, theta_levels)
 
 
 def _offset_pass(tree, coeffs, slopes):
@@ -505,8 +475,7 @@ def _offset_pass(tree, coeffs, slopes):
         n = tree.num_nodes(t)
         p_child = p_levels[t + 1].reshape(n, N)
         feedback = np.einsum("nij,nj->ni", slopes.coupling_levels[t], p_child)
-        w = w_levels[t] = _solve_columns(slopes.gamma_levels[t], slopes.structure_levels[t],
-                                         feedback + d_levels[t])
+        w = w_levels[t] = _solve_columns(slopes.gamma_levels[t], feedback + d_levels[t])
         if t:
             theta, P_child = slopes.theta_levels[t], slopes.P_levels[t + 1].reshape(n, N)
             p_levels[t][...] = (np.einsum("nj,nj,nj->n", theta, P_child, w)
@@ -654,13 +623,9 @@ def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
     """Solve the self-coupled special form; always uniquely solvable.
 
     Its decoupling recursion is deterministic with P > 1 at every level, so
-    each per-node matrix has diagonal entries 1 + P.  It is diagonal at
-    N = 2 and 4; otherwise its last column holds, above the diagonal, the
-    rounding residue of 1 - (q_1 + ... + q_{N-1}) - q_N over the transition
-    row q (5.6e-17 for uniform rows at N = 3), and ``_solve_columns``'
-    structured kernel solves it.  ``form`` is the homogeneous
+    each per-node matrix is invertible.  ``form`` is the homogeneous
     ``special_coefficients(tree)`` to solve through: its slope pass is
-    memoized, so repeated solves redo only the offset pass (one structured
+    memoized, so repeated solves redo only the offset pass (one batched
     solve per level) and the forward closures.  Without it the form is
     built for this one solve.
     """

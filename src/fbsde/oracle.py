@@ -24,7 +24,7 @@ from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, Probl
 from .linear import (SINGULAR_RATIO, FbsdeSolution, LinearCoefficients, _check_tree,
                      linear_residuals)
 from .martingale import _canonical_rows, forward_defect, tilde_contract
-from .nonlinear import _finish, _Iterate
+from .nonlinear import LevelRecord, SolveStats, _finish, _Iterate
 from .tree import AdaptedProcess, ScenarioTree, _level
 
 #: Inconsistency threshold for classifying rank-deficient systems.
@@ -213,12 +213,14 @@ def _forward_residual_vector(tree, problem, X, Y, Z):
     return fwd.reshape(-1, X.shape[1])
 
 
-def _newton_residual(tree, problem, x0):
+def _newton_residual(tree, problem, x0, stats):
     """The Newton oracle's function: the forward defects, (rows, K), of the
     K points in the columns of an (n - 1, K) array of forward values at
-    depths 1..T, with Y and Z solved exactly for each."""
+    depths 1..T, with Y and Z solved exactly for each.  Each call, one
+    sweep, counts as an inner solve of ``stats``."""
 
     def residual(flat):
+        stats.inner_solves += 1
         X = np.concatenate([np.full((1, flat.shape[1]), float(x0)), flat])
         return _forward_residual_vector(tree, problem, X, *backward_given_forward(tree, problem, X))
 
@@ -233,7 +235,8 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     Tries the flat start X = x0 and randomized perturbations drawn from
     ``seed``; raises NoConvergence with the best iterate if none reaches
     ``tolerance``, or the first start's ExpressionDomainError if no start
-    can be evaluated.
+    can be evaluated.  Its ``stats`` hold one level-1.0 record per start,
+    the residual norms after its steps, and count each residual sweep.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
@@ -242,7 +245,8 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         raise ProblemTooLarge(f"{m} unknowns exceed the Newton oracle's limit of "
                               f"{MAX_NEWTON_UNKNOWNS}")
 
-    residual = _newton_residual(tree, problem, x0)
+    stats = SolveStats()
+    residual = _newton_residual(tree, problem, x0, stats)
     rng = np.random.default_rng(seed)
     starts = []
     if initial_guess is not None:
@@ -257,8 +261,9 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     best_res = np.inf
     best_x = fault = None
     for start in starts:
+        stats.records.append(LevelRecord(alpha=1.0, norms=[], converged=False))
         try:
-            x, res = _newton(residual, start, tolerance)
+            x, res = _newton(residual, start, tolerance, stats.records[-1].norms)
         except ExpressionDomainError as err:
             fault = fault or err
             continue
@@ -274,6 +279,7 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         f"no start reached tolerance {tolerance:g}; best residual {best_res:.3e}",
         best_residual=None if best_x is None else float(best_res),
         best_iterate=best_x,
+        stats=stats,
     )
 
 
@@ -283,11 +289,12 @@ def _evaluate(residual, x):
     return f, float(np.abs(f).max())
 
 
-def _newton(residual, x0_vec, tolerance):
+def _newton(residual, x0_vec, tolerance, norms):
     """Damped Newton from ``x0_vec`` on ``residual``, which maps columns to
-    columns: a single point is one column.  A start outside a coefficient's
-    domain raises its ExpressionDomainError; a trial point outside it halves
-    the step, and a Jacobian outside it ends the run at the last point."""
+    columns: a single point is one column; ``norms`` gets the residual norm
+    after each step.  A start outside a coefficient's domain raises its
+    ExpressionDomainError; a trial point outside it halves the step, and a
+    Jacobian outside it ends the run at the last point."""
     x = x0_vec.astype(float).copy()
     f, fnorm = _evaluate(residual, x)
     for _ in range(MAX_NEWTON_STEPS):
@@ -313,6 +320,7 @@ def _newton(residual, x0_vec, tolerance):
                 ftnorm = np.inf
             if np.isfinite(ftnorm) and ftnorm < fnorm:
                 x, f, fnorm = trial, ft, ftnorm
+                norms.append(fnorm)
                 improved = True
                 break
             lam *= 0.5

@@ -894,6 +894,35 @@ class TestCli:
         assert "tolerance 1e-30" in report["error"]
         assert report["best_residual"] > 0
 
+    def test_oracle_no_convergence_reports_the_work_of_its_starts(self, monkeypatch, tmp_path,
+                                                                  capsys):
+        # every residual sweep (point, trial or Jacobian) is one inner solve;
+        # each start ends in a Jacobian whose line search finds no smaller
+        # residual, so the steps taken are the Jacobians less one a start
+        calls = {"_forward_residual_vector": 0, "finite_difference_jacobian": 0}
+
+        def counted(name):
+            fn = getattr(oracle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counted(name))
+        doc = json.loads(json.dumps(DEMOS["monotone-family"]))
+        doc["tree"]["T"] = 1
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["oracle", str(path), "--tol", "1e-30"]) == 3
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        starts = 1 + oracle.EXTRA_STARTS
+        assert stats == {"levels": 1, "halvings": 0,
+                         "iterations": calls["finite_difference_jacobian"] - starts,
+                         "inner_solves": calls["_forward_residual_vector"]}
+        assert stats["iterations"] >= starts
+
     @pytest.mark.parametrize("x0", [10.0, 1000.0])
     def test_the_oracle_treats_a_domain_error_as_a_failed_point(self, tmp_path, capsys, x0):
         # exp overflows at trial points from x0 = 10: failed steps, not a

@@ -28,7 +28,7 @@ from fbsde import (
     solve_special,
     special_coefficients,
 )
-from fbsde.linear import SINGULAR_RATIO, _script, _script_offset, _solve_columns, _structure
+from fbsde.linear import SINGULAR_RATIO, _script, _script_offset
 
 TOL = 1e-12
 SOLVER_TOL = 1e-10
@@ -120,7 +120,7 @@ def reference_slope_pass(tree, coeffs):
         ratio_levels.append(ratios)
         if not ((smax > 0.0) & (ratios > SINGULAR_RATIO)).all():
             break
-        v = vs[t] = _solve_columns(gamma, _structure(gamma), scr_a)
+        v = vs[t] = np.linalg.solve(gamma, scr_a[:, :, None])[:, :, 0]
         if t >= 1:
             theta = reference_theta_level(tree, coeffs, t)
             P[t] = -coeffs.A_hat[t] + np.einsum("nj,nj,nj->n", theta, P_child, v)

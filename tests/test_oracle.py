@@ -12,6 +12,7 @@ from fbsde import (
     NoConvergence,
     NoSolution,
     ShapeMismatch,
+    SolveStats,
     UniqueSolution,
     Unsolvable,
     as_nonlinear_problem,
@@ -235,7 +236,7 @@ def test_the_whole_tree_newton_residual_is_the_per_level_one_bit_for_bit(seed, N
     x0 = float(rng.normal())
     problem = (demo_monotone_problem(tree, 0.15) if monotone
                else as_nonlinear_problem(tree, random_linear_coeffs(rng, tree)))
-    residual = oracle._newton_residual(tree, problem, x0)
+    residual = oracle._newton_residual(tree, problem, x0, SolveStats())
     for K in range(1, 6):
         flat = x0 + rng.normal(size=(tree.offsets[-1] - 1, K))
         X = np.concatenate([np.full((1, K), x0), flat])
@@ -315,6 +316,10 @@ class TestSolveOracle:
             solve_oracle(tree, problem, 1.0)
         assert info.value.best_iterate is not None
         assert info.value.best_residual > 0
+        # one record a start, no step taken; one residual sweep at each start
+        stats = info.value.stats
+        assert [(r.alpha, r.norms, r.converged) for r in stats.records] == [(1.0, [], False)] * 3
+        assert (stats.inner_solves, stats.halvings) == (3, 0)
 
 
 def test_jacobian_matches_directional_differences():
@@ -372,7 +377,7 @@ def test_the_batched_jacobian_is_the_looped_one_bit_for_bit(N, T):
         },
     }
     loaded = bind_problem(doc)
-    residual = oracle._newton_residual(loaded.tree, loaded.data, loaded.x0)
+    residual = oracle._newton_residual(loaded.tree, loaded.data, loaded.x0, SolveStats())
     m = sum(N**t for t in range(1, T + 1))
     x = loaded.x0 + rng.normal(scale=0.5, size=m)
     x[int(rng.integers(m))] = -0.0

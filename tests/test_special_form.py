@@ -223,37 +223,3 @@ def test_the_memo_serves_only_its_own_coefficients(case):
     mine = solve_linear(solve_tree, coeffs, 1.0)
     assert not np.array_equal(mine.riccati.P_levels[1], filled.P_levels[1])
     assert_same_result(mine, solve_linear(solve_tree, replace_fields(coeffs), 1.0))
-
-
-def kernel_rhs(rng, n, N, sprinkle):
-    """Right-hand sides of random signs and magnitudes 1e-6..1e6, with about
-    a fifth of the entries set to +0.0 or -0.0, or to +inf or -inf."""
-    rhs = rng.choice([-1.0, 1.0], size=(n, N)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(n, N))
-    hit = rng.random((n, N)) < 0.2
-    values = {"zeros": [0.0, -0.0], "infinities": [np.inf, -np.inf]}.get(sprinkle)
-    if values is not None:
-        rhs[hit] = rng.choice(values, size=int(hit.sum()))
-    return rhs
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 4), st.booleans(),
-       st.sampled_from(["none", "zeros", "infinities"]))
-def test_the_structured_kernel_gives_the_lapack_bits(seed, N, T, uniform, sprinkle):
-    # every level of the special form has a structure, and its kernel solve
-    # is the batched LAPACK solve byte for byte; a matrix of the same pattern
-    # whose last column is O(1) has none, so it goes through LAPACK
-    rng = np.random.default_rng(seed)
-    tree = uniform_tree(N, T) if uniform else random_tree(rng, N, T)
-    slopes = riccati_backward(tree, special_coefficients(tree)).slope_pass
-    assert all(s is not None for s in slopes.structure_levels)
-    coarse = slopes.gamma_levels[-1].copy()
-    coarse[:, :-1, -1] = rng.uniform(-1.0, 1.0, size=(len(coarse), N - 1))
-    assert linear._structure(coarse) is None
-    for gamma, structure in zip(slopes.gamma_levels, slopes.structure_levels):
-        for _ in range(4):
-            rhs = kernel_rhs(rng, len(gamma), N, sprinkle)
-            want = np.linalg.solve(gamma, rhs[:, :, None])[:, :, 0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = linear._solve_columns(gamma, structure, rhs)
-            assert got.tobytes() == want.tobytes()

@@ -19,8 +19,9 @@ demo's document, written into a temporary directory, goes through
 ``oracle`` and ``check``; each command line of ``USAGE_ERRORS`` runs, on
 the ``corollary-special`` document where it names a file; the
 ``monotone-family`` document also goes through ``oracle`` on each larger
-tree of ``ORACLE_SIZES``, and with ``h`` = -x through ``check`` on each
-tree of ``CHECK_SIZES``.  The linear file
+tree of ``ORACLE_SIZES``, and on the tree of ``ORACLE_STOP`` with a
+tolerance no start reaches (exit 3), and with ``h`` = -x through ``check``
+on each tree of ``CHECK_SIZES``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
 disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
 of a pass halted below the root), and each invalid document
@@ -75,6 +76,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: (N, T) trees, larger than the benchmark's, on which the Newton oracle
 #: solves the ``monotone-family`` demo.
 ORACLE_SIZES = ((2, 6), (3, 4))
+
+#: (N, T, tolerance) on which the Newton oracle stops the ``monotone-family``
+#: demo with exit 3: the tolerance lies below rounding, so no start reaches it.
+ORACLE_STOP = (2, 1, "1e-30")
 
 #: (N, T) trees on which ``check`` reads the ``monotone-family`` demo with a
 #: violated terminal map, h = -x: the demo's own tree, and one of depth 1,
@@ -241,6 +246,10 @@ def outputs(seed):
         for N, T in ORACLE_SIZES:
             path = monotone_doc(f"monotone-family-{N}-{T}", N, T)
             yield (f"oracle demo monotone-family N={N} T={T}", *_run(["oracle", str(path)]))
+        N, T, tol = ORACLE_STOP
+        path = monotone_doc(f"monotone-family-{N}-{T}", N, T)
+        yield (f"oracle demo monotone-family N={N} T={T} --tol {tol}",
+               *_run(["oracle", str(path), "--tol", tol]))
         for N, T in CHECK_SIZES:
             path = monotone_doc(f"violated-{N}-{T}", N, T, h="-x")
             yield (f"check demo monotone-family h=-x N={N} T={T}", *_run(["check", str(path)]))
