@@ -21,7 +21,9 @@ the ``corollary-special`` document where it names a file; the
 ``monotone-family`` document also goes through ``oracle`` on each larger
 tree of ``ORACLE_SIZES``, and on the tree of ``ORACLE_STOP`` with a
 tolerance no start reaches (exit 3), and with ``h`` = -x through ``check``
-on each tree of ``CHECK_SIZES``.  The linear file
+on each tree of ``CHECK_SIZES``; it goes through ``check`` and ``oracle``
+with the sampling seed ``SEED_OPTION``, once given by ``--seed`` and once
+by its ``options.seed``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
 disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
 of a pass halted below the root), and each invalid document
@@ -85,6 +87,10 @@ ORACLE_STOP = (2, 1, "1e-30")
 #: violated terminal map, h = -x: the demo's own tree, and one of depth 1,
 #: which has no interior clauses.
 CHECK_SIZES = ((2, 3), (3, 1))
+
+#: A sampling seed other than the default 0, given to ``check`` and
+#: ``oracle`` on the ``monotone-family`` document by flag and by file.
+SEED_OPTION = 3
 
 #: Flags on which ``demo monotone-family`` stops with exit 3: continuation
 #: after its last halving, and flat Picard after its one level.
@@ -253,6 +259,15 @@ def outputs(seed):
         for N, T in CHECK_SIZES:
             path = monotone_doc(f"violated-{N}-{T}", N, T, h="-x")
             yield (f"check demo monotone-family h=-x N={N} T={T}", *_run(["check", str(path)]))
+        seeded = Path(tmp) / "monotone-family-seeded.json"
+        seeded.write_text(json.dumps(dict(demos["monotone-family"], options={"seed": SEED_OPTION})),
+                          encoding="utf-8")
+        for command in ("check", "oracle"):
+            path = Path(tmp) / "monotone-family.json"
+            yield (f"{command} demo monotone-family --seed {SEED_OPTION}",
+                   *_run([command, str(path), "--seed", str(SEED_OPTION)]))
+            yield (f"{command} demo monotone-family options.seed {SEED_OPTION}",
+                   *_run([command, str(seeded)]))
         N, T, index = SINGULAR_DOC
         doc = workloads.linear_doc(random.Random(seed), N, T, index)
         path = Path(tmp) / f"singular-linear-{N}-{T}.json"
