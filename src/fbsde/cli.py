@@ -18,15 +18,7 @@ import sys
 from . import io as pio
 from . import linear, nonlinear, oracle
 from .bsde import bsde_residual, solve_bsde
-from .errors import (
-    FbsdeError,
-    NoContraction,
-    NoConvergence,
-    NonFiniteIterate,
-    NonFiniteSolve,
-    SchemaError,
-    StepUnderflow,
-)
+from .errors import FbsdeError, NonFiniteSolve, SchemaError, SolverStopped
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVABLE = 2
@@ -111,23 +103,19 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-10)")
         p.add_argument("--delta", type=float, default=None, help="initial continuation step (default 0.25)")
         p.add_argument("--max-iter", type=int, default=None, help="Picard budget per level (default 50)")
-        p.add_argument("--mode", choices=pio.MODES, default=None)
+        p.add_argument("--mode", choices=nonlinear.MODES, default=None)
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     return parser
 
 
 def _merge_options(loaded: pio.LoadedProblem, args) -> pio.LoadedProblem:
     """Flags override the file; replacing the options re-runs their checks."""
-    flags = {"tolerance": args.tol, "delta": args.delta, "max_iterations": args.max_iter}
+    flags = {"tolerance": args.tol, "delta": args.delta, "max_iterations": args.max_iter,
+             "mode": args.mode, "seed": args.seed}
     options = dataclasses.replace(
         loaded.options, **{k: v for k, v in flags.items() if v is not None}
     )
-    return dataclasses.replace(
-        loaded,
-        options=options,
-        mode=args.mode or loaded.mode,
-        seed=loaded.seed if args.seed is None else pio.check_seed(args.seed),
-    )
+    return dataclasses.replace(loaded, options=options)
 
 
 def _emit(args, text):
@@ -184,6 +172,17 @@ def _no_solution(report, status, code, stats=None, **extra):
     return report, code
 
 
+def _iterative(report, tree, solver, *args, **kwargs):
+    """(report, exit code) of an iterative solver's run, which returns
+    (solution, stats) or stops with the stats of the work it did."""
+    try:
+        sol, stats = solver(*args, **kwargs)
+    except SolverStopped as err:
+        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE, err.stats,
+                            error=str(err), best_residual=err.best_residual)
+    return _solved(report, tree, sol, sol.residuals, stats)
+
+
 def _solve_loaded(loaded: pio.LoadedProblem):
     """Dispatch on kind; returns (report, exit_code)."""
     tree = loaded.tree
@@ -200,15 +199,9 @@ def _solve_loaded(loaded: pio.LoadedProblem):
             return _no_solution(report, "unsolvable", EXIT_UNSOLVABLE)
         return _solved(report, tree, result, result.residuals)
 
-    solver = (
-        nonlinear.solve_flat_picard if loaded.mode == "picard" else nonlinear.solve_continuation
-    )
-    try:
-        sol, stats = solver(tree, loaded.data, loaded.x0, loaded.options)
-    except (NoContraction, NonFiniteIterate, StepUnderflow) as err:
-        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE, err.stats,
-                            error=str(err), best_residual=getattr(err, "best_residual", None))
-    return _solved(report, tree, sol, sol.residuals, stats)
+    opts = loaded.options
+    solver = nonlinear.solve_flat_picard if opts.mode == "picard" else nonlinear.solve_continuation
+    return _iterative(report, tree, solver, tree, loaded.data, loaded.x0, opts)
 
 
 def _oracle_loaded(loaded: pio.LoadedProblem):
@@ -227,13 +220,8 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
             return _no_solution(report, "no_solution", EXIT_UNSOLVABLE, rank=rank)
         rank["nullity"] = verdict.nullity
         return _no_solution(report, "infinitely_many", EXIT_UNSOLVABLE, rank=rank)
-    try:
-        sol = oracle.solve_oracle(tree, loaded.data, loaded.x0,
-                                  tolerance=loaded.options.tolerance, seed=loaded.seed)
-    except NoConvergence as err:
-        return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE, err.stats,
-                            error=str(err), best_residual=err.best_residual)
-    return _solved(report, tree, sol, sol.residuals)
+    return _iterative(report, tree, oracle.solve_oracle, tree, loaded.data, loaded.x0,
+                      tolerance=loaded.options.tolerance, seed=loaded.options.seed)
 
 
 def _check_loaded(loaded: pio.LoadedProblem):
@@ -249,7 +237,7 @@ def _check_loaded(loaded: pio.LoadedProblem):
         report["status"] = "satisfied"
         return report, EXIT_SOLVED
     diag = nonlinear.check_assumptions(
-        tree, loaded.data, sample_count=200, rng_seed=loaded.seed
+        tree, loaded.data, sample_count=200, rng_seed=loaded.options.seed
     )
     # each clause's estimate under its field name, in field order
     report["diagnostics"] = {

@@ -64,44 +64,51 @@ class AlphaOutOfRange(FbsdeError):
     """Blend parameter outside [0, 1]."""
 
 
-class NonFiniteIterate(FbsdeError):
-    """An iterate became NaN or infinite; carries the ``stats`` of a solve it ends."""
+class SolverStopped(FbsdeError):
+    """An iterative solver stopped without a solution.
+
+    ``stats`` is the SolveStats of the work it did, and ``best_residual``
+    the smallest residual it reached, when it keeps one.
+    """
+
+    def __init__(self, message, stats=None, best_residual=None):
+        super().__init__(message)
+        self.stats = stats
+        self.best_residual = best_residual
+
+
+class NonFiniteIterate(SolverStopped):
+    """An iterate became NaN or infinite."""
 
     def __init__(self, message, iterate=None, stats=None):
-        super().__init__(message)
+        super().__init__(message, stats)
         self.iterate = iterate
-        self.stats = stats
 
 
-class NoContraction(FbsdeError):
-    """Picard increments stayed above tolerance; carries the ``stats`` of a solve it ends."""
+class NoContraction(SolverStopped):
+    """Picard increments stayed above tolerance."""
 
     def __init__(self, message, alpha=None, norms=None, iterate=None, stats=None):
-        super().__init__(message)
+        super().__init__(message, stats)
         self.alpha = alpha
         self.norms = list(norms) if norms is not None else []
         self.iterate = iterate
-        self.stats = stats
 
 
-class StepUnderflow(FbsdeError):
-    """Continuation ran out of halvings or ladder depth; carries the solve's ``stats``."""
+class StepUnderflow(SolverStopped):
+    """Continuation ran out of halvings or ladder depth; carries its best solution."""
 
     def __init__(self, message, best_residual=None, best_solution=None, stats=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+        super().__init__(message, stats, best_residual)
         self.best_solution = best_solution
-        self.stats = stats
 
 
-class NoConvergence(FbsdeError):
-    """Newton iteration stalled; carries the best iterate found and the ``stats`` of its starts."""
+class NoConvergence(SolverStopped):
+    """Newton iteration stalled; carries the best iterate found."""
 
     def __init__(self, message, best_residual=None, best_iterate=None, stats=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+        super().__init__(message, stats, best_residual)
         self.best_iterate = best_iterate
-        self.stats = stats
 
 
 class ProblemTooLarge(FbsdeError):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linear as linear_mod
 from .bsde import BsdeProblem, bsde_residual
-from .errors import ExpressionError, InvalidOption, SchemaError, ShapeMismatch
+from .errors import ExpressionError, SchemaError, ShapeMismatch
 from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
@@ -29,7 +29,6 @@ from .nonlinear import ContinuationOptions, NonlinearProblem, nonlinear_residual
 from .tree import ScenarioTree, _process_levels, build_tree
 
 KINDS = ("bsde", "linear", "special", "nonlinear")
-MODES = ("continuation", "picard")
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,6 @@ class LoadedProblem:
     x0: Optional[float]
     data: object
     options: ContinuationOptions
-    mode: str
-    seed: int
 
 
 def _require(doc, field, path):
@@ -92,13 +89,6 @@ def _branch_w(N, t, nodes):
     """The variable w of the depth-t ``nodes``, an index array, as floats:
     0 at the root, else the node's most recent branch, node % N + 1."""
     return nodes % N + 1.0 if t else np.zeros(len(nodes))
-
-
-def check_seed(seed):
-    """A sampling seed, which must be non-negative (numpy draws from no other)."""
-    if seed < 0:
-        raise InvalidOption(f"seed must be non-negative, got {seed}")
-    return seed
 
 
 def _coefficient(tree, value, times, ndim, path):
@@ -187,26 +177,17 @@ def _bind_tree(doc):
 
 
 def _bind_options(doc):
-    """(ContinuationOptions, mode, seed) from the optional options block."""
+    """ContinuationOptions from the optional options block: its numbers are
+    parsed here as JSON numbers, and every value is checked there."""
     raw = doc.get("options", {})
-    _unknown_keys(raw, ("tolerance", "delta", "max_iter", "max_iterations", "mode", "seed"),
-                  "options")
+    parsers = {"tolerance": _number, "delta": _number, "max_iter": _integer,
+               "max_iterations": _integer, "mode": lambda value, path: value, "seed": _integer}
+    _unknown_keys(raw, parsers, "options")
     if "max_iter" in raw and "max_iterations" in raw:
         raise SchemaError("options", "give max_iter or max_iterations, not both")
-    kwargs = {}
-    for key, name, parse in (
-        ("tolerance", "tolerance", _number),
-        ("delta", "delta", _number),
-        ("max_iter", "max_iterations", _integer),
-        ("max_iterations", "max_iterations", _integer),
-    ):
-        if key in raw:
-            kwargs[name] = parse(raw[key], f"options.{key}")
-    mode = raw.get("mode", "continuation")
-    if mode not in MODES:
-        raise SchemaError("options.mode", f"unknown mode {mode!r}")
-    seed = check_seed(_integer(raw["seed"], "options.seed")) if "seed" in raw else 0
-    return ContinuationOptions(**kwargs), mode, seed
+    return ContinuationOptions(**{
+        "max_iterations" if key == "max_iter" else key: parse(raw[key], f"options.{key}")
+        for key, parse in parsers.items() if key in raw})
 
 
 def _bind_linear(tree, doc, kind):
@@ -358,7 +339,7 @@ def bind_problem(doc) -> LoadedProblem:
         if not isinstance(doc.get(block, {}), dict):
             raise SchemaError(block, "must be an object")
     tree = _bind_tree(doc)
-    options, mode, seed = _bind_options(doc)
+    options = _bind_options(doc)
     x0 = None
     if kind != "bsde":
         x0 = _number(_require(doc, "x0", ""), "x0")
@@ -368,9 +349,7 @@ def bind_problem(doc) -> LoadedProblem:
         data = _bind_nonlinear(tree, doc)
     else:
         data = _bind_bsde(tree, doc)
-    return LoadedProblem(
-        kind=kind, tree=tree, x0=x0, data=data, options=options, mode=mode, seed=seed
-    )
+    return LoadedProblem(kind=kind, tree=tree, x0=x0, data=data, options=options)
 
 
 def load_problem(path) -> LoadedProblem:

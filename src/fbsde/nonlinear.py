@@ -50,6 +50,9 @@ MAX_HALVINGS = 4
 #: otherwise burn the per-level budget multiplicatively.
 MAX_INNER_SOLVES = 20000
 
+#: The nonlinear solve modes: the continuation ladder, or flat Picard.
+MODES = ("continuation", "picard")
+
 
 @dataclass(frozen=True)
 class NonlinearProblem:
@@ -77,14 +80,18 @@ class ContinuationOptions:
     """The solver values a problem file or a command-line flag can set.
 
     The initial step replaces the nonconstructive step-size constant; the
-    tolerance and the Picard budget per level complete it.  The one home of
-    their defaults and range checks; every other budget is a module
-    constant.
+    tolerance and the Picard budget per level complete it.  ``mode`` picks
+    the nonlinear solver (one of ``MODES``) and ``seed`` the sampling seed
+    of the assumption check and of the Newton oracle's random starts.  The
+    one home of their defaults and range checks; every other budget is a
+    module constant.
     """
 
     delta: float = 0.25
     tolerance: float = 1e-10
     max_iterations: int = 50
+    mode: str = "continuation"
+    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
@@ -93,6 +100,10 @@ class ContinuationOptions:
             raise InvalidOption(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise InvalidOption(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.mode not in MODES:
+            raise InvalidOption(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        if self.seed < 0:  # numpy draws from no other
+            raise InvalidOption(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -106,11 +117,12 @@ class LevelRecord:
 
 @dataclass
 class SolveStats:
-    """Per-level iteration records plus global counters.
+    """Per-level iteration records plus global counters, the stats every
+    iterative solver returns or stops with.
 
     Records and counters cover every ladder attempt of a solve, failed ones
     before a halving included (the ``MAX_INNER_SOLVES`` cap applies to each
-    attempt alone).
+    attempt alone); the Newton oracle's cover every start it tried.
     """
 
     records: list = field(default_factory=list)
@@ -281,6 +293,7 @@ class _Ladder:
     ``base``, the homogeneous ``special_coefficients(tree)``, whose slope
     pass is memoized; a solve that retries with smaller steps passes the
     same ``base`` to each ladder, so the slopes are computed once per solve.
+    Every stop (NoContraction, NonFiniteIterate) carries the shared stats.
     """
 
     def __init__(self, tree, problem, base, n_levels, opts, stats=None):
@@ -302,7 +315,7 @@ class _Ladder:
                 raise NoContraction(
                     f"ladder exhausted its {MAX_INNER_SOLVES} inner-solve budget",
                     alpha=0.0,
-                    norms=[],
+                    stats=self.stats,
                 )
             self.stats.inner_solves += 1
             try:
@@ -316,7 +329,8 @@ class _Ladder:
                     form=self.base,
                 )
             except NonFiniteSolve as err:  # halves the step like any non-finite iterate
-                raise NonFiniteIterate(f"non-finite base solve: {err}") from err
+                raise NonFiniteIterate(f"non-finite base solve: {err}",
+                                       stats=self.stats) from err
             return _as_iterate(self.tree, sol)
 
         alpha = self.alphas[k]
@@ -330,11 +344,13 @@ class _Ladder:
             composed = _compose(self.tree, self.problem, inhom, prev, self.step)
             cur = self.solve(k - 1, composed, x0)
             if not cur.finite():
-                raise NonFiniteIterate(f"non-finite iterate at level {alpha:g}", iterate=cur)
+                raise NonFiniteIterate(f"non-finite iterate at level {alpha:g}", iterate=cur,
+                                       stats=self.stats)
             d = increment_norm_sq(self.tree, prev, cur)
             norms.append(d)
             if not math.isfinite(d):
-                raise NonFiniteIterate(f"non-finite increment at level {alpha:g}", iterate=cur)
+                raise NonFiniteIterate(f"non-finite increment at level {alpha:g}", iterate=cur,
+                                       stats=self.stats)
             if d <= tol * tol:
                 fwd, bwd = _blended_residual(self.tree, self.problem, alpha, inhom, cur)
                 if max(fwd, bwd) <= tol:
@@ -349,6 +365,7 @@ class _Ladder:
             alpha=alpha,
             norms=norms,
             iterate=cur,
+            stats=self.stats,
         )
 
 
@@ -390,7 +407,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
             return _finish(tree, problem, iterate), stats
         except (NoContraction, NonFiniteIterate) as err:
             cause = err
-            it = getattr(err, "iterate", None)
+            it = err.iterate
             if it is not None and it.finite():
                 sol = _finish(tree, problem, it)
                 res = max(sol.residuals.forward, sol.residuals.backward)
@@ -411,7 +428,8 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
     """One-level iteration with the whole nonlinearity frozen each sweep.
 
     Equivalent to a single ladder level with step 1.  Fast when it works;
-    carries no guarantee, so a failure suggests continuation mode.
+    carries no guarantee, so a NoContraction suggests continuation mode.
+    Returns (solution, stats); a stop carries the stats.
     """
     opts = opts or ContinuationOptions()
     if not np.isfinite(x0):
@@ -421,15 +439,7 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
         iterate = ladder.solve(1, Inhomogeneity.zeros(tree), x0,
                                initial=_as_iterate(tree, initial_iterate))
     except NoContraction as err:
-        raise NoContraction(
-            str(err) + "; consider continuation mode",
-            alpha=err.alpha,
-            norms=err.norms,
-            iterate=err.iterate,
-            stats=ladder.stats,
-        ) from err
-    except NonFiniteIterate as err:
-        err.stats = ladder.stats
+        err.args = (f"{err}; consider continuation mode",)
         raise
     return _finish(tree, problem, iterate), ladder.stats
 

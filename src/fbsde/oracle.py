@@ -233,10 +233,12 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     ``problem`` is a NonlinearProblem; Y and Z are recomputed exactly from
     each X trial, so the only unknowns are the X values at depths 1..T.
     Tries the flat start X = x0 and randomized perturbations drawn from
-    ``seed``; raises NoConvergence with the best iterate if none reaches
-    ``tolerance``, or the first start's ExpressionDomainError if no start
-    can be evaluated.  Its ``stats`` hold one level-1.0 record per start,
+    ``seed``, and returns (solution, stats) from the first start to reach
+    ``tolerance``.  The stats hold one level-1.0 record per start tried,
     the residual norms after its steps, and count each residual sweep.
+    Raises NoConvergence with the best iterate and the stats if no start
+    reaches it, or the first start's ExpressionDomainError if no start can
+    be evaluated.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
@@ -270,7 +272,8 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         if res <= tolerance:
             X = np.concatenate([[float(x0)], x])[:, None]
             Y, Z = backward_given_forward(tree, problem, X)
-            return _finish(tree, problem, _Iterate(X[:, 0], Y[:, 0], Z[:, 0]))
+            stats.records[-1].converged = True
+            return _finish(tree, problem, _Iterate(X[:, 0], Y[:, 0], Z[:, 0])), stats
         if res < best_res:
             best_res, best_x = res, x
     if best_x is None and fault is not None:  # the coefficient fails, not the search

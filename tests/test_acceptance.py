@@ -285,11 +285,11 @@ def test_criterion_08_nonlinear_existence_uniqueness(solved_demo_family):
     start = time.monotonic()
     for tree, problem, x0, sol, _ in results:
         assert max(sol.residuals.forward, sol.residuals.backward) <= 1e-10
-        oracle_sol = solve_oracle(tree, problem, x0)
+        oracle_sol, _ = solve_oracle(tree, problem, x0)
         assert max_solution_gap(tree, sol, oracle_sol) <= 1e-8
         m = sum(tree.num_nodes(t) for t in range(1, tree.T + 1))
         rng = np.random.default_rng(5)
-        second = solve_oracle(
+        second, _ = solve_oracle(
             tree, problem, x0, initial_guess=np.full(m, x0) + rng.normal(scale=0.7, size=m)
         )
         assert max_solution_gap(tree, oracle_sol, second) <= 1e-9

@@ -160,6 +160,22 @@ def test_residual_insensitive_to_row_representative():
     )
 
 
+def test_a_bad_terminal_or_z_is_refused():
+    tree = uniform_tree(2, 2)
+    with pytest.raises(ShapeMismatch, match="terminal has 3 values, expected 4"):
+        solve_bsde(tree, BsdeProblem(terminal=np.ones(3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GeneratorEvaluationError, match="terminal values are not finite"):
+            solve_bsde(tree, BsdeProblem(terminal=np.array([1.0, bad, 0.0, 2.0])))
+    problem = BsdeProblem(terminal=np.ones(4))
+    Y, _ = solve_bsde(tree, problem)
+    # rows of N + 1 entries, and two components for a scalar problem
+    for z, shape in (([np.zeros((1, 3)), np.zeros((2, 3))], r"\(1, 3\)"),
+                     ([np.zeros((1, 2, 2)), np.zeros((2, 2, 2))], r"\(1, 2, 2\)")):
+        with pytest.raises(ShapeMismatch, match=f"Z level 0 has shape {shape}"):
+            bsde_residual(tree, problem, Y, z)
+
+
 def test_non_finite_generator_rejected():
     tree = uniform_tree(2, 2)
     problem = BsdeProblem(

@@ -16,6 +16,7 @@ from fbsde import (
     Expression,
     ExpressionDomainError,
     FbsdeError,
+    InvalidOption,
     SchemaError,
     bind_problem,
     linear,
@@ -355,12 +356,12 @@ class TestBinding:
     def test_options_validated(self):
         doc = minimal_special_doc()
         doc["options"] = {"mode": "fancy"}
-        with pytest.raises(SchemaError, match="mode"):
+        with pytest.raises(InvalidOption, match="mode must be one of continuation, picard"):
             bind_problem(doc)
         doc["options"] = {"tolerance": 1e-8, "seed": 3}
-        loaded = bind_problem(doc)
-        assert loaded.options.tolerance == 1e-8
-        assert (loaded.mode, loaded.seed) == ("continuation", 3)
+        options = bind_problem(doc).options
+        assert options.tolerance == 1e-8
+        assert (options.mode, options.seed) == ("continuation", 3)
 
 
 def test_certificate_payload_on_halted_recursion():
@@ -392,6 +393,19 @@ BAD_TREES = {
     "tree-transition-strings": (
         {"N": 2, "T": 3, "transition": ["0.5", "0.5"]}, "tree.transition"),
 }
+#: Documents that the loader refuses, the field its SchemaError names and
+#: a part of its message.
+BAD_DOCUMENTS = {
+    "not-an-object": ([LINEAR_DOC], "", "problem document must be a JSON object"),
+    "unknown-kind": (LINEAR_DOC | {"kind": "quadratic"}, "kind", "got 'quadratic'"),
+    "nonlinear-unknown-field": (
+        NONLINEAR_DOC | {"coefficients": NONLINEAR_DOC["coefficients"] | {"g": "x"}},
+        "coefficients", "unknown fields ['g']"),
+    "bsde-unknown-field": (BSDE_DOC | {"coefficients": {"g": "y"}}, "coefficients",
+                           "unknown fields ['g']"),
+    "bsde-terminal-length": (BSDE_DOC | {"terminal": [1.0, 2.0, 3.0]}, "terminal",
+                             "expected 2 leaf values"),
+}
 MALFORMED = {
     "x0-string": ("solve", LINEAR_DOC | {"x0": "abc"}, []),
     "x0-null": ("solve", LINEAR_DOC | {"x0": None}, []),
@@ -419,8 +433,10 @@ MALFORMED = {
     "seed-check": ("check", NONLINEAR_DOC, ["--seed", "-1"]),
     "seed-oracle": ("oracle", NONLINEAR_DOC, ["--seed", "-1"]),
     "seed-file": ("check", NONLINEAR_DOC | {"options": {"seed": -1}}, []),
+    "mode-file": ("solve", NONLINEAR_DOC | {"options": {"mode": "fancy"}}, []),
     **{label: ("solve", minimal_special_doc() | {"tree": tree}, [])
        for label, (tree, _) in BAD_TREES.items()},
+    **{label: ("solve", doc, []) for label, (doc, _, _) in BAD_DOCUMENTS.items()},
 }
 
 
@@ -439,6 +455,14 @@ def test_a_bad_tree_cell_names_its_field(tree, field):
     with pytest.raises(SchemaError) as err:
         bind_problem(minimal_special_doc() | {"tree": tree})
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("doc, field, message", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS.keys())
+def test_a_bad_document_names_its_fault(doc, field, message):
+    with pytest.raises(SchemaError) as err:
+        bind_problem(doc)
+    assert err.value.field == field
+    assert message in str(err.value)
 
 
 TREE_2_3 = {"N": 2, "T": 3, "transition": "uniform"}
@@ -795,6 +819,47 @@ class TestCli:
         assert report["status"] == "violated"
         assert "terminal map monotonicity" in report["diagnostics"]["violations"]
 
+    def test_check_on_a_bsde_document_is_satisfied(self, tmp_path, capsys):
+        path = tmp_path / "bsde.json"
+        path.write_text(json.dumps(BSDE_DOC))
+        assert run_cli(["check", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["status"], report["certificate"]) == ("satisfied", None)
+        assert "diagnostics" not in report
+
+    def test_check_reads_the_seed_of_the_file_or_of_the_flag(self, tmp_path, capsys):
+        plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+        plain.write_text(json.dumps(NONLINEAR_DOC))
+        seeded.write_text(json.dumps(NONLINEAR_DOC | {"options": {"seed": 3}}))
+        loaded = bind_problem(NONLINEAR_DOC)
+
+        def estimates(seed):
+            diag = fbsde.check_assumptions(loaded.tree, loaded.data, sample_count=200,
+                                           rng_seed=seed)
+            return {clause: None if est is None else est.value
+                    for clause, est in vars(diag).items()
+                    if clause not in ("satisfied", "violations")}
+
+        def reported(argv):
+            assert run_cli(["check", *argv]) == 0
+            diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+            return {k: v for k, v in diagnostics.items() if k != "violations"}
+
+        assert estimates(3) != estimates(0)
+        assert reported([str(seeded)]) == estimates(3)
+        assert reported([str(plain), "--seed", "3"]) == estimates(3)
+        assert reported([str(seeded), "--seed", "0"]) == estimates(0)
+
+    def test_the_mode_flag_overrides_the_file(self, tmp_path, capsys):
+        # flat Picard climbs one level; continuation from delta 0.25 climbs four
+        levels = {"picard": 1, "continuation": 4}
+        for mode, flag in (("picard", "continuation"), ("continuation", "picard")):
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(NONLINEAR_DOC | {"options": {"mode": mode}}))
+            for argv, used in (([], mode), (["--mode", flag], flag)):
+                assert run_cli(["solve", str(path), *argv]) == 0
+                assert json.loads(capsys.readouterr().out)["stats"]["levels"] == levels[used]
+
     def test_check_on_linear_kinds_reports_certificate(self, tmp_path, capsys):
         for name, expected in (("partially-coupled", 0), ("singular-gamma", 2)):
             path = tmp_path / f"{name}.json"
@@ -897,8 +962,9 @@ class TestCli:
     def test_oracle_no_convergence_reports_the_work_of_its_starts(self, monkeypatch, tmp_path,
                                                                   capsys):
         # every residual sweep (point, trial or Jacobian) is one inner solve;
-        # each start ends in a Jacobian whose line search finds no smaller
-        # residual, so the steps taken are the Jacobians less one a start
+        # each failed start ends in a Jacobian whose line search finds no
+        # smaller residual, so the steps taken are the Jacobians less one a
+        # failed start; a solved run counts its work as a stopped one does
         calls = {"_forward_residual_vector": 0, "finite_difference_jacobian": 0}
 
         def counted(name):
@@ -911,17 +977,21 @@ class TestCli:
 
         for name in calls:
             monkeypatch.setattr(oracle, name, counted(name))
-        doc = json.loads(json.dumps(DEMOS["monotone-family"]))
-        doc["tree"]["T"] = 1
-        path = tmp_path / "tight.json"
-        path.write_text(json.dumps(doc))
-        assert run_cli(["oracle", str(path), "--tol", "1e-30"]) == 3
-        stats = json.loads(capsys.readouterr().out)["stats"]
-        starts = 1 + oracle.EXTRA_STARTS
-        assert stats == {"levels": 1, "halvings": 0,
-                         "iterations": calls["finite_difference_jacobian"] - starts,
-                         "inner_solves": calls["_forward_residual_vector"]}
-        assert stats["iterations"] >= starts
+        # (T, flags, exit code, failed starts): stopped below rounding, and
+        # the demo's document, which its flat start solves
+        for T, flags, code, failed_starts in ((1, ["--tol", "1e-30"], 3, 1 + oracle.EXTRA_STARTS),
+                                              (3, [], 0, 0)):
+            calls.update(dict.fromkeys(calls, 0))
+            doc = json.loads(json.dumps(DEMOS["monotone-family"]))
+            doc["tree"]["T"] = T
+            path = tmp_path / "oracle.json"
+            path.write_text(json.dumps(doc))
+            assert run_cli(["oracle", str(path), *flags]) == code
+            stats = json.loads(capsys.readouterr().out)["stats"]
+            assert stats == {"levels": 1, "halvings": 0,
+                             "iterations": calls["finite_difference_jacobian"] - failed_starts,
+                             "inner_solves": calls["_forward_residual_vector"]}
+            assert stats["iterations"] >= max(failed_starts, 1)
 
     @pytest.mark.parametrize("x0", [10.0, 1000.0])
     def test_the_oracle_treats_a_domain_error_as_a_failed_point(self, tmp_path, capsys, x0):

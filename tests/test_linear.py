@@ -651,6 +651,18 @@ class TestValidation:
             LinearCoefficients(tree, C=C, C_bar=C_bar)
         assert str(info.value) == "C column must sum to zero at node 2"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", [0.1, [0.1, 0.2, 0.3]], r"A level 1: shape \(3,\), expected \(2,\)"),
+        ("C", [[0.1, -0.1], [[0.1, -0.1, 0.0]] * 2], r"C level 1: shape \(2, 3\)"),
+        ("A", [0.1, 0.2, 0.3], r"A: expected a cell of shape \(\) or 2 levels"),
+        ("C", 0.5, r"C: expected a cell of shape \(2,\) or 2 levels"),
+    ], ids=["level-shape", "row-level-shape", "three-levels", "scalar-for-rows"])
+    def test_a_value_of_the_wrong_shape_names_its_field(self, field, value, message):
+        tree = uniform_tree(2, 2)
+        with pytest.raises(ShapeMismatch, match=message) as info:
+            LinearCoefficients(tree, **{field: value})
+        assert info.value.field == field
+
     def test_non_finite_coefficient(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(NonFiniteInput):

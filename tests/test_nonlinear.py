@@ -12,11 +12,14 @@ from fbsde import (
     AlphaOutOfRange,
     ContinuationOptions,
     Inhomogeneity,
+    LinearCoefficients,
     NoContraction,
+    NonFiniteInput,
     NonFiniteIterate,
     NonFiniteSolve,
     NonlinearProblem,
     ShapeMismatch,
+    SolverStopped,
     StepUnderflow,
     as_nonlinear_problem,
     bind_problem,
@@ -24,6 +27,7 @@ from fbsde import (
     canonicalize,
     check_assumptions,
     demo_monotone_problem,
+    linear_oracle,
     linear_special_problem,
     nonlinear_residual,
     solve_continuation,
@@ -135,7 +139,7 @@ class TestSolveContinuation:
             x0 = float(rng.uniform(-1.5, 1.5))
             sol, stats = solve_continuation(tree, problem, x0)
             assert max(sol.residuals.forward, sol.residuals.backward) <= TOL
-            oracle_sol = solve_oracle(tree, problem, x0)
+            oracle_sol, _ = solve_oracle(tree, problem, x0)
             assert solution_gap(tree, sol, oracle_sol) <= 1e-8
 
     def test_zero_fixed_point(self):
@@ -150,7 +154,7 @@ class TestSolveContinuation:
         tree = random_tree(rng, 2, 3)
         problem = demo_monotone_problem(tree, 0.15)
         a, _ = solve_continuation(tree, problem, 0.9)
-        warm = solve_oracle(tree, problem, 0.9)
+        warm, _ = solve_oracle(tree, problem, 0.9)
         b, _ = solve_continuation(tree, problem, 0.9, initial_iterate=warm)
         assert solution_gap(tree, a, b) <= 1e-8
 
@@ -181,7 +185,7 @@ class TestSolveContinuation:
             assert check_assumptions(tree, problem, 300, 0).satisfied
             sol, _ = solve_continuation(tree, problem, 1.2)
             assert max(sol.residuals.forward, sol.residuals.backward) <= TOL
-            oracle_sol = solve_oracle(tree, problem, 1.2)
+            oracle_sol, _ = solve_oracle(tree, problem, 1.2)
             assert solution_gap(tree, sol, oracle_sol) <= 1e-8
 
     def test_halving_recovers_from_too_large_step(self):
@@ -192,7 +196,7 @@ class TestSolveContinuation:
         )
         assert stats.halvings >= 1
         assert max(sol.residuals.forward, sol.residuals.backward) <= TOL
-        oracle_sol = solve_oracle(tree, problem, 1.0)
+        oracle_sol, _ = solve_oracle(tree, problem, 1.0)
         assert solution_gap(tree, sol, oracle_sol) <= 1e-8
 
     @pytest.mark.parametrize("delta", [0.001, 2.0**-21, 5e-324],
@@ -217,6 +221,9 @@ class TestSolveContinuation:
             solve_continuation(tree, adversarial_problem(), 1.0, ContinuationOptions(delta=0.25))
         assert str(info.value).startswith("no contraction after 1 halvings: ")
         assert isinstance(info.value.__cause__, NoContraction)
+        # the cause carries the stats of the whole solve, not of its ladder
+        assert info.value.__cause__.stats is info.value.stats
+        assert info.value.stats.halvings == 1
         # the failure still reports the best iterate seen
         assert info.value.best_residual is not None
         assert info.value.best_solution is not None
@@ -274,12 +281,33 @@ class TestFlatPicard:
         with pytest.raises(NoContraction) as info:
             solve_flat_picard(tree, adversarial_problem(), 1.0)
         err = info.value
-        assert "continuation" in str(err)
+        assert str(err).endswith("; consider continuation mode")
         assert len(err.norms) >= 3
         assert err.norms[-1] > err.norms[0]
+        # a stop of the one ladder, with its stats and no best residual
+        assert isinstance(err, SolverStopped) and err.best_residual is None
+        assert [r.norms for r in err.stats.records] == [err.norms]
+        assert err.stats.inner_solves == len(err.norms)
+
+
+@pytest.mark.parametrize("x0", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("solver", [
+    lambda tree, x0: solve_continuation(tree, linear_special_problem(tree), x0),
+    lambda tree, x0: solve_flat_picard(tree, linear_special_problem(tree), x0),
+    lambda tree, x0: linear_oracle(tree, LinearCoefficients(tree, G=1.0), x0),
+    lambda tree, x0: solve_oracle(tree, linear_special_problem(tree), x0),
+], ids=["continuation", "flat-picard", "linear-oracle", "newton-oracle"])
+def test_a_non_finite_x0_is_refused(solver, x0):
+    with pytest.raises(NonFiniteInput, match=f"x0 = {x0!r}"):
+        solver(uniform_tree(2, 2), x0)
 
 
 class TestCheckAssumptions:
+    def test_one_sample_is_refused(self):
+        tree = uniform_tree(2, 2)
+        with pytest.raises(ValueError, match="sample_count must be at least 2"):
+            check_assumptions(tree, linear_special_problem(tree), sample_count=1)
+
     def test_linear_special_satisfied(self):
         tree = uniform_tree(2, 2)
         report = check_assumptions(tree, linear_special_problem(tree), 300, 0)

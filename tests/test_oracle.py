@@ -270,7 +270,7 @@ def test_the_linear_verdict_does_not_use_the_recursive_solver(monkeypatch):
 class TestSolveOracle:
     def test_zero_problem(self):
         tree = uniform_tree(2, 2)
-        sol = solve_oracle(tree, linear_special_problem(tree), 0.0)
+        sol, _ = solve_oracle(tree, linear_special_problem(tree), 0.0)
         for t in range(3):
             np.testing.assert_allclose(sol.X.level(t), 0.0, atol=1e-12)
             np.testing.assert_allclose(sol.Y.level(t), 0.0, atol=1e-12)
@@ -279,7 +279,7 @@ class TestSolveOracle:
         rng = np.random.default_rng(1)
         tree = random_tree(rng, 2, 3)
         x0 = 0.8
-        newton = solve_oracle(tree, linear_special_problem(tree), x0)
+        newton, _ = solve_oracle(tree, linear_special_problem(tree), x0)
         direct = solve_special(tree, x0=x0)
         assert max_solution_gap(tree, newton, direct) <= 1e-9
 
@@ -290,17 +290,20 @@ class TestSolveOracle:
         x0 = 0.3
         verdict = linear_oracle(tree, coeffs, x0)
         assert isinstance(verdict, UniqueSolution)
-        newton = solve_oracle(tree, as_nonlinear_problem(tree, coeffs), x0)
+        newton, _ = solve_oracle(tree, as_nonlinear_problem(tree, coeffs), x0)
         assert max_solution_gap(tree, newton, verdict.solution) <= 1e-8
 
     def test_multi_start_agreement(self):
         rng = np.random.default_rng(3)
         tree = random_tree(rng, 2, 3)
         problem = demo_monotone_problem(tree, 0.15)
-        a = solve_oracle(tree, problem, 1.0)
+        a, stats = solve_oracle(tree, problem, 1.0)
+        # the flat start solves: one record, converged after its steps
+        assert [r.converged for r in stats.records] == [True]
+        assert stats.iterations > 0
         m = sum(tree.num_nodes(t) for t in range(1, 4))
         guess = np.full(m, 1.0) + rng.normal(scale=1.0, size=m)
-        b = solve_oracle(tree, problem, 1.0, initial_guess=guess)
+        b, _ = solve_oracle(tree, problem, 1.0, initial_guess=guess)
         assert max_solution_gap(tree, a, b) <= 1e-9
 
     def test_an_initial_guess_of_the_wrong_length_is_a_shape_mismatch(self):
