@@ -18,6 +18,7 @@ large ones, with the same bits and errors either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -121,7 +122,7 @@ class Expression:
             if out is not None:
                 return out
         if self._compiled is None:
-            self._compiled, self._names = _compile(self.root)
+            self._compiled, self._names = _compile_source(self.source)
         size = 1 if n is None else n
         columns = [_column(env[name], size) if name in env else _Absent(name, position)
                    for name, position in self._names]
@@ -164,6 +165,14 @@ def _column(value, n):
     if isinstance(value, np.ndarray):
         return np.asarray(value, dtype=float).tolist()
     return [float(value)] * n
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_source(source):
+    """``_compile`` of the tree of ``source``, once per text in a process
+    that reloads its files.  Keyed by the text, not by the tree, which
+    compares ``Num(0.0)`` equal to ``Num(-0.0)``."""
+    return _compile(_Parser(source).parse())
 
 
 def _compile(root):

@@ -36,19 +36,31 @@ from .tree import AdaptedProcess, _level, _process_array
 #: starting size; the remaining budget cannot recover from there.
 DIVERGENCE_CAP = 1e6
 
-#: Ladders deeper than this are refused: each level nests a full solve of
-#: the one below, so hundreds of levels are computationally out of reach
-#: anyway, and the recursion must stay within the interpreter's limits.  A
-#: power of two, so ``delta * MAX_LEVELS < 1`` tests the step exactly.
+#: Ladders deeper than this are refused; the recursion, one frame a level,
+#: must stay within the interpreter's limits.  A 512-level ladder is in
+#: reach: the ``monotone-family`` demo at ``--delta 2**-9`` solves in 519
+#: base solves, but its level iterations grow with the square of the depth
+#: (134910, about 9 s on a shared 2-core x86_64 host).  A power of two, so
+#: ``delta * MAX_LEVELS < 1`` tests the step exactly.
 MAX_LEVELS = 512
 
-#: Step halvings before a solve gives up: each halving doubles the ladder and
-#: the nested solve count grows with its depth, so the budget is small.
+#: Step halvings before a solve gives up: each halving doubles the ladder,
+#: so from the default step the last attempt has 64 levels.
 MAX_HALVINGS = 4
 
-#: Base solves per ladder attempt; levels whose contraction is marginal would
-#: otherwise burn the per-level budget multiplicatively.
-MAX_INNER_SOLVES = 20000
+#: Base solves per ladder attempt.  Ladders that solve take 17-40 on the
+#: benchmark's files, 519 at 512 levels and 2417 on a drift of -y + 12*x at
+#: step 0.25 (N=2 T=2), whose levels contract slowly; ladders that do not
+#: contract stop here, after about 2-12 s an attempt at 16-256 levels.
+MAX_INNER_SOLVES = 5000
+
+#: Forcing terms of the inexact inner solves: a level asks the one below
+#: for ``ETA0`` on its first iteration and for ``ETA`` times the root of
+#: its own last squared increment after, never for less than its own
+#: tolerance.  ``ETA = 0.1`` loses the top level's contraction on a
+#: ``max_iterations = 10`` solve; smaller values only add inner solves.
+ETA0 = 1e-2
+ETA = 1e-2
 
 #: The nonlinear solve modes: the continuation ladder, or flat Picard.
 MODES = ("continuation", "picard")
@@ -80,11 +92,11 @@ class ContinuationOptions:
     """The solver values a problem file or a command-line flag can set.
 
     The initial step replaces the nonconstructive step-size constant; the
-    tolerance and the Picard budget per level complete it.  ``mode`` picks
-    the nonlinear solver (one of ``MODES``) and ``seed`` the sampling seed
-    of the assumption check and of the Newton oracle's random starts.  The
-    one home of their defaults and range checks; every other budget is a
-    module constant.
+    tolerance and the Picard budget of one call of a level complete it.
+    ``mode`` picks the nonlinear solver (one of ``MODES``) and ``seed`` the
+    sampling seed of the assumption check and of the Newton oracle's random
+    starts.  The one home of their defaults and range checks; every other
+    budget is a module constant.
     """
 
     delta: float = 0.25
@@ -122,7 +134,11 @@ class SolveStats:
 
     Records and counters cover every ladder attempt of a solve, failed ones
     before a halving included (the ``MAX_INNER_SOLVES`` cap applies to each
-    attempt alone); the Newton oracle's cover every start it tried.
+    attempt alone); the Newton oracle's cover every start it tried.  A
+    continuation level gets one record per call, so a level called by every
+    iteration of the one above has many.  ``inner_solves`` counts base
+    solves, one per iteration of the lowest level; the levels above ask it
+    only for the accuracy they can use (see ``_Ladder``).
     """
 
     records: list = field(default_factory=list)
@@ -184,9 +200,10 @@ class _Iterate:
     on every node, Z (canonical rows) on the non-leaf nodes.
 
     ``levels`` is ``(problem, (b, sigma, f))`` and ``terminal`` is
-    ``(problem, h - x)`` on the leaves, for the last problem evaluated
-    here, so that compose and the level check evaluate the target once per
-    iterate; ``zt``, the row contractions of Z, is computed on first use.
+    ``(problem, h)``, h the terminal map on the leaves, for the last
+    problem evaluated here, so that compose and the level check evaluate
+    the target once per iterate; ``zt``, the row contractions of Z, is
+    computed on first use.
     """
 
     X: np.ndarray
@@ -211,11 +228,11 @@ class _Iterate:
         return self.levels[1]
 
     def terminal_levels(self, tree, problem):
-        """``problem.terminal(nodes, x) - x`` on the leaves, evaluated on first use."""
+        """``problem.terminal(nodes, x)`` on the leaves, evaluated on first use."""
         if self.terminal is None or self.terminal[0] is not problem:
             x = self.X[tree.offsets[tree.T]:]
-            h = _level(problem.terminal(_nodes(len(x)), x), (len(x),), "terminal")
-            self.terminal = (problem, h - x)
+            self.terminal = (problem, _level(problem.terminal(_nodes(len(x)), x), (len(x),),
+                                             "terminal"))
         return self.terminal[1]
 
     def finite(self):
@@ -280,7 +297,7 @@ def _compose(tree, problem, inhom, prev: _Iterate, step):
     return Inhomogeneity(b0=inhom.b0 + step * (prev.Y[:m] + b),
                          sigma0=inhom.sigma0 + step * (prev.Z + sigma),
                          f0=inhom.f0 + step * (-prev.X[1:] + f),
-                         h0=inhom.h0 + step * prev.terminal_levels(tree, problem))
+                         h0=inhom.h0 + step * (prev.terminal_levels(tree, problem) - prev.X[m:]))
 
 
 class _Ladder:
@@ -288,8 +305,17 @@ class _Ladder:
 
     Each level's solve closes over the one below it; within a level, solves
     warm-start from that level's previous result (the first call starts from
-    the ladder's one zero iterate), which keeps the nested iteration count
-    near-linear instead of multiplicative.  Every base solve goes through
+    the ladder's one zero iterate).  The solves below the top are inexact:
+    a level asks the one below for ``max(tol, ETA0)`` on its first
+    iteration and ``max(tol, ETA * sqrt(d))`` after, d its own last squared
+    increment and tol its own tolerance, so an inner error stays a fixed
+    fraction of the outer increment and the outer contraction holds (the
+    forcing terms of inexact Newton methods).  Only the top level solves to
+    ``opts.tolerance``, so a result is judged as strictly as with exact
+    inner solves.  ``opts.max_iterations`` bounds the Picard iterations of
+    one call of a level; a level is called once per iteration of the level
+    above, so its iterations over a solve are bounded only by the inner-solve
+    budget, ``MAX_INNER_SOLVES`` per ladder.  Every base solve goes through
     ``base``, the homogeneous ``special_coefficients(tree)``, whose slope
     pass is memoized; a solve that retries with smaller steps passes the
     same ``base`` to each ladder, so the slopes are computed once per solve.
@@ -309,7 +335,9 @@ class _Ladder:
         self._zero = _Iterate.zeros(tree)
         self.base = base
 
-    def solve(self, k, inhom, x0, initial=None):
+    def solve(self, k, inhom, x0, initial=None, tol=None):
+        """Level k's solution with ``inhom`` folded in, to ``tol`` (default
+        ``opts.tolerance``); level 0 is the exact base solve."""
         if k == 0:
             if self.stats.inner_solves - self._solves_before >= MAX_INNER_SOLVES:
                 raise NoContraction(
@@ -334,7 +362,8 @@ class _Ladder:
             return _as_iterate(self.tree, sol)
 
         alpha = self.alphas[k]
-        tol = self.opts.tolerance
+        tol = self.opts.tolerance if tol is None else tol
+        inner_tol = max(tol, ETA0)
         prev = initial if initial is not None else self._warm.get(k) or self._zero
         norms = []
         record = LevelRecord(alpha=alpha, norms=norms, converged=False)
@@ -342,7 +371,7 @@ class _Ladder:
         cur = prev
         for _ in range(self.opts.max_iterations):
             composed = _compose(self.tree, self.problem, inhom, prev, self.step)
-            cur = self.solve(k - 1, composed, x0)
+            cur = self.solve(k - 1, composed, x0, tol=inner_tol)
             if not cur.finite():
                 raise NonFiniteIterate(f"non-finite iterate at level {alpha:g}", iterate=cur,
                                        stats=self.stats)
@@ -359,6 +388,7 @@ class _Ladder:
                     return cur
             if norms and d > DIVERGENCE_CAP * max(norms[0], 1.0):
                 break
+            inner_tol = max(tol, ETA * math.sqrt(d))
             prev = cur
         raise NoContraction(
             f"level {alpha:g} did not contract within {self.opts.max_iterations} iterations",
@@ -455,7 +485,9 @@ def nonlinear_residual(tree, problem, solution):
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
-    """``nonlinear_residual`` at ``it`` of ``blend(problem, alpha)`` plus ``inhom``.
+    """``nonlinear_residual`` at ``it`` of ``blend(problem, alpha)`` plus
+    ``inhom``, whose backward value also covers the terminal row
+    ``Y_T - (a*h(X_T) + (1-a)*X_T + h0)``.
 
     Blends the target's cached levels at the iterate by the formula
     a*v + (1-a)*lin + inhom, per node the float operations of a callback blend.
@@ -466,7 +498,8 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     b = a * b + (1.0 - a) * (-Y[:m]) + inhom.b0
     sigma = a * sigma + (1.0 - a) * -_canonical_rows(it.zt) + inhom.sigma0
     f = a * f + (1.0 - a) * X[1:] + inhom.f0
-    return worst_defects(tree, X, Y, Z, b, sigma, f)
+    h = a * it.terminal_levels(tree, problem) + (1.0 - a) * X[m:] + inhom.h0
+    return worst_defects(tree, X, Y, Z, b, sigma, f, terminal=Y[m:] - h)
 
 
 @dataclass(frozen=True)

@@ -914,9 +914,18 @@ class TestCli:
         assert "best_residual" not in report  # a flat Picard failure keeps none
         assert report["stats"]["inner_solves"] >= 1  # the work done, not a placeholder
 
+    def test_a_fine_step_solves_within_the_budgets(self, capsys):
+        # a 34-level ladder: each level asks the one below only for the
+        # accuracy it can use, so the base solves grow with the depth
+        assert run_cli(["demo", "monotone-family", "--delta", "0.03"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        stats = report["stats"]
+        assert (report["status"], stats["levels"], stats["halvings"]) == ("solved", 34, 0)
+        assert stats["inner_solves"] <= 3 * stats["levels"]
+
     @pytest.mark.parametrize("flags, error", [
         (["--delta", "1", "--max-iter", "3"],
-         "no contraction after 4 halvings: level 0.0625 did not contract within 3 iterations"),
+         "no contraction after 4 halvings: level 1 did not contract within 3 iterations"),
         (["--delta", "5e-324"], "a step of 4.94066e-324 needs a ladder over the 512-level cap"),
     ], ids=["halvings", "depth-cap"])
     def test_a_continuation_stop_names_its_limit_and_cause(self, capsys, flags, error):

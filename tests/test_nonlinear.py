@@ -43,11 +43,15 @@ from fbsde.io import stats_payload
 TOL = 1e-10
 
 
-def adversarial_problem():
-    """Large forward Lipschitz constant; the one-shot iteration diverges."""
+def adversarial_problem(slope=10.0):
+    """Large forward Lipschitz constant; the one-shot iteration diverges.
+
+    At slope 10 the ladder of step 0.25 still contracts, slowly; at slope 40
+    its levels do not contract at steps 0.25 and 0.125.
+    """
 
     def drift(t, nodes, x, y, zt):
-        return -y + 10.0 * x
+        return -y + slope * x
 
     def diffusion(t, nodes, x, y, zt):
         return -np.concatenate([zt, np.zeros((len(zt), 1))], axis=1)
@@ -213,12 +217,24 @@ class TestSolveContinuation:
             )
         assert info.value.best_residual is None and info.value.__cause__ is None
 
+    def test_adversarial_solves_and_agrees_with_the_oracle(self):
+        # level 0.25 contracts by only about 0.62 an iteration; the inexact
+        # inner solves let it finish without a halving
+        tree = uniform_tree(2, 2)
+        sol, stats = solve_continuation(tree, adversarial_problem(), 1.0,
+                                        ContinuationOptions(delta=0.25))
+        assert stats.halvings == 0
+        assert max(sol.residuals.forward, sol.residuals.backward) <= TOL
+        oracle_sol, _ = solve_oracle(tree, adversarial_problem(), 1.0)
+        assert solution_gap(tree, sol, oracle_sol) <= 1e-8
+
     def test_adversarial_underflows_within_budget(self, monkeypatch):
         monkeypatch.setattr(nonlinear, "MAX_HALVINGS", 1)
         monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 2000)
         tree = uniform_tree(2, 2)
         with pytest.raises(StepUnderflow) as info:
-            solve_continuation(tree, adversarial_problem(), 1.0, ContinuationOptions(delta=0.25))
+            solve_continuation(tree, adversarial_problem(40.0), 1.0,
+                               ContinuationOptions(delta=0.25))
         assert str(info.value).startswith("no contraction after 1 halvings: ")
         assert isinstance(info.value.__cause__, NoContraction)
         # the cause carries the stats of the whole solve, not of its ladder
@@ -233,11 +249,12 @@ class TestSolveContinuation:
         monkeypatch.setattr(nonlinear, "MAX_LEVELS", 4)
         tree = uniform_tree(2, 2)
         with pytest.raises(StepUnderflow) as info:
-            solve_continuation(tree, adversarial_problem(), 1.0, ContinuationOptions(delta=0.25))
+            solve_continuation(tree, adversarial_problem(40.0), 1.0,
+                               ContinuationOptions(delta=0.25))
         err = info.value
         assert isinstance(err.__cause__, NoContraction)
         assert str(err) == f"a step of 0.125 needs a ladder over the 4-level cap: {err.__cause__}"
-        assert err.best_residual == pytest.approx(7.5)
+        assert err.best_residual == pytest.approx(21615.64453125)
         res = err.best_solution.residuals
         assert max(res.forward, res.backward) == err.best_residual
 
@@ -681,19 +698,19 @@ def test_stats_record_shapes():
 def test_stats_cover_every_ladder_attempt(monkeypatch):
     # delta 1 fails, delta 1/2 fails, delta 1/4 converges; every finished
     # Picard iteration of every level measures its increment once.  The
-    # attempts make 10, 10 and 713 inner solves, each within its own cap.
+    # attempts make 10, 29 and 34 inner solves, each within its own cap.
     increments = []
     norm_sq = nonlinear.increment_norm_sq
     monkeypatch.setattr(nonlinear, "increment_norm_sq",
                         lambda *args: increments.append(1) or norm_sq(*args))
-    monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 713)
+    monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 34)
     tree = uniform_tree(2, 2)
     opts = ContinuationOptions(delta=1.0, max_iterations=10)
     _, stats = solve_continuation(tree, demo_monotone_problem(tree, 0.6), 1.0, opts)
     assert stats.halvings == 2
-    assert stats.inner_solves == 10 + 10 + 713
-    assert stats.iterations == len(increments) == 10 + 10 + 993
-    assert stats_payload(stats)["iterations"] == 1013
+    assert stats.inner_solves == 10 + 29 + 34
+    assert stats.iterations == len(increments) == 10 + 39 + 93
+    assert stats_payload(stats)["iterations"] == 142
     assert stats.levels == [0.25, 0.5, 0.75, 1.0]
     assert [r.converged for r in stats.records[:2]] == [False, False]
 
@@ -746,7 +763,8 @@ def per_node_blend(problem, alpha, inhom, tree):
 )
 def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target, zero_inhom):
     # the level check blends whole levels; its defects are the per-node
-    # blend's residual bit for bit, at every alpha including 1
+    # blend's residual bit for bit, at every alpha including 1, with the
+    # terminal row Y_T - blended h(X_T) in the backward value
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
     problem = (as_nonlinear_problem(tree, random_linear_coeffs(rng, tree)) if linear_target
@@ -758,12 +776,37 @@ def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target
     blended = per_node_blend(problem, alpha, inhom, tree)
     iterate = nonlinear._Iterate(*(np.concatenate(v) for v in (X, Y, Z)))
     got = nonlinear._blended_residual(tree, problem, alpha, inhom, iterate)
-    want = nonlinear_residual(tree, blended, (X, Y, Z))
+    fwd, bwd = nonlinear_residual(tree, blended, (X, Y, Z))
+    terminal = Y[T] - blended.terminal(np.arange(tree.num_nodes(T)), X[T])
+    want = (fwd, float(np.maximum(bwd, np.abs(terminal).max())))
     assert [v.hex() for v in got] == [v.hex() for v in want]
     leaves = rng.permutation(tree.num_nodes(T))
     h = problem.terminal(leaves, X[T][leaves])
     assert (blended.terminal(leaves, X[T][leaves]) == alpha * h + (1.0 - alpha) * X[T][leaves]
             + inhom.h0[leaves]).all()
+
+
+@pytest.mark.parametrize("N, T", [(2, 2), (3, 2), (2, 3)])
+def test_the_level_check_binds_the_terminal_row(N, T):
+    # at alpha 0 the blended problem is the base form, so the base solve
+    # with terminal offsets h0 is its exact solution; a solve whose leaf
+    # offsets differ from the level's by 0.5 at one leaf satisfies every
+    # per-branch equation, and only the terminal row can see it
+    rng = np.random.default_rng(N * 10 + T)
+    tree = uniform_tree(N, T)
+    inhom = random_inhomogeneity(rng, tree)
+    problem = demo_monotone_problem(tree, 0.3)
+
+    def level_check(g):
+        sol = solve_special(tree, D=inhom.b0, D_bar=inhom.sigma0, D_hat=-inhom.f0, g=g, x0=1.0)
+        return nonlinear._blended_residual(tree, problem, 0.0, inhom,
+                                           nonlinear._as_iterate(tree, sol))
+
+    assert max(level_check(inhom.h0)) <= 1e-12
+    g = inhom.h0.copy()
+    g[-1] += 0.5
+    fwd, bwd = level_check(g)
+    assert fwd <= 1e-12 and bwd >= 0.5 - 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 3])

@@ -15,10 +15,15 @@ processes on a shared host drift too far apart to compare.  The
 workload's files are generated once by ``bench/workloads.py`` (imported,
 never written) for ``--seed`` into a temporary directory.  Each round runs
 every op once per side, op by op, the side that goes first alternating
-from round to round, and the two reports of each op must be byte-equal.
-The tool prints, per op, the median over rounds of the ratio of this
-checkout's time to the parent's, and then their geometric mean: below 1
-means this checkout is faster.  Standard library and numpy only.
+from round to round.  Where the two outputs of an op are not byte-equal
+they are compared as ``tools/report_digests.py --compare`` does: exit
+code, standard error and every report key but ``stats`` must be equal,
+and the floats of ``solution`` and ``residuals`` within ``FLOAT_GAP``;
+the tool names each such op after timing, and exits at the first op that
+fails the comparison.  It prints, per op, the median over rounds of the
+ratio of this checkout's time to the parent's, and then their geometric
+mean: below 1 means this checkout is faster.  Standard library and numpy
+only.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: The largest gap between two outputs' solution or residual floats that
+#: still counts as the same result.
+FLOAT_GAP = 1e-8
 
 
 def _load(name, path, package=False):
@@ -70,6 +79,19 @@ def _run(cli, argv, output):
     return elapsed, (code, output.read_bytes() if output.exists() else b"", err.getvalue())
 
 
+def _mismatch(digests, this, parent):
+    """Why two outputs of an op are not the same result, or None: see
+    ``FLOAT_GAP``.  Each output is (exit code, report bytes, stderr)."""
+    mine, theirs = ({"exit": code, "stderr": err, "text": text.decode(errors="replace")}
+                    for code, text, err in (this, parent))
+    notes, solution, residuals = digests._differences(mine, theirs)
+    notes = [note for note in notes if note != "stats differs"]
+    for name, gap in (("solution", solution), ("residuals", residuals)):
+        if gap > FLOAT_GAP:
+            notes.append(f"{name} gap {gap:.3g}")
+    return "; ".join(notes) or None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the checkout to compare against")
@@ -79,6 +101,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     workloads = _load("workloads", ROOT / "bench" / "workloads.py")
+    digests = _load("report_digests", ROOT / "tools" / "report_digests.py")
     if args.workload not in workloads.BUILDERS:
         parser.error(f"--workload must be one of {', '.join(workloads.BUILDERS)}")
     sides = {"this": _cli("fbsde", ROOT), "parent": _cli("fbsde_parent", args.parent)}
@@ -86,6 +109,7 @@ def main(argv=None):
         work = Path(tmp)
         ops = workloads.generate(args.workload, args.seed, work)
         times = {op.label: {side: [] for side in sides} for op in ops}
+        differed = []
         for side, cli in sides.items():  # warm both: lazy imports, first-call set-up
             _run(cli, ["demo", "monotone-family", "--output", str(work / f"warm-{side}")],
                  work / f"warm-{side}")
@@ -98,7 +122,11 @@ def main(argv=None):
                     elapsed, outputs[side] = _run(sides[side], op.argv(work, out), out)
                     times[op.label][side].append(elapsed)
                 if outputs["this"] != outputs["parent"]:
-                    sys.exit(f"{op.label}: the two checkouts' outputs differ")
+                    why = _mismatch(digests, outputs["this"], outputs["parent"])
+                    if why:
+                        sys.exit(f"{op.label}: the two checkouts' outputs differ: {why}")
+                    if op.label not in differed:
+                        differed.append(op.label)
     ratios = []
     for label, t in times.items():
         ratio = statistics.median(a / b for a, b in zip(t["this"], t["parent"]))
@@ -107,6 +135,8 @@ def main(argv=None):
               f"parent {statistics.median(t['parent']) * 1e3:8.2f} ms  ratio {ratio:.3f}")
     print(f"geometric mean of the median ratios: "
           f"{math.exp(sum(map(math.log, ratios)) / len(ratios)):.3f}")
+    for label in differed:
+        print(f"differs in stats or floats within {FLOAT_GAP:g} only: {label}")
 
 
 if __name__ == "__main__":
