@@ -104,9 +104,10 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
     """Max per-branch defect of the backward equation over all nodes.
 
     For each non-leaf node and branch i this is
-    |Y_{t+1} - Y_t + f(t+1, .) - Z_t (e_i - P_t)|, maximized over entries
-    by ``worst_defects``.  The generator levels are evaluated from T down
-    to 1, which decides the first error raised.
+    |Y_{t+1} - Y_t + f(t+1, .) - Z_t (e_i - P_t)|, and at each leaf the
+    terminal row |Y_T - eta|, maximized over entries by ``worst_defects``.
+    The generator levels are evaluated from T down to 1, which decides the
+    first error raised.
     """
     T = tree.T
     y = _as_matrix(_process_array(tree, Y, range(T + 1), "Y"))
@@ -121,4 +122,5 @@ def bsde_residual(tree: ScenarioTree, problem: BsdeProblem, Y, Z):
     f_levels = (None, *tree.views(f, range(1, T + 1)))
     for t in range(T, 0, -1):
         f_levels[t][...] = _generator_level(tree, problem, t, y_levels[t], z_levels, scalar)
-    return worst_defects(tree, None, y, z, None, None, f)[1]
+    return worst_defects(tree, None, y, z, None, None, f,
+                         y_levels[T] - _as_matrix(problem.terminal))[1]

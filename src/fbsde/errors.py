@@ -77,16 +77,9 @@ class SolverStopped(FbsdeError):
         self.best_residual = best_residual
 
 
-class NonFiniteIterate(SolverStopped):
-    """An iterate became NaN or infinite."""
-
-    def __init__(self, message, iterate=None, stats=None):
-        super().__init__(message, stats)
-        self.iterate = iterate
-
-
 class NoContraction(SolverStopped):
-    """Picard increments stayed above tolerance."""
+    """Picard increments stayed above tolerance, or a base solve or an
+    increment was not finite."""
 
     def __init__(self, message, alpha=None, norms=None, iterate=None, stats=None):
         super().__init__(message, stats)

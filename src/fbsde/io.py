@@ -64,9 +64,14 @@ def _bind_expression(source, allowed, path):
 
 
 def _number(value, path):
-    """A JSON number as a float; booleans, strings and null are rejected."""
+    """A JSON number as a float; booleans, strings, null and integers beyond
+    the float range are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise SchemaError(path, f"expected a number within the float range, got an "
+                                    f"integer of {len(str(abs(value)))} digits") from None
     raise SchemaError(path, f"expected a number, got {value!r}")
 
 
@@ -357,7 +362,7 @@ def load_problem(path) -> LoadedProblem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON or UTF-8, or an integer past the digit limit
             raise SchemaError(str(path), f"invalid JSON: {err}") from err
     return bind_problem(doc)
 

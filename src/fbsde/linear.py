@@ -578,7 +578,8 @@ def _terminal(c, at, x):
 
 
 def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
-    """Exhaustive per-branch residuals of both equations.
+    """Exhaustive per-branch residuals of both equations, the backward one
+    with its terminal row Y_T - (G X_T + g).
 
     Insensitive to the row representative of Z thanks to the validated
     zero-sum conditions.
@@ -592,7 +593,8 @@ def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
     sigma = _diffusion(c, every, X[:m], Y[:m], Z)
     # the generator on times 1..T: rows for the non-leaf nodes 1..m-1 only
     f = _generator(c, every, X[1:], Y[1:], Z[1:])
-    return ResidualReport(*worst_defects(tree, X, Y, Z, b, sigma, f))
+    terminal = Y[m:] - _terminal(c, every, X[m:])
+    return ResidualReport(*worst_defects(tree, X, Y, Z, b, sigma, f, terminal))
 
 
 def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> LinearCoefficients:

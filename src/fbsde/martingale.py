@@ -189,7 +189,7 @@ def backward_defect(y_next, y, f_next, z, rows):
     return y_next.reshape(zm.shape) - y[:, None] + f_next.reshape(zm.shape) - zm
 
 
-def worst_defects(tree, X, Y, Z, b, sigma, f, terminal=None):
+def worst_defects(tree, X, Y, Z, b, sigma, f, terminal):
     """Largest absolute per-branch defect of each equation: (forward, backward).
 
     Every argument is one level-order array over the whole tree: ``X``,
@@ -197,13 +197,12 @@ def worst_defects(tree, X, Y, Z, b, sigma, f, terminal=None):
     ``f`` the generator on the nodes of times 1..T.  Node k's children are
     rows 1 + k*N.., so each equation is one ``forward_defect`` or
     ``backward_defect`` call over all m nodes.  ``terminal``, a defect per
-    leaf, is the backward equation's t = T row when given.  A backward-only
-    system passes ``X=None`` and gets a forward value of 0.0; ``max`` and
+    leaf, is the backward equation's t = T row.  A backward-only system
+    passes ``X=None`` and gets a forward value of 0.0; ``max`` and
     ``np.maximum`` keep a NaN defect.
     """
     m = tree.offsets[tree.T]
     fwd = 0.0 if X is None else np.abs(forward_defect(X[1:], X[:m], b, sigma, tree.rows)).max()
-    bwd = np.abs(backward_defect(Y[1:], Y[:m], f, Z, tree.rows)).max()
-    if terminal is not None:
-        bwd = np.maximum(bwd, np.abs(terminal).max())
+    bwd = np.maximum(np.abs(backward_defect(Y[1:], Y[:m], f, Z, tree.rows)).max(),
+                     np.abs(terminal).max())
     return float(fwd), float(bwd)

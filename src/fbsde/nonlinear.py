@@ -24,7 +24,6 @@ from .errors import (
     InvalidOption,
     NoContraction,
     NonFiniteInput,
-    NonFiniteIterate,
     NonFiniteSolve,
     StepUnderflow,
 )
@@ -54,12 +53,11 @@ MAX_HALVINGS = 4
 #: contract stop here, after about 2-12 s an attempt at 16-256 levels.
 MAX_INNER_SOLVES = 5000
 
-#: Forcing terms of the inexact inner solves: a level asks the one below
-#: for ``ETA0`` on its first iteration and for ``ETA`` times the root of
-#: its own last squared increment after, never for less than its own
-#: tolerance.  ``ETA = 0.1`` loses the top level's contraction on a
-#: ``max_iterations = 10`` solve; smaller values only add inner solves.
-ETA0 = 1e-2
+#: Forcing term of the inexact inner solves: a level asks the one below for
+#: ``ETA`` times the root of its own last squared increment (1 before its
+#: first), never for less than its own tolerance.  ``ETA = 0.1`` loses the
+#: top level's contraction on a ``max_iterations = 10`` solve; smaller
+#: values only add inner solves.
 ETA = 1e-2
 
 #: The nonlinear solve modes: the continuation ladder, or flat Picard.
@@ -235,10 +233,6 @@ class _Iterate:
                                              "terminal"))
         return self.terminal[1]
 
-    def finite(self):
-        return bool(np.isfinite(self.X).all() and np.isfinite(self.Y).all()
-                    and np.isfinite(self.Z).all())
-
 
 def _as_iterate(tree, value):
     """An iterate from None, an iterate, a solution (its arrays, not
@@ -305,39 +299,42 @@ class _Ladder:
 
     Each level's solve closes over the one below it; within a level, solves
     warm-start from that level's previous result (the first call starts from
-    the ladder's one zero iterate).  The solves below the top are inexact:
-    a level asks the one below for ``max(tol, ETA0)`` on its first
-    iteration and ``max(tol, ETA * sqrt(d))`` after, d its own last squared
-    increment and tol its own tolerance, so an inner error stays a fixed
-    fraction of the outer increment and the outer contraction holds (the
-    forcing terms of inexact Newton methods).  Only the top level solves to
-    ``opts.tolerance``, so a result is judged as strictly as with exact
-    inner solves.  ``opts.max_iterations`` bounds the Picard iterations of
-    one call of a level; a level is called once per iteration of the level
-    above, so its iterations over a solve are bounded only by the inner-solve
-    budget, ``MAX_INNER_SOLVES`` per ladder.  Every base solve goes through
-    ``base``, the homogeneous ``special_coefficients(tree)``, whose slope
-    pass is memoized; a solve that retries with smaller steps passes the
-    same ``base`` to each ladder, so the slopes are computed once per solve.
-    Every stop (NoContraction, NonFiniteIterate) carries the shared stats.
+    the ladder's ``initial`` iterate at the top level, from its one zero
+    iterate below).  The solves below the top are inexact: a level asks the
+    one below for ``max(tol, ETA * sqrt(d))``, d its own last squared
+    increment (1 before its first) and tol its own tolerance, so an inner
+    error stays a fixed fraction of the outer increment and the outer
+    contraction holds (the forcing terms of inexact Newton methods).  Only
+    the top level solves to ``opts.tolerance``, so a result is judged as
+    strictly as with exact inner solves.  ``opts.max_iterations`` bounds the
+    Picard iterations of one call of a level; a level is called once per
+    iteration of the level above, so its iterations over a solve are bounded
+    only by the inner-solve budget, ``MAX_INNER_SOLVES`` per ladder.  Every
+    base solve goes through ``base``, the homogeneous
+    ``special_coefficients(tree)``, whose slope pass is memoized; a solve
+    that retries with smaller steps passes the same ``base`` to each ladder,
+    so the slopes are computed once per solve.  The base solve is the one
+    place that guarantees finite iterates: a non-finite one raises, and every
+    level returns what the level below returned.  Every stop is a
+    NoContraction carrying the shared stats.
     """
 
-    def __init__(self, tree, problem, base, n_levels, opts, stats=None):
+    def __init__(self, tree, problem, base, n_levels, x0, opts, initial, stats=None):
         self.tree = tree
         self.problem = problem
-        self.alphas = [k / n_levels for k in range(n_levels + 1)]
-        self.alphas[-1] = 1.0
+        self.base = base
+        self.n_levels = n_levels
         self.step = 1.0 / n_levels
+        self.x0 = x0
         self.opts = opts
         self.stats = SolveStats() if stats is None else stats
         self._solves_before = self.stats.inner_solves  # by earlier attempts
-        self._warm = {}
         self._zero = _Iterate.zeros(tree)
-        self.base = base
+        self._warm = {} if initial is None else {n_levels: initial}
 
-    def solve(self, k, inhom, x0, initial=None, tol=None):
-        """Level k's solution with ``inhom`` folded in, to ``tol`` (default
-        ``opts.tolerance``); level 0 is the exact base solve."""
+    def solve(self, k, inhom, tol):
+        """Level k's solution with ``inhom`` folded in, to ``tol``; level 0
+        is the exact base solve."""
         if k == 0:
             if self.stats.inner_solves - self._solves_before >= MAX_INNER_SOLVES:
                 raise NoContraction(
@@ -347,48 +344,35 @@ class _Ladder:
                 )
             self.stats.inner_solves += 1
             try:
-                sol = linear.solve_special(
-                    self.tree,
-                    D=inhom.b0,
-                    D_bar=inhom.sigma0,
-                    D_hat=-inhom.f0,
-                    g=inhom.h0,
-                    x0=x0,
-                    form=self.base,
-                )
-            except NonFiniteSolve as err:  # halves the step like any non-finite iterate
-                raise NonFiniteIterate(f"non-finite base solve: {err}",
-                                       stats=self.stats) from err
-            return _as_iterate(self.tree, sol)
+                sol = linear.solve_special(self.tree, D=inhom.b0, D_bar=inhom.sigma0,
+                                           D_hat=-inhom.f0, g=inhom.h0, x0=self.x0,
+                                           form=self.base)
+            except NonFiniteSolve as err:  # halves the step like any stop
+                raise NoContraction(f"non-finite base solve: {err}", stats=self.stats) from err
+            return _Iterate(sol.X.array, sol.Y.array, sol.Z.array)
 
-        alpha = self.alphas[k]
-        tol = self.opts.tolerance if tol is None else tol
-        inner_tol = max(tol, ETA0)
-        prev = initial if initial is not None else self._warm.get(k) or self._zero
+        alpha = k / self.n_levels
+        prev = self._warm.get(k, self._zero)
         norms = []
         record = LevelRecord(alpha=alpha, norms=norms, converged=False)
         self.stats.records.append(record)
-        cur = prev
+        d = 1.0
         for _ in range(self.opts.max_iterations):
             composed = _compose(self.tree, self.problem, inhom, prev, self.step)
-            cur = self.solve(k - 1, composed, x0, tol=inner_tol)
-            if not cur.finite():
-                raise NonFiniteIterate(f"non-finite iterate at level {alpha:g}", iterate=cur,
-                                       stats=self.stats)
+            cur = self.solve(k - 1, composed, max(tol, ETA * math.sqrt(d)))
             d = increment_norm_sq(self.tree, prev, cur)
             norms.append(d)
             if not math.isfinite(d):
-                raise NonFiniteIterate(f"non-finite increment at level {alpha:g}", iterate=cur,
-                                       stats=self.stats)
+                raise NoContraction(f"non-finite increment at level {alpha:g}", alpha=alpha,
+                                    norms=norms, iterate=cur, stats=self.stats)
             if d <= tol * tol:
                 fwd, bwd = _blended_residual(self.tree, self.problem, alpha, inhom, cur)
                 if max(fwd, bwd) <= tol:
                     record.converged = True
                     self._warm[k] = cur
                     return cur
-            if norms and d > DIVERGENCE_CAP * max(norms[0], 1.0):
+            if d > DIVERGENCE_CAP * max(norms[0], 1.0):
                 break
-            inner_tol = max(tol, ETA * math.sqrt(d))
             prev = cur
         raise NoContraction(
             f"level {alpha:g} did not contract within {self.opts.max_iterations} iterations",
@@ -406,7 +390,7 @@ def _finish(tree, problem, iterate):
     return FbsdeSolution(X, Y, Z, ResidualReport(forward=fwd, backward=bwd))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteIterate
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NoContraction
 def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     """Solve the target system by climbing the blend ladder.
 
@@ -423,6 +407,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
     delta = opts.delta
     stats = SolveStats()
     base = linear.special_coefficients(tree)
+    initial = _as_iterate(tree, initial_iterate)
     best_res, best = math.inf, None
     cause = None
     while True:
@@ -430,16 +415,14 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
             limit = f"a step of {delta:g} needs a ladder over the {MAX_LEVELS}-level cap"
             break
         n_levels = max(1, math.ceil(round(1.0 / delta, 9)))
-        ladder = _Ladder(tree, problem, base, n_levels, opts, stats=stats)
+        ladder = _Ladder(tree, problem, base, n_levels, x0, opts, initial, stats)
         try:
-            iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), x0,
-                                   initial=_as_iterate(tree, initial_iterate))
+            iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), opts.tolerance)
             return _finish(tree, problem, iterate), stats
-        except (NoContraction, NonFiniteIterate) as err:
+        except NoContraction as err:
             cause = err
-            it = err.iterate
-            if it is not None and it.finite():
-                sol = _finish(tree, problem, it)
+            if err.iterate is not None:
+                sol = _finish(tree, problem, err.iterate)
                 res = max(sol.residuals.forward, sol.residuals.backward)
                 if res < best_res:
                     best_res, best = res, sol
@@ -453,7 +436,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
                         best_solution=best, stats=stats) from cause
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteIterate
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NoContraction
 def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
     """One-level iteration with the whole nonlinearity frozen each sweep.
 
@@ -464,10 +447,10 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
     opts = opts or ContinuationOptions()
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), 1, opts)
+    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), 1, x0, opts,
+                     _as_iterate(tree, initial_iterate))
     try:
-        iterate = ladder.solve(1, Inhomogeneity.zeros(tree), x0,
-                               initial=_as_iterate(tree, initial_iterate))
+        iterate = ladder.solve(1, Inhomogeneity.zeros(tree), opts.tolerance)
     except NoContraction as err:
         err.args = (f"{err}; consider continuation mode",)
         raise
@@ -475,19 +458,21 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
 
 
 def nonlinear_residual(tree, problem, solution):
-    """Exhaustive per-branch defects of both equations: (forward, backward).
+    """Exhaustive per-branch defects of both equations: (forward, backward),
+    the backward one with its terminal row Y_T - h(X_T).
 
     ``solution`` is an FbsdeSolution or an (X, Y, Z) triple of processes or
     level lists.
     """
     it = _as_iterate(tree, solution)
-    return worst_defects(tree, it.X, it.Y, it.Z, *_coefficient_levels(tree, problem, it.X, it.Y, it.zt))
+    levels = _coefficient_levels(tree, problem, it.X, it.Y, it.zt)
+    terminal = it.Y[tree.offsets[tree.T]:] - it.terminal_levels(tree, problem)
+    return worst_defects(tree, it.X, it.Y, it.Z, *levels, terminal)
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     """``nonlinear_residual`` at ``it`` of ``blend(problem, alpha)`` plus
-    ``inhom``, whose backward value also covers the terminal row
-    ``Y_T - (a*h(X_T) + (1-a)*X_T + h0)``.
+    ``inhom``, whose terminal row is ``Y_T - (a*h(X_T) + (1-a)*X_T + h0)``.
 
     Blends the target's cached levels at the iterate by the formula
     a*v + (1-a)*lin + inhom, per node the float operations of a callback blend.
@@ -499,7 +484,7 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     sigma = a * sigma + (1.0 - a) * -_canonical_rows(it.zt) + inhom.sigma0
     f = a * f + (1.0 - a) * X[1:] + inhom.f0
     h = a * it.terminal_levels(tree, problem) + (1.0 - a) * X[m:] + inhom.h0
-    return worst_defects(tree, X, Y, Z, b, sigma, f, terminal=Y[m:] - h)
+    return worst_defects(tree, X, Y, Z, b, sigma, f, Y[m:] - h)
 
 
 @dataclass(frozen=True)

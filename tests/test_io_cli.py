@@ -392,6 +392,18 @@ BAD_TREES = {
     "tree-T-fraction": ({"N": 2, "T": 2.9}, "tree.T"),
     "tree-transition-strings": (
         {"N": 2, "T": 3, "transition": ["0.5", "0.5"]}, "tree.transition"),
+    "tree-T-huge": ({"N": 2, "T": 10**400}, "tree.T"),
+    "tree-transition-huge": ({"N": 2, "T": 3, "transition": [10**400, 0.5]}, "tree.transition"),
+}
+#: Documents with an integer too large for a float at each site a number
+#: is read, and the field the error names.
+HUGE_INTEGERS = {
+    "x0-huge": (LINEAR_DOC | {"x0": 10**400}, "x0"),
+    "per-node-huge": (LINEAR_DOC | {"coefficients": {"A": [0.1] * 6 + [10**400]}},
+                      "coefficients.A"),
+    "shared-huge": (LINEAR_DOC | {"coefficients": {"A": 10**400}}, "coefficients.A"),
+    "tolerance-huge": (LINEAR_DOC | {"options": {"tolerance": 10**400}}, "options.tolerance"),
+    "terminal-huge": (BSDE_DOC | {"terminal": [1.0, -(10**400)]}, "terminal"),
 }
 #: Documents that the loader refuses, the field its SchemaError names and
 #: a part of its message.
@@ -421,6 +433,8 @@ MALFORMED = {
     "per-node-null": ("solve", LINEAR_DOC | {"coefficients": {"A": [None] + [0.1] * 6}}, []),
     "per-node-row-boolean": (
         "solve", LINEAR_DOC | {"coefficients": {"D_bar": [[0.1, False]] + [[0.1, 0.2]] * 6}}, []),
+    "per-node-row-number": (
+        "solve", LINEAR_DOC | {"coefficients": {"D_bar": [[0.1, 0.2]] * 6 + [0.3]}}, []),
     "terminal-boolean": ("solve", BSDE_DOC | {"terminal": [1.0, True]}, []),
     "tree-number": ("solve", BSDE_DOC | {"tree": 5}, []),
     "coefficients-string": ("solve", BSDE_DOC | {"coefficients": "f"}, []),
@@ -437,6 +451,7 @@ MALFORMED = {
     **{label: ("solve", minimal_special_doc() | {"tree": tree}, [])
        for label, (tree, _) in BAD_TREES.items()},
     **{label: ("solve", doc, []) for label, (doc, _, _) in BAD_DOCUMENTS.items()},
+    **{label: ("solve", doc, []) for label, (doc, _) in HUGE_INTEGERS.items()},
 }
 
 
@@ -455,6 +470,36 @@ def test_a_bad_tree_cell_names_its_field(tree, field):
     with pytest.raises(SchemaError) as err:
         bind_problem(minimal_special_doc() | {"tree": tree})
     assert err.value.field == field
+
+
+def test_a_level_that_is_not_plain_numbers_goes_to_the_cell_reader():
+    # a number where a row is due, or an integer too large for a float,
+    # leaves the level to the node-by-node reader, which names the fault
+    assert fbsde.io._plain_level([[0.1, 0.2], 0.3], 1) is None
+    assert fbsde.io._plain_level([0.1, 10**400], 0) is None
+    rows = [[0.1, 0.2], [0.3, 0.4]]
+    np.testing.assert_array_equal(fbsde.io._plain_level(rows, 1), rows)
+
+
+@pytest.mark.parametrize("doc, field", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS.keys())
+def test_a_huge_integer_names_its_field(doc, field):
+    with pytest.raises(SchemaError) as err:
+        bind_problem(doc)
+    assert err.value.field == field
+    assert str(err.value) == (f"{field}: expected a number within the float range, "
+                              "got an integer of 401 digits")
+
+
+@pytest.mark.parametrize("text", [b'{"x0": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"],
+                         ids=["past-the-digit-limit", "not-utf-8"])
+def test_an_unreadable_file_is_an_input_error(tmp_path, capsys, text):
+    # json.load raises ValueError, not JSONDecodeError, for both
+    path = tmp_path / "problem.json"
+    path.write_bytes(text)
+    assert run_cli(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "invalid JSON" in captured.err
 
 
 @pytest.mark.parametrize("doc, field, message", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS.keys())

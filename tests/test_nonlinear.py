@@ -15,7 +15,6 @@ from fbsde import (
     LinearCoefficients,
     NoContraction,
     NonFiniteInput,
-    NonFiniteIterate,
     NonFiniteSolve,
     NonlinearProblem,
     ShapeMismatch,
@@ -258,10 +257,23 @@ class TestSolveContinuation:
         res = err.best_solution.residuals
         assert max(res.forward, res.backward) == err.best_residual
 
+    def test_the_inner_solve_budget_stops_each_attempt(self, monkeypatch):
+        # the demo needs more than three base solves at every step, so each
+        # attempt spends its own budget of three and halves, to the limit
+        monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 3)
+        tree = uniform_tree(2, 2)
+        with pytest.raises(StepUnderflow) as info:
+            solve_continuation(tree, demo_monotone_problem(tree, 0.3), 1.0)
+        err = info.value
+        assert str(err) == (f"no contraction after {nonlinear.MAX_HALVINGS} halvings: "
+                            "ladder exhausted its 3 inner-solve budget")
+        assert isinstance(err.__cause__, NoContraction) and err.__cause__.alpha == 0.0
+        assert err.stats.inner_solves == 3 * (nonlinear.MAX_HALVINGS + 1)
+
     def test_non_finite_base_solve_halves_the_step(self):
         # a generator and h - x of 1.7e308 overflow every base solve's
-        # offsets, at every step: each attempt fails as a non-finite iterate
-        # and halves, to the budget
+        # offsets, at every step: each attempt stops at its base solve and
+        # halves, to the budget
         tree = uniform_tree(2, 2)
         problem = NonlinearProblem(drift=lambda t, n, x, y, z: 0.0,
                                    diffusion=lambda t, n, x, y, z: 0.0,
@@ -271,7 +283,7 @@ class TestSolveContinuation:
             solve_continuation(tree, problem, 1.0, ContinuationOptions(delta=1.0))
         err = info.value
         assert str(err).startswith(f"no contraction after {nonlinear.MAX_HALVINGS} halvings: ")
-        assert isinstance(err.__cause__, NonFiniteIterate)
+        assert isinstance(err.__cause__, NoContraction)
         assert isinstance(err.__cause__.__cause__, NonFiniteSolve)
 
 
@@ -834,7 +846,7 @@ def test_one_value_per_node_is_not_one_diffusion_row(N):
 def test_each_iterate_is_evaluated_once(monkeypatch):
     # compose and the level check share one evaluation of the target per
     # iterate: one per inner solve plus the shared zero start, and the
-    # report's residual evaluates the result afresh
+    # report's residual evaluates the result afresh, its terminal row too
     tree = uniform_tree(2, 2)
     target = demo_monotone_problem(tree, 0.1)
     drift_calls, leaf_values = [], []
@@ -858,8 +870,11 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     assert len({id(X) for X in evaluated}) == len(evaluated) == stats.inner_solves + 2
     # one drift call per level, at times 0 and 1
     assert len(drift_calls) == len(evaluated) * 2
-    # the terminal map is evaluated once per composed iterate, on all four leaves
-    assert len(leaf_values) == len(set(leaf_values)) <= stats.inner_solves + 1
+    # the terminal map is evaluated once per composed iterate, on all four
+    # leaves, and the report's residual evaluates the accepted one again
+    *ladder, report = leaf_values
+    assert len(ladder) == len(set(ladder)) <= stats.inner_solves + 1
+    assert report == ladder[-1]
     reference, _ = solve_continuation(tree, target, 1.0)
     assert solution_gap(tree, sol, reference) == 0.0
 

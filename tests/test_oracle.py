@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_linear_coeffs, random_tree, uniform_tree
 from fbsde import (
+    ExpressionDomainError,
     InfinitelyMany,
     LinearCoefficients,
     NoConvergence,
@@ -323,6 +324,34 @@ class TestSolveOracle:
         stats = info.value.stats
         assert [(r.alpha, r.norms, r.converged) for r in stats.records] == [(1.0, [], False)] * 3
         assert (stats.inner_solves, stats.halvings) == (3, 0)
+
+
+def test_newton_stops_at_a_non_finite_residual():
+    # a start whose residual is NaN ends at once, without a Jacobian
+    widths = []
+
+    def residual(columns):
+        widths.append(columns.shape[1])
+        return np.full((2, columns.shape[1]), np.nan)
+
+    norms = []
+    x, res = oracle._newton(residual, np.array([1.0, 2.0]), 1e-10, norms)
+    assert widths == [1] and np.isnan(res) and norms == []
+    np.testing.assert_array_equal(x, [1.0, 2.0])
+
+
+def test_newton_stops_at_a_jacobian_outside_the_domain():
+    # the start evaluates, the 2m points of its Jacobian do not: the run
+    # ends at the start with its residual, no error raised
+    def residual(columns):
+        if columns.shape[1] > 1:
+            raise ExpressionDomainError("log of a negative number", 0)
+        return columns - 3.0
+
+    norms = []
+    x, res = oracle._newton(residual, np.array([1.0, 2.0]), 1e-10, norms)
+    assert res == 2.0 and norms == []
+    np.testing.assert_array_equal(x, [1.0, 2.0])
 
 
 def test_jacobian_matches_directional_differences():

@@ -32,11 +32,16 @@ from hypothesis import strategies as st
 from conftest import random_linear_coeffs, random_tree
 from fbsde import (
     AdaptedProcess,
+    BsdeProblem,
     LinearCoefficients,
     Unsolvable,
+    as_nonlinear_problem,
     bind_problem,
+    bsde_residual,
     build_tree,
     linear_residuals,
+    nonlinear_residual,
+    solve_bsde,
     solve_linear,
     solve_special,
     special_coefficients,
@@ -103,11 +108,12 @@ def rounding(coeffs, *values):
 
 def assert_agrees(tree, coeffs, X, Y, Z, forward, backward):
     """The reference defects of (X, Y, Z) are the package's ``forward`` and
-    ``backward`` within rounding, and the terminal condition holds."""
+    ``backward`` within rounding, ``backward`` covering the terminal row,
+    and the terminal condition holds."""
     tol = rounding(coeffs, X, Y, Z)
     ref_forward, ref_backward, terminal = reference_defects(tree, coeffs, X, Y, Z)
     assert abs(ref_forward - forward) <= tol
-    assert abs(ref_backward - backward) <= tol
+    assert abs(max(ref_backward, terminal) - backward) <= tol
     assert terminal <= tol
 
 
@@ -181,8 +187,17 @@ def test_the_reference_flags_a_wrong_terminal_value():
     assert terminal == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="linear_residuals reduces only the branch equations "
-                                       "of t = 0..T-1, not Y_T = G X_T + g (ROADMAP item 3)")
 def test_linear_residuals_flag_a_wrong_terminal_value():
     tree, coeffs, X, Y, Z = shifted_terminal_problem()
     assert linear_residuals(tree, coeffs, X, Y, Z).backward >= 1.0
+    assert nonlinear_residual(tree, as_nonlinear_problem(tree, coeffs), (X, Y, Z))[1] >= 1.0
+
+
+def test_bsde_residual_flags_a_wrong_terminal_value():
+    # every branch equation of the solved pair holds; the leaves miss by 1.0
+    tree = build_tree(2, 2)
+    problem = BsdeProblem(terminal=np.arange(4.0), generator=lambda t, y, zt: 0.5 * y)
+    Y, Z = solve_bsde(tree, problem)
+    assert bsde_residual(tree, problem, Y, Z) <= 1e-15
+    shifted = AdaptedProcess.from_array(tree, 0, Y.array + 1.0)
+    assert bsde_residual(tree, problem, shifted, Z) >= 1.0

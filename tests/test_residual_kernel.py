@@ -47,12 +47,14 @@ def random_triple(rng, tree):
 
 
 def frozen_backward_problem(tree, problem, X):
-    """The backward equation of ``problem`` with the forward path fixed at X."""
+    """The backward equation of ``problem`` with the forward path fixed at X,
+    its terminal values h(X_T)."""
 
     def gen(t, y, zt):
         return problem.generator(t, np.arange(len(y)), X[t], y, zt)
 
-    return BsdeProblem(terminal=np.zeros(tree.num_nodes(tree.T)), generator=gen)
+    leaves = np.arange(tree.num_nodes(tree.T))
+    return BsdeProblem(terminal=problem.terminal(leaves, X[tree.T]), generator=gen)
 
 
 def all_paths(tree, coeffs, X, Y, Z):
@@ -109,8 +111,9 @@ def test_every_path_sees_a_single_branch_perturbation(instance, data):
     assert vector[offset + child] - vector0[offset + child] == pytest.approx(delta, abs=1e-12)
 
     # Y at a non-leaf node enters each of its branch backward defects with
-    # coefficient -1 (at a leaf the generator sees it too)
-    s = data.draw(st.integers(0, tree.T - 1))
+    # coefficient -1, and Y at a leaf its terminal row with coefficient 1
+    # (its parent's branch defects see it too, through the generator as well)
+    s = data.draw(st.integers(0, tree.T))
     node = data.draw(st.integers(0, tree.num_nodes(s) - 1))
     Yp = [lev.copy() for lev in Y]
     Yp[s][node] += delta
@@ -140,10 +143,11 @@ def test_kernel_shapes_scalar_and_vector_valued():
     np.testing.assert_array_equal(scalar, defect[:, :, 0])
 
 
-def per_level_worst_defects(tree, X, Y, Z, b, sigma, f):
+def per_level_worst_defects(tree, X, Y, Z, b, sigma, f, terminal):
     """The level-by-level reduction the whole-tree kernel replaced, kept as
-    its reference: level lists, ``f`` by absolute time with entry 0 unused."""
-    fwd = bwd = 0.0
+    its reference: level lists, ``f`` by absolute time with entry 0 unused,
+    ``terminal`` the one leaf level."""
+    fwd, bwd = 0.0, np.abs(terminal[0]).max()
     for t in range(tree.T):
         rows = tree.transition[t]
         if X is not None:
@@ -169,7 +173,7 @@ def test_the_whole_tree_kernel_is_the_per_level_loop(seed, N, T, K, plant_nan):
             "Y": levels(range(T + 1), cell), "Z": levels(range(T), cell + (N,)),
             "b": levels(range(T), ()) if coupled else None,
             "sigma": levels(range(T), (N,)) if coupled else None,
-            "f": [None] + levels(range(1, T + 1), cell)}
+            "f": [None] + levels(range(1, T + 1), cell), "terminal": levels([T], cell)}
     if plant_nan:
         name = rng.choice([k for k, v in args.items() if v is not None])
         level = args[name][int(rng.integers(name == "f", len(args[name])))]
@@ -214,9 +218,12 @@ def test_a_nan_reaches_the_backward_only_reduction():
     Z = [Z.level(t) for t in range(tree.T)]
     # the kernel takes whole-tree arrays: the levels joined in level order
     f = np.concatenate([0.5 * Y[1], np.zeros((4, 2))])
-    assert worst_defects(tree, None, np.concatenate(Y), np.concatenate(Z), None, None, f) == (0.0, 0.0)
+    terminal = Y[2] - problem.terminal
+    assert worst_defects(tree, None, np.concatenate(Y), np.concatenate(Z), None, None, f,
+                         terminal) == (0.0, 0.0)
     Y[0][0, 1] = np.nan  # the root, which no generator reads
-    fwd, bwd = worst_defects(tree, None, np.concatenate(Y), np.concatenate(Z), None, None, f)
+    fwd, bwd = worst_defects(tree, None, np.concatenate(Y), np.concatenate(Z), None, None, f,
+                             terminal)
     assert fwd == 0.0 and np.isnan(bwd)
     assert np.isnan(bsde_residual(tree, problem, Y, Z))
 

@@ -29,7 +29,8 @@ disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
 of a pass halted below the root), and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
-conditions, an overflowing sum included.  The nonlinear document of
+conditions, an overflowing sum included, and of an integer cell too large
+for a float.  The nonlinear document of
 ``DRIFT_FAULT`` goes through ``solve``, ``solve --mode picard``,
 ``oracle`` and ``check``, and the bsde document of ``GENERATOR_FAULT``
 through ``solve``: each coefficient faults at two nodes of one level, at
@@ -143,8 +144,10 @@ HORIZON_DOCS = {
 def _fault_documents():
     """(label, document) of each invalid input: one fault in the transition
     table of a 3-ary tree of depth 3, or in a structural coefficient of a
-    linear file on the uniform binary tree of depth 3.  ``solve`` must exit 4
-    on each, and its standard error names the fault and where it sits."""
+    linear file on the uniform binary tree of depth 3, or one per-node cell
+    of such a file that is an integer too large for a float.  ``solve`` must
+    exit 4 on each, and its standard error names the fault and where it
+    sits."""
     def table(k=None, row=None, rows=13):
         cells = [[0.2, 0.3, 0.5] for _ in range(rows)]
         if k is not None:
@@ -178,6 +181,7 @@ def _fault_documents():
     huge, half = [1e308, 1e308], [0.5, 0.5]
     yield "tree row sum overflow t=0 node=0", linear({"N": 2, "T": 2, "transition": [huge, half, half]})
     yield "C column sum overflow t=0 node=0", linear({"N": 2, "T": 2, "transition": "uniform"}, C=huge)
+    yield "integer of 401 digits in D", linear(D=per_node(0.0, 10**400, 7, 2))
 
 
 def _load_workloads():
