@@ -4,12 +4,14 @@ The linear oracle assembles every branch equation of the coupled system
 into one dense matrix over all node unknowns, in the tree's level order
 (X at depths 1..T, Y at 0..T, then the N-1 contraction entries of Z on
 each non-leaf node), and classifies it by rank, so its verdict is
-independent of the recursive solver.  The nonlinear oracle eliminates the
-backward pair (given X everywhere, Y and Z follow from one exact backward
-sweep) and drives the remaining square system with a damped Newton method
-and finite-difference Jacobian, whose 2m shifted points go through one
-sweep as 2m columns of level-order arrays and one whole-tree
-``forward_defect`` call.
+independent of the recursive solver: the Gram matrix's eigenvalues
+certify full rank with a wide margin, and only a matrix they cannot
+certify goes through a rank-revealing least-squares solve.  The nonlinear
+oracle eliminates the backward pair (given X everywhere, Y and Z follow
+from one exact backward sweep) and drives the remaining square system
+with a damped Newton method and finite-difference Jacobian, whose 2m
+shifted points go through one sweep as 2m columns of level-order arrays
+and one whole-tree ``forward_defect`` call.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .tree import AdaptedProcess, ScenarioTree, _level
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
 
-#: Most unknowns of the dense linear oracle, whose matrix and SVD grow with
-#: their square: 2913 (N=3, T=6) took 8.1 s and 171 MB peak RSS (the
-#: process's) on one BLAS thread of an x86_64 host; N=2, T=13 needs 13 GB.
+#: Most unknowns of the dense linear oracle, whose matrix, Gram matrix and
+#: factorizations grow with their square: 2913 (N=3, T=6) took 3.0-3.3 s
+#: and 171 MB peak RSS (the process's) on one BLAS thread of an x86_64
+#: host; N=2, T=13 needs 13 GB.
 MAX_DENSE_UNKNOWNS = 3000
 
 #: Most forward unknowns of the Newton oracle, whose Jacobian is one
@@ -131,12 +134,57 @@ def _solution_from_vector(tree, coeffs, x0, vec):
     return FbsdeSolution(X, Y, Z, linear_residuals(tree, coeffs, X, Y, Z))
 
 
+def _nonzeros(tree, coeffs, x0):
+    """(rows, columns, values) of the dense matrix's nonzero entries, row by
+    row; the matrix itself is freed on return."""
+    mat, _ = _assemble(tree, coeffs, x0)
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
+def _gram(size, rows, cols, vals):
+    """A^T A of the size x size matrix A with these nonzeros (row-major, as
+    ``np.nonzero`` gives them): one ``np.bincount`` over the products of
+    every pair of entries that share a row."""
+    count = np.bincount(rows, minlength=size)  # entries per row
+    start = np.cumsum(count) - count  # each row's first entry
+    reps = count[rows]  # each entry pairs with every entry of its row, itself included
+    left = np.repeat(np.arange(len(rows)), reps)
+    # pair k of entry i (k = 0, 1, ...) is (i, the k-th entry of i's row)
+    right = np.arange(len(left)) + np.repeat(start[rows] - (np.cumsum(reps) - reps), reps)
+    flat = np.bincount(cols[left] * size + cols[right], weights=vals[left] * vals[right],
+                       minlength=size * size)
+    return flat.reshape(size, size)
+
+
+def _full_rank(size, rows, cols, vals):
+    """Whether lambda_min(A^T A) > SINGULAR_RATIO lambda_max(A^T A), i.e.
+    sigma_min / sigma_max > 1e-5, for A with these nonzeros.
+
+    The Gram matrix and ``eigvalsh`` round by about n eps lambda_max, far
+    below that margin, so a matrix that passes has full rank under the SVD
+    rule sigma_min > SINGULAR_RATIO sigma_max too.  The entries are scaled
+    to at most 1 first, so no product overflows; a matrix with a
+    non-finite entry, or none nonzero, does not pass.
+    """
+    scale = np.abs(vals).max(initial=0.0)
+    if not 0.0 < scale < np.inf:
+        return False
+    lam = np.linalg.eigvalsh(_gram(size, rows, cols, vals / scale))
+    return bool(lam[0] > SINGULAR_RATIO * lam[-1])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution shows in its residuals
 def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Classify the coupled linear system by the rank of its global matrix.
 
-    Returns UniqueSolution (with the solved triple), NoSolution, or
-    InfinitelyMany.
+    Two steps decide the rank.  The eigenvalues of the Gram matrix, built
+    from the nonzeros, certify full rank when sigma_min / sigma_max > 1e-5;
+    such a system is solved by ``np.linalg.solve``.  Any other matrix goes
+    through one ``np.linalg.lstsq``, whose singular values give the rank
+    (those above SINGULAR_RATIO times the largest) and whose vector gives
+    the consistency gap; a full rank is then solved as above.  Returns
+    UniqueSolution (with the solved triple), NoSolution, or InfinitelyMany.
     """
     _check_tree(tree, coeffs)
     if not np.isfinite(x0):
@@ -145,20 +193,22 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     if size > MAX_DENSE_UNKNOWNS:
         raise ProblemTooLarge(f"{size} unknowns exceed the dense oracle's limit of "
                               f"{MAX_DENSE_UNKNOWNS}")
+    # the dense matrix and the Gram matrix are never held at once: they are
+    # the largest arrays, and the oracle's peak memory is two of them
+    full = _full_rank(size, *_nonzeros(tree, coeffs, x0))
     mat, rhs = _assemble(tree, coeffs, x0)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = svals[0] if len(svals) else 0.0
-    # the certificate's scale-free threshold, so both verdicts rank alike
-    rank = int(np.sum(svals > SINGULAR_RATIO * smax)) if smax > 0.0 else 0
-    if rank == size:
-        vec = np.linalg.solve(mat, rhs)
-        return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec), rank, size)
-    vec, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    gap = float(np.abs(mat @ vec - rhs).max())
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    if gap > CONSISTENCY_TOL * scale:
-        return NoSolution(rank, size, gap)
-    return InfinitelyMany(rank, size, size - rank)
+    if not full:
+        vec, _, _, svals = np.linalg.lstsq(mat, rhs, rcond=None)
+        # the certificate's scale-free threshold, so both verdicts rank alike
+        rank = int(np.sum(svals > SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
+        if rank < size:
+            gap = float(np.abs(mat @ vec - rhs).max())
+            scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+            if gap > CONSISTENCY_TOL * scale:
+                return NoSolution(rank, size, gap)
+            return InfinitelyMany(rank, size, size - rank)
+    vec = np.linalg.solve(mat, rhs)
+    return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec), size, size)
 
 
 def _on_paths(fn, name, t, cell, x, y=None, zt=None):

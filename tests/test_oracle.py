@@ -268,6 +268,110 @@ def test_the_linear_verdict_does_not_use_the_recursive_solver(monkeypatch):
     assert isinstance(linear_oracle(singular.tree, singular, 0.0), InfinitelyMany)
 
 
+def svd_oracle(tree, coeffs, x0):
+    """The dense oracle's verdict by the SVD rule alone, as ``linear_oracle``
+    gave it before the Gram test: the rank from ``np.linalg.svd``, then
+    ``np.linalg.solve`` at full rank, else ``np.linalg.lstsq`` for the gap."""
+    size = oracle._size(tree)
+    mat, rhs = oracle._assemble(tree, coeffs, x0)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    rank = int(np.sum(svals > linear.SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
+    if rank == size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = np.linalg.solve(mat, rhs)
+        return UniqueSolution(oracle._solution_from_vector(tree, coeffs, x0, vec), rank, size)
+    vec, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    gap = float(np.abs(mat @ vec - rhs).max())
+    if gap > oracle.CONSISTENCY_TOL * max(1.0, float(np.abs(rhs).max())):
+        return NoSolution(rank, size, gap)
+    return InfinitelyMany(rank, size, size - rank)
+
+
+def near_singular(N, T, k):
+    """``B = 1``, ``G = 1 + 10**-k`` (``G = 1`` for k None): singular at
+    k None, else sigma_min / sigma_max is 0.6 to 1.7 times 10**-(k+1) on
+    the trees N = 2..3, T = 1..3, whatever x0 (it enters only the rhs)."""
+    tree = uniform_tree(N, T)
+    return tree, LinearCoefficients(tree, B=1.0, G=1.0 + (0.0 if k is None else 10.0**-k))
+
+
+@st.composite
+def dense_systems(draw):
+    """(tree, coefficients, x0): a ``conftest`` random problem, or a
+    near-singular one whose sigma ratio lies 1.4x or more from SINGULAR_RATIO."""
+    N, T = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tree = random_tree(rng, N, T)
+        return tree, random_linear_coeffs(rng, tree, couple=draw(st.booleans())), float(rng.normal())
+    k = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 10, None]))
+    return (*near_singular(N, T, k), draw(st.sampled_from([0.0, 1.0])))
+
+
+def sigma_ratio(mat):
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return svals[-1] / svals[0]
+
+
+def assert_same_verdict(verdict, ref):
+    assert type(verdict) is type(ref)
+    assert (verdict.rank, verdict.size) == (ref.rank, ref.size)
+    if isinstance(ref, NoSolution):
+        assert verdict.inconsistency == ref.inconsistency
+    elif isinstance(ref, InfinitelyMany):
+        assert verdict.nullity == ref.nullity
+    else:
+        for name in ("X", "Y", "Z"):
+            assert (getattr(verdict.solution, name).array.tobytes()
+                    == getattr(ref.solution, name).array.tobytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_systems())
+def test_the_gram_test_keeps_the_svd_verdict(system):
+    tree, coeffs, x0 = system
+    assert_same_verdict(linear_oracle(tree, coeffs, x0), svd_oracle(tree, coeffs, x0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_systems())
+def test_the_gram_test_certifies_only_full_rank(system):
+    # passing implies full rank by the SVD rule, and every system with a
+    # sigma ratio above 1e-4 passes (the test's own margin is 1e-5)
+    tree, coeffs, x0 = system
+    ratio = sigma_ratio(oracle._assemble(tree, coeffs, x0)[0])
+    passed = oracle._full_rank(oracle._size(tree), *oracle._nonzeros(tree, coeffs, x0))
+    assert not passed or ratio > linear.SINGULAR_RATIO
+    assert passed or ratio <= 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_systems())
+def test_the_gram_matrix_from_the_nonzeros_is_a_t_a(system):
+    tree, coeffs, x0 = system
+    mat = oracle._assemble(tree, coeffs, x0)[0]
+    gram = oracle._gram(oracle._size(tree), *oracle._nonzeros(tree, coeffs, x0))
+    bound = 64 * np.finfo(float).eps * (np.abs(mat).T @ np.abs(mat))
+    assert (np.abs(gram - mat.T @ mat) <= bound).all()
+
+
+@pytest.mark.parametrize("k, passes, verdict, rank", [
+    (2, True, UniqueSolution, 16),
+    (4, False, UniqueSolution, 16),
+    (6, False, UniqueSolution, 16),
+    (8, False, UniqueSolution, 16),
+    (9, False, InfinitelyMany, 15),
+    (None, False, InfinitelyMany, 15),
+])
+def test_a_near_singular_system_falls_back_to_the_svd_rule(k, passes, verdict, rank):
+    # N=2 T=2 at x0 = 1: sigma ratio 8.4e-4 at k = 2, 8.5e-6 to 8.5e-10 at
+    # k = 4..8, 8.5e-11 at k = 9 and 9.5e-18 at G = 1
+    tree, coeffs = near_singular(2, 2, k)
+    assert oracle._full_rank(16, *oracle._nonzeros(tree, coeffs, 1.0)) is passes
+    result = linear_oracle(tree, coeffs, 1.0)
+    assert (type(result), result.rank, result.size) == (verdict, rank, 16)
+
+
 class TestSolveOracle:
     def test_zero_problem(self):
         tree = uniform_tree(2, 2)

@@ -26,7 +26,8 @@ with the sampling seed ``SEED_OPTION``, once given by ``--seed`` and once
 by its ``options.seed``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
 disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
-of a pass halted below the root), and each invalid document
+of a pass halted below the root), the linear document of
+``NEAR_SINGULAR_DOC`` through ``oracle``, and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
 conditions, an overflowing sum included, and of an integer cell too large
@@ -101,6 +102,12 @@ STOPPED_FLAGS = (("--max-iter", "1"), ("--mode", "picard", "--max-iter", "1"))
 #: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
 #: singular depth-(T-1) node and the dense oracle (1276 unknowns) solves.
 SINGULAR_DOC = (2, 8, 1)
+
+#: A linear document of full rank that the dense oracle's Gram test cannot
+#: certify (sigma_min / sigma_max is 8.5e-8), so the oracle solves it
+#: after its rank-revealing fallback.
+NEAR_SINGULAR_DOC = {"kind": "linear", "tree": {"N": 2, "T": 2}, "x0": 1.0,
+                     "coefficients": {"B": 1.0, "G": 1.000001}}
 
 #: Command lines with a usage error, ``FILE`` standing for a valid problem
 #: file: each exits 4 with argparse's usage text on standard error.
@@ -278,6 +285,9 @@ def outputs(seed):
         path.write_text(json.dumps(doc), encoding="utf-8")
         for command in ("solve", "oracle", "check"):
             yield (f"{command} singular linear N={N} T={T}", *_run([command, str(path)]))
+        path = Path(tmp) / "near-singular-linear.json"
+        path.write_text(json.dumps(NEAR_SINGULAR_DOC), encoding="utf-8")
+        yield ("oracle near-singular linear N=2 T=2", *_run(["oracle", str(path)]))
         for k, (label, doc) in enumerate(_fault_documents()):
             path = Path(tmp) / f"fault-{k}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
