@@ -33,7 +33,7 @@ from .tree import AdaptedProcess, _level, _process_array
 
 #: A level aborts early once increments blow past this multiple of their
 #: starting size; the remaining budget cannot recover from there.
-DIVERGENCE_CAP = 1e6
+DIVERGENCE_CAP = 1e3
 
 #: Ladders deeper than this are refused; the recursion, one frame a level,
 #: must stay within the interpreter's limits.  A 512-level ladder is in
@@ -54,8 +54,8 @@ MAX_HALVINGS = 4
 MAX_INNER_SOLVES = 5000
 
 #: Forcing term of the inexact inner solves: a level asks the one below for
-#: ``ETA`` times the root of its own last squared increment (1 before its
-#: first), never for less than its own tolerance.  ``ETA = 0.1`` loses the
+#: ``ETA`` times the norm of its own last increment (1 before its first),
+#: never for less than its own tolerance.  ``ETA = 0.1`` loses the
 #: top level's contraction on a ``max_iterations = 10`` solve; smaller
 #: values only add inner solves.
 ETA = 1e-2
@@ -118,7 +118,7 @@ class ContinuationOptions:
 
 @dataclass
 class LevelRecord:
-    """One Picard run at one level: its increment norms and outcome."""
+    """One Picard run at one level: its squared increment norms and outcome."""
 
     alpha: float
     norms: list
@@ -247,18 +247,32 @@ def _as_iterate(tree, value):
     )
 
 
-def increment_norm_sq(tree, prev: _Iterate, cur: _Iterate) -> float:
-    """E sum_t (|x| + |y| + |z_tilde|)^2 of the difference over times 0..T-1.
+def increment_norm(tree, prev: _Iterate, cur: _Iterate) -> float:
+    """The norm (E sum_t (|x| + |y| + |z_tilde|)^2)^(1/2) of the difference
+    over times 0..T-1.
 
     The squares are taken over the whole tree at once; each level's
-    expectation is its own dot product, summed from t = 0 up.
+    expectation is its own dot product, summed from t = 0 up.  When they
+    overflow, both iterates are divided by the power of two at or below the
+    largest difference, which is exact, and measured again, so the norm is
+    finite whenever it is representable; NaN or infinite differences give
+    NaN or inf.  The solvers call it with overflow warnings off, so the
+    first, overflowing measure warns nothing.
     """
     m = tree.offsets[tree.T]
     dx = np.abs(cur.X[:m] - prev.X[:m])
     dy = np.abs(cur.Y[:m] - prev.Y[:m])
     dz = np.linalg.norm(cur.zt - prev.zt, axis=-1)
     levels = tree.views((dx + dy + dz) ** 2, range(tree.T))
-    return sum(float(np.dot(tree.level_probs(t), lev)) for t, lev in enumerate(levels))
+    norm = math.sqrt(sum(float(np.dot(tree.level_probs(t), lev)) for t, lev in enumerate(levels)))
+    if norm != math.inf:  # finite, or NaN from a NaN difference
+        return norm
+    big = max(dx.max(), dy.max(), np.abs(cur.zt - prev.zt).max())
+    if big == math.inf:
+        return norm
+    scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    return scale * increment_norm(tree, _Iterate(prev.X / scale, prev.Y / scale, prev.Z / scale),
+                                  _Iterate(cur.X / scale, cur.Y / scale, cur.Z / scale))
 
 
 #: The node indices 0..n-1 of a whole level, built once per size, read-only.
@@ -301,7 +315,7 @@ class _Ladder:
     warm-start from that level's previous result (the first call starts from
     the ladder's ``initial`` iterate at the top level, from its one zero
     iterate below).  The solves below the top are inexact: a level asks the
-    one below for ``max(tol, ETA * sqrt(d))``, d its own last squared
+    one below for ``max(tol, ETA * r)``, r the norm of its own last
     increment (1 before its first) and tol its own tolerance, so an inner
     error stays a fixed fraction of the outer increment and the outer
     contraction holds (the forcing terms of inexact Newton methods).  Only
@@ -356,22 +370,23 @@ class _Ladder:
         norms = []
         record = LevelRecord(alpha=alpha, norms=norms, converged=False)
         self.stats.records.append(record)
-        d = 1.0
+        r, cap = 1.0, None  # the last increment's norm; the first one sets the cap
         for _ in range(self.opts.max_iterations):
             composed = _compose(self.tree, self.problem, inhom, prev, self.step)
-            cur = self.solve(k - 1, composed, max(tol, ETA * math.sqrt(d)))
-            d = increment_norm_sq(self.tree, prev, cur)
-            norms.append(d)
-            if not math.isfinite(d):
+            cur = self.solve(k - 1, composed, max(tol, ETA * r))
+            r = increment_norm(self.tree, prev, cur)
+            norms.append(r * r)
+            if not math.isfinite(r):
                 raise NoContraction(f"non-finite increment at level {alpha:g}", alpha=alpha,
                                     norms=norms, iterate=cur, stats=self.stats)
-            if d <= tol * tol:
+            if r <= tol:
                 fwd, bwd = _blended_residual(self.tree, self.problem, alpha, inhom, cur)
                 if max(fwd, bwd) <= tol:
                     record.converged = True
                     self._warm[k] = cur
                     return cur
-            if d > DIVERGENCE_CAP * max(norms[0], 1.0):
+            cap = cap or DIVERGENCE_CAP * max(r, 1.0)
+            if r > cap:
                 break
             prev = cur
         raise NoContraction(

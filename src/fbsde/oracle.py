@@ -4,14 +4,15 @@ The linear oracle assembles every branch equation of the coupled system
 into one dense matrix over all node unknowns, in the tree's level order
 (X at depths 1..T, Y at 0..T, then the N-1 contraction entries of Z on
 each non-leaf node), and classifies it by rank, so its verdict is
-independent of the recursive solver: the Gram matrix's eigenvalues
-certify full rank with a wide margin, and only a matrix they cannot
-certify goes through a rank-revealing least-squares solve.  The nonlinear
-oracle eliminates the backward pair (given X everywhere, Y and Z follow
-from one exact backward sweep) and drives the remaining square system
-with a damped Newton method and finite-difference Jacobian, whose 2m
-shifted points go through one sweep as 2m columns of level-order arrays
-and one whole-tree ``forward_defect`` call.
+independent of the recursive solver: one Cholesky factorization of the
+Gram matrix, shifted down by a small multiple of the Gershgorin bound on
+its largest eigenvalue, certifies full rank with a wide margin, and only
+a matrix it cannot certify goes through a rank-revealing least-squares
+solve.  The nonlinear oracle eliminates the backward pair (given X
+everywhere, Y and Z follow from one exact backward sweep) and drives the
+remaining square system with a damped Newton method and finite-difference
+Jacobian, whose 2m shifted points go through one sweep as 2m columns of
+level-order arrays and one whole-tree ``forward_defect`` call.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeProblem, solve_bsde
-from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, ProblemTooLarge,
-                     ShapeMismatch)
+from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, NonFiniteSolve,
+                     ProblemTooLarge, ShapeMismatch)
 from .linear import (SINGULAR_RATIO, FbsdeSolution, LinearCoefficients, _check_tree,
                      linear_residuals)
 from .martingale import _canonical_rows, forward_defect, tilde_contract
@@ -33,9 +34,9 @@ from .tree import AdaptedProcess, ScenarioTree, _level
 CONSISTENCY_TOL = 1e-8
 
 #: Most unknowns of the dense linear oracle, whose matrix, Gram matrix and
-#: factorizations grow with their square: 2913 (N=3, T=6) took 3.0-3.3 s
-#: and 171 MB peak RSS (the process's) on one BLAS thread of an x86_64
-#: host; N=2, T=13 needs 13 GB.
+#: factorizations grow with their square: 2913 (N=3, T=6) took 1.2-1.7 s
+#: and 172-173 MB peak RSS (the process's) on one BLAS thread of a shared
+#: 2-core x86_64 host; N=2, T=13 needs 13 GB.
 MAX_DENSE_UNKNOWNS = 3000
 
 #: Most forward unknowns of the Newton oracle, whose Jacobian is one
@@ -136,10 +137,16 @@ def _solution_from_vector(tree, coeffs, x0, vec):
 
 def _nonzeros(tree, coeffs, x0):
     """(rows, columns, values) of the dense matrix's nonzero entries, row by
-    row; the matrix itself is freed on return."""
-    mat, _ = _assemble(tree, coeffs, x0)
+    row; the matrix itself is freed on return.  Raises NonFiniteSolve when
+    an entry of the matrix or of the right-hand side overflowed in the
+    assembly: no rank decides such a system."""
+    mat, rhs = _assemble(tree, coeffs, x0)
     rows, cols = np.nonzero(mat)
-    return rows, cols, mat[rows, cols]
+    vals = mat[rows, cols]
+    if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
+        raise NonFiniteSolve("the dense oracle's system overflowed to a non-finite entry "
+                             "in its assembly")
+    return rows, cols, vals
 
 
 def _gram(size, rows, cols, vals):
@@ -157,34 +164,62 @@ def _gram(size, rows, cols, vals):
     return flat.reshape(size, size)
 
 
-def _full_rank(size, rows, cols, vals):
-    """Whether lambda_min(A^T A) > SINGULAR_RATIO lambda_max(A^T A), i.e.
-    sigma_min / sigma_max > 1e-5, for A with these nonzeros.
+def _cholesky_in_place(a):
+    """Factor the symmetric matrix ``a`` as U^T U in its own upper triangle,
+    64 rows at a time; raises LinAlgError when it is not positive definite.
 
-    The Gram matrix and ``eigvalsh`` round by about n eps lambda_max, far
-    below that margin, so a matrix that passes has full rank under the SVD
-    rule sigma_min > SINGULAR_RATIO sigma_max too.  The entries are scaled
-    to at most 1 first, so no product overflows; a matrix with a
-    non-finite entry, or none nonzero, does not pass.
+    Each block of rows is updated by the rows above it, its diagonal block
+    is factored by ``np.linalg.cholesky`` and the rest of the block is
+    solved against that factor, so no other n x n array is made;
+    ``np.linalg.cholesky`` of the whole matrix would hold two more.  Only
+    the upper triangle and the diagonal blocks' lower triangles are read.
     """
-    scale = np.abs(vals).max(initial=0.0)
-    if not 0.0 < scale < np.inf:
+    n = len(a)
+    for j in range(0, n, 64):
+        e = min(j + 64, n)
+        block = a[j:e, j:]
+        block -= a[:j, j:e].T @ a[:j, j:]
+        low = np.linalg.cholesky(block[:, : e - j])
+        block[:, : e - j] = low.T
+        block[:, e - j :] = np.linalg.solve(low, block[:, e - j :])
+
+
+def _full_rank(size, rows, cols, vals):
+    """Whether A with these (finite) nonzeros is certified to have full rank:
+    lambda_min(A^T A) > SINGULAR_RATIO U, where U, the largest absolute row
+    sum of A^T A, bounds lambda_max from above (Gershgorin).
+
+    The certificate is one Cholesky factorization of A^T A - SINGULAR_RATIO
+    U I: it exists exactly when that matrix is positive definite.  Its
+    rounding, about n eps U, is far below the shift, so a matrix that passes
+    has sigma_min / sigma_max > 1e-5 and full rank under the SVD rule
+    sigma_min > SINGULAR_RATIO sigma_max too.  The entries are scaled to at
+    most 1 first, so no product overflows.
+    """
+    gram = _gram(size, rows, cols, vals / np.abs(vals).max())
+    bound = np.abs(gram).sum(axis=1).max()
+    gram[np.diag_indices(size)] -= SINGULAR_RATIO * bound
+    try:
+        _cholesky_in_place(gram)
+    except np.linalg.LinAlgError:
         return False
-    lam = np.linalg.eigvalsh(_gram(size, rows, cols, vals / scale))
-    return bool(lam[0] > SINGULAR_RATIO * lam[-1])
+    return True
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution shows in its residuals
 def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Classify the coupled linear system by the rank of its global matrix.
 
-    Two steps decide the rank.  The eigenvalues of the Gram matrix, built
-    from the nonzeros, certify full rank when sigma_min / sigma_max > 1e-5;
-    such a system is solved by ``np.linalg.solve``.  Any other matrix goes
-    through one ``np.linalg.lstsq``, whose singular values give the rank
-    (those above SINGULAR_RATIO times the largest) and whose vector gives
-    the consistency gap; a full rank is then solved as above.  Returns
-    UniqueSolution (with the solved triple), NoSolution, or InfinitelyMany.
+    Two steps decide the rank.  A Cholesky factorization of the Gram
+    matrix, built from the nonzeros and shifted down by SINGULAR_RATIO times
+    its Gershgorin bound on lambda_max, certifies full rank (see
+    ``_full_rank``); such a system is solved by ``np.linalg.solve``.  Any
+    other matrix goes through one ``np.linalg.lstsq``, whose singular
+    values give the rank (those above SINGULAR_RATIO times the largest) and
+    whose vector gives the consistency gap; a full rank is then solved as
+    above.  Returns UniqueSolution (with the solved triple), NoSolution, or
+    InfinitelyMany; raises NonFiniteSolve when the assembled matrix or
+    right-hand side has a non-finite entry.
     """
     _check_tree(tree, coeffs)
     if not np.isfinite(x0):

@@ -712,9 +712,9 @@ def test_stats_cover_every_ladder_attempt(monkeypatch):
     # Picard iteration of every level measures its increment once.  The
     # attempts make 10, 29 and 34 inner solves, each within its own cap.
     increments = []
-    norm_sq = nonlinear.increment_norm_sq
-    monkeypatch.setattr(nonlinear, "increment_norm_sq",
-                        lambda *args: increments.append(1) or norm_sq(*args))
+    norm = nonlinear.increment_norm
+    monkeypatch.setattr(nonlinear, "increment_norm",
+                        lambda *args: increments.append(1) or norm(*args))
     monkeypatch.setattr(nonlinear, "MAX_INNER_SOLVES", 34)
     tree = uniform_tree(2, 2)
     opts = ContinuationOptions(delta=1.0, max_iterations=10)
@@ -725,6 +725,45 @@ def test_stats_cover_every_ladder_attempt(monkeypatch):
     assert stats_payload(stats)["iterations"] == 142
     assert stats.levels == [0.25, 0.5, 0.75, 1.0]
     assert [r.converged for r in stats.records[:2]] == [False, False]
+
+
+def test_the_increment_norm_survives_squares_past_the_float_range():
+    # a difference scaled by 2**600 squares past the float range; its norm is
+    # the unscaled one times 2**600, bit for bit, and only a non-finite
+    # difference gives a non-finite norm
+    tree = uniform_tree(3, 2)
+    n, m = tree.offsets[-1], tree.offsets[-2]
+    rng = np.random.default_rng(5)
+    small = nonlinear._Iterate(rng.normal(size=n), rng.normal(size=n),
+                               canonicalize(rng.normal(size=(m, 3))))
+    big = nonlinear._Iterate(small.X * 2.0**600, small.Y * 2.0**600, small.Z * 2.0**600)
+    zero = nonlinear._Iterate.zeros(tree)
+    norm = nonlinear.increment_norm(tree, zero, small)
+    assert 0.0 < norm < np.inf
+    with np.errstate(over="ignore"):  # as the solvers call it
+        assert nonlinear.increment_norm(tree, zero, big) == norm * 2.0**600
+    assert nonlinear.increment_norm(tree, big, big) == 0.0
+    for bad in (np.inf, np.nan):
+        X = small.X.copy()
+        X[1] = bad
+        broken = nonlinear._Iterate(X, small.Y, small.Z)
+        assert not np.isfinite(nonlinear.increment_norm(tree, zero, broken))
+
+
+# drift -y + 1.5e308 on N=2 T=1: the exact solution, X_1 = 5e307 and Y_0 =
+# 1e308, is reached from the zero iterate by increments whose squares overflow
+LADDER_OVERFLOW_DOC = {"kind": "nonlinear", "tree": {"N": 2, "T": 1, "transition": "uniform"},
+                       "x0": 1.0, "coefficients": {"b": "-y + 1.5e308", "sigma": ["-z1", "0"],
+                                                   "f": "x", "h": "x"}}
+
+
+@pytest.mark.parametrize("solve", [solve_continuation, solve_flat_picard])
+def test_an_exact_solution_past_the_squares_range_is_solved(solve):
+    loaded = bind_problem(LADDER_OVERFLOW_DOC)
+    sol, stats = solve(loaded.tree, loaded.data, loaded.x0)
+    assert sol.X.level(1).tolist() == [5e307, 5e307] and sol.Y.level(0).tolist() == [1e308]
+    assert (sol.residuals.forward, sol.residuals.backward) == (0.0, 0.0)
+    assert stats.halvings == 0 and all(r.converged for r in stats.records)
 
 
 def random_inhomogeneity(rng, tree):

@@ -1,5 +1,12 @@
 """Reference solvers: rank classification and damped Newton."""
 
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +19,7 @@ from fbsde import (
     LinearCoefficients,
     NoConvergence,
     NoSolution,
+    NonFiniteSolve,
     ShapeMismatch,
     SolveStats,
     UniqueSolution,
@@ -370,6 +378,63 @@ def test_a_near_singular_system_falls_back_to_the_svd_rule(k, passes, verdict, r
     assert oracle._full_rank(16, *oracle._nonzeros(tree, coeffs, 1.0)) is passes
     result = linear_oracle(tree, coeffs, 1.0)
     assert (type(result), result.rank, result.size) == (verdict, rank, 16)
+
+
+def test_a_full_rank_system_the_shifted_cholesky_cannot_certify_keeps_its_bytes(monkeypatch):
+    # N=2 T=2 at x0 = 1, G = 1 + 10**-3.9: lambda_min / lambda_max of the
+    # Gram matrix is 1.1e-10, above SINGULAR_RATIO, so its eigenvalues would
+    # certify it, but below SINGULAR_RATIO U / lambda_max (U / lambda_max is
+    # 1.57), so the shifted Cholesky factorization does not; the fallback
+    # finds full rank and solves as the SVD rule does
+    tree, coeffs = near_singular(2, 2, 3.9)
+    rows, cols, vals = oracle._nonzeros(tree, coeffs, 1.0)
+    gram = oracle._gram(16, rows, cols, vals / np.abs(vals).max())
+    lam = np.linalg.eigvalsh(gram)
+    bound = np.abs(gram).sum(axis=1).max()
+    assert linear.SINGULAR_RATIO * lam[-1] < lam[0] < linear.SINGULAR_RATIO * bound
+    assert oracle._full_rank(16, rows, cols, vals) is False
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    result = linear_oracle(tree, coeffs, 1.0)
+    assert isinstance(result, UniqueSolution) and len(calls) == 1
+    assert_same_verdict(result, svd_oracle(tree, coeffs, 1.0))
+
+
+#: Finite coefficients whose assembly overflows: in the matrix, the forward
+#: entry -(1 + A) - A_bar . (e_i - P); in the right-hand side of a
+#: rank-deficient system (B = 1, G = 1), D + D_bar . (e_i - P).
+OVERFLOW_DOCS = {
+    where: {"kind": "linear", "tree": {"N": 2, "T": 2, "transition": "uniform"}, "x0": 1.0,
+            "coefficients": coefficients}
+    for where, coefficients in (
+        ("matrix", {"A": 1.5e308, "A_bar": [1.5e308, -1.5e308], "G": 1.0}),
+        ("rhs", {"B": 1.0, "G": 1.0, "D": 1.5e308, "D_bar": [1.5e308, -1.5e308]}),
+    )
+}
+
+
+@pytest.mark.parametrize("where", sorted(OVERFLOW_DOCS))
+def test_an_overflowing_assembly_stops_at_once(tmp_path, where):
+    # a rank-revealing solve of the infinite matrix ran for minutes without
+    # returning, and a NaN consistency gap passed a rank-deficient system as
+    # consistent; the command line runs in a child process, so that a return
+    # of the hang fails here instead of stalling the suite
+    doc = OVERFLOW_DOCS[where]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-m", "fbsde", "oracle", str(path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (4, "")
+    assert run.stderr == ("error: the dense oracle's system overflowed to a non-finite entry "
+                          "in its assembly\n")
+    loaded = bind_problem(doc)
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteSolve, match="assembly"):
+        linear_oracle(loaded.tree, loaded.data, loaded.x0)
+    assert time.perf_counter() - start < 1.0
 
 
 class TestSolveOracle:

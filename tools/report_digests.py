@@ -26,8 +26,10 @@ with the sampling seed ``SEED_OPTION``, once given by ``--seed`` and once
 by its ``options.seed``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
 disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
-of a pass halted below the root), the linear document of
-``NEAR_SINGULAR_DOC`` through ``oracle``, and each invalid document
+of a pass halted below the root), the linear documents of
+``NEAR_SINGULAR_DOC`` and ``OVERFLOW_DOCS`` through ``oracle``, the
+nonlinear document of ``LADDER_OVERFLOW_DOC`` through ``solve`` and ``solve
+--mode picard``, and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
 conditions, an overflowing sum included, and of an integer cell too large
@@ -103,11 +105,30 @@ STOPPED_FLAGS = (("--max-iter", "1"), ("--mode", "picard", "--max-iter", "1"))
 #: singular depth-(T-1) node and the dense oracle (1276 unknowns) solves.
 SINGULAR_DOC = (2, 8, 1)
 
-#: A linear document of full rank that the dense oracle's Gram test cannot
+#: A linear document of full rank that the dense oracle's full-rank test cannot
 #: certify (sigma_min / sigma_max is 8.5e-8), so the oracle solves it
 #: after its rank-revealing fallback.
 NEAR_SINGULAR_DOC = {"kind": "linear", "tree": {"N": 2, "T": 2}, "x0": 1.0,
                      "coefficients": {"B": 1.0, "G": 1.000001}}
+
+#: Linear documents of finite coefficients whose dense assembly overflows:
+#: in the matrix's forward entry -(1 + A) - A_bar . (e_i - P), or in the
+#: right-hand side D + D_bar . (e_i - P) of a rank-deficient system.
+#: ``oracle`` exits 4 on each.
+OVERFLOW_DOCS = {
+    label: {"kind": "linear", "tree": {"N": 2, "T": 2, "transition": "uniform"}, "x0": 1.0,
+            "coefficients": coefficients}
+    for label, coefficients in (
+        ("overflow", {"A": 1.5e308, "A_bar": [1.5e308, -1.5e308], "G": 1.0}),
+        ("overflow rhs", {"B": 1.0, "G": 1.0, "D": 1.5e308, "D_bar": [1.5e308, -1.5e308]}),
+    )
+}
+
+#: A nonlinear document whose exact solution, X_1 = 5e307 and Y_0 = 1e308,
+#: is reached from the zero iterate by increments whose squares overflow.
+LADDER_OVERFLOW_DOC = {"kind": "nonlinear", "tree": {"N": 2, "T": 1, "transition": "uniform"},
+                       "x0": 1.0, "coefficients": {"b": "-y + 1.5e308", "sigma": ["-z1", "0"],
+                                                   "f": "x", "h": "x"}}
 
 #: Command lines with a usage error, ``FILE`` standing for a valid problem
 #: file: each exits 4 with argparse's usage text on standard error.
@@ -288,6 +309,15 @@ def outputs(seed):
         path = Path(tmp) / "near-singular-linear.json"
         path.write_text(json.dumps(NEAR_SINGULAR_DOC), encoding="utf-8")
         yield ("oracle near-singular linear N=2 T=2", *_run(["oracle", str(path)]))
+        for label, doc in OVERFLOW_DOCS.items():
+            path = Path(tmp) / f"{label.replace(' ', '-')}-linear.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            yield (f"oracle {label} linear N=2 T=2", *_run(["oracle", str(path)]))
+        path = Path(tmp) / "ladder-overflow.json"
+        path.write_text(json.dumps(LADDER_OVERFLOW_DOC), encoding="utf-8")
+        for command in (["solve"], ["solve", "--mode", "picard"]):
+            yield (f"{' '.join(command)} ladder overflow nonlinear N=2 T=1",
+                   *_run([command[0], str(path), *command[1:]]))
         for k, (label, doc) in enumerate(_fault_documents()):
             path = Path(tmp) / f"fault-{k}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
