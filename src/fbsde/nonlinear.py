@@ -118,7 +118,7 @@ class ContinuationOptions:
 
 @dataclass
 class LevelRecord:
-    """One Picard run at one level: its squared increment norms and outcome."""
+    """One Picard run at one level: its increment norms and outcome."""
 
     alpha: float
     norms: list
@@ -375,7 +375,7 @@ class _Ladder:
             composed = _compose(self.tree, self.problem, inhom, prev, self.step)
             cur = self.solve(k - 1, composed, max(tol, ETA * r))
             r = increment_norm(self.tree, prev, cur)
-            norms.append(r * r)
+            norms.append(r)
             if not math.isfinite(r):
                 raise NoContraction(f"non-finite increment at level {alpha:g}", alpha=alpha,
                                     norms=norms, iterate=cur, stats=self.stats)

@@ -3,16 +3,18 @@
 The linear oracle assembles every branch equation of the coupled system
 into one dense matrix over all node unknowns, in the tree's level order
 (X at depths 1..T, Y at 0..T, then the N-1 contraction entries of Z on
-each non-leaf node), and classifies it by rank, so its verdict is
+each non-leaf node), once, and classifies it by rank, so its verdict is
 independent of the recursive solver: one Cholesky factorization of the
-Gram matrix, shifted down by a small multiple of the Gershgorin bound on
-its largest eigenvalue, certifies full rank with a wide margin, and only
-a matrix it cannot certify goes through a rank-revealing least-squares
-solve.  The nonlinear oracle eliminates the backward pair (given X
-everywhere, Y and Z follow from one exact backward sweep) and drives the
-remaining square system with a damped Newton method and finite-difference
-Jacobian, whose 2m shifted points go through one sweep as 2m columns of
-level-order arrays and one whole-tree ``forward_defect`` call.
+Gram matrix, built from that matrix's nonzeros and shifted down by a
+small multiple of the Gershgorin bound on its largest eigenvalue,
+certifies full rank with a wide margin, and only a matrix it cannot
+certify goes through a rank-revealing least-squares solve; the same
+matrix is then solved.  The nonlinear oracle eliminates the backward
+pair (given X everywhere, Y and Z follow from one exact backward sweep)
+and drives the remaining square system with a damped Newton method and
+finite-difference Jacobian, whose 2m shifted points go through one sweep
+as 2m columns of level-order arrays and one whole-tree
+``forward_defect`` call.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from .tree import AdaptedProcess, ScenarioTree, _level
 CONSISTENCY_TOL = 1e-8
 
 #: Most unknowns of the dense linear oracle, whose matrix, Gram matrix and
-#: factorizations grow with their square: 2913 (N=3, T=6) took 1.2-1.7 s
-#: and 172-173 MB peak RSS (the process's) on one BLAS thread of a shared
-#: 2-core x86_64 host; N=2, T=13 needs 13 GB.
+#: factorizations grow with their square: 2913 (N=3, T=6) took 0.82-0.84 s
+#: and 173.6 MB peak RSS (the process's) on one BLAS thread of a shared
+#: 2-core x86_64 host, the matrix and the Gram matrix held at once;
+#: N=2, T=13 needs 13 GB.
 MAX_DENSE_UNKNOWNS = 3000
 
 #: Most forward unknowns of the Newton oracle, whose Jacobian is one
@@ -135,20 +138,6 @@ def _solution_from_vector(tree, coeffs, x0, vec):
     return FbsdeSolution(X, Y, Z, linear_residuals(tree, coeffs, X, Y, Z))
 
 
-def _nonzeros(tree, coeffs, x0):
-    """(rows, columns, values) of the dense matrix's nonzero entries, row by
-    row; the matrix itself is freed on return.  Raises NonFiniteSolve when
-    an entry of the matrix or of the right-hand side overflowed in the
-    assembly: no rank decides such a system."""
-    mat, rhs = _assemble(tree, coeffs, x0)
-    rows, cols = np.nonzero(mat)
-    vals = mat[rows, cols]
-    if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
-        raise NonFiniteSolve("the dense oracle's system overflowed to a non-finite entry "
-                             "in its assembly")
-    return rows, cols, vals
-
-
 def _gram(size, rows, cols, vals):
     """A^T A of the size x size matrix A with these nonzeros (row-major, as
     ``np.nonzero`` gives them): one ``np.bincount`` over the products of
@@ -184,8 +173,8 @@ def _cholesky_in_place(a):
         block[:, e - j :] = np.linalg.solve(low, block[:, e - j :])
 
 
-def _full_rank(size, rows, cols, vals):
-    """Whether A with these (finite) nonzeros is certified to have full rank:
+def _full_rank(mat):
+    """Whether the finite square matrix A is certified to have full rank:
     lambda_min(A^T A) > SINGULAR_RATIO U, where U, the largest absolute row
     sum of A^T A, bounds lambda_max from above (Gershgorin).
 
@@ -193,11 +182,16 @@ def _full_rank(size, rows, cols, vals):
     U I: it exists exactly when that matrix is positive definite.  Its
     rounding, about n eps U, is far below the shift, so a matrix that passes
     has sigma_min / sigma_max > 1e-5 and full rank under the SVD rule
-    sigma_min > SINGULAR_RATIO sigma_max too.  The entries are scaled to at
-    most 1 first, so no product overflows.
+    sigma_min > SINGULAR_RATIO sigma_max too.  The Gram matrix is built from
+    A's nonzeros scaled to at most 1, so no product overflows, and its row
+    sums are taken 64 rows at a time, so A, the Gram matrix and a block are
+    all that is held.
     """
+    size = len(mat)
+    rows, cols = np.nonzero(mat)
+    vals = mat[rows, cols]
     gram = _gram(size, rows, cols, vals / np.abs(vals).max())
-    bound = np.abs(gram).sum(axis=1).max()
+    bound = max(np.abs(gram[j : j + 64]).sum(axis=1).max() for j in range(0, size, 64))
     gram[np.diag_indices(size)] -= SINGULAR_RATIO * bound
     try:
         _cholesky_in_place(gram)
@@ -210,16 +204,17 @@ def _full_rank(size, rows, cols, vals):
 def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Classify the coupled linear system by the rank of its global matrix.
 
-    Two steps decide the rank.  A Cholesky factorization of the Gram
-    matrix, built from the nonzeros and shifted down by SINGULAR_RATIO times
-    its Gershgorin bound on lambda_max, certifies full rank (see
-    ``_full_rank``); such a system is solved by ``np.linalg.solve``.  Any
-    other matrix goes through one ``np.linalg.lstsq``, whose singular
-    values give the rank (those above SINGULAR_RATIO times the largest) and
-    whose vector gives the consistency gap; a full rank is then solved as
-    above.  Returns UniqueSolution (with the solved triple), NoSolution, or
-    InfinitelyMany; raises NonFiniteSolve when the assembled matrix or
-    right-hand side has a non-finite entry.
+    The matrix is assembled once, and two steps decide its rank.  A
+    Cholesky factorization of the Gram matrix, built from its nonzeros and
+    shifted down by SINGULAR_RATIO times its Gershgorin bound on
+    lambda_max, certifies full rank (see ``_full_rank``); such a system
+    is solved by ``np.linalg.solve``.  Any other matrix goes through one
+    ``np.linalg.lstsq``, whose singular values give the rank (those above
+    SINGULAR_RATIO times the largest) and whose vector gives the
+    consistency gap; a full rank is then solved as above.  Returns
+    UniqueSolution (with the solved triple), NoSolution, or InfinitelyMany;
+    raises NonFiniteSolve when the assembled matrix or right-hand side has
+    a non-finite entry: no rank decides such a system.
     """
     _check_tree(tree, coeffs)
     if not np.isfinite(x0):
@@ -228,11 +223,11 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     if size > MAX_DENSE_UNKNOWNS:
         raise ProblemTooLarge(f"{size} unknowns exceed the dense oracle's limit of "
                               f"{MAX_DENSE_UNKNOWNS}")
-    # the dense matrix and the Gram matrix are never held at once: they are
-    # the largest arrays, and the oracle's peak memory is two of them
-    full = _full_rank(size, *_nonzeros(tree, coeffs, x0))
     mat, rhs = _assemble(tree, coeffs, x0)
-    if not full:
+    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+        raise NonFiniteSolve("the dense oracle's system overflowed to a non-finite entry "
+                             "in its assembly")
+    if not _full_rank(mat):
         vec, _, _, svals = np.linalg.lstsq(mat, rhs, rcond=None)
         # the certificate's scale-free threshold, so both verdicts rank alike
         rank = int(np.sum(svals > SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0

@@ -314,10 +314,12 @@ def test_criterion_09_blend_base_reduction_bitwise():
 
 
 def quarter_eighth_trigger(norms):
-    """First index after the contraction bound held three checks in a row."""
+    """First index after the contraction bound on the squared increment
+    norms held three checks in a row."""
+    sq = [r * r for r in norms]
     consecutive = 0
-    for j in range(2, len(norms)):
-        if norms[j] <= 0.25 * norms[j - 1] + 0.125 * norms[j - 2]:
+    for j in range(2, len(sq)):
+        if sq[j] <= 0.25 * sq[j - 1] + 0.125 * sq[j - 2]:
             consecutive += 1
             if consecutive == 3:
                 return j

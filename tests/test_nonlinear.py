@@ -766,6 +766,15 @@ def test_an_exact_solution_past_the_squares_range_is_solved(solve):
     assert stats.halvings == 0 and all(r.converged for r in stats.records)
 
 
+@pytest.mark.parametrize("solve", [solve_continuation, solve_flat_picard])
+def test_the_records_keep_increment_norms_past_the_squares_range(solve):
+    # the first increment, about 1e308, squares to inf; the records hold its norm
+    loaded = bind_problem(LADDER_OVERFLOW_DOC)
+    _, stats = solve(loaded.tree, loaded.data, loaded.x0)
+    norms = [r for record in stats.records for r in record.norms]
+    assert norms and max(norms) > 1e154 and np.isfinite(norms).all()
+
+
 def random_inhomogeneity(rng, tree):
     # drawn level by level, stored as level-order arrays
     return Inhomogeneity(

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_linear_coeffs, random_tree, uniform_tree
@@ -200,8 +201,25 @@ def per_node_assemble(tree, coeffs, x0):
     return np.array(rows), np.array(rhs)
 
 
+def term_scales(tree, coeffs, x0):
+    """Per row of the dense system, a bound on every term its entries sum:
+    (1 + |x0|) times the largest of 1 and the absolute coefficients of the
+    row's node, its children's backward ones included (a leaf's G and g on
+    a terminal row)."""
+    N, m, c = tree.N, tree.offsets[-2], coeffs.arrays
+    node = np.ones(m)
+    for name in ("A", "A_bar", "B", "B_bar", "C", "C_bar", "D", "D_bar",
+                 "A_hat", "B_hat", "C_hat", "D_hat"):  # the hats by child, N per node
+        node = np.maximum(node, np.abs(c[name]).reshape(m, -1).max(axis=1))
+    leaf = np.maximum(1.0, np.maximum(np.abs(c["G"]), np.abs(c["g"])))
+    return (1.0 + abs(x0)) * np.concatenate([np.repeat(node, 2 * N), leaf])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 4), st.booleans())
+# rhs[0] sums terms that cancel to -0.73 in two orders 1.1e-15 apart, above
+# 4 eps of the result but not of the terms
+@example(512, 4, 4, True)
 def test_the_level_order_assembly_is_the_per_node_one(seed, N, T, couple):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
@@ -213,9 +231,11 @@ def test_the_level_order_assembly_is_the_per_node_one(seed, N, T, couple):
     assert mat.shape == ref_mat.shape == (size, size)
     assert rhs.shape == ref_rhs.shape == (size,)
     assert ((mat != 0.0) == (ref_mat != 0.0)).all()
-    eps = np.finfo(float).eps
-    assert (np.abs(mat - ref_mat) <= 4 * eps * np.maximum(1.0, np.abs(ref_mat))).all()
-    assert (np.abs(rhs - ref_rhs) <= 4 * eps * np.maximum(1.0, np.abs(ref_rhs))).all()
+    # the two sum each entry's terms in different orders; over 3000 draws
+    # the gap stayed below 2.6 eps of the row's term scale
+    bound = 8 * np.finfo(float).eps * term_scales(tree, coeffs, x0)
+    assert (np.abs(mat - ref_mat) <= bound[:, None]).all()
+    assert (np.abs(rhs - ref_rhs) <= bound).all()
 
 
 def per_level_forward_residual_vector(tree, problem, X_levels, Y_levels, Z_levels):
@@ -316,6 +336,12 @@ def dense_systems(draw):
     return (*near_singular(N, T, k), draw(st.sampled_from([0.0, 1.0])))
 
 
+def nonzeros(mat):
+    """(rows, columns, values) of the matrix's nonzero entries, row by row."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
 def sigma_ratio(mat):
     svals = np.linalg.svd(mat, compute_uv=False)
     return svals[-1] / svals[0]
@@ -348,7 +374,7 @@ def test_the_gram_test_certifies_only_full_rank(system):
     # sigma ratio above 1e-4 passes (the test's own margin is 1e-5)
     tree, coeffs, x0 = system
     ratio = sigma_ratio(oracle._assemble(tree, coeffs, x0)[0])
-    passed = oracle._full_rank(oracle._size(tree), *oracle._nonzeros(tree, coeffs, x0))
+    passed = oracle._full_rank(oracle._assemble(tree, coeffs, x0)[0])
     assert not passed or ratio > linear.SINGULAR_RATIO
     assert passed or ratio <= 1e-4
 
@@ -358,7 +384,7 @@ def test_the_gram_test_certifies_only_full_rank(system):
 def test_the_gram_matrix_from_the_nonzeros_is_a_t_a(system):
     tree, coeffs, x0 = system
     mat = oracle._assemble(tree, coeffs, x0)[0]
-    gram = oracle._gram(oracle._size(tree), *oracle._nonzeros(tree, coeffs, x0))
+    gram = oracle._gram(len(mat), *nonzeros(mat))
     bound = 64 * np.finfo(float).eps * (np.abs(mat).T @ np.abs(mat))
     assert (np.abs(gram - mat.T @ mat) <= bound).all()
 
@@ -375,7 +401,7 @@ def test_a_near_singular_system_falls_back_to_the_svd_rule(k, passes, verdict, r
     # N=2 T=2 at x0 = 1: sigma ratio 8.4e-4 at k = 2, 8.5e-6 to 8.5e-10 at
     # k = 4..8, 8.5e-11 at k = 9 and 9.5e-18 at G = 1
     tree, coeffs = near_singular(2, 2, k)
-    assert oracle._full_rank(16, *oracle._nonzeros(tree, coeffs, 1.0)) is passes
+    assert oracle._full_rank(oracle._assemble(tree, coeffs, 1.0)[0]) is passes
     result = linear_oracle(tree, coeffs, 1.0)
     assert (type(result), result.rank, result.size) == (verdict, rank, 16)
 
@@ -387,17 +413,47 @@ def test_a_full_rank_system_the_shifted_cholesky_cannot_certify_keeps_its_bytes(
     # 1.57), so the shifted Cholesky factorization does not; the fallback
     # finds full rank and solves as the SVD rule does
     tree, coeffs = near_singular(2, 2, 3.9)
-    rows, cols, vals = oracle._nonzeros(tree, coeffs, 1.0)
+    mat = oracle._assemble(tree, coeffs, 1.0)[0]
+    rows, cols, vals = nonzeros(mat)
     gram = oracle._gram(16, rows, cols, vals / np.abs(vals).max())
     lam = np.linalg.eigvalsh(gram)
     bound = np.abs(gram).sum(axis=1).max()
     assert linear.SINGULAR_RATIO * lam[-1] < lam[0] < linear.SINGULAR_RATIO * bound
-    assert oracle._full_rank(16, rows, cols, vals) is False
+    assert oracle._full_rank(mat) is False
     calls, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
     result = linear_oracle(tree, coeffs, 1.0)
     assert isinstance(result, UniqueSolution) and len(calls) == 1
     assert_same_verdict(result, svd_oracle(tree, coeffs, 1.0))
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_the_oracle_assembles_its_matrix_once(monkeypatch, k):
+    # certified at k = 2; at k = 6 through the least-squares fallback and
+    # then the solve
+    tree, coeffs = near_singular(2, 2, k)
+    calls, assemble = [], oracle._assemble
+    monkeypatch.setattr(oracle, "_assemble", lambda *args: calls.append(1) or assemble(*args))
+    assert isinstance(linear_oracle(tree, coeffs, 1.0), UniqueSolution) and len(calls) == 1
+
+
+def test_the_oracle_holds_two_dense_matrices_at_its_peak():
+    # the matrix, the Gram matrix beside it and the Cholesky's 64-row panels
+    # took 2.12 n^2 doubles at N=3 T=5; a whole |Gram| or a whole
+    # np.linalg.cholesky beside them takes about 3
+    rng = np.random.default_rng(5)
+    tree = random_tree(rng, 3, 5)
+    coeffs = random_linear_coeffs(rng, tree)
+    size = oracle._size(tree)
+    linear_oracle(tree, coeffs, 0.5)  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert isinstance(linear_oracle(tree, coeffs, 0.5), UniqueSolution)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert size == 969 and peak <= 2.25 * size * size * 8
 
 
 #: Finite coefficients whose assembly overflows: in the matrix, the forward
