@@ -4,17 +4,17 @@ The linear oracle assembles every branch equation of the coupled system
 into one dense matrix over all node unknowns, in the tree's level order
 (X at depths 1..T, Y at 0..T, then the N-1 contraction entries of Z on
 each non-leaf node), once, and classifies it by rank, so its verdict is
-independent of the recursive solver: one Cholesky factorization of the
-Gram matrix, built from that matrix's nonzeros and shifted down by a
-small multiple of the Gershgorin bound on its largest eigenvalue,
-certifies full rank with a wide margin, and only a matrix it cannot
-certify goes through a rank-revealing least-squares solve; the same
-matrix is then solved.  The nonlinear oracle eliminates the backward
-pair (given X everywhere, Y and Z follow from one exact backward sweep)
-and drives the remaining square system with a damped Newton method and
-finite-difference Jacobian, whose 2m shifted points go through one sweep
-as 2m columns of level-order arrays and one whole-tree
-``forward_defect`` call.
+independent of the recursive solver: a Cholesky factorization of the
+Gram matrix of its nonzeros scaled to at most 1 (so finite), shifted
+down by a small multiple of the Gershgorin bound on its largest
+eigenvalue and taken leaves first over the tree, certifies full rank,
+and only a matrix it cannot certify goes through a rank-revealing
+least-squares solve; the same matrix is then solved.  The nonlinear
+oracle eliminates the backward pair (given X everywhere, Y and Z follow
+from one exact backward sweep) and drives the remaining square system
+with a damped Newton method and finite-difference Jacobian, whose 2m
+shifted points go through one sweep as 2m columns of level-order arrays
+and one whole-tree ``forward_defect`` call.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from .tree import AdaptedProcess, ScenarioTree, _level
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
 
-#: Most unknowns of the dense linear oracle, whose matrix, Gram matrix and
-#: factorizations grow with their square: 2913 (N=3, T=6) took 0.82-0.84 s
-#: and 173.6 MB peak RSS (the process's) on one BLAS thread of a shared
-#: 2-core x86_64 host, the matrix and the Gram matrix held at once;
-#: N=2, T=13 needs 13 GB.
+#: Most unknowns of the dense linear oracle, whose matrix and Gram matrix
+#: grow with their square: 2913 (N=3, T=6) took 0.52-0.57 s and 172.6 MB peak
+#: RSS (the process's) on one BLAS thread of a shared 2-core x86_64 host.
 MAX_DENSE_UNKNOWNS = 3000
 
 #: Most forward unknowns of the Newton oracle, whose Jacobian is one
@@ -79,14 +77,21 @@ def _size(tree):
     return 2 * tree.offsets[-1] - 1 + tree.offsets[-2] * (tree.N - 1)
 
 
+def _columns(tree):
+    """Level-order node k's columns: X k - 1 (none at the root) and Y n - 1 + k,
+    (n,) each, and Z 2n - 1 + k (N - 1) + j on the m non-leaf nodes, (m, N - 1)."""
+    n, m = tree.offsets[-1], tree.offsets[-2]
+    k = np.arange(n)
+    return k - 1, n - 1 + k, 2 * n - 1 + k[:m, None] * (tree.N - 1) + np.arange(tree.N - 1)
+
+
 def _assemble(tree, coeffs, x0):
     """Dense (matrix, rhs) for all forward, backward and terminal equations.
 
-    Node k (level order) has the columns X: k - 1, Y: n - 1 + k and Z:
-    2n - 1 + k (N - 1) + j; its N forward rows, then its N backward rows,
-    start at row 2Nk, and the terminal rows come last.  Z enters through
-    its canonical representative (contraction extended by a zero), which
-    the validated zero-sum conditions make exact.
+    The columns are ``_columns``'s; node k's N forward rows, then its N
+    backward rows, start at row 2Nk, and the terminal rows come last.  Z
+    enters through its canonical representative (contraction extended by
+    a zero), which the validated zero-sum conditions make exact.
     """
     N, n, m, size = tree.N, tree.offsets[-1], tree.offsets[-2], _size(tree)
     c = coeffs.arrays
@@ -96,51 +101,50 @@ def _assemble(tree, coeffs, x0):
     fwd = 2 * N * k + np.arange(N)  # (m, N): node k's row of branch i
     bwd = fwd + N
     child = 1 + N * k + np.arange(N)
-    y, z = n - 1 + k, 2 * n - 1 + k * (N - 1) + np.arange(N - 1)  # node k's Y and Z columns
+    x, y, z = _columns(tree)
     incr = np.eye(N) - tree.rows[:, None, :]  # (m, N, N): branch i's e_i - P
 
     def dot(rows):  # each node's row times each of its increments, (m, N)
         return np.einsum("nl,nil->ni", rows, incr)
 
     # X_{t+1}(child) - X_t - forward drift/increment terms = 0
-    mat[fwd, child - 1] += 1.0
+    mat[fwd, x[child]] += 1.0
     x_coef = -(1.0 + c["A"][:, None]) - dot(c["A_bar"])
     rhs[fwd[0]] -= x_coef[0] * x0
-    mat[fwd[1:], k[1:] - 1] += x_coef[1:]
-    mat[fwd, y] += -c["B"][:, None] - dot(c["B_bar"])
+    mat[fwd[1:], x[k[1:]]] += x_coef[1:]
+    mat[fwd, y[k]] += -c["B"][:, None] - dot(c["B_bar"])
     zw = -(c["C"][:, None, :] + np.einsum("njl,nil->nij", c["C_bar"], incr))
-    mat[fwd[..., None], z[:, None]] += zw[..., : N - 1]
+    mat[fwd[..., None], z[k]] += zw[..., : N - 1]
     rhs[fwd] += c["D"][:, None] + dot(c["D_bar"])
 
     # Y_{t+1}(child) - Y_t - backward drift terms - Z_t M = 0
-    mat[bwd, n - 1 + child] += 1.0 - c["B_hat"][child - 1]
-    mat[bwd, y] += -1.0
-    mat[bwd, child - 1] += -c["A_hat"][child - 1]
+    mat[bwd, y[child]] += 1.0 - c["B_hat"][child - 1]
+    mat[bwd, y[k]] += -1.0
+    mat[bwd, x[child]] += -c["A_hat"][child - 1]
     q = tree.offsets[-3]  # nodes above depth T - 1, whose children carry Z
     mat[bwd[:q, :, None], z[child[:q]]] += -c["C_hat"][child[:q] - 1, : N - 1]
-    mat[bwd[..., None], z[:, None]] += -incr[..., : N - 1]
+    mat[bwd[..., None], z[k]] += -incr[..., : N - 1]
     rhs[bwd] += c["D_hat"][child - 1]
 
     # Y_T - G X_T = g on leaf node m + l, row 2Nm + l
     leaf = np.arange(n - m)
-    mat[2 * N * m + leaf, n - 1 + m + leaf] = 1.0
-    mat[2 * N * m + leaf, m - 1 + leaf] = -c["G"]
+    mat[2 * N * m + leaf, y[m + leaf]] = 1.0
+    mat[2 * N * m + leaf, x[m + leaf]] = -c["G"]
     rhs[2 * N * m + leaf] = c["g"]
     return mat, rhs
 
 
 def _solution_from_vector(tree, coeffs, x0, vec):
     """The triple in ``vec``: X with x0 in front, Y, and Z's canonical rows."""
-    N, n, m = tree.N, tree.offsets[-1], tree.offsets[-2]
-    X = np.concatenate([[float(x0)], vec[: n - 1]])
-    Z = _canonical_rows(vec[2 * n - 1 :].reshape(m, N - 1))
-    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, vec[n - 1 : 2 * n - 1], Z))
+    x, y, z = _columns(tree)
+    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in
+               (np.concatenate([[float(x0)], vec[x[1:]]]), vec[y], _canonical_rows(vec[z])))
     return FbsdeSolution(X, Y, Z, linear_residuals(tree, coeffs, X, Y, Z))
 
 
 def _gram(size, rows, cols, vals):
     """A^T A of the size x size matrix A with these nonzeros (row-major, as
-    ``np.nonzero`` gives them): one ``np.bincount`` over the products of
+    ``np.flatnonzero`` gives them): one ``np.bincount`` over the products of
     every pair of entries that share a row."""
     count = np.bincount(rows, minlength=size)  # entries per row
     start = np.cumsum(count) - count  # each row's first entry
@@ -153,48 +157,40 @@ def _gram(size, rows, cols, vals):
     return flat.reshape(size, size)
 
 
-def _cholesky_in_place(a):
-    """Factor the symmetric matrix ``a`` as U^T U in its own upper triangle,
-    64 rows at a time; raises LinAlgError when it is not positive definite.
+def _full_rank(tree, mat):
+    """Whether the finite square matrix A of ``tree``'s system is certified
+    to have full rank: S = A^T A - SINGULAR_RATIO U I, U the largest
+    absolute row sum of A^T A (a Gershgorin bound on lambda_max), has a
+    Cholesky factorization, so lambda_min > SINGULAR_RATIO U.
 
-    Each block of rows is updated by the rows above it, its diagonal block
-    is factored by ``np.linalg.cholesky`` and the rest of the block is
-    solved against that factor, so no other n x n array is made;
-    ``np.linalg.cholesky`` of the whole matrix would hold two more.  Only
-    the upper triangle and the diagonal blocks' lower triangles are read.
-    """
-    n = len(a)
-    for j in range(0, n, 64):
-        e = min(j + 64, n)
-        block = a[j:e, j:]
-        block -= a[:j, j:e].T @ a[:j, j:]
-        low = np.linalg.cholesky(block[:, : e - j])
-        block[:, : e - j] = low.T
-        block[:, e - j :] = np.linalg.solve(low, block[:, e - j :])
-
-
-def _full_rank(mat):
-    """Whether the finite square matrix A is certified to have full rank:
-    lambda_min(A^T A) > SINGULAR_RATIO U, where U, the largest absolute row
-    sum of A^T A, bounds lambda_max from above (Gershgorin).
-
-    The certificate is one Cholesky factorization of A^T A - SINGULAR_RATIO
-    U I: it exists exactly when that matrix is positive definite.  Its
-    rounding, about n eps U, is far below the shift, so a matrix that passes
-    has sigma_min / sigma_max > 1e-5 and full rank under the SVD rule
-    sigma_min > SINGULAR_RATIO sigma_max too.  The Gram matrix is built from
-    A's nonzeros scaled to at most 1, so no product overflows, and its row
-    sums are taken 64 rows at a time, so A, the Gram matrix and a block are
-    all that is held.
+    Node k's rows touch only the unknowns of k and of its children, so S
+    couples a node only with its parent, siblings and children, and is
+    factored leaves first without fill, a symmetric permutation: each
+    family (the N children of a node), depth by depth, by one batched
+    ``np.linalg.cholesky``, its Schur complement taken from its parent's
+    block; the root last.  The rounding, about n eps U, is far below the
+    shift, so a matrix that passes has sigma_min / sigma_max > 1e-5: full
+    rank by the SVD rule too.  S is finite, from A's nonzeros scaled to at
+    most 1 (batched ``np.linalg.cholesky`` lets a NaN through).
     """
     size = len(mat)
-    rows, cols = np.nonzero(mat)
+    rows, cols = np.divmod(np.concatenate([j * size + np.flatnonzero(mat[j : j + 64] != 0.0)
+                                           for j in range(0, size, 64)]), size)  # no n x n mask
     vals = mat[rows, cols]
     gram = _gram(size, rows, cols, vals / np.abs(vals).max())
     bound = max(np.abs(gram[j : j + 64]).sum(axis=1).max() for j in range(0, size, 64))
     gram[np.diag_indices(size)] -= SINGULAR_RATIO * bound
+    x, y, z = _columns(tree)
     try:
-        _cholesky_in_place(gram)
+        for t in range(tree.T, -1, -1):
+            at = slice(tree.offsets[t], tree.offsets[t + 1])  # a row for each depth-t node
+            own = np.hstack(([x[at, None]] if t else []) + [y[at, None]]  # no X at the root,
+                            + ([z[at]] if t < tree.T else []))  # no Z on the leaves
+            if t < tree.T:  # the Schur complements of depth t + 1
+                w = np.linalg.solve(low, gram[fam[:, :, None], own[:, None, :]])
+                gram[own[:, :, None], own[:, None, :]] -= w.transpose(0, 2, 1) @ w
+            fam = own.reshape(max(len(own) // tree.N, 1), -1)  # the root is a family alone
+            low = np.linalg.cholesky(gram[fam[:, :, None], fam[:, None, :]])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -205,10 +201,11 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """Classify the coupled linear system by the rank of its global matrix.
 
     The matrix is assembled once, and two steps decide its rank.  A
-    Cholesky factorization of the Gram matrix, built from its nonzeros and
-    shifted down by SINGULAR_RATIO times its Gershgorin bound on
-    lambda_max, certifies full rank (see ``_full_rank``); such a system
-    is solved by ``np.linalg.solve``.  Any other matrix goes through one
+    Cholesky factorization of the Gram matrix of its nonzeros scaled to at
+    most 1 (so finite), shifted down by SINGULAR_RATIO times its Gershgorin
+    bound on lambda_max and taken leaves first over the tree, certifies
+    full rank (see ``_full_rank``), and the system is solved by
+    ``np.linalg.solve``.  Any other matrix goes through one
     ``np.linalg.lstsq``, whose singular values give the rank (those above
     SINGULAR_RATIO times the largest) and whose vector gives the
     consistency gap; a full rank is then solved as above.  Returns
@@ -227,7 +224,7 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
         raise NonFiniteSolve("the dense oracle's system overflowed to a non-finite entry "
                              "in its assembly")
-    if not _full_rank(mat):
+    if not _full_rank(tree, mat):
         vec, _, _, svals = np.linalg.lstsq(mat, rhs, rcond=None)
         # the certificate's scale-free threshold, so both verdicts rank alike
         rank = int(np.sum(svals > SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
@@ -377,7 +374,7 @@ def _newton(residual, x0_vec, tolerance, norms):
     columns: a single point is one column; ``norms`` gets the residual norm
     after each step.  A start outside a coefficient's domain raises its
     ExpressionDomainError; a trial point outside it halves the step, and a
-    Jacobian outside it ends the run at the last point."""
+    Jacobian outside it or a trial equal to x ends the run at the last point."""
     x = x0_vec.astype(float).copy()
     f, fnorm = _evaluate(residual, x)
     for _ in range(MAX_NEWTON_STEPS):
@@ -397,6 +394,8 @@ def _newton(residual, x0_vec, tolerance, norms):
         improved = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + lam * step
+            if trial.tobytes() == x.tobytes():  # every shorter step rounds to x too
+                break
             try:
                 ft, ftnorm = _evaluate(residual, trial)
             except ExpressionDomainError:  # a failed trial

@@ -1047,6 +1047,37 @@ class TestCli:
                              "inner_solves": calls["_forward_residual_vector"]}
             assert stats["iterations"] >= max(failed_starts, 1)
 
+    def test_no_oracle_line_search_evaluates_its_start_again(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # each line search starts at the point of its Jacobian; a trial equal
+        # to that point bit for bit, and every shorter one, rounds back to it
+        # and cannot lower its residual, so none is evaluated.  Stopped below
+        # rounding, the T=1 run's 3 starts took 111 sweeps, 93 of them such
+        # trials, and now take 21, with the same report otherwise
+        seen = []
+
+        def recorded(kind, fn):
+            def call(func, x):
+                seen.append((kind, x.tobytes()))
+                return fn(func, x)
+            return call
+
+        for name, kind in (("finite_difference_jacobian", "jacobian"), ("_evaluate", "point")):
+            monkeypatch.setattr(oracle, name, recorded(kind, getattr(oracle, name)))
+        doc = json.loads(json.dumps(DEMOS["monotone-family"]))
+        doc["tree"]["T"] = 1
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["oracle", str(path), "--tol", "1e-30"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["stats"] == {"levels": 1, "halvings": 0, "iterations": 6, "inner_solves": 21}
+        start = None
+        for kind, point in seen:
+            if kind == "jacobian":
+                start = point
+            else:
+                assert point != start
+
     @pytest.mark.parametrize("x0", [10.0, 1000.0])
     def test_the_oracle_treats_a_domain_error_as_a_failed_point(self, tmp_path, capsys, x0):
         # exp overflows at trial points from x0 = 10: failed steps, not a

@@ -374,9 +374,46 @@ def test_the_gram_test_certifies_only_full_rank(system):
     # sigma ratio above 1e-4 passes (the test's own margin is 1e-5)
     tree, coeffs, x0 = system
     ratio = sigma_ratio(oracle._assemble(tree, coeffs, x0)[0])
-    passed = oracle._full_rank(oracle._assemble(tree, coeffs, x0)[0])
+    passed = oracle._full_rank(tree, oracle._assemble(tree, coeffs, x0)[0])
     assert not passed or ratio > linear.SINGULAR_RATIO
     assert passed or ratio <= 1e-4
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_systems())
+def test_the_tree_ordered_factorization_keeps_the_dense_verdict(system):
+    # the leaves-first block elimination against one np.linalg.cholesky of
+    # the whole shifted Gram matrix, in the matrix's own column order
+    tree, coeffs, x0 = system
+    mat = oracle._assemble(tree, coeffs, x0)[0]
+    rows, cols, vals = nonzeros(mat)
+    gram = oracle._gram(len(mat), rows, cols, vals / np.abs(vals).max())
+    gram[np.diag_indices(len(mat))] -= linear.SINGULAR_RATIO * np.abs(gram).sum(axis=1).max()
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        dense = False
+    else:
+        dense = True
+    assert oracle._full_rank(tree, mat) is dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_systems())
+def test_the_gram_matrix_couples_a_node_only_with_its_parent_siblings_and_children(system):
+    # the one structural fact the leaves-first elimination relies on
+    tree, coeffs, x0 = system
+    mat = oracle._assemble(tree, coeffs, x0)[0]
+    x, y, z = oracle._columns(tree)
+    n, m = tree.offsets[-1], tree.offsets[-2]
+    owner = np.empty(len(mat), dtype=int)  # the node of each column
+    owner[x[1:]], owner[y] = np.arange(1, n), np.arange(n)
+    owner[z] = np.arange(m)[:, None]
+    parent = np.concatenate([[-1], (np.arange(1, n) - 1) // tree.N])
+    a, b = owner[:, None], owner[None, :]
+    near = (a == b) | (parent[a] == b) | (a == parent[b]) | (parent[a] == parent[b])
+    assert not (mat.T @ mat)[~near].any()
+    assert tree.T < 2 or not near.all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,7 +438,7 @@ def test_a_near_singular_system_falls_back_to_the_svd_rule(k, passes, verdict, r
     # N=2 T=2 at x0 = 1: sigma ratio 8.4e-4 at k = 2, 8.5e-6 to 8.5e-10 at
     # k = 4..8, 8.5e-11 at k = 9 and 9.5e-18 at G = 1
     tree, coeffs = near_singular(2, 2, k)
-    assert oracle._full_rank(oracle._assemble(tree, coeffs, 1.0)[0]) is passes
+    assert oracle._full_rank(tree, oracle._assemble(tree, coeffs, 1.0)[0]) is passes
     result = linear_oracle(tree, coeffs, 1.0)
     assert (type(result), result.rank, result.size) == (verdict, rank, 16)
 
@@ -419,7 +456,7 @@ def test_a_full_rank_system_the_shifted_cholesky_cannot_certify_keeps_its_bytes(
     lam = np.linalg.eigvalsh(gram)
     bound = np.abs(gram).sum(axis=1).max()
     assert linear.SINGULAR_RATIO * lam[-1] < lam[0] < linear.SINGULAR_RATIO * bound
-    assert oracle._full_rank(mat) is False
+    assert oracle._full_rank(tree, mat) is False
     calls, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
     result = linear_oracle(tree, coeffs, 1.0)
@@ -438,9 +475,10 @@ def test_the_oracle_assembles_its_matrix_once(monkeypatch, k):
 
 
 def test_the_oracle_holds_two_dense_matrices_at_its_peak():
-    # the matrix, the Gram matrix beside it and the Cholesky's 64-row panels
-    # took 2.12 n^2 doubles at N=3 T=5; a whole |Gram| or a whole
-    # np.linalg.cholesky beside them takes about 3
+    # the matrix and the Gram matrix beside it, with the Gram matrix's pair
+    # lists, took 2.12 n^2 doubles at N=3 T=5; the families' blocks are
+    # small, and a whole |Gram| or a whole np.linalg.cholesky beside them
+    # takes about 3
     rng = np.random.default_rng(5)
     tree = random_tree(rng, 3, 5)
     coeffs = random_linear_coeffs(rng, tree)
