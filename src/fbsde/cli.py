@@ -2,8 +2,8 @@
 
 Exit codes: 0 solved (or diagnostics satisfied, or ``--help``), 2 certified
 unsolvable or violated, 3 no convergence, 4 input error (a usage error, such
-as an unknown flag, a malformed flag value or an unknown demo, and a problem
-over an oracle's size limit included).
+as an unknown flag, a malformed flag value or an unknown demo, a problem
+over an oracle's size limit and a problem too large for memory included).
 """
 
 from __future__ import annotations
@@ -279,6 +279,9 @@ def run_cli(argv=None) -> int:
         return EXIT_INPUT
     except FbsdeError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:  # numpy names the allocation it refused
+        print(f"input error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return EXIT_INPUT
 
 

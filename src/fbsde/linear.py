@@ -283,36 +283,23 @@ class _SlopePass:
 
 
 @dataclass(frozen=True)
-class RiccatiData:
-    """Backward-recursion output: P, p levels, per-node matrices, certificate.
+class RiccatiData(_SlopePass):
+    """Backward-recursion output: the slope pass plus its offsets p and w.
 
     ``P_levels``/``p_levels`` are indexed by absolute time (entries below the
     first solvable level, and entry 0, are None); ``gamma_levels[t]`` stacks
     the depth-t matrices.  When a level contains a singular matrix the
     recursion stops there, with the ratios and flags of that whole level in
-    the certificate.  P, the matrices and the certificate are read from
-    ``slope_pass``; ``p_levels`` are views of ``p_array``, the offsets in
-    level order over times 1..T.  For the forward pass it keeps, per level
-    t, the offset ``w_levels[t]`` of the child closures X_child = v X + w
-    (None if not reached), whose slope is the slope pass's ``v_levels[t]``.
+    the certificate.  The slope pass's fields are the memoized pass's own
+    objects, shared by every solve through it; ``p_levels`` are views of
+    ``p_array``, the offsets in level order over times 1..T, and
+    ``w_levels[t]`` is the offset of the child closures X_child = v X + w
+    (None if not reached).
     """
 
-    slope_pass: _SlopePass
     p_array: np.ndarray
     p_levels: tuple
     w_levels: tuple
-
-    @property
-    def P_levels(self):
-        return self.slope_pass.P_levels
-
-    @property
-    def gamma_levels(self):
-        return self.slope_pass.gamma_levels
-
-    @property
-    def certificate(self):
-        return self.slope_pass.certificate
 
     @property
     def complete(self):
@@ -456,7 +443,7 @@ def _slope_pass(tree, coeffs):
 
 def _offset_pass(tree, coeffs, slopes):
     """The offsets p and the closure offsets w over a finished slope pass;
-    returns the full RiccatiData.
+    returns the RiccatiData of ``slopes``' own field objects and these offsets.
 
     The only part of the backward pass that reads D, D_bar, D_hat and g.  It
     stops where the slope pass halted.  A level of p that overflows raises
@@ -483,7 +470,8 @@ def _offset_pass(tree, coeffs, slopes):
     if not np.isfinite(p_array).all():  # raises before the levels not reached (zeros, None)
         for t in range(T, 0, -1):
             _finite_level(p_levels[t], "the offset p", t)
-    return RiccatiData(slopes, p_array, tuple(p_levels), tuple(w_levels))
+    return RiccatiData(**vars(slopes), p_array=p_array, p_levels=tuple(p_levels),
+                       w_levels=tuple(w_levels))
 
 
 def _check_tree(tree, coeffs):
@@ -529,16 +517,14 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
         return Unsolvable(ric.certificate.singular_nodes, ric)
 
     T, N, m = tree.T, tree.N, tree.offsets[tree.T]
-    slope_pass = ric.slope_pass
     X = np.empty(tree.offsets[T + 1])
     X[0] = x0
     X_levels = tree.views(X, range(T + 1))
     for t in range(T):  # the child closures X_child = v X + w
-        X_levels[t + 1][...] = (slope_pass.v_levels[t] * X_levels[t][:, None]
-                                + ric.w_levels[t]).ravel()
+        X_levels[t + 1][...] = (ric.v_levels[t] * X_levels[t][:, None] + ric.w_levels[t]).ravel()
 
     # every non-leaf node's child closures P X + p at once
-    lam = (slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)
+    lam = (ric.P_array * X[1:] + ric.p_array).reshape(m, N)
     Y = np.concatenate([np.einsum("nj,nj->n", tree.rows, lam),
                         _terminal(coeffs.arrays, slice(None), X[m:])])
     X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, Y, canonicalize(lam)))
@@ -656,8 +642,8 @@ def decoupling_coefficients(tree, coeffs, riccati):
             f"singular nodes: {riccati.certificate.singular_nodes}"
         )
     c, m, N = coeffs.arrays, tree.offsets[tree.T], tree.N
-    P, p = (arr.reshape(m, N) for arr in (riccati.slope_pass.P_array, riccati.p_array))
-    v, w = (np.concatenate(levels) for levels in (riccati.slope_pass.v_levels, riccati.w_levels))
+    P, p = (arr.reshape(m, N) for arr in (riccati.P_array, riccati.p_array))
+    v, w = (np.concatenate(levels) for levels in (riccati.v_levels, riccati.w_levels))
     slope = np.einsum("nj,nj,nj->n", tree.rows, P, v)
     offset = np.einsum("nj,nj,nj->n", tree.rows, P, w) + np.einsum("nj,nj->n", tree.rows, p)
     return (AdaptedProcess.from_array(tree, 0, np.concatenate([slope, c["G"]])),

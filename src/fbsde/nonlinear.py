@@ -197,18 +197,16 @@ class _Iterate:
     """Solution triple as level-order arrays over the whole tree: X and Y
     on every node, Z (canonical rows) on the non-leaf nodes.
 
-    ``levels`` is ``(problem, (b, sigma, f))`` and ``terminal`` is
-    ``(problem, h)``, h the terminal map on the leaves, for the last
-    problem evaluated here, so that compose and the level check evaluate
-    the target once per iterate; ``zt``, the row contractions of Z, is
-    computed on first use.
+    ``levels`` is ``(problem, (b, sigma, f, h))`` for the last problem
+    evaluated here, so that compose and the level check evaluate the target
+    once per iterate; ``zt``, the row contractions of Z, is computed on
+    first use.
     """
 
     X: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
     levels: Optional[tuple] = field(default=None, repr=False, compare=False)
-    terminal: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, tree):
@@ -224,14 +222,6 @@ class _Iterate:
         if self.levels is None or self.levels[0] is not problem:
             self.levels = (problem, _coefficient_levels(tree, problem, self.X, self.Y, self.zt))
         return self.levels[1]
-
-    def terminal_levels(self, tree, problem):
-        """``problem.terminal(nodes, x)`` on the leaves, evaluated on first use."""
-        if self.terminal is None or self.terminal[0] is not problem:
-            x = self.X[tree.offsets[tree.T]:]
-            self.terminal = (problem, _level(problem.terminal(_nodes(len(x)), x), (len(x),),
-                                             "terminal"))
-        return self.terminal[1]
 
 
 def _as_iterate(tree, value):
@@ -280,11 +270,12 @@ _nodes = functools.cache(lambda n: np.broadcast_to(np.arange(n), (n,)))
 
 
 def _coefficient_levels(tree, problem, X, Y, zt):
-    """Drift and diffusion on 0..T-1, then generator on 1..T, at an iterate
-    of level-order arrays (Z by its row contractions), one call per level in
-    that order (which decides the first error raised); at the horizon the
-    generator's ``z_tilde`` is None.  Returns level-order (b, sigma, f): b
-    and sigma on the non-leaf nodes, f on the nodes of times 1..T.
+    """Drift and diffusion on 0..T-1, then generator on 1..T, then the
+    terminal map on the leaves, at an iterate of level-order arrays (Z by
+    its row contractions), one call per level in that order (which decides
+    the first error raised); at the horizon the generator's ``z_tilde`` is
+    None.  Returns level-order (b, sigma, f, h): b and sigma on the non-leaf
+    nodes, f on the nodes of times 1..T, h on the leaves.
     """
     T, m = tree.T, tree.offsets[tree.T]
     X, Y = tree.views(X, range(T + 1)), tree.views(Y, range(T + 1))
@@ -295,17 +286,17 @@ def _coefficient_levels(tree, problem, X, Y, zt):
                                  (f, problem.generator, "generator", range(1, T + 1))):
         for t, lev in zip(times, tree.views(out, times)):
             lev[...] = _level(fn(t, _nodes(len(lev)), X[t], Y[t], zt[t]), lev.shape, name)
-    return b, sigma, f
+    return b, sigma, f, _level(problem.terminal(_nodes(len(X[T])), X[T]), X[T].shape, "terminal")
 
 
 def _compose(tree, problem, inhom, prev: _Iterate, step):
     """Fold the step-sized nonlinearity, frozen at ``prev``, into new inhomogeneities."""
-    b, sigma, f = prev.coefficient_levels(tree, problem)
+    b, sigma, f, h = prev.coefficient_levels(tree, problem)
     m = tree.offsets[tree.T]
     return Inhomogeneity(b0=inhom.b0 + step * (prev.Y[:m] + b),
                          sigma0=inhom.sigma0 + step * (prev.Z + sigma),
                          f0=inhom.f0 + step * (-prev.X[1:] + f),
-                         h0=inhom.h0 + step * (prev.terminal_levels(tree, problem) - prev.X[m:]))
+                         h0=inhom.h0 + step * (h - prev.X[m:]))
 
 
 class _Ladder:
@@ -480,9 +471,8 @@ def nonlinear_residual(tree, problem, solution):
     level lists.
     """
     it = _as_iterate(tree, solution)
-    levels = _coefficient_levels(tree, problem, it.X, it.Y, it.zt)
-    terminal = it.Y[tree.offsets[tree.T]:] - it.terminal_levels(tree, problem)
-    return worst_defects(tree, it.X, it.Y, it.Z, *levels, terminal)
+    b, sigma, f, h = _coefficient_levels(tree, problem, it.X, it.Y, it.zt)
+    return worst_defects(tree, it.X, it.Y, it.Z, b, sigma, f, it.Y[tree.offsets[tree.T]:] - h)
 
 
 def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
@@ -493,12 +483,12 @@ def _blended_residual(tree, problem, alpha, inhom, it: _Iterate):
     a*v + (1-a)*lin + inhom, per node the float operations of a callback blend.
     """
     a = float(alpha)
-    b, sigma, f = it.coefficient_levels(tree, problem)
+    b, sigma, f, h = it.coefficient_levels(tree, problem)
     X, Y, Z, m = it.X, it.Y, it.Z, tree.offsets[tree.T]
     b = a * b + (1.0 - a) * (-Y[:m]) + inhom.b0
     sigma = a * sigma + (1.0 - a) * -_canonical_rows(it.zt) + inhom.sigma0
     f = a * f + (1.0 - a) * X[1:] + inhom.f0
-    h = a * it.terminal_levels(tree, problem) + (1.0 - a) * X[m:] + inhom.h0
+    h = a * h + (1.0 - a) * X[m:] + inhom.h0
     return worst_defects(tree, X, Y, Z, b, sigma, f, Y[m:] - h)
 
 

@@ -175,13 +175,21 @@ class ScenarioTree:
 
 
 def _sizes(N, T):
-    """(N, T) as ints, after checking N >= 2 and T >= 1."""
+    """(N, T) as ints, after checking N >= 2, T >= 1 and that numpy can
+    index the tree's 1 + N + ... + N**T nodes, summed level by level and
+    stopped at the first level past the index bound, so N**T is never formed."""
     N = int(N)
     T = int(T)
     if N < 2:
         raise ValueError("branching factor must be at least 2")
     if T < 1:
         raise ValueError("horizon must be at least 1")
+    nodes = level = 1
+    for _ in range(T):
+        level *= N
+        nodes += level
+        if nodes > np.iinfo(np.intp).max:
+            raise ValueError(f"a tree with N={N} and T={T} has more nodes than numpy can index")
     return N, T
 
 

@@ -40,9 +40,9 @@ def resolving_forward(tree, coeffs, x0):
     for t in range(T):
         p_child = ric.p_levels[t + 1].reshape(-1, N)
         rhs = (a[t] * X_levels[t][:, None] + d[t]
-               + np.einsum("nij,nj->ni", ric.slope_pass.coupling_levels[t], p_child))
+               + np.einsum("nij,nj->ni", ric.coupling_levels[t], p_child))
         X_levels[t + 1][...] = np.linalg.solve(ric.gamma_levels[t], rhs[:, :, None]).ravel()
-    lam = (ric.slope_pass.P_array * X[1:] + ric.p_array).reshape(m, N)
+    lam = (ric.P_array * X[1:] + ric.p_array).reshape(m, N)
     Y = np.concatenate([np.einsum("nj,nj->n", tree.rows, lam),
                         coeffs.arrays["G"] * X[m:] + coeffs.arrays["g"]])
     return X, Y, lam - lam[:, -1:]

@@ -822,6 +822,42 @@ class TestCli:
             assert run_cli(["demo", name]) == code
             assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
 
+    @pytest.mark.parametrize("tree", [
+        {"N": 2, "T": 20000, "transition": [[0.5, 0.5]]},
+        {"N": 3, "T": 10**6},
+    ], ids=["table", "uniform"])
+    def test_a_tree_too_large_to_index_is_an_input_error(self, tmp_path, tree):
+        # refused by its sizes: the table's row count was once formed first,
+        # growing with T**2, and a huge count or a C-long overflow was printed
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "linear", "tree": tree, "x0": 1.0}))
+        src = str(Path(fbsde.__file__).resolve().parent.parent)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-m", "fbsde", "solve", str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stdout) == (4, "")
+        assert run.stderr == (f"error: tree: a tree with N={tree['N']} and T={tree['T']} "
+                              "has more nodes than numpy can index\n")
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "input error: out of memory: Unable to allocate 7.28 TiB for an array\n"),
+        (MemoryError(), "input error: out of memory\n"),
+    ])
+    def test_a_problem_too_large_for_memory_is_an_input_error(self, monkeypatch, tmp_path,
+                                                              capsys, error, line):
+        # raised where binding allocates: whether a real allocation fails at
+        # once depends on the host's overcommit policy, so none is made
+        def refused(*args):
+            raise error
+
+        monkeypatch.setattr(fbsde.io, "_bind_linear", refused)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(DEMOS["partially-coupled"]))
+        assert run_cli(["solve", str(path)]) == 4
+        assert capsys.readouterr() == ("", line)
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(DEMOS["singular-gamma"]))

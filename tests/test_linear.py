@@ -136,7 +136,7 @@ def reference_decoupling(tree, coeffs, riccati):
         Pt = tree.transition[t]
         P_child = riccati.P_levels[t + 1].reshape(n, N)
         p_child = riccati.p_levels[t + 1].reshape(n, N)
-        slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.slope_pass.v_levels[t])
+        slope[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.v_levels[t])
         offset[t] = np.einsum("nj,nj,nj->n", Pt, P_child, riccati.w_levels[t]) + np.einsum(
             "nj,nj->n", Pt, p_child
         )
@@ -188,8 +188,7 @@ class TestWholeTreeTables:
                 scr_a, scr_b, scr_c = reference_script_level(tree, coeffs, t)
                 assert_same_bytes([a_t, coupling_t],
                                   [scr_a, reference_coupling_level(tree, t, scr_b, scr_c)])
-            ric = riccati_backward(tree, coeffs)
-            slopes = ric.slope_pass
+            ric = slopes = riccati_backward(tree, coeffs)
             assert_same_bytes(slopes.theta_levels[1:],
                               [reference_theta_level(tree, coeffs, t) for t in range(1, T)])
             P, gammas, vs, ratios = reference_slope_pass(tree, coeffs)

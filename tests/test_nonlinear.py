@@ -928,6 +928,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
 
 
 def test_each_level_is_one_call_drift_then_diffusion_then_generator():
+    # and the terminal map once, last, on the leaves, in every residual call
     tree = uniform_tree(2, 2)
     base = linear_special_problem(tree)
     calls = []
@@ -935,12 +936,18 @@ def test_each_level_is_one_call_drift_then_diffusion_then_generator():
     def record(name, fn):
         return lambda t, *args: calls.append((name, t, len(args[0]))) or fn(t, *args)
 
+    def terminal(nodes, x):
+        calls.append(("h", nodes.tolist(), x.tolist()))
+        return base.terminal(nodes, x)
+
     problem = NonlinearProblem(record("b", base.drift), record("sigma", base.diffusion),
-                               record("f", base.generator), base.terminal)
+                               record("f", base.generator), terminal)
     sol = solve_special(tree, D=0.1, x0=1.0)
-    nonlinear_residual(tree, problem, sol)
-    assert calls == [("b", 0, 1), ("b", 1, 2), ("sigma", 0, 1), ("sigma", 1, 2),
-                     ("f", 1, 2), ("f", 2, 4)]
+    for _ in range(2):
+        calls.clear()
+        nonlinear_residual(tree, problem, sol)
+        assert calls == [("b", 0, 1), ("b", 1, 2), ("sigma", 0, 1), ("sigma", 1, 2),
+                         ("f", 1, 2), ("f", 2, 4), ("h", [0, 1, 2, 3], sol.X.level(2).tolist())]
 
 
 def test_levels_of_another_problem_are_not_reused():
@@ -951,7 +958,6 @@ def test_levels_of_another_problem_are_not_reused():
     sol, _ = solve_continuation(tree, other, 1.0)
     carried = nonlinear._as_iterate(tree, sol)
     carried.coefficient_levels(tree, other)
-    carried.terminal_levels(tree, other)
     fresh = nonlinear._Iterate(carried.X.copy(), carried.Y.copy(), carried.Z.copy())
     for solve in (solve_continuation, solve_flat_picard):
         got, _ = solve(tree, target, 1.0, initial_iterate=carried)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import path_probability, random_tree
+from fbsde import tree as tree_module
 from fbsde import (
     AdaptedProcess,
     LeafNodeError,
@@ -59,6 +60,19 @@ class TestBuildTree:
             build_tree(1, 1)
         with pytest.raises(ValueError):
             build_tree(2, 0)
+
+    def test_a_tree_numpy_cannot_index_is_refused_by_its_sizes(self):
+        # before any integer near N**T is formed: T = 10**6 once took time
+        # and memory growing with T**2 and printed a huge row count
+        message = "a tree with N=2 and T=1000000 has more nodes than numpy can index"
+        with pytest.raises(ValueError, match=message):
+            build_tree(2, 10**6)
+        with pytest.raises(ValueError, match=message):
+            ScenarioTree(2, 10**6, [[0.5, 0.5]])
+        # 2**63 - 1 nodes are the most an index reaches
+        assert tree_module._sizes(2, 62) == (2, 62)
+        with pytest.raises(ValueError, match="N=2 and T=63"):
+            tree_module._sizes(2, 63)
 
     def test_per_node_table(self):
         tree = build_tree(2, 2, [[0.3, 0.7], [0.4, 0.6], [0.9, 0.1]])

@@ -29,7 +29,9 @@ disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
 of a pass halted below the root), the linear documents of
 ``NEAR_SINGULAR_DOC`` and ``OVERFLOW_DOCS`` through ``oracle``, the
 nonlinear document of ``LADDER_OVERFLOW_DOC`` through ``solve`` and ``solve
---mode picard``, and each invalid document
+--mode picard``, each linear document of ``TOO_LARGE_DOCS`` through
+``solve``, which pins its exit 4 and its one line of standard error, and
+each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
 conditions, an overflowing sum included, and of an integer cell too large
@@ -129,6 +131,15 @@ OVERFLOW_DOCS = {
 LADDER_OVERFLOW_DOC = {"kind": "nonlinear", "tree": {"N": 2, "T": 1, "transition": "uniform"},
                        "x0": 1.0, "coefficients": {"b": "-y + 1.5e308", "sigma": ["-z1", "0"],
                                                    "f": "x", "h": "x"}}
+
+#: Linear documents whose trees have more nodes than numpy can index, one
+#: with a transition table (of one row) and one uniform; ``solve`` refuses
+#: each by its N and T alone.
+TOO_LARGE_DOCS = {
+    "table-transition linear N=2 T=20000":
+        {"kind": "linear", "tree": {"N": 2, "T": 20000, "transition": [[0.5, 0.5]]}, "x0": 1.0},
+    "uniform linear N=3 T=1000000": {"kind": "linear", "tree": {"N": 3, "T": 10**6}, "x0": 1.0},
+}
 
 #: Command lines with a usage error, ``FILE`` standing for a valid problem
 #: file: each exits 4 with argparse's usage text on standard error.
@@ -318,6 +329,10 @@ def outputs(seed):
         for command in (["solve"], ["solve", "--mode", "picard"]):
             yield (f"{' '.join(command)} ladder overflow nonlinear N=2 T=1",
                    *_run([command[0], str(path), *command[1:]]))
+        for k, (label, doc) in enumerate(TOO_LARGE_DOCS.items()):
+            path = Path(tmp) / f"too-large-{k}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            yield (f"solve too large: {label}", *_run(["solve", str(path)]))
         for k, (label, doc) in enumerate(_fault_documents()):
             path = Path(tmp) / f"fault-{k}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
