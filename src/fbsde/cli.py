@@ -92,19 +92,23 @@ def _build_parser():
         description="Scenario-tree solvers for coupled forward-backward difference systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = nonlinear.ContinuationOptions()
     for command, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if command == "demo":
             p.add_argument("name", choices=sorted(DEMOS))
         else:
             p.add_argument("file")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+        p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-10)")
-        p.add_argument("--delta", type=float, default=None, help="initial continuation step (default 0.25)")
-        p.add_argument("--max-iter", type=int, default=None, help="Picard budget per level (default 50)")
-        p.add_argument("--mode", choices=nonlinear.MODES, default=None)
-        p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
+        p.add_argument("--tol", type=float,
+                       help=f"solver tolerance (default {defaults.tolerance:g})")
+        p.add_argument("--delta", type=float,
+                       help=f"initial continuation step (default {defaults.delta:g})")
+        p.add_argument("--max-iter", type=int,
+                       help=f"Picard budget per level (default {defaults.max_iterations:g})")
+        p.add_argument("--mode", choices=nonlinear.MODES)
+        p.add_argument("--seed", type=int, help=f"sampling seed (default {defaults.seed:g})")
     return parser
 
 
@@ -172,15 +176,15 @@ def _no_solution(report, status, code, stats=None, **extra):
     return report, code
 
 
-def _iterative(report, tree, solver, *args, **kwargs):
-    """(report, exit code) of an iterative solver's run, which returns
-    (solution, stats) or stops with the stats of the work it did."""
+def _iterative(report, loaded: pio.LoadedProblem, solver):
+    """(report, exit code) of an iterative solver's run with the options,
+    which returns (solution, stats) or stops with the stats of its work."""
     try:
-        sol, stats = solver(*args, **kwargs)
+        sol, stats = solver(loaded.tree, loaded.data, loaded.x0, loaded.options)
     except SolverStopped as err:
         return _no_solution(report, "no_convergence", EXIT_NO_CONVERGENCE, err.stats,
                             error=str(err), best_residual=err.best_residual)
-    return _solved(report, tree, sol, sol.residuals, stats)
+    return _solved(report, loaded.tree, sol, sol.residuals, stats)
 
 
 def _solve_loaded(loaded: pio.LoadedProblem):
@@ -199,9 +203,9 @@ def _solve_loaded(loaded: pio.LoadedProblem):
             return _no_solution(report, "unsolvable", EXIT_UNSOLVABLE)
         return _solved(report, tree, result, result.residuals)
 
-    opts = loaded.options
-    solver = nonlinear.solve_flat_picard if opts.mode == "picard" else nonlinear.solve_continuation
-    return _iterative(report, tree, solver, tree, loaded.data, loaded.x0, opts)
+    picard = loaded.options.mode == "picard"
+    return _iterative(report, loaded,
+                      nonlinear.solve_flat_picard if picard else nonlinear.solve_continuation)
 
 
 def _oracle_loaded(loaded: pio.LoadedProblem):
@@ -220,8 +224,7 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
             return _no_solution(report, "no_solution", EXIT_UNSOLVABLE, rank=rank)
         rank["nullity"] = verdict.nullity
         return _no_solution(report, "infinitely_many", EXIT_UNSOLVABLE, rank=rank)
-    return _iterative(report, tree, oracle.solve_oracle, tree, loaded.data, loaded.x0,
-                      tolerance=loaded.options.tolerance, seed=loaded.options.seed)
+    return _iterative(report, loaded, oracle.solve_oracle)
 
 
 def _check_loaded(loaded: pio.LoadedProblem):
@@ -236,9 +239,7 @@ def _check_loaded(loaded: pio.LoadedProblem):
     if loaded.kind == "bsde":
         report["status"] = "satisfied"
         return report, EXIT_SOLVED
-    diag = nonlinear.check_assumptions(
-        tree, loaded.data, sample_count=200, rng_seed=loaded.options.seed
-    )
+    diag = nonlinear.check_assumptions(tree, loaded.data, loaded.options)
     # each clause's estimate under its field name, in field order
     report["diagnostics"] = {
         **{clause: None if est is None else est.value for clause, est in vars(diag).items()

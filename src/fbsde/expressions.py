@@ -9,11 +9,12 @@ Grammar (highest precedence first):
     primary :=  NUMBER | VARIABLE | FUNC '(' expr {',' expr} ')' | '(' expr ')'
 
 Variables are t, x, y, w and z1, z2, ... (contraction components); functions
-are sin, cos, exp, tanh, abs (one argument) and min, max (two).  Errors
-carry the character offset into the source string.  ``evaluate`` takes one
-node's floats or a whole level of nodes as arrays, and chooses how to
-evaluate a level: node by node on small levels, by array operations on
-large ones, with the same bits and errors either way.
+are sin, cos, exp, tanh, abs (one argument) and min, max (two); nesting
+or chaining deeper than ``MAX_DEPTH`` is a syntax error.  Errors carry the
+character offset into the source string.  ``evaluate`` takes one node's
+floats or a whole level of nodes as arrays, and chooses how to evaluate a
+level: node by node on small levels, by array operations on large ones,
+with the same bits and errors either way.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ FUNCTIONS = {
 #: nodes (the benchmark's coefficients, one core of a shared 2-core x86_64),
 #: and the loop's first call also compiles it (0.2-0.4 ms).
 ARRAY_FORM_MIN = 96
+
+#: Most operands open at once (parentheses, calls, minus signs, exponents)
+#: and most node levels (a sum of k terms has k): parsing recurses 5 frames
+#: a parenthesis, compiling and the array form 1 a level, well inside 1000.
+MAX_DEPTH = 100
 
 _VARIABLE = re.compile(r"^(t|x|y|w|z[1-9][0-9]*)$")
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
@@ -352,6 +358,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.open = 0
         self.variables = set()
 
     def peek(self):
@@ -373,7 +380,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             raise ExpressionSyntaxError(f"unexpected {tok.text!r}", tok.position)
-        return root
+        level = [root]
+        for _ in range(MAX_DEPTH):  # after round k, the nodes at depth k + 1
+            level = [child for node in level for child in (
+                (node.left, node.right) if isinstance(node, Binary) else
+                (node.operand,) if isinstance(node, Unary) else getattr(node, "args", ()))]
+            if not level:
+                return root
+        raise ExpressionSyntaxError(f"chained deeper than {MAX_DEPTH}", level[0].position)
 
     def expr(self):
         node = self.term()
@@ -391,10 +405,14 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
+        self.open += 1  # every nested operand passes here
+        if self.open > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"nested deeper than {MAX_DEPTH}", tok.position)
         if tok.kind == "-":
             self.advance()
-            return Unary(self.unary(), tok.position)
-        return self.power()
+        node = Unary(self.unary(), tok.position) if tok.kind == "-" else self.power()
+        self.open -= 1
+        return node
 
     def power(self):
         node = self.primary()

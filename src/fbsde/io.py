@@ -53,9 +53,11 @@ def _require(doc, field, path):
 
 
 def _bind_expression(source, allowed, path):
+    if not isinstance(source, str):
+        raise SchemaError(path, f"expected an expression string, got {type(source).__name__}")
     try:
         expr = parse_expression(source)
-    except Exception as err:
+    except ExpressionError as err:
         raise SchemaError(path, f"bad expression: {err}") from err
     extra = expr.variables - allowed
     if extra:
@@ -398,18 +400,10 @@ def certificate_payload(tree, riccati) -> dict:
     cert = riccati.certificate
     return {
         "all_invertible": bool(cert.all_invertible),
-        "singular_nodes": [
-            {"t": n.depth, "path": list(n.path)} for n in cert.singular_nodes
-        ],
+        "singular_nodes": [{"t": n.depth, "path": list(n.path)} for n in cert.singular_nodes],
         "min_ratio": float(cert.min_ratio),
-        "P_levels": [
-            None if lev is None else np.asarray(lev).tolist()
-            for lev in riccati.P_levels[1:]
-        ],
-        "p_levels": [
-            None if lev is None else np.asarray(lev).tolist()
-            for lev in riccati.p_levels[1:]
-        ],
+        **{name: [None if lev is None else np.asarray(lev).tolist()
+                  for lev in getattr(riccati, name)[1:]] for name in ("P_levels", "p_levels")},
     }
 
 

@@ -301,21 +301,6 @@ class RiccatiData(_SlopePass):
     p_levels: tuple
     w_levels: tuple
 
-    @property
-    def complete(self):
-        return self.certificate.all_invertible
-
-    def P(self, tree):
-        """P as an adapted process over 1..T (requires a complete recursion)."""
-        if not self.complete:
-            raise SingularCertificate("recursion halted at a singular level")
-        return AdaptedProcess(tree, 1, list(self.P_levels[1:]))
-
-    def p(self, tree):
-        if not self.complete:
-            raise SingularCertificate("recursion halted at a singular level")
-        return AdaptedProcess(tree, 1, list(self.p_levels[1:]))
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -637,7 +622,7 @@ def decoupling_coefficients(tree, coeffs, riccati):
     P X_child + p over the child closures X_child = v X + w.
     """
     _check_tree(tree, coeffs)
-    if not riccati.complete:
+    if not riccati.certificate.all_invertible:
         raise SingularCertificate(
             f"singular nodes: {riccati.certificate.singular_nodes}"
         )

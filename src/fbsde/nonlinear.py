@@ -535,13 +535,13 @@ def _extreme(values, valid, witness, lowest=False):
     return ClauseEstimate(float(values[k]), witness(k))
 
 
-def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
+def check_assumptions(tree, problem, opts=None, *, sample_count=200):
     """Estimate the Lipschitz and monotonicity clauses on random samples.
 
     Pairs mix independent draws with single-coordinate probes so sharp
     directional constants are actually seen; the time-0 clause pairs share
     the x component, matching the pinned initial state.  The K samples are
-    drawn in blocks from ``np.random.default_rng(rng_seed)``, in an order
+    drawn in blocks from ``np.random.default_rng(opts.seed)``, in an order
     that defines the stream: ``lam`` and ``lam2``, (K, N+1) uniform(-2, 2)
     rows (x, y, z_tilde); for odd k, a coordinate (``integers(0, N+1)``)
     and a bump (uniform(0.1, 1.0)), and ``lam2[k]`` is ``lam[k]`` raised
@@ -554,7 +554,7 @@ def check_assumptions(tree, problem, sample_count=200, rng_seed=0):
     """
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng((opts or ContinuationOptions()).seed)
     N, T, K = tree.N, tree.T, sample_count
     lam, lam2 = rng.uniform(-2, 2, (K, N + 1)), rng.uniform(-2, 2, (K, N + 1))
     odd = np.arange(1, K, 2)

@@ -29,7 +29,7 @@ from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, NonFi
 from .linear import (SINGULAR_RATIO, FbsdeSolution, LinearCoefficients, _check_tree,
                      linear_residuals)
 from .martingale import _canonical_rows, forward_defect, tilde_contract
-from .nonlinear import LevelRecord, SolveStats, _finish, _Iterate
+from .nonlinear import ContinuationOptions, LevelRecord, SolveStats, _finish, _Iterate
 from .tree import AdaptedProcess, ScenarioTree, _level
 
 #: Inconsistency threshold for classifying rank-deficient systems.
@@ -304,18 +304,18 @@ def _newton_residual(tree, problem, x0, stats):
     return residual
 
 
-def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None):
+def solve_oracle(tree, problem, x0, opts=None, initial_guess=None):
     """Ground-truth nonlinear solve: damped Newton on the forward unknowns.
 
     ``problem`` is a NonlinearProblem; Y and Z are recomputed exactly from
     each X trial, so the only unknowns are the X values at depths 1..T.
     Tries the flat start X = x0 and randomized perturbations drawn from
-    ``seed``, and returns (solution, stats) from the first start to reach
-    ``tolerance``.  The stats hold one level-1.0 record per start tried,
-    the residual norms after its steps, and count each residual sweep.
-    Raises NoConvergence with the best iterate and the stats if no start
-    reaches it, or the first start's ExpressionDomainError if no start can
-    be evaluated.
+    ``opts.seed``, and returns (solution, stats) from the first start to
+    reach ``opts.tolerance`` (the only ContinuationOptions it reads).  The
+    stats hold one level-1.0 record per start tried, the residual norms
+    after its steps, and count each residual sweep.  Raises NoConvergence
+    with the best iterate and the stats if no start reaches it, or the
+    first start's ExpressionDomainError if no start can be evaluated.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
@@ -324,9 +324,10 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
         raise ProblemTooLarge(f"{m} unknowns exceed the Newton oracle's limit of "
                               f"{MAX_NEWTON_UNKNOWNS}")
 
+    opts = opts or ContinuationOptions()
     stats = SolveStats()
     residual = _newton_residual(tree, problem, x0, stats)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(opts.seed)
     starts = []
     if initial_guess is not None:
         guess = np.asarray(initial_guess, dtype=float)
@@ -342,11 +343,11 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     for start in starts:
         stats.records.append(LevelRecord(alpha=1.0, norms=[], converged=False))
         try:
-            x, res = _newton(residual, start, tolerance, stats.records[-1].norms)
+            x, res = _newton(residual, start, opts.tolerance, stats.records[-1].norms)
         except ExpressionDomainError as err:
             fault = fault or err
             continue
-        if res <= tolerance:
+        if res <= opts.tolerance:
             X = np.concatenate([[float(x0)], x])[:, None]
             Y, Z = backward_given_forward(tree, problem, X)
             stats.records[-1].converged = True
@@ -356,7 +357,7 @@ def solve_oracle(tree, problem, x0, tolerance=1e-10, seed=0, initial_guess=None)
     if best_x is None and fault is not None:  # the coefficient fails, not the search
         raise fault
     raise NoConvergence(
-        f"no start reached tolerance {tolerance:g}; best residual {best_res:.3e}",
+        f"no start reached tolerance {opts.tolerance:g}; best residual {best_res:.3e}",
         best_residual=None if best_x is None else float(best_res),
         best_iterate=best_x,
         stats=stats,

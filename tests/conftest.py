@@ -121,3 +121,12 @@ def replace_fields(coeffs, **fields):
 
 def uniform_tree(N, T):
     return build_tree(N, T, "uniform")
+
+
+#: A nonlinear file on the uniform binary tree of depth 3 whose drift y and
+#: generator -x violate the interior and the time-0 monotonicity clauses,
+#: while the horizon generator x and the terminal map x satisfy theirs.
+INCREASING_DOC = {
+    "kind": "nonlinear", "tree": {"N": 2, "T": 3, "transition": "uniform"}, "x0": 1.0,
+    "coefficients": {"b": "y", "sigma": ["-z1", "0"], "f": "-x", "f_terminal": "x", "h": "x"},
+}

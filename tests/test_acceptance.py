@@ -273,7 +273,7 @@ def solved_demo_family():
     start = time.monotonic()
     results = []
     for tree, problem, x0 in _demo_instances():
-        report = check_assumptions(tree, problem, sample_count=120, rng_seed=0)
+        report = check_assumptions(tree, problem, sample_count=120)
         assert report.satisfied
         sol, stats = solve_continuation(tree, problem, x0)
         results.append((tree, problem, x0, sol, stats))

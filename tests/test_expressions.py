@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fbsde import parse_expression
-from fbsde.expressions import FUNCTIONS, Binary, Call, Num, Unary, Var
+from fbsde.expressions import ARRAY_FORM_MIN, FUNCTIONS, MAX_DEPTH, Binary, Call, Num, Unary, Var
 from fbsde.errors import (
     ArityError,
     ExpressionDomainError,
@@ -109,6 +109,23 @@ class TestPositionedErrors:
         with pytest.raises(UnknownIdentifier) as info:
             expr.evaluate({"x": 1.0})
         assert info.value.position == 4
+
+    @pytest.mark.parametrize("source, message, position", [
+        # a chain is refused at the leftmost node one level past the bound:
+        # operator k - MAX_DEPTH - 1 of k terms, at offset 2j - 1 for the j-th
+        ("+".join(["x"] * 5000), "chained", 2 * (5000 - MAX_DEPTH - 1) - 1),
+        ("*".join(["y"] * 5000), "chained", 2 * (5000 - MAX_DEPTH - 1) - 1),
+        ("-".join(["x"] * (MAX_DEPTH + 1)), "chained", 0),
+        # nesting is refused at the first operand past the bound
+        ("(" * 5000 + "x" + ")" * 5000, "nested", MAX_DEPTH),
+        ("-" * 5000 + "x", "nested", MAX_DEPTH),
+        ("^".join(["x"] * 5000), "nested", 2 * MAX_DEPTH),
+        ("abs(" * 5000 + "x" + ")" * 5000, "nested", 4 * MAX_DEPTH),
+    ], ids=["sum", "product", "one-past", "parentheses", "minus", "power", "calls"])
+    def test_too_deep_an_expression_is_a_positioned_syntax_error(self, source, message, position):
+        with pytest.raises(ExpressionSyntaxError,
+                           match=f"^{message} deeper than {MAX_DEPTH} \\(offset {position}\\)$"):
+            parse_expression(source)
 
 
 class TestDomainErrors:
@@ -273,12 +290,29 @@ def test_compiled_evaluate_matches_the_interpreter():
     "1e999", "-1e999", "x", "-x", "1e999 - 1e999", "min(0, -0)", "min(-0, 0)", "max(0, -0)",
     "max(-0, 0)", "x/-0", "1/(x - x)", "1e300*1e300", "exp(1e300)", "sin(1e999)", "0^-1",
     "(-8)^(1/3)", "1e300^2", "abs(-0)", "min(x, y) + max(y, x)", "tanh(x)*x/y - x^y",
+    "min(1e999*abs(x), 1)",
+    # as deep as the parser allows
+    pytest.param("+".join(["x"] * 100), id="sum-100"),
+    pytest.param("*".join(["y"] * MAX_DEPTH), id="product-at-bound"),
+    pytest.param("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), id="parentheses-at-bound"),
+    pytest.param("-" * (MAX_DEPTH - 1) + "x", id="minus-at-bound"),
 ])
 def test_compiled_evaluate_matches_the_interpreter_on_edge_cases(source):
     expr = parse_expression(source)
     for x, y in [(0.0, -0.0), (-0.0, 0.0), (1e300, -1e300), (2.0, 2.0), (-2.0, 0.5)]:
         env = {"x": x, "y": y}
         assert outcome(expr.evaluate, env) == outcome(lambda e: reference_evaluate(expr.root, e), env)
+    # a level large enough for the array form, with no zero x: a constant
+    # that parses to inf must still fail where the node loop fails
+    xs, ys = np.linspace(0.5, 2.0, ARRAY_FORM_MIN), np.linspace(-2.0, 1.0, ARRAY_FORM_MIN)
+    want = [outcome(lambda e: reference_evaluate(expr.root, e), {"x": x, "y": y})
+            for x, y in zip(xs.tolist(), ys.tolist())]
+    try:
+        got = [struct.pack("<d", v) for v in expr.evaluate({"x": xs, "y": ys}).tolist()]
+    except ExpressionError as err:
+        got = err.node, (type(err), str(err), err.position)
+        want = next(((k, w) for k, w in enumerate(want) if not isinstance(w, bytes)), None)
+    assert got == want
 
 
 def test_errors_come_in_evaluation_order():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import INCREASING_DOC
 from fbsde import (
     AssumptionViolation,
     Expression,
@@ -417,6 +419,15 @@ BAD_DOCUMENTS = {
                            "unknown fields ['g']"),
     "bsde-terminal-length": (BSDE_DOC | {"terminal": [1.0, 2.0, 3.0]}, "terminal",
                              "expected 2 leaf values"),
+    # a source that is not a string is refused by its type, not by the tokenizer
+    "nonlinear-numeric-b": (
+        NONLINEAR_DOC | {"coefficients": NONLINEAR_DOC["coefficients"] | {"b": 1.5}},
+        "coefficients.b", "expected an expression string, got float"),
+    "nonlinear-sigma-list": (
+        NONLINEAR_DOC | {"coefficients": NONLINEAR_DOC["coefficients"] | {"sigma": [["-z1"], "0"]}},
+        "coefficients.sigma[0]", "expected an expression string, got list"),
+    "bsde-deep-product": (BSDE_DOC | {"coefficients": {"f": "*".join(["y"] * 1000)}},
+                          "coefficients.f", "bad expression: chained deeper than"),
 }
 MALFORMED = {
     "x0-string": ("solve", LINEAR_DOC | {"x0": "abc"}, []),
@@ -463,6 +474,29 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+#: Drift sources deeper than the parser's bound, which every command
+#: refuses while binding the file.
+DEEP_SOURCES = {
+    "sum": "+".join(["x"] * 5000),
+    "parentheses": "(" * 5000 + "x" + ")" * 5000,
+    "minus": "-" * 5000 + "x",
+    "product": "*".join(["x"] * 5000),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check"])
+@pytest.mark.parametrize("source", DEEP_SOURCES.values(), ids=DEEP_SOURCES.keys())
+def test_too_deep_an_expression_is_one_line_of_input_error(tmp_path, capsys, command, source):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(
+        NONLINEAR_DOC | {"coefficients": NONLINEAR_DOC["coefficients"] | {"b": source}}))
+    assert run_cli([command, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: coefficients\.b: bad expression: (chained|nested) deeper than "
+                        r"\d+ \(offset \d+\)\n", captured.err)
 
 
 @pytest.mark.parametrize("tree, field", BAD_TREES.values(), ids=BAD_TREES.keys())
@@ -900,6 +934,12 @@ class TestCli:
         assert report["status"] == "violated"
         assert "terminal map monotonicity" in report["diagnostics"]["violations"]
 
+        path.write_text(json.dumps(INCREASING_DOC))
+        assert run_cli(["check", str(path)]) == 2
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["violations"] == ["interior monotonicity", "time-0 monotonicity"]
+        assert diagnostics["monotone_interior"] == diagnostics["monotone_initial"] == 1.0
+
     def test_check_on_a_bsde_document_is_satisfied(self, tmp_path, capsys):
         path = tmp_path / "bsde.json"
         path.write_text(json.dumps(BSDE_DOC))
@@ -915,8 +955,8 @@ class TestCli:
         loaded = bind_problem(NONLINEAR_DOC)
 
         def estimates(seed):
-            diag = fbsde.check_assumptions(loaded.tree, loaded.data, sample_count=200,
-                                           rng_seed=seed)
+            diag = fbsde.check_assumptions(loaded.tree, loaded.data,
+                                           fbsde.ContinuationOptions(seed=seed))
             return {clause: None if est is None else est.value
                     for clause, est in vars(diag).items()
                     if clause not in ("satisfied", "violations")}

@@ -197,11 +197,11 @@ class TestWholeTreeTables:
             assert_same_bytes(slopes.v_levels, vs)
             assert_same_bytes(slopes.certificate.ratios, ratios)
             if halted:
-                assert not ric.complete
+                assert not ric.certificate.all_invertible
                 assert slopes.certificate.singular_nodes[0] == tree.node_id(s, 0)
                 assert slopes.gamma_levels[s] is not None and vs[s] is None
             else:
-                assert ric.complete
+                assert ric.certificate.all_invertible
                 slope, offset = decoupling_coefficients(tree, coeffs, ric)
                 slope_ref, offset_ref = reference_decoupling(tree, coeffs, ric)
                 assert_same_bytes([*slope.levels, *offset.levels], slope_ref + offset_ref)
@@ -256,18 +256,18 @@ class TestRiccati:
         assert ric.gamma_levels[0] is None
         assert ric.P_levels[1] is None
 
-    def test_levels_exposed_as_adapted_processes(self):
+    def test_levels_are_indexed_by_absolute_time(self):
         tree = uniform_tree(2, 2)
         ric = riccati_backward(tree, special_coefficients(tree))
-        P = ric.P(tree)
-        assert P.start == 1 and P.end == 2
-        np.testing.assert_allclose(P.level(1), 5.0 / 3.0, atol=TOL)
-        np.testing.assert_allclose(ric.p(tree).level(2), 0.0, atol=TOL)
-        halted = riccati_backward(
-            tree, LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
-        )
+        assert len(ric.P_levels) == len(ric.p_levels) == 3
+        assert ric.P_levels[0] is None and ric.p_levels[0] is None
+        np.testing.assert_allclose(ric.P_levels[1], 5.0 / 3.0, atol=TOL)
+        np.testing.assert_allclose(ric.p_levels[2], 0.0, atol=TOL)
+        coeffs = LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
+        halted = riccati_backward(tree, coeffs)
+        assert halted.P_levels[1] is None and halted.p_levels[1] is None
         with pytest.raises(SingularCertificate):
-            halted.P(tree)
+            decoupling_coefficients(tree, coeffs, halted)
 
     def test_gamma_recomputable_from_P(self):
         rng = np.random.default_rng(2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_linear_coeffs, random_tree, uniform_tree
+from conftest import INCREASING_DOC, random_linear_coeffs, random_tree, uniform_tree
 from fbsde import (
     AlphaOutOfRange,
     ContinuationOptions,
@@ -185,7 +185,7 @@ class TestSolveContinuation:
         for N, T in ((2, 3), (3, 2)):
             tree = random_tree(rng, N, T)
             problem = z_coupled(tree)
-            assert check_assumptions(tree, problem, 300, 0).satisfied
+            assert check_assumptions(tree, problem, sample_count=300).satisfied
             sol, _ = solve_continuation(tree, problem, 1.2)
             assert max(sol.residuals.forward, sol.residuals.backward) <= TOL
             oracle_sol, _ = solve_oracle(tree, problem, 1.2)
@@ -339,7 +339,7 @@ class TestCheckAssumptions:
 
     def test_linear_special_satisfied(self):
         tree = uniform_tree(2, 2)
-        report = check_assumptions(tree, linear_special_problem(tree), 300, 0)
+        report = check_assumptions(tree, linear_special_problem(tree), sample_count=300)
         assert report.satisfied
         assert report.lipschitz.value <= 1.0 + 1e-9
         assert report.monotone_interior.value < 0.0
@@ -354,12 +354,22 @@ class TestCheckAssumptions:
         problem = NonlinearProblem(
             base.drift, base.diffusion, base.generator, lambda nodes, x: -x
         )
-        report = check_assumptions(tree, problem, 200, 0)
+        report = check_assumptions(tree, problem)
         assert not report.satisfied
         assert report.monotone_terminal.value == pytest.approx(-1.0, abs=1e-12)
         assert any(name == "terminal map monotonicity" for name, _ in report.violations)
         _, witness = report.violations[-1]
         assert witness.witness  # the offending sample pair is reported
+
+    def test_increasing_drift_and_generator_violate_interior_and_time_0(self):
+        # drift y and generator -x turn both one-sided clauses positive
+        loaded = bind_problem(INCREASING_DOC)
+        report = check_assumptions(loaded.tree, loaded.data)
+        assert [name for name, _ in report.violations] == [
+            "interior monotonicity", "time-0 monotonicity"]
+        assert report.monotone_interior.value == report.monotone_initial.value == 1.0
+        assert report.monotone_interior.witness[0] in (1, 2)
+        assert report.monotone_initial.witness[:2] == (0, 0)
 
     def test_steep_generator_shows_in_lipschitz_estimate(self):
         tree = uniform_tree(2, 3)
@@ -370,14 +380,14 @@ class TestCheckAssumptions:
             lambda t, nodes, x, y, zt: 10.0 * x,
             base.terminal,
         )
-        report = check_assumptions(tree, problem, 400, 1)
+        report = check_assumptions(tree, problem, ContinuationOptions(seed=1), sample_count=400)
         assert report.lipschitz.value >= 10.0 - 1e-6
 
     def test_demo_family_passes(self):
         rng = np.random.default_rng(5)
         for N, T in ((2, 3), (3, 2), (2, 1)):
             tree = random_tree(rng, N, T)
-            report = check_assumptions(tree, demo_monotone_problem(tree, 0.2), 200, 0)
+            report = check_assumptions(tree, demo_monotone_problem(tree, 0.2))
             assert report.satisfied
 
 
@@ -445,11 +455,11 @@ CHECK_INSTANCES = list(check_instances())
                          ids=[name for name, *_ in CHECK_INSTANCES])
 def test_check_assumptions_is_blind_to_call_batching(name, problem, tree):
     # one level call per depth gives the report bits of one-node calls
-    for seed in (0, 1):
-        whole = check_assumptions(tree, counted(problem, []), 200, seed)
-        per_node = check_assumptions(tree, counted(problem, [], split=True), 200, seed)
+    for opts in (ContinuationOptions(seed=0), ContinuationOptions(seed=1)):
+        whole = check_assumptions(tree, counted(problem, []), opts)
+        per_node = check_assumptions(tree, counted(problem, [], split=True), opts)
         assert report_bits(whole) == report_bits(per_node)
-        assert report_bits(whole) == report_bits(check_assumptions(tree, problem, 200, seed))
+        assert report_bits(whole) == report_bits(check_assumptions(tree, problem, opts))
 
 
 #: (value, (t, node) of the witness) of some clauses of ``row_coupled_file``,
@@ -469,7 +479,7 @@ ROW_COUPLED_ESTIMATES = {
 @pytest.mark.parametrize("seed", sorted(ROW_COUPLED_ESTIMATES))
 def test_check_assumptions_keeps_its_estimates(seed):
     problem, tree = row_coupled_file()
-    report = check_assumptions(tree, problem, 200, seed)
+    report = check_assumptions(tree, problem, ContinuationOptions(seed=seed))
     assert report.satisfied
     for clause, (value, where) in ROW_COUPLED_ESTIMATES[seed].items():
         estimate = getattr(report, clause)
@@ -481,7 +491,7 @@ def test_check_assumptions_keeps_its_estimates(seed):
 def test_check_assumptions_calls_each_coefficient_once_per_depth(N, T):
     tree = uniform_tree(N, T)
     calls = []
-    check_assumptions(tree, counted(demo_monotone_problem(tree, 0.2), calls), 200, 0)
+    check_assumptions(tree, counted(demo_monotone_problem(tree, 0.2), calls))
     assert len(calls) <= 6 * (T - 1) + 8
     # interior depths: generator, drift, diffusion; time 0: drift, diffusion;
     # the horizon generator; the terminal map
@@ -490,12 +500,12 @@ def test_check_assumptions_calls_each_coefficient_once_per_depth(N, T):
 
 
 @np.errstate(all="ignore")  # numpy rows of a non-finite sample warn; Python floats do not
-def per_sample_check_assumptions(tree, problem, sample_count=200, rng_seed=0):
+def per_sample_check_assumptions(tree, problem, sample_count=200, seed=0):
     """The AssumptionReport reduced sample by sample in Python floats, as
     ``check_assumptions`` did before each clause became one array over the
     samples: the same draws and coefficient calls, then a loop that keeps
     the first strictly larger (terminal map: smaller) value of each clause."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     N, T, K = tree.N, tree.T, sample_count
     lam, lam2 = rng.uniform(-2, 2, (K, N + 1)), rng.uniform(-2, 2, (K, N + 1))
     odd = np.arange(1, K, 2)
@@ -648,7 +658,8 @@ REFERENCE_INSTANCES = list(reference_instances())
 def test_check_assumptions_matches_the_per_sample_loop(name, problem, tree):
     for count in (2, 3, 501, 200):
         for seed in (0, 1):
-            report = check_assumptions(tree, problem, count, seed)
+            report = check_assumptions(tree, problem, ContinuationOptions(seed=seed),
+                                       sample_count=count)
             assert report_bits(report) == report_bits(
                 per_sample_check_assumptions(tree, problem, count, seed))
             values = [getattr(report, f.name).value for f in dataclasses.fields(report)

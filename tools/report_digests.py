@@ -30,8 +30,9 @@ of a pass halted below the root), the linear documents of
 ``NEAR_SINGULAR_DOC`` and ``OVERFLOW_DOCS`` through ``oracle``, the
 nonlinear document of ``LADDER_OVERFLOW_DOC`` through ``solve`` and ``solve
 --mode picard``, each linear document of ``TOO_LARGE_DOCS`` through
-``solve``, which pins its exit 4 and its one line of standard error, and
-each invalid document
+``solve``, which pins its exit 4 and its one line of standard error,
+each drift source of ``REFUSED_SOURCES`` through ``solve``, ``oracle``
+and ``check``, which pin the same, and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
 conditions, an overflowing sum included, and of an integer cell too large
@@ -70,6 +71,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -140,6 +142,16 @@ TOO_LARGE_DOCS = {
         {"kind": "linear", "tree": {"N": 2, "T": 20000, "transition": [[0.5, 0.5]]}, "x0": 1.0},
     "uniform linear N=3 T=1000000": {"kind": "linear", "tree": {"N": 3, "T": 10**6}, "x0": 1.0},
 }
+
+#: A nonlinear document on the uniform binary tree of depth 1, and drift
+#: sources its loader refuses: chained or nested past the expression
+#: parser's depth bound, or not a string.  ``solve``, ``oracle`` and
+#: ``check`` each exit 4 with one line naming ``coefficients.b``.
+REFUSED_BASE = {"kind": "nonlinear", "tree": {"N": 2, "T": 1, "transition": "uniform"},
+                "x0": 1.0, "coefficients": {"b": "x", "sigma": ["-z1", "0"], "f": "x", "h": "x"}}
+REFUSED_SOURCES = {"5000-term sum": "+".join(["x"] * 5000),
+                   "5000 nested parentheses": "(" * 5000 + "x" + ")" * 5000,
+                   "a number": 1.5}
 
 #: Command lines with a usage error, ``FILE`` standing for a valid problem
 #: file: each exits 4 with argparse's usage text on standard error.
@@ -274,81 +286,74 @@ def outputs(seed):
         yield (f"demo monotone-family {' '.join(flags)}", *_run(["demo", "monotone-family", *flags]))
     workloads = _load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(demos):
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(demos[name]), encoding="utf-8")
-            for command in ("oracle", "check"):
-                yield (f"{command} demo {name}", *_run([command, str(path)]))
-        for usage in USAGE_ERRORS:
-            argv = [str(Path(tmp) / "corollary-special.json") if a == "FILE" else a for a in usage]
-            yield (f"usage error: {' '.join(usage) or 'no arguments'}", *_run(argv))
-        def monotone_doc(name, N, T, **coefficients):
-            """The ``monotone-family`` document on an N-ary tree of depth T,
-            with the demo's diffusion rows -(z_tilde, 0), written as ``name``."""
-            doc = dict(demos["monotone-family"], tree={"N": N, "T": T, "transition": "uniform"})
-            doc["coefficients"] = dict(doc["coefficients"], **coefficients,
-                                       sigma=[f"-z{i}" for i in range(1, N)] + ["0"])
-            path = Path(tmp) / f"{name}.json"
+        names = itertools.count()
+
+        def written(doc):
+            """``doc`` as a JSON file of its own in the temporary directory."""
+            path = Path(tmp) / f"doc-{next(names)}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             return path
 
+        def run_on(doc, subject, *commands):
+            """One output per command, a tuple of its words (the command,
+            then flags), run on ``doc`` and labelled by its words and
+            ``subject``."""
+            path = written(doc)
+            for command in commands:
+                yield (f"{' '.join(command)} {subject}",
+                       *_run([command[0], str(path), *command[1:]]))
+
+        for name in sorted(demos):
+            yield from run_on(demos[name], f"demo {name}", ("oracle",), ("check",))
+        file = str(written(demos["corollary-special"]))
+        for usage in USAGE_ERRORS:
+            argv = [file if a == "FILE" else a for a in usage]
+            yield (f"usage error: {' '.join(usage) or 'no arguments'}", *_run(argv))
+
+        def monotone_doc(N, T, **coefficients):
+            """The ``monotone-family`` document on an N-ary tree of depth T,
+            with the demo's diffusion rows -(z_tilde, 0)."""
+            doc = dict(demos["monotone-family"], tree={"N": N, "T": T, "transition": "uniform"})
+            doc["coefficients"] = dict(doc["coefficients"], **coefficients,
+                                       sigma=[f"-z{i}" for i in range(1, N)] + ["0"])
+            return doc
+
         for N, T in ORACLE_SIZES:
-            path = monotone_doc(f"monotone-family-{N}-{T}", N, T)
-            yield (f"oracle demo monotone-family N={N} T={T}", *_run(["oracle", str(path)]))
+            yield from run_on(monotone_doc(N, T), f"demo monotone-family N={N} T={T}", ("oracle",))
         N, T, tol = ORACLE_STOP
-        path = monotone_doc(f"monotone-family-{N}-{T}", N, T)
+        path = written(monotone_doc(N, T))
         yield (f"oracle demo monotone-family N={N} T={T} --tol {tol}",
                *_run(["oracle", str(path), "--tol", tol]))
         for N, T in CHECK_SIZES:
-            path = monotone_doc(f"violated-{N}-{T}", N, T, h="-x")
-            yield (f"check demo monotone-family h=-x N={N} T={T}", *_run(["check", str(path)]))
-        seeded = Path(tmp) / "monotone-family-seeded.json"
-        seeded.write_text(json.dumps(dict(demos["monotone-family"], options={"seed": SEED_OPTION})),
-                          encoding="utf-8")
+            yield from run_on(monotone_doc(N, T, h="-x"),
+                              f"demo monotone-family h=-x N={N} T={T}", ("check",))
+        plain = written(demos["monotone-family"])
+        seeded = written(dict(demos["monotone-family"], options={"seed": SEED_OPTION}))
         for command in ("check", "oracle"):
-            path = Path(tmp) / "monotone-family.json"
             yield (f"{command} demo monotone-family --seed {SEED_OPTION}",
-                   *_run([command, str(path), "--seed", str(SEED_OPTION)]))
+                   *_run([command, str(plain), "--seed", str(SEED_OPTION)]))
             yield (f"{command} demo monotone-family options.seed {SEED_OPTION}",
                    *_run([command, str(seeded)]))
         N, T, index = SINGULAR_DOC
-        doc = workloads.linear_doc(random.Random(seed), N, T, index)
-        path = Path(tmp) / f"singular-linear-{N}-{T}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        for command in ("solve", "oracle", "check"):
-            yield (f"{command} singular linear N={N} T={T}", *_run([command, str(path)]))
-        path = Path(tmp) / "near-singular-linear.json"
-        path.write_text(json.dumps(NEAR_SINGULAR_DOC), encoding="utf-8")
-        yield ("oracle near-singular linear N=2 T=2", *_run(["oracle", str(path)]))
+        yield from run_on(workloads.linear_doc(random.Random(seed), N, T, index),
+                          f"singular linear N={N} T={T}", ("solve",), ("oracle",), ("check",))
+        yield from run_on(NEAR_SINGULAR_DOC, "near-singular linear N=2 T=2", ("oracle",))
         for label, doc in OVERFLOW_DOCS.items():
-            path = Path(tmp) / f"{label.replace(' ', '-')}-linear.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            yield (f"oracle {label} linear N=2 T=2", *_run(["oracle", str(path)]))
-        path = Path(tmp) / "ladder-overflow.json"
-        path.write_text(json.dumps(LADDER_OVERFLOW_DOC), encoding="utf-8")
-        for command in (["solve"], ["solve", "--mode", "picard"]):
-            yield (f"{' '.join(command)} ladder overflow nonlinear N=2 T=1",
-                   *_run([command[0], str(path), *command[1:]]))
-        for k, (label, doc) in enumerate(TOO_LARGE_DOCS.items()):
-            path = Path(tmp) / f"too-large-{k}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            yield (f"solve too large: {label}", *_run(["solve", str(path)]))
-        for k, (label, doc) in enumerate(_fault_documents()):
-            path = Path(tmp) / f"fault-{k}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            yield (f"solve fault: {label}", *_run(["solve", str(path)]))
-        path = Path(tmp) / "drift-fault.json"
-        path.write_text(json.dumps(DRIFT_FAULT), encoding="utf-8")
-        for command in (["solve"], ["solve", "--mode", "picard"], ["oracle"], ["check"]):
-            yield (f"{' '.join(command)} expression fault: drift at t=1",
-                   *_run([command[0], str(path), *command[1:]]))
-        path = Path(tmp) / "generator-fault.json"
-        path.write_text(json.dumps(GENERATOR_FAULT), encoding="utf-8")
-        yield ("solve expression fault: bsde generator at t=5", *_run(["solve", str(path)]))
+            yield from run_on(doc, f"{label} linear N=2 T=2", ("oracle",))
+        yield from run_on(LADDER_OVERFLOW_DOC, "ladder overflow nonlinear N=2 T=1",
+                          ("solve",), ("solve", "--mode", "picard"))
+        for label, doc in TOO_LARGE_DOCS.items():
+            yield from run_on(doc, f"too large: {label}", ("solve",))
+        for label, doc in _fault_documents():
+            yield from run_on(doc, f"fault: {label}", ("solve",))
+        yield from run_on(DRIFT_FAULT, "expression fault: drift at t=1", ("solve",),
+                          ("solve", "--mode", "picard"), ("oracle",), ("check",))
+        yield from run_on(GENERATOR_FAULT, "expression fault: bsde generator at t=5", ("solve",))
         for name, doc in HORIZON_DOCS.items():
-            path = Path(tmp) / f"horizon-{name.replace(' ', '-')}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            yield (f"solve bsde horizon: {name}", *_run(["solve", str(path)]))
+            yield from run_on(doc, f"bsde horizon: {name}", ("solve",))
+        for label, source in REFUSED_SOURCES.items():
+            doc = dict(REFUSED_BASE, coefficients=dict(REFUSED_BASE["coefficients"], b=source))
+            yield from run_on(doc, f"refused source: {label}", ("solve",), ("oracle",), ("check",))
         for workload in workloads.BUILDERS:
             workdir = Path(tmp) / workload
             workdir.mkdir()
