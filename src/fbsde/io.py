@@ -66,24 +66,47 @@ def _bind_expression(source, allowed, path):
 
 
 def _number(value, path):
-    """A JSON number as a float; booleans, strings, null and integers beyond
-    the float range are rejected."""
+    """A JSON number as a float; anything else, or an integer beyond the float
+    range, is rejected, a list or an object by its type, never printed."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
             raise SchemaError(path, f"expected a number within the float range, got an "
                                     f"integer of {len(str(abs(value)))} digits") from None
-    raise SchemaError(path, f"expected a number, got {value!r}")
+    got = f"a {type(value).__name__}" if isinstance(value, (list, dict)) else repr(value)
+    raise SchemaError(path, f"expected a number, got {got}")
 
 
-def _check_numbers(value, path):
-    """Raise SchemaError unless ``value`` is a JSON number or nested lists of them."""
-    if isinstance(value, list):
-        for v in value:
-            _check_numbers(v, path)
-    else:
-        _number(value, path)
+def _numbers(value, ndim, path, expression=None):
+    """``value``, lists nested ``ndim`` deep around numbers, as a float array.
+
+    The walk goes one nesting level at a time, never recursively, and
+    refuses lists of unequal lengths or depths.  JSON numbers alone are
+    converted by one ``np.array`` call; else each leaf goes through
+    ``_number``, or, a string, through ``expression(source, i)`` when given,
+    i being the index of the top-level entry that holds it.
+    """
+    shape, leaves = [], [value]
+    for depth in range(ndim):
+        if not set(map(type, leaves)) <= {list}:
+            stray = next(v for v in leaves if type(v) is not list)
+            raise SchemaError(path, f"expected lists nested {ndim} deep, got "
+                                    f"{type(stray).__name__} at depth {depth}")
+        lengths = set(map(len, leaves))
+        if len(lengths) > 1:
+            raise SchemaError(path, f"lists of unequal lengths {min(lengths)} and "
+                                    f"{max(lengths)} at depth {depth}")
+        shape.append(lengths.pop() if lengths else 0)
+        leaves = [v for row in leaves for v in row]
+    if set(map(type, leaves)) <= {int, float}:
+        try:
+            return np.array(leaves, dtype=float).reshape(shape)
+        except OverflowError:  # an integer past the float range, named below
+            pass
+    stride = int(np.prod(shape[1:]))
+    return np.array([expression(v, k // stride) if expression and isinstance(v, str)
+                     else _number(v, path) for k, v in enumerate(leaves)]).reshape(shape)
 
 
 def _integer(value, path):
@@ -93,74 +116,54 @@ def _integer(value, path):
 
 
 def _branch_w(N, t, nodes):
-    """The variable w of the depth-t ``nodes``, an index array, as floats:
-    0 at the root, else the node's most recent branch, node % N + 1."""
-    return nodes % N + 1.0 if t else np.zeros(len(nodes))
+    """The variable w of the depth-t ``nodes``, an index or an index array,
+    as floats: 0 at the root, else the node's most recent branch, node % N + 1."""
+    return nodes % N + 1.0 if t else nodes * 0.0
 
 
-def _coefficient(tree, value, times, ndim, path):
-    """One linear field's JSON cells as numbers, one entry per time in ``times``.
+def _coefficient(tree, value, name):
+    """One linear field's JSON value as its level-order array over
+    ``linear._field_times``.
 
-    A cell is a number or an expression over t and w, nested ``ndim`` deep
-    (a scalar, a row of N, an N x N matrix).  A value nested ``ndim`` deep
-    is one cell shared by every node; one level deeper it is a flat
-    per-node list, level by level.  A shared cell depends on the node only
-    through w, so it is evaluated once per (t, w), on the level's first N
-    nodes (w repeats with period N); without expressions it stays one cell
-    per level.  Shapes are left to LinearCoefficients.
+    A value nested as deep as the field's cell (a scalar, a row of N, an
+    N x N matrix of numbers or expressions over t and w) is one cell shared
+    by every node, read once per (t, w), as w repeats with period N along a
+    level, and once in all without expressions.  One list deeper it is a
+    flat per-node list, whose expressions are evaluated at their node's
+    (t, w).  Cell shapes are left to LinearCoefficients.
     """
-    N = tree.N
+    times, ndim = linear_mod._field_times(name, tree.T), linear_mod._FIELDS[name]
+    N, start, path = tree.N, tree.offsets[times.start], f"coefficients.{name}"
+    total = tree.offsets[times.stop] - start
     parsed = {}
 
-    def numbers(cell, t, w):
-        if isinstance(cell, list):
-            return [numbers(v, t, w) for v in cell]
-        if not isinstance(cell, str):
-            return _number(cell, path)
-        if cell not in parsed:
-            parsed[cell] = _bind_expression(cell, {"t", "w"}, path)
-        return parsed[cell].evaluate({"t": float(t), "w": float(w)})
+    def evaluate(source, t, w):
+        if source not in parsed:
+            parsed[source] = _bind_expression(source, {"t", "w"}, path)
+        try:
+            return parsed[source].evaluate({"t": float(t), "w": float(w)})
+        except ExpressionError as err:
+            raise SchemaError(path, f"{err} at t={t}, w={w:g}") from err
 
     if linear_mod._depth(value) == ndim:
         levels = []
         for t in times:
-            w = _branch_w(N, t, np.arange(tree.num_nodes(t)))
-            vals = {wi: numbers(value, t, wi) for wi in w[:N].tolist()}
-            levels.append(list(map(vals.get, w.tolist())) if parsed else vals[w[0]])
-        return levels
-    total = sum(tree.num_nodes(t) for t in times)
+            n = tree.num_nodes(t)
+            cells = np.array([_numbers(value, ndim, path, lambda source, _: evaluate(source, t, w))
+                              for w in _branch_w(N, t, np.arange(min(n, N))).tolist()])
+            if not parsed:  # numbers only: the one cell of every node
+                return np.broadcast_to(cells[0], (total,) + cells.shape[1:])
+            levels.append(cells[np.arange(n) % len(cells)])
+        return np.concatenate(levels)
     if not isinstance(value, list) or len(value) != total:
         got = len(value) if isinstance(value, list) else type(value).__name__
         raise SchemaError(path, f"expected one shared cell or {total} per-node cells, got {got}")
-    levels = []
-    pos = 0
-    for t in times:
-        n = tree.num_nodes(t)
-        cells = value[pos : pos + n]
-        level = _plain_level(cells, ndim)
-        if level is None:
-            w = _branch_w(N, t, np.arange(n)).tolist()
-            level = [numbers(v, t, wi) for v, wi in zip(cells, w)]
-        levels.append(level)
-        pos += n
-    return levels
 
+    def at_node(source, k):
+        t, index = tree.locate(start + k)
+        return evaluate(source, t, _branch_w(N, t, index))
 
-def _plain_level(cells, ndim):
-    """Per-node cells as one float array when every cell is JSON numbers
-    nested ``ndim`` deep (no expression, boolean, string or null), else None."""
-    flat = cells
-    for _ in range(ndim):
-        if not all(isinstance(c, list) for c in flat):
-            return None
-        flat = [v for c in flat for v in c]
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        level = np.array(cells, dtype=float)
-    except (ValueError, OverflowError):  # ragged rows, huge integers
-        return None
-    return level if level.ndim == ndim + 1 else None
+    return _numbers(value, ndim + 1, path, at_node)
 
 
 def _unknown_keys(block, known, path):
@@ -175,8 +178,9 @@ def _bind_tree(doc):
     N = _integer(_require(block, "N", "tree"), "tree.N")
     T = _integer(_require(block, "T", "tree"), "tree.T")
     transition = block.get("transition", "uniform")
-    if isinstance(transition, list):
-        _check_numbers(transition, "tree.transition")
+    if not isinstance(transition, str):  # one row for every node, or one per non-leaf node
+        rank = 1 + (linear_mod._depth(transition) > 1)
+        transition = _numbers(transition, rank, "tree.transition")
     try:
         return build_tree(N, T, transition)
     except Exception as err:
@@ -208,12 +212,7 @@ def _bind_linear(tree, doc, kind):
     extra = set(raw) - set(names)
     if extra:
         raise SchemaError("coefficients", f"unknown fields {sorted(extra)}")
-    kwargs = {}
-    for name in names:
-        if name in raw:
-            levels = _coefficient(tree, raw[name], linear_mod._field_times(name, tree.T),
-                                  linear_mod._FIELDS[name], f"coefficients.{name}")
-            kwargs[name] = levels[0] if name in linear_mod._LEAF else levels
+    kwargs = {name: _coefficient(tree, raw[name], name) for name in names if name in raw}
     build = LinearCoefficients if kind == "linear" else special_coefficients
     try:
         return build(tree, **kwargs)
@@ -308,9 +307,7 @@ def _bind_bsde(tree, doc):
     terminal = _require(doc, "terminal", "")
     if not isinstance(terminal, list) or len(terminal) != tree.num_nodes(tree.T):
         raise SchemaError("terminal", f"expected {tree.num_nodes(tree.T)} leaf values")
-    eta = _plain_level(terminal, 0)
-    if eta is None:
-        eta = np.array([_number(v, "terminal") for v in terminal])
+    eta = _numbers(terminal, 1, "terminal")
     raw = doc.get("coefficients", {})
     extra = set(raw) - {"f", "f_terminal"}
     if extra:
@@ -364,7 +361,7 @@ def load_problem(path) -> LoadedProblem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as err:  # not JSON or UTF-8, or an integer past the digit limit
+        except (ValueError, RecursionError) as err:  # not JSON or UTF-8, or past a parser limit
             raise SchemaError(str(path), f"invalid JSON: {err}") from err
     return bind_problem(doc)
 

@@ -40,11 +40,10 @@ SINGULAR_RATIO = 1e-10
 
 def _depth(value):
     """Nesting depth of an array or nested list, read along first entries."""
-    if isinstance(value, np.ndarray):
-        return value.ndim
-    if isinstance(value, (list, tuple)):
-        return 1 + (_depth(value[0]) if len(value) else 0)
-    return 0
+    depth = 0
+    while isinstance(value, (list, tuple)) and len(value):
+        depth, value = depth + 1, value[0]
+    return depth + np.ndim(value)
 
 
 def _array(value, shape, name, where):
@@ -80,9 +79,9 @@ def _levels(tree, value, times, cell, name):
     if _depth(value) == len(cell):
         value = [value] * len(times)
     elif _depth(value) < len(cell) or len(value) != len(times):
-        raise ShapeMismatch(
-            f"{name}: expected a cell of shape {cell} or {len(times)} levels", field=name
-        )
+        got = f", got shape {value.shape}" if isinstance(value, np.ndarray) else ""
+        raise ShapeMismatch(f"{name}: expected a cell of shape {cell} or {len(times)} levels, "
+                            f"or a level-order array of shape {shape}{got}", field=name)
     for t, lev, view in zip(times, value, tree.views(out, times)):
         where = f"{name} level {t}"
         view[...] = _array(lev, cell if _depth(lev) == len(cell) else view.shape, name, where)

@@ -381,6 +381,13 @@ def test_certificate_payload_on_halted_recursion():
     assert json.dumps(payload)  # serializable as-is
 
 
+def nested(value, k):
+    """``value`` inside k lists, built without recursion."""
+    for _ in range(k):
+        value = [value]
+    return value
+
+
 LINEAR_DOC = DEMOS["partially-coupled"]
 NONLINEAR_DOC = DEMOS["monotone-family"]
 BSDE_DOC = {"kind": "bsde", "tree": {"N": 2, "T": 1, "transition": "uniform"}, "terminal": [1.0, 2.0]}
@@ -428,6 +435,25 @@ BAD_DOCUMENTS = {
         "coefficients.sigma[0]", "expected an expression string, got list"),
     "bsde-deep-product": (BSDE_DOC | {"coefficients": {"f": "*".join(["y"] * 1000)}},
                           "coefficients.f", "bad expression: chained deeper than"),
+    # a linear coefficient's evaluation fault names its field and node
+    "linear-expression-fault": (LINEAR_DOC | {"coefficients": {"D_hat": "1/(w-1)"}},
+                                "coefficients.D_hat", "division by zero (offset 1) at t=1, w=1"),
+    # a cell of the wrong shape is refused by LinearCoefficients, which
+    # names the shape of the per-node array it expected and got
+    "C-cell-too-long": ({"kind": "linear", "tree": {"N": 2, "T": 2}, "x0": 1.0,
+                         "coefficients": {"C": [0.1, -0.1, 0.0]}},
+                        "coefficients.C", "level-order array of shape (3, 2), got shape (3, 3)"),
+    # cells nested 900 lists deep, read without recursion
+    "A-nested-900": ({"kind": "linear", "tree": {"N": 2, "T": 1}, "x0": 1.0,
+                      "coefficients": {"A": nested(0.1, 900)}},
+                     "coefficients.A", "expected a number, got a list"),
+    "A_bar-second-cell-nested-900": (
+        {"kind": "linear", "tree": {"N": 2, "T": 2}, "x0": 1.0,
+         "coefficients": {"A_bar": [[0.2, -0.2], nested([0.2, -0.2], 900), [0.2, -0.2]]}},
+        "coefficients.A_bar", "lists of unequal lengths 1 and 2 at depth 1"),
+    "transition-nested-900": (
+        BSDE_DOC | {"tree": {"N": 2, "T": 1, "transition": nested([0.5, 0.5], 900)}},
+        "tree.transition", "expected a number, got a list"),
 }
 MALFORMED = {
     "x0-string": ("solve", LINEAR_DOC | {"x0": "abc"}, []),
@@ -507,12 +533,37 @@ def test_a_bad_tree_cell_names_its_field(tree, field):
 
 
 def test_a_level_that_is_not_plain_numbers_goes_to_the_cell_reader():
-    # a number where a row is due, or an integer too large for a float,
-    # leaves the level to the node-by-node reader, which names the fault
-    assert fbsde.io._plain_level([[0.1, 0.2], 0.3], 1) is None
-    assert fbsde.io._plain_level([0.1, 10**400], 0) is None
+    # a number where a row is due is refused by the walk; an integer too
+    # large for a float leaves the one-call conversion to the leaf-by-leaf
+    # reader, which names the fault; plain rows convert as they are
+    with pytest.raises(SchemaError, match=r"^f: expected lists nested 2 deep, got float at depth 1$"):
+        fbsde.io._numbers([[0.1, 0.2], 0.3], 2, "f")
+    with pytest.raises(SchemaError, match="integer of 401 digits"):
+        fbsde.io._numbers([0.1, 10**400], 1, "f")
     rows = [[0.1, 0.2], [0.3, 0.4]]
-    np.testing.assert_array_equal(fbsde.io._plain_level(rows, 1), rows)
+    np.testing.assert_array_equal(fbsde.io._numbers(rows, 2, "f"), rows)
+
+
+#: Files nested deep, and the one line of standard error every command writes
+#: for each: three cells nested 900 lists deep, and a document nested 100000
+#: deep, past the JSON decoder's recursion limit.
+DEEP_FILES = {
+    **{label: (json.dumps(BAD_DOCUMENTS[label][0]),
+               f"error: {BAD_DOCUMENTS[label][1]}: {BAD_DOCUMENTS[label][2]}\n")
+       for label in ("A-nested-900", "A_bar-second-cell-nested-900", "transition-nested-900")},
+    "document-nested-100000": ("[" * 100000 + "]" * 100000, "error: PATH: invalid JSON: maximum "
+                               "recursion depth exceeded while decoding a JSON array from a "
+                               "unicode string\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check"])
+@pytest.mark.parametrize("text, error", DEEP_FILES.values(), ids=DEEP_FILES.keys())
+def test_deep_nesting_is_one_line_of_input_error(tmp_path, capsys, command, text, error):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    assert run_cli([command, str(path)]) == 4
+    assert capsys.readouterr() == ("", error.replace("PATH", str(path)))
 
 
 @pytest.mark.parametrize("doc, field", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS.keys())

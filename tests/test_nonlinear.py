@@ -1,6 +1,7 @@
 """Continuation solver: blends, level solves, diagnostics, residuals."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -317,6 +318,18 @@ class TestFlatPicard:
         assert isinstance(err, SolverStopped) and err.best_residual is None
         assert [r.norms for r in err.stats.records] == [err.norms]
         assert err.stats.inner_solves == len(err.norms)
+
+    def test_a_non_finite_increment_stops_the_ladder(self):
+        # from an iterate near -1.5e308 the base solve of x0 = 4e307 lies
+        # more than the float range away: the increment's norm is inf
+        tree = uniform_tree(2, 1)
+        far = [np.full(tree.num_nodes(t), -1.5e308) for t in range(2)]
+        initial = (far, far, [np.zeros((1, 2))])
+        with pytest.raises(NoContraction) as info:
+            solve_flat_picard(tree, linear_special_problem(tree), 4e307, None, initial)
+        err = info.value
+        assert str(err) == "non-finite increment at level 1; consider continuation mode"
+        assert err.alpha == 1.0 and err.norms == [math.inf]
 
 
 @pytest.mark.parametrize("x0", [float("nan"), float("inf")], ids=["nan", "inf"])

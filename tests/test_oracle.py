@@ -687,3 +687,18 @@ def test_the_jacobian_keeps_a_negative_zero_coordinate():
     x = np.array([-0.0, 1.0, 0.0])
     jac = finite_difference_jacobian(lambda v: np.copysign(1.0, v), x)
     assert jac.tobytes() == looped_jacobian(lambda v: np.copysign(1.0, v), x).tobytes()
+
+
+def test_a_singular_jacobian_takes_the_least_squares_step(monkeypatch):
+    # the diffusion z1 gives back X_1's own deviation, so only its mean is
+    # fixed, E[X_1] = x0 - Y_0 = x0 - E[X_1]: the Jacobian has rank 1, and
+    # the minimum-norm step from the flat start puts x0 / 2 on both branches
+    doc = {"kind": "nonlinear", "tree": {"N": 2, "T": 1, "transition": "uniform"}, "x0": 1.0,
+           "coefficients": {"b": "-y", "sigma": ["z1", "0"], "f": "0", "h": "x"}}
+    loaded = bind_problem(doc)
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    sol, _ = solve_oracle(loaded.tree, loaded.data, loaded.x0)
+    assert calls == [1]
+    np.testing.assert_allclose(sol.X.array, [1.0, 0.5, 0.5], atol=1e-9)
+    assert max(sol.residuals.forward, sol.residuals.backward) <= 1e-10

@@ -35,8 +35,9 @@ each drift source of ``REFUSED_SOURCES`` through ``solve``, ``oracle``
 and ``check``, which pin the same, and each invalid document
 of ``_fault_documents`` through ``solve``, which pins the error text of
 every check on the transition table and on the structural coefficient
-conditions, an overflowing sum included, and of an integer cell too large
-for a float.  The nonlinear document of
+conditions, an overflowing sum included, of an integer cell too large
+for a float, of lists nested too deep and of a linear coefficient's
+expression fault.  The nonlinear document of
 ``DRIFT_FAULT`` goes through ``solve``, ``solve --mode picard``,
 ``oracle`` and ``check``, and the bsde document of ``GENERATOR_FAULT``
 through ``solve``: each coefficient faults at two nodes of one level, at
@@ -71,7 +72,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
-import itertools
 import json
 import math
 import os
@@ -196,7 +196,10 @@ def _fault_documents():
     """(label, document) of each invalid input: one fault in the transition
     table of a 3-ary tree of depth 3, or in a structural coefficient of a
     linear file on the uniform binary tree of depth 3, or one per-node cell
-    of such a file that is an integer too large for a float.  ``solve`` must
+    of such a file that is an integer too large for a float; a cell or a
+    transition nested 900 lists deep; a document nested 100000 deep, given
+    as the file's text, past the JSON decoder's recursion limit; and an
+    expression of a linear coefficient that divides by zero.  ``solve`` must
     exit 4 on each, and its standard error names the fault and where it
     sits."""
     def table(k=None, row=None, rows=13):
@@ -234,6 +237,19 @@ def _fault_documents():
     yield "C column sum overflow t=0 node=0", linear({"N": 2, "T": 2, "transition": "uniform"}, C=huge)
     yield "integer of 401 digits in D", linear(D=per_node(0.0, 10**400, 7, 2))
 
+    def nested(value, k):
+        for _ in range(k):
+            value = [value]
+        return value
+
+    depth_1 = {"N": 2, "T": 1, "transition": "uniform"}
+    yield "A nested 900 deep", linear(depth_1, A=nested(0.1, 900))
+    yield "second A_bar cell nested 900 deep", linear(
+        A_bar=per_node([0.2, -0.2], nested([0.2, -0.2], 900), 7, 1))
+    yield "transition nested 900 deep", linear(dict(depth_1, transition=nested([0.5, 0.5], 900)))
+    yield "document nested 100000 deep", "[" * 100000 + "]" * 100000
+    yield "D_hat divides by zero at t=1 w=1", linear(D_hat="1/(w-1)")
+
 
 def _load_workloads():
     """``bench/workloads.py`` as a module, without writing bytecode next to it."""
@@ -245,12 +261,12 @@ def _load_workloads():
     return module
 
 
-def _python(args):
+def _python(args, cwd=None):
     """A ``python`` process on this checkout's ``src``, its output captured."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd)
 
 
 def _demo_documents():
@@ -261,12 +277,13 @@ def _demo_documents():
     return json.loads(proc.stdout)
 
 
-def _run(argv, output=None):
-    """(report, exit code, stderr) of one ``fbsde`` call, as bytes, int, bytes.
+def _run(argv, output=None, cwd=None):
+    """(report, exit code, stderr) of one ``fbsde`` call in ``cwd``, as bytes,
+    int, bytes.
 
     The report is ``output`` when the call writes one, else standard output.
     """
-    proc = _python(["-m", "fbsde", *argv])
+    proc = _python(["-m", "fbsde", *argv], cwd)
     report = proc.stdout
     if output is not None and output.exists():
         report += output.read_bytes()
@@ -286,22 +303,24 @@ def outputs(seed):
         yield (f"demo monotone-family {' '.join(flags)}", *_run(["demo", "monotone-family", *flags]))
     workloads = _load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
-        names = itertools.count()
-
         def written(doc):
-            """``doc`` as a JSON file of its own in the temporary directory."""
-            path = Path(tmp) / f"doc-{next(names)}.json"
-            path.write_text(json.dumps(doc), encoding="utf-8")
+            """``doc`` as a JSON file in the temporary directory, named by
+            its text's digest; a string is the file's text."""
+            text = doc if isinstance(doc, str) else json.dumps(doc)
+            path = Path(tmp) / f"doc-{_sha1(text.encode())[:12]}.json"
+            path.write_text(text, encoding="utf-8")
             return path
 
         def run_on(doc, subject, *commands):
             """One output per command, a tuple of its words (the command,
             then flags), run on ``doc`` and labelled by its words and
-            ``subject``."""
+            ``subject``.  The command runs in the temporary directory on the
+            file's name, so an error that names the file has the same bytes
+            on every run, whatever ran before it."""
             path = written(doc)
             for command in commands:
                 yield (f"{' '.join(command)} {subject}",
-                       *_run([command[0], str(path), *command[1:]]))
+                       *_run([command[0], path.name, *command[1:]], cwd=tmp))
 
         for name in sorted(demos):
             yield from run_on(demos[name], f"demo {name}", ("oracle",), ("check",))
