@@ -197,8 +197,8 @@ def _solve_loaded(loaded: pio.LoadedProblem):
         return _solved(report, tree, (Y, Z), linear.ResidualReport(forward=None, backward=backward))
 
     if loaded.kind in ("linear", "special"):
-        result = linear.solve_linear(tree, loaded.data, loaded.x0)
-        report["certificate"] = pio.certificate_payload(tree, result.riccati)
+        result = linear.solve_linear(loaded.data, loaded.x0)
+        report["certificate"] = pio.certificate_payload(result.riccati)
         if isinstance(result, linear.Unsolvable):
             return _no_solution(report, "unsolvable", EXIT_UNSOLVABLE)
         return _solved(report, tree, result, result.residuals)
@@ -209,16 +209,15 @@ def _solve_loaded(loaded: pio.LoadedProblem):
 
 
 def _oracle_loaded(loaded: pio.LoadedProblem):
-    tree = loaded.tree
     report = _new_report(loaded)
     if loaded.kind == "bsde":
         raise SchemaError("kind", "no reference solver is defined for backward-only problems")
     if loaded.kind in ("linear", "special"):
-        verdict = oracle.linear_oracle(tree, loaded.data, loaded.x0)
+        verdict = oracle.linear_oracle(loaded.data, loaded.x0)
         rank = {"rank": verdict.rank, "size": verdict.size}
         if isinstance(verdict, oracle.UniqueSolution):
             report["rank"] = rank
-            return _solved(report, tree, verdict.solution, verdict.solution.residuals)
+            return _solved(report, loaded.tree, verdict.solution, verdict.solution.residuals)
         if isinstance(verdict, oracle.NoSolution):
             rank["inconsistency"] = verdict.inconsistency
             return _no_solution(report, "no_solution", EXIT_UNSOLVABLE, rank=rank)
@@ -228,18 +227,17 @@ def _oracle_loaded(loaded: pio.LoadedProblem):
 
 
 def _check_loaded(loaded: pio.LoadedProblem):
-    tree = loaded.tree
     report = _new_report(loaded)
     if loaded.kind in ("linear", "special"):
-        ric = linear.riccati_backward(tree, loaded.data)
-        report["certificate"] = pio.certificate_payload(tree, ric)
+        ric = linear.riccati_backward(loaded.data)
+        report["certificate"] = pio.certificate_payload(ric)
         ok = ric.certificate.all_invertible
         report["status"] = "satisfied" if ok else "violated"
         return report, EXIT_SOLVED if ok else EXIT_UNSOLVABLE
     if loaded.kind == "bsde":
         report["status"] = "satisfied"
         return report, EXIT_SOLVED
-    diag = nonlinear.check_assumptions(tree, loaded.data, loaded.options)
+    diag = nonlinear.check_assumptions(loaded.tree, loaded.data, loaded.options)
     # each clause's estimate under its field name, in field order
     report["diagnostics"] = {
         **{clause: None if est is None else est.value for clause, est in vars(diag).items()

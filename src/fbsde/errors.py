@@ -120,6 +120,11 @@ class SchemaError(FbsdeError):
         self.field = field
 
 
+def _shown(value):
+    """``value`` as a message names it: a list or object by its type, else its repr."""
+    return f"a {type(value).__name__}" if isinstance(value, (list, dict)) else repr(value)
+
+
 class AssumptionViolation(FbsdeError):
     """A structural zero-sum condition on the coefficients fails."""
 

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import linear as linear_mod
 from .bsde import BsdeProblem, bsde_residual
-from .errors import ExpressionError, SchemaError, ShapeMismatch
+from .errors import ExpressionError, FbsdeError, SchemaError, ShapeMismatch, _shown
 from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
 from .nonlinear import ContinuationOptions, NonlinearProblem, nonlinear_residual
-from .tree import ScenarioTree, _process_levels, build_tree
+from .tree import ScenarioTree, _process_levels, _sizes, build_tree
 
 KINDS = ("bsde", "linear", "special", "nonlinear")
 
@@ -74,8 +74,7 @@ def _number(value, path):
         except OverflowError:
             raise SchemaError(path, f"expected a number within the float range, got an "
                                     f"integer of {len(str(abs(value)))} digits") from None
-    got = f"a {type(value).__name__}" if isinstance(value, (list, dict)) else repr(value)
-    raise SchemaError(path, f"expected a number, got {got}")
+    raise SchemaError(path, f"expected a number, got {_shown(value)}")
 
 
 def _numbers(value, ndim, path, expression=None):
@@ -177,14 +176,18 @@ def _bind_tree(doc):
     _unknown_keys(block, ("N", "T", "transition"), "tree")
     N = _integer(_require(block, "N", "tree"), "tree.N")
     T = _integer(_require(block, "T", "tree"), "tree.T")
+    try:
+        N, T = _sizes(N, T)
+    except ValueError as err:
+        raise SchemaError("tree", str(err)) from err
     transition = block.get("transition", "uniform")
     if not isinstance(transition, str):  # one row for every node, or one per non-leaf node
         rank = 1 + (linear_mod._depth(transition) > 1)
         transition = _numbers(transition, rank, "tree.transition")
     try:
         return build_tree(N, T, transition)
-    except Exception as err:
-        raise SchemaError("tree", str(err)) from err
+    except (ValueError, FbsdeError) as err:  # every fault left is the transition's
+        raise SchemaError("tree.transition", str(err)) from err
 
 
 def _bind_options(doc):
@@ -335,7 +338,7 @@ def bind_problem(doc) -> LoadedProblem:
         raise SchemaError("", "problem document must be a JSON object")
     kind = _require(doc, "kind", "")
     if kind not in KINDS:
-        raise SchemaError("kind", f"expected one of {KINDS}, got {kind!r}")
+        raise SchemaError("kind", f"expected one of {KINDS}, got {_shown(kind)}")
     # a key the kind does not read would be dropped without a word
     _unknown_keys(doc, ("kind", "tree", "options", "coefficients",
                         "terminal" if kind == "bsde" else "x0"), "")
@@ -393,7 +396,7 @@ def solution_payload(tree, solution) -> dict:
     }
 
 
-def certificate_payload(tree, riccati) -> dict:
+def certificate_payload(riccati) -> dict:
     cert = riccati.certificate
     return {
         "all_invertible": bool(cert.all_invertible),
@@ -523,5 +526,5 @@ def verify_report(loaded: LoadedProblem, report: dict) -> dict:
     if loaded.kind == "nonlinear":
         fwd, bwd = nonlinear_residual(tree, loaded.data, (X, Y, Z))
         return {"forward": fwd, "backward": bwd}
-    rep = linear_mod.linear_residuals(tree, loaded.data, X, Y, Z)
+    rep = linear_mod.linear_residuals(loaded.data, X, Y, Z)
     return {"forward": rep.forward, "backward": rep.backward}

@@ -126,15 +126,18 @@ class LinearCoefficients:
     is valid and read-only for its whole life: the constructor validates it
     and freezes every level array, and no field can be assigned afterwards.
     So the slope pass of ``riccati_backward``, which reads only the tree and
-    the homogeneous fields, is memoized per tree in a table that every
-    ``with_inhomogeneities`` copy shares.
+    the homogeneous fields, is memoized in one slot that every
+    ``with_inhomogeneities`` copy shares.  Every linear computation runs on
+    the tree the set was built on; to solve under another transition law
+    of the same shape, rebind the arrays:
+    ``LinearCoefficients(other_tree, **coeffs.arrays)``.
     """
 
     def __init__(self, tree, *, A=None, B=None, C=None, D=None,
                  A_bar=None, B_bar=None, C_bar=None, D_bar=None,
                  A_hat=None, B_hat=None, C_hat=None, D_hat=None,
                  G=None, g=None):
-        vars(self).update(tree=tree, arrays={}, _memo={})  # _memo: tree -> _SlopePass
+        vars(self).update(tree=tree, arrays={}, _memo=[None])  # _memo[0]: the _SlopePass
         self._set(A=A, B=B, C=C, A_bar=A_bar, B_bar=B_bar, C_bar=C_bar,
                   A_hat=A_hat, B_hat=B_hat, C_hat=C_hat, G=G)
         self._set(D=D, D_bar=D_bar, D_hat=D_hat, g=g)
@@ -338,19 +341,19 @@ def _stack(k, kbar, rows):
     return k[..., None] + kbar - np.einsum("n...j,nj->n...", kbar, rows)[..., None]
 
 
-def _script(tree, coeffs):
+def _script(coeffs):
     """The stacked branch equations of all m non-leaf nodes: the column a
     of X, (m, N), and the feedback matrix b P^T + c, (m, N, N), through
     which the child closures feed back; ``_script_offset`` stacks d."""
-    c, rows = coeffs.arrays, tree.rows
+    c, rows = coeffs.arrays, coeffs.tree.rows
     scr_c = np.swapaxes(_stack(c["C"], c["C_bar"], rows), 1, 2)
     scr_b = _stack(c["B"], c["B_bar"], rows)
     return _stack(1.0 + c["A"], c["A_bar"], rows), scr_b[:, :, None] * rows[:, None, :] + scr_c
 
 
-def _script_offset(tree, coeffs):
+def _script_offset(coeffs):
     """The stacked inhomogeneity column d of every non-leaf node, (m, N)."""
-    return _stack(coeffs.arrays["D"], coeffs.arrays["D_bar"], tree.rows)
+    return _stack(coeffs.arrays["D"], coeffs.arrays["D_bar"], coeffs.tree.rows)
 
 
 def _solve_columns(gamma, rhs):
@@ -366,7 +369,7 @@ def _finite_level(level, what, t):
         raise NonFiniteSolve(f"{what} at depth {t} overflowed to a non-finite value", depth=t)
 
 
-def _slope_pass(tree, coeffs):
+def _slope_pass(coeffs):
     """The slopes P, the per-node matrices and their certificate.
 
     Reads only the tree, A..C_hat and G.  ``_script``'s tables and theta are
@@ -377,10 +380,11 @@ def _slope_pass(tree, coeffs):
     weakest matrix.  A level of P or of the matrices that overflows raises
     NonFiniteSolve before its singular values are taken.
     """
-    T, N, c = tree.T, tree.N, coeffs.arrays
+    tree, c = coeffs.tree, coeffs.arrays
+    T, N = tree.T, tree.N
     P_array = np.zeros(tree.offsets[T + 1] - 1)
     P_views = (None, *tree.views(P_array, range(1, T + 1)))
-    a, coupling = _script(tree, coeffs)
+    a, coupling = _script(coeffs)
     # the contraction of the child closures at the nodes of times 1..T-1
     k = tree.offsets[T] - 1
     theta = (1.0 - c["B_hat"][:k])[:, None] * tree.rows[1:] - c["C_hat"][:k]
@@ -425,7 +429,7 @@ def _slope_pass(tree, coeffs):
                       tuple(v_levels), coupling_levels, theta_levels)
 
 
-def _offset_pass(tree, coeffs, slopes):
+def _offset_pass(coeffs, slopes):
     """The offsets p and the closure offsets w over a finished slope pass;
     returns the RiccatiData of ``slopes``' own field objects and these offsets.
 
@@ -433,11 +437,12 @@ def _offset_pass(tree, coeffs, slopes):
     stops where the slope pass halted.  A level of p that overflows raises
     NonFiniteSolve naming the deepest such level.
     """
+    tree = coeffs.tree
     T, N = tree.T, tree.N
     p_array = np.zeros(tree.offsets[T + 1] - 1)
     p_levels = [None, *tree.views(p_array, range(1, T + 1))]
     p_levels[T][...] = (1.0 - coeffs.B_hat[T]) * coeffs.g - coeffs.D_hat[T]
-    d_levels = tree.views(_script_offset(tree, coeffs), range(T))
+    d_levels = tree.views(_script_offset(coeffs), range(T))
     w_levels = [None] * T
     for t in range(T - 1, -1, -1):
         if slopes.v_levels[t] is None:  # the level where the slope pass halted
@@ -458,34 +463,28 @@ def _offset_pass(tree, coeffs, slopes):
                        w_levels=tuple(w_levels))
 
 
-def _check_tree(tree, coeffs):
-    """Raise ShapeMismatch unless ``tree`` has the N and T of ``coeffs.tree``."""
-    if (tree.N, tree.T) != (coeffs.tree.N, coeffs.tree.T):
-        raise ShapeMismatch(f"tree has N={tree.N}, T={tree.T}; the coefficients "
-                            f"N={coeffs.tree.N}, T={coeffs.tree.T}")
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteSolve
-def riccati_backward(tree: ScenarioTree, coeffs: LinearCoefficients) -> RiccatiData:
-    """Run the backward decoupling recursion and certify each node's matrix.
+def riccati_backward(coeffs: LinearCoefficients) -> RiccatiData:
+    """Run the backward decoupling recursion on ``coeffs.tree`` and certify
+    each node's matrix.
 
     A slope pass (P, the per-node matrices and their certificate, from the
     homogeneous coefficients) and an offset pass (p, from the
-    inhomogeneities).  The slope pass is memoized per tree in the table
-    ``coeffs`` shares with its ``with_inhomogeneities`` copies, so on a hit
-    only the offsets are computed.  Singularity is a certificate outcome,
-    not an error; a level that overflows raises NonFiniteSolve.
+    inhomogeneities).  The slope pass is memoized in the slot ``coeffs``
+    shares with its ``with_inhomogeneities`` copies, so on a hit only the
+    offsets are computed.  Singularity is a certificate outcome, not an
+    error; a level that overflows raises NonFiniteSolve.
     """
-    _check_tree(tree, coeffs)
-    slopes = coeffs._memo.get(tree)
-    if slopes is None:
-        slopes = coeffs._memo[tree] = _slope_pass(tree, coeffs)
-    return _offset_pass(tree, coeffs, slopes)
+    memo = coeffs._memo
+    if memo[0] is None:
+        memo[0] = _slope_pass(coeffs)
+    return _offset_pass(coeffs, memo[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, as NonFiniteSolve
-def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
-    """Solve the coupled linear system; certify failure instead of guessing.
+def solve_linear(coeffs: LinearCoefficients, x0: float):
+    """Solve the coupled linear system on ``coeffs.tree``; certify failure
+    instead of guessing.
 
     Returns an FbsdeSolution when every per-node matrix is invertible,
     otherwise an Unsolvable carrying the singular node list; either carries
@@ -496,10 +495,11 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    ric = riccati_backward(tree, coeffs)
+    ric = riccati_backward(coeffs)
     if not ric.certificate.all_invertible:
         return Unsolvable(ric.certificate.singular_nodes, ric)
 
+    tree = coeffs.tree
     T, N, m = tree.T, tree.N, tree.offsets[tree.T]
     X = np.empty(tree.offsets[T + 1])
     X[0] = x0
@@ -512,7 +512,7 @@ def solve_linear(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     Y = np.concatenate([np.einsum("nj,nj->n", tree.rows, lam),
                         _terminal(coeffs.arrays, slice(None), X[m:])])
     X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in (X, Y, canonicalize(lam)))
-    report = linear_residuals(tree, coeffs, X, Y, Z)
+    report = linear_residuals(coeffs, X, Y, Z)
     if not (np.isfinite(report.forward) and np.isfinite(report.backward)):
         raise NonFiniteSolve(f"the solution overflowed: residuals forward {report.forward}, "
                              f"backward {report.backward}")
@@ -547,14 +547,14 @@ def _terminal(c, at, x):
     return c["G"][at] * x + c["g"][at]
 
 
-def linear_residuals(tree, coeffs, X, Y, Z) -> ResidualReport:
-    """Exhaustive per-branch residuals of both equations, the backward one
-    with its terminal row Y_T - (G X_T + g).
+def linear_residuals(coeffs, X, Y, Z) -> ResidualReport:
+    """Exhaustive per-branch residuals of both equations on ``coeffs.tree``,
+    the backward one with its terminal row Y_T - (G X_T + g).
 
     Insensitive to the row representative of Z thanks to the validated
     zero-sum conditions.
     """
-    _check_tree(tree, coeffs)
+    tree = coeffs.tree
     X = _process_array(tree, X, range(tree.T + 1), "X", ())
     Y = _process_array(tree, Y, range(tree.T + 1), "Y", ())
     Z = _process_array(tree, Z, range(tree.T), "Z", (tree.N,))
@@ -590,42 +590,33 @@ def special_coefficients(tree, D=None, D_bar=None, D_hat=None, g=None) -> Linear
     )
 
 
-def solve_special(tree, D=None, D_bar=None, D_hat=None, g=None, x0=0.0, *,
-                  form=None) -> FbsdeSolution:
+def solve_special(form, D=None, D_bar=None, D_hat=None, g=None, x0=0.0) -> FbsdeSolution:
     """Solve the self-coupled special form; always uniquely solvable.
 
     Its decoupling recursion is deterministic with P > 1 at every level, so
     each per-node matrix is invertible.  ``form`` is the homogeneous
     ``special_coefficients(tree)`` to solve through: its slope pass is
     memoized, so repeated solves redo only the offset pass (one batched
-    solve per level) and the forward closures.  Without it the form is
-    built for this one solve.
+    solve per level) and the forward closures.
     """
-    if form is None:
-        form = special_coefficients(tree)
-    coeffs = form.with_inhomogeneities(D, D_bar, D_hat, g)
-    result = solve_linear(tree, coeffs, x0)
+    result = solve_linear(form.with_inhomogeneities(D, D_bar, D_hat, g), x0)
     if isinstance(result, Unsolvable):  # pragma: no cover - P > 1 rules this out
-        raise SingularCertificate(
-            f"special form reported singular nodes {result.singular_nodes}"
-        )
+        raise SingularCertificate(f"special form reported singular nodes {result.singular_nodes}")
     return result
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in the backward pass that made ``riccati``
-def decoupling_coefficients(tree, coeffs, riccati):
+def decoupling_coefficients(coeffs, riccati):
     """Affine maps (slope, offset) with Y_t = slope_t X_t + offset_t nodewise.
 
     Requires an all-invertible certificate.  At the horizon the maps are the
     terminal (G, g); below, they are the conditional expectations of
     P X_child + p over the child closures X_child = v X + w.
     """
-    _check_tree(tree, coeffs)
     if not riccati.certificate.all_invertible:
-        raise SingularCertificate(
-            f"singular nodes: {riccati.certificate.singular_nodes}"
-        )
-    c, m, N = coeffs.arrays, tree.offsets[tree.T], tree.N
+        raise SingularCertificate(f"singular nodes: {riccati.certificate.singular_nodes}")
+    tree, c = coeffs.tree, coeffs.arrays
+    m, N = tree.offsets[tree.T], tree.N
     P, p = (arr.reshape(m, N) for arr in (riccati.P_array, riccati.p_array))
     v, w = (np.concatenate(levels) for levels in (riccati.v_levels, riccati.w_levels))
     slope = np.einsum("nj,nj,nj->n", tree.rows, P, v)

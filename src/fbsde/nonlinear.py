@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteInput,
     NonFiniteSolve,
     StepUnderflow,
+    _shown,
 )
 from .linear import FbsdeSolution, ResidualReport
 from .martingale import _canonical_rows, second_moments, tilde_contract, worst_defects
@@ -111,7 +112,7 @@ class ContinuationOptions:
         if self.max_iterations < 1:
             raise InvalidOption(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.mode not in MODES:
-            raise InvalidOption(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+            raise InvalidOption(f"mode must be one of {', '.join(MODES)}, got {_shown(self.mode)}")
         if self.seed < 0:  # numpy draws from no other
             raise InvalidOption(f"seed must be non-negative, got {self.seed}")
 
@@ -183,7 +184,7 @@ def blend(problem: NonlinearProblem, alpha: float) -> NonlinearProblem:
         raise AlphaOutOfRange(f"alpha = {alpha!r}")
     if alpha == 1.0:
         return problem
-    a, base = float(alpha), linear_special_problem(None)  # its callbacks read no tree
+    a, base = float(alpha), linear_special_problem()
 
     def mixed(target, lin):
         return lambda *args: a * np.asarray(target(*args), dtype=float) + (1.0 - a) * lin(*args)
@@ -316,16 +317,17 @@ class _Ladder:
     iteration of the level above, so its iterations over a solve are bounded
     only by the inner-solve budget, ``MAX_INNER_SOLVES`` per ladder.  Every
     base solve goes through ``base``, the homogeneous
-    ``special_coefficients(tree)``, whose slope pass is memoized; a solve
-    that retries with smaller steps passes the same ``base`` to each ladder,
-    so the slopes are computed once per solve.  The base solve is the one
-    place that guarantees finite iterates: a non-finite one raises, and every
-    level returns what the level below returned.  Every stop is a
-    NoContraction carrying the shared stats.
+    ``special_coefficients(tree)`` whose tree the ladder runs on and whose
+    slope pass is memoized; a solve that retries with smaller steps passes
+    the same ``base`` to each ladder, so the slopes are computed once per
+    solve.  The base solve is the one place that guarantees finite
+    iterates: a non-finite one raises, and every level returns what the
+    level below returned.  Every stop is a NoContraction carrying the
+    shared stats.
     """
 
-    def __init__(self, tree, problem, base, n_levels, x0, opts, initial, stats=None):
-        self.tree = tree
+    def __init__(self, problem, base, n_levels, x0, opts, initial, stats=None):
+        self.tree = base.tree
         self.problem = problem
         self.base = base
         self.n_levels = n_levels
@@ -334,7 +336,7 @@ class _Ladder:
         self.opts = opts
         self.stats = SolveStats() if stats is None else stats
         self._solves_before = self.stats.inner_solves  # by earlier attempts
-        self._zero = _Iterate.zeros(tree)
+        self._zero = _Iterate.zeros(self.tree)
         self._warm = {} if initial is None else {n_levels: initial}
 
     def solve(self, k, inhom, tol):
@@ -349,9 +351,8 @@ class _Ladder:
                 )
             self.stats.inner_solves += 1
             try:
-                sol = linear.solve_special(self.tree, D=inhom.b0, D_bar=inhom.sigma0,
-                                           D_hat=-inhom.f0, g=inhom.h0, x0=self.x0,
-                                           form=self.base)
+                sol = linear.solve_special(self.base, D=inhom.b0, D_bar=inhom.sigma0,
+                                           D_hat=-inhom.f0, g=inhom.h0, x0=self.x0)
             except NonFiniteSolve as err:  # halves the step like any stop
                 raise NoContraction(f"non-finite base solve: {err}", stats=self.stats) from err
             return _Iterate(sol.X.array, sol.Y.array, sol.Z.array)
@@ -421,7 +422,7 @@ def solve_continuation(tree, problem, x0, opts=None, initial_iterate=None):
             limit = f"a step of {delta:g} needs a ladder over the {MAX_LEVELS}-level cap"
             break
         n_levels = max(1, math.ceil(round(1.0 / delta, 9)))
-        ladder = _Ladder(tree, problem, base, n_levels, x0, opts, initial, stats)
+        ladder = _Ladder(problem, base, n_levels, x0, opts, initial, stats)
         try:
             iterate = ladder.solve(n_levels, Inhomogeneity.zeros(tree), opts.tolerance)
             return _finish(tree, problem, iterate), stats
@@ -453,7 +454,7 @@ def solve_flat_picard(tree, problem, x0, opts=None, initial_iterate=None):
     opts = opts or ContinuationOptions()
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
-    ladder = _Ladder(tree, problem, linear.special_coefficients(tree), 1, x0, opts,
+    ladder = _Ladder(problem, linear.special_coefficients(tree), 1, x0, opts,
                      _as_iterate(tree, initial_iterate))
     try:
         iterate = ladder.solve(1, Inhomogeneity.zeros(tree), opts.tolerance)
@@ -573,8 +574,9 @@ def check_assumptions(tree, problem, opts=None, *, sample_count=200):
     for t in range(1, T):
         at = np.flatnonzero(ts == t)
         if len(at):
-            for out, fn in ((f, problem.generator), (b, problem.drift), (srows, problem.diffusion)):
-                out[at] = _level(fn(t, nodes[at], x[at], y[at], zt[at]), out[at].shape, "coefficient")
+            for out, name in ((f, "generator"), (b, "drift"), (srows, "diffusion")):
+                value = getattr(problem, name)(t, nodes[at], x[at], y[at], zt[at])
+                out[at] = _level(value, out[at].shape, name)
     # time 0 pairs lam with (x of lam, y and z_tilde of lam2)
     x0, root = np.tile(lam[:, 0], 2), np.zeros(2 * K, dtype=int)
     b0 = _level(problem.drift(0, root, x0, y, zt), (2 * K,), "drift")
@@ -661,7 +663,7 @@ def check_assumptions(tree, problem, opts=None, *, sample_count=200):
     )
 
 
-def linear_special_problem(tree) -> NonlinearProblem:
+def linear_special_problem() -> NonlinearProblem:
     """The self-coupled linear form as a nonlinear problem (the blend's fixed point)."""
     return NonlinearProblem(
         drift=lambda t, nodes, x, y, zt: -y,
@@ -687,18 +689,18 @@ def demo_monotone_problem(tree, scale=0.1) -> NonlinearProblem:
             return x
         return x + scale * np.tanh(y)
 
-    base = linear_special_problem(tree)
+    base = linear_special_problem()
     return NonlinearProblem(drift, base.diffusion, generator, base.terminal)
 
 
-def as_nonlinear_problem(tree, coeffs) -> NonlinearProblem:
+def as_nonlinear_problem(coeffs) -> NonlinearProblem:
     """Wrap linear coefficients as a nonlinear problem (for cross-validation).
 
     Each coefficient is ``linear``'s level function on the canonical rows
     of ``z_tilde``, so both paths evaluate the same float operations.
     """
 
-    c, o = coeffs.arrays, tree.offsets
+    c, o = coeffs.arrays, coeffs.tree.offsets
 
     def level(fn, first):  # ``first``: the first node of fn's arrays
         return lambda t, nodes, x, y, zt: fn(

@@ -26,11 +26,10 @@ import numpy as np
 from .bsde import BsdeProblem, solve_bsde
 from .errors import (ExpressionDomainError, NoConvergence, NonFiniteInput, NonFiniteSolve,
                      ProblemTooLarge, ShapeMismatch)
-from .linear import (SINGULAR_RATIO, FbsdeSolution, LinearCoefficients, _check_tree,
-                     linear_residuals)
+from .linear import SINGULAR_RATIO, FbsdeSolution, LinearCoefficients, linear_residuals
 from .martingale import _canonical_rows, forward_defect, tilde_contract
 from .nonlinear import ContinuationOptions, LevelRecord, SolveStats, _finish, _Iterate
-from .tree import AdaptedProcess, ScenarioTree, _level
+from .tree import AdaptedProcess, _level
 
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
@@ -85,7 +84,7 @@ def _columns(tree):
     return k - 1, n - 1 + k, 2 * n - 1 + k[:m, None] * (tree.N - 1) + np.arange(tree.N - 1)
 
 
-def _assemble(tree, coeffs, x0):
+def _assemble(coeffs, x0):
     """Dense (matrix, rhs) for all forward, backward and terminal equations.
 
     The columns are ``_columns``'s; node k's N forward rows, then its N
@@ -93,8 +92,8 @@ def _assemble(tree, coeffs, x0):
     enters through its canonical representative (contraction extended by
     a zero), which the validated zero-sum conditions make exact.
     """
+    tree, c = coeffs.tree, coeffs.arrays
     N, n, m, size = tree.N, tree.offsets[-1], tree.offsets[-2], _size(tree)
-    c = coeffs.arrays
     mat = np.zeros((size, size))
     rhs = np.zeros(size)
     k = np.arange(m)[:, None]
@@ -134,12 +133,12 @@ def _assemble(tree, coeffs, x0):
     return mat, rhs
 
 
-def _solution_from_vector(tree, coeffs, x0, vec):
+def _solution_from_vector(coeffs, x0, vec):
     """The triple in ``vec``: X with x0 in front, Y, and Z's canonical rows."""
-    x, y, z = _columns(tree)
-    X, Y, Z = (AdaptedProcess.from_array(tree, 0, v) for v in
+    x, y, z = _columns(coeffs.tree)
+    X, Y, Z = (AdaptedProcess.from_array(coeffs.tree, 0, v) for v in
                (np.concatenate([[float(x0)], vec[x[1:]]]), vec[y], _canonical_rows(vec[z])))
-    return FbsdeSolution(X, Y, Z, linear_residuals(tree, coeffs, X, Y, Z))
+    return FbsdeSolution(X, Y, Z, linear_residuals(coeffs, X, Y, Z))
 
 
 def _gram(size, rows, cols, vals):
@@ -197,8 +196,9 @@ def _full_rank(tree, mat):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution shows in its residuals
-def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
-    """Classify the coupled linear system by the rank of its global matrix.
+def linear_oracle(coeffs: LinearCoefficients, x0: float):
+    """Classify the coupled linear system on ``coeffs.tree`` by the rank of
+    its global matrix.
 
     The matrix is assembled once, and two steps decide its rank.  A
     Cholesky factorization of the Gram matrix of its nonzeros scaled to at
@@ -213,14 +213,14 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
     raises NonFiniteSolve when the assembled matrix or right-hand side has
     a non-finite entry: no rank decides such a system.
     """
-    _check_tree(tree, coeffs)
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
+    tree = coeffs.tree
     size = _size(tree)
     if size > MAX_DENSE_UNKNOWNS:
         raise ProblemTooLarge(f"{size} unknowns exceed the dense oracle's limit of "
                               f"{MAX_DENSE_UNKNOWNS}")
-    mat, rhs = _assemble(tree, coeffs, x0)
+    mat, rhs = _assemble(coeffs, x0)
     if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
         raise NonFiniteSolve("the dense oracle's system overflowed to a non-finite entry "
                              "in its assembly")
@@ -235,7 +235,7 @@ def linear_oracle(tree: ScenarioTree, coeffs: LinearCoefficients, x0: float):
                 return NoSolution(rank, size, gap)
             return InfinitelyMany(rank, size, size - rank)
     vec = np.linalg.solve(mat, rhs)
-    return UniqueSolution(_solution_from_vector(tree, coeffs, x0, vec), size, size)
+    return UniqueSolution(_solution_from_vector(coeffs, x0, vec), size, size)
 
 
 def _on_paths(fn, name, t, cell, x, y=None, zt=None):

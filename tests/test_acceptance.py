@@ -173,8 +173,8 @@ def test_criterion_05_linear_iff_theorem():
         tree = random_tree(rng, N, T)
         coeffs = random_linear_coeffs(rng, tree, scale=1.0)
         x0 = float(rng.uniform(-1.0, 1.0))
-        direct = solve_linear(tree, coeffs, x0)
-        verdict = linear_oracle(tree, coeffs, x0)
+        direct = solve_linear(coeffs, x0)
+        verdict = linear_oracle(coeffs, x0)
         if isinstance(direct, Unsolvable):
             singular_seen += 1
             assert not isinstance(verdict, UniqueSolution)
@@ -186,8 +186,8 @@ def test_criterion_05_linear_iff_theorem():
     # the equivalence even if no random draw lands on it
     tree = uniform_tree(2, 1)
     coeffs = LinearCoefficients(tree, B=1.0, G=1.0)
-    assert isinstance(solve_linear(tree, coeffs, 1.0), Unsolvable)
-    assert not isinstance(linear_oracle(tree, coeffs, 1.0), UniqueSolution)
+    assert isinstance(solve_linear(coeffs, 1.0), Unsolvable)
+    assert not isinstance(linear_oracle(coeffs, 1.0), UniqueSolution)
     elapsed = time.monotonic() - start
     assert elapsed <= 60.0, f"took {elapsed:.2f}s"
     _announce(5, f"linear iff-theorem ({singular_seen} singular draws)")
@@ -225,8 +225,8 @@ def test_criterion_06_singular_detection(tmp_path, capsys):
 
     tree = uniform_tree(2, 1)
     coeffs = LinearCoefficients(tree, B=1.0, G=1.0)
-    assert isinstance(linear_oracle(tree, coeffs, 1.0), NoSolution)
-    assert isinstance(linear_oracle(tree, coeffs, 0.0), InfinitelyMany)
+    assert isinstance(linear_oracle(coeffs, 1.0), NoSolution)
+    assert isinstance(linear_oracle(coeffs, 0.0), InfinitelyMany)
     _announce(6, "singular construction certified")
 
 
@@ -234,7 +234,7 @@ def test_criterion_07_special_form_levels_and_solvability():
     rng = np.random.default_rng(107)
     for N, T in ((2, 3), (3, 4)):
         tree = uniform_tree(N, T)
-        ric = riccati_backward(tree, special_coefficients(tree))
+        ric = riccati_backward(special_coefficients(tree))
         assert np.abs(ric.P_levels[T] - 2.0).max() <= 1e-12
         assert np.abs(ric.P_levels[T - 1] - 5.0 / 3.0).max() <= 1e-12
         assert np.abs(ric.P_levels[T - 2] - 13.0 / 8.0).max() <= 1e-12
@@ -243,7 +243,7 @@ def test_criterion_07_special_form_levels_and_solvability():
         T = int(rng.integers(1, 4))
         tree = random_tree(rng, N, T)
         sol = solve_special(
-            tree,
+            special_coefficients(tree),
             D=[rng.uniform(-2, 2, size=tree.num_nodes(t)) for t in range(T)],
             D_bar=[rng.uniform(-2, 2, size=(tree.num_nodes(t), N)) for t in range(T)],
             D_hat=[rng.uniform(-2, 2, size=tree.num_nodes(t)) for t in range(1, T + 1)],
@@ -301,8 +301,8 @@ def test_criterion_08_nonlinear_existence_uniqueness(solved_demo_family):
 def test_criterion_09_blend_base_reduction_bitwise():
     for x0 in (0.0, 1.5, -0.75):
         tree = uniform_tree(2, 3)
-        sol, _ = solve_continuation(tree, linear_special_problem(tree), x0)
-        ref = solve_special(tree, x0=x0)
+        sol, _ = solve_continuation(tree, linear_special_problem(), x0)
+        ref = solve_special(special_coefficients(tree), x0=x0)
         for t in range(4):
             assert np.array_equal(sol.X.level(t), ref.X.level(t))
             assert np.array_equal(sol.Y.level(t), ref.Y.level(t))

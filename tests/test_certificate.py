@@ -80,7 +80,7 @@ def test_level_certificate_equals_the_per_node_one(instance):
         coeffs = with_singular_node(rng, tree, depth, index)
     else:
         coeffs = random_linear_coeffs(rng, tree)
-    ric = riccati_backward(tree, coeffs)
+    ric = riccati_backward(coeffs)
     cert = ric.certificate
     ref = per_node_verdicts(tree, ric)
 
@@ -124,8 +124,8 @@ def test_backward_pass_builds_a_node_id_per_level_and_singular_node(monkeypatch)
              LinearCoefficients(tree, B=[0.0] * (T - 1) + [1.0], G=1.0)]
     for coeffs in cases:
         counter = CountingNodeIds(monkeypatch)
-        ric = riccati_backward(tree, coeffs)
-        payload = certificate_payload(tree, ric)  # what solve and check report
+        ric = riccati_backward(coeffs)
+        payload = certificate_payload(ric)  # what solve and check report
         singular = len(payload["singular_nodes"])
         assert counter.calls <= T + singular
         monkeypatch.undo()

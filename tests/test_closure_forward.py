@@ -30,10 +30,10 @@ REL = 1e-12
 def resolving_forward(tree, coeffs, x0):
     """(X, Y, Z) level-order arrays of the re-solving forward pass: at every
     level, solve gamma x = a X + (b P^T + c) p_child + d node by node."""
-    ric = riccati_backward(tree, coeffs)
+    ric = riccati_backward(coeffs)
     T, N, m = tree.T, tree.N, tree.offsets[tree.T]
-    d = tree.views(linear._script_offset(tree, coeffs), range(T))
-    a = tree.views(linear._script(tree, coeffs)[0], range(T))
+    d = tree.views(linear._script_offset(coeffs), range(T))
+    a = tree.views(linear._script(coeffs)[0], range(T))
     X = np.empty(tree.offsets[T + 1])
     X[0] = x0
     X_levels = tree.views(X, range(T + 1))
@@ -62,7 +62,7 @@ def test_closures_match_the_resolving_forward_pass(seed, N, T, x0):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
     coeffs = random_linear_coeffs(rng, tree)
-    sol = solve_linear(tree, coeffs, x0)
+    sol = solve_linear(coeffs, x0)
     assume(not isinstance(sol, Unsolvable) and sol.riccati.certificate.min_ratio > 1e-2)
     assert_close_to_reference(tree, coeffs, x0, sol)
 
@@ -75,7 +75,7 @@ def test_special_form_closures_match_the_resolving_forward_pass(seed, T, x0):
     form = special_coefficients(tree)
     c = random_linear_coeffs(rng, tree)
     inhomogeneities = (c.D, c.D_bar, c.D_hat[1:], c.g)
-    sol = solve_special(tree, *inhomogeneities, x0, form=form)
+    sol = solve_special(form, *inhomogeneities, x0)
     assert_close_to_reference(tree, form.with_inhomogeneities(*inhomogeneities), x0, sol)
 
 
@@ -96,12 +96,12 @@ def test_a_warm_solve_solves_each_level_once(monkeypatch):
     rng = np.random.default_rng(3)
     tree = random_tree(rng, 3, 3)
     for coeffs in (special_coefficients(tree), random_linear_coeffs(rng, tree, scale=0.5)):
-        riccati_backward(tree, coeffs)  # warms the slope memo
+        riccati_backward(coeffs)  # warms the slope memo
         callers = count_solves(monkeypatch)
-        sol = solve_linear(tree, coeffs, 1.0)
+        sol = solve_linear(coeffs, 1.0)
         assert callers == ["_offset_pass"] * tree.T
         callers.clear()
-        decoupling_coefficients(tree, coeffs, sol.riccati)
+        decoupling_coefficients(coeffs, sol.riccati)
         assert callers == []
         monkeypatch.undo()
 
@@ -109,7 +109,7 @@ def test_a_warm_solve_solves_each_level_once(monkeypatch):
 def test_an_overflowing_terminal_offset_no_longer_overflows_the_solution():
     # the re-solving forward pass added the overflowing feedback to the
     # right-hand side; the closures keep every value finite
-    sol = solve_special(build_tree(2, 2), g=np.full(4, 1.7e308), x0=1.0)
+    sol = solve_special(special_coefficients(build_tree(2, 2)), g=np.full(4, 1.7e308), x0=1.0)
     for process in (sol.X, sol.Y, sol.Z):
         assert np.isfinite(process.array).all()
     assert np.isfinite(sol.residuals.forward) and np.isfinite(sol.residuals.backward)

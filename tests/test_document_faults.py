@@ -54,7 +54,7 @@ BASES = {
 REPLACEMENTS = (True, False, None, "", "abc", "1 +", 10**400, [], [0.5], [[0.5]])
 
 #: One line of input error naming a field of the three mutated blocks.
-INPUT_ERROR = re.compile(r"error: (coefficients\.|tree[.:]|terminal:)[^\n]*\n")
+INPUT_ERROR = re.compile(r"error: (coefficients\.|tree\.|terminal:)[^\n]*\n")
 
 
 def sites(doc):

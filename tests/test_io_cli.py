@@ -360,6 +360,9 @@ class TestBinding:
         doc["options"] = {"mode": "fancy"}
         with pytest.raises(InvalidOption, match="mode must be one of continuation, picard"):
             bind_problem(doc)
+        doc["options"] = {"mode": nested("picard", 900)}
+        with pytest.raises(InvalidOption, match="picard, got a list$"):
+            bind_problem(doc)
         doc["options"] = {"tolerance": 1e-8, "seed": 3}
         options = bind_problem(doc).options
         assert options.tolerance == 1e-8
@@ -374,7 +377,7 @@ def test_certificate_payload_on_halted_recursion():
 
     tree = fbsde.build_tree(2, 2)
     coeffs = fbsde.LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
-    payload = certificate_payload(tree, fbsde.riccati_backward(tree, coeffs))
+    payload = certificate_payload(fbsde.riccati_backward(coeffs))
     assert payload["all_invertible"] is False
     assert payload["P_levels"][0] is None
     assert payload["P_levels"][1] == [1.0, 1.0, 1.0, 1.0]
@@ -394,6 +397,8 @@ BSDE_DOC = {"kind": "bsde", "tree": {"N": 2, "T": 1, "transition": "uniform"}, "
 #: Tree blocks with an N, T or transition cell that is not a JSON number
 #: of the right kind, and the field the error names.  ``int`` or numpy
 #: would read each as a number, and a file of shared cells would solve.
+#: A size out of range names the tree, and a table ``build_tree`` refuses
+#: its transition.
 BAD_TREES = {
     "tree-N-fraction": ({"N": 2.5, "T": 3}, "tree.N"),
     "tree-N-string": ({"N": "2", "T": 3}, "tree.N"),
@@ -403,6 +408,10 @@ BAD_TREES = {
         {"N": 2, "T": 3, "transition": ["0.5", "0.5"]}, "tree.transition"),
     "tree-T-huge": ({"N": 2, "T": 10**400}, "tree.T"),
     "tree-transition-huge": ({"N": 2, "T": 3, "transition": [10**400, 0.5]}, "tree.transition"),
+    "tree-N-one": ({"N": 1, "T": 3}, "tree"),
+    "tree-T-zero": ({"N": 2, "T": 0}, "tree"),
+    "tree-transition-short-row": ({"N": 2, "T": 3, "transition": [0.5]}, "tree.transition"),
+    "tree-transition-unknown-spec": ({"N": 2, "T": 3, "transition": "skewed"}, "tree.transition"),
 }
 #: Documents with an integer too large for a float at each site a number
 #: is read, and the field the error names.
@@ -454,6 +463,8 @@ BAD_DOCUMENTS = {
     "transition-nested-900": (
         BSDE_DOC | {"tree": {"N": 2, "T": 1, "transition": nested([0.5, 0.5], 900)}},
         "tree.transition", "expected a number, got a list"),
+    # a kind that is not a string is named by its type, never printed
+    "kind-nested-900": (LINEAR_DOC | {"kind": nested("linear", 900)}, "kind", "got a list"),
 }
 MALFORMED = {
     "x0-string": ("solve", LINEAR_DOC | {"x0": "abc"}, []),
@@ -759,7 +770,7 @@ OVERFLOWING_SUMS = {
           "error: C column must sum to zero at node root\n"),
     "transition": ({"kind": "linear", "x0": 1.0, "coefficients": {"G": 1.0},
                     "tree": {"N": 2, "T": 2, "transition": [[1e308, 1e308], [0.5, 0.5], [0.5, 0.5]]}},
-                   "error: tree: transition row (t=0, node=0) sums to inf\n"),
+                   "error: tree.transition: transition row (t=0, node=0) sums to inf\n"),
 }
 
 

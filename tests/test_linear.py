@@ -44,19 +44,19 @@ class TestScriptCoeffs:
     def test_all_zero(self):
         tree = uniform_tree(3, 1)
         coeffs = LinearCoefficients(tree)
-        a, coupling = _script(tree, coeffs)
+        a, coupling = _script(coeffs)
         np.testing.assert_allclose(a[0], np.ones(3), atol=TOL)
         np.testing.assert_allclose(coupling[0], np.zeros((3, 3)), atol=TOL)
-        np.testing.assert_allclose(_script_offset(tree, coeffs)[0], np.zeros(3), atol=TOL)
+        np.testing.assert_allclose(_script_offset(coeffs)[0], np.zeros(3), atol=TOL)
 
     def test_plain_drift(self):
         tree = uniform_tree(2, 1)
-        a, _ = _script(tree, LinearCoefficients(tree, A=1.0))
+        a, _ = _script(LinearCoefficients(tree, A=1.0))
         np.testing.assert_allclose(a[0], 2.0 * np.ones(2), atol=TOL)
 
     def test_plain_feedback(self):
         tree = uniform_tree(2, 1)
-        _, coupling = _script(tree, LinearCoefficients(tree, B=-1.0))
+        _, coupling = _script(LinearCoefficients(tree, B=-1.0))
         # b = -1 on every branch, fed back through the transition row
         np.testing.assert_allclose(coupling[0], -np.outer(np.ones(2), tree.rows[0]), atol=TOL)
 
@@ -64,7 +64,7 @@ class TestScriptCoeffs:
         rng = np.random.default_rng(0)
         tree = random_tree(rng, 4, 1)
         row = rng.normal(size=4)
-        a, _ = _script(tree, LinearCoefficients(tree, A_bar=row))
+        a, _ = _script(LinearCoefficients(tree, A_bar=row))
         expect = 1.0 + row - row @ tree.transition[0][0]
         np.testing.assert_allclose(a[0], expect, atol=TOL)
 
@@ -147,7 +147,7 @@ def halted_at(tree, coeffs, s):
     """``coeffs`` with a singular matrix at node 0 of depth s: no Z or
     increment feedback at depth s, and B there set so that the matrix
     I - b 1 (q * P_child)^T kills the all-ones direction."""
-    P_child = riccati_backward(tree, coeffs).P_levels[s + 1][: tree.N]
+    P_child = riccati_backward(coeffs).P_levels[s + 1][: tree.N]
     B = [lev.copy() for lev in coeffs.B]
     B[s][0] = 1.0 / (tree.transition[s][0] @ P_child)
     zero = {name: [np.zeros_like(lev) if t == s else lev
@@ -179,16 +179,16 @@ class TestWholeTreeTables:
             coeffs = random_linear_coeffs(rng, tree, scale=0.5)
             if halted:
                 s = int(rng.integers(0, T))
-                if riccati_backward(tree, coeffs).P_levels[s + 1] is None:
+                if riccati_backward(coeffs).P_levels[s + 1] is None:
                     s = T - 1
                 coeffs = halted_at(tree, coeffs, s)
-            a, coupling = _script(tree, coeffs)
+            a, coupling = _script(coeffs)
             for t, (a_t, coupling_t) in enumerate(zip(tree.views(a, range(T)),
                                                       tree.views(coupling, range(T)))):
                 scr_a, scr_b, scr_c = reference_script_level(tree, coeffs, t)
                 assert_same_bytes([a_t, coupling_t],
                                   [scr_a, reference_coupling_level(tree, t, scr_b, scr_c)])
-            ric = slopes = riccati_backward(tree, coeffs)
+            ric = slopes = riccati_backward(coeffs)
             assert_same_bytes(slopes.theta_levels[1:],
                               [reference_theta_level(tree, coeffs, t) for t in range(1, T)])
             P, gammas, vs, ratios = reference_slope_pass(tree, coeffs)
@@ -202,7 +202,7 @@ class TestWholeTreeTables:
                 assert slopes.gamma_levels[s] is not None and vs[s] is None
             else:
                 assert ric.certificate.all_invertible
-                slope, offset = decoupling_coefficients(tree, coeffs, ric)
+                slope, offset = decoupling_coefficients(coeffs, ric)
                 slope_ref, offset_ref = reference_decoupling(tree, coeffs, ric)
                 assert_same_bytes([*slope.levels, *offset.levels], slope_ref + offset_ref)
 
@@ -210,7 +210,7 @@ class TestWholeTreeTables:
 class TestRiccati:
     def test_all_zero_coefficients_unit_terminal(self):
         tree = uniform_tree(2, 3)
-        ric = riccati_backward(tree, LinearCoefficients(tree, G=1.0))
+        ric = riccati_backward(LinearCoefficients(tree, G=1.0))
         assert ric.certificate.all_invertible
         for t in range(1, 4):
             np.testing.assert_allclose(ric.P_levels[t], 1.0, atol=TOL)
@@ -223,7 +223,7 @@ class TestRiccati:
 
     def test_corollary_levels(self):
         tree = uniform_tree(2, 3)
-        ric = riccati_backward(tree, special_coefficients(tree))
+        ric = riccati_backward(special_coefficients(tree))
         np.testing.assert_allclose(ric.P_levels[3], 2.0, atol=TOL)
         np.testing.assert_allclose(ric.P_levels[2], 5.0 / 3.0, atol=TOL)
         np.testing.assert_allclose(ric.P_levels[1], 13.0 / 8.0, atol=TOL)
@@ -232,12 +232,12 @@ class TestRiccati:
         # the recursion stays deterministic whatever the transition rows
         rng = np.random.default_rng(1)
         tree = random_tree(rng, 3, 3)
-        ric = riccati_backward(tree, special_coefficients(tree))
+        ric = riccati_backward(special_coefficients(tree))
         np.testing.assert_allclose(ric.P_levels[1], 13.0 / 8.0, atol=TOL)
 
     def test_singular_instance(self):
         tree, coeffs, _ = singular_construction()
-        ric = riccati_backward(tree, coeffs)
+        ric = riccati_backward(coeffs)
         np.testing.assert_allclose(ric.P_levels[1], 1.0, atol=TOL)
         # the matrix kills the all-ones vector
         np.testing.assert_allclose(
@@ -250,7 +250,7 @@ class TestRiccati:
         tree = uniform_tree(2, 2)
         # feedback only at time 1: both depth-1 nodes singular, root unprocessed
         coeffs = LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
-        ric = riccati_backward(tree, coeffs)
+        ric = riccati_backward(coeffs)
         assert len(ric.certificate.singular_nodes) == 2
         assert {n.depth for n in ric.certificate.singular_nodes} == {1}
         assert ric.gamma_levels[0] is None
@@ -258,25 +258,25 @@ class TestRiccati:
 
     def test_levels_are_indexed_by_absolute_time(self):
         tree = uniform_tree(2, 2)
-        ric = riccati_backward(tree, special_coefficients(tree))
+        ric = riccati_backward(special_coefficients(tree))
         assert len(ric.P_levels) == len(ric.p_levels) == 3
         assert ric.P_levels[0] is None and ric.p_levels[0] is None
         np.testing.assert_allclose(ric.P_levels[1], 5.0 / 3.0, atol=TOL)
         np.testing.assert_allclose(ric.p_levels[2], 0.0, atol=TOL)
         coeffs = LinearCoefficients(tree, B=[0.0, 1.0], G=1.0)
-        halted = riccati_backward(tree, coeffs)
+        halted = riccati_backward(coeffs)
         assert halted.P_levels[1] is None and halted.p_levels[1] is None
         with pytest.raises(SingularCertificate):
-            decoupling_coefficients(tree, coeffs, halted)
+            decoupling_coefficients(coeffs, halted)
 
     def test_gamma_recomputable_from_P(self):
         rng = np.random.default_rng(2)
         tree = random_tree(rng, 2, 3)
         coeffs = random_linear_coeffs(rng, tree, scale=0.4)
-        ric = riccati_backward(tree, coeffs)
+        ric = riccati_backward(coeffs)
         if not ric.certificate.all_invertible:
             pytest.skip("random instance was singular")
-        coupling = tree.views(_script(tree, coeffs)[1], range(3))
+        coupling = tree.views(_script(coeffs)[1], range(3))
         for t in range(3):
             P_child = ric.P_levels[t + 1].reshape(tree.num_nodes(t), 2)
             np.testing.assert_allclose(
@@ -288,7 +288,7 @@ class TestSolveLinear:
     def test_deterministic_drift_instance(self):
         tree = uniform_tree(2, 3)
         coeffs = LinearCoefficients(tree, D=1.0, G=1.0)
-        sol = solve_linear(tree, coeffs, 0.0)
+        sol = solve_linear(coeffs, 0.0)
         for t in range(4):
             np.testing.assert_allclose(sol.X.level(t), float(t), atol=TOL)
             np.testing.assert_allclose(sol.Y.level(t), 3.0, atol=TOL)
@@ -303,14 +303,14 @@ class TestSolveLinear:
             T = int(rng.integers(1, 4))
             tree = random_tree(rng, N, T)
             coeffs = random_linear_coeffs(rng, tree, scale=0.8, couple=False)
-            ric = riccati_backward(tree, coeffs)
+            ric = riccati_backward(coeffs)
             for t in range(T):
                 np.testing.assert_allclose(
                     ric.gamma_levels[t],
                     np.broadcast_to(np.eye(N), ric.gamma_levels[t].shape),
                     atol=TOL,
                 )
-            sol = solve_linear(tree, coeffs, 1.3)
+            sol = solve_linear(coeffs, 1.3)
             assert not isinstance(sol, Unsolvable)
 
             X = [np.array([1.3])]
@@ -340,7 +340,7 @@ class TestSolveLinear:
 
     def test_singular_returns_unsolvable(self):
         tree, coeffs, x0 = singular_construction()
-        result = solve_linear(tree, coeffs, x0)
+        result = solve_linear(coeffs, x0)
         assert isinstance(result, Unsolvable)
         assert [n.depth for n in result.singular_nodes] == [0]
 
@@ -350,7 +350,7 @@ class TestSolveLinear:
         for _ in range(25):
             tree = random_tree(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
             coeffs = random_linear_coeffs(rng, tree)
-            sol = solve_linear(tree, coeffs, float(rng.normal()))
+            sol = solve_linear(coeffs, float(rng.normal()))
             if isinstance(sol, Unsolvable):
                 continue
             solved += 1
@@ -362,48 +362,41 @@ class TestSolveLinear:
         rng = np.random.default_rng(5)
         tree = random_tree(rng, 3, 2)
         coeffs = random_linear_coeffs(rng, tree)
-        sol = solve_linear(tree, coeffs, 0.7)
+        sol = solve_linear(coeffs, 0.7)
         assert not isinstance(sol, Unsolvable)
         X = [sol.X.level(t) for t in range(3)]
         Y = [sol.Y.level(t) for t in range(3)]
         Z = [sol.Z.level(t).copy() for t in range(2)]
         for t in range(2):
             Z[t] += rng.normal(size=(tree.num_nodes(t), 1))  # constant per row
-        shifted = linear_residuals(tree, coeffs, X, Y, Z)
+        shifted = linear_residuals(coeffs, X, Y, Z)
         assert shifted.forward == pytest.approx(sol.residuals.forward, abs=1e-10)
         assert shifted.backward == pytest.approx(sol.residuals.backward, abs=1e-10)
 
     def test_non_finite_input(self):
         tree = uniform_tree(2, 1)
         with pytest.raises(NonFiniteInput):
-            solve_linear(tree, LinearCoefficients(tree), float("nan"))
+            solve_linear(LinearCoefficients(tree), float("nan"))
 
-    @pytest.mark.parametrize("N, T", [(2, 3), (3, 2), (3, 3)])
-    def test_a_tree_of_another_shape_is_a_shape_mismatch(self, N, T):
-        tree = build_tree(2, 2)
-        coeffs = LinearCoefficients(tree, G=1.0)
-        sol = solve_linear(tree, coeffs, 1.0)
-        other = build_tree(N, T)
-        calls = {
-            "solve_linear": lambda: solve_linear(other, coeffs, 1.0),
-            "riccati_backward": lambda: riccati_backward(other, coeffs),
-            "linear_residuals": lambda: linear_residuals(other, coeffs, sol.X, sol.Y, sol.Z),
-            "decoupling": lambda: decoupling_coefficients(other, coeffs, sol.riccati),
-            "linear_oracle": lambda: linear_oracle(other, coeffs, 1.0),
-        }
-        for name, call in calls.items():
-            with pytest.raises(ShapeMismatch, match=f"N={N}, T={T}; the coefficients N=2, T=2"):
-                call()
-        # a tree of the same shape with other probabilities is legal
-        skewed = build_tree(2, 2, [0.3, 0.7])
-        assert not isinstance(solve_linear(skewed, coeffs, 1.0), Unsolvable)
-        assert isinstance(linear_oracle(skewed, coeffs, 1.0), UniqueSolution)
+    def test_another_law_is_one_rebinding_away(self):
+        # a set solves on the tree it was built on; its arrays rebound to a
+        # tree of the same shape solve under that tree's law
+        rng = np.random.default_rng(11)
+        coeffs = random_linear_coeffs(rng, uniform_tree(3, 3), scale=0.5)
+        skewed = LinearCoefficients(build_tree(3, 3, [0.2, 0.3, 0.5]), **coeffs.arrays)
+        mine = solve_linear(skewed, 1.0)
+        assert not np.allclose(mine.Y.array, solve_linear(coeffs, 1.0).Y.array)
+        verdict = linear_oracle(skewed, 1.0)
+        assert isinstance(verdict, UniqueSolution)
+        for name in ("X", "Y", "Z"):
+            np.testing.assert_allclose(getattr(verdict.solution, name).array,
+                                       getattr(mine, name).array, rtol=0, atol=1e-12)
 
 
 class TestSolveSpecial:
     def test_zero_data_zero_solution(self):
         tree = uniform_tree(2, 2)
-        sol = solve_special(tree)
+        sol = solve_special(special_coefficients(tree))
         for t in range(3):
             np.testing.assert_array_equal(sol.X.level(t), 0.0)
             np.testing.assert_array_equal(sol.Y.level(t), 0.0)
@@ -414,7 +407,7 @@ class TestSolveSpecial:
             tree = random_tree(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
             T = tree.T
             sol = solve_special(
-                tree,
+                special_coefficients(tree),
                 D=[rng.normal(size=tree.num_nodes(t)) for t in range(T)],
                 D_bar=[rng.normal(size=(tree.num_nodes(t), tree.N)) for t in range(T)],
                 D_hat=[rng.normal(size=tree.num_nodes(t)) for t in range(1, T + 1)],
@@ -427,7 +420,7 @@ class TestSolveSpecial:
     def test_terminal_offset_only(self):
         # one-step instance with only the terminal offset switched on
         tree = uniform_tree(2, 1)
-        sol = solve_special(tree, g=1.0, x0=0.0)
+        sol = solve_special(special_coefficients(tree), g=1.0, x0=0.0)
         assert sol.residuals.forward <= TOL
         assert sol.residuals.backward <= TOL
         # Y_1 = X_1 + 1 must hold exactly at the leaves
@@ -435,9 +428,7 @@ class TestSolveSpecial:
             sol.Y.level(1), sol.X.level(1) + 1.0, atol=TOL
         )
         # and the assembled global system agrees
-        from fbsde import UniqueSolution, linear_oracle
-
-        verdict = linear_oracle(tree, special_coefficients(tree, g=1.0), 0.0)
+        verdict = linear_oracle(special_coefficients(tree, g=1.0), 0.0)
         assert isinstance(verdict, UniqueSolution)
         for t in range(2):
             np.testing.assert_allclose(
@@ -452,8 +443,8 @@ class TestDecoupling:
     def test_unit_terminal_identity_maps(self):
         tree = uniform_tree(2, 3)
         coeffs = LinearCoefficients(tree, G=1.0)
-        ric = riccati_backward(tree, coeffs)
-        slope, offset = decoupling_coefficients(tree, coeffs, ric)
+        ric = riccati_backward(coeffs)
+        slope, offset = decoupling_coefficients(coeffs, ric)
         for t in range(4):
             np.testing.assert_allclose(slope.level(t), 1.0, atol=TOL)
             np.testing.assert_allclose(offset.level(t), 0.0, atol=TOL)
@@ -464,11 +455,11 @@ class TestDecoupling:
         for _ in range(15):
             tree = random_tree(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
             coeffs = random_linear_coeffs(rng, tree)
-            ric = riccati_backward(tree, coeffs)
+            ric = riccati_backward(coeffs)
             if not ric.certificate.all_invertible:
                 continue
-            sol = solve_linear(tree, coeffs, float(rng.normal()))
-            slope, offset = decoupling_coefficients(tree, coeffs, ric)
+            sol = solve_linear(coeffs, float(rng.normal()))
+            slope, offset = decoupling_coefficients(coeffs, ric)
             for t in range(tree.T + 1):
                 np.testing.assert_allclose(
                     sol.Y.level(t),
@@ -491,12 +482,12 @@ class TestDecoupling:
                 random_linear_coeffs(rng, tree, scale=0.5),
                 C=np.zeros(N), C_bar=np.zeros((N, N)), C_hat=np.zeros(N),
             )
-            ric = riccati_backward(tree, coeffs)
+            ric = riccati_backward(coeffs)
             if not ric.certificate.all_invertible:
                 continue
             if min(abs(np.linalg.det(g)).min() for g in ric.gamma_levels) < 1e-2:
                 continue  # avoid amplifying rounding through a tiny pivot
-            slope, offset = decoupling_coefficients(tree, coeffs, ric)
+            slope, offset = decoupling_coefficients(coeffs, ric)
 
             G_lvl = coeffs.G.copy()
             g_lvl = coeffs.g.copy()
@@ -546,13 +537,13 @@ class TestDecoupling:
         for _ in range(10):
             tree = random_tree(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
             coeffs = random_linear_coeffs(rng, tree, scale=0.6)
-            ric = riccati_backward(tree, coeffs)
+            ric = riccati_backward(coeffs)
             if not ric.certificate.all_invertible:
                 continue
-            sol = solve_linear(tree, coeffs, float(rng.normal()))
+            sol = solve_linear(coeffs, float(rng.normal()))
             N = tree.N
-            offsets = _script_offset(tree, coeffs)
-            scr_a, scr_coupling = _script(tree, coeffs)
+            offsets = _script_offset(coeffs)
+            scr_a, scr_coupling = _script(coeffs)
             for t in range(tree.T):
                 for node in range(tree.num_nodes(t)):
                     k = tree.offsets[t] + node
@@ -577,9 +568,9 @@ class TestDecoupling:
 
     def test_singular_certificate_raised(self):
         tree, coeffs, _ = singular_construction()
-        ric = riccati_backward(tree, coeffs)
+        ric = riccati_backward(coeffs)
         with pytest.raises(SingularCertificate):
-            decoupling_coefficients(tree, coeffs, ric)
+            decoupling_coefficients(coeffs, ric)
 
     def test_certificate_identity_when_couplings_vanish(self):
         rng = np.random.default_rng(9)
@@ -588,7 +579,7 @@ class TestDecoupling:
             random_linear_coeffs(rng, tree),
             B=0.0, B_bar=np.zeros(3), C=np.zeros(3), C_bar=np.zeros((3, 3)),
         )
-        ric = riccati_backward(tree, coeffs)
+        ric = riccati_backward(coeffs)
         for t in range(3):
             np.testing.assert_allclose(
                 ric.gamma_levels[t],
@@ -677,8 +668,8 @@ class TestValidation:
         coeffs = random_linear_coeffs(rng, tree)
         assert len(calls) == 1
         # the solvers and the copies with new inhomogeneities never validate again
-        riccati_backward(tree, coeffs)
-        solve_linear(tree, coeffs.with_inhomogeneities(D=0.1), 0.5)
+        riccati_backward(coeffs)
+        solve_linear(coeffs.with_inhomogeneities(D=0.1), 0.5)
         assert len(calls) == 1
 
 
@@ -704,13 +695,13 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             with pytest.raises(NonFiniteSolve) as err:
-                solve_linear(tree, coeffs, x0)
+                solve_linear(coeffs, x0)
             assert err.value.depth == depth
             if depth is None:  # the backward pass itself is finite
-                assert riccati_backward(tree, coeffs).certificate.all_invertible
+                assert riccati_backward(coeffs).certificate.all_invertible
             else:
                 with pytest.raises(NonFiniteSolve, match=f"depth {depth}"):
-                    riccati_backward(tree, coeffs)
+                    riccati_backward(coeffs)
 
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_cli_exits_4(self, tmp_path, capsys, coefficients, x0, depth, command):

@@ -34,6 +34,7 @@ from fbsde import (
     solve_flat_picard,
     solve_oracle,
     solve_special,
+    special_coefficients,
     tilde_contract,
 )
 from fbsde import nonlinear
@@ -125,8 +126,8 @@ class TestBlend:
 class TestSolveContinuation:
     def test_linear_special_reduction_is_bitwise(self):
         tree = uniform_tree(2, 3)
-        sol, _ = solve_continuation(tree, linear_special_problem(tree), 1.5)
-        ref = solve_special(tree, x0=1.5)
+        sol, _ = solve_continuation(tree, linear_special_problem(), 1.5)
+        ref = solve_special(special_coefficients(tree), x0=1.5)
         for t in range(4):
             np.testing.assert_array_equal(sol.X.level(t), ref.X.level(t))
             np.testing.assert_array_equal(sol.Y.level(t), ref.Y.level(t))
@@ -211,7 +212,7 @@ class TestSolveContinuation:
         with pytest.raises(StepUnderflow, match="512-level cap$") as info:
             solve_continuation(
                 tree,
-                linear_special_problem(tree),
+                linear_special_problem(),
                 1.0,
                 ContinuationOptions(delta=delta),
             )
@@ -291,10 +292,10 @@ class TestSolveContinuation:
 class TestFlatPicard:
     def test_linear_special_two_iterations(self):
         tree = uniform_tree(2, 2)
-        sol, stats = solve_flat_picard(tree, linear_special_problem(tree), 0.7)
+        sol, stats = solve_flat_picard(tree, linear_special_problem(), 0.7)
         assert len(stats.records) == 1
         assert len(stats.records[0].norms) <= 2
-        ref = solve_special(tree, x0=0.7)
+        ref = solve_special(special_coefficients(tree), x0=0.7)
         for t in range(3):
             np.testing.assert_array_equal(sol.X.level(t), ref.X.level(t))
 
@@ -326,7 +327,7 @@ class TestFlatPicard:
         far = [np.full(tree.num_nodes(t), -1.5e308) for t in range(2)]
         initial = (far, far, [np.zeros((1, 2))])
         with pytest.raises(NoContraction) as info:
-            solve_flat_picard(tree, linear_special_problem(tree), 4e307, None, initial)
+            solve_flat_picard(tree, linear_special_problem(), 4e307, None, initial)
         err = info.value
         assert str(err) == "non-finite increment at level 1; consider continuation mode"
         assert err.alpha == 1.0 and err.norms == [math.inf]
@@ -334,10 +335,10 @@ class TestFlatPicard:
 
 @pytest.mark.parametrize("x0", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("solver", [
-    lambda tree, x0: solve_continuation(tree, linear_special_problem(tree), x0),
-    lambda tree, x0: solve_flat_picard(tree, linear_special_problem(tree), x0),
-    lambda tree, x0: linear_oracle(tree, LinearCoefficients(tree, G=1.0), x0),
-    lambda tree, x0: solve_oracle(tree, linear_special_problem(tree), x0),
+    lambda tree, x0: solve_continuation(tree, linear_special_problem(), x0),
+    lambda tree, x0: solve_flat_picard(tree, linear_special_problem(), x0),
+    lambda tree, x0: linear_oracle(LinearCoefficients(tree, G=1.0), x0),
+    lambda tree, x0: solve_oracle(tree, linear_special_problem(), x0),
 ], ids=["continuation", "flat-picard", "linear-oracle", "newton-oracle"])
 def test_a_non_finite_x0_is_refused(solver, x0):
     with pytest.raises(NonFiniteInput, match=f"x0 = {x0!r}"):
@@ -348,11 +349,11 @@ class TestCheckAssumptions:
     def test_one_sample_is_refused(self):
         tree = uniform_tree(2, 2)
         with pytest.raises(ValueError, match="sample_count must be at least 2"):
-            check_assumptions(tree, linear_special_problem(tree), sample_count=1)
+            check_assumptions(tree, linear_special_problem(), sample_count=1)
 
     def test_linear_special_satisfied(self):
         tree = uniform_tree(2, 2)
-        report = check_assumptions(tree, linear_special_problem(tree), sample_count=300)
+        report = check_assumptions(tree, linear_special_problem(), sample_count=300)
         assert report.satisfied
         assert report.lipschitz.value <= 1.0 + 1e-9
         assert report.monotone_interior.value < 0.0
@@ -363,7 +364,7 @@ class TestCheckAssumptions:
 
     def test_decreasing_terminal_map_is_flagged(self):
         tree = uniform_tree(2, 2)
-        base = linear_special_problem(tree)
+        base = linear_special_problem()
         problem = NonlinearProblem(
             base.drift, base.diffusion, base.generator, lambda nodes, x: -x
         )
@@ -386,7 +387,7 @@ class TestCheckAssumptions:
 
     def test_steep_generator_shows_in_lipschitz_estimate(self):
         tree = uniform_tree(2, 3)
-        base = linear_special_problem(tree)
+        base = linear_special_problem()
         problem = NonlinearProblem(
             base.drift,
             base.diffusion,
@@ -457,7 +458,7 @@ def check_instances():
     tree = random_tree(rng, 2, 4)
     yield "demo N=2", demo_monotone_problem(tree, 0.3), tree
     tree = random_tree(rng, 3, 1)
-    base = linear_special_problem(tree)
+    base = linear_special_problem()
     yield "violated T=1", dataclasses.replace(base, terminal=lambda nodes, x: -x), tree
 
 
@@ -690,7 +691,7 @@ class TestResiduals:
         X = [np.zeros(tree.num_nodes(t)) for t in range(3)]
         Y = [np.zeros(tree.num_nodes(t)) for t in range(3)]
         Z = [np.zeros((tree.num_nodes(t), 2)) for t in range(2)]
-        fwd, bwd = nonlinear_residual(tree, linear_special_problem(tree), (X, Y, Z))
+        fwd, bwd = nonlinear_residual(tree, linear_special_problem(), (X, Y, Z))
         assert fwd == 0.0 and bwd == 0.0
 
     def test_perturbation_shows_up_at_its_magnitude(self):
@@ -851,7 +852,7 @@ def test_array_blend_matches_the_per_node_blend(seed, N, T, alpha, linear_target
     # terminal row Y_T - blended h(X_T) in the backward value
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
-    problem = (as_nonlinear_problem(tree, random_linear_coeffs(rng, tree)) if linear_target
+    problem = (as_nonlinear_problem(random_linear_coeffs(rng, tree)) if linear_target
                else demo_monotone_problem(tree, float(rng.uniform(0.0, 0.9))))
     inhom = Inhomogeneity.zeros(tree) if zero_inhom else random_inhomogeneity(rng, tree)
     X = [rng.uniform(-1, 1, size=tree.num_nodes(t)) for t in range(T + 1)]
@@ -882,7 +883,8 @@ def test_the_level_check_binds_the_terminal_row(N, T):
     problem = demo_monotone_problem(tree, 0.3)
 
     def level_check(g):
-        sol = solve_special(tree, D=inhom.b0, D_bar=inhom.sigma0, D_hat=-inhom.f0, g=g, x0=1.0)
+        sol = solve_special(special_coefficients(tree), D=inhom.b0, D_bar=inhom.sigma0,
+                            D_hat=-inhom.f0, g=g, x0=1.0)
         return nonlinear._blended_residual(tree, problem, 0.0, inhom,
                                            nonlinear._as_iterate(tree, sol))
 
@@ -913,6 +915,16 @@ def test_one_value_per_node_is_not_one_diffusion_row(N):
     for value in (0.1, row[None, :]):
         shared = dataclasses.replace(base, diffusion=lambda t, nodes, x, y, zt: value)
         assert nonlinear_residual(tree, shared, (X, Y, Z)) == want
+
+
+def test_an_interior_callback_of_another_shape_is_named():
+    # times 1..T-1 name the callback as time 0 and the horizon do
+    tree = uniform_tree(2, 3)
+    bad = dataclasses.replace(
+        linear_special_problem(),
+        diffusion=lambda t, nodes, x, y, zt: np.zeros((3, 2) if t else (len(x), 2)))
+    with pytest.raises(ShapeMismatch, match=r"^diffusion returned shape \(3, 2\), expected"):
+        check_assumptions(tree, bad)
 
 
 def test_each_iterate_is_evaluated_once(monkeypatch):
@@ -954,7 +966,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
 def test_each_level_is_one_call_drift_then_diffusion_then_generator():
     # and the terminal map once, last, on the leaves, in every residual call
     tree = uniform_tree(2, 2)
-    base = linear_special_problem(tree)
+    base = linear_special_problem()
     calls = []
 
     def record(name, fn):
@@ -966,7 +978,7 @@ def test_each_level_is_one_call_drift_then_diffusion_then_generator():
 
     problem = NonlinearProblem(record("b", base.drift), record("sigma", base.diffusion),
                                record("f", base.generator), terminal)
-    sol = solve_special(tree, D=0.1, x0=1.0)
+    sol = solve_special(special_coefficients(tree), D=0.1, x0=1.0)
     for _ in range(2):
         calls.clear()
         nonlinear_residual(tree, problem, sol)

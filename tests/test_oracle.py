@@ -34,6 +34,7 @@ from fbsde import (
     solve_linear,
     solve_oracle,
     solve_special,
+    special_coefficients,
     tilde_contract,
 )
 from fbsde import linear, oracle
@@ -61,16 +62,16 @@ class TestLinearOracle:
     def test_unique_on_drift_instance(self):
         tree = uniform_tree(2, 3)
         coeffs = LinearCoefficients(tree, D=1.0, G=1.0)
-        verdict = linear_oracle(tree, coeffs, 0.0)
+        verdict = linear_oracle(coeffs, 0.0)
         assert isinstance(verdict, UniqueSolution)
-        direct = solve_linear(tree, coeffs, 0.0)
+        direct = solve_linear(coeffs, 0.0)
         assert max_solution_gap(tree, verdict.solution, direct) <= 1e-10
 
     def test_singular_classification(self):
         tree = uniform_tree(2, 1)
         coeffs = LinearCoefficients(tree, B=1.0, G=1.0)
-        assert isinstance(linear_oracle(tree, coeffs, 1.0), NoSolution)
-        verdict = linear_oracle(tree, coeffs, 0.0)
+        assert isinstance(linear_oracle(coeffs, 1.0), NoSolution)
+        verdict = linear_oracle(coeffs, 0.0)
         assert isinstance(verdict, InfinitelyMany)
         assert verdict.nullity >= 1
 
@@ -81,8 +82,8 @@ class TestLinearOracle:
             tree = random_tree(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
             coeffs = random_linear_coeffs(rng, tree)
             x0 = float(rng.normal())
-            direct = solve_linear(tree, coeffs, x0)
-            verdict = linear_oracle(tree, coeffs, x0)
+            direct = solve_linear(coeffs, x0)
+            verdict = linear_oracle(coeffs, x0)
             if isinstance(direct, Unsolvable):
                 assert not isinstance(verdict, UniqueSolution)
             else:
@@ -225,7 +226,7 @@ def test_the_level_order_assembly_is_the_per_node_one(seed, N, T, couple):
     tree = random_tree(rng, N, T)
     coeffs = random_linear_coeffs(rng, tree, couple=couple)
     x0 = float(rng.normal())
-    mat, rhs = oracle._assemble(tree, coeffs, x0)
+    mat, rhs = oracle._assemble(coeffs, x0)
     ref_mat, ref_rhs = per_node_assemble(tree, coeffs, x0)
     size = _Index(tree).size
     assert mat.shape == ref_mat.shape == (size, size)
@@ -264,7 +265,7 @@ def test_the_whole_tree_newton_residual_is_the_per_level_one_bit_for_bit(seed, N
     tree = random_tree(rng, N, T)
     x0 = float(rng.normal())
     problem = (demo_monotone_problem(tree, 0.15) if monotone
-               else as_nonlinear_problem(tree, random_linear_coeffs(rng, tree)))
+               else as_nonlinear_problem(random_linear_coeffs(rng, tree)))
     residual = oracle._newton_residual(tree, problem, x0, SolveStats())
     for K in range(1, 6):
         flat = x0 + rng.normal(size=(tree.offsets[-1] - 1, K))
@@ -285,15 +286,15 @@ def test_the_linear_verdict_does_not_use_the_recursive_solver(monkeypatch):
     rng = np.random.default_rng(5)
     tree = random_tree(rng, 3, 2)
     coeffs = random_linear_coeffs(rng, tree, scale=0.4)
-    expected = solve_linear(tree, coeffs, 0.3)
+    expected = solve_linear(coeffs, 0.3)
     singular = LinearCoefficients(uniform_tree(2, 1), B=1.0, G=1.0)
     for name in ("riccati_backward", "solve_linear", "_script"):
         monkeypatch.setattr(linear, name, unused)
-    verdict = linear_oracle(tree, coeffs, 0.3)
+    verdict = linear_oracle(coeffs, 0.3)
     assert isinstance(verdict, UniqueSolution)
     assert max_solution_gap(tree, verdict.solution, expected) <= 1e-10
-    assert isinstance(linear_oracle(singular.tree, singular, 1.0), NoSolution)
-    assert isinstance(linear_oracle(singular.tree, singular, 0.0), InfinitelyMany)
+    assert isinstance(linear_oracle(singular, 1.0), NoSolution)
+    assert isinstance(linear_oracle(singular, 0.0), InfinitelyMany)
 
 
 def svd_oracle(tree, coeffs, x0):
@@ -301,13 +302,13 @@ def svd_oracle(tree, coeffs, x0):
     gave it before the Gram test: the rank from ``np.linalg.svd``, then
     ``np.linalg.solve`` at full rank, else ``np.linalg.lstsq`` for the gap."""
     size = oracle._size(tree)
-    mat, rhs = oracle._assemble(tree, coeffs, x0)
+    mat, rhs = oracle._assemble(coeffs, x0)
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(svals > linear.SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
     if rank == size:
         with np.errstate(over="ignore", invalid="ignore"):
             vec = np.linalg.solve(mat, rhs)
-        return UniqueSolution(oracle._solution_from_vector(tree, coeffs, x0, vec), rank, size)
+        return UniqueSolution(oracle._solution_from_vector(coeffs, x0, vec), rank, size)
     vec, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     gap = float(np.abs(mat @ vec - rhs).max())
     if gap > oracle.CONSISTENCY_TOL * max(1.0, float(np.abs(rhs).max())):
@@ -364,7 +365,7 @@ def assert_same_verdict(verdict, ref):
 @given(dense_systems())
 def test_the_gram_test_keeps_the_svd_verdict(system):
     tree, coeffs, x0 = system
-    assert_same_verdict(linear_oracle(tree, coeffs, x0), svd_oracle(tree, coeffs, x0))
+    assert_same_verdict(linear_oracle(coeffs, x0), svd_oracle(tree, coeffs, x0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -373,8 +374,8 @@ def test_the_gram_test_certifies_only_full_rank(system):
     # passing implies full rank by the SVD rule, and every system with a
     # sigma ratio above 1e-4 passes (the test's own margin is 1e-5)
     tree, coeffs, x0 = system
-    ratio = sigma_ratio(oracle._assemble(tree, coeffs, x0)[0])
-    passed = oracle._full_rank(tree, oracle._assemble(tree, coeffs, x0)[0])
+    ratio = sigma_ratio(oracle._assemble(coeffs, x0)[0])
+    passed = oracle._full_rank(tree, oracle._assemble(coeffs, x0)[0])
     assert not passed or ratio > linear.SINGULAR_RATIO
     assert passed or ratio <= 1e-4
 
@@ -385,7 +386,7 @@ def test_the_tree_ordered_factorization_keeps_the_dense_verdict(system):
     # the leaves-first block elimination against one np.linalg.cholesky of
     # the whole shifted Gram matrix, in the matrix's own column order
     tree, coeffs, x0 = system
-    mat = oracle._assemble(tree, coeffs, x0)[0]
+    mat = oracle._assemble(coeffs, x0)[0]
     rows, cols, vals = nonzeros(mat)
     gram = oracle._gram(len(mat), rows, cols, vals / np.abs(vals).max())
     gram[np.diag_indices(len(mat))] -= linear.SINGULAR_RATIO * np.abs(gram).sum(axis=1).max()
@@ -403,7 +404,7 @@ def test_the_tree_ordered_factorization_keeps_the_dense_verdict(system):
 def test_the_gram_matrix_couples_a_node_only_with_its_parent_siblings_and_children(system):
     # the one structural fact the leaves-first elimination relies on
     tree, coeffs, x0 = system
-    mat = oracle._assemble(tree, coeffs, x0)[0]
+    mat = oracle._assemble(coeffs, x0)[0]
     x, y, z = oracle._columns(tree)
     n, m = tree.offsets[-1], tree.offsets[-2]
     owner = np.empty(len(mat), dtype=int)  # the node of each column
@@ -420,7 +421,7 @@ def test_the_gram_matrix_couples_a_node_only_with_its_parent_siblings_and_childr
 @given(dense_systems())
 def test_the_gram_matrix_from_the_nonzeros_is_a_t_a(system):
     tree, coeffs, x0 = system
-    mat = oracle._assemble(tree, coeffs, x0)[0]
+    mat = oracle._assemble(coeffs, x0)[0]
     gram = oracle._gram(len(mat), *nonzeros(mat))
     bound = 64 * np.finfo(float).eps * (np.abs(mat).T @ np.abs(mat))
     assert (np.abs(gram - mat.T @ mat) <= bound).all()
@@ -438,8 +439,8 @@ def test_a_near_singular_system_falls_back_to_the_svd_rule(k, passes, verdict, r
     # N=2 T=2 at x0 = 1: sigma ratio 8.4e-4 at k = 2, 8.5e-6 to 8.5e-10 at
     # k = 4..8, 8.5e-11 at k = 9 and 9.5e-18 at G = 1
     tree, coeffs = near_singular(2, 2, k)
-    assert oracle._full_rank(tree, oracle._assemble(tree, coeffs, 1.0)[0]) is passes
-    result = linear_oracle(tree, coeffs, 1.0)
+    assert oracle._full_rank(tree, oracle._assemble(coeffs, 1.0)[0]) is passes
+    result = linear_oracle(coeffs, 1.0)
     assert (type(result), result.rank, result.size) == (verdict, rank, 16)
 
 
@@ -450,7 +451,7 @@ def test_a_full_rank_system_the_shifted_cholesky_cannot_certify_keeps_its_bytes(
     # 1.57), so the shifted Cholesky factorization does not; the fallback
     # finds full rank and solves as the SVD rule does
     tree, coeffs = near_singular(2, 2, 3.9)
-    mat = oracle._assemble(tree, coeffs, 1.0)[0]
+    mat = oracle._assemble(coeffs, 1.0)[0]
     rows, cols, vals = nonzeros(mat)
     gram = oracle._gram(16, rows, cols, vals / np.abs(vals).max())
     lam = np.linalg.eigvalsh(gram)
@@ -459,7 +460,7 @@ def test_a_full_rank_system_the_shifted_cholesky_cannot_certify_keeps_its_bytes(
     assert oracle._full_rank(tree, mat) is False
     calls, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
-    result = linear_oracle(tree, coeffs, 1.0)
+    result = linear_oracle(coeffs, 1.0)
     assert isinstance(result, UniqueSolution) and len(calls) == 1
     assert_same_verdict(result, svd_oracle(tree, coeffs, 1.0))
 
@@ -471,7 +472,7 @@ def test_the_oracle_assembles_its_matrix_once(monkeypatch, k):
     tree, coeffs = near_singular(2, 2, k)
     calls, assemble = [], oracle._assemble
     monkeypatch.setattr(oracle, "_assemble", lambda *args: calls.append(1) or assemble(*args))
-    assert isinstance(linear_oracle(tree, coeffs, 1.0), UniqueSolution) and len(calls) == 1
+    assert isinstance(linear_oracle(coeffs, 1.0), UniqueSolution) and len(calls) == 1
 
 
 def test_the_oracle_holds_two_dense_matrices_at_its_peak():
@@ -483,11 +484,11 @@ def test_the_oracle_holds_two_dense_matrices_at_its_peak():
     tree = random_tree(rng, 3, 5)
     coeffs = random_linear_coeffs(rng, tree)
     size = oracle._size(tree)
-    linear_oracle(tree, coeffs, 0.5)  # imports and caches outside the count
+    linear_oracle(coeffs, 0.5)  # imports and caches outside the count
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert isinstance(linear_oracle(tree, coeffs, 0.5), UniqueSolution)
+        assert isinstance(linear_oracle(coeffs, 0.5), UniqueSolution)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -527,14 +528,14 @@ def test_an_overflowing_assembly_stops_at_once(tmp_path, where):
     loaded = bind_problem(doc)
     start = time.perf_counter()
     with pytest.raises(NonFiniteSolve, match="assembly"):
-        linear_oracle(loaded.tree, loaded.data, loaded.x0)
+        linear_oracle(loaded.data, loaded.x0)
     assert time.perf_counter() - start < 1.0
 
 
 class TestSolveOracle:
     def test_zero_problem(self):
         tree = uniform_tree(2, 2)
-        sol, _ = solve_oracle(tree, linear_special_problem(tree), 0.0)
+        sol, _ = solve_oracle(tree, linear_special_problem(), 0.0)
         for t in range(3):
             np.testing.assert_allclose(sol.X.level(t), 0.0, atol=1e-12)
             np.testing.assert_allclose(sol.Y.level(t), 0.0, atol=1e-12)
@@ -543,8 +544,8 @@ class TestSolveOracle:
         rng = np.random.default_rng(1)
         tree = random_tree(rng, 2, 3)
         x0 = 0.8
-        newton, _ = solve_oracle(tree, linear_special_problem(tree), x0)
-        direct = solve_special(tree, x0=x0)
+        newton, _ = solve_oracle(tree, linear_special_problem(), x0)
+        direct = solve_special(special_coefficients(tree), x0=x0)
         assert max_solution_gap(tree, newton, direct) <= 1e-9
 
     def test_linear_oracle_cross_check(self):
@@ -552,9 +553,9 @@ class TestSolveOracle:
         tree = random_tree(rng, 2, 2)
         coeffs = random_linear_coeffs(rng, tree, scale=0.4)
         x0 = 0.3
-        verdict = linear_oracle(tree, coeffs, x0)
+        verdict = linear_oracle(coeffs, x0)
         assert isinstance(verdict, UniqueSolution)
-        newton, _ = solve_oracle(tree, as_nonlinear_problem(tree, coeffs), x0)
+        newton, _ = solve_oracle(tree, as_nonlinear_problem(coeffs), x0)
         assert max_solution_gap(tree, newton, verdict.solution) <= 1e-8
 
     def test_multi_start_agreement(self):
@@ -573,7 +574,7 @@ class TestSolveOracle:
     def test_an_initial_guess_of_the_wrong_length_is_a_shape_mismatch(self):
         tree = uniform_tree(2, 2)
         with pytest.raises(ShapeMismatch, match=r"shape \(5,\), expected \(6,\)"):
-            solve_oracle(tree, linear_special_problem(tree), 0.0, initial_guess=np.zeros(5))
+            solve_oracle(tree, linear_special_problem(), 0.0, initial_guess=np.zeros(5))
 
     def test_no_convergence_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 0)

@@ -141,7 +141,7 @@ def test_the_reference_agrees_on_drawn_linear_problems(seed, N, T, x0):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
     coeffs = random_linear_coeffs(rng, tree)
-    sol = solve_linear(tree, coeffs, x0)
+    sol = solve_linear(coeffs, x0)
     assume(not isinstance(sol, Unsolvable))
     arrays = (sol.X.array.tolist(), sol.Y.array.tolist(), sol.Z.array.tolist())
     assert_agrees(tree, coeffs, *arrays, sol.residuals.forward, sol.residuals.backward)
@@ -154,7 +154,7 @@ def test_the_reference_agrees_on_drawn_special_problems(seed, N, T, x0):
     tree = random_tree(rng, N, T)
     c = random_linear_coeffs(rng, tree)
     inhomogeneities = (c.D, c.D_bar, c.D_hat[1:], c.g)
-    sol = solve_special(tree, *inhomogeneities, x0)
+    sol = solve_special(special_coefficients(tree), *inhomogeneities, x0)
     coeffs = special_coefficients(tree, *inhomogeneities)
     arrays = (sol.X.array.tolist(), sol.Y.array.tolist(), sol.Z.array.tolist())
     assert_agrees(tree, coeffs, *arrays, sol.residuals.forward, sol.residuals.backward)
@@ -163,7 +163,7 @@ def test_the_reference_agrees_on_drawn_special_problems(seed, N, T, x0):
 def test_the_reference_keeps_a_nan_defect():
     tree = build_tree(2, 2)
     coeffs = LinearCoefficients(tree, D=0.1, G=1.0)
-    sol = solve_linear(tree, coeffs, 1.0)
+    sol = solve_linear(coeffs, 1.0)
     X, Y, Z = (p.array.tolist() for p in (sol.X, sol.Y, sol.Z))
     X[-1] = math.nan
     assert all(math.isnan(d) for d in reference_defects(tree, coeffs, X, Y, Z))
@@ -175,7 +175,7 @@ def shifted_terminal_problem():
     branch equation still holds, the terminal condition misses by 1.0."""
     tree = build_tree(2, 2)
     coeffs = LinearCoefficients(tree, D=0.1, G=1.0)
-    sol = solve_linear(tree, coeffs, 1.0)
+    sol = solve_linear(coeffs, 1.0)
     return tree, coeffs, sol.X, AdaptedProcess.from_array(tree, 0, sol.Y.array + 1.0), sol.Z
 
 
@@ -189,8 +189,8 @@ def test_the_reference_flags_a_wrong_terminal_value():
 
 def test_linear_residuals_flag_a_wrong_terminal_value():
     tree, coeffs, X, Y, Z = shifted_terminal_problem()
-    assert linear_residuals(tree, coeffs, X, Y, Z).backward >= 1.0
-    assert nonlinear_residual(tree, as_nonlinear_problem(tree, coeffs), (X, Y, Z))[1] >= 1.0
+    assert linear_residuals(coeffs, X, Y, Z).backward >= 1.0
+    assert nonlinear_residual(tree, as_nonlinear_problem(coeffs), (X, Y, Z))[1] >= 1.0
 
 
 def test_bsde_residual_flags_a_wrong_terminal_value():

@@ -59,8 +59,8 @@ def frozen_backward_problem(tree, problem, X):
 
 def all_paths(tree, coeffs, X, Y, Z):
     """(forward, backward) from every residual path, plus the oracle's flat vector."""
-    problem = as_nonlinear_problem(tree, coeffs)
-    lin = linear_residuals(tree, coeffs, X, Y, Z)
+    problem = as_nonlinear_problem(coeffs)
+    lin = linear_residuals(coeffs, X, Y, Z)
     nl = nonlinear_residual(tree, problem, (X, Y, Z))
     bsde = bsde_residual(tree, frozen_backward_problem(tree, problem, X), Y, Z)
     # the oracle's kernel takes K paths; the triple is the one path, K = 1
@@ -87,7 +87,7 @@ def test_paths_agree_on_unsolved_triples(instance):
 @given(instances, st.data())
 def test_every_path_sees_a_single_branch_perturbation(instance, data):
     rng, tree, coeffs = build(*instance)
-    sol = solve_linear(tree, coeffs, float(rng.uniform(-1, 1)))
+    sol = solve_linear(coeffs, float(rng.uniform(-1, 1)))
     assume(isinstance(sol, FbsdeSolution))
     X = [sol.X.level(t).copy() for t in range(tree.T + 1)]
     Y = [sol.Y.level(t).copy() for t in range(tree.T + 1)]
@@ -191,11 +191,11 @@ def test_a_nan_entry_reaches_every_reduction(entry):
     # a NaN defect must not lose to a finite running maximum
     tree = build_tree(2, 2)
     coeffs = special_coefficients(tree, D=0.1, g=1.0)
-    sol = solve_linear(tree, coeffs, 1.0)
+    sol = solve_linear(coeffs, 1.0)
     X = [sol.X.level(t).copy() for t in range(tree.T + 1)]
     Y = [sol.Y.level(t).copy() for t in range(tree.T + 1)]
     Z = [sol.Z.level(t) for t in range(tree.T)]
-    problem = as_nonlinear_problem(tree, coeffs)
+    problem = as_nonlinear_problem(coeffs)
     if entry == "X":
         X[tree.T][0] = np.nan  # a leaf, as in a solved report
         side = 0
@@ -203,7 +203,7 @@ def test_a_nan_entry_reaches_every_reduction(entry):
         Y[0][0] = np.nan  # the root, which no generator reads
         side = 1
         assert np.isnan(bsde_residual(tree, frozen_backward_problem(tree, problem, X), Y, Z))
-    lin = linear_residuals(tree, coeffs, X, Y, Z)
+    lin = linear_residuals(coeffs, X, Y, Z)
     assert np.isnan((lin.forward, lin.backward)[side])
     assert np.isnan(nonlinear_residual(tree, problem, (X, Y, Z))[side])
 
@@ -230,9 +230,9 @@ def test_a_nan_reaches_the_backward_only_reduction():
 
 #: Every reader of a (X, Y, Z) triple given as processes or level lists.
 TRIPLE_READERS = {
-    "linear": lambda tree, coeffs, X, Y, Z: linear_residuals(tree, coeffs, X, Y, Z),
+    "linear": lambda tree, coeffs, X, Y, Z: linear_residuals(coeffs, X, Y, Z),
     "nonlinear": lambda tree, coeffs, X, Y, Z: nonlinear_residual(
-        tree, as_nonlinear_problem(tree, coeffs), (X, Y, Z)),
+        tree, as_nonlinear_problem(coeffs), (X, Y, Z)),
     "bsde": lambda tree, coeffs, X, Y, Z: bsde_residual(
         tree, BsdeProblem(terminal=np.zeros(tree.num_nodes(tree.T))), Y, Z),
     "payload": lambda tree, coeffs, X, Y, Z: solution_payload(tree, (Y, Z)),
@@ -247,7 +247,7 @@ TRIPLE_READERS = {
 def test_a_malformed_level_list_is_a_shape_mismatch(reader, entry, defect):
     tree = build_tree(2, 2)
     coeffs = special_coefficients(tree, D=0.1, g=1.0)
-    sol = solve_linear(tree, coeffs, 1.0)
+    sol = solve_linear(coeffs, 1.0)
     triple = {name: list(getattr(sol, name).levels) for name in "XYZ"}
     if defect == "short-level":
         triple[entry][1] = triple[entry][1][:-1]

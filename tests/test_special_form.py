@@ -89,19 +89,19 @@ def test_factored_solve_equals_the_one_shot_solve(instance, special):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, N, T)
     base = special_coefficients(tree) if special else random_linear_coeffs(rng, tree)
-    riccati_backward(tree, base)
-    memo = base._memo[tree]
+    riccati_backward(base)
+    memo = base._memo[0]
     shared = [f.name for f in dataclasses.fields(linear._SlopePass)]
     # two draws through one base: nothing of a solve may leak into the next
     for _ in range(2):
         D, D_bar, D_hat, g = inhomogeneities(rng, tree)
         if special:
-            mine = solve_special(tree, D, D_bar, D_hat, g, x0, form=base)
+            mine = solve_special(base, D, D_bar, D_hat, g, x0)
             fresh = special_coefficients(tree, D, D_bar, D_hat, g)
         else:
-            mine = solve_linear(tree, base.with_inhomogeneities(D, D_bar, D_hat, g), x0)
+            mine = solve_linear(base.with_inhomogeneities(D, D_bar, D_hat, g), x0)
             fresh = replace_fields(base, D=D, D_bar=D_bar, D_hat=D_hat, g=g)
-        ref = solve_linear(tree, fresh, x0)
+        ref = solve_linear(fresh, x0)
         # a memo hit reads the memo's own objects; the fresh solve none of them
         assert all(getattr(mine.riccati, name) is getattr(memo, name) for name in shared)
         assert not any(getattr(ref.riccati, name) is getattr(memo, name) for name in shared)
@@ -151,7 +151,7 @@ def test_a_nan_inhomogeneity_is_refused(field):
         bad = values[field][-1] = values[field][-1].copy()
     bad.flat[0] = np.nan
     with pytest.raises(NonFiniteInput, match=f"coefficient {field} "):
-        solve_special(tree, **values, x0=0.5, form=form)
+        solve_special(form, **values, x0=0.5)
 
 
 def test_factored_levels_are_read_only():
@@ -171,7 +171,7 @@ def test_factored_levels_are_read_only():
     assert not np.shares_memory(coeffs.D[0], form.D[0])
     assert coeffs.B[0] is form.B[0]
     # so are the memoized slopes every later solve reads
-    ric = riccati_backward(tree, coeffs)
+    ric = riccati_backward(coeffs)
     for lev in (*ric.P_levels[1:], *ric.gamma_levels):
         with pytest.raises(ValueError, match="read-only"):
             lev.flat[0] = 0.5
@@ -213,18 +213,13 @@ def test_every_level_is_a_read_only_view_of_one_array():
             assert not np.shares_memory(copy.arrays[name], form.arrays[name])
 
 
-@pytest.mark.parametrize("case", ["other-homogeneous", "other-tree"])
+@pytest.mark.parametrize("case", ["other-homogeneous"])
 def test_the_memo_serves_only_its_own_coefficients(case):
     rng = np.random.default_rng(3)
     tree = random_tree(rng, 2, 3)
     base = random_linear_coeffs(rng, tree, scale=0.5)
-    filled = riccati_backward(tree, base)  # fill the memo the copies share
-    if case == "other-homogeneous":
-        solve_tree = tree
-        coeffs = random_linear_coeffs(rng, tree, scale=0.5)
-    else:
-        solve_tree = random_tree(rng, 2, 3)
-        coeffs = base.with_inhomogeneities(D=0.1)
-    mine = solve_linear(solve_tree, coeffs, 1.0)
+    filled = riccati_backward(base)  # fill the memo the copies share
+    coeffs = random_linear_coeffs(rng, tree, scale=0.5)
+    mine = solve_linear(coeffs, 1.0)
     assert not np.array_equal(mine.riccati.P_levels[1], filled.P_levels[1])
-    assert_same_result(mine, solve_linear(solve_tree, replace_fields(coeffs), 1.0))
+    assert_same_result(mine, solve_linear(replace_fields(coeffs), 1.0))

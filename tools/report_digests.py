@@ -196,8 +196,8 @@ def _fault_documents():
     """(label, document) of each invalid input: one fault in the transition
     table of a 3-ary tree of depth 3, or in a structural coefficient of a
     linear file on the uniform binary tree of depth 3, or one per-node cell
-    of such a file that is an integer too large for a float; a cell or a
-    transition nested 900 lists deep; a document nested 100000 deep, given
+    of such a file that is an integer too large for a float; a cell, a
+    transition, a ``kind`` or an ``options.mode`` nested 900 lists deep; a document nested 100000 deep, given
     as the file's text, past the JSON decoder's recursion limit; and an
     expression of a linear coefficient that divides by zero.  ``solve`` must
     exit 4 on each, and its standard error names the fault and where it
@@ -247,6 +247,9 @@ def _fault_documents():
     yield "second A_bar cell nested 900 deep", linear(
         A_bar=per_node([0.2, -0.2], nested([0.2, -0.2], 900), 7, 1))
     yield "transition nested 900 deep", linear(dict(depth_1, transition=nested([0.5, 0.5], 900)))
+    yield "kind nested 900 deep", dict(linear(depth_1), kind=nested("linear", 900))
+    yield "options.mode nested 900 deep", dict(linear(depth_1),
+                                               options={"mode": nested("continuation", 900)})
     yield "document nested 100000 deep", "[" * 100000 + "]" * 100000
     yield "D_hat divides by zero at t=1 w=1", linear(D_hat="1/(w-1)")
 
