@@ -109,7 +109,11 @@ class ProblemTooLarge(FbsdeError):
 
 
 class InvalidOption(FbsdeError, ValueError):
-    """A solver option lies outside its allowed range."""
+    """A solver option lies outside its allowed range; ``field`` names it."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class SchemaError(FbsdeError):

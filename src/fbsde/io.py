@@ -21,7 +21,8 @@ import numpy as np
 
 from . import linear as linear_mod
 from .bsde import BsdeProblem, bsde_residual
-from .errors import ExpressionError, FbsdeError, SchemaError, ShapeMismatch, _shown
+from .errors import (ExpressionError, FbsdeError, InvalidOption, SchemaError, ShapeMismatch,
+                     _shown)
 from .expressions import parse_expression
 from .linear import FbsdeSolution, LinearCoefficients, special_coefficients
 from .martingale import norm_constants, tilde_contract
@@ -199,9 +200,13 @@ def _bind_options(doc):
     _unknown_keys(raw, parsers, "options")
     if "max_iter" in raw and "max_iterations" in raw:
         raise SchemaError("options", "give max_iter or max_iterations, not both")
-    return ContinuationOptions(**{
-        "max_iterations" if key == "max_iter" else key: parse(raw[key], f"options.{key}")
-        for key, parse in parsers.items() if key in raw})
+    try:
+        return ContinuationOptions(**{
+            "max_iterations" if key == "max_iter" else key: parse(raw[key], f"options.{key}")
+            for key, parse in parsers.items() if key in raw})
+    except InvalidOption as err:  # named by the file's own key
+        key = "max_iter" if err.field == "max_iterations" and "max_iter" in raw else err.field
+        raise InvalidOption(f"options.{key}: {err}", err.field) from err
 
 
 def _bind_linear(tree, doc, kind):

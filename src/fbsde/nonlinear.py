@@ -106,15 +106,18 @@ class ContinuationOptions:
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
-            raise InvalidOption(f"delta must lie in (0, 1], got {self.delta}")
+            raise InvalidOption(f"delta must lie in (0, 1], got {self.delta}", "delta")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise InvalidOption(f"tolerance must be finite and positive, got {self.tolerance}")
+            raise InvalidOption(f"tolerance must be finite and positive, got {self.tolerance}",
+                                "tolerance")
         if self.max_iterations < 1:
-            raise InvalidOption(f"max_iterations must be at least 1, got {self.max_iterations}")
+            raise InvalidOption(f"max_iterations must be at least 1, got {self.max_iterations}",
+                                "max_iterations")
         if self.mode not in MODES:
-            raise InvalidOption(f"mode must be one of {', '.join(MODES)}, got {_shown(self.mode)}")
+            raise InvalidOption(f"mode must be one of {', '.join(MODES)}, got {_shown(self.mode)}",
+                                "mode")
         if self.seed < 0:  # numpy draws from no other
-            raise InvalidOption(f"seed must be non-negative, got {self.seed}")
+            raise InvalidOption(f"seed must be non-negative, got {self.seed}", "seed")
 
 
 @dataclass

@@ -1,20 +1,24 @@
 """Brute-force reference solvers used to cross-validate everything else.
 
 The linear oracle assembles every branch equation of the coupled system
-into one dense matrix over all node unknowns, in the tree's level order
-(X at depths 1..T, Y at 0..T, then the N-1 contraction entries of Z on
-each non-leaf node), once, and classifies it by rank, so its verdict is
-independent of the recursive solver: a Cholesky factorization of the
-Gram matrix of its nonzeros scaled to at most 1 (so finite), shifted
-down by a small multiple of the Gershgorin bound on its largest
-eigenvalue and taken leaves first over the tree, certifies full rank,
-and only a matrix it cannot certify goes through a rank-revealing
-least-squares solve; the same matrix is then solved.  The nonlinear
-oracle eliminates the backward pair (given X everywhere, Y and Z follow
-from one exact backward sweep) and drives the remaining square system
-with a damped Newton method and finite-difference Jacobian, whose 2m
-shifted points go through one sweep as 2m columns of level-order arrays
-and one whole-tree ``forward_defect`` call.
+once, as the nonzero triplets (row, column, value) of one square matrix
+over all node unknowns, in the tree's level order (X at depths 1..T, Y
+at 0..T, then the N-1 contraction entries of Z on each non-leaf node),
+and classifies it by rank, so its verdict is independent of the
+recursive solver.  The Gram matrix of the nonzeros scaled to at most 1
+(so finite) is factored twice by Cholesky, leaves first over the tree,
+one family at a time: shifted down by a small multiple of the Gershgorin
+bound on its largest eigenvalue, the factorization certifies full rank,
+and unshifted, it solves the certified system by the corrected
+semi-normal equations with one refinement step, so that path holds no
+n x n array but the Gram matrix.  Only a matrix it cannot certify is
+scattered dense, goes through a rank-revealing least-squares solve and,
+at full rank, a dense LU solve.  The nonlinear oracle eliminates the
+backward pair (given X everywhere, Y and Z follow from one exact
+backward sweep) and drives the remaining square system with a damped
+Newton method and finite-difference Jacobian, whose 2m shifted points go
+through one sweep as 2m columns of level-order arrays and one whole-tree
+``forward_defect`` call.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from .tree import AdaptedProcess, _level
 #: Inconsistency threshold for classifying rank-deficient systems.
 CONSISTENCY_TOL = 1e-8
 
-#: Most unknowns of the dense linear oracle, whose matrix and Gram matrix
-#: grow with their square: 2913 (N=3, T=6) took 0.52-0.57 s and 172.6 MB peak
-#: RSS (the process's) on one BLAS thread of a shared 2-core x86_64 host.
+#: Most unknowns of the linear oracle, whose Gram matrix, and dense matrix
+#: when it falls back, grow with their square: a certified 2913 (N=3, T=6)
+#: took 0.026-0.043 s and 99.4 MB peak RSS (the process's) on one BLAS
+#: thread of a shared 2-core x86_64 host, against 0.51-0.57 s and 177 MB
+#: with a dense LU solve; the uncertified fallback is still dense.
 MAX_DENSE_UNKNOWNS = 3000
 
 #: Most forward unknowns of the Newton oracle, whose Jacobian is one
@@ -85,16 +91,19 @@ def _columns(tree):
 
 
 def _assemble(coeffs, x0):
-    """Dense (matrix, rhs) for all forward, backward and terminal equations.
+    """(rows, cols, vals, rhs): the nonzeros of the square matrix of all
+    forward, backward and terminal equations, row-major (``np.flatnonzero``'s
+    order), and its dense right-hand side.
 
     The columns are ``_columns``'s; node k's N forward rows, then its N
     backward rows, start at row 2Nk, and the terminal rows come last.  Z
     enters through its canonical representative (contraction extended by
-    a zero), which the validated zero-sum conditions make exact.
+    a zero), which the validated zero-sum conditions make exact.  Each
+    entry is one term of one equation; exact zeros are dropped.
     """
     tree, c = coeffs.tree, coeffs.arrays
     N, n, m, size = tree.N, tree.offsets[-1], tree.offsets[-2], _size(tree)
-    mat = np.zeros((size, size))
+    entries = []
     rhs = np.zeros(size)
     k = np.arange(m)[:, None]
     fwd = 2 * N * k + np.arange(N)  # (m, N): node k's row of branch i
@@ -106,31 +115,37 @@ def _assemble(coeffs, x0):
     def dot(rows):  # each node's row times each of its increments, (m, N)
         return np.einsum("nl,nil->ni", rows, incr)
 
+    def put(rows, cols, vals):
+        entries.append([a.ravel() for a in np.broadcast_arrays(rows, cols, vals)])
+
     # X_{t+1}(child) - X_t - forward drift/increment terms = 0
-    mat[fwd, x[child]] += 1.0
+    put(fwd, x[child], 1.0)
     x_coef = -(1.0 + c["A"][:, None]) - dot(c["A_bar"])
     rhs[fwd[0]] -= x_coef[0] * x0
-    mat[fwd[1:], x[k[1:]]] += x_coef[1:]
-    mat[fwd, y[k]] += -c["B"][:, None] - dot(c["B_bar"])
+    put(fwd[1:], x[k[1:]], x_coef[1:])
+    put(fwd, y[k], -c["B"][:, None] - dot(c["B_bar"]))
     zw = -(c["C"][:, None, :] + np.einsum("njl,nil->nij", c["C_bar"], incr))
-    mat[fwd[..., None], z[k]] += zw[..., : N - 1]
+    put(fwd[..., None], z[k], zw[..., : N - 1])
     rhs[fwd] += c["D"][:, None] + dot(c["D_bar"])
 
     # Y_{t+1}(child) - Y_t - backward drift terms - Z_t M = 0
-    mat[bwd, y[child]] += 1.0 - c["B_hat"][child - 1]
-    mat[bwd, y[k]] += -1.0
-    mat[bwd, x[child]] += -c["A_hat"][child - 1]
+    put(bwd, y[child], 1.0 - c["B_hat"][child - 1])
+    put(bwd, y[k], -1.0)
+    put(bwd, x[child], -c["A_hat"][child - 1])
     q = tree.offsets[-3]  # nodes above depth T - 1, whose children carry Z
-    mat[bwd[:q, :, None], z[child[:q]]] += -c["C_hat"][child[:q] - 1, : N - 1]
-    mat[bwd[..., None], z[k]] += -incr[..., : N - 1]
+    put(bwd[:q, :, None], z[child[:q]], -c["C_hat"][child[:q] - 1, : N - 1])
+    put(bwd[..., None], z[k], -incr[..., : N - 1])
     rhs[bwd] += c["D_hat"][child - 1]
 
     # Y_T - G X_T = g on leaf node m + l, row 2Nm + l
-    leaf = np.arange(n - m)
-    mat[2 * N * m + leaf, y[m + leaf]] = 1.0
-    mat[2 * N * m + leaf, x[m + leaf]] = -c["G"]
-    rhs[2 * N * m + leaf] = c["g"]
-    return mat, rhs
+    leaf = 2 * N * m + np.arange(n - m)
+    put(leaf, y[m:], 1.0)
+    put(leaf, x[m:], -c["G"])
+    rhs[leaf] = c["g"]
+    rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
+    keep = np.flatnonzero(vals != 0.0)
+    keep = keep[np.argsort(rows[keep] * size + cols[keep])]  # each (row, col) once
+    return rows[keep], cols[keep], vals[keep], rhs
 
 
 def _solution_from_vector(coeffs, x0, vec):
@@ -156,43 +171,98 @@ def _gram(size, rows, cols, vals):
     return flat.reshape(size, size)
 
 
-def _full_rank(tree, mat):
-    """Whether the finite square matrix A of ``tree``'s system is certified
-    to have full rank: S = A^T A - SINGULAR_RATIO U I, U the largest
-    absolute row sum of A^T A (a Gershgorin bound on lambda_max), has a
-    Cholesky factorization, so lambda_min > SINGULAR_RATIO U.
+def _factor(tree, gram, shift):
+    """The Cholesky factor L of gram - shift I, taken leaves first over the tree.
 
-    Node k's rows touch only the unknowns of k and of its children, so S
-    couples a node only with its parent, siblings and children, and is
-    factored leaves first without fill, a symmetric permutation: each
+    Node k's rows touch only the unknowns of k and of its children, so the
+    Gram matrix couples a node only with its parent, siblings and children,
+    and factors leaves first without fill, a symmetric permutation: each
     family (the N children of a node), depth by depth, by one batched
-    ``np.linalg.cholesky``, its Schur complement taken from its parent's
-    block; the root last.  The rounding, about n eps U, is far below the
-    shift, so a matrix that passes has sigma_min / sigma_max > 1e-5: full
-    rank by the SVD rule too.  S is finite, from A's nonzeros scaled to at
-    most 1 (batched ``np.linalg.cholesky`` lets a NaN through).
+    ``np.linalg.cholesky`` of a copy of its block, from which the Schur
+    complements of its members' own families are taken; the root last, a
+    family alone.  ``gram`` is only read.  Returns one (own, fam, low, w) a
+    depth, leaves first: the columns of each node (nodes, c) and of each
+    family (families, b), the families' factors (families, b, b), and
+    their coupling to their parents' columns, L_fam^-1 G[fam, parent]
+    (families, b, c of the parent), None at the root.  Raises
+    ``np.linalg.LinAlgError`` at a block that is not positive definite.
     """
-    size = len(mat)
-    rows, cols = np.divmod(np.concatenate([j * size + np.flatnonzero(mat[j : j + 64] != 0.0)
-                                           for j in range(0, size, 64)]), size)  # no n x n mask
-    vals = mat[rows, cols]
-    gram = _gram(size, rows, cols, vals / np.abs(vals).max())
-    bound = max(np.abs(gram[j : j + 64]).sum(axis=1).max() for j in range(0, size, 64))
-    gram[np.diag_indices(size)] -= SINGULAR_RATIO * bound
     x, y, z = _columns(tree)
+    owns = []
+    for t in range(tree.T + 1):
+        at = slice(tree.offsets[t], tree.offsets[t + 1])  # a row for each depth-t node
+        owns.append(np.hstack(([x[at, None]] if t else []) + [y[at, None]]  # no X at the root,
+                              + ([z[at]] if t < tree.T else [])))  # no Z on the leaves
+    levels, w = [], None
+    for t in range(tree.T, -1, -1):
+        own = owns[t]
+        fam = own.reshape(max(len(own) // tree.N, 1), -1)
+        block = gram[fam[:, :, None], fam[:, None, :]]
+        d = np.arange(fam.shape[1])
+        block[:, d, d] -= shift
+        if w is not None:  # the Schur complements of depth t + 1, each on its node's own block
+            c = own.shape[1]
+            d = d.reshape(-1, c)  # each member's columns in its family's block
+            block[:, d[:, :, None], d[:, None, :]] -= (w.transpose(0, 2, 1) @ w).reshape(
+                len(fam), -1, c, c)
+        low = np.linalg.cholesky(block)
+        w = np.linalg.solve(low, gram[fam[:, :, None], owns[t - 1][:, None, :]]) if t else None
+        levels.append((own, fam, low, w))
+    return levels
+
+
+def _full_rank(tree, gram):
+    """Whether the finite square matrix A of ``tree``'s system, given by its
+    Gram matrix, is certified to have full rank: S = A^T A - SINGULAR_RATIO
+    U I, U the largest absolute row sum of A^T A (a Gershgorin bound on
+    lambda_max), has a Cholesky factorization (``_factor``), so lambda_min >
+    SINGULAR_RATIO U.
+
+    The rounding, about n eps U, is far below the shift, so a matrix that
+    passes has sigma_min / sigma_max > 1e-5: full rank by the SVD rule too.
+    ``gram`` is finite, from A's nonzeros scaled to at most 1 (batched
+    ``np.linalg.cholesky`` lets a NaN through).
+    """
+    bound = max(np.abs(gram[j : j + 64]).sum(axis=1).max() for j in range(0, len(gram), 64))
     try:
-        for t in range(tree.T, -1, -1):
-            at = slice(tree.offsets[t], tree.offsets[t + 1])  # a row for each depth-t node
-            own = np.hstack(([x[at, None]] if t else []) + [y[at, None]]  # no X at the root,
-                            + ([z[at]] if t < tree.T else []))  # no Z on the leaves
-            if t < tree.T:  # the Schur complements of depth t + 1
-                w = np.linalg.solve(low, gram[fam[:, :, None], own[:, None, :]])
-                gram[own[:, :, None], own[:, None, :]] -= w.transpose(0, 2, 1) @ w
-            fam = own.reshape(max(len(own) // tree.N, 1), -1)  # the root is a family alone
-            low = np.linalg.cholesky(gram[fam[:, :, None], fam[:, None, :]])
+        _factor(tree, gram, SINGULAR_RATIO * bound)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _solve_factored(levels, v):
+    """(L L^T)^-1 v for ``_factor``'s levels: through L leaves first, each
+    family's part less its children's coupling terms, then through L^T root
+    first, each family's part less its parent's."""
+    v, half, below = v.copy(), [], None
+    for own, fam, low, w in levels:
+        if below is not None:
+            v[own] -= np.einsum("nbc,nb->nc", below, half[-1])
+        half.append(np.linalg.solve(low, v[fam][..., None])[..., 0])
+        below = w
+    out, parent = np.empty_like(v), None
+    for (own, fam, low, w), part in zip(reversed(levels), reversed(half)):
+        if w is not None:
+            part = part - (w @ out[parent][..., None])[..., 0]
+        out[fam] = np.linalg.solve(low.transpose(0, 2, 1), part[..., None])[..., 0]
+        parent = own
+    return out
+
+
+def _seminormal(levels, rows, cols, vals, rhs):
+    """The solution of A x = rhs, A of these nonzeros and ``levels`` the
+    factor of its Gram matrix, by the corrected semi-normal equations:
+    L L^T x = A^T rhs, refined once by the residual of the sparse A
+    (Bjorck 1987)."""
+    size = len(rhs)
+
+    def transposed(v):  # A^T v
+        return np.bincount(cols, weights=vals * v[rows], minlength=size)
+
+    vec = _solve_factored(levels, transposed(rhs))
+    residual = rhs - np.bincount(rows, weights=vals * vec[cols], minlength=size)
+    return vec + _solve_factored(levels, transposed(residual))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution shows in its residuals
@@ -200,18 +270,21 @@ def linear_oracle(coeffs: LinearCoefficients, x0: float):
     """Classify the coupled linear system on ``coeffs.tree`` by the rank of
     its global matrix.
 
-    The matrix is assembled once, and two steps decide its rank.  A
-    Cholesky factorization of the Gram matrix of its nonzeros scaled to at
-    most 1 (so finite), shifted down by SINGULAR_RATIO times its Gershgorin
-    bound on lambda_max and taken leaves first over the tree, certifies
-    full rank (see ``_full_rank``), and the system is solved by
-    ``np.linalg.solve``.  Any other matrix goes through one
-    ``np.linalg.lstsq``, whose singular values give the rank (those above
-    SINGULAR_RATIO times the largest) and whose vector gives the
-    consistency gap; a full rank is then solved as above.  Returns
-    UniqueSolution (with the solved triple), NoSolution, or InfinitelyMany;
-    raises NonFiniteSolve when the assembled matrix or right-hand side has
-    a non-finite entry: no rank decides such a system.
+    The matrix is assembled once, as its nonzeros, and two steps decide its
+    rank.  The Gram matrix of the nonzeros scaled to at most 1 (so finite)
+    is factored leaves first over the tree (``_factor``) twice.  Shifted
+    down by SINGULAR_RATIO times its Gershgorin bound on lambda_max, a
+    factorization certifies full rank (``_full_rank``); then the unshifted
+    factor solves the system by the corrected semi-normal equations, one
+    refinement by the sparse residual (``_seminormal``), and no n x n array
+    but the Gram matrix is held.  Any other matrix is scattered dense,
+    under MAX_DENSE_UNKNOWNS, and goes through one ``np.linalg.lstsq``,
+    whose singular values give the rank (those above SINGULAR_RATIO times
+    the largest) and whose vector gives the consistency gap; a full rank
+    is then solved by ``np.linalg.solve``.  Returns UniqueSolution (with
+    the solved triple), NoSolution, or InfinitelyMany; raises
+    NonFiniteSolve when the assembled matrix or right-hand side has a
+    non-finite entry: no rank decides such a system.
     """
     if not np.isfinite(x0):
         raise NonFiniteInput(f"x0 = {x0!r}")
@@ -220,20 +293,28 @@ def linear_oracle(coeffs: LinearCoefficients, x0: float):
     if size > MAX_DENSE_UNKNOWNS:
         raise ProblemTooLarge(f"{size} unknowns exceed the dense oracle's limit of "
                               f"{MAX_DENSE_UNKNOWNS}")
-    mat, rhs = _assemble(coeffs, x0)
-    if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
+    rows, cols, vals, rhs = _assemble(coeffs, x0)
+    if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
         raise NonFiniteSolve("the dense oracle's system overflowed to a non-finite entry "
                              "in its assembly")
-    if not _full_rank(tree, mat):
-        vec, _, _, svals = np.linalg.lstsq(mat, rhs, rcond=None)
-        # the certificate's scale-free threshold, so both verdicts rank alike
-        rank = int(np.sum(svals > SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
-        if rank < size:
-            gap = float(np.abs(mat @ vec - rhs).max())
-            scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-            if gap > CONSISTENCY_TOL * scale:
-                return NoSolution(rank, size, gap)
-            return InfinitelyMany(rank, size, size - rank)
+    top = np.abs(vals).max()
+    scaled = vals / top
+    gram = _gram(size, rows, cols, scaled)
+    if _full_rank(tree, gram):
+        vec = _seminormal(_factor(tree, gram, 0.0), rows, cols, scaled, rhs / top)
+        return UniqueSolution(_solution_from_vector(coeffs, x0, vec), size, size)
+    del gram  # the fallback's dense matrix and its least-squares copy take its place
+    mat = np.zeros((size, size))
+    mat[rows, cols] = vals
+    vec, _, _, svals = np.linalg.lstsq(mat, rhs, rcond=None)
+    # the certificate's scale-free threshold, so both verdicts rank alike
+    rank = int(np.sum(svals > SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
+    if rank < size:
+        gap = float(np.abs(mat @ vec - rhs).max())
+        scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+        if gap > CONSISTENCY_TOL * scale:
+            return NoSolution(rank, size, gap)
+        return InfinitelyMany(rank, size, size - rank)
     vec = np.linalg.solve(mat, rhs)
     return UniqueSolution(_solution_from_vector(coeffs, x0, vec), size, size)
 

@@ -1,9 +1,30 @@
 """Shared generators and independent oracles for the test suite."""
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from fbsde import LinearCoefficients, ScenarioTree, build_tree
 from fbsde.linear import _FIELDS
+
+
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py`` as a module, without writing bytecode next to it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up here
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = saved
+    return workloads
 
 
 def random_tree(rng, N, T, low=0.1):

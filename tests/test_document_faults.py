@@ -12,33 +12,22 @@ run writes the same bytes.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import random
 import re
 import sys
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_workloads
 from fbsde.cli import DEMOS, run_cli
 
 
 def _linear_doc():
     """``bench/workloads.linear_doc`` on the binary tree of depth 2."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location("fault_workloads", bench / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads  # dataclasses look their module up here
-        spec.loader.exec_module(workloads)
-    finally:
-        sys.dont_write_bytecode = saved
-    return workloads.linear_doc(random.Random(0), 2, 2)
+    return bench_workloads().linear_doc(random.Random(0), 2, 2)
 
 
 BASES = {

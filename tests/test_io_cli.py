@@ -496,6 +496,9 @@ MALFORMED = {
     "seed-oracle": ("oracle", NONLINEAR_DOC, ["--seed", "-1"]),
     "seed-file": ("check", NONLINEAR_DOC | {"options": {"seed": -1}}, []),
     "mode-file": ("solve", NONLINEAR_DOC | {"options": {"mode": "fancy"}}, []),
+    "max-iter-file-0": ("solve", LINEAR_DOC | {"options": {"max_iter": 0}}, []),
+    "max-iterations-file-0": ("solve", LINEAR_DOC | {"options": {"max_iterations": 0}}, []),
+    "tolerance-file-negative": ("solve", LINEAR_DOC | {"options": {"tolerance": -1}}, []),
     **{label: ("solve", minimal_special_doc() | {"tree": tree}, [])
        for label, (tree, _) in BAD_TREES.items()},
     **{label: ("solve", doc, []) for label, (doc, _, _) in BAD_DOCUMENTS.items()},
@@ -511,6 +514,35 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, flags
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+#: Options out of range in a file, and the error line of each: the field by
+#: the file's own key, then ``ContinuationOptions``' own message.
+OPTION_RANGE_FAULTS = {
+    "delta": ({"delta": 2.0}, "options.delta: delta must lie in (0, 1], got 2.0"),
+    "mode": ({"mode": "fancy"},
+             "options.mode: mode must be one of continuation, picard, got 'fancy'"),
+    "max_iter": ({"max_iter": 0}, "options.max_iter: max_iterations must be at least 1, got 0"),
+    "max_iterations": ({"max_iterations": 0},
+                       "options.max_iterations: max_iterations must be at least 1, got 0"),
+    "tolerance": ({"tolerance": -1.0},
+                  "options.tolerance: tolerance must be finite and positive, got -1.0"),
+    "seed": ({"seed": -1}, "options.seed: seed must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("options, error", OPTION_RANGE_FAULTS.values(),
+                         ids=OPTION_RANGE_FAULTS.keys())
+def test_an_option_out_of_range_names_its_field(tmp_path, capsys, options, error):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(NONLINEAR_DOC | {"options": options}))
+    assert run_cli(["solve", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    # the options type itself, as a flag reaches it, keeps its message
+    key = "max_iterations" if "max_iter" in options else next(iter(options))
+    with pytest.raises(InvalidOption) as err:
+        fbsde.ContinuationOptions(**{key: next(iter(options.values()))})
+    assert (str(err.value), err.value.field) == (error.split(": ", 1)[1], key)
 
 
 #: Drift sources deeper than the parser's bound, which every command

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_linear_coeffs, random_tree, uniform_tree
+from conftest import bench_workloads, random_linear_coeffs, random_tree, uniform_tree
 from fbsde import (
     ExpressionDomainError,
     InfinitelyMany,
@@ -124,6 +125,15 @@ class _Index:
         return self.z_off[t] + node * (self.tree.N - 1) + j
 
 
+def dense(coeffs, x0):
+    """``oracle._assemble``'s system as a dense (matrix, rhs): its nonzeros
+    scattered into a matrix of zeros."""
+    rows, cols, vals, rhs = oracle._assemble(coeffs, x0)
+    mat = np.zeros((len(rhs), len(rhs)))
+    mat[rows, cols] = vals
+    return mat, rhs
+
+
 def per_node_assemble(tree, coeffs, x0):
     """The dense (matrix, rhs) built row by row over a dict-based layout, as
     ``oracle._assemble`` built it before it filled one matrix in level order."""
@@ -226,9 +236,12 @@ def test_the_level_order_assembly_is_the_per_node_one(seed, N, T, couple):
     tree = random_tree(rng, N, T)
     coeffs = random_linear_coeffs(rng, tree, couple=couple)
     x0 = float(rng.normal())
-    mat, rhs = oracle._assemble(coeffs, x0)
+    mat, rhs = dense(coeffs, x0)
     ref_mat, ref_rhs = per_node_assemble(tree, coeffs, x0)
     size = _Index(tree).size
+    # the nonzeros, each (row, column) once, in np.flatnonzero's order
+    rows, cols, vals, _ = oracle._assemble(coeffs, x0)
+    assert (np.diff(rows * size + cols) > 0).all() and (vals != 0.0).all()
     assert mat.shape == ref_mat.shape == (size, size)
     assert rhs.shape == ref_rhs.shape == (size,)
     assert ((mat != 0.0) == (ref_mat != 0.0)).all()
@@ -302,7 +315,7 @@ def svd_oracle(tree, coeffs, x0):
     gave it before the Gram test: the rank from ``np.linalg.svd``, then
     ``np.linalg.solve`` at full rank, else ``np.linalg.lstsq`` for the gap."""
     size = oracle._size(tree)
-    mat, rhs = oracle._assemble(coeffs, x0)
+    mat, rhs = dense(coeffs, x0)
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(svals > linear.SINGULAR_RATIO * svals[0])) if svals[0] > 0.0 else 0
     if rank == size:
@@ -343,18 +356,39 @@ def nonzeros(mat):
     return rows, cols, mat[rows, cols]
 
 
+def scaled_gram(mat):
+    """The Gram matrix ``linear_oracle`` certifies and factors: of the
+    nonzeros of ``mat`` scaled to at most 1."""
+    rows, cols, vals = nonzeros(mat)
+    return oracle._gram(len(mat), rows, cols, vals / np.abs(vals).max())
+
+
+def certified(tree, coeffs, x0):
+    return oracle._full_rank(tree, scaled_gram(dense(coeffs, x0)[0]))
+
+
 def sigma_ratio(mat):
     svals = np.linalg.svd(mat, compute_uv=False)
     return svals[-1] / svals[0]
 
 
-def assert_same_verdict(verdict, ref):
+def solution_vector(verdict):
+    return np.concatenate([getattr(verdict.solution, name).array.ravel() for name in "XYZ"])
+
+
+def assert_same_verdict(verdict, ref, certified=False):
+    """The same verdict; a solution of the same bytes from the dense
+    fallback, and within 1e-10 relative of the dense solve from the
+    certified path's semi-normal equations."""
     assert type(verdict) is type(ref)
     assert (verdict.rank, verdict.size) == (ref.rank, ref.size)
     if isinstance(ref, NoSolution):
         assert verdict.inconsistency == ref.inconsistency
     elif isinstance(ref, InfinitelyMany):
         assert verdict.nullity == ref.nullity
+    elif certified:
+        vec, ref_vec = solution_vector(verdict), solution_vector(ref)
+        assert np.abs(vec - ref_vec).max() <= 1e-10 * np.abs(ref_vec).max()
     else:
         for name in ("X", "Y", "Z"):
             assert (getattr(verdict.solution, name).array.tobytes()
@@ -365,7 +399,35 @@ def assert_same_verdict(verdict, ref):
 @given(dense_systems())
 def test_the_gram_test_keeps_the_svd_verdict(system):
     tree, coeffs, x0 = system
-    assert_same_verdict(linear_oracle(coeffs, x0), svd_oracle(tree, coeffs, x0))
+    assert_same_verdict(linear_oracle(coeffs, x0), svd_oracle(tree, coeffs, x0),
+                        certified(tree, coeffs, x0))
+
+
+@st.composite
+def singular_below_root(draw):
+    """(tree, coefficients, x0) of a ``bench/workloads.linear_doc`` file on
+    the binary tree of depth 6 whose depth-5 node 1 is singular, a node the
+    root problem does not need."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    loaded = bind_problem(bench_workloads().linear_doc(rng, 2, 6, 1))
+    return loaded.tree, loaded.data, loaded.x0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_systems(), singular_below_root()))
+def test_the_certified_solve_is_the_dense_solve(system):
+    # the semi-normal equations on the tree-ordered factor, refined once,
+    # against np.linalg.solve of the dense matrix; over 351 certified draws
+    # the gap stayed below 2.1e-13 relative, and the residuals below 4e-16
+    # of the solution's size
+    tree, coeffs, x0 = system
+    verdict, ref, passed = (linear_oracle(coeffs, x0), svd_oracle(tree, coeffs, x0),
+                            certified(tree, coeffs, x0))
+    assert_same_verdict(verdict, ref, passed)
+    if passed:
+        residuals = verdict.solution.residuals
+        scale = max(1.0, np.abs(solution_vector(ref)).max())
+        assert max(residuals.forward, residuals.backward) <= 1e-12 * scale
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,8 +436,9 @@ def test_the_gram_test_certifies_only_full_rank(system):
     # passing implies full rank by the SVD rule, and every system with a
     # sigma ratio above 1e-4 passes (the test's own margin is 1e-5)
     tree, coeffs, x0 = system
-    ratio = sigma_ratio(oracle._assemble(coeffs, x0)[0])
-    passed = oracle._full_rank(tree, oracle._assemble(coeffs, x0)[0])
+    mat = dense(coeffs, x0)[0]
+    ratio = sigma_ratio(mat)
+    passed = oracle._full_rank(tree, scaled_gram(mat))
     assert not passed or ratio > linear.SINGULAR_RATIO
     assert passed or ratio <= 1e-4
 
@@ -384,19 +447,21 @@ def test_the_gram_test_certifies_only_full_rank(system):
 @given(dense_systems())
 def test_the_tree_ordered_factorization_keeps_the_dense_verdict(system):
     # the leaves-first block elimination against one np.linalg.cholesky of
-    # the whole shifted Gram matrix, in the matrix's own column order
+    # the whole shifted Gram matrix, in the matrix's own column order; the
+    # factorization only reads the Gram matrix it is given
     tree, coeffs, x0 = system
-    mat = oracle._assemble(coeffs, x0)[0]
-    rows, cols, vals = nonzeros(mat)
-    gram = oracle._gram(len(mat), rows, cols, vals / np.abs(vals).max())
-    gram[np.diag_indices(len(mat))] -= linear.SINGULAR_RATIO * np.abs(gram).sum(axis=1).max()
+    gram = scaled_gram(dense(coeffs, x0)[0])
+    shifted = gram.copy()
+    shifted[np.diag_indices(len(gram))] -= linear.SINGULAR_RATIO * np.abs(gram).sum(axis=1).max()
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        dense = False
+        whole = False
     else:
-        dense = True
-    assert oracle._full_rank(tree, mat) is dense
+        whole = True
+    kept = gram.copy()
+    assert oracle._full_rank(tree, gram) is whole
+    assert gram.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,7 +469,7 @@ def test_the_tree_ordered_factorization_keeps_the_dense_verdict(system):
 def test_the_gram_matrix_couples_a_node_only_with_its_parent_siblings_and_children(system):
     # the one structural fact the leaves-first elimination relies on
     tree, coeffs, x0 = system
-    mat = oracle._assemble(coeffs, x0)[0]
+    mat = dense(coeffs, x0)[0]
     x, y, z = oracle._columns(tree)
     n, m = tree.offsets[-1], tree.offsets[-2]
     owner = np.empty(len(mat), dtype=int)  # the node of each column
@@ -421,7 +486,7 @@ def test_the_gram_matrix_couples_a_node_only_with_its_parent_siblings_and_childr
 @given(dense_systems())
 def test_the_gram_matrix_from_the_nonzeros_is_a_t_a(system):
     tree, coeffs, x0 = system
-    mat = oracle._assemble(coeffs, x0)[0]
+    mat = dense(coeffs, x0)[0]
     gram = oracle._gram(len(mat), *nonzeros(mat))
     bound = 64 * np.finfo(float).eps * (np.abs(mat).T @ np.abs(mat))
     assert (np.abs(gram - mat.T @ mat) <= bound).all()
@@ -439,7 +504,7 @@ def test_a_near_singular_system_falls_back_to_the_svd_rule(k, passes, verdict, r
     # N=2 T=2 at x0 = 1: sigma ratio 8.4e-4 at k = 2, 8.5e-6 to 8.5e-10 at
     # k = 4..8, 8.5e-11 at k = 9 and 9.5e-18 at G = 1
     tree, coeffs = near_singular(2, 2, k)
-    assert oracle._full_rank(tree, oracle._assemble(coeffs, 1.0)[0]) is passes
+    assert certified(tree, coeffs, 1.0) is passes
     result = linear_oracle(coeffs, 1.0)
     assert (type(result), result.rank, result.size) == (verdict, rank, 16)
 
@@ -451,13 +516,11 @@ def test_a_full_rank_system_the_shifted_cholesky_cannot_certify_keeps_its_bytes(
     # 1.57), so the shifted Cholesky factorization does not; the fallback
     # finds full rank and solves as the SVD rule does
     tree, coeffs = near_singular(2, 2, 3.9)
-    mat = oracle._assemble(coeffs, 1.0)[0]
-    rows, cols, vals = nonzeros(mat)
-    gram = oracle._gram(16, rows, cols, vals / np.abs(vals).max())
+    gram = scaled_gram(dense(coeffs, 1.0)[0])
     lam = np.linalg.eigvalsh(gram)
     bound = np.abs(gram).sum(axis=1).max()
     assert linear.SINGULAR_RATIO * lam[-1] < lam[0] < linear.SINGULAR_RATIO * bound
-    assert oracle._full_rank(tree, mat) is False
+    assert oracle._full_rank(tree, gram) is False
     calls, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
     result = linear_oracle(coeffs, 1.0)
@@ -475,11 +538,10 @@ def test_the_oracle_assembles_its_matrix_once(monkeypatch, k):
     assert isinstance(linear_oracle(coeffs, 1.0), UniqueSolution) and len(calls) == 1
 
 
-def test_the_oracle_holds_two_dense_matrices_at_its_peak():
-    # the matrix and the Gram matrix beside it, with the Gram matrix's pair
-    # lists, took 2.12 n^2 doubles at N=3 T=5; the families' blocks are
-    # small, and a whole |Gram| or a whole np.linalg.cholesky beside them
-    # takes about 3
+def test_the_certified_oracle_holds_one_dense_matrix_at_its_peak():
+    # the Gram matrix is the certified path's one n x n array: with its pair
+    # lists it took 1.12 n^2 doubles at N=3 T=5; the dense matrix beside it,
+    # which only the uncertified fallback scatters, would take 2
     rng = np.random.default_rng(5)
     tree = random_tree(rng, 3, 5)
     coeffs = random_linear_coeffs(rng, tree)
@@ -492,7 +554,7 @@ def test_the_oracle_holds_two_dense_matrices_at_its_peak():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert size == 969 and peak <= 2.25 * size * size * 8
+    assert size == 969 and peak <= 1.25 * size * size * 8
 
 
 #: Finite coefficients whose assembly overflows: in the matrix, the forward

@@ -26,7 +26,7 @@ with the sampling seed ``SEED_OPTION``, once given by ``--seed`` and once
 by its ``options.seed``.  The linear file
 of ``SINGULAR_DOC``, on which the certificate and the dense oracle
 disagree, goes through ``solve``, ``oracle`` and ``check`` (a certificate
-of a pass halted below the root), the linear documents of
+of a pass halted below the root), the linear documents of ``CAP_DOC``,
 ``NEAR_SINGULAR_DOC`` and ``OVERFLOW_DOCS`` through ``oracle``, the
 nonlinear document of ``LADDER_OVERFLOW_DOC`` through ``solve`` and ``solve
 --mode picard``, each linear document of ``TOO_LARGE_DOCS`` through
@@ -108,6 +108,11 @@ STOPPED_FLAGS = (("--max-iter", "1"), ("--mode", "picard", "--max-iter", "1"))
 #: with ``random.Random(seed)``, that ``solve`` calls unsolvable at a
 #: singular depth-(T-1) node and the dense oracle (1276 unknowns) solves.
 SINGULAR_DOC = (2, 8, 1)
+
+#: (N, T) of the ``bench/workloads.linear_doc`` file, drawn with
+#: ``random.Random(seed)``, that the dense oracle certifies and solves at
+#: its cap's own size: 2913 unknowns, against MAX_DENSE_UNKNOWNS = 3000.
+CAP_DOC = (3, 6)
 
 #: A linear document of full rank that the dense oracle's full-rank test cannot
 #: certify (sigma_min / sigma_max is 8.5e-8), so the oracle solves it
@@ -197,9 +202,11 @@ def _fault_documents():
     table of a 3-ary tree of depth 3, or in a structural coefficient of a
     linear file on the uniform binary tree of depth 3, or one per-node cell
     of such a file that is an integer too large for a float; a cell, a
-    transition, a ``kind`` or an ``options.mode`` nested 900 lists deep; a document nested 100000 deep, given
-    as the file's text, past the JSON decoder's recursion limit; and an
-    expression of a linear coefficient that divides by zero.  ``solve`` must
+    transition, a ``kind`` or an ``options.mode`` nested 900 lists deep; an
+    ``options`` value out of range (``delta``, ``mode``, ``max_iter``); a
+    document nested 100000 deep, given as the file's text, past the JSON
+    decoder's recursion limit; and an expression of a linear coefficient
+    that divides by zero.  ``solve`` must
     exit 4 on each, and its standard error names the fault and where it
     sits."""
     def table(k=None, row=None, rows=13):
@@ -250,6 +257,8 @@ def _fault_documents():
     yield "kind nested 900 deep", dict(linear(depth_1), kind=nested("linear", 900))
     yield "options.mode nested 900 deep", dict(linear(depth_1),
                                                options={"mode": nested("continuation", 900)})
+    for key, value in (("delta", 2), ("mode", "fancy"), ("max_iter", 0)):
+        yield f"options.{key} {value}", dict(linear(depth_1), options={key: value})
     yield "document nested 100000 deep", "[" * 100000 + "]" * 100000
     yield "D_hat divides by zero at t=1 w=1", linear(D_hat="1/(w-1)")
 
@@ -359,6 +368,9 @@ def outputs(seed):
         N, T, index = SINGULAR_DOC
         yield from run_on(workloads.linear_doc(random.Random(seed), N, T, index),
                           f"singular linear N={N} T={T}", ("solve",), ("oracle",), ("check",))
+        N, T = CAP_DOC
+        yield from run_on(workloads.linear_doc(random.Random(seed), N, T),
+                          f"cap-size linear N={N} T={T}", ("oracle",))
         yield from run_on(NEAR_SINGULAR_DOC, "near-singular linear N=2 T=2", ("oracle",))
         for label, doc in OVERFLOW_DOCS.items():
             yield from run_on(doc, f"{label} linear N=2 T=2", ("oracle",))
