@@ -178,12 +178,12 @@ def _factor(tree, gram, shift):
     Gram matrix couples a node only with its parent, siblings and children,
     and factors leaves first without fill, a symmetric permutation: each
     family (the N children of a node), depth by depth, by one batched
-    ``np.linalg.cholesky`` of a copy of its block, from which the Schur
-    complements of its members' own families are taken; the root last, a
-    family alone.  ``gram`` is only read.  Returns one (own, fam, low, w) a
-    depth, leaves first: the columns of each node (nodes, c) and of each
-    family (families, b), the families' factors (families, b, b), and
-    their coupling to their parents' columns, L_fam^-1 G[fam, parent]
+    ``np.linalg.cholesky`` of a copy of its block less the Schur
+    complements of its members' children; the root last, a family alone.
+    ``gram`` is only read.  Returns one (own, fam, low, w) a depth, leaves
+    first: the columns of each node (nodes, c) and of each family
+    (families, b), the families' factors (families, b, b), and their
+    coupling to their parents' columns, L_fam^-1 G[fam, parent]
     (families, b, c of the parent), None at the root.  Raises
     ``np.linalg.LinAlgError`` at a block that is not positive definite.
     """
