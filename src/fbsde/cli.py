@@ -122,12 +122,14 @@ def _merge_options(loaded: pio.LoadedProblem, args) -> pio.LoadedProblem:
     return dataclasses.replace(loaded, options=options)
 
 
-def _emit(args, text):
+def _emit(args, render, *inputs):
+    """Write ``render(*inputs)`` to ``--output`` or standard output: the
+    renderer writes its text there itself, piece by piece."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            render(*inputs, out=fh)
     else:
-        sys.stdout.write(text)
+        render(*inputs, out=sys.stdout)
 
 
 def _report_out(args, loaded, report):
@@ -137,9 +139,9 @@ def _report_out(args, loaded, report):
             print(f"no solution to render as csv (status: {report['status']})",
                   file=sys.stderr)
             return
-        _emit(args, pio.render_csv(loaded.tree, report["solution"]))
+        _emit(args, pio.render_csv, loaded.tree, report["solution"])
     else:
-        _emit(args, pio.render_json(report))
+        _emit(args, pio.render_json, report)
 
 
 def _new_report(loaded: pio.LoadedProblem):

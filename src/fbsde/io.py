@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import is_
 from typing import Optional
 
 import numpy as np
@@ -382,6 +384,18 @@ def _levels_list(levels):
     return [np.asarray(lev).tolist() for lev in levels]
 
 
+def _contractions(z, rows):
+    """``tilde_contract(z).tolist()`` of a level ``z`` of Z rows, ``rows``
+    being ``z.tolist()``.  Canonical rows end in an exact +0.0, and
+    z_j - (+0.0) is z_j bit for bit, -0.0 included, so then each
+    contraction is its row's list without the last entry: it holds the
+    row's own float objects, which ``render_json`` formats once."""
+    last = z[:, -1]
+    if last.any() or np.signbit(last).any():
+        return tilde_contract(z).tolist()
+    return [row[:-1] for row in rows]
+
+
 def solution_payload(tree, solution) -> dict:
     """Solution block: X (null for backward-only runs), Y, canonical Z rows
     and their contractions, level by level."""
@@ -393,11 +407,12 @@ def solution_payload(tree, solution) -> dict:
         Y, Z = solution
     Y = _process_levels(tree, Y, range(tree.T + 1), "Y")
     Z = _process_levels(tree, Z, range(tree.T), "Z")
+    Z_canonical = _levels_list(Z)
     return {
         "X": None if X is None else _levels_list(X),
         "Y": _levels_list(Y),
-        "Z_canonical": _levels_list(Z),
-        "Z_tilde": _levels_list([tilde_contract(z) for z in Z]),
+        "Z_canonical": Z_canonical,
+        "Z_tilde": [_contractions(z, rows) for z, rows in zip(Z, Z_canonical)],
     }
 
 
@@ -428,29 +443,45 @@ def constants_payload(tree) -> dict:
     return {"L_lower": consts.lower, "L_upper": consts.upper}
 
 
-def render_json(report) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
+def render_json(report, out=None) -> Optional[str]:
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus a newline,
+    returned, or written to the text stream ``out`` (returning None).
 
-    Each list of floats or of float rows is written with one join.  All the
-    pieces go into one list joined once at the end: returning each nesting
-    level's text instead copies the report's text once per level, and those
-    copies grew the process's peak memory from one report to the next.
+    Each float is formatted once, by ``float.__repr__``.  A list of floats
+    or of float rows is formatted by one ``map`` and joined once, with its
+    separators put in by slice assignment, not row by row.  A level of rows
+    that are, float object for float object, the rows of a level written
+    earlier without their last entry (``Z_tilde`` beside ``Z_canonical``,
+    see ``solution_payload``) is cut from that level's strings.  The text
+    stays a list of pieces, the largest one level's text: ``out`` gets them
+    by ``writelines``, so neither the whole text nor its encoding is held
+    at once; without ``out`` they are joined once at the end.
     """
     parts = []
-    _json(report, "", parts)
+    _json(report, "", parts, {})
     parts.append("\n")
-    return "".join(parts)
+    return _text(parts, out)
 
 
-def _json(value, indent, out):
+def _text(parts, out):
+    """The text of ``parts``, a list of strings, joined; or None, once
+    ``out.writelines`` has written them."""
+    if out is None:
+        return "".join(parts)
+    out.writelines(parts)
+    return None
+
+
+def _json(value, indent, out, canonical):
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2,
     sort_keys=True)`` writes it at this indent: dicts with string keys and
     lists are written here, float lists and float row lists in one go,
-    everything else by ``json.dumps``."""
+    everything else by ``json.dumps``.  ``canonical`` keeps the strings of
+    row levels written so far for ``_float_lists``."""
     inner = indent + "  "
     if isinstance(value, (list, tuple)) and value:
         try:
-            out.append(_float_lists(value, indent))
+            out.append(_float_lists(value, indent, canonical))
             return
         except TypeError:
             pass
@@ -458,46 +489,97 @@ def _json(value, indent, out):
         for i, item in enumerate(value):
             if i:
                 out.append(",\n" + inner)
-            _json(item, inner, out)
+            _json(item, inner, out, canonical)
         out.append("\n" + indent + "]")
     elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         out.append("{\n" + inner)
         for i, key in enumerate(sorted(value)):
             out.append((",\n" + inner if i else "") + json.dumps(key) + ": ")
-            _json(value[key], inner, out)
+            _json(value[key], inner, out, canonical)
         out.append("\n" + indent + "}")
     else:
         out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
 
-def _float_lists(value, indent):
+def _float_lists(value, indent, canonical):
     """A non-empty list of floats, or of non-empty float rows, as JSON.
 
     Raises TypeError for any other list, and for NaN or infinite entries,
-    which JSON spells differently from ``float.__repr__``.
+    which JSON spells differently from ``float.__repr__``.  The strings of a
+    level of rows of k > 1 floats ending in 0.0 are kept in ``canonical``
+    under the id of its first float, for ``_contractions_text``.
     """
     inner = indent + "  "
-    if isinstance(value[0], (list, tuple)):
-        row_inner = inner + "  "
-        opening, sep, closing = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
-        rows = []
-        for row in value:
-            if not isinstance(row, (list, tuple)) or not row:
-                raise TypeError("not a float row")
-            rows.append(opening + sep.join(map(float.__repr__, row)) + closing)
-        text = (",\n" + inner).join(rows)
-    else:
+    if not isinstance(value[0], (list, tuple)):
         text = (",\n" + inner).join(map(float.__repr__, value))
+        if "n" in text:  # nan or inf
+            raise TypeError("not finite")
+        return "[\n" + inner + text + "\n" + indent + "]"
+    lengths = set(map(len, value))
+    if not set(map(type, value)) <= {list, tuple} or 0 in lengths:
+        raise TypeError("not a list of float rows")
+    row_inner = inner + "  "
+    sep, next_row = ",\n" + row_inner, "\n" + inner + "],\n" + inner + "[\n" + row_inner
+    if len(lengths) == 1:  # a level of rows
+        k = lengths.pop()
+        strs = (_contractions_text(value, k, canonical)
+                or list(map(float.__repr__, chain.from_iterable(value))))
+        seps = ([sep] * (k - 1) + [next_row]) * len(value)
+    else:  # rows of several lengths, such as a process's levels
+        k = None
+        strs = list(map(float.__repr__, chain.from_iterable(value)))
+        seps = []
+        for n in map(len, value):
+            seps += [sep] * (n - 1) + [next_row]
+    seps[-1] = "\n" + inner + "]\n" + indent + "]"
+    pieces = ["[\n" + inner + "[\n" + row_inner] * (2 * len(strs) + 1)
+    pieces[1::2], pieces[2::2] = strs, seps
+    text = "".join(pieces)
     if "n" in text:  # nan or inf
         raise TypeError("not finite")
-    return "[\n" + inner + text + "\n" + indent + "]"
+    if k and k > 1 and strs[k - 1::k].count("0.0") == len(value):
+        canonical[id(value[0][0])] = value, strs
+    return text
 
 
-def render_csv(tree, solution_block) -> str:
-    """One row per node: t, path, X, Y, Z_1..Z_N (empty where undefined)."""
+def _contractions_text(level, k, canonical):
+    """The strings of ``level``, rows of k floats, if they are, float object
+    for float object, the rows of a level kept in ``canonical`` without
+    their last entry: that level's strings with every (k+1)-th one cut out,
+    after which it is dropped from ``canonical``.  Else None."""
+    kept = canonical.get(id(level[0][0]))
+    if kept is None or len(kept[0]) != len(level) or len(kept[0][0]) != k + 1:
+        return None
+    source, strs = kept
+    floats = list(chain.from_iterable(source))
+    del floats[k::k + 1]
+    if not all(map(is_, chain.from_iterable(level), floats)):
+        return None
+    del canonical[id(level[0][0])], strs[k::k + 1]
+    return strs
+
+
+def _table(columns):
+    """The CSV lines whose cells are the entries of ``columns``, lists of
+    strings of one length, each line ending in a newline."""
+    m, n = len(columns), len(columns[0])
+    pieces = [","] * (2 * m * n)
+    for c, column in enumerate(columns):
+        pieces[2 * c::2 * m] = column
+    pieces[2 * m - 1::2 * m] = ["\n"] * n
+    return "".join(pieces)
+
+
+def render_csv(tree, solution_block, out=None) -> Optional[str]:
+    """One row per node: t, path, X, Y, Z_1..Z_N (empty where undefined),
+    returned, or written to the text stream ``out`` (returning None).
+
+    Each level is built column by column, one ``map(repr, ...)`` per
+    column and one over its Z rows, and its cells are interleaved with
+    their separators by slice assignment, not node by node.
+    """
     N, T = tree.N, tree.T
-    header = ["t", "path", "X", "Y"] + [f"Z_{i + 1}" for i in range(N)]
-    lines = [",".join(header)]
+    parts = [",".join(["t", "path", "X", "Y"] + [f"Z_{i + 1}" for i in range(N)]) + "\n"]
     X = solution_block.get("X")
     Y = solution_block["Y"]
     Z = solution_block["Z_canonical"]
@@ -505,14 +587,20 @@ def render_csv(tree, solution_block) -> str:
     for t in range(T + 1):
         if t:
             # a node's path extends its parent's by its branch, children in order
-            paths = [f"{p}-{b}" if p else str(b) for p in paths for b in range(1, N + 1)]
-        xs = [""] * len(paths) if X is None else map(repr, X[t])
-        if t < T:
-            zs = (",".join(map(repr, row)) for row in Z[t])
-        else:
-            zs = ["," * (N - 1)] * len(paths)  # N empty Z cells
-        lines.extend(f"{t},{p},{x},{y},{z}" for p, x, y, z in zip(paths, xs, map(repr, Y[t]), zs))
-    return "\n".join(lines) + "\n"
+            suffixes = [f"-{b}" if t > 1 else str(b) for b in range(1, N + 1)]
+            paths = [p + s for p in paths for s in suffixes]
+        empty = [""] * len(paths)
+        columns = [[str(t)] * len(paths), paths,
+                   empty if X is None else list(map(repr, X[t])), list(map(repr, Y[t]))]
+        if t == T:
+            columns += [empty] * N
+        elif set(map(len, Z[t])) == {N}:
+            cells = list(map(repr, chain.from_iterable(Z[t])))
+            columns += [cells[j::N] for j in range(N)]
+        else:  # rows of another length: each row's cells as one
+            columns.append([",".join(map(repr, row)) for row in Z[t]])
+        parts.append(_table(columns))
+    return _text(parts, out)
 
 
 def verify_report(loaded: LoadedProblem, report: dict) -> dict:

@@ -46,10 +46,11 @@ small level and on a large one.  Each bsde document of ``HORIZON_DOCS``
 goes through ``solve``: one with a row-free ``f`` only, which the horizon
 reuses, and one with ``f_terminal`` only, under a zero interior generator.
 Then every op of each ``bench/workloads.py`` op list runs on files that
-module generates for ``--seed`` into the same directory, and every
-nonlinear file of an op list also goes through ``check`` and a ``--mode
-picard`` solve.  Every call is a fresh ``python -m fbsde`` process on
-this checkout's ``src``.  Running the same command on two checkouts and
+module generates for ``--seed`` into the same directory; every ``solve``
+file of a workload in ``CSV_WORKLOADS`` also goes through ``solve --format
+csv``, unless its op already does, and every nonlinear file of an op list
+also goes through ``check`` and a ``--mode picard`` solve.  Every call is
+a fresh ``python -m fbsde`` process on this checkout's ``src``.  Running the same command on two checkouts and
 comparing the printed lines shows whether their outputs differ.  With
 ``--against``, a listing saved from an earlier run of the same seed, the
 tool also does that comparison: after printing every line it exits 1,
@@ -95,6 +96,10 @@ ORACLE_STOP = (2, 1, "1e-30")
 #: violated terminal map, h = -x: the demo's own tree, and one of depth 1,
 #: which has no interior clauses.
 CHECK_SIZES = ((2, 3), (3, 1))
+
+#: Workloads each of whose ``solve`` files, unless its op already asks for
+#: CSV, is also solved with ``--format csv`` to standard output.
+CSV_WORKLOADS = ("large-tree",)
 
 #: A sampling seed other than the default 0, given to ``check`` and
 #: ``oracle`` on the ``monotone-family`` document by flag and by file.
@@ -395,6 +400,11 @@ def outputs(seed):
             ops = workloads.generate(workload, seed, workdir)
             for op in ops:
                 yield (f"{workload}: {op.label}", *_run(op.argv(workdir, output), output))
+            if workload in CSV_WORKLOADS:
+                for problem in sorted({op.problem for op in ops
+                                       if op.command == "solve" and op.fmt != "csv"}):
+                    yield (f"{workload}: csv {problem}",
+                           *_run(["solve", str(workdir / problem), "--format", "csv"]))
             for problem in sorted({op.problem for op in ops}):
                 path = workdir / problem
                 if json.loads(path.read_text(encoding="utf-8"))["kind"] == "nonlinear":
